@@ -21,6 +21,7 @@ module Certify = Protean_protcc.Certify
 module Tables = Protean_harness.Tables
 module Parallel = Protean_harness.Parallel
 module Supervisor = Protean_harness.Supervisor
+module Campaign = Protean_harness.Campaign
 module Shard = Protean_harness.Shard
 module Json = Shard.Json
 module Report = Protean_harness.Report
@@ -84,113 +85,15 @@ let timeout_arg =
 let resume_arg =
   Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE"
          ~doc:"Checkpoint file: progress is saved there after every program \
-               and a matching interrupted campaign resumes from it.")
-
-let jobs_arg =
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Domains fuzzing programs concurrently; 0 = all cores. The \
-               outcome is identical to -j 1 (programs are independent). \
-               Incompatible with --resume: checkpointing is sequential, so \
-               a resumed campaign runs serially (with a warning).")
-
-let shards_arg =
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N"
-         ~doc:"Crash-isolated worker processes for the campaign (composes \
-               with -j inside each worker). A worker that segfaults or \
-               hangs is retried; a program that kills its worker on every \
-               attempt is bisected out and reported as a skip, like the \
-               in-process retry barrier. Incompatible with --resume.")
-
-let worker_arg =
-  Arg.(value & flag & info [ "worker" ]
-         ~doc:"Internal: serve campaign programs over the supervisor frame \
-               protocol on stdin/stdout. Spawned by --shards; not for \
-               interactive use.")
+               and a matching interrupted campaign resumes from it. \
+               Checkpointing is sequential, so a resumed campaign ignores \
+               -j and --shards (with a warning).")
 
 let inject_worker_arg =
   Arg.(value & opt (some string) None
          & info [ "inject-worker-fault" ] ~docv:"MODE"
          ~doc:"Self-test the shard supervisor: worker-kill, worker-stall, \
                worker-truncate, or worker-poison:N. Requires --shards > 1.")
-
-let metrics_out_arg =
-  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"PATH"
-         ~doc:"Write campaign metrics to $(docv): Prometheus text \
-               exposition, or JSON when the path ends in .json.")
-
-let trace_out_arg =
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"PATH"
-         ~doc:"Write a Chrome trace-event JSON timeline to $(docv); load \
-               it in Perfetto or chrome://tracing.")
-
-let flamegraph_out_arg =
-  Arg.(value & opt (some string) None & info [ "flamegraph-out" ] ~docv:"PATH"
-         ~doc:"Write a collapsed-stack flamegraph of campaign effort \
-               (contract tests by defense, contract and verdict) to \
-               $(docv); render with flamegraph.pl or speedscope.")
-
-let attr_out_arg =
-  Arg.(value & opt (some string) None & info [ "attr-out" ] ~docv:"PATH"
-         ~doc:"Write the campaign's leakage-attribution record (leaking \
-               transmitter pc, source access pc, trigger window, gadget \
-               family) as JSON to $(docv); the rendered record also \
-               prints on stdout.")
-
-let log_json_arg =
-  Arg.(value & flag & info [ "log-json" ]
-         ~doc:"Emit diagnostic log lines as structured JSON on stderr.")
-
-let listen_arg =
-  Arg.(value & opt (some string) None & info [ "listen" ] ~docv:"HOST:PORT"
-         ~doc:"Run the campaign as a TCP worker pool: bind $(docv) (port 0 \
-               picks one), lease program batches to workers that dial in \
-               with --connect, and re-dispatch the lease of any worker \
-               that disconnects or times out. --shards then bounds \
-               in-flight leases.")
-
-let connect_arg =
-  Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"HOST:PORT"
-         ~doc:"Serve campaign programs as a remote worker: dial a \
-               --listen'ing supervisor, authenticate with \
-               --campaign-token, and reconnect with backoff if the \
-               connection drops.")
-
-let token_arg =
-  Arg.(value & opt string "protean" & info [ "campaign-token" ] ~docv:"TOKEN"
-         ~doc:"Shared secret for the worker-pool handshake; a dial-in \
-               worker presenting a different token is rejected.")
-
-let metrics_listen_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics-listen" ] ~docv:"HOST:PORT"
-         ~doc:"Serve live Prometheus metrics over HTTP at $(docv)/metrics \
-               for the duration of the campaign (port 0 picks one; the \
-               bound port is logged).")
-
-let no_skip_ahead_arg =
-  Arg.(value & flag & info [ "no-skip-ahead" ]
-         ~doc:"Disable event-driven skip-ahead: the simulator steps every \
-               idle cycle instead of jumping to the next event horizon. \
-               Results are bit-identical either way; this is the escape \
-               hatch (also PROTEAN_NO_SKIP_AHEAD=1). Exported to the \
-               environment so --shards workers inherit it.")
-
-let no_shared_frontend_arg =
-  Arg.(value & flag & info [ "no-shared-frontend" ]
-         ~doc:"Disable shared-frontend batching in the harness layers \
-               (--table-ii reaches the experiment grid); the escape hatch, \
-               also PROTEAN_NO_SHARED_FRONTEND=1. Results are \
-               bit-identical either way.")
-
-let check_certs_arg =
-  Arg.(value & flag & info [ "check-certs" ]
-         ~doc:"Audit the protection certificates of every instrumented \
-               program against the SEQ contract executor (static claim \
-               audit plus lockstep replay on the campaign's own input \
-               pairs), so the campaign doubles as a translation-validation \
-               audit of ProtCC. A certificate violation fails the run; \
-               under --shards it poisons only the offending program's \
-               cell.")
 
 let inject_pass_fault_arg =
   Arg.(value & opt (some string) None
@@ -209,6 +112,16 @@ let inject_arg =
                (each fault paired with a defense where the faulted layer \
                is load-bearing), so --defense/--contract are ignored. \
                Undetected faults (detector gaps) fail the run.")
+
+let campaign_term =
+  Campaign.term
+    ~check_certs_doc:
+      "Audit the protection certificates of every instrumented program \
+       against the SEQ contract executor (static claim audit plus lockstep \
+       replay on the campaign's own input pairs), so the campaign doubles \
+       as a translation-validation audit of ProtCC. A certificate violation \
+       fails the run; under --shards it poisons only the offending \
+       program's cell."
 
 let campaign_of ?(gadget = false) contract adversary programs inputs seed
     squash_bug timeout core_width check_certs pass_fault =
@@ -310,16 +223,16 @@ let record_self_test rows =
         Metrics.inc (c "detected_total" "injected faults caught"))
     rows
 
-(* Write whatever the exporter flags asked for; merged with [Report]'s
-   runtime (supervisor) registry so sharded campaigns expose their
-   process lifecycle too. *)
+(* The campaign registry merged with [Report]'s runtime (supervisor)
+   registry, so sharded campaigns expose their process lifecycle too. *)
+let snapshot () =
+  Metrics.merge (Metrics.snapshot fuzz_reg) (Metrics.snapshot Report.runtime)
+
+(* Write whatever the exporter flags asked for. *)
 let write_telemetry (tele : Report.config) =
   (match tele.Report.metrics_out with
   | Some path ->
-      let snap =
-        Metrics.merge (Metrics.snapshot fuzz_reg)
-          (Metrics.snapshot Report.runtime)
-      in
+      let snap = snapshot () in
       Report.write_file path
         (if Filename.check_suffix path ".json" then Metrics.to_json snap
          else Metrics.to_prometheus snap)
@@ -481,50 +394,10 @@ let outcome_of_json j =
    worker died on every attempt (a poisoned cell) becomes a structured
    skip — exactly how the in-process barrier reports a program that
    faults twice. *)
-let run_campaign_supervised ~tele ~shards ~jobs ~inject ?pool ?http
-    ?(shrink = true) campaign d =
-  let cells =
-    List.init campaign.Fuzz.programs (fun i ->
-        { Shard.c_id = i; c_key = string_of_int i })
-  in
-  let config =
-    {
-      Supervisor.default_config with
-      Supervisor.shards;
-      inject = Option.map Fault_inject.worker_mode_of_string inject;
-    }
-  in
-  let bus = Supervisor.create_bus () in
-  Supervisor.subscribe bus ~name:"log" (Supervisor.logger ());
-  if Report.wanted tele || http <> None then
-    Supervisor.subscribe bus ~name:"telemetry" (Report.supervisor_observer ());
-  let worker_argv =
-    Supervisor.self_worker_argv
-      ~drop:
-        [
-          "--shards"; "--inject-worker-fault"; "--listen"; "--metrics-listen";
-          "--campaign-token";
-        ]
-      ()
-  in
-  let fallback remaining =
-    let remaining = Array.of_list remaining in
-    let rs =
-      Parallel.map ~jobs
-        (Array.map
-           (fun (c : Shard.cell) () -> fuzz_cell campaign d c.Shard.c_id)
-           remaining)
-    in
-    Array.to_list
-      (Array.mapi (fun i (c : Shard.cell) -> (c.Shard.c_id, rs.(i))) remaining)
-  in
-  let outcomes =
-    match pool with
-    | Some p -> Supervisor.run_pool ~bus ?http config ~pool:p ~fallback cells
-    | None -> Supervisor.run ~bus ?http config ~worker_argv ~fallback cells
-  in
+let merge_supervised campaign d outcomes =
   let out = Fuzz.fresh_outcome () in
   let skips = ref [] in
+  let violating = ref None in
   List.iter
     (fun (id, o) ->
       let skip reason =
@@ -538,7 +411,12 @@ let run_campaign_supervised ~tele ~shards ~jobs ~inject ?pool ?http
       in
       match o with
       | Supervisor.O_ok j -> (
-          Fuzz.merge_outcome ~into:out (outcome_of_json j);
+          let sub = outcome_of_json j in
+          (* [merge_outcome] keeps the first example, so the first cell
+             (in index order) that has one is the violating program. *)
+          if !violating = None && sub.Fuzz.example <> None then
+            violating := Some id;
+          Fuzz.merge_outcome ~into:out sub;
           match Json.member "skip" j with
           | Json.Str reason -> skip reason
           | _ -> ())
@@ -547,27 +425,19 @@ let run_campaign_supervised ~tele ~shards ~jobs ~inject ?pool ?http
             (Printf.sprintf "worker crashed on every attempt (%d): %s"
                f_attempts f_reason))
     outcomes;
-  (* Recover the first violating program from its seed and replay it
-     with witness capture in-process (witnesses never cross the pipe);
-     the witness feeds both the shrinker and the attribution replay. *)
+  (* Replay the first violating program with witness capture in-process
+     (witnesses never cross the pipe); the witness feeds both the
+     shrinker and the attribution replay. *)
   let witness =
-    match out.Fuzz.example with
-    | Some (pseed, _) ->
-        let index = (pseed - campaign.Fuzz.seed) / 7919 in
+    Option.bind !violating (fun index ->
         let w = ref None in
         let program = Fuzz.generate_program campaign index in
         (try ignore (Fuzz.test_program ~witness:w campaign d ~index ~program)
          with _ -> ());
-        !w
-    | None -> None
+        !w)
   in
-  let counterexample =
-    if shrink then Option.map (Fuzz.shrink_witness campaign d) witness
-    else None
-  in
-  let attribution =
-    Option.bind witness (Fuzz.attribute_witness campaign d)
-  in
+  let counterexample = Option.map (Fuzz.shrink_witness campaign d) witness in
+  let attribution = Option.bind witness (Fuzz.attribute_witness campaign d) in
   {
     Fuzz.r_outcome = out;
     r_completed = campaign.Fuzz.programs - List.length !skips;
@@ -577,24 +447,45 @@ let run_campaign_supervised ~tele ~shards ~jobs ~inject ?pool ?http
     r_attribution = attribution;
   }
 
-let run_campaign ~tele ~jobs ~shards ~inject_worker ?pool ?http campaign d
-    contract resume =
-  let r =
-    with_span
-      (Printf.sprintf "%s|%s" d.Defense.id contract)
-      (fun () ->
-        match resume with
-        | None when shards > 1 || pool <> None ->
-            run_campaign_supervised ~tele ~shards ~jobs ~inject:inject_worker
-              ?pool ?http campaign d
-        | None when jobs > 1 -> Parallel.fuzz_run_resilient ~jobs campaign d
-        | _ ->
-            if jobs > 1 || shards > 1 then
-              Tlog.warn ~src:"fuzz"
-                "--resume checkpoints sequentially; ignoring -j %d --shards %d"
-                jobs shards;
-            Fuzz.run_resilient ?checkpoint:resume campaign d)
-  in
+(* The campaign itself: supervised under --shards / --listen, served
+   under --worker / --connect (then [None]: nothing to report), else in
+   process on -j domains — or serially under --resume, which
+   checkpoints after every program.  A cell is one program, keyed by its
+   index. *)
+let run_campaign (c : Campaign.t) ?inject_worker ~resume campaign d =
+  match resume with
+  | Some _ ->
+      if c.jobs > 1 || c.shards > 1 then
+        Tlog.warn ~src:"fuzz"
+          "--resume checkpoints sequentially; ignoring -j %d --shards %d"
+          c.jobs c.shards;
+      Some (Fuzz.run_resilient ?checkpoint:resume campaign d)
+  | None ->
+      let job () =
+        {
+          Campaign.cells =
+            List.init campaign.Fuzz.programs (fun i ->
+                { Shard.c_id = i; c_key = string_of_int i });
+          compute =
+            (fun key ->
+              fuzz_cell ~cert_poison:c.check_certs campaign d
+                (int_of_string key));
+          fallback = (fun key -> fuzz_cell campaign d (int_of_string key));
+          merge = merge_supervised campaign d;
+        }
+      in
+      Campaign.run ?inject:inject_worker ~src:"fuzz"
+        ~live:(fun () -> Metrics.to_prometheus (snapshot ()))
+        ~job
+        ~in_process:(fun () ->
+          if c.jobs > 1 then Parallel.fuzz_run_resilient ~jobs:c.jobs campaign d
+          else Fuzz.run_resilient campaign d)
+        c
+
+(* Record and print a campaign report; [true] when it failed (contract
+   or certificate violations). *)
+let report_campaign (tele : Report.config) campaign d contract
+    (r : Fuzz.report) =
   record_campaign ~defense_id:d.Defense.id ~contract
     ~adversary:(Fuzz.adversary_name campaign.Fuzz.adversary)
     r;
@@ -667,84 +558,34 @@ let run_campaign ~tele ~jobs ~shards ~inject_worker ?pool ?http campaign d
   out.Fuzz.violations > 0 || cert_failed
 
 let run table_ii defense contract programs inputs adversary seed core_width
-    squash_bug gadget timeout resume inject jobs shards worker inject_worker
-    check_certs no_skip_ahead no_shared_frontend pass_fault metrics_out
-    trace_out flamegraph_out attr_out log_json listen connect token
-    metrics_listen =
-  Protean_ooo.Gc_tune.tune ();
-  if log_json then Tlog.set_json true;
-  (* Escape hatches, exported to the environment so spawned --shards
-     workers (which re-read it at startup) run the same mode. *)
-  if no_skip_ahead then begin
-    Protean_ooo.Pipeline.set_skip_ahead false;
-    Unix.putenv "PROTEAN_NO_SKIP_AHEAD" "1"
-  end;
-  if no_shared_frontend then begin
-    Protean_harness.Experiment.share_frontend := false;
-    Unix.putenv "PROTEAN_NO_SHARED_FRONTEND" "1"
-  end;
-  let tele = { Report.metrics_out; trace_out; flamegraph_out; attr_out } in
-  Report.enable ~worker:(worker || connect <> None) tele;
-  if check_certs then Certify.enabled := true;
-  let jobs = if jobs = 0 then Parallel.default_jobs () else max 1 jobs in
-  let shards = max 1 shards in
-  if worker || connect <> None then begin
-    (* Spawned by a supervisor (--worker: frames on stdin/stdout) or
-       dialing one remotely (--connect); cell key = program index. *)
-    let d = Defense.find defense in
-    let campaign =
-      campaign_of ~gadget contract adversary programs inputs seed squash_bug
-        timeout core_width check_certs pass_fault
-    in
-    let compute key =
-      fuzz_cell ~cert_poison:check_certs campaign d (int_of_string key)
-    in
-    match connect with
-    | None -> Shard.worker_main ~jobs ~compute ()
-    | Some addr -> Shard.connect_worker ~jobs ~addr ~token ~compute ()
-  end
-  else begin
-    let pool =
-      Option.map
-        (fun addr ->
-          {
-            Supervisor.default_pool_config with
-            Supervisor.pl_listen = addr;
-            pl_token = token;
-          })
-        listen
-    in
-    let http =
-      Option.bind metrics_listen (fun addr ->
-          Report.listen_metrics ~src:"fuzz" addr (fun () ->
-              Metrics.to_prometheus
-                (Metrics.merge (Metrics.snapshot fuzz_reg)
-                   (Metrics.snapshot Report.runtime))))
-    in
-    let failed =
-      Fun.protect
-        ~finally:(fun () ->
-          Option.iter Protean_telemetry.Http_listener.close http)
-        (fun () ->
-          if table_ii then begin
-            Tables.table_ii ~jobs ~programs ~inputs ();
-            false
-          end
-          else if inject then
-            run_self_test ~jobs ~programs ~inputs ~seed ~timeout
-          else begin
-            let d = Defense.find defense in
-            let campaign =
-              campaign_of ~gadget contract adversary programs inputs seed
-                squash_bug timeout core_width check_certs pass_fault
-            in
-            run_campaign ~tele ~jobs ~shards ~inject_worker ?pool ?http
-              campaign d contract resume
-          end)
-    in
-    if Report.wanted tele then write_telemetry tele;
-    if failed then exit 1
-  end
+    squash_bug gadget timeout resume inject inject_worker pass_fault
+    (c : Campaign.t) =
+  Campaign.setup c;
+  if c.check_certs then Certify.enabled := true;
+  let failed =
+    if table_ii then begin
+      Tables.table_ii ~jobs:c.jobs ~programs ~inputs ();
+      Some false
+    end
+    else if inject then
+      Some (run_self_test ~jobs:c.jobs ~programs ~inputs ~seed ~timeout)
+    else begin
+      let d = Defense.find defense in
+      let campaign =
+        campaign_of ~gadget contract adversary programs inputs seed squash_bug
+          timeout core_width c.check_certs pass_fault
+      in
+      with_span
+        (Printf.sprintf "%s|%s" d.Defense.id contract)
+        (fun () -> run_campaign c ?inject_worker ~resume campaign d)
+      |> Option.map (report_campaign c.tele campaign d contract)
+    end
+  in
+  match failed with
+  | None -> () (* served as a worker: the supervisor reports *)
+  | Some failed ->
+      if Report.wanted c.tele then write_telemetry c.tele;
+      if failed then exit 1
 
 let cmd =
   let doc = "fuzz simulated Spectre defenses against security contracts" in
@@ -753,12 +594,7 @@ let cmd =
     Term.(
       const run $ table_ii_arg $ defense_arg $ contract_arg $ programs_arg
       $ inputs_arg $ adversary_arg $ seed_arg $ core_width_arg
-      $ squash_bug_arg $ gadget_arg $ timeout_arg
-      $ resume_arg $ inject_arg $ jobs_arg $ shards_arg $ worker_arg
-      $ inject_worker_arg $ check_certs_arg $ no_skip_ahead_arg
-      $ no_shared_frontend_arg $ inject_pass_fault_arg
-      $ metrics_out_arg $ trace_out_arg
-      $ flamegraph_out_arg $ attr_out_arg $ log_json_arg $ listen_arg
-      $ connect_arg $ token_arg $ metrics_listen_arg)
+      $ squash_bug_arg $ gadget_arg $ timeout_arg $ resume_arg $ inject_arg
+      $ inject_worker_arg $ inject_pass_fault_arg $ campaign_term)
 
 let () = exit (Cmd.eval cmd)

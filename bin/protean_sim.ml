@@ -21,9 +21,9 @@ module Invariants = Protean_ooo.Invariants
 module Stats = Protean_ooo.Stats
 module Parallel = Protean_harness.Parallel
 module Supervisor = Protean_harness.Supervisor
+module Campaign = Protean_harness.Campaign
 module Shard = Protean_harness.Shard
 module Json = Protean_harness.Shard.Json
-module Fault_inject = Protean_defense.Fault_inject
 module E = Protean_harness.Experiment
 module Report = Protean_harness.Report
 module Profile = Protean_ooo.Profile
@@ -31,7 +31,6 @@ module Spec_window = Protean_ooo.Spec_window
 module Twindow = Protean_telemetry.Window
 module Flame = Protean_telemetry.Flame
 module Trace = Protean_telemetry.Trace
-module Tlog = Protean_telemetry.Log
 
 let bench_arg =
   let doc = "Benchmark name (repeatable; see --list)." in
@@ -87,50 +86,17 @@ let paranoid_sched_arg =
   in
   Arg.(value & flag & info [ "paranoid-sched" ] ~doc)
 
-let no_skip_ahead_arg =
-  Arg.(value & flag & info [ "no-skip-ahead" ]
-         ~doc:"Disable event-driven skip-ahead: the simulator steps every \
-               idle cycle instead of jumping to the next event horizon. \
-               Results are bit-identical either way; this is the escape \
-               hatch (also PROTEAN_NO_SKIP_AHEAD=1). Exported to the \
-               environment so --shards workers inherit it.")
-
-let no_shared_frontend_arg =
-  Arg.(value & flag & info [ "no-shared-frontend" ]
-         ~doc:"Disable shared-frontend batching in the harness layers: \
-               build, instrument and decode each workload independently \
-               instead of reusing one frontend per (benchmark, pass) \
-               group. Results are bit-identical either way (also \
-               PROTEAN_NO_SHARED_FRONTEND=1).")
-
-let check_certs_arg =
-  Arg.(value & flag & info [ "check-certs" ]
-         ~doc:"Audit each compiled benchmark's protection certificates \
-               with the independent checker (static claim audit plus SEQ \
-               lockstep replay) before simulating it; a refuted \
-               certificate is reported as a structured fault for that \
-               benchmark while the rest complete.")
-
-let jobs_arg =
-  let doc = "Domains for multi-benchmark runs; 0 = all cores." in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+let campaign_term =
+  Campaign.term
+    ~check_certs_doc:
+      "Audit each compiled benchmark's protection certificates with the \
+       independent checker (static claim audit plus SEQ lockstep replay) \
+       before simulating it; a refuted certificate is reported as a \
+       structured fault for that benchmark while the rest complete."
 
 let list_arg =
   let doc = "List available benchmarks and exit." in
   Arg.(value & flag & info [ "list" ] ~doc)
-
-let shards_arg =
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N"
-         ~doc:"Crash-isolated worker processes for multi-benchmark runs \
-               (composes with -j inside each worker). Reports still print \
-               in benchmark order; a benchmark whose worker keeps crashing \
-               is isolated and reported as a fault while the rest complete.")
-
-let worker_arg =
-  Arg.(value & flag & info [ "worker" ]
-         ~doc:"Internal: serve benchmark cells over the supervisor frame \
-               protocol on stdin/stdout. Spawned by --shards; not for \
-               interactive use.")
 
 let inject_arg =
   Arg.(value & opt (some string) None & info [ "inject-faults" ] ~docv:"MODE"
@@ -143,69 +109,7 @@ let heartbeat_arg =
 
 let wall_arg =
   Arg.(value & opt float 3600.0 & info [ "shard-wall" ] ~docv:"SECS"
-         ~doc:"Kill a worker spawn that outlives this wall-clock budget.")
-
-let metrics_out_arg =
-  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"PATH"
-         ~doc:"Write run metrics to $(docv): Prometheus text exposition, \
-               or JSON when the path ends in .json.")
-
-let trace_out_arg =
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"PATH"
-         ~doc:"Write a Chrome trace-event JSON timeline to $(docv); load \
-               it in Perfetto or chrome://tracing.")
-
-let flamegraph_out_arg =
-  Arg.(value & opt (some string) None & info [ "flamegraph-out" ] ~docv:"PATH"
-         ~doc:"Write a collapsed-stack flamegraph (simulated cycles by \
-               defense, benchmark and function) to $(docv); render with \
-               flamegraph.pl or speedscope.")
-
-let attr_out_arg =
-  Arg.(value & opt (some string) None & info [ "attr-out" ] ~docv:"PATH"
-         ~doc:"Attach the speculation-window ledger and write the per-cell \
-               window summary (leaky windows, tainted transmitters, defense \
-               interventions, over-protection ratio) as JSON to $(docv); a \
-               rendered text summary prints on stdout.")
-
-let log_json_arg =
-  Arg.(value & flag & info [ "log-json" ]
-         ~doc:"Emit diagnostic log lines as structured JSON on stderr.")
-
-let listen_arg =
-  Arg.(value & opt (some string) None & info [ "listen" ] ~docv:"HOST:PORT"
-         ~doc:"Run multi-benchmark simulation as a TCP worker pool: bind \
-               $(docv) (port 0 picks one), lease benchmarks to workers \
-               that dial in with --connect, and re-dispatch the lease of \
-               any worker that disconnects or times out. --shards then \
-               bounds in-flight leases.")
-
-let connect_arg =
-  Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"HOST:PORT"
-         ~doc:"Serve benchmark cells as a remote worker: dial a \
-               --listen'ing supervisor, authenticate with \
-               --campaign-token, and reconnect with backoff if the \
-               connection drops.")
-
-let token_arg =
-  Arg.(value & opt string "protean" & info [ "campaign-token" ] ~docv:"TOKEN"
-         ~doc:"Shared secret for the worker-pool handshake; a dial-in \
-               worker presenting a different token is rejected.")
-
-let metrics_listen_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics-listen" ] ~docv:"HOST:PORT"
-         ~doc:"Serve live Prometheus metrics over HTTP at $(docv)/metrics \
-               for the duration of the run (port 0 picks one; the bound \
-               port is logged).")
-
-(* Dropped from the worker argv.  The exporter flags are deliberately
-   *not* here: workers keep them so they collect telemetry for their
-   cells (the results ride home over the frame protocol); only the
-   parent writes files. *)
-let supervisor_flags =
-  [ "--shards"; "--inject-faults"; "--shard-heartbeat"; "--shard-wall";
-    "--listen"; "--metrics-listen"; "--campaign-token" ]
+         ~doc:"Kill a worker whose lease outlives this wall-clock budget.")
 
 let config_of = function
   | "p" -> Config.p_core
@@ -356,27 +260,12 @@ let simulate (b : Suite.benchmark) (d : Defense.t) config spec_model pass
           ~pm ~fl ~wn )
 
 let run list benches defense pass core core_width spec_model invariants
-    invariant_every paranoid_sched no_skip_ahead no_shared_frontend
-    check_certs jobs shards worker inject heartbeat wall metrics_out trace_out
-    flamegraph_out attr_out log_json listen connect token metrics_listen =
-  Protean_ooo.Gc_tune.tune ();
-  if log_json then Tlog.set_json true;
+    invariant_every paranoid_sched inject heartbeat wall (c : Campaign.t) =
+  Campaign.setup c;
   (* Stays in the worker argv (not a supervisor flag): shard workers
      audit the certificates of the cells they compile. *)
-  if check_certs then Report.enable_cert_audit ();
-  if paranoid_sched then begin
-    Pipeline.set_paranoid_sched true;
-    (* Spawned --shards workers re-read the environment at startup. *)
-    Unix.putenv "PROTEAN_PARANOID_SCHED" "1"
-  end;
-  if no_skip_ahead then begin
-    Pipeline.set_skip_ahead false;
-    Unix.putenv "PROTEAN_NO_SKIP_AHEAD" "1"
-  end;
-  if no_shared_frontend then begin
-    E.share_frontend := false;
-    Unix.putenv "PROTEAN_NO_SHARED_FRONTEND" "1"
-  end;
+  if c.check_certs then Report.enable_cert_audit ();
+  if paranoid_sched then Pipeline.set_paranoid_sched true;
   if list then
     List.iter
       (fun (b : Suite.benchmark) ->
@@ -384,8 +273,6 @@ let run list benches defense pass core core_width spec_model invariants
           (Protean_isa.Program.string_of_klass b.Suite.klass))
       Suite.all
   else begin
-    let jobs = if jobs = 0 then Parallel.default_jobs () else max 1 jobs in
-    let shards = max 1 shards in
     let d = Defense.find defense in
     let config = config_of core in
     (* --core-width stays in the worker argv (it is not a supervisor
@@ -395,174 +282,104 @@ let run list benches defense pass core core_width spec_model invariants
     in
     let spec_model = model_of spec_model in
     let invariants = Invariants.mode_of_string invariants in
-    let tele = { Report.metrics_out; trace_out; flamegraph_out; attr_out } in
-    Report.enable ~worker tele;
     let session = E.create_session () in
     let cell_key bench =
       Printf.sprintf "%s|%s|%s" bench d.Defense.id config.Config.name
     in
-    let record bench res =
-      if Report.wanted tele then
-        Hashtbl.replace session.E.cache (cell_key bench) res
+    let simulate bench =
+      simulate (Suite.find bench) d config spec_model pass invariants
+        invariant_every bench
     in
-    let with_span bench f =
-      match !Report.tracer with
-      | None -> f ()
-      | Some tr ->
-          let t0 = Unix.gettimeofday () in
-          let r = f () in
-          Trace.span tr ~cat:"cell" ~t0 ~t1:(Unix.gettimeofday ())
-            (cell_key bench);
-          r
-    in
-    let finish code =
-      if (not worker) && Report.wanted tele then
-        Report.write_outputs tele session;
-      if code <> 0 then exit code
+    (* A benchmark's report and telemetry, or the fault that ended it. *)
+    let outcome sim =
+      match sim () with
+      | report, res -> Ok (report, res)
+      | exception Pipeline.Sim_fault f -> Error (Pipeline.fault_to_string f)
+      | exception (Certify.Cert_violation _ as e) ->
+          Error (Printexc.to_string e)
     in
     (* One cell per benchmark; the cell key is the benchmark name, so the
        worker's enumeration is the supervisor's by construction. *)
     let sim_cell bench =
-      let b = Suite.find bench in
-      match
-        simulate b d config spec_model pass invariants invariant_every bench
-      with
-      | report, res ->
+      match outcome (fun () -> simulate bench) with
+      | Ok (report, res) ->
           Json.Obj
             [
               ("report", Json.Str report);
               ("result", Supervisor.Grid.result_to_json res);
             ]
-      | exception Pipeline.Sim_fault f ->
-          Json.Obj [ ("fault", Json.Str (Pipeline.fault_to_string f)) ]
-      | exception (Certify.Cert_violation _ as e) ->
-          Json.Obj [ ("fault", Json.Str (Printexc.to_string e)) ]
+      | Error reason -> Json.Obj [ ("fault", Json.Str reason) ]
     in
-    let report_fault bench reason =
-      Printf.eprintf "[fault] bench=%s defense=%s core=%s: %s\n%!" bench
-        d.Defense.id config.Config.name reason
+    let of_cell = function
+      | Supervisor.O_ok j -> (
+          match (Json.member "report" j, Json.member "fault" j) with
+          | Json.Str report, _ ->
+              Ok
+                ( report,
+                  Supervisor.Grid.result_of_json (Json.member "result" j) )
+          | _, Json.Str reason -> Error reason
+          | _ -> Error "malformed worker result frame")
+      | Supervisor.O_fault { f_attempts; f_reason; _ } ->
+          Error
+            (Printf.sprintf "worker crashed on every attempt (%d): %s"
+               f_attempts f_reason)
     in
-    if worker then Shard.worker_main ~jobs ~compute:sim_cell ()
-    else if connect <> None then
-      Shard.connect_worker ~jobs ~addr:(Option.get connect) ~token
-        ~compute:sim_cell ()
-    else if shards > 1 || listen <> None then begin
-      let cells =
-        List.mapi (fun i b -> { Shard.c_id = i; c_key = b }) benches
-      in
-      let sup_config =
-        {
-          Supervisor.default_config with
-          Supervisor.shards;
-          heartbeat;
-          wall;
-          inject = Option.map Fault_inject.worker_mode_of_string inject;
-        }
-      in
-      let bus = Supervisor.create_bus () in
-      Supervisor.subscribe bus ~name:"log" (Supervisor.logger ());
-      if Report.wanted tele || metrics_listen <> None then
-        Supervisor.subscribe bus ~name:"telemetry"
-          (Report.supervisor_observer ());
-      let worker_argv = Supervisor.self_worker_argv ~drop:supervisor_flags () in
-      let fallback cells =
-        let tasks =
-          Array.of_list
-            (List.map
-               (fun c () -> (c.Shard.c_id, sim_cell c.Shard.c_key))
-               cells)
-        in
-        Array.to_list (Parallel.map ~jobs tasks)
-      in
-      let pool =
-        Option.map
-          (fun addr ->
-            {
-              Supervisor.default_pool_config with
-              Supervisor.pl_listen = addr;
-              pl_token = token;
-            })
-          listen
-      in
-      let http =
-        Option.bind metrics_listen (fun addr ->
-            Report.listen_metrics ~src:"sim" addr
-              (Report.live_metrics session))
-      in
-      let outcomes =
-        Fun.protect
-          ~finally:(fun () ->
-            Option.iter Protean_telemetry.Http_listener.close http)
-          (fun () ->
-            match pool with
-            | Some p ->
-                Supervisor.run_pool ~bus ?http sup_config ~pool:p ~fallback
-                  cells
-            | None ->
-                Supervisor.run ~bus ?http sup_config ~worker_argv ~fallback
-                  cells)
-      in
+    (* Reports print in benchmark order.  A fault reports the faulting
+       configuration instead of dying with a raw backtrace, and exits
+       non-zero so scripts notice. *)
+    let render results =
       let faulted = ref false in
       List.iter
-        (fun (id, outcome) ->
-          let bench = List.nth benches id in
-          match outcome with
-          | Supervisor.O_ok j -> (
-              match Json.member "report" j with
-              | Json.Str report ->
-                  print_string report;
-                  (match Json.member "result" j with
-                  | Json.Null -> ()
-                  | rj -> record bench (Supervisor.Grid.result_of_json rj))
-              | _ ->
-                  let reason =
-                    match Json.member "fault" j with
-                    | Json.Str s -> s
-                    | _ -> "malformed worker result frame"
-                  in
-                  report_fault bench reason;
-                  faulted := true)
-          | Supervisor.O_fault { f_attempts; f_reason; _ } ->
-              report_fault bench
-                (Printf.sprintf "worker crashed on every attempt (%d): %s"
-                   f_attempts f_reason);
+        (fun (bench, r) ->
+          match r with
+          | Ok (report, res) ->
+              print_string report;
+              if Report.wanted c.tele then
+                Hashtbl.replace session.E.cache (cell_key bench) res
+          | Error reason ->
+              Printf.eprintf "[fault] bench=%s defense=%s core=%s: %s\n%!" bench
+                d.Defense.id config.Config.name reason;
               faulted := true)
-        outcomes;
-      finish (if !faulted then 3 else 0)
-    end
-    else begin
+        results;
+      if Report.wanted c.tele then Report.write_outputs c.tele session;
+      if !faulted then exit 3
+    in
+    (* In process, each benchmark's wall-clock span goes to the trace. *)
+    let traced bench () =
+      match !Report.tracer with
+      | None -> simulate bench
+      | Some tr ->
+          let t0 = Unix.gettimeofday () in
+          let r = simulate bench in
+          Trace.span tr ~cat:"cell" ~t0 ~t1:(Unix.gettimeofday ())
+            (cell_key bench);
+          r
+    in
+    let in_process () =
       let tasks =
         Array.of_list
-          (List.map
-             (fun bench () ->
-               let b = Suite.find bench in
-               match
-                 with_span bench (fun () ->
-                     simulate b d config spec_model pass invariants
-                       invariant_every bench)
-               with
-               | report, res -> Ok (bench, report, res)
-               | exception Pipeline.Sim_fault f ->
-                   Error (bench, Pipeline.fault_to_string f)
-               | exception (Certify.Cert_violation _ as e) ->
-                   Error (bench, Printexc.to_string e))
-             benches)
+          (List.map (fun bench () -> outcome (traced bench)) benches)
       in
-      let reports = Parallel.map ~jobs tasks in
-      let faulted = ref false in
-      Array.iter
-        (function
-          | Ok (bench, report, res) ->
-              print_string report;
-              record bench res
-          | Error (bench, reason) ->
-              (* Report the faulting configuration instead of dying with a
-                 raw backtrace, and exit non-zero so scripts notice. *)
-              report_fault bench reason;
-              faulted := true)
-        reports;
-      finish (if !faulted then 3 else 0)
-    end
+      render
+        (List.combine benches (Array.to_list (Parallel.map ~jobs:c.jobs tasks)))
+    in
+    let job () =
+      {
+        Campaign.cells =
+          List.mapi (fun i b -> { Shard.c_id = i; c_key = b }) benches;
+        compute = sim_cell;
+        fallback = sim_cell;
+        merge =
+          (fun outcomes ->
+            render
+              (List.map
+                 (fun (id, o) -> (List.nth benches id, of_cell o))
+                 outcomes));
+      }
+    in
+    ignore
+      (Campaign.run ~heartbeat ~wall ?inject ~src:"sim"
+         ~live:(Report.live_metrics session) ~job ~in_process c)
   end
 
 let cmd =
@@ -572,11 +389,7 @@ let cmd =
     Term.(
       const run $ list_arg $ bench_arg $ defense_arg $ pass_arg $ core_arg
       $ core_width_arg $ spec_model_arg $ invariants_arg $ invariant_every_arg
-      $ paranoid_sched_arg $ no_skip_ahead_arg $ no_shared_frontend_arg
-      $ check_certs_arg $ jobs_arg $ shards_arg
-      $ worker_arg $ inject_arg
-      $ heartbeat_arg $ wall_arg $ metrics_out_arg $ trace_out_arg
-      $ flamegraph_out_arg $ attr_out_arg $ log_json_arg $ listen_arg
-      $ connect_arg $ token_arg $ metrics_listen_arg)
+      $ paranoid_sched_arg $ inject_arg $ heartbeat_arg $ wall_arg
+      $ campaign_term)
 
 let () = exit (Cmd.eval cmd)

@@ -17,9 +17,7 @@
 
 open Cmdliner
 module E = Protean_harness.Experiment
-module Parallel = Protean_harness.Parallel
-module Supervisor = Protean_harness.Supervisor
-module Fault_inject = Protean_defense.Fault_inject
+module Campaign = Protean_harness.Campaign
 module Tables = Protean_harness.Tables
 module Figures = Protean_harness.Figures
 module Studies = Protean_harness.Studies
@@ -47,49 +45,6 @@ let fuzz_programs_arg =
   Arg.(value & opt int 10 & info [ "fuzz-programs" ] ~docv:"N"
          ~doc:"Programs per Table II campaign.")
 
-let check_certs_arg =
-  Arg.(value & flag & info [ "check-certs" ]
-         ~doc:"Audit the protection certificates of every ProtCC compile \
-               in the grid with the independent checker before the binary \
-               runs; a refuted certificate becomes a structured cell \
-               fault. Stays in the worker argv, so shard workers audit \
-               the cells they compile.")
-
-let no_skip_ahead_arg =
-  Arg.(value & flag & info [ "no-skip-ahead" ]
-         ~doc:"Disable event-driven skip-ahead: the simulator steps every \
-               idle cycle instead of jumping to the next event horizon. \
-               Results are bit-identical either way; this is the escape \
-               hatch (also PROTEAN_NO_SKIP_AHEAD=1). Stays in the worker \
-               argv, and is exported to the environment so shard workers \
-               inherit it.")
-
-let no_shared_frontend_arg =
-  Arg.(value & flag & info [ "no-shared-frontend" ]
-         ~doc:"Disable shared-frontend batching: build, instrument and \
-               decode every grid cell's workload independently instead of \
-               reusing one frontend per (benchmark, pass) group. Results \
-               are bit-identical either way; this is the escape hatch \
-               (also PROTEAN_NO_SHARED_FRONTEND=1).")
-
-let jobs_arg =
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Simulation domains; 0 = all cores. Output is byte-identical \
-               to -j 1.")
-
-let shards_arg =
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N"
-         ~doc:"Crash-isolated worker processes for the experiment grid \
-               (composes with -j inside each worker). Output is \
-               byte-identical to the serial run; a crashing cell is \
-               isolated by bisection and reported as a structured fault.")
-
-let worker_arg =
-  Arg.(value & flag & info [ "worker" ]
-         ~doc:"Internal: serve grid cells over the supervisor frame \
-               protocol on stdin/stdout. Spawned by --shards; not for \
-               interactive use.")
-
 let inject_arg =
   Arg.(value & opt (some string) None & info [ "inject-faults" ] ~docv:"MODE"
          ~doc:"Self-test the shard supervisor by arming a worker-level \
@@ -104,107 +59,33 @@ let heartbeat_arg =
 
 let wall_arg =
   Arg.(value & opt float 3600.0 & info [ "shard-wall" ] ~docv:"SECS"
-         ~doc:"Kill a worker spawn that outlives this wall-clock budget.")
+         ~doc:"Kill a worker whose lease outlives this wall-clock budget.")
 
 let checkpoint_dir_arg =
   Arg.(value & opt (some string) None & info [ "checkpoint-dir" ] ~docv:"DIR"
          ~doc:"Persist per-shard results there (atomic JSON files); a \
                restarted supervised run resumes completed cells from them.")
 
-let metrics_out_arg =
-  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"PATH"
-         ~doc:"Write grid metrics to $(docv): Prometheus text exposition, \
-               or JSON when the path ends in .json. Simulation-derived \
-               families are byte-identical across -j and --shards.")
+let campaign_term =
+  Campaign.term
+    ~check_certs_doc:
+      "Audit the protection certificates of every ProtCC compile in the \
+       grid with the independent checker before the binary runs; a refuted \
+       certificate becomes a structured cell fault. Stays in the worker \
+       argv, so shard workers audit the cells they compile."
 
-let trace_out_arg =
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"PATH"
-         ~doc:"Write a Chrome trace-event JSON timeline (cell spans, \
-               supervisor lifecycle instants) to $(docv); load it in \
-               Perfetto or chrome://tracing.")
-
-let flamegraph_out_arg =
-  Arg.(value & opt (some string) None & info [ "flamegraph-out" ] ~docv:"PATH"
-         ~doc:"Write a collapsed-stack flamegraph (simulated cycles by \
-               defense, benchmark and function) to $(docv); render with \
-               flamegraph.pl or speedscope.")
-
-let attr_out_arg =
-  Arg.(value & opt (some string) None & info [ "attr-out" ] ~docv:"PATH"
-         ~doc:"Write the per-cell speculation-window ledger summary \
-               (window counters and over-protection ratios) as JSON to \
-               $(docv), and print the rendered report. Byte-identical \
-               across -j and --shards.")
-
-let log_json_arg =
-  Arg.(value & flag & info [ "log-json" ]
-         ~doc:"Emit diagnostic log lines as structured JSON on stderr.")
-
-let listen_arg =
-  Arg.(value & opt (some string) None & info [ "listen" ] ~docv:"HOST:PORT"
-         ~doc:"Run the grid as a TCP worker pool: bind $(docv) (port 0 \
-               picks one), lease work to workers that dial in with \
-               --connect, and re-dispatch the lease of any worker that \
-               disconnects or times out. --shards then bounds in-flight \
-               leases. Output stays byte-identical to the serial run.")
-
-let connect_arg =
-  Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"HOST:PORT"
-         ~doc:"Serve grid cells as a remote worker: dial a --listen'ing \
-               supervisor, authenticate with --campaign-token, and \
-               reconnect with backoff if the connection drops.")
-
-let token_arg =
-  Arg.(value & opt string "protean" & info [ "campaign-token" ] ~docv:"TOKEN"
-         ~doc:"Shared secret for the worker-pool handshake; a dial-in \
-               worker presenting a different token is rejected.")
-
-let metrics_listen_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics-listen" ] ~docv:"HOST:PORT"
-         ~doc:"Serve live Prometheus metrics over HTTP at $(docv)/metrics \
-               for the duration of the run (port 0 picks one; the bound \
-               port is logged).")
-
-(* Supervisor-only flags must not reach the worker's argv: the worker
-   re-runs the same discovery pass, and any argv drift would change the
-   cell enumeration.  The telemetry exporter flags are deliberately
-   *kept*: workers flip the collection switches from them, and cell
-   telemetry rides home over the frame protocol ([F_result]'s "pm"/"fl"
-   fields); only the parent writes files. *)
-let supervisor_flags =
-  [ "--shards"; "--inject-faults"; "--shard-heartbeat"; "--shard-wall";
-    "--checkpoint-dir"; "--listen"; "--metrics-listen"; "--campaign-token" ]
-
-let run what benches core_widths fuzz_programs check_certs no_skip_ahead
-    no_shared_frontend jobs shards worker inject heartbeat wall checkpoint_dir
-    metrics_out trace_out flamegraph_out attr_out log_json listen connect
-    token metrics_listen =
-  Protean_ooo.Gc_tune.tune ();
-  if log_json then Protean_telemetry.Log.set_json true;
-  if check_certs then Report.enable_cert_audit ();
-  (* Both escape hatches stay in the worker argv and are exported to the
-     environment: spawned --shards workers re-read it at startup, so the
-     whole grid runs one scheduling mode. *)
-  if no_skip_ahead then begin
-    Protean_ooo.Pipeline.set_skip_ahead false;
-    Unix.putenv "PROTEAN_NO_SKIP_AHEAD" "1"
-  end;
-  if no_shared_frontend then begin
-    E.share_frontend := false;
-    Unix.putenv "PROTEAN_NO_SHARED_FRONTEND" "1"
-  end;
-  let jobs = if jobs = 0 then Parallel.default_jobs () else max 1 jobs in
-  let shards = max 1 shards in
+let run what benches core_widths fuzz_programs inject heartbeat wall
+    checkpoint_dir (c : Campaign.t) =
+  Campaign.setup c;
+  if c.check_certs then Report.enable_cert_audit ();
+  let jobs = c.jobs in
   let benches = match benches with [] -> None | bs -> Some bs in
   let widths = match core_widths with [] -> None | ws -> Some ws in
-  let tele = { Report.metrics_out; trace_out; flamegraph_out; attr_out } in
   (* The over-protection audit reads the ledger's summary counters from
      every cell; flip collection before any simulation runs.  The switch
      rides the worker argv (the positional target is kept), so shard
      workers collect too and the counters ride home in [F_result]. *)
   if what = "over-protection" then E.collect_window := true;
-  Report.enable ~worker tele;
   let session = E.create_session ~log:true () in
   (* Targets memoized through [session] can be prewarmed in parallel;
      the rest manage their own parallelism (or have none to exploit). *)
@@ -236,58 +117,18 @@ let run what benches core_widths fuzz_programs check_certs no_skip_ahead
   in
   (* One generator per sharded/prewarm scope: the target's own, or the
      combined session sweep for `all` (cells shared between tables run
-     once, in one parallel or supervised pass). *)
-  let combined_gen () =
-    List.iter (fun w -> Option.get (session_gen w) ()) session_targets
-  in
-  let supervised gen =
-    let config =
-      {
-        Supervisor.default_config with
-        Supervisor.shards;
-        heartbeat;
-        wall;
-        checkpoint_dir;
-        inject = Option.map Fault_inject.worker_mode_of_string inject;
-      }
-    in
-    let bus = Supervisor.create_bus () in
-    Supervisor.subscribe bus ~name:"log" (Supervisor.logger ());
-    if Report.wanted tele || metrics_listen <> None then
-      Supervisor.subscribe bus ~name:"telemetry"
-        (Report.supervisor_observer ());
-    let worker_argv =
-      Supervisor.self_worker_argv ~drop:supervisor_flags ()
-    in
-    let pool =
-      Option.map
-        (fun addr ->
-          {
-            Supervisor.default_pool_config with
-            Supervisor.pl_listen = addr;
-            pl_token = token;
-          })
-        listen
-    in
-    let http =
-      Option.bind metrics_listen (fun addr ->
-          Report.listen_metrics ~src:"tables" addr
-            (Report.live_metrics session))
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Option.iter Protean_telemetry.Http_listener.close http)
-      (fun () ->
-        Supervisor.Grid.supervised ~bus ~config ?pool ?http ~worker_argv ~jobs
-          session gen)
-  in
-  let gen_session g =
-    if shards > 1 || listen <> None then supervised g
-    else E.prewarm ~jobs session g
+     once, in one parallel or supervised pass).  A worker serves the
+     same scope: its discovery pass enumerates exactly the supervisor's
+     cells because the argv (minus supervisor flags) matches. *)
+  let grid g =
+    Campaign.grid c ~heartbeat ~wall ?checkpoint_dir ?inject ~src:"tables"
+      session g
   in
   let gen w =
     match session_gen w with
-    | Some g -> gen_session g
+    | Some g -> grid g
+    | None when Campaign.serving c ->
+        invalid_arg ("--worker is only meaningful for grid targets: " ^ w)
     | None -> (
         match w with
         | "table-ii" -> Tables.table_ii ~jobs ~programs:fuzz_programs ()
@@ -303,30 +144,14 @@ let run what benches core_widths fuzz_programs check_certs no_skip_ahead
               (Protean_harness.Golden.width_lines ~jobs ())
         | s -> invalid_arg ("unknown table/figure: " ^ s))
   in
-  if worker || connect <> None then
-    (* Spawned by a supervisor (--worker: frames on stdin/stdout) or
-       dialing one remotely (--connect).  The discovery pass below
-       enumerates exactly the supervisor's cells because the argv
-       (minus supervisor flags) matches. *)
-    let g =
-      match what with
-      | "all" -> combined_gen
-      | w -> (
-          match session_gen w with
-          | Some g -> g
-          | None ->
-              invalid_arg ("--worker is only meaningful for grid targets: " ^ w))
-    in
-    Supervisor.Grid.worker ~jobs ?connect ~token session g
-  else begin
-    (match what with
-    | "all" ->
-        gen_session combined_gen;
-        gen "area";
-        gen "table-ii"
-    | w -> gen w);
-    if Report.wanted tele then Report.write_outputs tele session
-  end
+  (match what with
+  | "all" ->
+      grid (fun () ->
+          List.iter (fun w -> Option.get (session_gen w) ()) session_targets);
+      if not (Campaign.serving c) then List.iter gen [ "area"; "table-ii" ]
+  | w -> gen w);
+  if (not (Campaign.serving c)) && Report.wanted c.tele then
+    Report.write_outputs c.tele session
 
 let cmd =
   let doc = "regenerate the PROTEAN paper's tables and figures" in
@@ -334,11 +159,7 @@ let cmd =
     (Cmd.info "protean-tables" ~doc)
     Term.(
       const run $ what_arg $ bench_arg $ core_width_arg $ fuzz_programs_arg
-      $ check_certs_arg $ no_skip_ahead_arg $ no_shared_frontend_arg
-      $ jobs_arg
-      $ shards_arg $ worker_arg $ inject_arg $ heartbeat_arg $ wall_arg
-      $ checkpoint_dir_arg $ metrics_out_arg $ trace_out_arg
-      $ flamegraph_out_arg $ attr_out_arg $ log_json_arg $ listen_arg
-      $ connect_arg $ token_arg $ metrics_listen_arg)
+      $ inject_arg $ heartbeat_arg $ wall_arg $ checkpoint_dir_arg
+      $ campaign_term)
 
 let () = exit (Cmd.eval cmd)

@@ -207,8 +207,8 @@ type frontend = {
 }
 
 (* Escape hatch: [--no-shared-frontend] / PROTEAN_NO_SHARED_FRONTEND
-   fall back to per-cell frontend construction.  The env var is how the
-   CLI flag reaches [--shards] worker re-execs. *)
+   fall back to per-cell frontend construction.  The flag stays in a
+   [--shards] worker's argv, so workers set it themselves. *)
 let share_frontend =
   ref (Sys.getenv_opt "PROTEAN_NO_SHARED_FRONTEND" = None)
 

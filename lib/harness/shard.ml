@@ -431,7 +431,6 @@ let frame_of_json j =
    blocking readers accept a tighter [?max_frame] so transports exposed
    to untrusted networks can bound their allocation budget. *)
 let default_max_frame = 64 * 1024 * 1024
-let max_frame = default_max_frame
 
 let check_frame_len ~cap len =
   if len < 0 || len > cap then

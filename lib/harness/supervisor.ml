@@ -1,17 +1,26 @@
 (* Crash-isolated multi-process shard supervisor.
 
-   [run] shards a deterministic cell list across N worker processes
-   (exec'd copies of the current CLI in [--worker] mode, speaking
-   {!Shard}'s length-prefixed JSON frame protocol on stdin/stdout) and
-   owns robustness end-to-end:
+   [run] shards a deterministic cell list into leases (work batches)
+   and hands them to a pool of worker processes speaking {!Shard}'s
+   length-prefixed JSON frame protocol.  Workers join the pool from one
+   of two sources:
 
-   - liveness: per-worker heartbeat deadlines (no frame for
-     [heartbeat] seconds) and a wall-clock budget per spawn; an expired
-     worker is SIGKILLed and its *uncompleted* cells requeued — results
-     streamed before the kill are kept;
-   - retry: a failed shard (crash, kill, protocol corruption) is
-     re-spawned with exponential backoff;
-   - bisection: a shard that keeps failing is split in half until the
+   - spawned: exec'd copies of the current CLI in [--worker] mode, on
+     stdin/stdout pipes.  A spawn joins pre-authenticated with its one
+     lease, serves it, and exits;
+   - dial-in ([pool]): remote [--connect] workers accepted on a TCP
+     listener.  They authenticate with a [hello] handshake and may
+     serve one lease after another.
+
+   One loop owns robustness end-to-end, whichever the source:
+
+   - liveness: per-lease heartbeat deadlines (no frame for [heartbeat]
+     seconds) and a wall-clock budget per lease; an expired worker is
+     SIGKILLed (spawn) or dropped (dial-in) and its *uncompleted* cells
+     requeued — results streamed before the failure are kept;
+   - retry: a failed lease (crash, kill, disconnect, protocol
+     corruption) is requeued with exponential backoff;
+   - bisection: a lease that keeps failing is split in half until the
      failure is isolated to a single cell, which is reported as a
      structured fault — in the style of [Pipeline.Sim_fault] — instead
      of crashing the run, while every other cell completes;
@@ -20,13 +29,14 @@
      deterministically by cell id, so a killed *supervisor* resumes and
      the merged output is byte-identical to a serial run;
    - degradation: when processes cannot be spawned (Windows,
-     PROTEAN_NO_SPAWN=1, exec failure) the whole batch falls back to
-     in-process [Parallel.map].
+     PROTEAN_NO_SPAWN=1, exec failure) or no dial-in worker turns up,
+     the remaining cells fall back to the in-process [fallback].
 
-   Shard lifecycle (spawn / heartbeat / retry / bisect / kill / poison)
-   is surfaced through the same observer pattern as the pipeline's hook
-   bus ([Protean_ooo.Hooks]): typed events, subscribers in registration
-   order, so run-log tooling needs no supervisor-code changes. *)
+   Worker lifecycle (spawn / connect / lease / heartbeat / retry /
+   bisect / kill / poison) is surfaced through the same observer
+   pattern as the pipeline's hook bus ([Protean_ooo.Hooks]): typed
+   events, subscribers in registration order, so run-log tooling needs
+   no supervisor-code changes. *)
 
 module Fault_inject = Protean_defense.Fault_inject
 module Json = Shard.Json
@@ -51,7 +61,7 @@ type event =
   | Checkpoint_loaded of { cells : int }
   | Fallback of { reason : string }
   | Merged of { cells : int; faults : int }
-  (* TCP worker-pool lifecycle ([run_pool]): *)
+  (* Dial-in ([--listen]) members: *)
   | Listening of { addr : string; port : int }
   | Worker_connected of { worker : int; peer : string }
   | Worker_rejected of { peer : string; reason : string }
@@ -118,25 +128,22 @@ let event_to_string = function
 
 (* Run-log subscriber: serialized through the experiment-layer line sink
    so supervisor lines never interleave with in-process fill output. *)
-let logger ?(quiet_heartbeat = true) () =
-  fun ev ->
-    match ev with
-    | Heartbeat _ when quiet_heartbeat -> ()
-    | Cell_done _ -> ()
-    | Worker_log { line; _ } -> Experiment.log_line "%s" line
-    | Worker_stderr { shard; line } ->
-        Experiment.log_line "[shard %d] %s" shard line
-    | ev -> Experiment.log_line "[supervisor] %s" (event_to_string ev)
+let logger = function
+  | Heartbeat _ | Cell_done _ -> ()
+  | Worker_log { line; _ } -> Experiment.log_line "%s" line
+  | Worker_stderr { shard; line } ->
+      Experiment.log_line "[shard %d] %s" shard line
+  | ev -> Experiment.log_line "[supervisor] %s" (event_to_string ev)
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
 (* ------------------------------------------------------------------ *)
 
 type config = {
-  shards : int;
+  shards : int; (* initial leases, and the cap on leases in flight *)
   heartbeat : float; (* s without any frame before a worker is killed *)
-  wall : float; (* s per spawn before a worker is killed *)
-  max_attempts : int; (* failures of one shard before bisect/poison *)
+  wall : float; (* s per lease before its worker is killed *)
+  max_attempts : int; (* failures of one lease before bisect/poison *)
   backoff : float; (* base retry delay, doubled per attempt *)
   checkpoint_dir : string option;
   inject : Fault_inject.worker_mode option;
@@ -153,17 +160,16 @@ let default_config =
     inject = None;
   }
 
-(* Worker-pool mode ([run_pool]): instead of exec'ing local workers the
+(* Dial-in source ([--listen]): instead of exec'ing local workers the
    supervisor listens on TCP and remote workers dial in, so a campaign
-   spans machines.  [cfg.shards] then bounds the number of in-flight
-   *leases* (work batches), not processes.  Dial-in connections must
-   present the campaign [token] and a matching protocol version before
-   they are leased any work. *)
+   spans machines.  Dial-in connections must present the campaign
+   [token] and a matching protocol version before they are leased any
+   work. *)
 type pool_config = {
   pl_listen : string; (* HOST:PORT to bind; port 0 picks one *)
   pl_token : string; (* shared campaign secret for the handshake *)
   pl_accept_wall : float;
-      (* s with work pending but no workers connected before the
+      (* s with work pending but no worker holding a lease before the
          campaign degrades to the in-process fallback *)
 }
 
@@ -179,9 +185,9 @@ type outcome =
 (* Worker transports                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The process-management half is abstracted so tests can drive the
-   supervisor with in-process (domain-backed) workers while production
-   uses fork/exec. *)
+(* The process-management half of a spawned worker is abstracted so
+   tests can drive the supervisor with in-process (domain-backed)
+   workers while production uses fork/exec. *)
 type transport = {
   t_pid : int option;
   t_read : Unix.file_descr; (* frames from the worker *)
@@ -243,6 +249,18 @@ let spawn_exec ~argv ~env_fault : transport =
       (fun () ->
         let _, status = Unix.waitpid [] pid in
         (status_to_string status, status = Unix.WEXITED 0));
+  }
+
+(* An accepted dial-in connection: one socket both ways, nothing to
+   kill or reap. *)
+let socket_transport fd =
+  {
+    t_pid = None;
+    t_read = fd;
+    t_write = fd;
+    t_err = None;
+    t_kill = ignore;
+    t_wait = (fun () -> ("closed", true));
   }
 
 (* Build the argv for re-exec'ing the current CLI as a shard worker:
@@ -355,6 +373,8 @@ end
 (* The supervision loop                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* A lease: one batch of cells, waiting in the queue or held by a
+   member. *)
 type pending = {
   p_shard : int; (* display id *)
   p_origin : int; (* initial shard this work descends from *)
@@ -363,18 +383,21 @@ type pending = {
   p_not_before : float;
 }
 
-type active = {
-  a_shard : int;
-  a_origin : int;
-  a_cells : Shard.cell list;
-  a_attempt : int;
-  a_tr : transport;
-  a_dec : Shard.Decoder.t;
-  mutable a_errbuf : string;
-  mutable a_last : float; (* last frame (liveness) *)
-  a_spawned : float;
-  mutable a_done : bool; (* F_done received *)
-  mutable a_failed : string option; (* kill/protocol failure reason *)
+(* A pool member: one worker of either source.  It holds at most one
+   lease at a time, so a dead member forfeits exactly one batch.
+   [m_id] is the display id: the lease's shard for a spawn, an accept
+   counter for a dial-in. *)
+type member = {
+  m_id : int;
+  m_spawned : bool; (* exec'd on a pipe: serves one lease, then exits *)
+  m_peer : string;
+  m_tr : transport;
+  m_dec : Shard.Decoder.t;
+  mutable m_authed : bool; (* spawns join pre-authenticated *)
+  mutable m_errbuf : string;
+  mutable m_last : float; (* last bytes received (liveness) *)
+  mutable m_lease : pending option;
+  mutable m_leased_at : float;
 }
 
 let split_shards shards (cells : Shard.cell list) =
@@ -388,12 +411,10 @@ let split_shards shards (cells : Shard.cell list) =
       Array.to_list (Array.sub arr lo (hi - lo)))
   |> List.filter (fun l -> l <> [])
 
-(* Result ledger shared by the pipe supervisor ([run]) and the TCP
-   worker pool ([run_pool]): which cells are resolved, the per-origin
-   completion lists that back checkpoints, and the final deterministic
-   merge.  Commutative bookkeeping — results can arrive from any
-   worker in any order and the merge is still byte-identical to a
-   serial run. *)
+(* Result ledger: which cells are resolved, the per-origin completion
+   lists that back checkpoints, and the final deterministic merge.
+   Commutative bookkeeping — results can arrive from any worker in any
+   order and the merge is still byte-identical to a serial run. *)
 module Ledger = struct
   type t = {
     g_bus : bus;
@@ -492,707 +513,515 @@ module Ledger = struct
       t.g_cells
 end
 
-(* Failure disposition shared by pipe shards and pool leases: retry
-   with exponential backoff while the attempt budget lasts, then
-   bisect a multi-cell batch towards the failing cell, and poison a
-   single cell that keeps failing. *)
-let requeue_failed ~bus ~cfg ~(ledger : Ledger.t) ~pending ~fresh_shard ~now
-    ~shard ~origin ~cells ~attempt reason =
-  let rest =
-    List.filter (fun c -> not (Ledger.have ledger c.Shard.c_id)) cells
+(* Lease [remaining] to pool members until every cell is resolved.
+   Returns [Some reason] when the pool gave up (exec failure, no dial-in
+   worker within the accept budget) with cells still unresolved. *)
+let supervise ~bus ?spawn ?pool ?http ~worker_argv cfg (ledger : Ledger.t)
+    remaining =
+  let now () = Unix.gettimeofday () in
+  let next_shard = ref 0 in
+  let fresh_shard () =
+    let s = !next_shard in
+    incr next_shard;
+    s
   in
-  if rest = [] then ()
-  else if attempt >= cfg.max_attempts then
-    if List.length rest > 1 then begin
-      (* Bisect: narrow the crashing batch towards the poisoned cell;
-         each half restarts its attempt budget. *)
-      let arr = Array.of_list rest in
-      let mid = Array.length arr / 2 in
-      let left = Array.to_list (Array.sub arr 0 mid) in
-      let right = Array.to_list (Array.sub arr mid (Array.length arr - mid)) in
-      emit bus
-        (Bisect { shard; left = List.length left; right = List.length right });
-      let mk cells =
-        {
-          p_shard = fresh_shard ();
-          p_origin = origin;
-          p_cells = cells;
-          p_attempt = 1;
-          p_not_before = now () +. cfg.backoff;
-        }
-      in
-      pending := !pending @ [ mk left; mk right ]
-    end
-    else Ledger.poison ledger ~attempts:attempt (List.hd rest).Shard.c_id reason
-  else begin
-    let delay = cfg.backoff *. (2.0 ** float_of_int (attempt - 1)) in
-    emit bus (Retry { shard; attempt = attempt + 1; delay });
-    pending :=
-      !pending
-      @ [
-          {
-            p_shard = shard;
-            p_origin = origin;
-            p_cells = rest;
-            p_attempt = attempt + 1;
-            p_not_before = now () +. delay;
-          };
-        ]
-  end
-
-let run ?(bus = create_bus ()) ?spawn ?http (cfg : config)
-    ~(worker_argv : string array)
-    ~(fallback : Shard.cell list -> (int * Json.t) list)
-    (cells : Shard.cell list) : (int * outcome) list =
-  Shard.ignore_sigpipe ();
-  let ledger = Ledger.create ~bus ~checkpoint_dir:cfg.checkpoint_dir cells in
-  let record_ok = Ledger.record_ok ledger in
-  let save_checkpoint = Ledger.save_checkpoint ledger in
-  let finish () = Ledger.finish ledger in
-  let run_fallback reason remaining =
-    emit bus (Fallback { reason });
-    List.iter (fun (id, r) -> record_ok ~origin:0 id r) (fallback remaining);
-    save_checkpoint 0
+  let fresh_lease ?origin ~not_before cells =
+    let s = fresh_shard () in
+    {
+      p_shard = s;
+      p_origin = Option.value origin ~default:s;
+      p_cells = cells;
+      p_attempt = 1;
+      p_not_before = not_before;
+    }
   in
-  if cells = [] then finish ()
-  else begin
-    (* Resume from per-shard checkpoints, when given. *)
-    Ledger.load_checkpoints ledger;
-    let remaining = Ledger.remaining ledger in
-    if remaining = [] then finish ()
-    else if not (Shard.can_spawn ()) then begin
-      run_fallback "process spawning unavailable" remaining;
-      finish ()
+  let pending =
+    ref
+      (List.map
+         (fresh_lease ~not_before:0.0)
+         (split_shards cfg.shards remaining))
+  in
+  let members : member list ref = ref [] in
+  let aborted = ref None in
+  (* Last time the campaign moved (connect, lease, result): the
+     no-worker give-up clock measures from here. *)
+  let progress = ref (now ()) in
+  let hb_expired =
+    Printf.sprintf "heartbeat deadline (%.0fs) expired" cfg.heartbeat
+  in
+  let wall_expired =
+    Printf.sprintf "wall-clock budget (%.0fs) expired" cfg.wall
+  in
+  let lsock =
+    Option.map
+      (fun p ->
+        let sock, port = Shard.listen_socket p.pl_listen in
+        (* Subscribers (tests, log tooling) learn the real port when
+           [pl_listen] ends in ":0". *)
+        emit bus (Listening { addr = p.pl_listen; port });
+        sock)
+      pool
+  in
+  let next_worker = ref 0 in
+  let join ~id ~spawned ~peer tr =
+    let m =
+      {
+        m_id = id;
+        m_spawned = spawned;
+        m_peer = peer;
+        m_tr = tr;
+        m_dec = Shard.Decoder.create ();
+        m_authed = spawned;
+        m_errbuf = "";
+        m_last = now ();
+        m_lease = None;
+        m_leased_at = 0.0;
+      }
+    in
+    members := m :: !members;
+    m
+  in
+  let shard_of m = match m.m_lease with Some p -> p.p_shard | None -> m.m_id in
+  (* Failure disposition: retry with exponential backoff while the
+     attempt budget lasts, then bisect a multi-cell lease towards the
+     failing cell, and poison a single cell that keeps failing. *)
+  let requeue p reason =
+    let rest =
+      List.filter (fun c -> not (Ledger.have ledger c.Shard.c_id)) p.p_cells
+    in
+    if rest = [] then ()
+    else if p.p_attempt < cfg.max_attempts then begin
+      let delay = cfg.backoff *. (2.0 ** float_of_int (p.p_attempt - 1)) in
+      emit bus (Retry { shard = p.p_shard; attempt = p.p_attempt + 1; delay });
+      pending :=
+        !pending
+        @ [
+            {
+              p with
+              p_cells = rest;
+              p_attempt = p.p_attempt + 1;
+              p_not_before = now () +. delay;
+            };
+          ]
     end
-    else begin
-      let next_shard = ref 0 in
-      let fresh_shard () =
-        let s = !next_shard in
-        incr next_shard;
-        s
-      in
-      let now () = Unix.gettimeofday () in
-      let pending : pending list ref =
-        ref
-          (List.map
-             (fun cs ->
-               let s = fresh_shard () in
+    else
+      match rest with
+      | [ c ] -> Ledger.poison ledger ~attempts:p.p_attempt c.Shard.c_id reason
+      | _ ->
+          (* Bisect: narrow the crashing lease towards the poisoned
+             cell; each half restarts its attempt budget. *)
+          let mid = List.length rest / 2 in
+          let left = List.filteri (fun i _ -> i < mid) rest in
+          let right = List.filteri (fun i _ -> i >= mid) rest in
+          emit bus
+            (Bisect
                {
-                 p_shard = s;
-                 p_origin = s;
-                 p_cells = cs;
-                 p_attempt = 1;
-                 p_not_before = 0.0;
-               })
-             (split_shards cfg.shards remaining))
-      in
-      let active : active list ref = ref [] in
-      let aborted = ref None in
-      let spawn_one (p : pending) =
-        let env_fault =
-          match cfg.inject with
-          | None -> None
-          | Some m ->
-              if Fault_inject.worker_mode_persistent m then
-                Some (Fault_inject.worker_mode_name m)
-              else if p.p_shard = 0 && p.p_attempt = 1 then
-                Some (Fault_inject.worker_mode_name m)
-              else None
-        in
-        let tr =
-          match spawn with
-          | Some f -> f ~shard:p.p_shard ~attempt:p.p_attempt ~env_fault
-          | None -> spawn_exec ~argv:worker_argv ~env_fault
-        in
-        emit bus
-          (Spawn
-             {
-               shard = p.p_shard;
-               attempt = p.p_attempt;
-               pid = tr.t_pid;
-               cells = List.length p.p_cells;
-             });
-        Shard.write_frame tr.t_write (Shard.F_work p.p_cells);
-        active :=
-          {
-            a_shard = p.p_shard;
-            a_origin = p.p_origin;
-            a_cells = p.p_cells;
-            a_attempt = p.p_attempt;
-            a_tr = tr;
-            a_dec = Shard.Decoder.create ();
-            a_errbuf = "";
-            a_last = now ();
-            a_spawned = now ();
-            a_done = false;
-            a_failed = None;
-          }
-          :: !active
-      in
-      let requeue (a : active) reason =
-        requeue_failed ~bus ~cfg ~ledger ~pending ~fresh_shard ~now
-          ~shard:a.a_shard ~origin:a.a_origin ~cells:a.a_cells
-          ~attempt:a.a_attempt reason
-      in
-      let finalize (a : active) =
-        active := List.filter (fun x -> x != a) !active;
-        (try Unix.close a.a_tr.t_write with Unix.Unix_error _ -> ());
-        let status, clean = a.a_tr.t_wait () in
-        (try Unix.close a.a_tr.t_read with Unix.Unix_error _ -> ());
-        (match a.a_tr.t_err with
-        | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-        | None -> ());
-        let all_resulted =
-          List.for_all (fun c -> Ledger.have ledger c.Shard.c_id) a.a_cells
-        in
-        let truncated = Shard.Decoder.pending_bytes a.a_dec > 0 in
-        let ok =
-          a.a_failed = None && a.a_done && clean && all_resulted
-          && not truncated
-        in
-        emit bus (Worker_exit { shard = a.a_shard; status; ok });
-        save_checkpoint a.a_origin;
-        if not ok then begin
-          let reason =
-            match a.a_failed with
-            | Some r -> r
-            | None ->
-                if truncated then
-                  Printf.sprintf "worker died mid-frame (%s)" status
-                else if not (a.a_done && clean) then
-                  Printf.sprintf "worker crashed (%s)" status
-                else "worker exited without completing its cells"
+                 shard = p.p_shard;
+                 left = List.length left;
+                 right = List.length right;
+               });
+          let half cells =
+            fresh_lease ~origin:p.p_origin ~not_before:(now () +. cfg.backoff)
+              cells
           in
-          requeue a reason
+          let left = half left in
+          let right = half right in
+          pending := !pending @ [ left; right ]
+  in
+  (* Close [m]'s transport; a spawn is reaped, giving its exit status. *)
+  let hang_up m =
+    let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
+    close m.m_tr.t_write;
+    let status = if m.m_spawned then Some (m.m_tr.t_wait ()) else None in
+    if m.m_tr.t_read <> m.m_tr.t_write then close m.m_tr.t_read;
+    Option.iter close m.m_tr.t_err;
+    status
+  in
+  (* Take [m] out of the pool and requeue a lease it still holds — for
+     [failure] when the loop ended the member, else for whatever its EOF
+     means. *)
+  let retire ?failure m =
+    members := List.filter (fun x -> x != m) !members;
+    let reason =
+      match hang_up m with
+      | None -> Option.value failure ~default:"connection closed"
+      | Some (status, clean) -> (
+          let truncated = Shard.Decoder.pending_bytes m.m_dec > 0 in
+          emit bus
+            (Worker_exit
+               {
+                 shard = m.m_id;
+                 status;
+                 ok =
+                   failure = None && clean && (not truncated)
+                   && m.m_lease = None;
+               });
+          match failure with
+          | Some r -> r
+          | None when truncated ->
+              Printf.sprintf "worker died mid-frame (%s)" status
+          | None -> Printf.sprintf "worker crashed (%s)" status)
+    in
+    if m.m_authed && not m.m_spawned then
+      emit bus (Worker_disconnected { worker = m.m_id; reason });
+    match m.m_lease with
+    | Some p ->
+        m.m_lease <- None;
+        Ledger.save_checkpoint ledger p.p_origin;
+        requeue p reason
+    | None -> ()
+  in
+  let kill m reason =
+    if m.m_spawned then begin
+      emit bus (Kill { shard = m.m_id; reason });
+      m.m_tr.t_kill ()
+    end;
+    retire ~failure:reason m
+  in
+  let spawn_member p =
+    let env_fault =
+      match cfg.inject with
+      | Some mode
+        when Fault_inject.worker_mode_persistent mode
+             || (p.p_shard = 0 && p.p_attempt = 1) ->
+          Some (Fault_inject.worker_mode_name mode)
+      | _ -> None
+    in
+    let tr =
+      match spawn with
+      | Some f -> f ~shard:p.p_shard ~attempt:p.p_attempt ~env_fault
+      | None -> spawn_exec ~argv:worker_argv ~env_fault
+    in
+    emit bus
+      (Spawn
+         {
+           shard = p.p_shard;
+           attempt = p.p_attempt;
+           pid = tr.t_pid;
+           cells = List.length p.p_cells;
+         });
+    join ~id:p.p_shard ~spawned:true ~peer:"pipe" tr
+  in
+  (* The lease dispatcher: grant [p] to a fresh spawn or to an idle
+     dial-in member, while fewer than [cfg.shards] leases are out. *)
+  let grant p =
+    match
+      if !aborted <> None
+         || List.length (List.filter (fun m -> m.m_lease <> None) !members)
+            >= cfg.shards
+      then None
+      else if pool = None then Some (spawn_member p)
+      else List.find_opt (fun m -> m.m_authed && m.m_lease = None) !members
+    with
+    | None -> false
+    | Some m -> (
+        match Shard.write_frame m.m_tr.t_write (Shard.F_work p.p_cells) with
+        | () ->
+            let t = now () in
+            m.m_lease <- Some p;
+            m.m_leased_at <- t;
+            m.m_last <- t;
+            progress := t;
+            if not m.m_spawned then
+              emit bus
+                (Lease_granted
+                   {
+                     shard = p.p_shard;
+                     worker = m.m_id;
+                     cells = List.length p.p_cells;
+                     attempt = p.p_attempt;
+                   });
+            true
+        | exception (Unix.Unix_error _ as e) ->
+            if m.m_spawned then
+              aborted := Some ("spawn failed: " ^ Printexc.to_string e)
+            else
+              (* Found dead at grant time: the lease never left, so it
+                 stays pending rather than burning an attempt. *)
+              retire ~failure:"write failed at lease grant" m;
+            false)
+    | exception e ->
+        (* exec failed: degrade to in-process execution for everything
+           not yet computed. *)
+        aborted := Some ("spawn failed: " ^ Printexc.to_string e);
+        false
+  in
+  let dispatch () =
+    let t = now () in
+    let due, later = List.partition (fun p -> p.p_not_before <= t) !pending in
+    pending := later;
+    let waiting = List.filter (fun p -> not (grant p)) due in
+    pending := waiting @ !pending
+  in
+  (* A lease's [F_done]: the results are all in — or the missing ones
+     (a dropped frame) are requeued, never invented.  A spawn is then
+     asked to exit cleanly; a dial-in member stays for the next lease. *)
+  let lease_done m =
+    match m.m_lease with
+    | None -> ()
+    | Some p ->
+        m.m_lease <- None;
+        Ledger.save_checkpoint ledger p.p_origin;
+        requeue p "lease completed with missing results";
+        if m.m_spawned then
+          try Shard.write_frame m.m_tr.t_write Shard.F_exit
+          with Unix.Unix_error _ -> ()
+  in
+  let reject m reason =
+    emit bus (Worker_rejected { peer = m.m_peer; reason });
+    (try Shard.write_frame m.m_tr.t_write (Shard.F_reject reason)
+     with Unix.Unix_error _ -> ());
+    retire m
+  in
+  let token = match pool with Some p -> p.pl_token | None -> "" in
+  let handshake m = function
+    | Shard.F_hello { h_version; _ } when h_version <> Shard.protocol_version ->
+        reject m
+          (Printf.sprintf "protocol version %d (supervisor speaks %d)" h_version
+             Shard.protocol_version)
+    | Shard.F_hello { h_token; _ } when h_token <> token ->
+        reject m "bad campaign token"
+    | Shard.F_hello _ -> (
+        match
+          Shard.write_frame m.m_tr.t_write
+            (Shard.F_welcome Shard.protocol_version)
+        with
+        | () ->
+            m.m_authed <- true;
+            progress := now ();
+            emit bus (Worker_connected { worker = m.m_id; peer = m.m_peer })
+        | exception Unix.Unix_error _ -> retire m)
+    | _ -> reject m "frame before handshake"
+  in
+  let handle_frame m frame =
+    if not m.m_authed then handshake m frame
+    else
+      match frame with
+      | Shard.F_hb cell -> emit bus (Heartbeat { shard = shard_of m; cell })
+      | Shard.F_result (id, r) ->
+          let origin = match m.m_lease with Some p -> p.p_origin | None -> 0 in
+          Ledger.record_ok ledger ~origin id r;
+          progress := now ();
+          emit bus (Cell_done { shard = shard_of m; cell = id })
+      | Shard.F_cellfault { fc_id; fc_reason } ->
+          (* The worker caught the failure itself: a structured fault,
+             final immediately — no retry or bisection needed. *)
+          let attempts =
+            match m.m_lease with Some p -> p.p_attempt | None -> 1
+          in
+          Ledger.poison ledger ~attempts fc_id fc_reason;
+          progress := now ();
+          emit bus
+            (Cell_fault { shard = shard_of m; cell = fc_id; reason = fc_reason })
+      | Shard.F_log line -> emit bus (Worker_log { shard = shard_of m; line })
+      | Shard.F_done -> lease_done m
+      | Shard.F_hello _ | Shard.F_work _ | Shard.F_exit | Shard.F_welcome _
+      | Shard.F_reject _ ->
+          ()
+  in
+  let buf = Bytes.create 65536 in
+  let drain_err m fd =
+    match Shard.retry_intr (fun () -> Unix.read fd buf 0 (Bytes.length buf)) with
+    | 0 -> ()
+    | k ->
+        m.m_errbuf <- m.m_errbuf ^ Bytes.sub_string buf 0 k;
+        let rec lines () =
+          match String.index_opt m.m_errbuf '\n' with
+          | Some i ->
+              let line = String.sub m.m_errbuf 0 i in
+              m.m_errbuf <-
+                String.sub m.m_errbuf (i + 1) (String.length m.m_errbuf - i - 1);
+              if line <> "" then
+                emit bus (Worker_stderr { shard = shard_of m; line });
+              lines ()
+          | None -> ()
+        in
+        lines ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  let read m =
+    match
+      Shard.retry_intr (fun () ->
+          Unix.read m.m_tr.t_read buf 0 (Bytes.length buf))
+    with
+    | 0 -> retire m (* EOF *)
+    | k -> (
+        m.m_last <- now ();
+        Shard.Decoder.feed m.m_dec buf 0 k;
+        let rec pop () =
+          if List.memq m !members then
+            match Shard.Decoder.next m.m_dec with
+            | Some f ->
+                handle_frame m f;
+                pop ()
+            | None -> ()
+        in
+        try pop ()
+        with Json.Parse msg | Shard.Protocol msg ->
+          kill m ("protocol corruption: " ^ msg))
+    | exception Unix.Unix_error _ -> kill m "read error"
+  in
+  let accept sock =
+    match Shard.retry_intr (fun () -> Unix.accept sock) with
+    | fd, peer ->
+        let id = !next_worker in
+        incr next_worker;
+        ignore
+          (join ~id ~spawned:false ~peer:(Shard.string_of_sockaddr peer)
+             (socket_transport fd))
+    | exception Unix.Unix_error _ -> ()
+  in
+  (* When [m] must next show signs of life, and why it is ended if it
+     does not: an unauthenticated dial-in gets a short handshake
+     budget; a member holding a lease — or a spawn awaiting its exit —
+     the heartbeat and per-lease wall-clock budgets.  An idle dial-in
+     member has none. *)
+  let deadline m =
+    if not m.m_authed then
+      Some
+        (m.m_last +. Float.min cfg.heartbeat 10.0, "handshake deadline expired")
+    else
+      match m.m_lease with
+      | Some _ when m.m_leased_at +. cfg.wall < m.m_last +. cfg.heartbeat ->
+          Some (m.m_leased_at +. cfg.wall, wall_expired)
+      | None when not m.m_spawned -> None
+      | _ -> Some (m.m_last +. cfg.heartbeat, hb_expired)
+  in
+  let step () =
+    dispatch ();
+    let t = now () in
+    List.iter
+      (fun m ->
+        match deadline m with
+        | Some (d, reason) when t > d -> kill m reason
+        | _ -> ())
+      !members;
+    (match pool with
+    | Some p
+      when !pending <> []
+           && List.for_all (fun m -> m.m_lease = None) !members
+           && t -. !progress > p.pl_accept_wall ->
+        (* Work is pending, nobody is serving it, nothing has moved for
+           the accept budget: degrade instead of hanging. *)
+        aborted := Some "worker pool gave up: no connected workers"
+    | _ -> ());
+    if !aborted = None then begin
+      let snapshot = !members in
+      let fds =
+        Option.to_list lsock
+        @ List.concat_map
+            (fun m -> m.m_tr.t_read :: Option.to_list m.m_tr.t_err)
+            snapshot
+        @ match http with Some h -> Http_listener.fds h | None -> []
+      in
+      (* Sleep until the next deadline or backoff expiry; a lease that
+         is due but waits for a worker is woken by that worker's frames
+         or connection instead. *)
+      let timeout =
+        let next =
+          List.fold_left
+            (fun acc m ->
+              match deadline m with
+              | Some (d, _) -> Float.min acc d
+              | None -> acc)
+            infinity snapshot
+        in
+        let next =
+          List.fold_left
+            (fun acc p ->
+              if p.p_not_before > t then Float.min acc p.p_not_before else acc)
+            next !pending
+        in
+        Float.max 0.01 (Float.min 0.5 (next -. now ()))
+      in
+      let readable =
+        if fds = [] then begin
+          Unix.sleepf timeout;
+          []
         end
+        else
+          let r, _, _ =
+            Shard.retry_intr (fun () -> Unix.select fds [] [] timeout)
+          in
+          r
       in
-      let kill (a : active) reason =
-        emit bus (Kill { shard = a.a_shard; reason });
-        a.a_failed <- Some reason;
-        a.a_tr.t_kill ();
-        finalize a
-      in
-      let handle_frame (a : active) = function
-        | Shard.F_hb cell ->
-            emit bus (Heartbeat { shard = a.a_shard; cell })
-        | Shard.F_result (id, r) ->
-            record_ok ~origin:a.a_origin id r;
-            emit bus (Cell_done { shard = a.a_shard; cell = id })
-        | Shard.F_cellfault { fc_id; fc_reason } ->
-            (* The worker caught the failure itself: a structured fault,
-               final immediately — no retry or bisection needed. *)
-            Ledger.poison ledger ~attempts:a.a_attempt fc_id fc_reason;
-            emit bus
-              (Cell_fault { shard = a.a_shard; cell = fc_id; reason = fc_reason })
-        | Shard.F_log line -> emit bus (Worker_log { shard = a.a_shard; line })
-        | Shard.F_done ->
-            a.a_done <- true;
-            (* Ask the worker to exit cleanly; EOF follows. *)
-            (try Shard.write_frame a.a_tr.t_write Shard.F_exit
-             with Unix.Unix_error _ -> ())
-        | Shard.F_work _ | Shard.F_exit | Shard.F_hello _ | Shard.F_welcome _
-        | Shard.F_reject _ ->
-            ()
-      in
-      let buf = Bytes.create 65536 in
-      let drain_err (a : active) =
-        match a.a_tr.t_err with
-        | None -> ()
-        | Some fd -> (
-            match Shard.retry_intr (fun () -> Unix.read fd buf 0 (Bytes.length buf)) with
-            | 0 -> ()
-            | k ->
-                a.a_errbuf <- a.a_errbuf ^ Bytes.sub_string buf 0 k;
-                let rec lines () =
-                  match String.index_opt a.a_errbuf '\n' with
-                  | Some i ->
-                      let line = String.sub a.a_errbuf 0 i in
-                      a.a_errbuf <-
-                        String.sub a.a_errbuf (i + 1)
-                          (String.length a.a_errbuf - i - 1);
-                      if line <> "" then
-                        emit bus (Worker_stderr { shard = a.a_shard; line });
-                      lines ()
-                  | None -> ()
-                in
-                lines ()
-            | exception Unix.Unix_error _ -> ())
-      in
-      (try
-         while (!pending <> [] || !active <> []) && !aborted = None do
-           let t = now () in
-           (* Spawn what is due, up to the concurrency cap. *)
-           let due, later =
-             List.partition (fun p -> p.p_not_before <= t) !pending
-           in
-           let slots = cfg.shards - List.length !active in
-           let to_spawn, back =
-             let rec take k = function
-               | x :: xs when k > 0 ->
-                   let a, b = take (k - 1) xs in
-                   (x :: a, b)
-               | xs -> ([], xs)
-             in
-             take (max 0 slots) due
-           in
-           pending := back @ later;
-           (try List.iter spawn_one to_spawn
-            with e ->
-              (* exec failed: degrade to in-process execution for
-                 everything not yet computed. *)
-              List.iter (fun (a : active) -> a.a_tr.t_kill ()) !active;
-              List.iter (fun (a : active) -> ignore (a.a_tr.t_wait ())) !active;
-              active := [];
-              pending := [];
-              aborted := Some (Printexc.to_string e));
-           if !aborted = None then begin
-             (* Deadlines. *)
-             List.iter
-               (fun (a : active) ->
-                 if t -. a.a_last > cfg.heartbeat then
-                   kill a
-                     (Printf.sprintf "heartbeat deadline (%.0fs) expired"
-                        cfg.heartbeat)
-                 else if t -. a.a_spawned > cfg.wall then
-                   kill a
-                     (Printf.sprintf "wall-clock budget (%.0fs) expired" cfg.wall))
-               (List.filter (fun a -> a.a_failed = None) !active);
-             (* Wait for frames (and, when live-scraping is enabled,
-                /metrics requests on the same select). *)
-             let http_fds =
-               match http with Some h -> Http_listener.fds h | None -> []
-             in
-             let fds =
-               List.concat_map
-                 (fun (a : active) ->
-                   a.a_tr.t_read
-                   :: (match a.a_tr.t_err with Some e -> [ e ] | None -> []))
-                 !active
-               @ http_fds
-             in
-             let timeout =
-               let next_deadline =
-                 List.fold_left
-                   (fun acc (a : active) ->
-                     min acc
-                       (min (a.a_last +. cfg.heartbeat) (a.a_spawned +. cfg.wall)))
-                   infinity !active
-               in
-               let next_spawn =
-                 List.fold_left
-                   (fun acc p -> min acc p.p_not_before)
-                   infinity !pending
-               in
-               let dt = min next_deadline next_spawn -. now () in
-               if dt = infinity then 0.5 else Float.max 0.01 (Float.min dt 0.5)
-             in
-             if fds = [] then (if !pending <> [] then Unix.sleepf timeout)
-             else begin
-               match
-                 Shard.retry_intr (fun () -> Unix.select fds [] [] timeout)
-               with
-               | readable, _, _ ->
-                   (match http with
-                   | Some h -> Http_listener.handle h readable
-                   | None -> ());
-                   List.iter
-                     (fun (a : active) ->
-                       if
-                         List.exists (fun x -> x == a) !active
-                         (* may have been killed this round *)
-                       then begin
-                         (match a.a_tr.t_err with
-                         | Some e when List.memq e readable -> drain_err a
-                         | _ -> ());
-                         if List.memq a.a_tr.t_read readable then begin
-                           match
-                             Shard.retry_intr (fun () ->
-                                 Unix.read a.a_tr.t_read buf 0 (Bytes.length buf))
-                           with
-                           | 0 -> finalize a (* EOF *)
-                           | k -> (
-                               a.a_last <- now ();
-                               Shard.Decoder.feed a.a_dec buf 0 k;
-                               try
-                                 let rec pop () =
-                                   match Shard.Decoder.next a.a_dec with
-                                   | Some f ->
-                                       handle_frame a f;
-                                       pop ()
-                                   | None -> ()
-                                 in
-                                 pop ()
-                               with
-                               | Json.Parse msg ->
-                                   kill a ("protocol corruption: " ^ msg)
-                               | Shard.Protocol msg ->
-                                   kill a ("protocol corruption: " ^ msg))
-                           | exception Unix.Unix_error _ -> finalize a
-                         end
-                       end)
-                     (List.filter (fun _ -> true) !active)
-             end
-           end
-         done
-       with e ->
-         (* Never leak workers, whatever happens in the loop. *)
-         List.iter
-           (fun (a : active) ->
-             a.a_tr.t_kill ();
-             ignore (a.a_tr.t_wait ()))
-           !active;
-         raise e);
-      (match !aborted with
-      | Some reason ->
-          run_fallback ("spawn failed: " ^ reason) (Ledger.remaining ledger)
-      | None -> ());
-      finish ()
+      Option.iter (fun h -> Http_listener.handle h readable) http;
+      (match lsock with
+      | Some s when List.memq s readable -> accept s
+      | _ -> ());
+      List.iter
+        (fun m ->
+          Option.iter
+            (fun e -> if List.memq e readable then drain_err m e)
+            m.m_tr.t_err;
+          if List.memq m.m_tr.t_read readable && List.memq m !members then
+            read m)
+        snapshot
     end
-  end
+  in
+  (* However the loop ends: tell every dial-in member to exit (one that
+     merely lost its connection would redial; [F_exit] is what ends it)
+     and never leak a spawned worker. *)
+  let shutdown () =
+    List.iter
+      (fun m ->
+        if m.m_spawned then m.m_tr.t_kill ()
+        else (
+          try Shard.write_frame m.m_tr.t_write Shard.F_exit
+          with Unix.Unix_error _ -> ());
+        ignore (hang_up m))
+      !members;
+    members := [];
+    Option.iter (fun s -> try Unix.close s with Unix.Unix_error _ -> ()) lsock
+  in
+  Fun.protect ~finally:shutdown (fun () ->
+      while
+        !aborted = None
+        && (!pending <> []
+           || List.exists (fun m -> m.m_lease <> None || m.m_spawned) !members)
+      do
+        step ()
+      done);
+  !aborted
 
-(* ------------------------------------------------------------------ *)
-(* TCP worker pool                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* One dial-in connection.  [pc_worker] is a stable display id granted
-   at accept; a connection holds at most one lease (work batch) at a
-   time, so a dead connection forfeits exactly one batch. *)
-type pool_conn = {
-  pc_worker : int;
-  pc_fd : Unix.file_descr;
-  pc_peer : string;
-  pc_dec : Shard.Decoder.t;
-  mutable pc_authed : bool;
-  mutable pc_last : float; (* last byte received (liveness) *)
-  mutable pc_lease : pending option;
-  mutable pc_leased_at : float;
-}
-
-(* [run] over TCP: listen on [pool.pl_listen], lease work batches to
-   authenticated dial-in workers, and re-dispatch the lease of any
-   worker that disconnects, times out, half-closes, or corrupts the
-   stream — through the same backoff/bisection/poison logic as the
-   pipe supervisor, against the same ledger, so the merged output is
-   byte-identical to a serial run no matter which machines computed
-   what.  [cfg.shards] bounds in-flight leases; worker count is
-   whatever dials in.  Emits [Listening] with the bound port before
-   accepting (subscribers — tests, log tooling — learn the real port
-   when [pl_listen] ends in ":0"). *)
-let run_pool ?(bus = create_bus ()) ?http (cfg : config)
-    ?(pool = default_pool_config)
+(* Compute [cells] on pool members — spawned [--worker] processes
+   ([worker_argv], or the [spawn] hook tests use), or, with [pool],
+   dial-in workers on a TCP listener — and merge the outcomes in cell
+   order.  The merge is byte-identical to a serial run no matter which
+   worker computed what.  [http] is a live /metrics listener polled on
+   the same select.  As the last resort, [fallback] computes whatever
+   the pool could not. *)
+let run ?(bus = create_bus ()) ?spawn ?pool ?http
+    ?(worker_argv = [| Sys.executable_name; "--worker" |]) (cfg : config)
     ~(fallback : Shard.cell list -> (int * Json.t) list)
     (cells : Shard.cell list) : (int * outcome) list =
   Shard.ignore_sigpipe ();
   let ledger = Ledger.create ~bus ~checkpoint_dir:cfg.checkpoint_dir cells in
-  let finish () = Ledger.finish ledger in
-  let run_fallback reason remaining =
+  let run_fallback reason =
     emit bus (Fallback { reason });
     List.iter
       (fun (id, r) -> Ledger.record_ok ledger ~origin:0 id r)
-      (fallback remaining);
+      (fallback (Ledger.remaining ledger));
     Ledger.save_checkpoint ledger 0
   in
-  if cells = [] then finish ()
-  else begin
-    Ledger.load_checkpoints ledger;
-    let remaining = Ledger.remaining ledger in
-    if remaining = [] then finish ()
-    else begin
-      let lsock, port = Shard.listen_socket pool.pl_listen in
-      emit bus (Listening { addr = pool.pl_listen; port });
-      let now () = Unix.gettimeofday () in
-      let next_shard = ref 0 in
-      let fresh_shard () =
-        let s = !next_shard in
-        incr next_shard;
-        s
-      in
-      let next_worker = ref 0 in
-      let pending : pending list ref =
-        ref
-          (List.map
-             (fun cs ->
-               let s = fresh_shard () in
-               {
-                 p_shard = s;
-                 p_origin = s;
-                 p_cells = cs;
-                 p_attempt = 1;
-                 p_not_before = 0.0;
-               })
-             (split_shards cfg.shards remaining))
-      in
-      let conns : pool_conn list ref = ref [] in
-      let aborted = ref None in
-      (* Last time the campaign moved (connect, lease, result): the
-         no-worker give-up clock measures from here. *)
-      let progress = ref (now ()) in
-      let close_conn (c : pool_conn) =
-        conns := List.filter (fun x -> x != c) !conns;
-        try Unix.close c.pc_fd with Unix.Unix_error _ -> ()
-      in
-      let requeue_lease (p : pending) reason =
-        requeue_failed ~bus ~cfg ~ledger ~pending ~fresh_shard ~now
-          ~shard:p.p_shard ~origin:p.p_origin ~cells:p.p_cells
-          ~attempt:p.p_attempt reason;
-        Ledger.save_checkpoint ledger p.p_origin
-      in
-      let drop_conn (c : pool_conn) reason =
-        if c.pc_authed then
-          emit bus (Worker_disconnected { worker = c.pc_worker; reason });
-        (match c.pc_lease with
-        | Some p ->
-            c.pc_lease <- None;
-            requeue_lease p reason
-        | None -> ());
-        close_conn c
-      in
-      let shard_of (c : pool_conn) =
-        match c.pc_lease with Some p -> p.p_shard | None -> c.pc_worker
-      in
-      let attempt_of (c : pool_conn) =
-        match c.pc_lease with Some p -> p.p_attempt | None -> 1
-      in
-      let reject (c : pool_conn) reason =
-        emit bus (Worker_rejected { peer = c.pc_peer; reason });
-        (try Shard.write_frame c.pc_fd (Shard.F_reject reason)
-         with Unix.Unix_error _ -> ());
-        close_conn c
-      in
-      let dispatch () =
-        let t = now () in
-        let due, later = List.partition (fun p -> p.p_not_before <= t) !pending in
-        let idle =
-          ref (List.filter (fun c -> c.pc_authed && c.pc_lease = None) !conns)
-        in
-        let still_due = ref [] in
-        List.iter
-          (fun p ->
-            match !idle with
-            | [] -> still_due := p :: !still_due
-            | c :: rest -> (
-                match Shard.write_frame c.pc_fd (Shard.F_work p.p_cells) with
-                | () ->
-                    idle := rest;
-                    c.pc_lease <- Some p;
-                    c.pc_leased_at <- t;
-                    c.pc_last <- t;
-                    progress := t;
-                    emit bus
-                      (Lease_granted
-                         {
-                           shard = p.p_shard;
-                           worker = c.pc_worker;
-                           cells = List.length p.p_cells;
-                           attempt = p.p_attempt;
-                         })
-                | exception Unix.Unix_error _ ->
-                    (* Found dead at grant time: the lease never left,
-                       so it stays pending rather than burning an
-                       attempt. *)
-                    idle := rest;
-                    still_due := p :: !still_due;
-                    drop_conn c "write failed at lease grant"))
-          due;
-        pending := List.rev !still_due @ later
-      in
-      let handle_frame (c : pool_conn) frame =
-        if not c.pc_authed then
-          match frame with
-          | Shard.F_hello { h_version; h_token } ->
-              if h_version <> Shard.protocol_version then
-                reject c
-                  (Printf.sprintf "protocol version %d (supervisor speaks %d)"
-                     h_version Shard.protocol_version)
-              else if h_token <> pool.pl_token then reject c "bad campaign token"
-              else begin
-                match
-                  Shard.write_frame c.pc_fd
-                    (Shard.F_welcome Shard.protocol_version)
-                with
-                | () ->
-                    c.pc_authed <- true;
-                    progress := now ();
-                    emit bus
-                      (Worker_connected { worker = c.pc_worker; peer = c.pc_peer })
-                | exception Unix.Unix_error _ -> close_conn c
-              end
-          | _ -> reject c "frame before handshake"
-        else
-          match frame with
-          | Shard.F_hb cell -> emit bus (Heartbeat { shard = shard_of c; cell })
-          | Shard.F_result (id, r) ->
-              (match c.pc_lease with
-              | Some p -> Ledger.record_ok ledger ~origin:p.p_origin id r
-              | None -> Ledger.record_ok ledger ~origin:0 id r);
-              progress := now ();
-              emit bus (Cell_done { shard = shard_of c; cell = id })
-          | Shard.F_cellfault { fc_id; fc_reason } ->
-              Ledger.poison ledger ~attempts:(attempt_of c) fc_id fc_reason;
-              progress := now ();
-              emit bus
-                (Cell_fault { shard = shard_of c; cell = fc_id; reason = fc_reason })
-          | Shard.F_log line -> emit bus (Worker_log { shard = shard_of c; line })
-          | Shard.F_done -> (
-              match c.pc_lease with
-              | None -> ()
-              | Some p ->
-                  c.pc_lease <- None;
-                  Ledger.save_checkpoint ledger p.p_origin;
-                  (* A "done" lease can still be short of results (a
-                     dropped frame): the missing cells are requeued —
-                     never invented — and the conn stays in the pool. *)
-                  if
-                    List.exists
-                      (fun cell -> not (Ledger.have ledger cell.Shard.c_id))
-                      p.p_cells
-                  then
-                    requeue_failed ~bus ~cfg ~ledger ~pending ~fresh_shard ~now
-                      ~shard:p.p_shard ~origin:p.p_origin ~cells:p.p_cells
-                      ~attempt:p.p_attempt "lease completed with missing results")
-          | Shard.F_hello _ -> () (* duplicate hello: ignored *)
-          | Shard.F_work _ | Shard.F_exit | Shard.F_welcome _ | Shard.F_reject _
-            ->
-              ()
-      in
-      let buf = Bytes.create 65536 in
-      let outstanding () =
-        !pending <> [] || List.exists (fun c -> c.pc_lease <> None) !conns
-      in
-      (try
-         while outstanding () && !aborted = None do
-           dispatch ();
-           let t = now () in
-           (* Deadlines: a leased connection is held to the same
-              heartbeat/wall budgets as a pipe worker; an unauthed
-              connection gets a short handshake budget. *)
-           List.iter
-             (fun (c : pool_conn) ->
-               if List.exists (fun x -> x == c) !conns then
-                 match c.pc_lease with
-                 | Some _ when t -. c.pc_last > cfg.heartbeat ->
-                     drop_conn c
-                       (Printf.sprintf "heartbeat deadline (%.0fs) expired"
-                          cfg.heartbeat)
-                 | Some _ when t -. c.pc_leased_at > cfg.wall ->
-                     drop_conn c
-                       (Printf.sprintf "wall-clock budget (%.0fs) expired"
-                          cfg.wall)
-                 | None
-                   when (not c.pc_authed)
-                        && t -. c.pc_last > Float.min cfg.heartbeat 10.0 ->
-                     close_conn c
-                 | _ -> ())
-             (List.filter (fun _ -> true) !conns);
-           (* Work is pending, nobody is serving it, nothing has moved
-              for the accept budget: degrade instead of hanging. *)
-           if
-             !pending <> []
-             && List.for_all (fun c -> c.pc_lease = None) !conns
-             && t -. !progress > pool.pl_accept_wall
-           then aborted := Some "no connected workers"
-           else begin
-             let http_fds =
-               match http with Some h -> Http_listener.fds h | None -> []
-             in
-             let fds =
-               (lsock :: List.map (fun c -> c.pc_fd) !conns) @ http_fds
-             in
-             match Shard.retry_intr (fun () -> Unix.select fds [] [] 0.25) with
-             | readable, _, _ ->
-                 if List.memq lsock readable then begin
-                   match Shard.retry_intr (fun () -> Unix.accept lsock) with
-                   | fd, peer ->
-                       let w = !next_worker in
-                       incr next_worker;
-                       conns :=
-                         {
-                           pc_worker = w;
-                           pc_fd = fd;
-                           pc_peer = Shard.string_of_sockaddr peer;
-                           pc_dec = Shard.Decoder.create ();
-                           pc_authed = false;
-                           pc_last = now ();
-                           pc_lease = None;
-                           pc_leased_at = now ();
-                         }
-                         :: !conns
-                   | exception Unix.Unix_error _ -> ()
-                 end;
-                 (match http with
-                 | Some h -> Http_listener.handle h readable
-                 | None -> ());
-                 List.iter
-                   (fun (c : pool_conn) ->
-                     if
-                       List.exists (fun x -> x == c) !conns
-                       && List.memq c.pc_fd readable
-                     then begin
-                       match
-                         Shard.retry_intr (fun () ->
-                             Unix.read c.pc_fd buf 0 (Bytes.length buf))
-                       with
-                       | 0 -> drop_conn c "connection closed"
-                       | k -> (
-                           c.pc_last <- now ();
-                           Shard.Decoder.feed c.pc_dec buf 0 k;
-                           try
-                             let rec pop () =
-                               if List.exists (fun x -> x == c) !conns then
-                                 match Shard.Decoder.next c.pc_dec with
-                                 | Some f ->
-                                     handle_frame c f;
-                                     pop ()
-                                 | None -> ()
-                             in
-                             pop ()
-                           with
-                           | Json.Parse msg ->
-                               drop_conn c ("protocol corruption: " ^ msg)
-                           | Shard.Protocol msg ->
-                               drop_conn c ("protocol corruption: " ^ msg))
-                       | exception Unix.Unix_error _ -> drop_conn c "read error"
-                     end)
-                   (List.filter (fun _ -> true) !conns)
-           end
-         done
-       with e ->
-         List.iter
-           (fun (c : pool_conn) ->
-             try Unix.close c.pc_fd with Unix.Unix_error _ -> ())
-           !conns;
-         (try Unix.close lsock with Unix.Unix_error _ -> ());
-         raise e);
-      (* Campaign over: tell every surviving worker to exit cleanly
-         (a dial-in worker that merely lost its connection would
-         redial; F_exit is what ends it). *)
-      List.iter
-        (fun (c : pool_conn) ->
-          (try Shard.write_frame c.pc_fd Shard.F_exit
-           with Unix.Unix_error _ -> ());
-          try Unix.close c.pc_fd with Unix.Unix_error _ -> ())
-        !conns;
-      conns := [];
-      (try Unix.close lsock with Unix.Unix_error _ -> ());
-      (match !aborted with
-      | Some reason ->
-          run_fallback ("worker pool gave up: " ^ reason)
-            (Ledger.remaining ledger)
-      | None -> ());
-      finish ()
-    end
-  end
+  (* Resume from per-shard checkpoints, when given. *)
+  Ledger.load_checkpoints ledger;
+  (match Ledger.remaining ledger with
+  | [] -> ()
+  | _ when pool = None && not (Shard.can_spawn ()) ->
+      run_fallback "process spawning unavailable"
+  | remaining ->
+      Option.iter run_fallback
+        (supervise ~bus ?spawn ?pool ?http ~worker_argv cfg ledger remaining));
+  Ledger.finish ledger
 
 (* ------------------------------------------------------------------ *)
 (* Experiment-grid client                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Glue between the generic supervisor and [Experiment] sessions: the
-   discovery pass enumerates the cells (sorted by serializable key, so
-   supervisor and workers agree on ids), workers compute
-   [Experiment.run_result]s, and the merged results are installed in
-   the session cache before the generator replays — making supervised
-   output byte-identical to the serial run. *)
+(* The frame payload of an experiment-grid cell: an
+   [Experiment.run_result], lossless across the pipe ({!Campaign.grid}
+   drives the grid itself). *)
 module Grid = struct
   module E = Experiment
   module Stats = Protean_ooo.Stats
@@ -1298,86 +1127,4 @@ module Grid = struct
         | Json.Null -> []
         | wn -> counters_of_json wn);
     }
-
-  (* [--worker] mode of a tables/figures CLI: rerun the same discovery
-     (same argv modulo supervisor flags, so the same cells at the same
-     ids), then serve cell computations — over stdin/stdout for a local
-     supervisor, or by dialing a [--listen]ing one when [connect] is
-     given. *)
-  let worker ?(jobs = 1) ?connect ?(token = default_pool_config.pl_token)
-      session gen =
-    let cells = E.discover session gen in
-    let by_key = Hashtbl.create 64 in
-    List.iter (fun (k, s) -> Hashtbl.replace by_key k s) cells;
-    let compute key =
-      match Hashtbl.find_opt by_key key with
-      | Some spec -> result_to_json (E.compute spec)
-      | None -> failwith ("unknown cell key: " ^ key)
-    in
-    match connect with
-    | None -> Shard.worker_main ~jobs ~compute ()
-    | Some addr -> Shard.connect_worker ~jobs ~addr ~token ~compute ()
-
-  (* Supervised [Experiment.prewarm]: discovery, sharded fill across
-     worker processes, deterministic merge into the session cache,
-     serial replay.  Poisoned cells resolve to the grid's usual faulted
-     sentinel (a nan cell) plus a structured fault report, so one
-     crashing cell cannot take the grid down. *)
-  let supervised ?bus ?(config = default_config) ?pool ?http ~worker_argv
-      ?(jobs = 1) session gen =
-    let cells = E.discover session gen in
-    if cells = [] then gen ()
-    else begin
-      (* Re-sort so cells of one shared-frontend group are contiguous:
-         [split_shards] hands out contiguous id ranges, so grouped
-         cells land on the same worker and its process-local frontend
-         cache is built once per group instead of once per shard-span
-         fragment.  Purely a scheduling permutation — the merge below
-         is key-based, so replayed output stays byte-identical. *)
-      let cells =
-        if not !E.share_frontend then cells
-        else
-          List.stable_sort
-            (fun (ka, sa) (kb, sb) ->
-              match compare (E.frontend_key sa) (E.frontend_key sb) with
-              | 0 -> compare (ka : string) kb
-              | c -> c)
-            cells
-      in
-      let specs = Array.of_list (List.map snd cells) in
-      let keys = Array.of_list (List.map fst cells) in
-      let shard_cells =
-        List.mapi (fun i (k, _) -> { Shard.c_id = i; c_key = k }) cells
-      in
-      let fallback remaining =
-        let remaining = Array.of_list remaining in
-        let rs =
-          Parallel.map ~jobs
-            (Array.map
-               (fun (c : Shard.cell) () ->
-                 result_to_json (E.compute specs.(c.Shard.c_id)))
-               remaining)
-        in
-        Array.to_list
-          (Array.mapi (fun i (c : Shard.cell) -> (c.Shard.c_id, rs.(i))) remaining)
-      in
-      let outcomes =
-        match pool with
-        | Some p -> run_pool ?bus ?http config ~pool:p ~fallback shard_cells
-        | None -> run ?bus ?http config ~worker_argv ~fallback shard_cells
-      in
-      let merged =
-        List.map
-          (fun (id, o) ->
-            match o with
-            | O_ok r -> (keys.(id), result_of_json r)
-            | O_fault { f_key; f_attempts; f_reason } ->
-                E.log_line "[fault] cell=%s: %s (after %d worker attempts)"
-                  f_key f_reason f_attempts;
-                (keys.(id), E.faulted_result))
-          outcomes
-      in
-      E.install session merged;
-      gen ()
-    end
 end

@@ -1,6 +1,7 @@
 (* Shared test fixtures: small hand-written programs exercising each
-   pipeline feature, plus equivalence checking between the sequential
-   reference machine and the out-of-order core. *)
+   pipeline feature, equivalence checking between the sequential
+   reference machine and the out-of-order core, and in-process fake
+   shard workers for the supervisor. *)
 
 open Protean_isa
 module Exec = Protean_arch.Exec
@@ -207,3 +208,34 @@ let check_equivalence ?(config = Protean_ooo.Config.test_core) ?spec_model
   end;
   if not (mem_equal seq.Exec.mem result.Protean_ooo.Pipeline.mem) then
     Alcotest.fail (name ^ ": memory state diverged")
+
+(* --- fake shard workers ---------------------------------------------- *)
+
+(* In-process worker transport for the supervisor's [?spawn] hook: a
+   domain runs [Shard.serve] (the real worker loop) over pipes.
+   [misbehave] replaces the loop for crash / stall scripts. *)
+let domain_transport ?misbehave ~compute () =
+  let module Shard = Protean_harness.Shard in
+  let in_r, in_w = Unix.pipe ~cloexec:false () in
+  let out_r, out_w = Unix.pipe ~cloexec:false () in
+  let crashed = ref false in
+  let d =
+    Domain.spawn (fun () ->
+        (match misbehave with
+        | Some script -> ( try script in_r out_w with _ -> crashed := true)
+        | None -> (
+            try Shard.serve ~compute in_r out_w with _ -> crashed := true));
+        (try Unix.close out_w with Unix.Unix_error _ -> ());
+        try Unix.close in_r with Unix.Unix_error _ -> ())
+  in
+  {
+    Protean_harness.Supervisor.t_pid = None;
+    t_read = out_r;
+    t_write = in_w;
+    t_err = None;
+    t_kill = ignore (* a domain cannot be killed; scripts return fast *);
+    t_wait =
+      (fun () ->
+        Domain.join d;
+        if !crashed then ("signal SIGSEGV", false) else ("exit 0", true));
+  }

@@ -80,33 +80,13 @@ let test_width_parallel () =
 (* Two crash-isolated shard workers (in-process domains running the real
    [Shard.serve] loop over pipes) compute the width corpus by cell key;
    the supervised merge must be byte-identical to the serial lines. *)
-let domain_transport ~compute () =
-  let in_r, in_w = Unix.pipe ~cloexec:false () in
-  let out_r, out_w = Unix.pipe ~cloexec:false () in
-  let crashed = ref false in
-  let d =
-    Domain.spawn (fun () ->
-        (try Shard.serve ~compute in_r out_w with _ -> crashed := true);
-        (try Unix.close out_w with Unix.Unix_error _ -> ());
-        try Unix.close in_r with Unix.Unix_error _ -> ())
-  in
-  {
-    Supervisor.t_pid = None;
-    t_read = out_r;
-    t_write = in_w;
-    t_err = None;
-    t_kill = ignore;
-    t_wait =
-      (fun () ->
-        Domain.join d;
-        if !crashed then ("signal SIGSEGV", false) else ("exit 0", true));
-  }
-
 let run_width_shards name =
   let keys = Golden.width_keys () in
   let cells = List.mapi (fun i k -> { Shard.c_id = i; c_key = k }) keys in
   let compute k = Json.Str (Golden.run_width_key k) in
-  let spawn ~shard:_ ~attempt:_ ~env_fault:_ = domain_transport ~compute () in
+  let spawn ~shard:_ ~attempt:_ ~env_fault:_ =
+    Helpers.domain_transport ~compute ()
+  in
   let config =
     {
       Supervisor.default_config with

@@ -205,34 +205,6 @@ let test_bus_order_and_unsubscribe () =
 
 (* --- fake-worker transports -------------------------------------------- *)
 
-(* In-process worker transport: a domain runs [Shard.serve] (the real
-   worker loop) over pipes.  [misbehave] replaces the loop for crash /
-   stall scripts. *)
-let domain_transport ?misbehave ~compute () =
-  let in_r, in_w = Unix.pipe ~cloexec:false () in
-  let out_r, out_w = Unix.pipe ~cloexec:false () in
-  let crashed = ref false in
-  let d =
-    Domain.spawn (fun () ->
-        (match misbehave with
-        | Some script -> ( try script in_r out_w with _ -> crashed := true)
-        | None -> (
-            try Shard.serve ~compute in_r out_w with _ -> crashed := true));
-        (try Unix.close out_w with Unix.Unix_error _ -> ());
-        try Unix.close in_r with Unix.Unix_error _ -> ())
-  in
-  {
-    Supervisor.t_pid = None;
-    t_read = out_r;
-    t_write = in_w;
-    t_err = None;
-    t_kill = ignore (* a domain cannot be killed; scripts return fast *);
-    t_wait =
-      (fun () ->
-        Domain.join d;
-        if !crashed then ("signal SIGSEGV", false) else ("exit 0", true));
-  }
-
 (* Crash after streaming the first result: the classic mid-shard death.
    Reports a signal status so the supervisor treats it as a failure. *)
 let crash_after_first compute in_r out_w =
@@ -296,7 +268,9 @@ let config ?(shards = 2) ?(max_attempts = 2) () =
 let test_supervised_happy_path () =
   let bus = Supervisor.create_bus () in
   let events = record_events bus in
-  let spawn ~shard:_ ~attempt:_ ~env_fault:_ = domain_transport ~compute () in
+  let spawn ~shard:_ ~attempt:_ ~env_fault:_ =
+    Helpers.domain_transport ~compute ()
+  in
   let out =
     Supervisor.run ~bus ~spawn (config ()) ~worker_argv:[||]
       ~fallback:no_fallback (cells_of 5)
@@ -319,8 +293,9 @@ let test_supervised_crash_then_recover () =
   let events = record_events bus in
   let spawn ~shard:_ ~attempt ~env_fault:_ =
     if attempt = 1 then
-      domain_transport ~misbehave:(crash_after_first compute) ~compute ()
-    else domain_transport ~compute ()
+      Helpers.domain_transport ~misbehave:(crash_after_first compute)
+        ~compute ()
+    else Helpers.domain_transport ~compute ()
   in
   let out =
     Supervisor.run ~bus ~spawn
@@ -341,7 +316,8 @@ let test_supervised_poisoned_cell_bisected () =
   let bus = Supervisor.create_bus () in
   let events = record_events bus in
   let spawn ~shard:_ ~attempt:_ ~env_fault:_ =
-    domain_transport ~misbehave:(crash_on_cell ~poison compute) ~compute ()
+    Helpers.domain_transport ~misbehave:(crash_on_cell ~poison compute)
+      ~compute ()
   in
   let out =
     Supervisor.run ~bus ~spawn (config ()) ~worker_argv:[||]
@@ -378,8 +354,9 @@ let test_supervised_heartbeat_kill_recovers () =
   let bus = Supervisor.create_bus () in
   let events = record_events bus in
   let spawn ~shard:_ ~attempt ~env_fault:_ =
-    if attempt = 1 then domain_transport ~misbehave:(stall ~secs:1.5) ~compute ()
-    else domain_transport ~compute ()
+    if attempt = 1 then
+      Helpers.domain_transport ~misbehave:(stall ~secs:1.5) ~compute ()
+    else Helpers.domain_transport ~compute ()
   in
   let cfg = { (config ~shards:1 ()) with Supervisor.heartbeat = 0.2 } in
   let out =
@@ -405,7 +382,7 @@ let test_supervised_cellfault_is_final () =
     if key = "k1" then raise (Failure "simulated Sim_fault") else compute key
   in
   let spawn ~shard:_ ~attempt:_ ~env_fault:_ =
-    domain_transport ~compute:faulty ()
+    Helpers.domain_transport ~compute:faulty ()
   in
   let out =
     Supervisor.run ~bus ~spawn
@@ -455,7 +432,7 @@ let test_supervised_checkpoint_resume () =
       let events = record_events bus in
       let dispatched = ref [] in
       let spawn ~shard:_ ~attempt:_ ~env_fault:_ =
-        domain_transport
+        Helpers.domain_transport
           ~compute:(fun key ->
             dispatched := key :: !dispatched;
             compute key)
@@ -495,8 +472,9 @@ let test_supervised_garbage_midstream () =
   let events = record_events bus in
   let spawn ~shard:_ ~attempt ~env_fault:_ =
     if attempt = 1 then
-      domain_transport ~misbehave:(garbage_after_first compute) ~compute ()
-    else domain_transport ~compute ()
+      Helpers.domain_transport ~misbehave:(garbage_after_first compute)
+        ~compute ()
+    else Helpers.domain_transport ~compute ()
   in
   let out =
     Supervisor.run ~bus ~spawn
@@ -538,7 +516,8 @@ let test_supervised_partial_frames_and_heartbeats () =
   let bus = Supervisor.create_bus () in
   let events = record_events bus in
   let spawn ~shard:_ ~attempt:_ ~env_fault:_ =
-    domain_transport ~misbehave:(dribble_with_heartbeats compute) ~compute ()
+    Helpers.domain_transport ~misbehave:(dribble_with_heartbeats compute)
+      ~compute ()
   in
   let out =
     Supervisor.run ~bus ~spawn
@@ -602,7 +581,7 @@ let test_pool_happy_path () =
   let events = record_events bus in
   let join = dialers bus 2 in
   let out =
-    Supervisor.run_pool ~bus (config ()) ~pool:(pool_config ())
+    Supervisor.run ~bus (config ()) ~pool:(pool_config ())
       ~fallback:no_fallback (cells_of 6)
   in
   Alcotest.(check bool) "all workers exited cleanly" true
@@ -630,7 +609,7 @@ let test_pool_rejects_bad_token () =
   let join_bad = dialers ~name:"bad" ~token:"WRONG" bus 1 in
   let join_good = dialers ~name:"good" bus 1 in
   let out =
-    Supervisor.run_pool ~bus (config ()) ~pool:(pool_config ())
+    Supervisor.run ~bus (config ()) ~pool:(pool_config ())
       ~fallback:no_fallback (cells_of 4)
   in
   (match join_bad () with
@@ -667,7 +646,7 @@ let test_pool_rejects_bad_version () =
     | _ -> ());
   let join = dialers bus 1 in
   let out =
-    Supervisor.run_pool ~bus (config ()) ~pool:(pool_config ())
+    Supervisor.run ~bus (config ()) ~pool:(pool_config ())
       ~fallback:no_fallback (cells_of 3)
   in
   ignore (join ());
@@ -699,7 +678,7 @@ let test_pool_dropped_frame_requeued () =
       let events = record_events bus in
       let join = dialers bus 1 in
       let out =
-        Supervisor.run_pool ~bus
+        Supervisor.run ~bus
           (config ~shards:1 ())
           ~pool:(pool_config ()) ~fallback:no_fallback (cells_of 4)
       in
@@ -722,7 +701,7 @@ let test_pool_garbage_worker_reconnects () =
       let events = record_events bus in
       let join = dialers bus 1 in
       let out =
-        Supervisor.run_pool ~bus
+        Supervisor.run ~bus
           (config ~shards:1 ())
           ~pool:(pool_config ()) ~fallback:no_fallback (cells_of 4)
       in
@@ -756,12 +735,135 @@ let test_pool_no_workers_falls_back () =
     List.map (fun c -> (c.Shard.c_id, compute c.Shard.c_key)) cells
   in
   let out =
-    Supervisor.run_pool ~bus (config ()) ~pool ~fallback (cells_of 3)
+    Supervisor.run ~bus (config ()) ~pool ~fallback (cells_of 3)
   in
   Alcotest.(check bool) "fallback served the batch" true (out = expected_ok 3);
   Alcotest.(check bool) "fallback event emitted" true
     (List.exists
        (function Supervisor.Fallback _ -> true | _ -> false)
+       (events ()))
+
+(* A hand-driven dial-in worker: handshake, then for each lease ask
+   [script] (given the running lease count and the cells) whether to
+   serve it, drop the connection mid-lease (a crash: it redials), or
+   hold the lease silently for some seconds first (a livelock).  Ends
+   on [F_exit] or when the supervisor is gone. *)
+let scripted_dialer ~addr script =
+  let leases = ref 0 in
+  let rec session redials =
+    match Shard.dial addr with
+    | exception Unix.Unix_error _ -> ()
+    | sock -> (
+        let again () =
+          (try Unix.close sock with Unix.Unix_error _ -> ());
+          if redials < 20 then session (redials + 1)
+        in
+        let rec serve () =
+          match Shard.read_frame sock with
+          | Some (Shard.F_work cells) -> (
+              incr leases;
+              match script !leases cells with
+              | `Drop -> again ()
+              | `Stall secs ->
+                  Unix.sleepf secs;
+                  again ()
+              | `Serve ->
+                  List.iter
+                    (fun c ->
+                      Shard.write_frame sock
+                        (Shard.F_result (c.Shard.c_id, compute c.Shard.c_key)))
+                    cells;
+                  Shard.write_frame sock Shard.F_done;
+                  serve ())
+          | Some Shard.F_exit | None -> Unix.close sock
+          | Some _ -> serve ()
+        in
+        try
+          Shard.write_frame sock
+            (Shard.F_hello
+               { h_version = Shard.protocol_version; h_token = "protean" });
+          serve ()
+        with Unix.Unix_error _ | Shard.Protocol _ -> again ())
+  in
+  session 0
+
+(* Start [n] scripted dialers as soon as the pool announces its port. *)
+let scripted_dialers bus n script =
+  let domains = ref [] in
+  Supervisor.subscribe bus ~name:"scripted" (function
+    | Supervisor.Listening { port; _ } ->
+        let addr = Printf.sprintf "127.0.0.1:%d" port in
+        for _ = 1 to n do
+          domains :=
+            Domain.spawn (fun () -> scripted_dialer ~addr script) :: !domains
+        done
+    | _ -> ());
+  fun () -> List.iter Domain.join !domains
+
+(* The dial-in twin of the pipe bisection test: workers drop their
+   connection whenever a lease holds the poisoned cell, so the same
+   retry -> bisect -> poison path isolates it while every other cell
+   completes. *)
+let test_pool_poisoned_cell_bisected () =
+  let poison = 2 in
+  let bus = Supervisor.create_bus () in
+  let events = record_events bus in
+  let join =
+    scripted_dialers bus 2 (fun _ cells ->
+        if List.exists (fun c -> c.Shard.c_id = poison) cells then `Drop
+        else `Serve)
+  in
+  let out =
+    Supervisor.run ~bus ~pool:(pool_config ()) (config ())
+      ~fallback:no_fallback (cells_of 6)
+  in
+  join ();
+  List.iter
+    (fun (id, o) ->
+      if id = poison then
+        match o with
+        | Supervisor.O_fault { f_key; f_attempts; _ } ->
+            Alcotest.(check string) "fault names the cell key" "k2" f_key;
+            Alcotest.(check bool) "attempts exhausted" true (f_attempts >= 2)
+        | Supervisor.O_ok _ -> Alcotest.fail "poisoned cell reported ok"
+      else
+        Alcotest.(check bool)
+          (Printf.sprintf "cell %d completed" id)
+          true
+          (o = List.assoc id (expected_ok 6)))
+    out;
+  Alcotest.(check bool) "bisection happened" true
+    (List.exists (function Supervisor.Bisect _ -> true | _ -> false) (events ()));
+  Alcotest.(check bool) "no process was spawned" true
+    (not
+       (List.exists (function Supervisor.Spawn _ -> true | _ -> false) (events ())))
+
+(* The dial-in twin of the heartbeat test: a worker that sits silently
+   on its first lease is dropped at the heartbeat deadline, and the
+   requeued lease completes when it redials. *)
+let test_pool_heartbeat_drop_recovers () =
+  let bus = Supervisor.create_bus () in
+  let events = record_events bus in
+  let join =
+    scripted_dialers bus 1 (fun n _ -> if n = 1 then `Stall 1.0 else `Serve)
+  in
+  let cfg = { (config ~shards:1 ()) with Supervisor.heartbeat = 0.2 } in
+  let out =
+    Supervisor.run ~bus ~pool:(pool_config ()) cfg ~fallback:no_fallback
+      (cells_of 3)
+  in
+  join ();
+  Alcotest.(check bool) "recovered after the drop" true (out = expected_ok 3);
+  Alcotest.(check bool) "disconnect cites the heartbeat deadline" true
+    (List.exists
+       (function
+         | Supervisor.Worker_disconnected { reason; _ } ->
+             String.length reason >= 9 && String.sub reason 0 9 = "heartbeat"
+         | _ -> false)
+       (events ()));
+  Alcotest.(check bool) "the lease was retried" true
+    (List.exists
+       (function Supervisor.Retry { attempt = 2; _ } -> true | _ -> false)
        (events ()))
 
 (* PROTEAN_NO_SPAWN disables process spawning entirely (the documented
@@ -831,6 +933,10 @@ let tests =
       test_pool_garbage_worker_reconnects;
     Alcotest.test_case "tcp pool with no workers falls back" `Quick
       test_pool_no_workers_falls_back;
+    Alcotest.test_case "tcp pool: poisoned cell bisected to a structured fault"
+      `Quick test_pool_poisoned_cell_bisected;
+    Alcotest.test_case "tcp pool: heartbeat deadline drops and recovers" `Quick
+      test_pool_heartbeat_drop_recovers;
     Alcotest.test_case "PROTEAN_NO_SPAWN forces fallback" `Quick
       test_supervised_no_spawn_env_falls_back;
   ]

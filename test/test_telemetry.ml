@@ -426,8 +426,8 @@ let test_window_counters_deterministic () =
    bounds-check-bypass gadget, so the unsafe baseline must violate and
    the attribution must name the probe transmitter with family v1 —
    identically from the serial driver, the -j 4 driver, and the
-   supervised-style recovery (per-shard outcomes merged in cell order,
-   witness replayed from the merged example's seed, exactly what
+   supervised-style recovery (per-shard outcomes taken in cell order,
+   witness replayed from the first violating cell, exactly what
    protean-fuzz does under --shards). *)
 let gadget_campaign =
   {
@@ -452,14 +452,15 @@ let supervised_style_attribution campaign d =
           (shard k))
       [ 0; 1 ]
   in
-  let out = Fuzz.fresh_outcome () in
-  List.iter
-    (fun (_, sub) -> Fuzz.merge_outcome ~into:out sub)
-    (List.sort (fun (a, _) (b, _) -> compare a b) per_cell);
-  match out.Fuzz.example with
+  (* The merge visits cells in index order and keeps the first example,
+     so the violating program is the first cell that has one. *)
+  match
+    List.find_opt
+      (fun (_, sub) -> sub.Fuzz.example <> None)
+      (List.sort (fun (a, _) (b, _) -> compare a b) per_cell)
+  with
   | None -> None
-  | Some (pseed, _) ->
-      let index = (pseed - campaign.Fuzz.seed) / 7919 in
+  | Some (index, _) ->
       let w = ref None in
       let program = Fuzz.generate_program campaign index in
       (try ignore (Fuzz.test_program ~witness:w campaign d ~index ~program)

@@ -414,7 +414,7 @@ let test_pool_delay_byte_identical () =
       let events = pool_record_events bus in
       let join = pool_dialer bus in
       let out =
-        Supervisor.run_pool ~bus (pool_sup_config ()) ~pool:(pool_config ())
+        Supervisor.run ~bus (pool_sup_config ()) ~pool:(pool_config ())
           ~fallback:pool_no_fallback (pool_cells 4)
       in
       Alcotest.(check bool) "worker exits cleanly" true (join () = Some None);
@@ -436,7 +436,7 @@ let test_pool_half_close_redispatches () =
       let events = pool_record_events bus in
       let join = pool_dialer bus in
       let out =
-        Supervisor.run_pool ~bus (pool_sup_config ()) ~pool:(pool_config ())
+        Supervisor.run ~bus (pool_sup_config ()) ~pool:(pool_config ())
           ~fallback:pool_no_fallback (pool_cells 4)
       in
       Alcotest.(check bool) "worker exits cleanly after redial" true
