@@ -23,7 +23,7 @@ module Parallel = Protean_harness.Parallel
 module Supervisor = Protean_harness.Supervisor
 module Campaign = Protean_harness.Campaign
 module Shard = Protean_harness.Shard
-module Json = Shard.Json
+module Json = Protean_telemetry.Json
 module Report = Protean_harness.Report
 module Metrics = Protean_telemetry.Metrics
 module Twindow = Protean_telemetry.Window
@@ -228,34 +228,6 @@ let record_self_test rows =
 let snapshot () =
   Metrics.merge (Metrics.snapshot fuzz_reg) (Metrics.snapshot Report.runtime)
 
-(* Write whatever the exporter flags asked for. *)
-let write_telemetry (tele : Report.config) =
-  (match tele.Report.metrics_out with
-  | Some path ->
-      let snap = snapshot () in
-      Report.write_file path
-        (if Filename.check_suffix path ".json" then Metrics.to_json snap
-         else Metrics.to_prometheus snap)
-  | None -> ());
-  (match tele.Report.trace_out with
-  | Some path -> (
-      match !Report.tracer with
-      | Some tr -> Report.write_file path (Trace.to_chrome_json tr)
-      | None -> ())
-  | None -> ());
-  match tele.Report.flamegraph_out with
-  | Some path -> Report.write_file path (Flame.to_folded fuzz_flame)
-  | None -> ()
-
-let with_span name f =
-  match !Report.tracer with
-  | None -> f ()
-  | Some tr ->
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      Trace.span tr ~cat:"campaign" ~t0 ~t1:(Unix.gettimeofday ()) name;
-      r
-
 let report_skips (r : Fuzz.report) =
   (match r.Fuzz.r_resumed_from with
   | Some i -> Printf.printf "resumed from checkpoint at program %d\n" i
@@ -269,23 +241,16 @@ let report_skips (r : Fuzz.report) =
 let run_self_test ~jobs ~programs ~inputs ~seed ~timeout =
   (* The canonical fault-mode pairings are independent campaigns: fan
      them out and print the matrix in its fixed order. *)
-  let tasks =
-    Array.of_list
-      (List.map
-         (fun (m, defense_id, contract) () ->
-           let campaign =
-             {
-               (Fuzz.campaign_for ~seed ~programs ~inputs contract) with
-               Fuzz.timeout_cycles = timeout;
-             }
-           in
-           let d = Defense.find defense_id in
-           match Fuzz.self_test ~modes:[ m ] campaign d with
-           | [ g ] -> (defense_id, contract, g)
-           | _ -> assert false)
-         Fuzz.canonical_pairings)
+  let rows =
+    Array.to_list
+      (Parallel.map ~jobs
+         (Array.of_list
+            (List.map
+               (fun pairing () ->
+                 Fuzz.self_test_pairing ~seed ~programs ~inputs
+                   ?timeout_cycles:timeout pairing)
+               Fuzz.canonical_pairings)))
   in
-  let rows = Array.to_list (Parallel.map ~jobs tasks) in
   record_self_test rows;
   Printf.printf "fuzzer self-test (%d injected fault modes):\n"
     (List.length rows);
@@ -309,149 +274,16 @@ let run_self_test ~jobs ~programs ~inputs ~seed ~timeout =
     false
   end
 
-(* --- sharded campaigns ------------------------------------------------ *)
+(* --- the campaign ------------------------------------------------------- *)
 
-(* One program of the campaign as a supervised cell: the worker applies
-   the same retry-once-then-skip barrier as [Fuzz.run_resilient] and
-   returns the sub-outcome as a frame payload.  Witnesses (programs)
-   don't cross the pipe — the supervisor replays the first violating
-   index in-process when it shrinks. *)
-let fuzz_cell ?(cert_poison = false) campaign d index =
-  let sub_json (o : Fuzz.outcome) skip =
-    Json.Obj
-      ([
-         ("tests", Json.Int o.Fuzz.tests);
-         ("skipped", Json.Int o.Fuzz.skipped);
-         ("violations", Json.Int o.Fuzz.violations);
-         ("false_positives", Json.Int o.Fuzz.false_positives);
-         ( "example",
-           match o.Fuzz.example with
-           | Some (s, k) -> Json.List [ Json.Int s; Json.Int k ]
-           | None -> Json.Null );
-         ( "skip",
-           match skip with Some r -> Json.Str r | None -> Json.Null );
-       ]
-      @
-      (* Certificate counters only when the campaign audits them: frames
-         of a plain campaign stay byte-identical to the uncertified
-         protocol. *)
-      if campaign.Fuzz.check_certs then
-        [
-          ("certs_checked", Json.Int o.Fuzz.certs_checked);
-          ("cert_claims", Json.Int o.Fuzz.cert_claims);
-          ("cert_violations", Json.Int o.Fuzz.cert_violations);
-          ( "cert_example",
-            match o.Fuzz.cert_example with
-            | Some s -> Json.Str s
-            | None -> Json.Null );
-        ]
-      else [])
-  in
-  let program = Fuzz.generate_program campaign index in
-  let cert_witness = ref None in
-  let attempt () = Fuzz.test_program ~cert_witness campaign d ~index ~program in
-  let finish sub =
-    (* In a shard worker a refuted certificate is escalated to the
-       structured fault: the supervisor retries, bisects and poisons
-       only this cell, and the ledger records the printed violation. *)
-    match (cert_poison, !cert_witness) with
-    | true, Some v -> raise (Certify.Cert_violation v)
-    | _ -> sub_json sub None
-  in
-  match attempt () with
-  | sub -> finish sub
-  | exception (Certify.Cert_violation _ as e) -> raise e
-  | exception _ -> (
-      match attempt () with
-      | sub -> finish sub
-      | exception e -> sub_json (Fuzz.fresh_outcome ()) (Some (Fuzz.describe_exn e)))
-
-let outcome_of_json j =
-  let int_member key = match Json.member key j with
-    | Json.Int n -> n
-    | _ -> 0
-  in
-  {
-    Fuzz.tests = Json.(to_int (member "tests" j));
-    skipped = Json.(to_int (member "skipped" j));
-    violations = Json.(to_int (member "violations" j));
-    false_positives = Json.(to_int (member "false_positives" j));
-    example =
-      (match Json.member "example" j with
-      | Json.List [ Json.Int s; Json.Int k ] -> Some (s, k)
-      | _ -> None);
-    certs_checked = int_member "certs_checked";
-    cert_claims = int_member "cert_claims";
-    cert_violations = int_member "cert_violations";
-    cert_example =
-      (match Json.member "cert_example" j with
-      | Json.Str s -> Some s
-      | _ -> None);
-  }
-
-(* Merge supervised per-program outcomes, in index order, into the same
-   report shape as the in-process resilient campaign.  A program whose
-   worker died on every attempt (a poisoned cell) becomes a structured
-   skip — exactly how the in-process barrier reports a program that
-   faults twice. *)
-let merge_supervised campaign d outcomes =
-  let out = Fuzz.fresh_outcome () in
-  let skips = ref [] in
-  let violating = ref None in
-  List.iter
-    (fun (id, o) ->
-      let skip reason =
-        skips :=
-          {
-            Fuzz.sk_index = id;
-            sk_seed = Fuzz.program_seed campaign id;
-            sk_reason = reason;
-          }
-          :: !skips
-      in
-      match o with
-      | Supervisor.O_ok j -> (
-          let sub = outcome_of_json j in
-          (* [merge_outcome] keeps the first example, so the first cell
-             (in index order) that has one is the violating program. *)
-          if !violating = None && sub.Fuzz.example <> None then
-            violating := Some id;
-          Fuzz.merge_outcome ~into:out sub;
-          match Json.member "skip" j with
-          | Json.Str reason -> skip reason
-          | _ -> ())
-      | Supervisor.O_fault { f_attempts; f_reason; _ } ->
-          skip
-            (Printf.sprintf "worker crashed on every attempt (%d): %s"
-               f_attempts f_reason))
-    outcomes;
-  (* Replay the first violating program with witness capture in-process
-     (witnesses never cross the pipe); the witness feeds both the
-     shrinker and the attribution replay. *)
-  let witness =
-    Option.bind !violating (fun index ->
-        let w = ref None in
-        let program = Fuzz.generate_program campaign index in
-        (try ignore (Fuzz.test_program ~witness:w campaign d ~index ~program)
-         with _ -> ());
-        !w)
-  in
-  let counterexample = Option.map (Fuzz.shrink_witness campaign d) witness in
-  let attribution = Option.bind witness (Fuzz.attribute_witness campaign d) in
-  {
-    Fuzz.r_outcome = out;
-    r_completed = campaign.Fuzz.programs - List.length !skips;
-    r_skipped = List.rev !skips;
-    r_resumed_from = None;
-    r_counterexample = counterexample;
-    r_attribution = attribution;
-  }
-
-(* The campaign itself: supervised under --shards / --listen, served
-   under --worker / --connect (then [None]: nothing to report), else in
-   process on -j domains — or serially under --resume, which
-   checkpoints after every program.  A cell is one program, keyed by its
-   index. *)
+(* The campaign: one cell per program (keyed by its index), merged by
+   [Fuzz.finish].  Supervised under --shards / --listen, workers ship
+   their cells through the cell codec, and a program whose worker died
+   on every attempt (a poisoned cell) becomes a skip, as a program that
+   faults twice in process does; served under --worker / --connect
+   (then [None]: nothing to report); else in process — on -j domains,
+   or serially by [Fuzz.run_resilient], which --resume needs because it
+   checkpoints after every program. *)
 let run_campaign (c : Campaign.t) ?inject_worker ~resume campaign d =
   match resume with
   | Some _ ->
@@ -461,24 +293,43 @@ let run_campaign (c : Campaign.t) ?inject_worker ~resume campaign d =
           c.jobs c.shards;
       Some (Fuzz.run_resilient ?checkpoint:resume campaign d)
   | None ->
+      let cell ?cert_poison key =
+        Fuzz.cell_to_json campaign
+          (Fuzz.test_cell ?cert_poison campaign d (int_of_string key))
+      in
+      let of_outcome (id, o) =
+        match o with
+        | Supervisor.O_ok j -> Fuzz.cell_of_json id j
+        | Supervisor.O_fault { f_attempts; f_reason; _ } ->
+            {
+              Fuzz.c_index = id;
+              c_outcome = Fuzz.fresh_outcome ();
+              c_skip =
+                Some
+                  (Printf.sprintf "worker crashed on every attempt (%d): %s"
+                     f_attempts f_reason);
+            }
+      in
       let job () =
         {
           Campaign.cells =
             List.init campaign.Fuzz.programs (fun i ->
                 { Shard.c_id = i; c_key = string_of_int i });
-          compute =
-            (fun key ->
-              fuzz_cell ~cert_poison:c.check_certs campaign d
-                (int_of_string key));
-          fallback = (fun key -> fuzz_cell campaign d (int_of_string key));
-          merge = merge_supervised campaign d;
+          compute = cell ~cert_poison:c.check_certs;
+          fallback = cell;
+          merge =
+            (fun outcomes -> Fuzz.finish campaign d (List.map of_outcome outcomes));
         }
       in
       Campaign.run ?inject:inject_worker ~src:"fuzz"
         ~live:(fun () -> Metrics.to_prometheus (snapshot ()))
         ~job
         ~in_process:(fun () ->
-          if c.jobs > 1 then Parallel.fuzz_run_resilient ~jobs:c.jobs campaign d
+          if c.jobs > 1 then
+            Parallel.map ~jobs:c.jobs
+              (Array.init campaign.Fuzz.programs (fun i () ->
+                   Fuzz.test_cell campaign d i))
+            |> Array.to_list |> Fuzz.finish campaign d
           else Fuzz.run_resilient campaign d)
         c
 
@@ -515,13 +366,17 @@ let report_campaign (tele : Report.config) campaign d contract
   (match tele.Report.attr_out with
   | Some path ->
       Report.write_file path
-        (Printf.sprintf
-           "{\"defense\":\"%s\",\"contract\":\"%s\",\"attribution\":%s}\n"
-           (String.escaped d.Defense.id)
-           (String.escaped contract)
-           (match r.Fuzz.r_attribution with
-           | Some a -> Twindow.attribution_to_json a
-           | None -> "null"))
+        (Json.to_string
+           (Json.Obj
+              [
+                ("defense", Json.Str d.Defense.id);
+                ("contract", Json.Str contract);
+                ( "attribution",
+                  match r.Fuzz.r_attribution with
+                  | Some a -> Twindow.attribution_to_json a
+                  | None -> Json.Null );
+              ])
+        ^ "\n")
   | None -> ());
   let cert_failed =
     if not campaign.Fuzz.check_certs then false
@@ -575,16 +430,19 @@ let run table_ii defense contract programs inputs adversary seed core_width
         campaign_of ~gadget contract adversary programs inputs seed squash_bug
           timeout core_width c.check_certs pass_fault
       in
-      with_span
-        (Printf.sprintf "%s|%s" d.Defense.id contract)
-        (fun () -> run_campaign c ?inject_worker ~resume campaign d)
+      let name = Printf.sprintf "%s|%s" d.Defense.id contract in
+      let go () = run_campaign c ?inject_worker ~resume campaign d in
+      (match !Report.tracer with
+      | Some tr -> Trace.with_span tr ~cat:"campaign" name go
+      | None -> go ())
       |> Option.map (report_campaign c.tele campaign d contract)
     end
   in
   match failed with
   | None -> () (* served as a worker: the supervisor reports *)
   | Some failed ->
-      if Report.wanted c.tele then write_telemetry c.tele;
+      if Report.wanted c.tele then
+        Report.write_exports c.tele ~snapshot ~flame:(fun () -> fuzz_flame);
       if failed then exit 1
 
 let cmd =

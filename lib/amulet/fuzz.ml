@@ -14,10 +14,12 @@
       divergence — AMuLeT*'s automated post-processing filter).
 
    Long campaigns additionally get a robustness layer:
-   - [run_resilient] wraps every program in an exception barrier
-     (retry once, then skip and report) with a per-program cycle budget
-     enforced by the pipeline watchdog, shrinks the first violating
-     program, and checkpoints progress to a JSON state file;
+   - a campaign is one cell per program ([test_cell]: an exception
+     barrier that retries once, then skips and reports, with a
+     per-program cycle budget enforced by the pipeline watchdog); one
+     driver, [finish], merges the cells however they were computed and
+     shrinks and attributes the first violation; the serial
+     [run_resilient] also checkpoints progress to a JSON state file;
    - [self_test] injects deliberate faults into the defense under test
      ([Fault_inject]) and reports any injected fault the campaign fails
      to flag — a detector gap. *)
@@ -539,84 +541,166 @@ let attribute_witness campaign defense (w : witness) =
                   at_window_depth = -1;
                 }))
 
+(* --- campaign cells ---------------------------------------------------- *)
+
+module Json = Protean_telemetry.Json
+
+(* One program of a campaign under the exception barrier: its outcome,
+   or — when it faulted on both attempts — an empty outcome and the
+   reason it was skipped.  Cells carry no witness: [finish] replays the
+   one program it needs. *)
+type cell = { c_index : int; c_outcome : outcome; c_skip : string option }
+
+(* [Sim_fault] dumps rendered in full; anything else through its
+   registered printer ([Cert_violation] renders its violation). *)
+let describe_exn = function
+  | Pipeline.Sim_fault f -> Pipeline.fault_to_string f
+  | e -> Printexc.to_string e
+
+(* [test_program] for program [index] (or [program], when the caller
+   overrides it), retried once and then skipped.  [cert_poison] is for
+   shard workers: a refuted certificate escalates to a structured
+   [Cert_violation] cell fault, so the supervisor poisons only this cell
+   and its ledger records the rendered violation. *)
+let test_cell ?(cert_poison = false) ?program campaign defense index =
+  let program =
+    match program with Some p -> p | None -> generate_program campaign index
+  in
+  let cert_witness = ref None in
+  let attempt () = test_program ~cert_witness campaign defense ~index ~program in
+  let cell ?skip o = { c_index = index; c_outcome = o; c_skip = skip } in
+  let passed o =
+    match !cert_witness with
+    | Some v when cert_poison -> raise (Protean_protcc.Certify.Cert_violation v)
+    | _ -> cell o
+  in
+  match attempt () with
+  | o -> passed o
+  | exception _ -> (
+      match attempt () with
+      | o -> passed o
+      | exception e -> cell ~skip:(describe_exn e) (fresh_outcome ()))
+
+(* The certificate verdict rides along only when the campaign audits
+   certificates, so the encodings of a plain campaign keep their bytes;
+   absent fields decode as 0 / none. *)
+let cert_fields o =
+  [
+    ("certs_checked", Json.Int o.certs_checked);
+    ("cert_claims", Json.Int o.cert_claims);
+    ("cert_violations", Json.Int o.cert_violations);
+    ( "cert_example",
+      match o.cert_example with Some s -> Json.Str s | None -> Json.Null );
+  ]
+
+let read_cert_fields j o =
+  let int k = match Json.member k j with Json.Int n -> n | _ -> 0 in
+  o.certs_checked <- int "certs_checked";
+  o.cert_claims <- int "cert_claims";
+  o.cert_violations <- int "cert_violations";
+  o.cert_example <-
+    (match Json.member "cert_example" j with Json.Str s -> Some s | _ -> None)
+
+(* A cell as a shard frame payload; the cell's index rides in the frame. *)
+let cell_to_json campaign c =
+  let o = c.c_outcome in
+  let opt f = function Some v -> f v | None -> Json.Null in
+  Json.Obj
+    ([
+       ("tests", Json.Int o.tests);
+       ("skipped", Json.Int o.skipped);
+       ("violations", Json.Int o.violations);
+       ("false_positives", Json.Int o.false_positives);
+       ( "example",
+         opt (fun (s, k) -> Json.List [ Json.Int s; Json.Int k ]) o.example );
+       ("skip", opt (fun r -> Json.Str r) c.c_skip);
+     ]
+    @ if campaign.check_certs then cert_fields o else [])
+
+let cell_of_json index j =
+  let int k = Json.to_int (Json.member k j) in
+  let o =
+    {
+      (fresh_outcome ()) with
+      tests = int "tests";
+      skipped = int "skipped";
+      violations = int "violations";
+      false_positives = int "false_positives";
+      example =
+        (match Json.member "example" j with
+        | Json.List [ Json.Int s; Json.Int k ] -> Some (s, k)
+        | _ -> None);
+    }
+  in
+  read_cert_fields j o;
+  let skip = match Json.member "skip" j with Json.Str r -> Some r | _ -> None in
+  { c_index = index; c_outcome = o; c_skip = skip }
+
 (* --- campaign checkpointing ------------------------------------------ *)
 
 module Checkpoint = struct
   (* Campaign progress persisted after every program, so an interrupted
      multi-hour run resumes where it stopped instead of restarting.  The
-     format is a single flat JSON object of integers. *)
+     format is a single flat JSON object. *)
   type t = {
     ck_seed : int;
     ck_programs : int;
     ck_inputs : int;
     ck_next : int; (* next program index to run *)
-    ck_tests : int;
-    ck_skipped : int;
-    ck_violations : int;
-    ck_false_positives : int;
     ck_faulted : int;
-    ck_example_seed : int; (* -1 = no violation example yet *)
-    ck_example_input : int;
+    ck_check_certs : bool; (* the campaign audits certificates *)
+    ck_outcome : outcome; (* merged over programs [0, ck_next) *)
   }
 
   let to_json c =
-    Printf.sprintf
-      "{\"version\":1,\"seed\":%d,\"programs\":%d,\"inputs\":%d,\"next\":%d,\"tests\":%d,\"skipped\":%d,\"violations\":%d,\"false_positives\":%d,\"faulted\":%d,\"example_seed\":%d,\"example_input\":%d}"
-      c.ck_seed c.ck_programs c.ck_inputs c.ck_next c.ck_tests c.ck_skipped
-      c.ck_violations c.ck_false_positives c.ck_faulted c.ck_example_seed
-      c.ck_example_input
+    let o = c.ck_outcome in
+    let example f = Json.Int (match o.example with Some e -> f e | None -> -1) in
+    Json.to_string
+      (Json.Obj
+         ([
+            ("version", Json.Int 1);
+            ("seed", Json.Int c.ck_seed);
+            ("programs", Json.Int c.ck_programs);
+            ("inputs", Json.Int c.ck_inputs);
+            ("next", Json.Int c.ck_next);
+            ("tests", Json.Int o.tests);
+            ("skipped", Json.Int o.skipped);
+            ("violations", Json.Int o.violations);
+            ("false_positives", Json.Int o.false_positives);
+            ("faulted", Json.Int c.ck_faulted);
+            ("example_seed", example fst);
+            ("example_input", example snd);
+          ]
+         @ if c.ck_check_certs then cert_fields o else []))
 
-  (* Minimal parser for the flat integer-object format above; returns
-     [None] on any malformed input rather than raising. *)
-  let int_field s key =
-    let pat = "\"" ^ key ^ "\":" in
-    let plen = String.length pat and slen = String.length s in
-    let rec find i =
-      if i + plen > slen then None
-      else if String.sub s i plen = pat then Some (i + plen)
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> None
-    | Some start ->
-        let stop = ref start in
-        if !stop < slen && s.[!stop] = '-' then incr stop;
-        while !stop < slen && s.[!stop] >= '0' && s.[!stop] <= '9' do
-          incr stop
-        done;
-        if !stop = start then None
-        else int_of_string_opt (String.sub s start (!stop - start))
-
+  (* [None] on any malformed input rather than raising. *)
   let of_json s =
-    let ( let* ) = Option.bind in
-    let* version = int_field s "version" in
-    if version <> 1 then None
-    else
-      let* ck_seed = int_field s "seed" in
-      let* ck_programs = int_field s "programs" in
-      let* ck_inputs = int_field s "inputs" in
-      let* ck_next = int_field s "next" in
-      let* ck_tests = int_field s "tests" in
-      let* ck_skipped = int_field s "skipped" in
-      let* ck_violations = int_field s "violations" in
-      let* ck_false_positives = int_field s "false_positives" in
-      let* ck_faulted = int_field s "faulted" in
-      let* ck_example_seed = int_field s "example_seed" in
-      let* ck_example_input = int_field s "example_input" in
-      Some
-        {
-          ck_seed;
-          ck_programs;
-          ck_inputs;
-          ck_next;
-          ck_tests;
-          ck_skipped;
-          ck_violations;
-          ck_false_positives;
-          ck_faulted;
-          ck_example_seed;
-          ck_example_input;
-        }
+    try
+      let j = Json.of_string s in
+      let int k = Json.to_int (Json.member k j) in
+      if int "version" <> 1 then None
+      else begin
+        let o = fresh_outcome () in
+        o.tests <- int "tests";
+        o.skipped <- int "skipped";
+        o.violations <- int "violations";
+        o.false_positives <- int "false_positives";
+        let example_seed = int "example_seed" in
+        if example_seed >= 0 then
+          o.example <- Some (example_seed, int "example_input");
+        read_cert_fields j o;
+        Some
+          {
+            ck_seed = int "seed";
+            ck_programs = int "programs";
+            ck_inputs = int "inputs";
+            ck_next = int "next";
+            ck_faulted = int "faulted";
+            ck_check_certs = Json.member "certs_checked" j <> Json.Null;
+            ck_outcome = o;
+          }
+      end
+    with Json.Parse _ -> None
 
   let save path c =
     (* Write-then-rename so an interruption mid-write never corrupts the
@@ -656,9 +740,38 @@ module Checkpoint = struct
     c.ck_seed = campaign.seed
     && c.ck_programs = campaign.programs
     && c.ck_inputs = campaign.inputs_per_program
+
+  (* The progress of [campaign] before its first program, or — when
+     [resumed] — where that checkpoint left it.  The campaign, not the
+     file, decides whether the certificate verdict is saved. *)
+  let start ?resumed campaign =
+    match resumed with
+    | Some c -> { c with ck_check_certs = campaign.check_certs }
+    | None ->
+        {
+          ck_seed = campaign.seed;
+          ck_programs = campaign.programs;
+          ck_inputs = campaign.inputs_per_program;
+          ck_next = 0;
+          ck_faulted = 0;
+          ck_check_certs = campaign.check_certs;
+          ck_outcome = fresh_outcome ();
+        }
+
+  (* [c] with one more cell merged in. *)
+  let advance c cell =
+    let o = fresh_outcome () in
+    merge_outcome ~into:o c.ck_outcome;
+    merge_outcome ~into:o cell.c_outcome;
+    {
+      c with
+      ck_next = cell.c_index + 1;
+      ck_faulted = (c.ck_faulted + if cell.c_skip = None then 0 else 1);
+      ck_outcome = o;
+    }
 end
 
-(* --- crash-resilient campaigns --------------------------------------- *)
+(* --- the campaign driver ------------------------------------------------ *)
 
 type skip = {
   sk_index : int; (* program index in the campaign *)
@@ -676,96 +789,87 @@ type report = {
       (* ledger replay of the first violation *)
 }
 
-let describe_exn = function
-  | Pipeline.Sim_fault f -> Pipeline.fault_to_string f
-  | Protean_protcc.Certify.Cert_violation v ->
-      Protean_protcc.Certify.violation_to_string v
-  | e -> Printexc.to_string e
-
-(* Run a campaign with a per-program exception barrier: a program whose
-   simulation faults (watchdog, invariant failure, or any other
-   exception) is retried once and then skipped with a structured report,
-   instead of aborting the whole campaign.  [checkpoint] names a JSON
-   state file for resume; [program_of] lets harnesses splice specific
-   programs into the campaign (used by the robustness self-tests). *)
-let run_resilient ?checkpoint ?(shrink = true) ?(shrink_budget = 64)
-    ?program_of campaign (defense : Protean_defense.Defense.t) =
-  let out = fresh_outcome () in
-  let start, prior_faults, resumed_from =
-    match Option.map Checkpoint.load checkpoint with
-    | Some (Some c) when Checkpoint.matches campaign c ->
-        out.tests <- c.Checkpoint.ck_tests;
-        out.skipped <- c.Checkpoint.ck_skipped;
-        out.violations <- c.Checkpoint.ck_violations;
-        out.false_positives <- c.Checkpoint.ck_false_positives;
-        if c.Checkpoint.ck_example_seed >= 0 then
-          out.example <-
-            Some (c.Checkpoint.ck_example_seed, c.Checkpoint.ck_example_input);
-        (c.Checkpoint.ck_next, c.Checkpoint.ck_faulted, Some c.Checkpoint.ck_next)
-    | _ -> (0, 0, None)
+(* The one campaign merge, however the cells were computed (serially,
+   on domains, or by shard workers): fold [cells] in index order onto
+   the progress of the checkpoint the campaign [resumed] from, list the
+   skipped programs, then replay the first cell with a violation example
+   ([program] supplies its code) to capture the witness that is shrunk
+   and attributed.  A campaign without violations replays nothing. *)
+let finish ?(shrink = true) ?(shrink_budget = 64) ?resumed
+    ?(program = fun _ -> None) campaign defense cells =
+  let cells = List.sort (fun a b -> compare a.c_index b.c_index) cells in
+  let total =
+    List.fold_left Checkpoint.advance (Checkpoint.start ?resumed campaign) cells
   in
-  let skips = ref [] in
-  let faulted = ref prior_faults in
-  let witness = ref None in
-  for index = start to campaign.programs - 1 do
-    let pseed = program_seed campaign index in
-    let program =
-      match program_of with
-      | Some f -> ( match f index with
+  let skips =
+    List.filter_map
+      (fun c ->
+        Option.map
+          (fun sk_reason ->
+            {
+              sk_index = c.c_index;
+              sk_seed = program_seed campaign c.c_index;
+              sk_reason;
+            })
+          c.c_skip)
+      cells
+  in
+  let witness =
+    match List.find_opt (fun c -> c.c_outcome.example <> None) cells with
+    | None -> None
+    | Some { c_index = index; _ } ->
+        let w = ref None in
+        let program =
+          match program index with
           | Some p -> p
-          | None -> generate_program campaign index)
-      | None -> generate_program campaign index
-    in
-    let attempt () = test_program ~witness campaign defense ~index ~program in
-    (match attempt () with
-    | sub -> merge_outcome ~into:out sub
-    | exception _ -> (
-        (* Retry once — then skip the program and continue the campaign. *)
-        match attempt () with
-        | sub -> merge_outcome ~into:out sub
-        | exception e ->
-            incr faulted;
-            skips :=
-              { sk_index = index; sk_seed = pseed; sk_reason = describe_exn e }
-              :: !skips));
-    match checkpoint with
-    | Some path ->
-        Checkpoint.save path
-          {
-            Checkpoint.ck_seed = campaign.seed;
-            ck_programs = campaign.programs;
-            ck_inputs = campaign.inputs_per_program;
-            ck_next = index + 1;
-            ck_tests = out.tests;
-            ck_skipped = out.skipped;
-            ck_violations = out.violations;
-            ck_false_positives = out.false_positives;
-            ck_faulted = !faulted;
-            ck_example_seed = (match out.example with Some (s, _) -> s | None -> -1);
-            ck_example_input =
-              (match out.example with Some (_, k) -> k | None -> -1);
-          }
-    | None -> ()
-  done;
+          | None -> generate_program campaign index
+        in
+        (try ignore (test_program ~witness:w campaign defense ~index ~program)
+         with _ -> ());
+        !w
+  in
   let counterexample =
-    match !witness with
+    match witness with
     | Some w when shrink ->
         Some (shrink_witness ~budget:shrink_budget campaign defense w)
     | _ -> None
   in
-  let attribution =
-    match !witness with
-    | Some w -> attribute_witness campaign defense w
-    | None -> None
-  in
   {
-    r_outcome = out;
-    r_completed = campaign.programs - !faulted;
-    r_skipped = List.rev !skips;
-    r_resumed_from = resumed_from;
+    r_outcome = total.Checkpoint.ck_outcome;
+    r_completed = campaign.programs - total.Checkpoint.ck_faulted;
+    r_skipped = skips;
+    r_resumed_from = Option.map (fun c -> c.Checkpoint.ck_next) resumed;
     r_counterexample = counterexample;
-    r_attribution = attribution;
+    r_attribution = Option.bind witness (attribute_witness campaign defense);
   }
+
+(* The serial driver: one cell after another, checkpointing the
+   campaign's progress to [checkpoint] after every program and resuming
+   from it when it matches the campaign.  [program_of] lets harnesses
+   splice specific programs into the campaign (used by the robustness
+   self-tests); it is asked once per program, in index order. *)
+let run_resilient ?checkpoint ?shrink ?shrink_budget ?program_of campaign
+    (defense : Protean_defense.Defense.t) =
+  let resumed =
+    match Option.bind checkpoint Checkpoint.load with
+    | Some c when Checkpoint.matches campaign c -> Some c
+    | _ -> None
+  in
+  let progress = ref (Checkpoint.start ?resumed campaign) in
+  let cells = ref [] and witness_program = ref None in
+  for index = !progress.Checkpoint.ck_next to campaign.programs - 1 do
+    let program = Option.bind program_of (fun f -> f index) in
+    let cell = test_cell ?program campaign defense index in
+    cells := cell :: !cells;
+    if !witness_program = None && cell.c_outcome.example <> None then
+      witness_program := Some (index, program);
+    progress := Checkpoint.advance !progress cell;
+    Option.iter (fun path -> Checkpoint.save path !progress) checkpoint
+  done;
+  finish ?shrink ?shrink_budget ?resumed
+    ~program:(fun index ->
+      match !witness_program with Some (i, p) when i = index -> p | _ -> None)
+    campaign defense (List.rev !cells)
 
 (* --- fuzzer self-test via fault injection ----------------------------- *)
 
@@ -837,17 +941,21 @@ let canonical_pairings =
     (Fault_inject.F_open_resolve_gate, "prot-track", "ct");
   ]
 
-let self_test_matrix ?(seed = 1) ?(programs = 8) ?(inputs = 3) ?timeout_cycles
-    () =
+(* One row of the self-test matrix: the pairing's fault injected into
+   its defense, fuzzed against its contract. *)
+let self_test_pairing ?(seed = 1) ?(programs = 8) ?(inputs = 3) ?timeout_cycles
+    (m, defense_id, contract) =
+  let campaign =
+    { (campaign_for ~seed ~programs ~inputs contract) with timeout_cycles }
+  in
+  let d = Protean_defense.Defense.find defense_id in
+  match self_test ~modes:[ m ] campaign d with
+  | [ g ] -> (defense_id, contract, g)
+  | _ -> assert false
+
+let self_test_matrix ?seed ?programs ?inputs ?timeout_cycles () =
   List.map
-    (fun (m, defense_id, contract) ->
-      let campaign =
-        { (campaign_for ~seed ~programs ~inputs contract) with timeout_cycles }
-      in
-      let d = Protean_defense.Defense.find defense_id in
-      match self_test ~modes:[ m ] campaign d with
-      | [ g ] -> (defense_id, contract, g)
-      | _ -> assert false)
+    (self_test_pairing ?seed ?programs ?inputs ?timeout_cycles)
     canonical_pairings
 
 (* --- contract shorthands -------------------------------------------- *)

@@ -79,13 +79,6 @@ val program_seed : campaign -> int -> int
 val run : campaign -> Protean_defense.Defense.t -> outcome
 (** The plain campaign loop: no barrier, first simulator fault aborts. *)
 
-(** {1 Per-program primitives}
-
-    The campaign decomposed per program, for parallel drivers
-    ([Protean_harness.Parallel]): programs are independent (per-program
-    seeded RNG), so running [test_program] for each index and merging
-    the sub-outcomes in index order reproduces [run] exactly. *)
-
 val fresh_outcome : unit -> outcome
 
 val merge_outcome : into:outcome -> outcome -> unit
@@ -96,42 +89,43 @@ val merge_outcome : into:outcome -> outcome -> unit
 val generate_program : campaign -> int -> Program.t
 (** The campaign's [index]-th random program (before instrumentation). *)
 
-type witness
-(** Everything needed to replay one violating input pair. *)
+(** {1 Campaign cells}
 
-val test_program :
-  ?witness:witness option ref ->
-  ?cert_witness:Protean_protcc.Certify.violation option ref ->
+    A campaign decomposes into one independent cell per program
+    (per-program seeded RNG).  Every driver computes cells its own way
+    — serially ({!run_resilient}), on domains, or in shard worker
+    processes through the cell codec — and hands them to {!finish}. *)
+
+type cell = {
+  c_index : int;  (** program index in the campaign *)
+  c_outcome : outcome;  (** empty when the program was skipped *)
+  c_skip : string option;
+      (** why the program was skipped after faulting on both attempts *)
+}
+
+val test_cell :
+  ?cert_poison:bool ->
+  ?program:Program.t ->
   campaign ->
   Protean_defense.Defense.t ->
-  index:int ->
-  program:Program.t ->
-  outcome
-(** Run every input pair of program [index] into a fresh outcome; the
-    caller merges it on success, so a mid-program fault never leaves
-    half-counted pairs behind.  [witness] captures the first violation
-    for {!shrink_witness}; [cert_witness] the first certificate
-    violation, for drivers that escalate it to a structured
-    {!Protean_protcc.Certify.Cert_violation} cell fault. *)
+  int ->
+  cell
+(** Test every input pair of program [index] (or of [program], which
+    overrides the generated one) under the exception barrier: a fault
+    (watchdog, invariant failure, any exception) is retried once, then
+    the program is skipped with the rendered reason.  [cert_poison]
+    (shard workers only) escalates a refuted certificate to a raised
+    {!Protean_protcc.Certify.Cert_violation}, so the supervisor isolates
+    the cell as a structured fault. *)
 
-val describe_exn : exn -> string
-(** [Sim_fault] dumps rendered via {!Pipeline.fault_to_string}; other
-    exceptions via [Printexc]. *)
+val cell_to_json : campaign -> cell -> Protean_telemetry.Json.t
+(** The cell as a shard frame payload (its index rides in the frame).
+    Certificate counters are encoded only when the campaign audits
+    certificates. *)
 
-(** {1 Counterexample shrinking} *)
-
-val pair_violates :
-  campaign ->
-  Protean_defense.Defense.t ->
-  Program.t ->
-  Observer.mode ->
-  public:int64 * string ->
-  secret_a:int64 * string ->
-  secret_b:int64 * string ->
-  bool
-(** Replay one already-instrumented (program, input pair) and report
-    whether it is a (true-positive) contract violation.  Simulator
-    faults count as "no violation". *)
+val cell_of_json : int -> Protean_telemetry.Json.t -> cell
+(** Decode the payload of cell [index]; raises
+    {!Protean_telemetry.Json.Parse} on a malformed payload. *)
 
 type shrunk = {
   sh_program : Program.t;  (** instrumented, shrunk *)
@@ -141,28 +135,6 @@ type shrunk = {
   sh_verified : bool;  (** the shrunk program still violates *)
 }
 
-val shrink_witness :
-  ?budget:int -> campaign -> Protean_defense.Defense.t -> witness -> shrunk
-(** Shrink a captured {!witness} (nop-out live instructions while the
-    violation persists); used by parallel drivers after the campaign. *)
-
-(** {1 Leakage attribution} *)
-
-val attribute_witness :
-  campaign ->
-  Protean_defense.Defense.t ->
-  witness ->
-  Protean_telemetry.Window.attribution option
-(** Replay both halves of a captured violation with a full-mode
-    speculation-window ledger ({!Protean_ooo.Spec_window}) attached and
-    attribute the leak: the leaking transmitter pc, the access its
-    tainted operand derived from, the trigger window (id, pc, nesting
-    depth), and a heuristic gadget-family classification — "v1"
-    (conditional trigger, bounds-check bypass), "v2" (indirect branch),
-    "rsb" (return misprediction), "v4" (global transmitter divergence
-    driven by a memory-order violation, no window divergence), or
-    "unknown".  Replay faults degrade to [None]. *)
-
 (** {1 Campaign checkpointing} *)
 
 module Checkpoint : sig
@@ -171,17 +143,18 @@ module Checkpoint : sig
     ck_programs : int;
     ck_inputs : int;
     ck_next : int;  (** next program index to run *)
-    ck_tests : int;
-    ck_skipped : int;
-    ck_violations : int;
-    ck_false_positives : int;
-    ck_faulted : int;
-    ck_example_seed : int;  (** -1 = no violation example yet *)
-    ck_example_input : int;
+    ck_faulted : int;  (** programs skipped so far *)
+    ck_check_certs : bool;
+        (** the campaign audits certificates: the certificate counters
+            and first violation are saved too *)
+    ck_outcome : outcome;  (** merged over programs [0, ck_next) *)
   }
 
   val to_json : t -> string
   val of_json : string -> t option
+  (** Reads every version-1 file; absent certificate fields read as
+      0 / none. *)
+
   val save : string -> t -> unit
   (** Atomic (write-then-rename) save. *)
 
@@ -212,8 +185,32 @@ type report = {
       (** index a matching checkpoint resumed at *)
   r_counterexample : shrunk option;  (** shrunk first violation *)
   r_attribution : Protean_telemetry.Window.attribution option;
-      (** {!attribute_witness} on the first violation *)
+      (** the first violation replayed with a full-mode
+          speculation-window ledger ({!Protean_ooo.Spec_window}): the
+          leaking transmitter pc, the access its tainted operand derived
+          from, the trigger window (id, pc, nesting depth), and a
+          heuristic gadget family — "v1" (conditional trigger), "v2"
+          (indirect branch), "rsb" (return misprediction), "v4" (global
+          transmitter divergence driven by a memory-order violation) or
+          "unknown".  Replay faults degrade to [None]. *)
 }
+
+val finish :
+  ?shrink:bool ->
+  ?shrink_budget:int ->
+  ?resumed:Checkpoint.t ->
+  ?program:(int -> Program.t option) ->
+  campaign ->
+  Protean_defense.Defense.t ->
+  cell list ->
+  report
+(** The one campaign merge, whichever way the cells were computed: merge
+    [cells] in index order (onto the totals of the checkpoint the
+    campaign [resumed] from), list the skips, then replay the first cell
+    with a violation example to capture its witness, which is shrunk
+    ([shrink], default true) and attributed.  [program] overrides the
+    replayed program's code (default: the generated one).  A campaign
+    without violations replays nothing. *)
 
 val run_resilient :
   ?checkpoint:string ->
@@ -223,14 +220,12 @@ val run_resilient :
   campaign ->
   Protean_defense.Defense.t ->
   report
-(** Run a campaign with a per-program exception barrier: a program whose
-    simulation faults (watchdog, invariant failure, any exception) is
-    retried once, then skipped with a structured report, and the campaign
-    continues.  [checkpoint] names a JSON state file saved after every
-    program and resumed from when it matches the campaign.  [shrink]
-    (default true) shrinks the first violating program.  [program_of]
-    overrides the generated program at selected indices (harness
-    self-tests). *)
+(** The serial driver: {!test_cell} for each program in index order,
+    then {!finish}.  [checkpoint] names a JSON state file saved after
+    every program and resumed from when it matches the campaign.
+    [program_of] overrides the generated program at selected indices
+    (harness self-tests); it is asked once per program, in index
+    order. *)
 
 (** {1 Fuzzer self-test via fault injection} *)
 
@@ -265,6 +260,16 @@ val canonical_pairings :
     defenses mask single-layer faults (e.g. ProtTrack's taint layer
     compensates for dropped protection bits), so self-testing all modes
     against one defense reports spurious gaps. *)
+
+val self_test_pairing :
+  ?seed:int ->
+  ?programs:int ->
+  ?inputs:int ->
+  ?timeout_cycles:int ->
+  Protean_defense.Fault_inject.mode * string * string ->
+  string * string * gap
+(** One {!canonical_pairings} row through {!self_test}: (defense id,
+    contract, gap). *)
 
 val self_test_matrix :
   ?seed:int ->

@@ -119,87 +119,3 @@ let map ?(jobs = default_jobs ()) (tasks : (unit -> 'a) array) : 'a array =
         | Pending -> assert false (* every index was dealt and drained *))
       results
   end
-
-(* ------------------------------------------------------------------ *)
-(* Parallel fuzzing campaigns                                          *)
-(* ------------------------------------------------------------------ *)
-
-module Fuzz = Protean_amulet.Fuzz
-
-(* [Fuzz.run], parallelized over programs.  Programs are independent
-   (per-program seeded RNG); merging sub-outcomes in index order makes
-   the result — including the first-violation example — identical to
-   the serial campaign. *)
-let fuzz_run ?jobs (campaign : Fuzz.campaign) defense =
-  let tasks =
-    Array.init campaign.Fuzz.programs (fun index () ->
-        let program = Fuzz.generate_program campaign index in
-        Fuzz.test_program campaign defense ~index ~program)
-  in
-  let subs = map ?jobs tasks in
-  let out = Fuzz.fresh_outcome () in
-  Array.iter (fun sub -> Fuzz.merge_outcome ~into:out sub) subs;
-  out
-
-(* [Fuzz.run_resilient], parallelized over programs: the same
-   per-program retry-once-then-skip barrier, witness capture and
-   shrinking (shrinking replays serially at the end).  Checkpointing is
-   inherently sequential and is not supported here — callers with
-   [--resume] use the serial path. *)
-let fuzz_run_resilient ?jobs ?(shrink = true) ?(shrink_budget = 64)
-    (campaign : Fuzz.campaign) defense =
-  let tasks =
-    Array.init campaign.Fuzz.programs (fun index () ->
-        let pseed = Fuzz.program_seed campaign index in
-        let program = Fuzz.generate_program campaign index in
-        let witness = ref None in
-        let attempt () =
-          Fuzz.test_program ~witness campaign defense ~index ~program
-        in
-        match attempt () with
-        | sub -> (Some sub, !witness, None)
-        | exception _ -> (
-            match attempt () with
-            | sub -> (Some sub, !witness, None)
-            | exception e ->
-                ( None,
-                  None,
-                  Some
-                    {
-                      Fuzz.sk_index = index;
-                      sk_seed = pseed;
-                      sk_reason = Fuzz.describe_exn e;
-                    } )))
-  in
-  let per_program = map ?jobs tasks in
-  let out = Fuzz.fresh_outcome () in
-  let skips = ref [] in
-  let witness = ref None in
-  Array.iter
-    (fun (sub, w, skip) ->
-      (match sub with Some s -> Fuzz.merge_outcome ~into:out s | None -> ());
-      (match (w, !witness) with Some _, None -> witness := w | _ -> ());
-      match skip with Some s -> skips := s :: !skips | None -> ())
-    per_program;
-  let counterexample =
-    match !witness with
-    | Some w when shrink ->
-        Some (Fuzz.shrink_witness ~budget:shrink_budget campaign defense w)
-    | _ -> None
-  in
-  (* The attribution replay is serial and deterministic: the witness is
-     the index-order-first violation, identical to the serial
-     campaign's, so -j N attributes the same leak. *)
-  let attribution =
-    match !witness with
-    | Some w -> Fuzz.attribute_witness campaign defense w
-    | None -> None
-  in
-  {
-    Fuzz.r_outcome = out;
-    r_completed = campaign.Fuzz.programs - List.length !skips;
-    r_skipped = List.rev !skips;
-    r_resumed_from = None;
-    r_counterexample = counterexample;
-    r_attribution = attribution;
-  }

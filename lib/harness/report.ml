@@ -21,6 +21,7 @@ module Metrics = Protean_telemetry.Metrics
 module Trace = Protean_telemetry.Trace
 module Flame = Protean_telemetry.Flame
 module Twindow = Protean_telemetry.Window
+module Json = Protean_telemetry.Json
 module Stats = Protean_ooo.Stats
 module Spec_window = Protean_ooo.Spec_window
 module E = Experiment
@@ -552,15 +553,15 @@ let attr_json cells totals =
       if i > 0 then Buffer.add_string b ",\n";
       Buffer.add_string b
         (Printf.sprintf
-           "    {\"cell\": \"%s\", \"window\": %s, \"over_protection\": %s}"
-           (String.escaped key)
-           (Twindow.counters_to_json w)
+           "    {\"cell\": %s, \"window\": %s, \"over_protection\": %s}"
+           (Json.to_string (Json.Str key))
+           (Json.to_string (Twindow.counters_to_json w))
            (op_json (Twindow.over_protection w))))
     cells;
   Buffer.add_string b
     (Printf.sprintf
        "\n  ],\n  \"totals\": %s,\n  \"over_protection\": %s\n}\n"
-       (Twindow.counters_to_json totals)
+       (Json.to_string (Twindow.counters_to_json totals))
        (op_json (Twindow.over_protection totals)));
   Buffer.contents b
 
@@ -587,26 +588,29 @@ let render_attr cells totals =
   | None -> Buffer.add_string b "  total: no interventions recorded\n");
   Buffer.contents b
 
-(* Write whatever [c] asked for.  [.json] metric paths get the JSON
-   exporter, anything else Prometheus text. *)
+(* Write the metric, trace and flamegraph exports [c] asked for.
+   [.json] metric paths get the JSON exporter, anything else Prometheus
+   text. *)
+let write_exports c ~snapshot ~flame =
+  Option.iter
+    (fun path ->
+      let snap = snapshot () in
+      write_file path
+        (if Filename.check_suffix path ".json" then Metrics.to_json snap
+         else Metrics.to_prometheus snap))
+    c.metrics_out;
+  (match (c.trace_out, !tracer) with
+  | Some path, Some tr -> write_file path (Trace.to_chrome_json tr)
+  | _ -> ());
+  Option.iter
+    (fun path -> write_file path (Flame.to_folded (flame ())))
+    c.flamegraph_out
+
+(* Everything [c] asked for from an experiment session. *)
 let write_outputs c session =
-  (match c.metrics_out with
-  | Some path ->
-      let snap = final_snapshot session in
-      if Filename.check_suffix path ".json" then
-        write_file path (Metrics.to_json snap)
-      else write_file path (Metrics.to_prometheus snap)
-  | None -> ());
-  (match c.trace_out with
-  | Some path -> (
-      match !tracer with
-      | Some tr -> write_file path (Trace.to_chrome_json tr)
-      | None -> ())
-  | None -> ());
-  (match c.flamegraph_out with
-  | Some path ->
-      write_file path (Flame.to_folded (flame_of_session session))
-  | None -> ());
+  write_exports c
+    ~snapshot:(fun () -> final_snapshot session)
+    ~flame:(fun () -> flame_of_session session);
   match c.attr_out with
   | Some path ->
       let cells, totals = attr_report session in

@@ -359,19 +359,32 @@ let table_ii ?(jobs = 1) ?(programs = 10) ?(inputs = 4) () =
   let defenses =
     [ ("Unsafe", Defense.unsafe); ("ProtDelay", Defense.prot_delay); ("ProtTrack", Defense.prot_track) ]
   in
-  (* fold both adversaries per (contract,instrumentation) *)
+  (* Every (row, defense) campaign is independent: run them on [jobs]
+     domains, then fold both adversaries per (contract,instrumentation). *)
+  let runs =
+    List.concat_map (fun (name, d) -> List.map (fun r -> (name, r, d)) rows) defenses
+  in
+  let outcomes =
+    Parallel.map ~jobs
+      (Array.of_list (List.map (fun (_, r, d) () -> Fuzz.run r.campaign d) runs))
+  in
+  let results = List.combine runs (Array.to_list outcomes) in
   let keys =
     List.sort_uniq compare (List.map (fun r -> (r.contract, r.instrumentation)) rows)
   in
   let cells =
     List.map
       (fun (contract, instr) ->
-        let rs = List.filter (fun r -> r.contract = contract && r.instrumentation = instr) rows in
         let per_defense =
           List.map
-            (fun (_, d) ->
+            (fun (name, _) ->
               let totals =
-                List.map (fun r -> Parallel.fuzz_run ~jobs r.campaign d) rs
+                List.filter_map
+                  (fun ((n, r, _), o) ->
+                    if n = name && r.contract = contract && r.instrumentation = instr
+                    then Some o
+                    else None)
+                  results
               in
               let v = List.fold_left (fun a o -> a + o.Fuzz.violations) 0 totals in
               let fp = List.fold_left (fun a o -> a + o.Fuzz.false_positives) 0 totals in

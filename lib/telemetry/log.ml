@@ -58,18 +58,11 @@ let render_text ~level ~src ~fields msg =
   Printf.sprintf "[%s] %s: %s%s" (level_name level) src msg kvs
 
 let render_json ~level ~src ~fields msg =
-  let esc = Metrics.json_escape in
-  let base =
-    Printf.sprintf "{\"level\":\"%s\",\"src\":\"%s\",\"msg\":\"%s\""
-      (level_name level) (esc src) (esc msg)
-  in
-  let rest =
-    String.concat ""
-      (List.map
-         (fun (k, v) -> Printf.sprintf ",\"%s\":\"%s\"" (esc k) (esc v))
-         fields)
-  in
-  base ^ rest ^ "}"
+  Json.to_string
+    (Json.Obj
+       (List.map
+          (fun (k, v) -> (k, Json.Str v))
+          ([ ("level", level_name level); ("src", src); ("msg", msg) ] @ fields)))
 
 let log ?(src = "protean") ?(fields = []) level fmt =
   Printf.ksprintf

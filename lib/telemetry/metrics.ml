@@ -274,55 +274,36 @@ let to_prometheus (snap : snapshot) =
     snap;
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* JSON exporter: an array of sample objects, snapshot order, one per
+   line.  Integers only, so the rendering is exact and stable. *)
+let sample_json s =
+  Json.Obj
+    ([
+       ("family", Json.Str s.s_family);
+       ("type", Json.Str (kind_name s.s_kind));
+       ("labels", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) s.s_labels));
+       ("value", Json.Int s.s_value);
+     ]
+    @
+    match s.s_kind with
+    | Histogram bounds ->
+        let bucket le n = Json.Obj [ ("le", le); ("n", Json.Int n) ] in
+        [
+          ("count", Json.Int s.s_count);
+          ( "buckets",
+            Json.List
+              (List.mapi (fun j le -> bucket (Json.Int le) s.s_buckets.(j))
+                 (Array.to_list bounds)
+              @ [ bucket (Json.Str "+Inf") s.s_buckets.(Array.length bounds) ])
+          );
+        ]
+    | Counter | Gauge -> [])
 
-(* JSON exporter: an array of sample objects, snapshot order.  Integers
-   only, so the rendering is exact and stable. *)
-let to_json (snap : snapshot) =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "[\n";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf "  {\"family\":\"%s\",\"type\":\"%s\",\"labels\":{"
-           (json_escape s.s_family) (kind_name s.s_kind));
-      List.iteri
-        (fun j (k, v) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-        s.s_labels;
-      Buffer.add_string b (Printf.sprintf "},\"value\":%d" s.s_value);
-      (match s.s_kind with
-      | Histogram bounds ->
-          Buffer.add_string b (Printf.sprintf ",\"count\":%d,\"buckets\":[" s.s_count);
-          Array.iteri
-            (fun j le ->
-              if j > 0 then Buffer.add_char b ',';
-              Buffer.add_string b
-                (Printf.sprintf "{\"le\":%d,\"n\":%d}" le s.s_buckets.(j)))
-            bounds;
-          if Array.length bounds > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "{\"le\":\"+Inf\",\"n\":%d}]"
-               s.s_buckets.(Array.length bounds))
-      | Counter | Gauge -> ());
-      Buffer.add_string b "}")
-    snap;
-  Buffer.add_string b "\n]\n";
-  Buffer.contents b
+(* A JSON array with one element per line: the layout of the metric and
+   trace exports. *)
+let json_lines ?(indent = "") items =
+  "[\n"
+  ^ String.concat ",\n" (List.map (fun j -> indent ^ Json.to_string j) items)
+  ^ "\n]\n"
+
+let to_json (snap : snapshot) = json_lines ~indent:"  " (List.map sample_json snap)

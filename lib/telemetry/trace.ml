@@ -111,35 +111,33 @@ let count t =
 (* Chrome trace-event JSON                                             *)
 (* ------------------------------------------------------------------ *)
 
-let esc = Metrics.json_escape
-
-let args_json args =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (esc k) (esc v)) args)
-  ^ "}"
-
-let event_json = function
-  | Span { name; cat; ts_us; dur_us; pid; tid; args } ->
-      Printf.sprintf
-        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\
-         \"pid\":%d,\"tid\":%d,\"args\":%s}"
-        (esc name) (esc cat) ts_us dur_us pid tid (args_json args)
-  | Instant { name; cat; ts_us; pid; tid; args } ->
-      Printf.sprintf
-        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%d,\
-         \"pid\":%d,\"tid\":%d,\"args\":%s}"
-        (esc name) (esc cat) ts_us pid tid (args_json args)
-  | Counter { name; ts_us; pid; series } ->
-      Printf.sprintf
-        "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%d,\"pid\":%d,\"args\":{%s}}"
-        (esc name) ts_us pid
-        (String.concat ","
-           (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (esc k) v) series))
-  | Meta { name; pid; tid; label } ->
-      Printf.sprintf
-        "{\"name\":\"%s\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-        (esc name) pid tid (esc label)
+let event_json ev =
+  let strs kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) kvs) in
+  Json.Obj
+    (match ev with
+    | Span { name; cat; ts_us; dur_us; pid; tid; args } ->
+        [
+          ("name", Json.Str name); ("cat", Json.Str cat); ("ph", Json.Str "X");
+          ("ts", Json.Int ts_us); ("dur", Json.Int dur_us); ("pid", Json.Int pid);
+          ("tid", Json.Int tid); ("args", strs args);
+        ]
+    | Instant { name; cat; ts_us; pid; tid; args } ->
+        [
+          ("name", Json.Str name); ("cat", Json.Str cat); ("ph", Json.Str "i");
+          ("s", Json.Str "t"); ("ts", Json.Int ts_us); ("pid", Json.Int pid);
+          ("tid", Json.Int tid); ("args", strs args);
+        ]
+    | Counter { name; ts_us; pid; series } ->
+        [
+          ("name", Json.Str name); ("ph", Json.Str "C"); ("ts", Json.Int ts_us);
+          ("pid", Json.Int pid);
+          ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) series));
+        ]
+    | Meta { name; pid; tid; label } ->
+        [
+          ("name", Json.Str name); ("ph", Json.Str "M"); ("pid", Json.Int pid);
+          ("tid", Json.Int tid); ("args", strs [ ("name", label) ]);
+        ])
 
 (* The JSON-array format: events in chronological record order.  A
    trailing newline and no trailing comma — strict parsers (Perfetto's
@@ -148,12 +146,4 @@ let to_chrome_json t =
   Mutex.lock t.lock;
   let events = List.rev t.events in
   Mutex.unlock t.lock;
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "[\n";
-  List.iteri
-    (fun i ev ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b (event_json ev))
-    events;
-  Buffer.add_string b "\n]\n";
-  Buffer.contents b
+  Metrics.json_lines (List.map event_json events)

@@ -25,10 +25,15 @@ type attribution = {
 }
 
 let attribution_to_json a =
-  Printf.sprintf
-    {|{"family":"%s","xmit_pc":%d,"src_pc":%d,"window_id":%d,"window_pc":%d,"window_depth":%d}|}
-    (String.escaped a.at_family)
-    a.at_xmit_pc a.at_src_pc a.at_window_id a.at_window_pc a.at_window_depth
+  Json.Obj
+    [
+      ("family", Json.Str a.at_family);
+      ("xmit_pc", Json.Int a.at_xmit_pc);
+      ("src_pc", Json.Int a.at_src_pc);
+      ("window_id", Json.Int a.at_window_id);
+      ("window_pc", Json.Int a.at_window_pc);
+      ("window_depth", Json.Int a.at_window_depth);
+    ]
 
 let render_attribution a =
   if a.at_window_id < 0 then
@@ -68,12 +73,7 @@ let over_protection counters =
   if total = 0 then None else Some (float_of_int benign /. float_of_int total)
 
 let counters_to_json counters =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (name, n) -> Printf.sprintf {|"%s":%d|} (String.escaped name) n)
-         counters)
-  ^ "}"
+  Json.Obj (List.map (fun (name, n) -> (name, Json.Int n)) counters)
 
 let render_counters counters =
   String.concat "\n"

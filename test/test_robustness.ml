@@ -11,6 +11,9 @@ module Invariants = Protean_ooo.Invariants
 module Defense = Protean_defense.Defense
 module Fault_inject = Protean_defense.Fault_inject
 module Fuzz = Protean_amulet.Fuzz
+module Gen = Protean_amulet.Gen
+module Parallel = Protean_harness.Parallel
+module Json = Protean_telemetry.Json
 
 let r = Asm.r
 let i = Asm.i
@@ -156,13 +159,17 @@ let ck =
     ck_programs = 10;
     ck_inputs = 5;
     ck_next = 7;
-    ck_tests = 31;
-    ck_skipped = 4;
-    ck_violations = 2;
-    ck_false_positives = 1;
     ck_faulted = 1;
-    ck_example_seed = 42 + (3 * 7919);
-    ck_example_input = 2;
+    ck_check_certs = false;
+    ck_outcome =
+      {
+        (Fuzz.fresh_outcome ()) with
+        Fuzz.tests = 31;
+        skipped = 4;
+        violations = 2;
+        false_positives = 1;
+        example = Some (42 + (3 * 7919), 2);
+      };
   }
 
 let test_checkpoint_json_roundtrip () =
@@ -232,13 +239,9 @@ let test_checkpoint_resume () =
       ck_programs = 3;
       ck_inputs = 2;
       ck_next = 3;
-      ck_tests = 5;
-      ck_skipped = 1;
-      ck_violations = 0;
-      ck_false_positives = 0;
       ck_faulted = 0;
-      ck_example_seed = -1;
-      ck_example_input = -1;
+      ck_check_certs = false;
+      ck_outcome = { (Fuzz.fresh_outcome ()) with Fuzz.tests = 5; skipped = 1 };
     };
   let r = Fuzz.run_resilient ~checkpoint:path campaign Defense.stt in
   Sys.remove path;
@@ -246,6 +249,56 @@ let test_checkpoint_resume () =
   Alcotest.(check int) "saved tests restored" 5 r.Fuzz.r_outcome.Fuzz.tests;
   Alcotest.(check int) "saved skips restored" 1 r.Fuzz.r_outcome.Fuzz.skipped;
   Alcotest.(check int) "all programs counted done" 3 r.Fuzz.r_completed
+
+(* A plain checkpoint keeps the version-1 layout byte for byte, so files
+   written before the certificate fields existed still load (with no
+   certificate verdict); a certified one carries the verdict. *)
+let test_checkpoint_cert_fields () =
+  let v1 =
+    {|{"version":1,"seed":42,"programs":10,"inputs":5,"next":7,"tests":31,"skipped":4,"violations":2,"false_positives":1,"faulted":1,"example_seed":23799,"example_input":2}|}
+  in
+  Alcotest.(check string) "plain layout unchanged" v1 (Fuzz.Checkpoint.to_json ck);
+  Alcotest.(check bool) "version-1 file loads" true
+    (Fuzz.Checkpoint.of_json v1 = Some ck);
+  let certified =
+    {
+      ck with
+      Fuzz.Checkpoint.ck_check_certs = true;
+      ck_outcome =
+        {
+          ck.Fuzz.Checkpoint.ck_outcome with
+          Fuzz.certs_checked = 7;
+          cert_claims = 120;
+          cert_violations = 3;
+          cert_example = Some "cert-violation: main pass=ct pc=1: \"rax\"";
+        };
+    }
+  in
+  Alcotest.(check bool) "certificate verdict round-trips" true
+    (Fuzz.Checkpoint.of_json (Fuzz.Checkpoint.to_json certified) = Some certified)
+
+(* A certified campaign resumed from its own finished checkpoint must
+   report the certificate violations the first run found. *)
+let test_resume_keeps_cert_verdict () =
+  let campaign =
+    {
+      (Fuzz.campaign_for ~seed:1 ~programs:3 ~inputs:2 "ct") with
+      Fuzz.check_certs = true;
+      cert_fault = Some Fault_inject.CF_drop_prot;
+    }
+  in
+  let path = Filename.temp_file "protean_certs" ".json" in
+  Sys.remove path;
+  let first = Fuzz.run_resilient ~checkpoint:path campaign Defense.prot_track in
+  let again = Fuzz.run_resilient ~checkpoint:path campaign Defense.prot_track in
+  Sys.remove path;
+  let o = again.Fuzz.r_outcome in
+  Alcotest.(check bool) "resumed at the end" true
+    (again.Fuzz.r_resumed_from = Some 3);
+  Alcotest.(check bool) "violations survive the resume" true
+    (o.Fuzz.cert_violations > 0);
+  Alcotest.(check bool) "same verdict as the first run" true
+    (o = first.Fuzz.r_outcome)
 
 (* A mismatched checkpoint (different campaign) is ignored. *)
 let test_checkpoint_mismatch_ignored () =
@@ -300,6 +353,61 @@ let test_campaign_survives_timeout () =
   Alcotest.(check bool) "remaining programs were tested" true
     (r.Fuzz.r_outcome.Fuzz.tests > 0)
 
+(* --- one driver: a skipped program leaves no witness ------------------ *)
+
+(* The unsafe baseline, except that its 3rd and 4th policy
+   instantiations raise: program 0 of a one-program gadget campaign
+   violates on its first input pair (instantiations 1-2), faults on its
+   second (3) and faults again on retry (4), so it is skipped — and its
+   half-run violation must not leave a counterexample behind. *)
+let flaky_unsafe () =
+  let calls = ref 0 in
+  {
+    Defense.unsafe with
+    Defense.make =
+      (fun () ->
+        incr calls;
+        if !calls = 3 || !calls = 4 then failwith "injected policy fault";
+        Defense.unsafe.Defense.make ());
+  }
+
+let test_skipped_violation_has_no_witness () =
+  let campaign =
+    {
+      Fuzz.default_campaign with
+      Fuzz.programs = 1;
+      inputs_per_program = 2;
+      seed = 11;
+      gen_klass = Gen.G_gadget;
+      mode_of = Fuzz.arch_seq;
+    }
+  in
+  (* Sanity: without the injected faults program 0 violates. *)
+  let clean = Fuzz.run_resilient ~shrink:false campaign Defense.unsafe in
+  Alcotest.(check bool) "program 0 violates" true
+    (clean.Fuzz.r_outcome.Fuzz.example <> None);
+  let serial = Fuzz.run_resilient campaign (flaky_unsafe ()) in
+  let parallel =
+    let d = flaky_unsafe () in
+    Parallel.map ~jobs:2 [| (fun () -> Fuzz.test_cell campaign d 0) |]
+    |> Array.to_list |> Fuzz.finish campaign d
+  in
+  let sharded =
+    let d = flaky_unsafe () in
+    let payload = Json.to_string (Fuzz.cell_to_json campaign (Fuzz.test_cell campaign d 0)) in
+    Fuzz.finish campaign d [ Fuzz.cell_of_json 0 (Json.of_string payload) ]
+  in
+  List.iter
+    (fun (driver, (r : Fuzz.report)) ->
+      Alcotest.(check int) (driver ^ ": one skip") 1 (List.length r.Fuzz.r_skipped);
+      Alcotest.(check bool) (driver ^ ": no example") true
+        (r.Fuzz.r_outcome.Fuzz.example = None);
+      Alcotest.(check bool) (driver ^ ": no counterexample") true
+        (r.Fuzz.r_counterexample = None);
+      Alcotest.(check bool) (driver ^ ": no attribution") true
+        (r.Fuzz.r_attribution = None))
+    [ ("serial", serial); ("-j 2", parallel); ("shard-style", sharded) ]
+
 let tests =
   [
     Alcotest.test_case "invariants hold on all seed workloads" `Slow
@@ -329,6 +437,12 @@ let tests =
       test_checkpoint_resume;
     Alcotest.test_case "mismatched checkpoint ignored" `Quick
       test_checkpoint_mismatch_ignored;
+    Alcotest.test_case "checkpoint certificate fields" `Quick
+      test_checkpoint_cert_fields;
+    Alcotest.test_case "resumed certified campaign keeps its verdict" `Quick
+      test_resume_keeps_cert_verdict;
     Alcotest.test_case "campaign survives a deadlocking program" `Slow
       test_campaign_survives_timeout;
+    Alcotest.test_case "skipped violating program leaves no witness" `Quick
+      test_skipped_violation_has_no_witness;
   ]

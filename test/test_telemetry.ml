@@ -425,10 +425,10 @@ let test_window_counters_deterministic () =
 (* Every program of a G_gadget campaign is the known v1
    bounds-check-bypass gadget, so the unsafe baseline must violate and
    the attribution must name the probe transmitter with family v1 —
-   identically from the serial driver, the -j 4 driver, and the
-   supervised-style recovery (per-shard outcomes taken in cell order,
-   witness replayed from the first violating cell, exactly what
-   protean-fuzz does under --shards). *)
+   identically from the serial driver, the -j 4 driver, and the sharded
+   path (cells computed in two shard halves, shipped through the cell
+   codec, merged by [Fuzz.finish], exactly what protean-fuzz does under
+   --shards). *)
 let gadget_campaign =
   {
     Fuzz.default_campaign with
@@ -439,40 +439,28 @@ let gadget_campaign =
     mode_of = Fuzz.arch_seq;
   }
 
-let supervised_style_attribution campaign d =
-  let ids = List.init campaign.Fuzz.programs Fun.id in
-  let shard k = List.filter (fun i -> i mod 2 = k) ids in
-  let per_cell =
-    List.concat_map
-      (fun k ->
-        List.map
-          (fun i ->
-            let program = Fuzz.generate_program campaign i in
-            (i, Fuzz.test_program campaign d ~index:i ~program))
-          (shard k))
-      [ 0; 1 ]
-  in
-  (* The merge visits cells in index order and keeps the first example,
-     so the violating program is the first cell that has one. *)
-  match
-    List.find_opt
-      (fun (_, sub) -> sub.Fuzz.example <> None)
-      (List.sort (fun (a, _) (b, _) -> compare a b) per_cell)
-  with
-  | None -> None
-  | Some (index, _) ->
-      let w = ref None in
-      let program = Fuzz.generate_program campaign index in
-      (try ignore (Fuzz.test_program ~witness:w campaign d ~index ~program)
-       with _ -> ());
-      Option.bind !w (Fuzz.attribute_witness campaign d)
+let over_the_wire campaign (c : Fuzz.cell) =
+  Fuzz.cell_of_json c.Fuzz.c_index
+    (Json.of_string (Json.to_string (Fuzz.cell_to_json campaign c)))
+
+let sharded_report campaign d =
+  let half = campaign.Fuzz.programs / 2 in
+  let shard ids = List.map (fun i -> over_the_wire campaign (Fuzz.test_cell campaign d i)) ids in
+  (* The second shard reports first: the merge orders cells itself. *)
+  Fuzz.finish ~shrink:false campaign d
+    (shard (List.init (campaign.Fuzz.programs - half) (( + ) half))
+    @ shard (List.init half Fun.id))
 
 let test_attribution_deterministic () =
   let campaign = gadget_campaign in
   let d = Defense.unsafe in
   let serial = Fuzz.run_resilient ~shrink:false campaign d in
-  let par = Parallel.fuzz_run_resilient ~jobs:4 ~shrink:false campaign d in
-  let sharded = supervised_style_attribution campaign d in
+  let par =
+    Parallel.map ~jobs:4
+      (Array.init campaign.Fuzz.programs (fun i () -> Fuzz.test_cell campaign d i))
+    |> Array.to_list |> Fuzz.finish ~shrink:false campaign d
+  in
+  let sharded = sharded_report campaign d in
   match serial.Fuzz.r_attribution with
   | None -> Alcotest.fail "gadget campaign produced no attribution"
   | Some a ->
@@ -485,8 +473,40 @@ let test_attribution_deterministic () =
         (a.Twindow.at_window_id >= 0 && a.Twindow.at_window_depth >= 0);
       Alcotest.(check bool) "serial == -j 4" true
         (par.Fuzz.r_attribution = Some a);
-      Alcotest.(check bool) "serial == shard-style recovery" true
-        (sharded = Some a)
+      Alcotest.(check bool) "serial == sharded" true
+        (sharded.Fuzz.r_attribution = Some a);
+      Alcotest.(check bool) "same merged outcome" true
+        (sharded.Fuzz.r_outcome = serial.Fuzz.r_outcome
+        && par.Fuzz.r_outcome = serial.Fuzz.r_outcome)
+
+(* The cell codec carries every field of a cell, including the
+   certificate verdict of a certified campaign and a skip reason that
+   needs JSON escaping. *)
+let test_cell_codec_roundtrip () =
+  let campaign = { gadget_campaign with Fuzz.check_certs = true } in
+  let cell =
+    {
+      Fuzz.c_index = 5;
+      c_outcome =
+        {
+          Fuzz.tests = 3;
+          skipped = 1;
+          violations = 2;
+          false_positives = 1;
+          example = Some (11 + (5 * 7919), 2);
+          certs_checked = 4;
+          cert_claims = 90;
+          cert_violations = 1;
+          cert_example = Some "cert-violation: main pass=ct pc=3: \"rax\"";
+        };
+      c_skip = Some "worker said \"no\"\nthen \001 died";
+    }
+  in
+  Alcotest.(check bool) "certified cell round-trips" true
+    (over_the_wire campaign cell = cell);
+  let plain = over_the_wire gadget_campaign cell in
+  Alcotest.(check int) "plain campaigns drop the certificate counters" 0
+    plain.Fuzz.c_outcome.Fuzz.cert_violations
 
 let tests =
   [
@@ -515,4 +535,6 @@ let tests =
       test_window_counters_deterministic;
     Alcotest.test_case "attribution deterministic across drivers" `Quick
       test_attribution_deterministic;
+    Alcotest.test_case "fuzz cell codec round-trips" `Quick
+      test_cell_codec_roundtrip;
   ]
