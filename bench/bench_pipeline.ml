@@ -353,12 +353,7 @@ let smoke () =
   drive t;
   Spec_window.detach t led;
   let skipped = t.Protean_ooo.Pipeline_state.stats.Stats.skipped_cycles in
-  let skip_ahead_on =
-    match Sys.getenv_opt "PROTEAN_NO_SKIP_AHEAD" with
-    | Some v when v <> "" && v <> "0" -> false
-    | _ -> true
-  in
-  if skip_ahead_on && skipped <= 0 then (
+  if skipped <= 0 then (
     Printf.eprintf
       "smoke: protean_cycles_skipped_total source is 0: event-driven \
        skip-ahead is not engaging\n";

@@ -17,7 +17,6 @@ module Config = Protean_ooo.Config
 module Defense = Protean_defense.Defense
 module Fault_inject = Protean_defense.Fault_inject
 module Protcc = Protean_protcc.Protcc
-module Certify = Protean_protcc.Certify
 module Tables = Protean_harness.Tables
 module Parallel = Protean_harness.Parallel
 module Supervisor = Protean_harness.Supervisor
@@ -416,7 +415,6 @@ let run table_ii defense contract programs inputs adversary seed core_width
     squash_bug gadget timeout resume inject inject_worker pass_fault
     (c : Campaign.t) =
   Campaign.setup c;
-  if c.check_certs then Certify.enabled := true;
   let failed =
     if table_ii then begin
       Tables.table_ii ~jobs:c.jobs ~programs ~inputs ();

@@ -5,17 +5,16 @@
      protean-sim -b milc -b lbm -b mcf -d stt -j 3 --invariants warn
 
    Mirrors the artifact's per-benchmark entry point (Section A-G3).
-   Multiple --bench flags simulate on `-j N` domains; reports print in
-   benchmark order either way. *)
+   Each benchmark is one experiment cell, run by [Experiment.execute]
+   like every grid cell.  Multiple --bench flags simulate on `-j N`
+   domains; reports print in benchmark order either way. *)
 
 open Cmdliner
 module Suite = Protean_workloads.Suite
 module Defense = Protean_defense.Defense
-module Protcc = Protean_protcc.Protcc
 module Certify = Protean_protcc.Certify
 module Config = Protean_ooo.Config
 module Pipeline = Protean_ooo.Pipeline
-module Multicore = Protean_ooo.Multicore
 module Policy = Protean_ooo.Policy
 module Invariants = Protean_ooo.Invariants
 module Stats = Protean_ooo.Stats
@@ -26,10 +25,6 @@ module Shard = Protean_harness.Shard
 module Json = Protean_harness.Shard.Json
 module E = Protean_harness.Experiment
 module Report = Protean_harness.Report
-module Profile = Protean_ooo.Profile
-module Spec_window = Protean_ooo.Spec_window
-module Twindow = Protean_telemetry.Window
-module Flame = Protean_telemetry.Flame
 module Trace = Protean_telemetry.Trace
 
 let bench_arg =
@@ -111,153 +106,31 @@ let wall_arg =
   Arg.(value & opt float 3600.0 & info [ "shard-wall" ] ~docv:"SECS"
          ~doc:"Kill a worker whose lease outlives this wall-clock budget.")
 
-let config_of = function
-  | "p" -> Config.p_core
-  | "e" -> Config.e_core
-  | "test" -> Config.test_core
-  | s -> invalid_arg ("unknown core: " ^ s)
-
 let model_of = function
   | "atcommit" -> Policy.Atcommit
   | "control" -> Policy.Control
   | s -> invalid_arg ("unknown speculation model: " ^ s)
 
-let instrument pass program =
-  (* With --check-certs every compile result passes the independent
-     checker before it is simulated; a refuted certificate raises the
-     structured [Certify.Cert_violation] handled by the fault paths. *)
-  let audited (r : Protcc.result) =
-    if !Certify.enabled then ignore (Certify.audit_exn ~original:program r);
-    r.Protcc.program
-  in
-  match pass with
-  | "none" -> program
-  | "multiclass" -> audited (Protcc.instrument program)
-  | p ->
-      let pass =
-        match p with
-        | "arch" -> Protcc.P_arch
-        | "cts" -> Protcc.P_cts
-        | "ct" -> Protcc.P_ct
-        | "unr" -> Protcc.P_unr
-        | s -> invalid_arg ("unknown pass: " ^ s)
-      in
-      audited (Protcc.instrument ~pass_override:pass program)
-
-(* Render one benchmark's report into a string, so parallel runs can
-   print completed reports in benchmark order.  Also returns the run's
-   telemetry as an [Experiment.run_result] (stats always; policy
-   counters and flame stacks only when collection is enabled) so the
-   exporters can fold it into a session. *)
-let simulate (b : Suite.benchmark) (d : Defense.t) config spec_model pass
-    invariants invariant_every bench =
-  let flame_acc = if !E.collect_flame then Some (Flame.create ()) else None in
-  let attached = ref [] in
-  let attach ~root program t =
-    match flame_acc with
-    | None -> ()
-    | Some acc ->
-        let p = Profile.create () in
-        let sink snap = E.fold_flame ~root program snap acc in
-        Profile.attach ~sink p t;
-        attached := t :: !attached
-  in
-  let ledgers : (Pipeline.t * Spec_window.t) list ref = ref [] in
-  let attach_ledger (t : Pipeline.t) =
-    if !E.collect_window then ledgers := (t, Spec_window.attach t) :: !ledgers
-  in
-  let finish_tele policies =
-    List.iter Profile.detach !attached;
-    let pm =
-      if !E.collect_policy_metrics then E.merge_policy_metrics policies
-      else []
-    in
-    let fl = match flame_acc with None -> [] | Some acc -> Flame.to_list acc in
-    let wn =
-      List.fold_left
-        (fun acc (t, led) ->
-          Spec_window.detach t led;
-          (match (!E.window_hook, Spec_window.leaky_windows led) with
-          | Some f, (_ :: _ as leaky) -> f (d.Defense.id ^ "/" ^ bench) leaky
-          | _ -> ());
-          Twindow.merge_counters acc (Spec_window.counters led))
-        [] !ledgers
-    in
-    (pm, fl, wn)
-  in
-  let result ~cycles ~stats ~pm ~fl ~wn =
-    {
-      E.cycles = float_of_int cycles;
-      stats;
-      code_size_ratio = nan;
-      inserted_moves = 0;
-      policy_metrics = pm;
-      flame = fl;
-      frontend = "";
-      window = wn;
-    }
-  in
-  match b.Suite.kind with
-  | Suite.Single f ->
-      let program = instrument pass (f ()) in
-      let on_cycle =
-        match invariants with
-        | Invariants.Off -> None
-        | mode -> Some (Invariants.checker ~every:invariant_every mode)
-      in
-      let policy = d.Defense.make () in
-      let r =
-        Pipeline.run ~spec_model ~fuel:50_000_000 ?on_cycle
-          ~on_start:(fun t ->
-            attach ~root:[ d.Defense.id; bench ] program t;
-            attach_ledger t)
-          config policy program ~overlays:[]
-      in
-      let pm, fl, wn = finish_tele [ policy ] in
-      let report =
-        Format.asprintf "%s under %s on %s:@.  %a@.  measured cycles: %d@."
-          bench d.Defense.id config.Config.name Stats.pp r.Pipeline.stats
-          (Stats.measured_cycles r.Pipeline.stats)
-      in
-      ( report,
-        result
-          ~cycles:(Stats.measured_cycles r.Pipeline.stats)
-          ~stats:[ r.Pipeline.stats ] ~pm ~fl ~wn )
-  | Suite.Multi f ->
-      let programs = Array.map (instrument pass) (f ()) in
-      let policies = ref [] in
-      let make_policy () =
-        let p = d.Defense.make () in
-        policies := p :: !policies;
-        p
-      in
-      let on_core i t =
-        attach
-          ~root:[ d.Defense.id; bench; Printf.sprintf "core%d" i ]
-          programs.(i) t;
-        attach_ledger t
-      in
-      let r =
-        Multicore.run ~spec_model ~fuel:50_000_000 ~invariants
-          ~invariant_every ~on_core config ~make_policy programs
-      in
-      let pm, fl, wn = finish_tele !policies in
+(* One benchmark's report, rendered from its experiment cell into a
+   string so parallel runs can print completed reports in benchmark
+   order. *)
+let report bench (b : Suite.benchmark) (d : Defense.t) (config : Config.t)
+    (r : E.run_result) =
+  match (b.Suite.kind, r.E.stats) with
+  | Suite.Single _, [ st ] ->
+      Format.asprintf "%s under %s on %s:@.  %a@.  measured cycles: %d@."
+        bench d.Defense.id config.Config.name Stats.pp st
+        (Stats.measured_cycles st)
+  | _, per_core ->
       let buf = Buffer.create 256 in
       let ppf = Format.formatter_of_buffer buf in
       Format.fprintf ppf "%s under %s on %d cores: %d cycles@." bench
-        d.Defense.id (Array.length programs) r.Multicore.cycles;
-      Array.iteri
-        (fun i (c : Pipeline.result) ->
-          Format.fprintf ppf "  core %d: %a@." i Stats.pp c.Pipeline.stats)
-        r.Multicore.per_core;
+        d.Defense.id (List.length per_core) (int_of_float r.E.cycles);
+      List.iteri
+        (fun i st -> Format.fprintf ppf "  core %d: %a@." i Stats.pp st)
+        per_core;
       Format.pp_print_flush ppf ();
-      ( Buffer.contents buf,
-        result ~cycles:r.Multicore.cycles
-          ~stats:
-            (Array.to_list
-               (Array.map (fun (c : Pipeline.result) -> c.Pipeline.stats)
-                  r.Multicore.per_core))
-          ~pm ~fl ~wn )
+      Buffer.contents buf
 
 let run list benches defense pass core core_width spec_model invariants
     invariant_every paranoid_sched inject heartbeat wall (c : Campaign.t) =
@@ -274,27 +147,38 @@ let run list benches defense pass core core_width spec_model invariants
       Suite.all
   else begin
     let d = Defense.find defense in
-    let config = config_of core in
+    let config = E.core_of_name core in
     (* --core-width stays in the worker argv (it is not a supervisor
        flag), so --shards workers rebuild the identical config. *)
     let config =
       if core_width > 0 then Config.with_width core_width config else config
     in
+    let pass, multiclass = E.pass_of_name pass in
+    let dcfg = { E.label = d.Defense.id; defense = d; pass } in
     let spec_model = model_of spec_model in
-    let invariants = Invariants.mode_of_string invariants in
+    let invariants =
+      match Invariants.mode_of_string invariants with
+      | Invariants.Off -> None
+      | mode -> Some (mode, invariant_every)
+    in
     let session = E.create_session () in
     let cell_key bench =
       Printf.sprintf "%s|%s|%s" bench d.Defense.id config.Config.name
     in
     let simulate bench =
-      simulate (Suite.find bench) d config spec_model pass invariants
-        invariant_every bench
+      let b = Suite.find bench in
+      let r =
+        E.execute ?invariants (E.spec ~config ~spec_model ~multiclass b dcfg)
+      in
+      (report bench b d config r, r)
     in
-    (* A benchmark's report and telemetry, or the fault that ended it. *)
+    (* A benchmark's report and telemetry, or the fault that ended it
+       (a simulation fault, a run out of fuel, a refuted certificate). *)
     let outcome sim =
       match sim () with
       | report, res -> Ok (report, res)
       | exception Pipeline.Sim_fault f -> Error (Pipeline.fault_to_string f)
+      | exception Failure reason -> Error reason
       | exception (Certify.Cert_violation _ as e) ->
           Error (Printexc.to_string e)
     in

@@ -30,6 +30,10 @@ type spec = { seed : int; klass : klass_gen; blocks : int; block_len : int }
 
 val default_spec : spec
 
+val klass_of_gen : klass_gen -> Protean_isa.Program.klass
+(** The program class a generator emits (a gadget never runs
+    architecturally, so it is Arch-class). *)
+
 val generate : spec -> Protean_isa.Program.t
 (** Deterministic in [spec.seed]; always terminates (forward-only
     branches). *)

@@ -28,8 +28,6 @@ type t = {
   connect : string option;
   token : string;
   metrics_listen : string option;
-  no_skip_ahead : bool;
-  no_shared_frontend : bool;
   check_certs : bool; (* each binary gives it its own meaning *)
 }
 
@@ -42,8 +40,7 @@ let term ~check_certs_doc =
   in
   let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
   let make jobs shards worker metrics_out trace_out flamegraph_out attr_out
-      log_json listen connect token metrics_listen no_skip_ahead
-      no_shared_frontend check_certs =
+      log_json listen connect token metrics_listen check_certs =
     {
       jobs = (if jobs = 0 then Parallel.default_jobs () else max 1 jobs);
       shards = max 1 shards;
@@ -54,8 +51,6 @@ let term ~check_certs_doc =
       connect;
       token;
       metrics_listen;
-      no_skip_ahead;
-      no_shared_frontend;
       check_certs;
     }
   in
@@ -119,18 +114,6 @@ let term ~check_certs_doc =
         "Serve live Prometheus metrics over HTTP at $(docv)/metrics while a \
          --shards or --listen run supervises (port 0 picks one; the bound \
          port is logged)."
-    $ flag "no-skip-ahead"
-        "Disable event-driven skip-ahead: the simulator steps every idle \
-         cycle instead of jumping to the next event horizon. Results are \
-         bit-identical either way; this is the escape hatch (also \
-         PROTEAN_NO_SKIP_AHEAD=1). Stays in the worker argv, so --shards \
-         workers run the same mode."
-    $ flag "no-shared-frontend"
-        "Disable shared-frontend batching: build, instrument and decode \
-         every grid cell's workload independently instead of reusing one \
-         frontend per (benchmark, pass) group. Results are bit-identical \
-         either way; this is the escape hatch (also \
-         PROTEAN_NO_SHARED_FRONTEND=1)."
     $ flag "check-certs" check_certs_doc)
 
 (* Is this process a worker ([--worker] or [--connect])?  Workers keep
@@ -140,13 +123,11 @@ let serving c = c.worker || c.connect <> None
 
 let supervised c = c.shards > 1 || c.listen <> None
 
-(* Process set-up every binary starts with.  The escape hatches stay in
+(* Process set-up every binary starts with.  The flags it reads stay in
    a spawned worker's argv, so it sets itself up the same way. *)
 let setup c =
   Protean_ooo.Gc_tune.tune ();
   if c.log_json then Protean_telemetry.Log.set_json true;
-  if c.no_skip_ahead then Protean_ooo.Pipeline.set_skip_ahead false;
-  if c.no_shared_frontend then Experiment.share_frontend := false;
   Report.enable ~worker:(serving c) c.tele
 
 (* Flags that configure only the supervising process.  They must not

@@ -17,8 +17,9 @@ module Policy = Protean_ooo.Policy
 module Multicore = Protean_ooo.Multicore
 module Stats = Protean_ooo.Stats
 module Profile = Protean_ooo.Profile
-module Pstate = Protean_ooo.Pipeline_state
+module Invariants = Protean_ooo.Invariants
 module Spec_window = Protean_ooo.Spec_window
+module Certify = Protean_protcc.Certify
 module Suite = Protean_workloads.Suite
 module Program = Protean_isa.Program
 module Tlog = Protean_telemetry.Log
@@ -61,6 +62,40 @@ let protean_multiclass mech =
     | `Track -> (Defense.prot_track, "Track")
   in
   { label = "PROTEAN-" ^ mname; defense = d; pass = None }
+
+(* Pass names, as protean-sim's [-p] and the golden corpora spell them:
+   the ProtCC pass to compile with ([None] = the base binary) and
+   whether every function is instead compiled with its own class. *)
+let pass_of_name = function
+  | "none" -> (None, false)
+  | "multiclass" -> (None, true)
+  | "arch" -> (Some Protcc.P_arch, false)
+  | "cts" -> (Some Protcc.P_cts, false)
+  | "ct" -> (Some Protcc.P_ct, false)
+  | "unr" -> (Some Protcc.P_unr, false)
+  | s -> invalid_arg ("unknown pass: " ^ s)
+
+(* Core names: p, e or test, optionally suffixed "@wN" ("test@w4") for
+   the core rescaled to an N-wide structural-port superscalar
+   ([Config.with_width], which names the result with the same suffix). *)
+let core_of_name s =
+  let unknown () = invalid_arg ("unknown core: " ^ s) in
+  let base = function
+    | "p" -> Config.p_core
+    | "e" -> Config.e_core
+    | "test" -> Config.test_core
+    | _ -> unknown ()
+  in
+  let is_digit c = c >= '0' && c <= '9' in
+  match String.split_on_char '@' s with
+  | [ b ] -> base b
+  | [ b; w ] when String.starts_with ~prefix:"w" w -> (
+      let digits = String.sub w 1 (String.length w - 1) in
+      match int_of_string_opt digits with
+      | Some n when n > 0 && String.for_all is_digit digits ->
+          Config.with_width n (base b)
+      | _ -> unknown ())
+  | _ -> unknown ()
 
 type run_spec = {
   bench : Suite.benchmark;
@@ -122,63 +157,24 @@ let cell_hook : (string -> float -> float -> unit) option ref = ref None
 
 let default_fuel = 30_000_000
 
-(* Compiled-ProtCC-binary cache: instrumentation is deterministic per
-   (workload, pass), and the same instrumented binary is re-simulated
-   under many defense configurations, so grids (especially parallel
-   ones) share compilations instead of re-running the passes.  Guarded
-   by a mutex: parallel prewarm fills run on multiple domains. *)
-let protcc_cache :
-    (string, Protean_isa.Program.t * float * int) Hashtbl.t =
-  Hashtbl.create 64
-
-let protcc_cache_lock = Mutex.create ()
-
 let pass_id = function
   | Protcc.P_rand (seed, prob) -> Printf.sprintf "rand:%d:%g" seed prob
   | p -> Protcc.pass_name p
 
-(* [ckey] identifies the source program (benchmark + core index). *)
-let instrument_program ~ckey spec program =
-  let compile () =
-    (* --check-certs: every compile result is audited by the independent
-       checker before the binary runs; a refuted certificate raises the
-       structured [Certify.Cert_violation], which the cell fault paths
-       report without taking down the rest of the grid.  Cache hits skip
-       the re-audit (the verdict is deterministic per compile). *)
-    let audited (r : Protcc.result) =
-      if !Protean_protcc.Certify.enabled then
-        ignore (Protean_protcc.Certify.audit_exn ~original:program r);
-      (r.Protcc.program, r.Protcc.code_size_ratio, r.Protcc.inserted_moves)
-    in
-    match (spec.dcfg.pass, spec.multiclass) with
-    | None, false -> (program, 1.0, 0)
-    | None, true -> audited (Protcc.instrument program)
-    | Some pass, _ -> audited (Protcc.instrument ~pass_override:pass program)
+(* Compile one source program for [spec].  Under --check-certs every
+   compile result is audited by the independent checker before the
+   binary runs; a refuted certificate raises the structured
+   [Certify.Cert_violation], which the cell fault barrier ({!compute})
+   reports without taking down the rest of the grid. *)
+let instrument_program spec program =
+  let audited (r : Protcc.result) =
+    if !Certify.enabled then ignore (Certify.audit_exn ~original:program r);
+    (r.Protcc.program, r.Protcc.code_size_ratio, r.Protcc.inserted_moves)
   in
   match (spec.dcfg.pass, spec.multiclass) with
-  | None, false -> compile ()
-  | _ ->
-      let k =
-        Printf.sprintf "%s|%s|%b" ckey
-          (match spec.dcfg.pass with
-          | Some pass -> pass_id pass
-          | None -> "multiclass")
-          spec.multiclass
-      in
-      let cached =
-        Mutex.lock protcc_cache_lock;
-        let c = Hashtbl.find_opt protcc_cache k in
-        Mutex.unlock protcc_cache_lock;
-        c
-      in
-      (match cached with
-      | Some r -> r
-      | None ->
-          let r = compile () in
-          Mutex.lock protcc_cache_lock;
-          Hashtbl.replace protcc_cache k r;
-          Mutex.unlock protcc_cache_lock;
-          r)
+  | None, false -> (program, 1.0, 0)
+  | None, true -> audited (Protcc.instrument program)
+  | Some pass, _ -> audited (Protcc.instrument ~pass_override:pass program)
 
 (* ------------------------------------------------------------------ *)
 (* Shared frontend                                                     *)
@@ -192,9 +188,10 @@ let instrument_program ~ckey spec program =
    bit-identically (squash timing, and hence the wrong-path fetch
    schedule, differs per defense), so the replayable trace is exactly
    the per-pc part the stream is generated from.  The record is
-   immutable and domain-safe: programs are never mutated by runs (the
-   ProtCC cache already shares them across cells), and the decode
-   templates are read-only per construction. *)
+   immutable and domain-safe: programs are never mutated by runs, and
+   the decode templates are read-only per construction.  Sharing it
+   also shares the ProtCC compile (and its certificate audit): a grid
+   compiles each instrumented binary once. *)
 type frontend = {
   fe_key : string;
   fe_programs : Program.t array; (* one per core *)
@@ -206,11 +203,9 @@ type frontend = {
   fe_moves : int;
 }
 
-(* Escape hatch: [--no-shared-frontend] / PROTEAN_NO_SHARED_FRONTEND
-   fall back to per-cell frontend construction.  The flag stays in a
-   [--shards] worker's argv, so workers set it themselves. *)
-let share_frontend =
-  ref (Sys.getenv_opt "PROTEAN_NO_SHARED_FRONTEND" = None)
+(* Off, every cell builds its own frontend: the per-cell reference path
+   the tests compare sharing against. *)
+let share_frontend = ref true
 
 (* The defense-independent prefix of {!key}: suite/name, the ProtCC
    pass actually applied (base binary when none), multiclass.  Core
@@ -223,35 +218,24 @@ let frontend_key spec =
     | None -> if spec.multiclass then "multiclass" else "base")
     spec.multiclass
 
-(* Process-wide, like [protcc_cache] (and mutex-guarded for the same
-   reason: parallel prewarm fills run on multiple domains). *)
+(* Process-wide and mutex-guarded: parallel prewarm fills run on
+   multiple domains. *)
 let frontend_cache : (string, frontend) Hashtbl.t = Hashtbl.create 64
 let frontend_cache_lock = Mutex.create ()
 
 let build_frontend ~fe_key spec =
-  let bkey =
-    Printf.sprintf "%s/%s" spec.bench.Suite.suite spec.bench.Suite.name
-  in
   let programs, ratio, moves =
     match spec.bench.Suite.kind with
     | Suite.Single f ->
-        let program, ratio, moves =
-          instrument_program ~ckey:bkey spec (f ())
-        in
+        let program, ratio, moves = instrument_program spec (f ()) in
         ([| program |], ratio, moves)
     | Suite.Multi f ->
-        let ratio = ref 1.0 and moves = ref 0 in
-        let programs =
-          Array.mapi
-            (fun i p ->
-              let ckey = Printf.sprintf "%s#%d" bkey i in
-              let p', r, m = instrument_program ~ckey spec p in
-              ratio := r;
-              moves := m;
-              p')
-            (f ())
+        (* The last core's ratio and move count stand for the group. *)
+        let compiled = Array.map (instrument_program spec) (f ()) in
+        let ratio, moves =
+          Array.fold_left (fun _ (_, r, m) -> (r, m)) (1.0, 0) compiled
         in
-        (programs, !ratio, !moves)
+        (Array.map (fun (p, _, _) -> p) compiled, ratio, moves)
   in
   {
     fe_key;
@@ -314,113 +298,96 @@ let merge_policy_metrics (policies : Policy.t list) =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare (a : string) b)
 
-let execute spec =
+(* One cell: the shared frontend, then a single-core or lockstep
+   multicore run.  Every core gets, before its first cycle, the
+   observers this process collects with — the commit-gap profiler, the
+   speculation-window ledger — and, given [invariants] (mode and
+   cadence), its own invariant checker.  A run that exhausts its fuel
+   fails the cell. *)
+let execute ?invariants spec =
   let bkey =
     Printf.sprintf "%s/%s" spec.bench.Suite.suite spec.bench.Suite.name
   in
   (* Flame collection: a commit-gap profiler per core, flushed through
-     the unsubscribe finalizer when we detach after the run. *)
+     the unsubscribe finalizer when we detach after the run.  Window
+     ledgers are merged (summed) across cores. *)
   let flame_acc = if !collect_flame then Some (Flame.create ()) else None in
-  let attached : Pipeline.t list ref = ref [] in
-  let attach_profiler ~root program (t : Pipeline.t) =
-    match flame_acc with
-    | None -> ()
-    | Some acc ->
-        let p = Profile.create () in
-        let sink snap = fold_flame ~root program snap acc in
-        Profile.attach ~sink p t;
-        attached := t :: !attached
-  in
-  let detach_all () = List.iter Profile.detach !attached in
-  (* Window ledgers: one per core, attached alongside the profiler and
-     merged (summed) at the end of the run. *)
+  let profiled : Pipeline.t list ref = ref [] in
   let ledgers : (Pipeline.t * Spec_window.t) list ref = ref [] in
-  let attach_ledger (t : Pipeline.t) =
+  let observe root program (t : Pipeline.t) =
+    Option.iter
+      (fun (mode, every) -> Invariants.attach ~every mode t)
+      invariants;
+    Option.iter
+      (fun acc ->
+        let sink snap = fold_flame ~root program snap acc in
+        Profile.attach ~sink (Profile.create ()) t;
+        profiled := t :: !profiled)
+      flame_acc;
     if !collect_window then ledgers := (t, Spec_window.attach t) :: !ledgers
   in
-  let finish_tele policies =
-    detach_all ();
-    let pm =
-      if !collect_policy_metrics then merge_policy_metrics policies else []
-    in
-    let fl = match flame_acc with None -> [] | Some acc -> Flame.to_list acc in
-    let wn =
-      List.fold_left
-        (fun acc (t, led) ->
-          Spec_window.detach t led;
-          (match (!window_hook, Spec_window.leaky_windows led) with
-          | Some f, (_ :: _ as leaky) ->
-              f (spec.dcfg.label ^ "/" ^ bkey) leaky
-          | _ -> ());
-          Twindow.merge_counters acc (Spec_window.counters led))
-        [] !ledgers
-    in
-    (pm, fl, wn)
+  let policies = ref [] in
+  let make_policy () =
+    let p = spec.dcfg.defense.Defense.make () in
+    policies := p :: !policies;
+    p
   in
   let fe = prepare_frontend spec in
-  match spec.bench.Suite.kind with
-  | Suite.Single _ ->
-      let program = fe.fe_programs.(0) in
-      let policy = spec.dcfg.defense.Defense.make () in
-      let r =
-        Pipeline.run ~squash_bug:spec.squash_bug ~spec_model:spec.spec_model
-          ~decode:fe.fe_decode.(0) ~fuel:default_fuel
-          ~on_start:(fun t ->
-            attach_profiler ~root:[ spec.dcfg.label; bkey ] program t;
-            attach_ledger t)
-          spec.config policy program ~overlays:[]
-      in
-      let policy_metrics, flame, window = finish_tele [ policy ] in
-      if not r.Pipeline.finished then
-        failwith
-          (Printf.sprintf "experiment %s/%s did not finish"
-             spec.bench.Suite.name spec.dcfg.label);
-      {
-        cycles = float_of_int (Stats.measured_cycles r.Pipeline.stats);
-        stats = [ r.Pipeline.stats ];
-        code_size_ratio = fe.fe_ratio;
-        inserted_moves = fe.fe_moves;
-        policy_metrics;
-        flame;
-        frontend = fe.fe_key;
-        window;
-      }
-  | Suite.Multi _ ->
-      let programs = fe.fe_programs in
-      let policies = ref [] in
-      let make_policy () =
-        let p = spec.dcfg.defense.Defense.make () in
-        policies := p :: !policies;
-        p
-      in
-      let on_core i t =
-        attach_profiler
-          ~root:[ spec.dcfg.label; bkey; Printf.sprintf "core%d" i ]
-          programs.(i) t;
-        attach_ledger t
-      in
-      let r =
-        Multicore.run ~squash_bug:spec.squash_bug ~spec_model:spec.spec_model
-          ~decode:fe.fe_decode ~fuel:default_fuel ~on_core spec.config
-          ~make_policy programs
-      in
-      let policy_metrics, flame, window = finish_tele !policies in
-      if not r.Multicore.finished then
-        failwith
-          (Printf.sprintf "experiment %s/%s did not finish"
-             spec.bench.Suite.name spec.dcfg.label);
-      {
-        cycles = float_of_int r.Multicore.cycles;
-        stats =
+  let root = [ spec.dcfg.label; bkey ] in
+  let cycles, stats, finished =
+    match spec.bench.Suite.kind with
+    | Suite.Single _ ->
+        let program = fe.fe_programs.(0) in
+        let r =
+          Pipeline.run ~squash_bug:spec.squash_bug ~spec_model:spec.spec_model
+            ~decode:fe.fe_decode.(0) ~fuel:default_fuel
+            ~on_start:(observe root program) spec.config (make_policy ())
+            program ~overlays:[]
+        in
+        let st = r.Pipeline.stats in
+        (Stats.measured_cycles st, [ st ], r.Pipeline.finished)
+    | Suite.Multi _ ->
+        let on_core i =
+          observe (root @ [ Printf.sprintf "core%d" i ]) fe.fe_programs.(i)
+        in
+        let r =
+          Multicore.run ~squash_bug:spec.squash_bug ~spec_model:spec.spec_model
+            ~decode:fe.fe_decode ~fuel:default_fuel ~on_core spec.config
+            ~make_policy fe.fe_programs
+        in
+        ( r.Multicore.cycles,
           Array.to_list
-            (Array.map (fun (c : Pipeline.result) -> c.Pipeline.stats) r.Multicore.per_core);
-        code_size_ratio = fe.fe_ratio;
-        inserted_moves = fe.fe_moves;
-        policy_metrics;
-        flame;
-        frontend = fe.fe_key;
-        window;
-      }
+            (Array.map
+               (fun (c : Pipeline.result) -> c.Pipeline.stats)
+               r.Multicore.per_core),
+          r.Multicore.finished )
+  in
+  List.iter Profile.detach !profiled;
+  let window =
+    List.fold_left
+      (fun acc (t, led) ->
+        Spec_window.detach t led;
+        (match (!window_hook, Spec_window.leaky_windows led) with
+        | Some f, (_ :: _ as leaky) -> f (spec.dcfg.label ^ "/" ^ bkey) leaky
+        | _ -> ());
+        Twindow.merge_counters acc (Spec_window.counters led))
+      [] !ledgers
+  in
+  if not finished then
+    failwith
+      (Printf.sprintf "experiment %s/%s did not finish" spec.bench.Suite.name
+         spec.dcfg.label);
+  {
+    cycles = float_of_int cycles;
+    stats;
+    code_size_ratio = fe.fe_ratio;
+    inserted_moves = fe.fe_moves;
+    policy_metrics =
+      (if !collect_policy_metrics then merge_policy_metrics !policies else []);
+    flame = (match flame_acc with None -> [] | Some acc -> Flame.to_list acc);
+    frontend = fe.fe_key;
+    window;
+  }
 
 (* Memoized session.  [collect], when set, switches [run] into a
    discovery mode used by {!prewarm}: cache misses are recorded (keyed
@@ -469,8 +436,9 @@ let set_line_sink = Tlog.set_sink
 let log_line fmt = Printf.ksprintf (fun s -> Tlog.info ~src:"harness" "%s" s) fmt
 
 (* One cell, with the fault barrier: a deadlocked/livelocked simulation
-   fails this cell only — report the faulting configuration and let the
-   grid continue with a nan cell. *)
+   or a refuted certificate (under [--check-certs]) fails this cell
+   only — report the faulting configuration and let the grid continue
+   with a nan cell. *)
 let compute spec =
   let t0 = Unix.gettimeofday () in
   let finish r =
@@ -478,6 +446,11 @@ let compute spec =
     | Some f -> f (key spec) t0 (Unix.gettimeofday ())
     | None -> ());
     r
+  in
+  let fault msg =
+    Tlog.warn ~src:"harness" "[fault] bench=%s defense=%s core=%s: %s"
+      spec.bench.Suite.name spec.dcfg.label spec.config.Config.name msg;
+    finish faulted_result
   in
   match execute spec with
   | r -> finish r
@@ -488,10 +461,8 @@ let compute spec =
         (Policy.spec_model_name spec.spec_model)
         (Pipeline.fault_to_string f);
       finish faulted_result
-  | exception Failure msg ->
-      Tlog.warn ~src:"harness" "[fault] bench=%s defense=%s core=%s: %s"
-        spec.bench.Suite.name spec.dcfg.label spec.config.Config.name msg;
-      finish faulted_result
+  | exception Failure msg -> fault msg
+  | exception (Certify.Cert_violation _ as e) -> fault (Printexc.to_string e)
 
 let run session spec =
   let k = key spec in

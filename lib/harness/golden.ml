@@ -9,15 +9,13 @@
    pipeline known to be correct). *)
 
 module Defense = Protean_defense.Defense
-module Protcc = Protean_protcc.Protcc
-module Config = Protean_ooo.Config
 module Pipeline = Protean_ooo.Pipeline
-module Multicore = Protean_ooo.Multicore
 module Policy = Protean_ooo.Policy
 module Stats = Protean_ooo.Stats
 module Hw_trace = Protean_ooo.Hw_trace
 module Suite = Protean_workloads.Suite
 module Gen = Protean_amulet.Gen
+module E = Experiment
 
 type source =
   | Bench of string (* Suite benchmark name *)
@@ -26,8 +24,8 @@ type source =
 type cell = {
   c_source : source;
   c_defense : string; (* Defense id *)
-  c_pass : string; (* none | arch | cts | ct | unr | multiclass *)
-  c_config : string; (* test | p *)
+  c_pass : string; (* a pass name ([Experiment.pass_of_name]) *)
+  c_config : string; (* a core name ([Experiment.core_of_name]) *)
   c_model : Policy.spec_model;
   c_squash_bug : bool;
 }
@@ -61,87 +59,27 @@ let key c =
     (Policy.spec_model_name c.c_model)
     c.c_squash_bug
 
-(* Config names accept a "@wN" suffix ("test@w4"): the base core
-   rescaled to an N-wide structural-port superscalar
-   ([Config.with_width]).  The rescaled config names itself with the
-   same suffix, so cell keys and experiment cache keys stay aligned. *)
-let config_of s =
-  let base = function
-    | "test" -> Config.test_core
-    | "p" -> Config.p_core
-    | b -> invalid_arg ("Golden.config_of: " ^ b)
-  in
-  match String.index_opt s '@' with
-  | Some i
-    when i + 2 < String.length s
-         && s.[i + 1] = 'w'
-         && String.for_all (fun c -> c >= '0' && c <= '9')
-              (String.sub s (i + 2) (String.length s - i - 2)) ->
-      Config.with_width
-        (int_of_string (String.sub s (i + 2) (String.length s - i - 2)))
-        (base (String.sub s 0 i))
-  | _ -> base s
-
-let instrument pass program =
-  match pass with
-  | "none" -> program
-  | "multiclass" -> (Protcc.instrument program).Protcc.program
-  | p ->
-      let pass =
-        match p with
-        | "arch" -> Protcc.P_arch
-        | "cts" -> Protcc.P_cts
-        | "ct" -> Protcc.P_ct
-        | "unr" -> Protcc.P_unr
-        | s -> invalid_arg ("Golden.instrument: " ^ s)
-      in
-      (Protcc.instrument ~pass_override:pass program).Protcc.program
-
-(* Shared frontend: program construction + ProtCC instrumentation + the
-   per-pc decode templates are defense- and core-config-independent, so
-   corpus cells that differ only in defense/config/model share one
-   build.  Keyed by (source, pass) — the only inputs the frontend
-   reads.  Honors the same escape hatch as the experiment layer
-   ([Experiment.share_frontend], i.e. --no-shared-frontend /
-   PROTEAN_NO_SHARED_FRONTEND); mutex-guarded because parallel corpus
-   runs fill from several domains. *)
-let frontend_cache = Hashtbl.create 32
-let frontend_cache_lock = Mutex.create ()
-
-let build_frontend c =
-  let programs =
+(* A corpus cell as an experiment cell: the defense id is the label,
+   and a generated program is a one-off benchmark of a "gen" suite. *)
+let spec_of c =
+  let bench =
     match c.c_source with
+    | Bench name -> Suite.find name
     | Rand (klass, seed) ->
-        [|
-          instrument c.c_pass
-            (Gen.generate { Gen.seed; klass; blocks = 24; block_len = 12 });
-        |]
-    | Bench name -> (
-        let b = Suite.find name in
-        match b.Suite.kind with
-        | Suite.Single f -> [| instrument c.c_pass (f ()) |]
-        | Suite.Multi f -> Array.map (instrument c.c_pass) (f ()))
+        {
+          Suite.name = source_name c.c_source;
+          suite = "gen";
+          klass = Gen.klass_of_gen klass;
+          kind =
+            Suite.Single
+              (fun () ->
+                Gen.generate { Gen.seed; klass; blocks = 24; block_len = 12 });
+        }
   in
-  (programs, Array.map Pipeline.decode_program programs)
-
-let frontend_key c = source_name c.c_source ^ "|" ^ c.c_pass
-
-let frontend c =
-  if not !Experiment.share_frontend then build_frontend c
-  else begin
-    let k = frontend_key c in
-    Mutex.lock frontend_cache_lock;
-    let cached = Hashtbl.find_opt frontend_cache k in
-    Mutex.unlock frontend_cache_lock;
-    match cached with
-    | Some fe -> fe
-    | None ->
-        let fe = build_frontend c in
-        Mutex.lock frontend_cache_lock;
-        Hashtbl.replace frontend_cache k fe;
-        Mutex.unlock frontend_cache_lock;
-        fe
-  end
+  let pass, multiclass = E.pass_of_name c.c_pass in
+  E.spec ~config:(E.core_of_name c.c_config) ~spec_model:c.c_model
+    ~squash_bug:c.c_squash_bug ~multiclass bench
+    { E.label = c.c_defense; defense = Defense.find c.c_defense; pass }
 
 let trace_digest trace =
   let buf = Buffer.create 4096 in
@@ -152,45 +90,38 @@ let trace_digest trace =
     (Hw_trace.all trace);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+(* A cell's observable outcome.  A single-core cell re-runs with the
+   hardware trace on, over the experiment's shared frontend (a
+   [run_result] carries no trace); a multicore cell is the experiment
+   cell itself, which fails rather than return an unfinished run. *)
+let outcome (spec : E.run_spec) =
+  match spec.E.bench.Suite.kind with
+  | Suite.Single _ ->
+      let fe = E.prepare_frontend spec in
+      let r =
+        Pipeline.run ~trace:true ~squash_bug:spec.E.squash_bug
+          ~spec_model:spec.E.spec_model ~decode:fe.E.fe_decode.(0)
+          ~fuel:E.default_fuel spec.E.config
+          (spec.E.dcfg.E.defense.Defense.make ())
+          fe.E.fe_programs.(0) ~overlays:[]
+      in
+      let st = r.Pipeline.stats in
+      Printf.sprintf "%d|%d|%d|%s" st.Stats.cycles st.Stats.committed
+        st.Stats.squashes
+        (trace_digest r.Pipeline.trace)
+  | Suite.Multi _ ->
+      let r = E.execute spec in
+      let per_core =
+        List.map
+          (fun (st : Stats.t) ->
+            Printf.sprintf "%d:%d" st.Stats.cycles st.Stats.committed)
+          r.E.stats
+      in
+      Printf.sprintf "%d|true|%s" (int_of_float r.E.cycles)
+        (String.concat "," per_core)
+
 (* One corpus line: the cell key followed by its observable outcome. *)
-let run_cell c =
-  let d = Defense.find c.c_defense in
-  let config = config_of c.c_config in
-  let fuel = 30_000_000 in
-  let programs, decode = frontend c in
-  let single () =
-    let r =
-      Pipeline.run ~trace:true ~squash_bug:c.c_squash_bug
-        ~spec_model:c.c_model ~decode:decode.(0) ~fuel config
-        (d.Defense.make ()) programs.(0) ~overlays:[]
-    in
-    Printf.sprintf "%d|%d|%d|%s" r.Pipeline.stats.Stats.cycles
-      r.Pipeline.stats.Stats.committed r.Pipeline.stats.Stats.squashes
-      (trace_digest r.Pipeline.trace)
-  in
-  let outcome =
-    match c.c_source with
-    | Rand _ -> single ()
-    | Bench name -> (
-        let b = Suite.find name in
-        match b.Suite.kind with
-        | Suite.Single _ -> single ()
-        | Suite.Multi _ ->
-            let r =
-              Multicore.run ~squash_bug:c.c_squash_bug ~spec_model:c.c_model
-                ~decode ~fuel config ~make_policy:d.Defense.make programs
-            in
-            let per_core =
-              Array.to_list r.Multicore.per_core
-              |> List.map (fun (p : Pipeline.result) ->
-                     Printf.sprintf "%d:%d" p.Pipeline.stats.Stats.cycles
-                       p.Pipeline.stats.Stats.committed)
-              |> String.concat ","
-            in
-            Printf.sprintf "%d|%b|%s" r.Multicore.cycles r.Multicore.finished
-              per_core)
-  in
-  key c ^ "|" ^ outcome
+let run_cell c = key c ^ "|" ^ outcome (spec_of c)
 
 let corpus =
   (* Random programs exercise deep speculation, squashes, forwarding and
@@ -246,46 +177,24 @@ let corpus =
   in
   rand @ benches
 
-(* Parallel corpus runner: cells are batched by shared-frontend group
-   (each group's cells run sequentially on one domain, so the group's
-   frontend is built once instead of being raced by every cell), and
-   the lines are re-emitted in corpus order.  With sharing disabled
-   every cell is its own task — the per-cell schedule. *)
-let parallel_lines ~jobs corpus =
-  let cells = List.mapi (fun i c -> (i, c)) corpus in
-  let groups =
-    if not !Experiment.share_frontend then List.map (fun c -> [ c ]) cells
-    else begin
-      let tbl = Hashtbl.create 32 in
-      let order = ref [] in
-      List.iter
-        (fun ((_, c) as cell) ->
-          let fk = frontend_key c in
-          match Hashtbl.find_opt tbl fk with
-          | Some group -> group := cell :: !group
-          | None ->
-              Hashtbl.replace tbl fk (ref [ cell ]);
-              order := fk :: !order)
-        cells;
-      List.rev_map (fun fk -> List.rev !(Hashtbl.find tbl fk)) !order
-    end
-  in
-  let tasks =
-    Array.of_list
-      (List.map
-         (fun group () -> List.map (fun (i, c) -> (i, run_cell c)) group)
-         groups)
-  in
-  Parallel.map ~jobs tasks
-  |> Array.to_list |> List.concat
-  |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-  |> List.map snd
-
-(* All corpus lines, in corpus order.  [jobs > 1] runs the cells on a
-   parallel grid ([Parallel.map]); the lines are identical either way —
+(* A corpus's lines, in corpus order.  [jobs > 1] runs one task per
+   shared-frontend group ([Experiment.group_cells]) on a parallel grid
+   ([Parallel.map]) and re-emits the lines in corpus order (cells with
+   equal keys have equal lines); the lines are identical either way —
    that equality is the determinism property the golden suite asserts. *)
-let lines ?(jobs = 1) () =
-  if jobs <= 1 then List.map run_cell corpus else parallel_lines ~jobs corpus
+let corpus_lines ~jobs cells =
+  if jobs <= 1 then List.map run_cell cells
+  else
+    let tasks =
+      E.group_cells (List.map (fun c -> (key c, spec_of c)) cells)
+      |> List.map (fun group () ->
+             List.map (fun (k, spec) -> (k, k ^ "|" ^ outcome spec)) group)
+      |> Array.of_list
+    in
+    let lines = List.concat (Array.to_list (Parallel.map ~jobs tasks)) in
+    List.map (fun c -> List.assoc (key c) lines) cells
+
+let lines ?(jobs = 1) () = corpus_lines ~jobs corpus
 
 (* Width-sweep corpus: the structural-port model across issue widths
    1/2/4/6/8 on three single-core benchmarks × three defenses.  Each
@@ -311,9 +220,7 @@ let width_corpus =
         benches)
     widths
 
-let width_lines ?(jobs = 1) () =
-  if jobs <= 1 then List.map run_cell width_corpus
-  else parallel_lines ~jobs width_corpus
+let width_lines ?(jobs = 1) () = corpus_lines ~jobs width_corpus
 
 let width_keys () = List.map key width_corpus
 

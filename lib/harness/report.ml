@@ -61,13 +61,7 @@ let tracer : Trace.t option ref = ref None
    1-core-host bench caveat made explicit. *)
 
 let escape_hatches =
-  [
-    "PROTEAN_NO_SKIP_AHEAD";
-    "PROTEAN_NO_SHARED_FRONTEND";
-    "PROTEAN_PARANOID_SCHED";
-    "PROTEAN_NET_FAULT";
-    "PROTEAN_NO_SPAWN";
-  ]
+  [ "PROTEAN_PARANOID_SCHED"; "PROTEAN_NET_FAULT"; "PROTEAN_NO_SPAWN" ]
 
 let hatch_active v =
   match Sys.getenv_opt v with

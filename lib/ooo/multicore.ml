@@ -10,9 +10,9 @@
 
    Each core is the same stage-module composition as a single-core run
    ([Pipeline.step] = commit → resolve → execute → rename → fetch over
-   the core's [Pipeline_state]), including the per-core watchdog and,
-   when requested, a per-core invariant checker subscribed to the
-   core's hook bus — so a deadlocked or corrupted core raises a
+   the core's [Pipeline_state]), including the per-core watchdog and
+   any per-core observers ([on_core], e.g. an invariant checker on the
+   core's hook bus) — so a deadlocked or corrupted core raises a
    structured [Pipeline.Sim_fault] (tagged with its core index in
    [fault_core]) instead of silently burning fuel. *)
 
@@ -23,10 +23,10 @@ type result = {
 }
 
 (* [on_core i t] runs once per freshly created core, before the first
-   cycle — the registration point for per-core observers (profilers). *)
+   cycle — the registration point for per-core observers (profilers,
+   invariant checkers). *)
 let run ?squash_bug ?spec_model ?decode ?(fuel = 10_000_000)
-    ?(watchdog = Pipeline.default_watchdog) ?(invariants = Invariants.Off)
-    ?invariant_every ?on_core (cfg : Config.t)
+    ?(watchdog = Pipeline.default_watchdog) ?on_core (cfg : Config.t)
     ~(make_policy : unit -> Policy.t)
     (programs : Protean_isa.Program.t array) =
   let shared_l3 = Option.map (Cache.create ~prot:false) cfg.Config.l3 in
@@ -42,12 +42,6 @@ let run ?squash_bug ?spec_model ?decode ?(fuel = 10_000_000)
           (make_policy ()) program ~overlays:[])
       programs
   in
-  (match invariants with
-  | Invariants.Off -> ()
-  | mode ->
-      Array.iter
-        (fun core -> Invariants.attach ?every:invariant_every mode core)
-        cores);
   (match on_core with
   | Some f -> Array.iteri f cores
   | None -> ());

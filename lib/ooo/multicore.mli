@@ -18,8 +18,6 @@ val run :
     array ->
   ?fuel:int ->
   ?watchdog:Pipeline.watchdog ->
-  ?invariants:Invariants.mode ->
-  ?invariant_every:int ->
   ?on_core:(int -> Pipeline.t -> unit) ->
   Config.t ->
   make_policy:(unit -> Policy.t) ->
@@ -30,10 +28,9 @@ val run :
     over the same programs shares the decode work.
     [make_policy] is called once per core: policies carry per-core
     mutable state.  The [watchdog] applies per core (default
-    {!Pipeline.default_watchdog}); [invariants] (default [Off])
-    subscribes a per-core invariant checker, sampled every
-    [invariant_every] cycles, to each core's hook bus.  Either failure
-    raises {!Pipeline.Sim_fault} with [fault_core] set to the faulting
-    core's index.  [on_core i t] runs once per freshly created core
-    before the first cycle — the registration point for per-core
-    observers such as profilers. *)
+    {!Pipeline.default_watchdog}).  [on_core i t] runs once per freshly
+    created core before the first cycle — the registration point for
+    per-core observers such as profilers and invariant checkers
+    ({!Invariants.attach}).  A watchdog or checker failure raises
+    {!Pipeline.Sim_fault} with [fault_core] set to the faulting core's
+    index. *)

@@ -51,10 +51,10 @@ let measurement_marker = Stage_commit.measurement_marker
    effect for pipelines created afterwards. *)
 let set_paranoid_sched v = Pipeline_state.paranoid_sched := v
 
-(* Event-driven skip-ahead (--no-skip-ahead / PROTEAN_NO_SKIP_AHEAD=1
-   disables).  Takes effect for pipelines created afterwards; paranoid
-   scheduling always forces the spinning machine, which is what the
-   cross-check compares against. *)
+(* Event-driven skip-ahead, on by default; off is the spinning reference
+   machine the golden tests compare it against.  Takes effect for
+   pipelines created afterwards; paranoid scheduling always forces the
+   spinning machine, which is what the cross-check compares against. *)
 let set_skip_ahead v = Pipeline_state.skip_ahead := v
 let skip_ahead_enabled () = !Pipeline_state.skip_ahead
 

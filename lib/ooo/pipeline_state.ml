@@ -147,16 +147,12 @@ let paranoid_sched =
     | None | Some "" | Some "0" -> false
     | Some _ -> true)
 
-(* Event-driven skip-ahead: on by default, disabled by `--no-skip-ahead`
-   or PROTEAN_NO_SKIP_AHEAD=1 (the escape hatch), and force-disabled per
-   pipeline under [paranoid_sched] — the paranoid machine *is* the
-   spinning cross-check the golden corpora compare against.  Consulted
-   at [create]; per-pipeline. *)
-let skip_ahead =
-  ref
-    (match Sys.getenv_opt "PROTEAN_NO_SKIP_AHEAD" with
-    | None | Some "" | Some "0" -> true
-    | Some _ -> false)
+(* Event-driven skip-ahead: on unless a test turns it off to compare
+   against the spinning machine, and force-disabled per pipeline under
+   [paranoid_sched] — the paranoid machine *is* the spinning cross-check
+   the golden corpora compare against.  Consulted at [create];
+   per-pipeline. *)
+let skip_ahead = ref true
 
 (* Decode templates: the per-pc operand arrays rename shares across all
    instances of one program location.  Building them walks the whole

@@ -1,10 +1,14 @@
-(* Harness tests: memoization, normalization sanity, geomean, and the
-   text renderers. *)
+(* Harness tests: memoization, normalization sanity, geomean, the text
+   renderers, and the cell executor's inputs and fault barrier. *)
 
 module E = Protean_harness.Experiment
 module Textplot = Protean_harness.Textplot
 module Parallel = Protean_harness.Parallel
 module Suite = Protean_workloads.Suite
+module Config = Protean_ooo.Config
+module Invariants = Protean_ooo.Invariants
+module Protcc = Protean_protcc.Protcc
+module Certify = Protean_protcc.Certify
 
 let tiny =
   {
@@ -54,6 +58,83 @@ let test_protcc_overhead_metric () =
   in
   Alcotest.(check bool) "code grows or stays" true (size >= 1.0);
   Alcotest.(check bool) "runtime sane" true (runtime > 0.5 && runtime < 3.0)
+
+(* --- The cell executor ------------------------------------------------ *)
+
+(* A benchmark whose build raises a refuted certificate, as a
+   --check-certs compile does. *)
+let cert_refuted =
+  {
+    Suite.name = "cert-refuted";
+    suite = "test";
+    klass = Protean_isa.Program.Arch;
+    kind =
+      Suite.Single
+        (fun () ->
+          raise
+            (Certify.Cert_violation
+               {
+                 Certify.v_fname = "main";
+                 v_style = "ct";
+                 v_pc = 0;
+                 v_reason = "injected";
+               }));
+  }
+
+let faulted (r : E.run_result) = Float.is_nan r.E.cycles && r.E.stats = []
+
+(* A refuted certificate is a nan cell, serially and on a -j grid, and
+   the healthy cells of the grid still complete. *)
+let test_cert_violation_nan_cell () =
+  Alcotest.(check bool) "compute returns the faulted sentinel" true
+    (faulted (E.compute (E.spec cert_refuted E.cfg_unsafe)));
+  let session = E.create_session () in
+  let cell b = E.run session (E.spec b E.cfg_unsafe) in
+  E.prewarm ~jobs:2 session (fun () ->
+      List.iter (fun b -> ignore (cell b)) [ tiny; cert_refuted ]);
+  Alcotest.(check bool) "-j 2: refuted cell is nan" true
+    (faulted (cell cert_refuted));
+  Alcotest.(check bool) "-j 2: healthy cell computed" true
+    ((cell tiny).E.cycles > 0.)
+
+(* Checking every invariant on every cycle observes without perturbing:
+   the executor returns exactly the unchecked run's result, single-core
+   on a ported core and on a 4-core lockstep run. *)
+let test_execute_invariants_transparent () =
+  List.iter
+    (fun (name, spec) ->
+      let plain = E.execute spec in
+      let checked = E.execute ~invariants:(Invariants.Fail, 1) spec in
+      Alcotest.(check bool) (name ^ ": identical run_result") true
+        (compare plain checked = 0))
+    [
+      ( "bearssl/ct prot-delay test@w2",
+        E.spec ~config:(E.core_of_name "test@w2") (Suite.find "bearssl")
+          (E.protean_cfg `Delay Protcc.P_ct) );
+      ( "swaptions.p stt",
+        E.spec ~config:Config.test_core (Suite.find "swaptions.p") E.cfg_stt );
+    ]
+
+let test_name_parsers () =
+  let rejects what f name =
+    match f name with
+    | _ -> Alcotest.fail (Printf.sprintf "%s %S accepted" what name)
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter (rejects "pass" E.pass_of_name) [ ""; "bogus"; "CT"; "rand" ];
+  List.iter
+    (rejects "core" E.core_of_name)
+    [
+      ""; "bogus"; "P"; "test@"; "test@w"; "test@wx"; "test@w0"; "test@4";
+      "q@w4"; "p@w2@w2";
+    ];
+  Alcotest.(check bool) "multiclass" true
+    (E.pass_of_name "multiclass" = (None, true));
+  Alcotest.(check bool) "ct" true
+    (E.pass_of_name "ct" = (Some Protcc.P_ct, false));
+  Alcotest.(check string) "width suffix" "test-core@w4"
+    (E.core_of_name "test@w4").Config.name;
+  Alcotest.(check string) "e-core" "E-core" (E.core_of_name "e").Config.name
 
 (* --- Parallel.map failure semantics ---------------------------------- *)
 
@@ -121,6 +202,12 @@ let tests =
     Alcotest.test_case "geomean" `Quick test_geomean;
     Alcotest.test_case "textplot table" `Quick test_textplot_table;
     Alcotest.test_case "protcc overhead metric" `Quick test_protcc_overhead_metric;
+    Alcotest.test_case "refuted certificate is a nan cell" `Quick
+      test_cert_violation_nan_cell;
+    Alcotest.test_case "invariant checking leaves run_result unchanged" `Slow
+      test_execute_invariants_transparent;
+    Alcotest.test_case "pass and core names: unknown rejected" `Quick
+      test_name_parsers;
     Alcotest.test_case "parallel raise does not hang" `Quick
       test_parallel_raise_does_not_hang;
     Alcotest.test_case "parallel re-raises first failure by index" `Quick
