@@ -119,9 +119,7 @@ let bench_hotloop ?(config = Config.p_core) ?(label = "hotloop") program =
      cheap and allocation-free.  The wall clock is the best of a hundred
      runs (fresh pipeline each): a ~10 ms run on a shared runner is
      hostage to scheduler noise, so the minimum is the honest
-     steady-state figure — the same treatment
-     [bench_telemetry_detached] already applies, with more repetitions
-     because this number gates CI. *)
+     steady-state figure. *)
   let t = make () in
   (* [Gc.minor_words] reads the allocation pointer exactly; the
      [Gc.quick_stat] counters only refresh at collection boundaries, so
@@ -167,54 +165,6 @@ let bench_hotloop ?(config = Config.p_core) ?(label = "hotloop") program =
     hl_profiler_overhead = overhead;
     hl_stages = Profile.stage_breakdown p;
   }
-
-(* Telemetry-detached throughput: the collection switches flipped on
-   (exactly what `--metrics-out` does in a worker process) but no
-   profiler attached and no exporter draining anything.  Nothing in the
-   cycle path reads the switches — only [Experiment]'s attach points do
-   — so the loop must be unchanged; this measurement guards that the
-   telemetry layer stays free when detached.  Best-of-3 on each side to
-   keep the ratio out of scheduler noise. *)
-type telemetry_overhead = {
-  to_plain_wall : float;
-  to_detached_wall : float;
-  to_ratio : float; (* (detached - plain) / plain *)
-}
-
-let bench_telemetry_detached program =
-  let d = Defense.find "prot-track" in
-  let make () =
-    Pipeline.create Config.p_core (d.Defense.make ()) program ~overlays:[]
-  in
-  (* Best-of-10 per side: the skip-ahead + GC-tuned loop finishes this
-     workload in single-digit milliseconds, so a best-of-3 delta gated
-     CI on scheduler noise. *)
-  let best f =
-    List.fold_left min infinity
-      (List.init 10 (fun _ -> snd (timed (fun () -> drive (f ())))))
-  in
-  for _ = 1 to 5 do
-    drive (make ())
-  done;
-  let plain = best make in
-  Protean_harness.Experiment.collect_policy_metrics := true;
-  Protean_harness.Experiment.collect_flame := true;
-  let detached = best make in
-  Protean_harness.Experiment.collect_policy_metrics := false;
-  Protean_harness.Experiment.collect_flame := false;
-  let ratio = (detached -. plain) /. plain in
-  Printf.printf
-    "telemetry: detached %.4fs vs plain %.4fs (overhead %+.1f%%)\n%!"
-    detached plain (ratio *. 100.);
-  { to_plain_wall = plain; to_detached_wall = detached; to_ratio = ratio }
-
-let telemetry_json oc (t : telemetry_overhead) =
-  Printf.fprintf oc "  \"telemetry\": {\n";
-  Printf.fprintf oc
-    "    \"plain_wall_s\": %.4f, \"detached_wall_s\": %.4f,\n" t.to_plain_wall
-    t.to_detached_wall;
-  Printf.fprintf oc "    \"detached_overhead\": %.4f\n" t.to_ratio;
-  Printf.fprintf oc "  }"
 
 (* On a single-core host the timed -j sweep is meaningless — every lane
    multiplexes one CPU and any "speedup" is scheduler noise — so there
@@ -327,17 +277,6 @@ let smoke () =
     hp.hl_minor_words_per_cycle ceiling
     (float_of_int hp.hl_cycles /. hp.hl_loop_wall
     /. (float_of_int hl.hl_cycles /. hl.hl_loop_wall));
-  (* Detached telemetry must not tax the loop: the acceptance bound is
-     2%, widened a little here against wall-clock noise on shared CI
-     runners (best-of-3 already smooths most of it). *)
-  let tele = bench_telemetry_detached program in
-  if tele.to_ratio > 0.05 then (
-    Printf.eprintf
-      "smoke: detached telemetry costs %.1f%% of hotloop throughput\n"
-      (tele.to_ratio *. 100.);
-    exit 1);
-  Printf.printf "smoke: detached telemetry overhead %+.1f%% within bound\n%!"
-    (tele.to_ratio *. 100.);
   (* Scheduler + ledger gates on the same workload, instrumented once:
      event-driven skip-ahead must actually be skipping idle cycles (the
      source stat of protean_cycles_skipped_total), and an attached
@@ -396,8 +335,7 @@ let smoke () =
     hp.hl_loop_wall;
   Printf.fprintf oc "    \"minor_words_per_cycle\": %.1f\n  },\n"
     hp.hl_minor_words_per_cycle;
-  telemetry_json oc tele;
-  Printf.fprintf oc ",\n  \"scheduler\": { \"cycles_skipped\": %d },\n" skipped;
+  Printf.fprintf oc "  \"scheduler\": { \"cycles_skipped\": %d },\n" skipped;
   Printf.fprintf oc "  \"windows\": {%s}\n"
     (String.concat ", "
        (List.map (fun (name, n) -> Printf.sprintf "\"%s\": %d" name n) wc));
@@ -422,7 +360,6 @@ let () =
         ~config:(Config.with_width 4 Config.p_core)
         ~label:"hotloop-ports" program
     in
-    let tele = bench_telemetry_detached program in
     let cells, t1, points, sweep_timed = bench_grid () in
     let oc = open_out out in
     let host_cores = Domain.recommended_domain_count () in
@@ -480,8 +417,6 @@ let () =
       (float_of_int hp.hl_cycles /. hp.hl_loop_wall);
     Printf.fprintf oc "    \"minor_words_per_cycle\": %.1f\n  },\n"
       hp.hl_minor_words_per_cycle;
-    telemetry_json oc tele;
-    Printf.fprintf oc ",\n";
     Printf.fprintf oc "  \"grid\": {\n";
     Printf.fprintf oc
       "    \"corpus\": \"golden\", \"cells\": %d, \"serial_wall_s\": %.3f,\n"

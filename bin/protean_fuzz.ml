@@ -21,6 +21,7 @@ module Tables = Protean_harness.Tables
 module Parallel = Protean_harness.Parallel
 module Supervisor = Protean_harness.Supervisor
 module Campaign = Protean_harness.Campaign
+module E = Protean_harness.Experiment
 module Shard = Protean_harness.Shard
 module Json = Protean_telemetry.Json
 module Report = Protean_harness.Report
@@ -123,7 +124,7 @@ let campaign_term =
        program's cell."
 
 let campaign_of ?(gadget = false) contract adversary programs inputs seed
-    squash_bug timeout core_width check_certs pass_fault =
+    squash_bug timeout core_width check_certs paranoid_sched pass_fault =
   let adversary =
     match adversary with
     | "cache" -> Fuzz.Cache_tlb
@@ -137,6 +138,7 @@ let campaign_of ?(gadget = false) contract adversary programs inputs seed
     squash_bug;
     timeout_cycles = timeout;
     check_certs;
+    paranoid_sched;
     cert_fault = Option.map Fault_inject.cert_mode_of_string pass_fault;
     gen_klass = (if gadget then Gen.G_gadget else base.Fuzz.gen_klass);
     config =
@@ -237,7 +239,7 @@ let report_skips (r : Fuzz.report) =
         s.Fuzz.sk_index s.Fuzz.sk_seed s.Fuzz.sk_reason)
     r.Fuzz.r_skipped
 
-let run_self_test ~jobs ~programs ~inputs ~seed ~timeout =
+let run_self_test ~jobs ~paranoid_sched ~programs ~inputs ~seed ~timeout =
   (* The canonical fault-mode pairings are independent campaigns: fan
      them out and print the matrix in its fixed order. *)
   let rows =
@@ -247,7 +249,7 @@ let run_self_test ~jobs ~programs ~inputs ~seed ~timeout =
             (List.map
                (fun pairing () ->
                  Fuzz.self_test_pairing ~seed ~programs ~inputs
-                   ?timeout_cycles:timeout pairing)
+                   ?timeout_cycles:timeout ~paranoid_sched pairing)
                Fuzz.canonical_pairings)))
   in
   record_self_test rows;
@@ -283,7 +285,7 @@ let run_self_test ~jobs ~programs ~inputs ~seed ~timeout =
    (then [None]: nothing to report); else in process — on -j domains,
    or serially by [Fuzz.run_resilient], which --resume needs because it
    checkpoints after every program. *)
-let run_campaign (c : Campaign.t) ?inject_worker ~resume campaign d =
+let run_campaign (c : Campaign.t) ~opts ?inject_worker ~resume campaign d =
   match resume with
   | Some _ ->
       if c.jobs > 1 || c.shards > 1 then
@@ -320,7 +322,7 @@ let run_campaign (c : Campaign.t) ?inject_worker ~resume campaign d =
             (fun outcomes -> Fuzz.finish campaign d (List.map of_outcome outcomes));
         }
       in
-      Campaign.run ?inject:inject_worker ~src:"fuzz"
+      Campaign.run ~opts ?inject:inject_worker ~src:"fuzz"
         ~live:(fun () -> Metrics.to_prometheus (snapshot ()))
         ~job
         ~in_process:(fun () ->
@@ -414,23 +416,26 @@ let report_campaign (tele : Report.config) campaign d contract
 let run table_ii defense contract programs inputs adversary seed core_width
     squash_bug gadget timeout resume inject inject_worker pass_fault
     (c : Campaign.t) =
-  Campaign.setup c;
+  let opts = Campaign.setup c in
+  let paranoid_sched = opts.E.paranoid_sched in
   let failed =
     if table_ii then begin
-      Tables.table_ii ~jobs:c.jobs ~programs ~inputs ();
+      Tables.table_ii ~jobs:c.jobs ~paranoid_sched ~programs ~inputs ();
       Some false
     end
     else if inject then
-      Some (run_self_test ~jobs:c.jobs ~programs ~inputs ~seed ~timeout)
+      Some
+        (run_self_test ~jobs:c.jobs ~paranoid_sched ~programs ~inputs ~seed
+           ~timeout)
     else begin
       let d = Defense.find defense in
       let campaign =
         campaign_of ~gadget contract adversary programs inputs seed squash_bug
-          timeout core_width c.check_certs pass_fault
+          timeout core_width c.check_certs paranoid_sched pass_fault
       in
       let name = Printf.sprintf "%s|%s" d.Defense.id contract in
-      let go () = run_campaign c ?inject_worker ~resume campaign d in
-      (match !Report.tracer with
+      let go () = run_campaign c ~opts ?inject_worker ~resume campaign d in
+      (match opts.E.trace with
       | Some tr -> Trace.with_span tr ~cat:"campaign" name go
       | None -> go ())
       |> Option.map (report_campaign c.tele campaign d contract)
@@ -440,7 +445,8 @@ let run table_ii defense contract programs inputs adversary seed core_width
   | None -> () (* served as a worker: the supervisor reports *)
   | Some failed ->
       if Report.wanted c.tele then
-        Report.write_exports c.tele ~snapshot ~flame:(fun () -> fuzz_flame);
+        Report.write_exports ?trace:opts.E.trace c.tele ~snapshot
+          ~flame:(fun () -> fuzz_flame);
       if failed then exit 1
 
 let cmd =

@@ -5,27 +5,21 @@
      protean-sim -b milc -b lbm -b mcf -d stt -j 3 --invariants warn
 
    Mirrors the artifact's per-benchmark entry point (Section A-G3).
-   Each benchmark is one experiment cell, run by [Experiment.execute]
-   like every grid cell.  Multiple --bench flags simulate on `-j N`
-   domains; reports print in benchmark order either way. *)
+   Each benchmark is one cell of an experiment grid ([Campaign.grid]),
+   so several --bench flags simulate on `-j N` domains, on --shards
+   worker processes or on a --listen pool; reports print in benchmark
+   order either way. *)
 
 open Cmdliner
 module Suite = Protean_workloads.Suite
 module Defense = Protean_defense.Defense
-module Certify = Protean_protcc.Certify
 module Config = Protean_ooo.Config
-module Pipeline = Protean_ooo.Pipeline
 module Policy = Protean_ooo.Policy
 module Invariants = Protean_ooo.Invariants
 module Stats = Protean_ooo.Stats
-module Parallel = Protean_harness.Parallel
-module Supervisor = Protean_harness.Supervisor
 module Campaign = Protean_harness.Campaign
-module Shard = Protean_harness.Shard
-module Json = Protean_harness.Shard.Json
 module E = Protean_harness.Experiment
 module Report = Protean_harness.Report
-module Trace = Protean_telemetry.Trace
 
 let bench_arg =
   let doc = "Benchmark name (repeatable; see --list)." in
@@ -71,16 +65,6 @@ let invariant_every_arg =
   let doc = "Check invariants every N cycles (with --invariants)." in
   Arg.(value & opt int 1 & info [ "invariant-every" ] ~docv:"N" ~doc)
 
-let paranoid_sched_arg =
-  let doc =
-    "Cross-check the O(active) scheduler indexes (unissued/branch lists, \
-     in-flight and LSQ queues, wakeup chains, dormancy) against a \
-     brute-force ROB scan every cycle, raising a simulation fault on any \
-     mismatch. Slow; a debugging aid for scheduler changes. Also enabled \
-     by PROTEAN_PARANOID_SCHED=1."
-  in
-  Arg.(value & flag & info [ "paranoid-sched" ] ~doc)
-
 let campaign_term =
   Campaign.term
     ~check_certs_doc:
@@ -111,34 +95,24 @@ let model_of = function
   | "control" -> Policy.Control
   | s -> invalid_arg ("unknown speculation model: " ^ s)
 
-(* One benchmark's report, rendered from its experiment cell into a
-   string so parallel runs can print completed reports in benchmark
-   order. *)
+(* One benchmark's report, from its experiment cell, on
+   [Format.std_formatter] (which the discovery pass silences). *)
 let report bench (b : Suite.benchmark) (d : Defense.t) (config : Config.t)
     (r : E.run_result) =
   match (b.Suite.kind, r.E.stats) with
   | Suite.Single _, [ st ] ->
-      Format.asprintf "%s under %s on %s:@.  %a@.  measured cycles: %d@."
-        bench d.Defense.id config.Config.name Stats.pp st
-        (Stats.measured_cycles st)
+      Format.printf "%s under %s on %s:@.  %a@.  measured cycles: %d@." bench
+        d.Defense.id config.Config.name Stats.pp st (Stats.measured_cycles st)
   | _, per_core ->
-      let buf = Buffer.create 256 in
-      let ppf = Format.formatter_of_buffer buf in
-      Format.fprintf ppf "%s under %s on %d cores: %d cycles@." bench
-        d.Defense.id (List.length per_core) (int_of_float r.E.cycles);
+      Format.printf "%s under %s on %d cores: %d cycles@." bench d.Defense.id
+        (List.length per_core) (int_of_float r.E.cycles);
       List.iteri
-        (fun i st -> Format.fprintf ppf "  core %d: %a@." i Stats.pp st)
-        per_core;
-      Format.pp_print_flush ppf ();
-      Buffer.contents buf
+        (fun i st -> Format.printf "  core %d: %a@." i Stats.pp st)
+        per_core
 
 let run list benches defense pass core core_width spec_model invariants
-    invariant_every paranoid_sched inject heartbeat wall (c : Campaign.t) =
-  Campaign.setup c;
-  (* Stays in the worker argv (not a supervisor flag): shard workers
-     audit the certificates of the cells they compile. *)
-  if c.check_certs then Report.enable_cert_audit ();
-  if paranoid_sched then Pipeline.set_paranoid_sched true;
+    invariant_every inject heartbeat wall (c : Campaign.t) =
+  let opts = Campaign.setup c in
   if list then
     List.iter
       (fun (b : Suite.benchmark) ->
@@ -161,109 +135,41 @@ let run list benches defense pass core core_width spec_model invariants
       | Invariants.Off -> None
       | mode -> Some (mode, invariant_every)
     in
-    let session = E.create_session () in
-    let cell_key bench =
-      Printf.sprintf "%s|%s|%s" bench d.Defense.id config.Config.name
+    let session = E.create_session ~opts:{ opts with E.invariants } () in
+    let spec bench =
+      E.spec ~config ~spec_model ~multiclass (Suite.find bench) dcfg
     in
-    let simulate bench =
-      let b = Suite.find bench in
-      let r =
-        E.execute ?invariants (E.spec ~config ~spec_model ~multiclass b dcfg)
-      in
-      (report bench b d config r, r)
-    in
-    (* A benchmark's report and telemetry, or the fault that ended it
-       (a simulation fault, a run out of fuel, a refuted certificate). *)
-    let outcome sim =
-      match sim () with
-      | report, res -> Ok (report, res)
-      | exception Pipeline.Sim_fault f -> Error (Pipeline.fault_to_string f)
-      | exception Failure reason -> Error reason
-      | exception (Certify.Cert_violation _ as e) ->
-          Error (Printexc.to_string e)
-    in
-    (* One cell per benchmark; the cell key is the benchmark name, so the
-       worker's enumeration is the supervisor's by construction. *)
-    let sim_cell bench =
-      match outcome (fun () -> simulate bench) with
-      | Ok (report, res) ->
-          Json.Obj
-            [
-              ("report", Json.Str report);
-              ("result", Supervisor.Grid.result_to_json res);
-            ]
-      | Error reason -> Json.Obj [ ("fault", Json.Str reason) ]
-    in
-    let of_cell = function
-      | Supervisor.O_ok j -> (
-          match (Json.member "report" j, Json.member "fault" j) with
-          | Json.Str report, _ ->
-              Ok
-                ( report,
-                  Supervisor.Grid.result_of_json (Json.member "result" j) )
-          | _, Json.Str reason -> Error reason
-          | _ -> Error "malformed worker result frame")
-      | Supervisor.O_fault { f_attempts; f_reason; _ } ->
-          Error
-            (Printf.sprintf "worker crashed on every attempt (%d): %s"
-               f_attempts f_reason)
-    in
-    (* Reports print in benchmark order.  A fault reports the faulting
-       configuration instead of dying with a raw backtrace, and exits
-       non-zero so scripts notice. *)
-    let render results =
-      let faulted = ref false in
+    (* The generator: one cell per benchmark, reports in benchmark
+       order.  A nan cell is a fault the cell executor already reported;
+       discovery returns nan placeholders, so each pass starts clean. *)
+    let faulted = ref false in
+    let gen () =
+      faulted := false;
       List.iter
-        (fun (bench, r) ->
-          match r with
-          | Ok (report, res) ->
-              print_string report;
-              if Report.wanted c.tele then
-                Hashtbl.replace session.E.cache (cell_key bench) res
-          | Error reason ->
-              Printf.eprintf "[fault] bench=%s defense=%s core=%s: %s\n%!" bench
-                d.Defense.id config.Config.name reason;
-              faulted := true)
-        results;
-      if Report.wanted c.tele then Report.write_outputs c.tele session;
+        (fun bench ->
+          let r = E.run session (spec bench) in
+          if Float.is_nan r.E.cycles then faulted := true
+          else report bench (Suite.find bench) d config r)
+        benches
+    in
+    Campaign.grid c ~heartbeat ~wall ?inject ~src:"sim" session gen;
+    if not (Campaign.serving c) then begin
+      (* Telemetry keeps protean-sim's own cell keys (bench|defense|core)
+         for its metric labels and window audit. *)
+      if Report.wanted c.tele then begin
+        let tele = E.create_session ~opts () in
+        List.iter
+          (fun bench ->
+            let r = E.run session (spec bench) in
+            if not (Float.is_nan r.E.cycles) then
+              Hashtbl.replace tele.E.cache
+                (String.concat "|" [ bench; d.Defense.id; config.Config.name ])
+                r)
+          benches;
+        Report.write_outputs c.tele tele
+      end;
       if !faulted then exit 3
-    in
-    (* In process, each benchmark's wall-clock span goes to the trace. *)
-    let traced bench () =
-      match !Report.tracer with
-      | None -> simulate bench
-      | Some tr ->
-          let t0 = Unix.gettimeofday () in
-          let r = simulate bench in
-          Trace.span tr ~cat:"cell" ~t0 ~t1:(Unix.gettimeofday ())
-            (cell_key bench);
-          r
-    in
-    let in_process () =
-      let tasks =
-        Array.of_list
-          (List.map (fun bench () -> outcome (traced bench)) benches)
-      in
-      render
-        (List.combine benches (Array.to_list (Parallel.map ~jobs:c.jobs tasks)))
-    in
-    let job () =
-      {
-        Campaign.cells =
-          List.mapi (fun i b -> { Shard.c_id = i; c_key = b }) benches;
-        compute = sim_cell;
-        fallback = sim_cell;
-        merge =
-          (fun outcomes ->
-            render
-              (List.map
-                 (fun (id, o) -> (List.nth benches id, of_cell o))
-                 outcomes));
-      }
-    in
-    ignore
-      (Campaign.run ~heartbeat ~wall ?inject ~src:"sim"
-         ~live:(Report.live_metrics session) ~job ~in_process c)
+    end
   end
 
 let cmd =
@@ -273,7 +179,6 @@ let cmd =
     Term.(
       const run $ list_arg $ bench_arg $ defense_arg $ pass_arg $ core_arg
       $ core_width_arg $ spec_model_arg $ invariants_arg $ invariant_every_arg
-      $ paranoid_sched_arg $ inject_arg $ heartbeat_arg $ wall_arg
-      $ campaign_term)
+      $ inject_arg $ heartbeat_arg $ wall_arg $ campaign_term)
 
 let () = exit (Cmd.eval cmd)

@@ -76,17 +76,17 @@ let campaign_term =
 
 let run what benches core_widths fuzz_programs inject heartbeat wall
     checkpoint_dir (c : Campaign.t) =
-  Campaign.setup c;
-  if c.check_certs then Report.enable_cert_audit ();
+  let opts = Campaign.setup c in
   let jobs = c.jobs in
   let benches = match benches with [] -> None | bs -> Some bs in
   let widths = match core_widths with [] -> None | ws -> Some ws in
   (* The over-protection audit reads the ledger's summary counters from
-     every cell; flip collection before any simulation runs.  The switch
-     rides the worker argv (the positional target is kept), so shard
-     workers collect too and the counters ride home in [F_result]. *)
-  if what = "over-protection" then E.collect_window := true;
-  let session = E.create_session ~log:true () in
+     every cell.  Workers keep the positional target in their argv, so
+     they collect too and the counters ride home in [F_result]. *)
+  let opts =
+    if what = "over-protection" then { opts with E.window = true } else opts
+  in
+  let session = E.create_session ~log:true ~opts () in
   (* Targets memoized through [session] can be prewarmed in parallel;
      the rest manage their own parallelism (or have none to exploit). *)
   let session_gen = function
@@ -131,17 +131,20 @@ let run what benches core_widths fuzz_programs inject heartbeat wall
         invalid_arg ("--worker is only meaningful for grid targets: " ^ w)
     | None -> (
         match w with
-        | "table-ii" -> Tables.table_ii ~jobs ~programs:fuzz_programs ()
+        | "table-ii" ->
+            Tables.table_ii ~jobs ~paranoid_sched:opts.E.paranoid_sched
+              ~programs:fuzz_programs ()
         | "area" -> Studies.area_report ()
         | "golden" ->
             (* Regenerate the golden determinism corpus
                (test/golden_pipeline.expected). *)
-            List.iter print_endline (Protean_harness.Golden.lines ~jobs ())
+            List.iter print_endline
+              (Protean_harness.Golden.lines ~jobs ~opts ())
         | "golden-width" ->
             (* Regenerate the width-sweep golden corpus
                (test/golden_width.expected). *)
             List.iter print_endline
-              (Protean_harness.Golden.width_lines ~jobs ())
+              (Protean_harness.Golden.width_lines ~jobs ~opts ())
         | s -> invalid_arg ("unknown table/figure: " ^ s))
   in
   (match what with

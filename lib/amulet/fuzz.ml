@@ -60,6 +60,7 @@ type campaign = {
       (* pass-mutation injection: compile results are mutated as by a
          broken pass, so a campaign with [check_certs] must report
          certificate violations (checker self-test) *)
+  paranoid_sched : bool; (* [Invariants.attach_sched] on every hardware run *)
 }
 
 let default_campaign =
@@ -77,6 +78,7 @@ let default_campaign =
     timeout_cycles = None;
     check_certs = false;
     cert_fault = None;
+    paranoid_sched = false;
   }
 
 type outcome = {
@@ -129,12 +131,16 @@ let adversary_view adversary trace =
   | Cache_tlb -> Hw_trace.cache_tlb_view trace
   | Timing -> Hw_trace.timing_view trace
 
+let observe campaign t =
+  if campaign.paranoid_sched then Invariants.attach_sched t
+
 let run_hw campaign (defense : Protean_defense.Defense.t) program overlays =
   let watchdog =
     { Pipeline.default_watchdog with Pipeline.budget = campaign.timeout_cycles }
   in
   Pipeline.run ~trace:true ~squash_bug:campaign.squash_bug
-    ~spec_model:campaign.spec_model ~watchdog ~fuel:400_000 campaign.config
+    ~spec_model:campaign.spec_model ~watchdog ~fuel:400_000
+    ~on_start:(observe campaign) campaign.config
     (defense.Protean_defense.Defense.make ())
     program ~overlays
 
@@ -197,7 +203,9 @@ let prepare campaign program =
       in
       (r.Protean_protcc.Protcc.program, r.Protean_protcc.Protcc.typing, Some r)
 
-let program_seed campaign index = campaign.seed + (index * 7919)
+(* Program [index] is generated from [campaign.seed + index * stride]. *)
+let program_seed_stride = 7919
+let program_seed campaign index = campaign.seed + (index * program_seed_stride)
 
 let generate_program campaign index =
   Gen.generate
@@ -389,7 +397,9 @@ let run_hw_ledger campaign (defense : Protean_defense.Defense.t) program
   ignore
     (Pipeline.run ~trace:true ~squash_bug:campaign.squash_bug
        ~spec_model:campaign.spec_model ~watchdog ~fuel:400_000
-       ~on_start:(fun t -> slot := Some (t, Spec_window.attach ~full:true t))
+       ~on_start:(fun t ->
+         observe campaign t;
+         slot := Some (t, Spec_window.attach ~full:true t))
        campaign.config
        (defense.Protean_defense.Defense.make ())
        program ~overlays);
@@ -792,9 +802,11 @@ type report = {
 (* The one campaign merge, however the cells were computed (serially,
    on domains, or by shard workers): fold [cells] in index order onto
    the progress of the checkpoint the campaign [resumed] from, list the
-   skipped programs, then replay the first cell with a violation example
-   ([program] supplies its code) to capture the witness that is shrunk
-   and attributed.  A campaign without violations replays nothing. *)
+   skipped programs, then replay the program of the merged first
+   violation — which a resumed campaign may have found before it
+   stopped — ([program] supplies its code) to capture the witness that
+   is shrunk and attributed.  A campaign without violations replays
+   nothing. *)
 let finish ?(shrink = true) ?(shrink_budget = 64) ?resumed
     ?(program = fun _ -> None) campaign defense cells =
   let cells = List.sort (fun a b -> compare a.c_index b.c_index) cells in
@@ -815,9 +827,10 @@ let finish ?(shrink = true) ?(shrink_budget = 64) ?resumed
       cells
   in
   let witness =
-    match List.find_opt (fun c -> c.c_outcome.example <> None) cells with
+    match total.Checkpoint.ck_outcome.example with
     | None -> None
-    | Some { c_index = index; _ } ->
+    | Some (pseed, _) ->
+        let index = (pseed - campaign.seed) / program_seed_stride in
         let w = ref None in
         let program =
           match program index with
@@ -944,10 +957,9 @@ let canonical_pairings =
 (* One row of the self-test matrix: the pairing's fault injected into
    its defense, fuzzed against its contract. *)
 let self_test_pairing ?(seed = 1) ?(programs = 8) ?(inputs = 3) ?timeout_cycles
-    (m, defense_id, contract) =
-  let campaign =
-    { (campaign_for ~seed ~programs ~inputs contract) with timeout_cycles }
-  in
+    ?(paranoid_sched = false) (m, defense_id, contract) =
+  let campaign = campaign_for ~seed ~programs ~inputs contract in
+  let campaign = { campaign with timeout_cycles; paranoid_sched } in
   let d = Protean_defense.Defense.find defense_id in
   match self_test ~modes:[ m ] campaign d with
   | [ g ] -> (defense_id, contract, g)

@@ -55,6 +55,9 @@ type campaign = {
       (** pass-mutation injection: compile results (binary and/or
           certificates) are mutated as by a broken pass; a campaign with
           [check_certs] must then report certificate violations *)
+  paranoid_sched : bool;
+      (** every hardware run cross-checks its scheduler indexes each
+          cycle on the spinning machine ([Invariants.attach_sched]) *)
 }
 
 val default_campaign : campaign
@@ -266,6 +269,7 @@ val self_test_pairing :
   ?programs:int ->
   ?inputs:int ->
   ?timeout_cycles:int ->
+  ?paranoid_sched:bool ->
   Protean_defense.Fault_inject.mode * string * string ->
   string * string * gap
 (** One {!canonical_pairings} row through {!self_test}: (defense id,

@@ -12,11 +12,13 @@
    - otherwise the binary's own in-process path ([-j] domains).
 
    A binary supplies only what differs: its cells, how a worker
-   computes one, how merged outcomes render, and its in-process path. *)
+   computes one, how merged outcomes render, and its in-process path.
+   The run-wide modes travel as one [Experiment.options] value. *)
 
 open Cmdliner
 module Json = Shard.Json
 module Fault_inject = Protean_defense.Fault_inject
+module Trace = Protean_telemetry.Trace
 
 type t = {
   jobs : int; (* resolved: [-j 0] means every core *)
@@ -29,6 +31,7 @@ type t = {
   token : string;
   metrics_listen : string option;
   check_certs : bool; (* each binary gives it its own meaning *)
+  paranoid_sched : bool;
 }
 
 let term ~check_certs_doc =
@@ -40,7 +43,7 @@ let term ~check_certs_doc =
   in
   let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
   let make jobs shards worker metrics_out trace_out flamegraph_out attr_out
-      log_json listen connect token metrics_listen check_certs =
+      log_json listen connect token metrics_listen check_certs paranoid_sched =
     {
       jobs = (if jobs = 0 then Parallel.default_jobs () else max 1 jobs);
       shards = max 1 shards;
@@ -52,6 +55,7 @@ let term ~check_certs_doc =
       token;
       metrics_listen;
       check_certs;
+      paranoid_sched;
     }
   in
   Term.(
@@ -114,7 +118,13 @@ let term ~check_certs_doc =
         "Serve live Prometheus metrics over HTTP at $(docv)/metrics while a \
          --shards or --listen run supervises (port 0 picks one; the bound \
          port is logged)."
-    $ flag "check-certs" check_certs_doc)
+    $ flag "check-certs" check_certs_doc
+    $ flag "paranoid-sched"
+        "Cross-check the O(active) scheduler indexes (unissued/branch lists, \
+         in-flight and LSQ queues, wakeup chains, dormancy) against a \
+         brute-force ROB scan every cycle, on the spinning machine \
+         (skip-ahead off), raising a simulation fault on any mismatch. \
+         Slow; a debugging aid for scheduler changes. Output is unchanged.")
 
 (* Is this process a worker ([--worker] or [--connect])?  Workers keep
    the exporter flags so they collect telemetry for their cells (it
@@ -123,12 +133,34 @@ let serving c = c.worker || c.connect <> None
 
 let supervised c = c.shards > 1 || c.listen <> None
 
-(* Process set-up every binary starts with.  The flags it reads stay in
-   a spawned worker's argv, so it sets itself up the same way. *)
+(* Process set-up every binary starts with, returning the run's options.
+   The flags it reads stay in a spawned worker's argv, so the worker
+   builds the same value.  Collection follows the exporter flags —
+   workers collect too, and the telemetry rides home in their result
+   frames — but only a process that is not serving records a trace. *)
 let setup c =
   Protean_ooo.Gc_tune.tune ();
   if c.log_json then Protean_telemetry.Log.set_json true;
-  Report.enable ~worker:(serving c) c.tele
+  let tele = c.tele in
+  let trace =
+    match tele.Report.trace_out with
+    | Some _ when not (serving c) ->
+        let tr = Trace.create () in
+        Trace.name_process tr ~pid:0 "protean";
+        Trace.name_process tr ~pid:1 "simulated-windows";
+        Some tr
+    | _ -> None
+  in
+  {
+    Experiment.check_certs = c.check_certs;
+    policy_metrics = tele.Report.metrics_out <> None;
+    flame = tele.Report.flamegraph_out <> None;
+    window = tele.Report.metrics_out <> None || tele.Report.attr_out <> None;
+    paranoid_sched = c.paranoid_sched;
+    invariants = None;
+    trace;
+    on_cert = (if c.check_certs then Some Report.count_cert else None);
+  }
 
 (* Flags that configure only the supervising process.  They must not
    reach a spawned worker's argv: the worker re-runs the same discovery
@@ -157,7 +189,7 @@ type 'a job = {
    loop answers it. *)
 let supervise c ?(heartbeat = Supervisor.default_config.Supervisor.heartbeat)
     ?(wall = Supervisor.default_config.Supervisor.wall) ?checkpoint_dir ?inject
-    ~src ~live job =
+    ~opts ~src ~live job =
   let http =
     Option.bind c.metrics_listen (fun addr ->
         Report.listen_metrics ~src addr live)
@@ -182,7 +214,7 @@ let supervise c ?(heartbeat = Supervisor.default_config.Supervisor.heartbeat)
         Supervisor.subscribe bus ~name:"log" Supervisor.logger;
         if Report.wanted c.tele || c.metrics_listen <> None then
           Supervisor.subscribe bus ~name:"telemetry"
-            (Report.supervisor_observer ());
+            (Report.supervisor_observer ?trace:opts.Experiment.trace ());
         let pool =
           Option.map
             (fun addr ->
@@ -190,6 +222,7 @@ let supervise c ?(heartbeat = Supervisor.default_config.Supervisor.heartbeat)
                 Supervisor.default_pool_config with
                 Supervisor.pl_listen = addr;
                 pl_token = c.token;
+                pl_options = Experiment.options_tag opts;
               })
             c.listen
         in
@@ -208,11 +241,11 @@ let supervise c ?(heartbeat = Supervisor.default_config.Supervisor.heartbeat)
              config ~fallback job.cells)
       end)
 
-(* Run one campaign the way [c]'s flags say.  [job] is only built when
-   this process serves or supervises; [src] tags log lines and [live]
-   renders a /metrics scrape.  [None] means this process served as a
-   worker and has nothing to render. *)
-let run ?heartbeat ?wall ?checkpoint_dir ?inject ~src ~live
+(* Run one campaign the way [c]'s flags say, under [opts].  [job] is
+   only built when this process serves or supervises; [src] tags log
+   lines and [live] renders a /metrics scrape.  [None] means this
+   process served as a worker and has nothing to render. *)
+let run ~opts ?heartbeat ?wall ?checkpoint_dir ?inject ~src ~live
     ~(job : unit -> 'a job) ~(in_process : unit -> 'a) c : 'a option =
   match (c.worker, c.connect) with
   | true, _ ->
@@ -220,10 +253,12 @@ let run ?heartbeat ?wall ?checkpoint_dir ?inject ~src ~live
       None
   | false, Some addr ->
       Shard.connect_worker ~jobs:c.jobs ~addr ~token:c.token
-        ~compute:(job ()).compute ();
+        ~options:(Experiment.options_tag opts) ~compute:(job ()).compute ();
       None
   | false, None when supervised c ->
-      Some (supervise c ?heartbeat ?wall ?checkpoint_dir ?inject ~src ~live job)
+      Some
+        (supervise c ~opts ?heartbeat ?wall ?checkpoint_dir ?inject ~src ~live
+           job)
   | false, None -> Some (in_process ())
 
 (* An experiment grid: [gen] is a table or figure generator memoized
@@ -234,7 +269,7 @@ let run ?heartbeat ?wall ?checkpoint_dir ?inject ~src ~live
    the output byte-identical to the serial run.  A poisoned cell
    resolves to the grid's faulted sentinel (a nan cell) plus a
    structured fault report.  In process, [Experiment.prewarm] fills the
-   cells on [-j] domains. *)
+   cells on [-j] domains, all under the session's options. *)
 let grid c ?heartbeat ?wall ?checkpoint_dir ?inject ~src session gen =
   let module E = Experiment in
   let job () =
@@ -259,7 +294,8 @@ let grid c ?heartbeat ?wall ?checkpoint_dir ?inject ~src session gen =
     List.iter (fun (k, s) -> Hashtbl.replace specs k s) cells;
     let compute key =
       match Hashtbl.find_opt specs key with
-      | Some spec -> Supervisor.Grid.result_to_json (E.compute spec)
+      | Some spec ->
+          Supervisor.Grid.result_to_json (E.compute ~opts:session.E.opts spec)
       | None -> failwith ("unknown cell key: " ^ key)
     in
     let keys = Array.of_list (List.map fst cells) in
@@ -284,7 +320,7 @@ let grid c ?heartbeat ?wall ?checkpoint_dir ?inject ~src session gen =
     }
   in
   ignore
-    (run ?heartbeat ?wall ?checkpoint_dir ?inject ~src
+    (run ~opts:session.E.opts ?heartbeat ?wall ?checkpoint_dir ?inject ~src
        ~live:(Report.live_metrics session) ~job
        ~in_process:(fun () -> E.prewarm ~jobs:c.jobs session gen)
        c)

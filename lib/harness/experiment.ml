@@ -24,6 +24,7 @@ module Suite = Protean_workloads.Suite
 module Program = Protean_isa.Program
 module Tlog = Protean_telemetry.Log
 module Flame = Protean_telemetry.Flame
+module Trace = Protean_telemetry.Trace
 module Twindow = Protean_telemetry.Window
 
 type defense_cfg = {
@@ -132,28 +133,48 @@ type run_result = {
          shard/job merge order cannot change the totals. *)
 }
 
-(* Telemetry collection switches, process-global like the line sink:
-   flipped by the CLIs (and by [--worker] re-execs, which keep the
-   exporter flags in argv precisely so workers collect too).  Both
-   default off, so grids without exporters simulate exactly as before —
-   no profiler subscription, no policy-metrics read. *)
-let collect_policy_metrics = ref false
-let collect_flame = ref false
-let collect_window = ref false
+(* The run-wide modes, one immutable value per run: built once from
+   the parsed flags ([Campaign.setup]) and carried by the session.  A
+   spawned worker re-parses the same argv, so it builds the same value;
+   a dial-in worker proves it did in the handshake ({!options_tag}).
+   Every mode defaults off, so a run without flags simulates exactly
+   the plain cell: no profiler, no ledger, no audit. *)
+type options = {
+  check_certs : bool; (* audit each ProtCC compile before its binary runs *)
+  policy_metrics : bool; (* read the defense policy's named counters *)
+  flame : bool; (* attach the commit-gap profiler per core *)
+  window : bool; (* attach the speculation-window ledger per core *)
+  paranoid_sched : bool; (* [Invariants.attach_sched] per core *)
+  invariants : (Invariants.mode * int) option; (* checker mode, cadence *)
+  trace : Trace.t option; (* records cell and leaky-window spans *)
+  on_cert : (style:string -> claims:int -> violations:int -> unit) option;
+      (* observes each audited certificate ([Certify.audit]) *)
+}
 
-(* Observation hook for leaky speculation windows (mispredicted with a
-   tainted transmitter under them), installed by the reporting layer to
-   record one Chrome-trace span per leaking window.  Called once per
-   attached ledger with a cell label and the (oldest-first) leaky
-   windows; a plain callback so this module needs no tracer
-   dependency. *)
-let window_hook : (string -> Spec_window.window list -> unit) option ref =
-  ref None
+let default_options =
+  {
+    check_certs = false;
+    policy_metrics = false;
+    flame = false;
+    window = false;
+    paranoid_sched = false;
+    invariants = None;
+    trace = None;
+    on_cert = None;
+  }
 
-(* Observation hook for cell computations (key, wall start, wall end),
-   installed by the reporting layer to record Chrome-trace spans.  A
-   plain callback so this module needs no dependency on the tracer. *)
-let cell_hook : (string -> float -> float -> unit) option ref = ref None
+(* Every field a worker's cells read, readably: a dial-in worker's tag
+   must equal its supervisor's.  [trace] and [on_cert] belong to the
+   process that owns them, not to the cells. *)
+let options_tag o =
+  Printf.sprintf
+    "check_certs=%b,policy_metrics=%b,flame=%b,window=%b,paranoid_sched=%b,\
+     invariants=%s"
+    o.check_certs o.policy_metrics o.flame o.window o.paranoid_sched
+    (match o.invariants with
+    | None -> "off"
+    | Some (mode, every) ->
+        Printf.sprintf "%s/%d" (Invariants.mode_name mode) every)
 
 let default_fuel = 30_000_000
 
@@ -161,14 +182,15 @@ let pass_id = function
   | Protcc.P_rand (seed, prob) -> Printf.sprintf "rand:%d:%g" seed prob
   | p -> Protcc.pass_name p
 
-(* Compile one source program for [spec].  Under --check-certs every
+(* Compile one source program for [spec].  Under [check_certs] every
    compile result is audited by the independent checker before the
    binary runs; a refuted certificate raises the structured
    [Certify.Cert_violation], which the cell fault barrier ({!compute})
    reports without taking down the rest of the grid. *)
-let instrument_program spec program =
+let instrument_program opts spec program =
   let audited (r : Protcc.result) =
-    if !Certify.enabled then ignore (Certify.audit_exn ~original:program r);
+    if opts.check_certs then
+      ignore (Certify.audit_exn ?on_cert:opts.on_cert ~original:program r);
     (r.Protcc.program, r.Protcc.code_size_ratio, r.Protcc.inserted_moves)
   in
   match (spec.dcfg.pass, spec.multiclass) with
@@ -219,19 +241,20 @@ let frontend_key spec =
     spec.multiclass
 
 (* Process-wide and mutex-guarded: parallel prewarm fills run on
-   multiple domains. *)
-let frontend_cache : (string, frontend) Hashtbl.t = Hashtbl.create 64
+   multiple domains.  Keyed by the frontend key and whether the build was
+   audited, so an unaudited build never stands in for an audited one. *)
+let frontend_cache : (string * bool, frontend) Hashtbl.t = Hashtbl.create 64
 let frontend_cache_lock = Mutex.create ()
 
-let build_frontend ~fe_key spec =
+let build_frontend ~opts ~fe_key spec =
   let programs, ratio, moves =
     match spec.bench.Suite.kind with
     | Suite.Single f ->
-        let program, ratio, moves = instrument_program spec (f ()) in
+        let program, ratio, moves = instrument_program opts spec (f ()) in
         ([| program |], ratio, moves)
     | Suite.Multi f ->
         (* The last core's ratio and move count stand for the group. *)
-        let compiled = Array.map (instrument_program spec) (f ()) in
+        let compiled = Array.map (instrument_program opts spec) (f ()) in
         let ratio, moves =
           Array.fold_left (fun _ (_, r, m) -> (r, m)) (1.0, 0) compiled
         in
@@ -248,19 +271,20 @@ let build_frontend ~fe_key spec =
 (* A compile fault (e.g. a refuted certificate under [--check-certs])
    propagates out uncached, exactly as the per-cell path would raise
    it — the cell fault barrier in {!compute} owns the reporting. *)
-let prepare_frontend spec =
-  if not !share_frontend then build_frontend ~fe_key:"" spec
+let prepare_frontend ?(opts = default_options) spec =
+  if not !share_frontend then build_frontend ~opts ~fe_key:"" spec
   else begin
     let fe_key = frontend_key spec in
+    let slot = (fe_key, opts.check_certs) in
     Mutex.lock frontend_cache_lock;
-    let cached = Hashtbl.find_opt frontend_cache fe_key in
+    let cached = Hashtbl.find_opt frontend_cache slot in
     Mutex.unlock frontend_cache_lock;
     match cached with
     | Some fe -> fe
     | None ->
-        let fe = build_frontend ~fe_key spec in
+        let fe = build_frontend ~opts ~fe_key spec in
         Mutex.lock frontend_cache_lock;
-        Hashtbl.replace frontend_cache fe_key fe;
+        Hashtbl.replace frontend_cache slot fe;
         Mutex.unlock frontend_cache_lock;
         fe
   end
@@ -298,33 +322,56 @@ let merge_policy_metrics (policies : Policy.t list) =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare (a : string) b)
 
+(* One span per leaking speculation window (mispredicted with a tainted
+   transmitter under it), on a simulated-time track: one cycle = one
+   microsecond, its own pid. *)
+let trace_leaky_windows tr label ws =
+  List.iter
+    (fun (w : Spec_window.window) ->
+      Trace.span_us tr ~cat:"window" ~pid:1
+        ~args:
+          [
+            ("trigger_pc", string_of_int w.Spec_window.w_pc);
+            ("family", Spec_window.trigger_family w.Spec_window.w_trigger);
+            ("tainted", string_of_int w.Spec_window.w_tainted);
+            ("interventions", string_of_int w.Spec_window.w_interventions);
+          ]
+        ~ts_us:w.Spec_window.w_opened
+        ~dur_us:(w.Spec_window.w_closed - w.Spec_window.w_opened)
+        (Printf.sprintf "%s window#%d" label w.Spec_window.w_id))
+    ws
+
+(* The checkers [opts] attaches to a core before its first cycle. *)
+let attach_checks opts t =
+  Option.iter
+    (fun (mode, every) -> Invariants.attach ~every mode t)
+    opts.invariants;
+  if opts.paranoid_sched then Invariants.attach_sched t
+
 (* One cell: the shared frontend, then a single-core or lockstep
    multicore run.  Every core gets, before its first cycle, the
-   observers this process collects with — the commit-gap profiler, the
-   speculation-window ledger — and, given [invariants] (mode and
-   cadence), its own invariant checker.  A run that exhausts its fuel
-   fails the cell. *)
-let execute ?invariants spec =
+   observers [opts] asks for — its checkers, the commit-gap profiler,
+   the speculation-window ledger.  A run that exhausts its fuel fails
+   the cell. *)
+let execute ?(opts = default_options) spec =
   let bkey =
     Printf.sprintf "%s/%s" spec.bench.Suite.suite spec.bench.Suite.name
   in
   (* Flame collection: a commit-gap profiler per core, flushed through
      the unsubscribe finalizer when we detach after the run.  Window
      ledgers are merged (summed) across cores. *)
-  let flame_acc = if !collect_flame then Some (Flame.create ()) else None in
+  let flame_acc = if opts.flame then Some (Flame.create ()) else None in
   let profiled : Pipeline.t list ref = ref [] in
   let ledgers : (Pipeline.t * Spec_window.t) list ref = ref [] in
   let observe root program (t : Pipeline.t) =
-    Option.iter
-      (fun (mode, every) -> Invariants.attach ~every mode t)
-      invariants;
+    attach_checks opts t;
     Option.iter
       (fun acc ->
         let sink snap = fold_flame ~root program snap acc in
         Profile.attach ~sink (Profile.create ()) t;
         profiled := t :: !profiled)
       flame_acc;
-    if !collect_window then ledgers := (t, Spec_window.attach t) :: !ledgers
+    if opts.window then ledgers := (t, Spec_window.attach t) :: !ledgers
   in
   let policies = ref [] in
   let make_policy () =
@@ -332,7 +379,7 @@ let execute ?invariants spec =
     policies := p :: !policies;
     p
   in
-  let fe = prepare_frontend spec in
+  let fe = prepare_frontend ~opts spec in
   let root = [ spec.dcfg.label; bkey ] in
   let cycles, stats, finished =
     match spec.bench.Suite.kind with
@@ -367,9 +414,12 @@ let execute ?invariants spec =
     List.fold_left
       (fun acc (t, led) ->
         Spec_window.detach t led;
-        (match (!window_hook, Spec_window.leaky_windows led) with
-        | Some f, (_ :: _ as leaky) -> f (spec.dcfg.label ^ "/" ^ bkey) leaky
-        | _ -> ());
+        Option.iter
+          (fun tr ->
+            trace_leaky_windows tr
+              (spec.dcfg.label ^ "/" ^ bkey)
+              (Spec_window.leaky_windows led))
+          opts.trace;
         Twindow.merge_counters acc (Spec_window.counters led))
       [] !ledgers
   in
@@ -383,7 +433,7 @@ let execute ?invariants spec =
     code_size_ratio = fe.fe_ratio;
     inserted_moves = fe.fe_moves;
     policy_metrics =
-      (if !collect_policy_metrics then merge_policy_metrics !policies else []);
+      (if opts.policy_metrics then merge_policy_metrics !policies else []);
     flame = (match flame_acc with None -> [] | Some acc -> Flame.to_list acc);
     frontend = fe.fe_key;
     window;
@@ -392,15 +442,17 @@ let execute ?invariants spec =
 (* Memoized session.  [collect], when set, switches [run] into a
    discovery mode used by {!prewarm}: cache misses are recorded (keyed
    for dedup) instead of simulated, so one silenced dry run of a
-   generator yields the work-list for the parallel grid fill. *)
+   generator yields the work-list for the parallel grid fill.  [opts]
+   are the modes every cell of the session is computed under. *)
 type session = {
   cache : (string, run_result) Hashtbl.t;
   mutable log : bool;
   mutable collect : (string, run_spec) Hashtbl.t option;
+  opts : options;
 }
 
-let create_session ?(log = false) () =
-  { cache = Hashtbl.create 128; log; collect = None }
+let create_session ?(log = false) ?(opts = default_options) () =
+  { cache = Hashtbl.create 128; log; collect = None; opts }
 
 let key spec =
   (* The suite qualifies the name: e.g. `mcf` exists in both the
@@ -439,12 +491,13 @@ let log_line fmt = Printf.ksprintf (fun s -> Tlog.info ~src:"harness" "%s" s) fm
    or a refuted certificate (under [--check-certs]) fails this cell
    only — report the faulting configuration and let the grid continue
    with a nan cell. *)
-let compute spec =
+let compute ?(opts = default_options) spec =
   let t0 = Unix.gettimeofday () in
   let finish r =
-    (match !cell_hook with
-    | Some f -> f (key spec) t0 (Unix.gettimeofday ())
-    | None -> ());
+    Option.iter
+      (fun tr ->
+        Trace.span tr ~cat:"cell" ~t0 ~t1:(Unix.gettimeofday ()) (key spec))
+      opts.trace;
     r
   in
   let fault msg =
@@ -452,7 +505,7 @@ let compute spec =
       spec.bench.Suite.name spec.dcfg.label spec.config.Config.name msg;
     finish faulted_result
   in
-  match execute spec with
+  match execute ~opts spec with
   | r -> finish r
   | exception Pipeline.Sim_fault f ->
       Tlog.warn ~src:"harness"
@@ -477,7 +530,7 @@ let run session spec =
           faulted_result
       | None ->
           if session.log then log_line "[run] %s" k;
-          let r = compute spec in
+          let r = compute ~opts:session.opts spec in
           Hashtbl.replace session.cache k r;
           r)
 
@@ -596,7 +649,8 @@ let prewarm ?(jobs = Parallel.default_jobs ()) session (gen : unit -> unit) =
     let tasks =
       Array.of_list
         (List.map
-           (fun group () -> List.map (fun (k, s) -> (k, compute s)) group)
+           (fun group () ->
+             List.map (fun (k, s) -> (k, compute ~opts:session.opts s)) group)
            groups)
     in
     let results = Parallel.map ~jobs tasks in

@@ -90,18 +90,19 @@ let trace_digest trace =
     (Hw_trace.all trace);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* A cell's observable outcome.  A single-core cell re-runs with the
-   hardware trace on, over the experiment's shared frontend (a
-   [run_result] carries no trace); a multicore cell is the experiment
-   cell itself, which fails rather than return an unfinished run. *)
-let outcome (spec : E.run_spec) =
+(* A cell's observable outcome under [opts].  A single-core cell
+   re-runs with the hardware trace on, over the experiment's shared
+   frontend (a [run_result] carries no trace) and with [opts]'s
+   checkers; a multicore cell is the experiment cell itself, which
+   fails rather than return an unfinished run. *)
+let outcome ~opts (spec : E.run_spec) =
   match spec.E.bench.Suite.kind with
   | Suite.Single _ ->
-      let fe = E.prepare_frontend spec in
+      let fe = E.prepare_frontend ~opts spec in
       let r =
         Pipeline.run ~trace:true ~squash_bug:spec.E.squash_bug
           ~spec_model:spec.E.spec_model ~decode:fe.E.fe_decode.(0)
-          ~fuel:E.default_fuel spec.E.config
+          ~fuel:E.default_fuel ~on_start:(E.attach_checks opts) spec.E.config
           (spec.E.dcfg.E.defense.Defense.make ())
           fe.E.fe_programs.(0) ~overlays:[]
       in
@@ -110,7 +111,7 @@ let outcome (spec : E.run_spec) =
         st.Stats.squashes
         (trace_digest r.Pipeline.trace)
   | Suite.Multi _ ->
-      let r = E.execute spec in
+      let r = E.execute ~opts spec in
       let per_core =
         List.map
           (fun (st : Stats.t) ->
@@ -121,7 +122,8 @@ let outcome (spec : E.run_spec) =
         (String.concat "," per_core)
 
 (* One corpus line: the cell key followed by its observable outcome. *)
-let run_cell c = key c ^ "|" ^ outcome (spec_of c)
+let run_cell ?(opts = E.default_options) c =
+  key c ^ "|" ^ outcome ~opts (spec_of c)
 
 let corpus =
   (* Random programs exercise deep speculation, squashes, forwarding and
@@ -182,19 +184,21 @@ let corpus =
    ([Parallel.map]) and re-emits the lines in corpus order (cells with
    equal keys have equal lines); the lines are identical either way —
    that equality is the determinism property the golden suite asserts. *)
-let corpus_lines ~jobs cells =
-  if jobs <= 1 then List.map run_cell cells
+let corpus_lines ?(jobs = 1) ?(opts = E.default_options) cells =
+  if jobs <= 1 then List.map (run_cell ~opts) cells
   else
     let tasks =
       E.group_cells (List.map (fun c -> (key c, spec_of c)) cells)
       |> List.map (fun group () ->
-             List.map (fun (k, spec) -> (k, k ^ "|" ^ outcome spec)) group)
+             List.map
+               (fun (k, spec) -> (k, k ^ "|" ^ outcome ~opts spec))
+               group)
       |> Array.of_list
     in
     let lines = List.concat (Array.to_list (Parallel.map ~jobs tasks)) in
     List.map (fun c -> List.assoc (key c) lines) cells
 
-let lines ?(jobs = 1) () = corpus_lines ~jobs corpus
+let lines ?jobs ?opts () = corpus_lines ?jobs ?opts corpus
 
 (* Width-sweep corpus: the structural-port model across issue widths
    1/2/4/6/8 on three single-core benchmarks × three defenses.  Each
@@ -220,13 +224,13 @@ let width_corpus =
         benches)
     widths
 
-let width_lines ?(jobs = 1) () = corpus_lines ~jobs width_corpus
+let width_lines ?jobs ?opts () = corpus_lines ?jobs ?opts width_corpus
 
 let width_keys () = List.map key width_corpus
 
 (* Run one width cell by key — the compute function a supervised shard
    worker uses when the grid distributes the width corpus. *)
-let run_width_key k =
+let run_width_key ?opts k =
   match List.find_opt (fun c -> String.equal (key c) k) width_corpus with
-  | Some c -> run_cell c
+  | Some c -> run_cell ?opts c
   | None -> invalid_arg ("Golden.run_width_key: unknown cell " ^ k)

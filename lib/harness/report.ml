@@ -13,8 +13,9 @@
      determinism comparisons (they describe *this* run's execution, not
      the simulated machine).
 
-   Collection is free when no exporter asked for it: [enable] flips the
-   experiment-layer switches, and without it no profiler subscribes, no
+   Collection is free when no exporter asked for it: the session's
+   [Experiment.options] ([Campaign.setup] derives them from the exporter
+   flags) leave every collection mode off, so no profiler subscribes, no
    policy counters are read, and no span is recorded. *)
 
 module Metrics = Protean_telemetry.Metrics
@@ -34,14 +35,6 @@ type config = {
       (* per-cell speculation-window summary + over-protection report *)
 }
 
-let no_exports =
-  {
-    metrics_out = None;
-    trace_out = None;
-    flamegraph_out = None;
-    attr_out = None;
-  }
-
 let wanted c =
   c.metrics_out <> None || c.trace_out <> None || c.flamegraph_out <> None
   || c.attr_out <> None
@@ -49,7 +42,6 @@ let wanted c =
 (* Runtime registry: supervisor lifecycle counters, filled by the bus
    observer as the run executes. *)
 let runtime = Metrics.create ()
-let tracer : Trace.t option ref = ref None
 
 (* ------------------------------------------------------------------ *)
 (* Build/host metadata                                                 *)
@@ -60,13 +52,7 @@ let tracer : Trace.t option ref = ref None
    bench JSON) records the environment that produced it — the ROADMAP's
    1-core-host bench caveat made explicit. *)
 
-let escape_hatches =
-  [ "PROTEAN_PARANOID_SCHED"; "PROTEAN_NET_FAULT"; "PROTEAN_NO_SPAWN" ]
-
-let hatch_active v =
-  match Sys.getenv_opt v with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
+let escape_hatches = [ "PROTEAN_NET_FAULT"; "PROTEAN_NO_SPAWN" ]
 
 (* Source revision from .git/HEAD (one level of ref indirection), no
    subprocess; "unknown" outside a checkout. *)
@@ -94,7 +80,7 @@ let build_info_labels () =
     ("cores", string_of_int (Domain.recommended_domain_count ()));
     ("ocaml", Sys.ocaml_version);
     ("rev", git_rev ());
-    ("hatches", String.concat "," (List.filter hatch_active escape_hatches));
+    ("hatches", String.concat "," (List.filter Shard.env_flag escape_hatches));
   ]
 
 (* Registered once into the runtime registry, which merges into every
@@ -106,67 +92,21 @@ let () =
        ~labels:(build_info_labels ()) "protean_build_info")
     1
 
-(* Flip the collection switches for this process.  Workers call this
-   too ([--worker] keeps the exporter flags in argv) so cells computed
-   in shard processes carry their telemetry home over the frame
-   protocol — but only the parent ever opens the tracer or writes
-   files. *)
-let enable ?(worker = false) c =
-  if c.metrics_out <> None then E.collect_policy_metrics := true;
-  if c.flamegraph_out <> None then E.collect_flame := true;
-  if c.metrics_out <> None || c.attr_out <> None then E.collect_window := true;
-  if (not worker) && wanted c then begin
-    let tr = Trace.create () in
-    Trace.name_process tr ~pid:0 "protean";
-    tracer := Some tr;
-    if c.trace_out <> None then begin
-      E.cell_hook :=
-        Some (fun key t0 t1 -> Trace.span tr ~cat:"cell" ~t0 ~t1 key);
-      (* One span per *leaking* speculation window, on a simulated-time
-         track (one cycle = one microsecond, its own pid). *)
-      Trace.name_process tr ~pid:1 "simulated-windows";
-      E.window_hook :=
-        Some
-          (fun label ws ->
-            List.iter
-              (fun (w : Spec_window.window) ->
-                Trace.span_us tr ~cat:"window" ~pid:1
-                  ~args:
-                    [
-                      ("trigger_pc", string_of_int w.Spec_window.w_pc);
-                      ( "family",
-                        Spec_window.trigger_family w.Spec_window.w_trigger );
-                      ( "tainted",
-                        string_of_int w.Spec_window.w_tainted );
-                      ( "interventions",
-                        string_of_int w.Spec_window.w_interventions );
-                    ]
-                  ~ts_us:w.Spec_window.w_opened
-                  ~dur_us:(w.Spec_window.w_closed - w.Spec_window.w_opened)
-                  (Printf.sprintf "%s window#%d" label w.Spec_window.w_id))
-              ws)
-    end
-  end
-
-(* --check-certs: flip the independent checker's switch and feed its
-   per-certificate observations into protean_cert_* counters.  These
-   live in the *runtime* registry, not the deterministic session one:
-   the ProtCC compile cache is per-process, so audit counts vary with
-   the -j/--shards process topology even though the verdicts do not. *)
-let enable_cert_audit () =
-  Protean_protcc.Certify.enabled := true;
-  Protean_protcc.Certify.on_audit :=
-    fun ~style ~claims ~violations ->
-      let c name help =
-        Metrics.counter runtime ~help
-          ~labels:[ ("pass", style) ]
-          ("protean_cert_" ^ name)
-      in
-      Metrics.inc (c "checked_total" "protection certificates audited");
-      Metrics.inc ~n:claims
-        (c "claims_total" "individual certificate claims audited");
-      Metrics.inc ~n:violations
-        (c "violations_total" "certificate claims refuted by the checker")
+(* --check-certs: the [Experiment.options.on_cert] observer, feeding
+   each audited certificate into protean_cert_* counters.  These live in
+   the *runtime* registry, not the deterministic session one: the
+   frontend cache is per-process, so audit counts vary with the
+   -j/--shards process topology even though the verdicts do not. *)
+let count_cert ~style ~claims ~violations =
+  let c name help =
+    Metrics.counter runtime ~help ~labels:[ ("pass", style) ]
+      ("protean_cert_" ^ name)
+  in
+  Metrics.inc (c "checked_total" "protection certificates audited");
+  Metrics.inc ~n:claims
+    (c "claims_total" "individual certificate claims audited");
+  Metrics.inc ~n:violations
+    (c "violations_total" "certificate claims refuted by the checker")
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic metrics from the session cache                        *)
@@ -412,8 +352,8 @@ let flame_of_session (session : E.session) =
 
 (* Subscribe the returned handler to a supervisor bus: lifecycle events
    become [protean_supervisor_*] counters in the runtime registry, plus
-   trace instants when a tracer is open. *)
-let supervisor_observer () =
+   instants on [trace] when given. *)
+let supervisor_observer ?trace () =
   let c name help =
     Metrics.counter runtime ~help ("protean_supervisor_" ^ name)
   in
@@ -438,7 +378,7 @@ let supervisor_observer () =
     c "workers_disconnected_total" "dial-in workers lost mid-campaign"
   in
   fun (ev : Supervisor.event) ->
-    (match !tracer with
+    (match trace with
     | Some tr -> (
         match ev with
         | Supervisor.Heartbeat _ | Supervisor.Cell_done _
@@ -582,10 +522,10 @@ let render_attr cells totals =
   | None -> Buffer.add_string b "  total: no interventions recorded\n");
   Buffer.contents b
 
-(* Write the metric, trace and flamegraph exports [c] asked for.
-   [.json] metric paths get the JSON exporter, anything else Prometheus
-   text. *)
-let write_exports c ~snapshot ~flame =
+(* Write the metric, trace and flamegraph exports [c] asked for, the
+   trace from the run's recorder.  [.json] metric paths get the JSON
+   exporter, anything else Prometheus text. *)
+let write_exports ?trace c ~snapshot ~flame =
   Option.iter
     (fun path ->
       let snap = snapshot () in
@@ -593,7 +533,7 @@ let write_exports c ~snapshot ~flame =
         (if Filename.check_suffix path ".json" then Metrics.to_json snap
          else Metrics.to_prometheus snap))
     c.metrics_out;
-  (match (c.trace_out, !tracer) with
+  (match (c.trace_out, trace) with
   | Some path, Some tr -> write_file path (Trace.to_chrome_json tr)
   | _ -> ());
   Option.iter
@@ -601,8 +541,8 @@ let write_exports c ~snapshot ~flame =
     c.flamegraph_out
 
 (* Everything [c] asked for from an experiment session. *)
-let write_outputs c session =
-  write_exports c
+let write_outputs c (session : E.session) =
+  write_exports ?trace:session.E.opts.E.trace c
     ~snapshot:(fun () -> final_snapshot session)
     ~flame:(fun () -> flame_of_session session);
   match c.attr_out with

@@ -18,9 +18,10 @@
      {"t":"reject","reason":S}    TCP pool: handshake refused
 
    worker -> supervisor
-     {"t":"hello","v":I,"token":S}
+     {"t":"hello","v":I,"token":S,"options":S}
                                   TCP pool: dial-in handshake (protocol
-                                  version + campaign token)
+                                  version, campaign token and the
+                                  worker's [Experiment.options_tag])
      {"t":"hb","next":I}          about to compute cell id I (liveness)
      {"t":"result","id":I,"r":J}  cell I computed, payload J
      {"t":"cellfault","id":I,"reason":S}
@@ -80,7 +81,7 @@ let ignore_sigpipe () =
 (* Version of the frame protocol, exchanged in the TCP pool handshake:
    a worker built from a different protocol generation is rejected at
    dial-in instead of corrupting a campaign mid-run. *)
-let protocol_version = 1
+let protocol_version = 2
 
 (* Structured protocol fault: the stream violated the framing rules
    (oversized or negative length prefix, truncated payload).  Distinct
@@ -95,7 +96,7 @@ type cell = { c_id : int; c_key : string }
 type frame =
   | F_work of cell list
   | F_exit
-  | F_hello of { h_version : int; h_token : string }
+  | F_hello of { h_version : int; h_token : string; h_options : string }
   | F_welcome of int (* the supervisor's protocol version *)
   | F_reject of string
   | F_hb of int (* next cell id the worker is about to compute *)
@@ -118,12 +119,13 @@ let frame_to_json = function
                  cells) );
         ]
   | F_exit -> Json.Obj [ ("t", Json.Str "exit") ]
-  | F_hello { h_version; h_token } ->
+  | F_hello { h_version; h_token; h_options } ->
       Json.Obj
         [
           ("t", Json.Str "hello");
           ("v", Json.Int h_version);
           ("token", Json.Str h_token);
+          ("options", Json.Str h_options);
         ]
   | F_welcome v -> Json.Obj [ ("t", Json.Str "welcome"); ("v", Json.Int v) ]
   | F_reject reason ->
@@ -158,6 +160,10 @@ let frame_of_json j =
         {
           h_version = Json.(to_int (member "v" j));
           h_token = Json.(to_str (member "token" j));
+          (* absent from older protocol generations, which the version
+             check turns away *)
+          h_options =
+            (match Json.member "options" j with Json.Str o -> o | _ -> "");
         }
   | "welcome" -> F_welcome Json.(to_int (member "v" j))
   | "reject" -> F_reject Json.(to_str (member "reason" j))
@@ -463,12 +469,19 @@ let dial addr =
 (* Worker loop                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* An escape-hatch environment variable is set unless it is absent,
+   empty or "0" — the one reading every hatch and its build-info label
+   share. *)
+let env_flag v =
+  match Sys.getenv_opt v with
+  | None | Some "" | Some "0" -> false
+  | Some _ -> true
+
 (* Can this platform run exec'd shard workers at all?  [Sys.win32] lacks
    the POSIX process control the supervisor needs; PROTEAN_NO_SPAWN=1
    forces the in-process fallback (used to test graceful degradation).
    When unavailable, supervised runs degrade to [Parallel.map]. *)
-let can_spawn () =
-  (not Sys.win32) && Sys.getenv_opt "PROTEAN_NO_SPAWN" = None
+let can_spawn () = (not Sys.win32) && not (env_flag "PROTEAN_NO_SPAWN")
 
 let armed_fault () =
   match Sys.getenv_opt Fault_inject.worker_env with
@@ -607,9 +620,12 @@ let worker_main ?jobs ~compute () =
    the cap, however many attempts it has made.
 
    Raises [Failure] if the supervisor rejects the handshake (wrong
-   token or protocol version: redialing would be rejected again). *)
+   token, options or protocol version: redialing would be rejected
+   again). *)
 let connect_worker ?jobs ?(reconnect = 5) ?(backoff = 0.2)
-    ?(backoff_cap = 5.0) ~addr ~token ~compute () =
+    ?(backoff_cap = 5.0)
+    ?options:(h_options = Experiment.(options_tag default_options)) ~addr
+    ~token ~compute () =
   ignore_sigpipe ();
   let session () =
     let sock = dial addr in
@@ -622,7 +638,8 @@ let connect_worker ?jobs ?(reconnect = 5) ?(backoff = 0.2)
        [Transport.send]): chaos targets the campaign stream, and an
        unauthenticated connection holds no lease to re-dispatch. *)
     match
-      write_frame sock (F_hello { h_version = protocol_version; h_token = token });
+      write_frame sock
+        (F_hello { h_version = protocol_version; h_token = token; h_options });
       read_frame sock
     with
     | Some (F_welcome _) ->

@@ -163,18 +163,24 @@ let default_config =
 (* Dial-in source ([--listen]): instead of exec'ing local workers the
    supervisor listens on TCP and remote workers dial in, so a campaign
    spans machines.  Dial-in connections must present the campaign
-   [token] and a matching protocol version before they are leased any
-   work. *)
+   [token], a matching protocol version and the supervisor's own
+   options tag before they are leased any work. *)
 type pool_config = {
   pl_listen : string; (* HOST:PORT to bind; port 0 picks one *)
   pl_token : string; (* shared campaign secret for the handshake *)
+  pl_options : string; (* [Experiment.options_tag] every worker must match *)
   pl_accept_wall : float;
       (* s with work pending but no worker holding a lease before the
          campaign degrades to the in-process fallback *)
 }
 
 let default_pool_config =
-  { pl_listen = "127.0.0.1:0"; pl_token = "protean"; pl_accept_wall = 60.0 }
+  {
+    pl_listen = "127.0.0.1:0";
+    pl_token = "protean";
+    pl_options = Experiment.(options_tag default_options);
+    pl_accept_wall = 60.0;
+  }
 
 type outcome =
   | O_ok of Json.t
@@ -774,6 +780,7 @@ let supervise ~bus ?spawn ?pool ?http ~worker_argv cfg (ledger : Ledger.t)
     retire m
   in
   let token = match pool with Some p -> p.pl_token | None -> "" in
+  let options = match pool with Some p -> p.pl_options | None -> "" in
   let handshake m = function
     | Shard.F_hello { h_version; _ } when h_version <> Shard.protocol_version ->
         reject m
@@ -781,6 +788,9 @@ let supervise ~bus ?spawn ?pool ?http ~worker_argv cfg (ledger : Ledger.t)
              Shard.protocol_version)
     | Shard.F_hello { h_token; _ } when h_token <> token ->
         reject m "bad campaign token"
+    | Shard.F_hello { h_options; _ } when h_options <> options ->
+        reject m
+          (Printf.sprintf "options %S (supervisor runs %S)" h_options options)
     | Shard.F_hello _ -> (
         match
           Shard.write_frame m.m_tr.t_write

@@ -281,9 +281,8 @@ type fuzz_row = {
   campaign : Fuzz.campaign;
 }
 
-let fuzz_rows ~programs ~inputs =
-  let base c = { Fuzz.default_campaign with Fuzz.programs; inputs_per_program = inputs; seed = 7; adversary = c } in
-  let with_adv c = base c in
+let fuzz_rows ~paranoid_sched ~programs ~inputs =
+  let with_adv c = { Fuzz.default_campaign with Fuzz.programs; inputs_per_program = inputs; seed = 7; adversary = c; paranoid_sched } in
   List.concat_map
     (fun adversary ->
       [
@@ -351,11 +350,12 @@ let fuzz_rows ~programs ~inputs =
 
 (* Merge the two adversaries' outcomes per (contract, pass) row, like the
    paper's Table II. *)
-let table_ii ?(jobs = 1) ?(programs = 10) ?(inputs = 4) () =
+let table_ii ?(jobs = 1) ?(paranoid_sched = false) ?(programs = 10)
+    ?(inputs = 4) () =
   Format.printf
     "Table II: AMuLeT*-detected contract violations (true positives, false \
      positives in parentheses)@.@.";
-  let rows = fuzz_rows ~programs ~inputs in
+  let rows = fuzz_rows ~paranoid_sched ~programs ~inputs in
   let defenses =
     [ ("Unsafe", Defense.unsafe); ("ProtDelay", Defense.prot_delay); ("ProtTrack", Defense.prot_track) ]
   in
@@ -409,8 +409,9 @@ let table_ii ?(jobs = 1) ?(programs = 10) ?(inputs = 4) () =
    defense × benchmark.  A high ratio means the defense spends most of
    its cost guarding speculation that could not have leaked — the
    headroom a programmable policy can reclaim.  Needs the
-   speculation-window ledger: the CLI flips [E.collect_window] for this
-   target, so cached cells carry their window counters. *)
+   speculation-window ledger: the CLI runs this target's session with
+   the [window] option on, so cached cells carry their window
+   counters. *)
 let over_protection ?benches session =
   Format.printf
     "Over-protection audit: defense interventions charged to \

@@ -9,12 +9,12 @@
    [check] audits a pipeline snapshot and returns the violations it
    finds; [check_sched] cross-checks the O(active) scheduler's redundant
    indexes (unissued/branch lists, in-flight deque, store/load queues,
-   wakeup chains, dormancy) against a brute-force ROB scan — it is what
-   [Pipeline.step] runs per cycle under [--paranoid-sched].  [checker]
+   wakeup chains, dormancy) against a brute-force ROB scan.  [checker]
    packages both as a per-cycle hook (usable directly as [Pipeline.run]'s
    [on_cycle]) with off/warn/fail modes, sampled every [every] cycles;
    [attach] subscribes the same checker to the pipeline's hook bus on
-   [On_cycle_end], which is how [Multicore.run] wires it per core. *)
+   [On_cycle_end], which is how [Experiment.execute] wires it per core;
+   [attach_sched] subscribes [check_sched] alone, for --paranoid-sched. *)
 
 open Protean_isa
 module S = Pipeline_state
@@ -435,3 +435,23 @@ let attach ?every mode (t : S.t) =
   let f = checker ?every mode in
   Hooks.subscribe t.S.hooks ~name:"invariants" ~kinds:[ Hooks.k_cycle_end ]
     (fun st ev -> match ev with Hooks.On_cycle_end -> f st | _ -> ())
+
+(* The paranoid scheduler cross-check: [check_sched] at every
+   [On_cycle_end], a simulation fault on the first mismatch.  It also
+   turns skip-ahead off, so the paranoid machine is the spinning
+   reference that the golden corpora compare skip-ahead against.
+   Attach before the first cycle. *)
+let attach_sched (t : S.t) =
+  t.S.skip_enabled <- false;
+  Hooks.subscribe t.S.hooks ~name:"paranoid-sched" ~kinds:[ Hooks.k_cycle_end ]
+    (fun st ev ->
+      match ev with
+      | Hooks.On_cycle_end -> (
+          match check_sched st with
+          | [] -> ()
+          | vs ->
+              raise
+                (S.Sim_fault
+                   (S.fault st
+                      (S.Invariant_violation (violations_to_string vs)))))
+      | _ -> ())

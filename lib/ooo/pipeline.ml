@@ -46,18 +46,6 @@ let l1d_protected = Pipeline_state.l1d_protected
 let api = Pipeline_state.api
 let measurement_marker = Stage_commit.measurement_marker
 
-(* Brute-force cross-checking of the scheduler indexes each cycle
-   (protean-sim --paranoid-sched / PROTEAN_PARANOID_SCHED=1).  Takes
-   effect for pipelines created afterwards. *)
-let set_paranoid_sched v = Pipeline_state.paranoid_sched := v
-
-(* Event-driven skip-ahead, on by default; off is the spinning reference
-   machine the golden tests compare it against.  Takes effect for
-   pipelines created afterwards; paranoid scheduling always forces the
-   spinning machine, which is what the cross-check compares against. *)
-let set_skip_ahead v = Pipeline_state.skip_ahead := v
-let skip_ahead_enabled () = !Pipeline_state.skip_ahead
-
 (* Structured faults and the watchdog. *)
 
 type fault_kind = Pipeline_state.fault_kind =
@@ -204,8 +192,8 @@ let apply_skip (t : t) ~target =
    watchdog, then [On_cycle_end].  With a [Profile] observer attached,
    each stage boundary additionally emits [On_stage] (stage ids 0-4);
    without one, [prof] is false and the cycle pays one interest-mask
-   test.  Under [--paranoid-sched] the scheduler indexes are
-   cross-checked against a brute-force ROB scan every cycle.
+   test.  Per-cycle checkers (invariants, the paranoid scheduler
+   cross-check) subscribe to [On_cycle_end].
 
    [until] is the driver's fuel bound (exclusive loop bound on
    [t.cycle]) and doubles as the skip-ahead opt-in: when given and the
@@ -237,14 +225,6 @@ let step ?(watchdog = default_watchdog) ?until (t : t) =
     | Some b when t.cycle >= b -> raise (Sim_fault (fault t Budget_exhausted))
     | _ -> ()
   end;
-  if t.paranoid then (
-    match Invariants.check_sched t with
-    | [] -> ()
-    | vs ->
-        raise
-          (Sim_fault
-             (fault t
-                (Invariant_violation (Invariants.violations_to_string vs)))));
   if Pipeline_state.wants t Hooks.k_cycle_end then
     Pipeline_state.emit t Hooks.On_cycle_end;
   match until with

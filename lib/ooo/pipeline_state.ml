@@ -14,7 +14,7 @@
    threaded through the entries, and the in-flight/store/load sets are
    [Entryq] deques.  All of them are *redundant* indexes over the ring:
    [Invariants.check_sched] cross-checks them against a brute-force ROB
-   scan (per cycle under [paranoid_sched]). *)
+   scan (per cycle when [Invariants.attach_sched] subscribed it). *)
 
 open Protean_isa
 open Protean_arch
@@ -77,7 +77,6 @@ type t = {
      cycle, cleared at the top of each issue scan. *)
   port_busy_until : int array;
   port_used : bool array;
-  paranoid : bool; (* cross-check the indexes every cycle *)
   (* Per-pc operand templates: [Insn.reads]/[Insn.writes] precomputed so
      rename shares one immutable srcs/dsts array per program location. *)
   tmpl_srcs : (Reg.t * Insn.role) array array;
@@ -134,25 +133,10 @@ type t = {
      jump to the next event horizon instead of spinning. *)
   mutable progress : bool;
   mutable skip_enabled : bool;
+      (* cleared by [Invariants.attach_sched]: the paranoid machine spins *)
 }
 
 let fetch_buf_capacity = 48
-
-(* Opt-in brute-force cross-checking of the scheduler indexes, for fuzz
-   campaigns chasing scheduler bugs: `protean-sim --paranoid-sched` or
-   PROTEAN_PARANOID_SCHED=1.  Consulted at [create]; per-pipeline. *)
-let paranoid_sched =
-  ref
-    (match Sys.getenv_opt "PROTEAN_PARANOID_SCHED" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true)
-
-(* Event-driven skip-ahead: on unless a test turns it off to compare
-   against the spinning machine, and force-disabled per pipeline under
-   [paranoid_sched] — the paranoid machine *is* the spinning cross-check
-   the golden corpora compare against.  Consulted at [create];
-   per-pipeline. *)
-let skip_ahead = ref true
 
 (* Decode templates: the per-pc operand arrays rename shares across all
    instances of one program location.  Building them walks the whole
@@ -228,7 +212,6 @@ let create ?(trace = false) ?(squash_bug = false)
       (match cfg.Config.ports with
       | None -> [||]
       | Some pc -> Array.make (Array.length pc.Config.port_caps) false);
-    paranoid = !paranoid_sched;
     tmpl_srcs;
     tmpl_dsts;
     entry_pool = Array.make plen Rob_entry.null;
@@ -258,7 +241,7 @@ let create ?(trace = false) ?(squash_bug = false)
     done_ = false;
     last_commit_cycle = 0;
     progress = false;
-    skip_enabled = !skip_ahead && not !paranoid_sched;
+    skip_enabled = true;
   }
 
 let emit t ev = Hooks.emit t.hooks t ev

@@ -17,8 +17,8 @@
    traversal orders equal the old full-ring scans' (both seq-ascending),
    so every emission and policy query happens at the same point of the
    same cycle — asserted bit-for-bit by the golden corpus, and
-   cross-checked against brute-force ring scans under
-   [Pipeline_state.paranoid_sched].
+   cross-checked against brute-force ring scans by
+   [Invariants.attach_sched].
 
    Events: [On_wakeup]/[On_wakeup_blocked] per source, [On_exec_blocked]
    and [On_resolve_blocked] per denied cycle, [On_forward] on LSQ hits,

@@ -43,15 +43,6 @@ let () =
     | Cert_violation v -> Some (violation_to_string v)
     | _ -> None)
 
-(* Master switch for the harness compile path (--check-certs). *)
-let enabled = ref false
-
-(* Observer hook: called once per audited certificate so the harness can
-   feed protean_cert_* telemetry without this library depending on the
-   telemetry registry. *)
-let on_audit : (style:string -> claims:int -> violations:int -> unit) ref =
-  ref (fun ~style:_ ~claims:_ ~violations:_ -> ())
-
 type stats = { checked : int; claims : int; violations : violation list }
 
 (* ------------------------------------------------------------------ *)
@@ -215,8 +206,11 @@ let gen_pairs ?(pairs = 3) ?(seed = 0x5eed) (original : Program.t) =
 (* Audit every certificate in [res] against [original] (the pre-pass
    program the certificates' pc ranges refer to).  [inputs] supplies
    memory-overlay pairs for the dynamic audit; when absent, pairs are
-   self-generated from the program's secret regions. *)
-let audit ?fuel ?pairs ?seed ?inputs ~(original : Program.t)
+   self-generated from the program's secret regions.  [on_cert] observes
+   each audited certificate, so the harness can feed protean_cert_*
+   telemetry without this library depending on the telemetry
+   registry. *)
+let audit ?fuel ?pairs ?seed ?inputs ?on_cert ~(original : Program.t)
     (res : Protcc.result) =
   let code = original.Program.code in
   let static_vs =
@@ -241,16 +235,18 @@ let audit ?fuel ?pairs ?seed ?inputs ~(original : Program.t)
         List.length
           (List.filter (fun v -> v.v_fname = c.Certificate.fname) violations)
       in
-      !on_audit
-        ~style:(Certificate.style_name c.Certificate.style)
-        ~claims:cc ~violations:nv)
+      Option.iter
+        (fun f ->
+          f ~style:(Certificate.style_name c.Certificate.style) ~claims:cc
+            ~violations:nv)
+        on_cert)
     res.Protcc.certs;
   { checked = List.length res.Protcc.certs; claims = !claims; violations }
 
 (* As [audit], but raise the first violation as a structured fault for
    the supervisor/ledger path (poisons only the offending cell). *)
-let audit_exn ?fuel ?pairs ?seed ?inputs ~original res =
-  let stats = audit ?fuel ?pairs ?seed ?inputs ~original res in
+let audit_exn ?fuel ?pairs ?seed ?inputs ?on_cert ~original res =
+  let stats = audit ?fuel ?pairs ?seed ?inputs ?on_cert ~original res in
   match stats.violations with
   | [] -> stats
   | v :: _ -> raise (Cert_violation v)

@@ -12,16 +12,14 @@ module Golden = Protean_harness.Golden
 module Supervisor = Protean_harness.Supervisor
 module Shard = Protean_harness.Shard
 module Json = Protean_harness.Shard.Json
-module Pipeline = Protean_ooo.Pipeline
+module E = Protean_harness.Experiment
 
 (* The recorded expectations were produced by the spinning machine;
    event-driven skip-ahead is the optimization under test, so the
-   corpus must be byte-identical with it on (the default everywhere
-   else in this file) *and* off. *)
-let with_skip_ahead v f =
-  let saved = Pipeline.skip_ahead_enabled () in
-  Pipeline.set_skip_ahead v;
-  Fun.protect ~finally:(fun () -> Pipeline.set_skip_ahead saved) f
+   corpus must be byte-identical with it on (the default) *and* on the
+   paranoid machine, which spins and cross-checks its scheduler indexes
+   every cycle.  (test_hotloop runs the paranoid corpus serially.) *)
+let paranoid = { E.default_options with E.paranoid_sched = true }
 
 (* `dune runtest` executes in _build/default/test (where the (deps ...)
    copy lives); `dune exec test/test_main.exe` runs from the project
@@ -59,13 +57,8 @@ let test_serial () = check_lines "serial" (Golden.lines ())
 
 let test_parallel () = check_lines "parallel -j 4" (Golden.lines ~jobs:4 ())
 
-let test_serial_no_skip () =
-  with_skip_ahead false (fun () ->
-      check_lines "serial --no-skip-ahead" (Golden.lines ()))
-
-let test_parallel_no_skip () =
-  with_skip_ahead false (fun () ->
-      check_lines "-j 4 --no-skip-ahead" (Golden.lines ~jobs:4 ()))
+let test_parallel_paranoid () =
+  check_lines "-j 4 --paranoid-sched" (Golden.lines ~jobs:4 ~opts:paranoid ())
 
 (* --- width corpus ------------------------------------------------------ *)
 
@@ -80,10 +73,10 @@ let test_width_parallel () =
 (* Two crash-isolated shard workers (in-process domains running the real
    [Shard.serve] loop over pipes) compute the width corpus by cell key;
    the supervised merge must be byte-identical to the serial lines. *)
-let run_width_shards name =
+let run_width_shards ?opts name =
   let keys = Golden.width_keys () in
   let cells = List.mapi (fun i k -> { Shard.c_id = i; c_key = k }) keys in
-  let compute k = Json.Str (Golden.run_width_key k) in
+  let compute k = Json.Str (Golden.run_width_key ?opts k) in
   let spawn ~shard:_ ~attempt:_ ~env_fault:_ =
     Helpers.domain_transport ~compute ()
   in
@@ -113,24 +106,24 @@ let run_width_shards name =
 
 let test_width_shards () = run_width_shards "width --shards 2"
 
-let test_width_shards_no_skip () =
-  with_skip_ahead false (fun () ->
-      run_width_shards "width --shards 2 --no-skip-ahead")
+(* The paranoid width corpus reaches the structural invariants the plain
+   corpus cannot: port binding/oversubscription and the writeback-budget
+   bound only fire on [Config.ports] configs. *)
+let test_width_shards_paranoid () =
+  run_width_shards ~opts:paranoid "width --shards 2 --paranoid-sched"
 
 let tests =
   [
     Alcotest.test_case "cycle-exact (serial)" `Slow test_serial;
     Alcotest.test_case "cycle-exact (-j 4)" `Slow test_parallel;
-    Alcotest.test_case "cycle-exact (serial, --no-skip-ahead)" `Slow
-      test_serial_no_skip;
-    Alcotest.test_case "cycle-exact (-j 4, --no-skip-ahead)" `Slow
-      test_parallel_no_skip;
+    Alcotest.test_case "cycle-exact (-j 4, --paranoid-sched)" `Slow
+      test_parallel_paranoid;
     Alcotest.test_case "width sweep cycle-exact (serial)" `Slow
       test_width_serial;
     Alcotest.test_case "width sweep cycle-exact (-j 4)" `Slow
       test_width_parallel;
     Alcotest.test_case "width sweep cycle-exact (--shards 2)" `Slow
       test_width_shards;
-    Alcotest.test_case "width sweep cycle-exact (--shards 2, --no-skip-ahead)"
-      `Slow test_width_shards_no_skip;
+    Alcotest.test_case "width sweep cycle-exact (--shards 2, --paranoid-sched)"
+      `Slow test_width_shards_paranoid;
   ]

@@ -104,7 +104,11 @@ let test_execute_invariants_transparent () =
   List.iter
     (fun (name, spec) ->
       let plain = E.execute spec in
-      let checked = E.execute ~invariants:(Invariants.Fail, 1) spec in
+      let checked =
+        E.execute
+          ~opts:{ E.default_options with E.invariants = Some (Invariants.Fail, 1) }
+          spec
+      in
       Alcotest.(check bool) (name ^ ": identical run_result") true
         (compare plain checked = 0))
     [
@@ -114,6 +118,30 @@ let test_execute_invariants_transparent () =
       ( "swaptions.p stt",
         E.spec ~config:Config.test_core (Suite.find "swaptions.p") E.cfg_stt );
     ]
+
+(* The audit is an option of the computation, not of the process: a
+   ProtCC cell computed without it, then with [check_certs] and an
+   [on_cert] counter, is audited the second time — the unaudited build
+   in the frontend cache does not stand in for the audited one — and
+   both runs agree on every result field. *)
+let test_check_certs_option_audits () =
+  let bench = { tiny with Suite.name = "tiny-audited" } in
+  let spec = E.spec bench (E.protean_cfg `Track Protcc.P_ct) in
+  let audited = ref 0 and refuted = ref 0 in
+  let on_cert ~style:_ ~claims:_ ~violations =
+    incr audited;
+    refuted := !refuted + violations
+  in
+  let plain = E.compute spec in
+  Alcotest.(check int) "default options audit nothing" 0 !audited;
+  let checked =
+    E.compute
+      ~opts:{ E.default_options with E.check_certs = true; on_cert = Some on_cert }
+      spec
+  in
+  Alcotest.(check bool) "check_certs audits the compile" true (!audited > 0);
+  Alcotest.(check int) "no claim refuted" 0 !refuted;
+  Alcotest.(check bool) "same result either way" true (compare plain checked = 0)
 
 let test_name_parsers () =
   let rejects what f name =
@@ -206,6 +234,8 @@ let tests =
       test_cert_violation_nan_cell;
     Alcotest.test_case "invariant checking leaves run_result unchanged" `Slow
       test_execute_invariants_transparent;
+    Alcotest.test_case "check_certs option audits a cached cell" `Quick
+      test_check_certs_option_audits;
     Alcotest.test_case "pass and core names: unknown rejected" `Quick
       test_name_parsers;
     Alcotest.test_case "parallel raise does not hang" `Quick

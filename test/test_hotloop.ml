@@ -13,10 +13,11 @@
    - the paranoid scheduler cross-check: with --paranoid-sched the
      pipeline re-derives every scheduler index (unissued list, branch
      list, in-flight queue, LSQ queues, wakeup chains, dormancy) from a
-     brute-force ROB scan each cycle and faults on any mismatch.  The
-     whole golden corpus must run to completion under it and still
-     reproduce the recorded lines bit-for-bit — the O(active) indexes
-     are exactly the sets the scans would compute. *)
+     brute-force ROB scan each cycle and faults on any mismatch, on the
+     spinning machine.  The whole golden corpus must run to completion
+     under it and still reproduce the recorded lines bit-for-bit — the
+     O(active) indexes are exactly the sets the scans would compute, and
+     skip-ahead is exactly the spinning machine. *)
 
 module Hooks = Protean_ooo.Hooks
 module Pipeline = Protean_ooo.Pipeline
@@ -125,34 +126,16 @@ let read_expected () =
       go [])
 
 let test_paranoid_golden () =
-  Pipeline.set_paranoid_sched true;
-  Fun.protect
-    ~finally:(fun () -> Pipeline.set_paranoid_sched false)
-    (fun () ->
-      let expected = read_expected () in
-      let actual = Golden.lines () in
-      Alcotest.(check int) "corpus size" (List.length expected)
-        (List.length actual);
-      List.iteri
-        (fun i (e, a) ->
-          Alcotest.(check string) (Printf.sprintf "paranoid cell %d" i) e a)
-        (List.combine expected actual))
-
-(* The width corpus under the paranoid checker exercises the structural
-   invariants the plain corpus cannot: port binding/oversubscription and
-   the writeback-budget bound only fire on [Config.ports] configs. *)
-let test_paranoid_width () =
-  Pipeline.set_paranoid_sched true;
-  Fun.protect
-    ~finally:(fun () -> Pipeline.set_paranoid_sched false)
-    (fun () ->
-      List.iteri
-        (fun i line ->
-          Alcotest.(check bool)
-            (Printf.sprintf "paranoid width cell %d nonempty" i)
-            true
-            (String.length line > 0))
-        (Golden.width_lines ()))
+  let expected = read_expected () in
+  let actual =
+    Golden.lines ~opts:{ E.default_options with E.paranoid_sched = true } ()
+  in
+  Alcotest.(check int) "corpus size" (List.length expected)
+    (List.length actual);
+  List.iteri
+    (fun i (e, a) ->
+      Alcotest.(check string) (Printf.sprintf "paranoid cell %d" i) e a)
+    (List.combine expected actual)
 
 (* --- Shared-frontend batch vs per-cell equivalence ------------------- *)
 
@@ -355,8 +338,6 @@ let tests =
       `Quick test_window_ledger_transparent;
     Alcotest.test_case "paranoid scheduler cross-check (golden corpus)" `Slow
       test_paranoid_golden;
-    Alcotest.test_case "paranoid structural-port cross-check (width corpus)"
-      `Slow test_paranoid_width;
     Alcotest.test_case "shared frontend: batch == per-cell" `Slow
       test_shared_frontend_equivalence;
     Alcotest.test_case "shared frontend: prewarm batches == serial" `Slow

@@ -12,11 +12,8 @@ let () =
       ("harness", Test_harness.tests);
       ("edge", Test_edge.tests);
       ("robustness", Test_robustness.tests);
-      (* golden runs its width corpus under a supervised two-shard grid,
-         so it must precede the supervisor suite: the latter's final test
-         sets PROTEAN_NO_SPAWN=1 for the rest of the process. *)
-      ("golden", Test_golden.tests);
       ("supervisor", Test_supervisor.tests);
+      ("golden", Test_golden.tests);
       ("transport", Test_transport.tests);
       ("telemetry", Test_telemetry.tests);
       ("hotloop", Test_hotloop.tests);

@@ -300,6 +300,30 @@ let test_resume_keeps_cert_verdict () =
   Alcotest.(check bool) "same verdict as the first run" true
     (o = first.Fuzz.r_outcome)
 
+(* A finished campaign resumed from its own checkpoint replays the first
+   violation it found before stopping: the same shrunk counterexample
+   and leak attribution as the run that found it. *)
+let test_resume_keeps_witness () =
+  let campaign =
+    {
+      (Fuzz.campaign_for ~programs:4 ~inputs:2 "arch") with
+      Fuzz.gen_klass = Gen.G_gadget;
+    }
+  in
+  let path = Filename.temp_file "protean_witness" ".json" in
+  Sys.remove path;
+  let first = Fuzz.run_resilient ~checkpoint:path campaign Defense.unsafe in
+  let again = Fuzz.run_resilient ~checkpoint:path campaign Defense.unsafe in
+  Sys.remove path;
+  Alcotest.(check bool) "resumed at the end" true
+    (again.Fuzz.r_resumed_from = Some 4);
+  Alcotest.(check bool) "the first run found a witness" true
+    (first.Fuzz.r_counterexample <> None && first.Fuzz.r_attribution <> None);
+  Alcotest.(check bool) "same counterexample" true
+    (again.Fuzz.r_counterexample = first.Fuzz.r_counterexample);
+  Alcotest.(check bool) "same attribution" true
+    (again.Fuzz.r_attribution = first.Fuzz.r_attribution)
+
 (* A mismatched checkpoint (different campaign) is ignored. *)
 let test_checkpoint_mismatch_ignored () =
   let campaign = Fuzz.campaign_for ~seed:10 ~programs:2 ~inputs:2 "arch" in
@@ -441,6 +465,8 @@ let tests =
       test_checkpoint_cert_fields;
     Alcotest.test_case "resumed certified campaign keeps its verdict" `Quick
       test_resume_keeps_cert_verdict;
+    Alcotest.test_case "resumed campaign keeps its witness" `Quick
+      test_resume_keeps_witness;
     Alcotest.test_case "campaign survives a deadlocking program" `Slow
       test_campaign_survives_timeout;
     Alcotest.test_case "skipped violating program leaves no witness" `Quick

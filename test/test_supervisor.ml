@@ -8,6 +8,10 @@
 module Supervisor = Protean_harness.Supervisor
 module Shard = Protean_harness.Shard
 module Json = Protean_harness.Shard.Json
+module E = Protean_harness.Experiment
+
+(* The handshake tag of a run with every mode off. *)
+let default_tag = E.options_tag E.default_options
 
 (* --- JSON round-trips -------------------------------------------------- *)
 
@@ -640,7 +644,8 @@ let test_pool_rejects_bad_version () =
           (Domain.spawn (fun () ->
                let sock = Shard.dial addr in
                Shard.write_frame sock
-                 (Shard.F_hello { h_version = 999; h_token = "protean" });
+                 (Shard.F_hello
+                    { h_version = 999; h_token = "protean"; h_options = "" });
                reply := Shard.read_frame sock;
                Unix.close sock))
     | _ -> ());
@@ -748,7 +753,7 @@ let test_pool_no_workers_falls_back () =
    serve it, drop the connection mid-lease (a crash: it redials), or
    hold the lease silently for some seconds first (a livelock).  Ends
    on [F_exit] or when the supervisor is gone. *)
-let scripted_dialer ~addr script =
+let scripted_dialer ?(options = default_tag) ~addr script =
   let leases = ref 0 in
   let rec session redials =
     match Shard.dial addr with
@@ -781,7 +786,11 @@ let scripted_dialer ~addr script =
         try
           Shard.write_frame sock
             (Shard.F_hello
-               { h_version = Shard.protocol_version; h_token = "protean" });
+               {
+                 h_version = Shard.protocol_version;
+                 h_token = "protean";
+                 h_options = options;
+               });
           serve ()
         with Unix.Unix_error _ | Shard.Protocol _ -> again ())
   in
@@ -866,29 +875,93 @@ let test_pool_heartbeat_drop_recovers () =
        (function Supervisor.Retry { attempt = 2; _ } -> true | _ -> false)
        (events ()))
 
-(* PROTEAN_NO_SPAWN disables process spawning entirely (the documented
-   degradation path for platforms without fork/exec).  Runs last in the
-   suite: the environment variable cannot be unset portably. *)
-let test_supervised_no_spawn_env_falls_back () =
-  Unix.putenv "PROTEAN_NO_SPAWN" "1";
-  Alcotest.(check bool) "can_spawn honours the veto" false (Shard.can_spawn ());
+(* A dial-in worker whose cells would run under other options than the
+   supervisor's (here: without the certificate audit) is turned away at
+   the handshake, naming both tags; a worker presenting the
+   supervisor's tag is welcomed and completes the campaign. *)
+let test_pool_rejects_options_mismatch () =
+  let own = E.options_tag { E.default_options with E.check_certs = true } in
   let bus = Supervisor.create_bus () in
   let events = record_events bus in
-  let spawn ~shard:_ ~attempt:_ ~env_fault:_ =
-    Alcotest.fail "no transport may be created under PROTEAN_NO_SPAWN"
-  in
-  let fallback cells =
-    List.map (fun c -> (c.Shard.c_id, compute c.Shard.c_key)) cells
-  in
+  let reply = ref None and worker = ref None in
+  (* One domain, in order: the mismatched hello, then a worker with the
+     supervisor's tag — so the campaign cannot finish before the
+     rejection. *)
+  Supervisor.subscribe bus ~name:"dialer" (function
+    | Supervisor.Listening { port; _ } ->
+        let addr = Printf.sprintf "127.0.0.1:%d" port in
+        worker :=
+          Some
+            (Domain.spawn (fun () ->
+                 let sock = Shard.dial addr in
+                 Shard.write_frame sock
+                   (Shard.F_hello
+                      {
+                        h_version = Shard.protocol_version;
+                        h_token = "protean";
+                        h_options = default_tag;
+                      });
+                 reply := Shard.read_frame sock;
+                 Unix.close sock;
+                 scripted_dialer ~options:own ~addr (fun _ _ -> `Serve)))
+    | _ -> ());
   let out =
-    Supervisor.run ~bus ~spawn (config ()) ~worker_argv:[||] ~fallback
-      (cells_of 3)
+    Supervisor.run ~bus (config ())
+      ~pool:{ (pool_config ()) with Supervisor.pl_options = own }
+      ~fallback:no_fallback (cells_of 3)
   in
-  Alcotest.(check bool) "fallback served the batch" true (out = expected_ok 3);
-  Alcotest.(check bool) "fallback event emitted" true
+  Option.iter Domain.join !worker;
+  let reason =
+    Printf.sprintf "options \"%s\" (supervisor runs \"%s\")" default_tag own
+  in
+  Alcotest.(check bool) "matching worker completed the campaign" true
+    (out = expected_ok 3);
+  (match !reply with
+  | Some (Shard.F_reject r) ->
+      Alcotest.(check string) "reject names both tags" reason r
+  | _ -> Alcotest.fail "mismatched options were not rejected");
+  let evs = events () in
+  Alcotest.(check bool) "rejection event emitted" true
     (List.exists
-       (function Supervisor.Fallback _ -> true | _ -> false)
-       (events ()))
+       (function
+         | Supervisor.Worker_rejected { reason = r; _ } -> r = reason
+         | _ -> false)
+       evs);
+  Alcotest.(check bool) "matching worker welcomed" true
+    (List.exists
+       (function Supervisor.Worker_connected _ -> true | _ -> false)
+       evs)
+
+(* PROTEAN_NO_SPAWN disables process spawning entirely (the documented
+   degradation path for platforms without fork/exec).  The variable
+   cannot be unset portably; "" reads as unset. *)
+let test_supervised_no_spawn_env_falls_back () =
+  let saved = Option.value (Sys.getenv_opt "PROTEAN_NO_SPAWN") ~default:"" in
+  Unix.putenv "PROTEAN_NO_SPAWN" "1";
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "PROTEAN_NO_SPAWN" saved)
+    (fun () ->
+      Alcotest.(check bool) "can_spawn honours the veto" false
+        (Shard.can_spawn ());
+      let bus = Supervisor.create_bus () in
+      let events = record_events bus in
+      let spawn ~shard:_ ~attempt:_ ~env_fault:_ =
+        Alcotest.fail "no transport may be created under PROTEAN_NO_SPAWN"
+      in
+      let fallback cells =
+        List.map (fun c -> (c.Shard.c_id, compute c.Shard.c_key)) cells
+      in
+      let out =
+        Supervisor.run ~bus ~spawn (config ()) ~worker_argv:[||] ~fallback
+          (cells_of 3)
+      in
+      Alcotest.(check bool) "fallback served the batch" true
+        (out = expected_ok 3);
+      Alcotest.(check bool) "fallback event emitted" true
+        (List.exists
+           (function Supervisor.Fallback _ -> true | _ -> false)
+           (events ())));
+  Alcotest.(check bool) "restored: can_spawn again" true (Shard.can_spawn ())
 
 let tests =
   [
@@ -937,6 +1010,8 @@ let tests =
       `Quick test_pool_poisoned_cell_bisected;
     Alcotest.test_case "tcp pool: heartbeat deadline drops and recovers" `Quick
       test_pool_heartbeat_drop_recovers;
+    Alcotest.test_case "tcp pool rejects mismatched options" `Quick
+      test_pool_rejects_options_mismatch;
     Alcotest.test_case "PROTEAN_NO_SPAWN forces fallback" `Quick
       test_supervised_no_spawn_env_falls_back;
   ]

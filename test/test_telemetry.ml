@@ -286,28 +286,19 @@ let tiny =
 let stats_cycles (r : E.run_result) =
   List.fold_left (fun acc (s : Stats.t) -> acc + s.Stats.cycles) 0 r.E.stats
 
-let with_collection f =
-  E.collect_policy_metrics := true;
-  E.collect_flame := true;
-  Fun.protect
-    ~finally:(fun () ->
-      E.collect_policy_metrics := false;
-      E.collect_flame := false)
-    f
+(* What --metrics-out and --flamegraph-out turn on. *)
+let collecting =
+  { E.default_options with E.policy_metrics = true; flame = true }
 
 (* A profiler detached mid-run (here: at the natural end of the run,
    through [Profile.detach]'s [on_remove] flush) must account for every
    cycle: folded weights sum exactly to the run's cycle count. *)
 let test_flame_totals_equal_cycles () =
-  with_collection (fun () ->
-      let session = E.create_session () in
-      let r = E.run session (E.spec tiny E.cfg_stt) in
-      let flame_total =
-        List.fold_left (fun acc (_, n) -> acc + n) 0 r.E.flame
-      in
-      Alcotest.(check bool) "flame non-empty" true (r.E.flame <> []);
-      Alcotest.(check int) "flame total == cycles" (stats_cycles r)
-        flame_total)
+  let session = E.create_session ~opts:collecting () in
+  let r = E.run session (E.spec tiny E.cfg_stt) in
+  let flame_total = List.fold_left (fun acc (_, n) -> acc + n) 0 r.E.flame in
+  Alcotest.(check bool) "flame non-empty" true (r.E.flame <> []);
+  Alcotest.(check int) "flame total == cycles" (stats_cycles r) flame_total
 
 let test_detach_flushes_partial_samples () =
   let profiled = ref None in
@@ -353,34 +344,38 @@ let grid session =
 
 let render session = Metrics.to_prometheus (Metrics.snapshot (Report.of_session session))
 
+(* The shard path: every cell's result crosses the frame protocol as
+   JSON.  A session holding [session]'s cache after the round trip. *)
+let shipped session =
+  let s = E.create_session () in
+  Hashtbl.iter
+    (fun key r ->
+      Hashtbl.replace s.E.cache key
+        (Supervisor.Grid.result_of_json (Supervisor.Grid.result_to_json r)))
+    session.E.cache;
+  s
+
 let test_session_metrics_deterministic () =
-  with_collection (fun () ->
-      let serial = E.create_session () in
-      grid serial;
-      let parallel = E.create_session () in
-      E.prewarm ~jobs:4 parallel (fun () -> grid parallel);
-      Alcotest.(check string) "serial == -j 4 (rendered bytes)"
-        (render serial) (render parallel);
-      (* The shard path: every cell's result crosses the frame protocol
-         as JSON.  Round-tripping the whole cache must preserve the
-         rendered registry and the folded flamegraph byte-for-byte. *)
-      let shipped = E.create_session () in
-      Hashtbl.iter
-        (fun key r ->
-          Hashtbl.replace shipped.E.cache key
-            (Supervisor.Grid.result_of_json (Supervisor.Grid.result_to_json r)))
-        serial.E.cache;
-      Alcotest.(check string) "frame round-trip preserves metrics"
-        (render serial) (render shipped);
-      Alcotest.(check string) "frame round-trip preserves flame"
-        (Flame.to_folded (Report.flame_of_session serial))
-        (Flame.to_folded (Report.flame_of_session shipped));
-      (* ≥ the acceptance floor of distinct families for a real grid *)
-      let fams = Metrics.families (Metrics.snapshot (Report.of_session serial)) in
-      Alcotest.(check bool)
-        (Printf.sprintf "family count sane (%d)" (List.length fams))
-        true
-        (List.length fams >= 15))
+  let serial = E.create_session ~opts:collecting () in
+  grid serial;
+  let parallel = E.create_session ~opts:collecting () in
+  E.prewarm ~jobs:4 parallel (fun () -> grid parallel);
+  Alcotest.(check string) "serial == -j 4 (rendered bytes)" (render serial)
+    (render parallel);
+  (* Round-tripping the whole cache must preserve the rendered registry
+     and the folded flamegraph byte-for-byte. *)
+  let shipped = shipped serial in
+  Alcotest.(check string) "frame round-trip preserves metrics" (render serial)
+    (render shipped);
+  Alcotest.(check string) "frame round-trip preserves flame"
+    (Flame.to_folded (Report.flame_of_session serial))
+    (Flame.to_folded (Report.flame_of_session shipped));
+  (* ≥ the acceptance floor of distinct families for a real grid *)
+  let fams = Metrics.families (Metrics.snapshot (Report.of_session serial)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "family count sane (%d)" (List.length fams))
+    true
+    (List.length fams >= 15)
 
 (* --- speculation-window ledger: grid determinism --------------------- *)
 
@@ -388,37 +383,54 @@ let test_session_metrics_deterministic () =
    run_result (and the frame codec's "wn" member) exactly like the
    policy metrics: serial, -j 4 and the shard round-trip must render the
    same registry bytes, window families included. *)
+let windowed = { E.default_options with E.window = true }
+
 let test_window_counters_deterministic () =
-  let saved = !E.collect_window in
-  E.collect_window := true;
-  Fun.protect
-    ~finally:(fun () -> E.collect_window := saved)
-    (fun () ->
-      let serial = E.create_session () in
-      grid serial;
-      let parallel = E.create_session () in
-      E.prewarm ~jobs:4 parallel (fun () -> grid parallel);
-      Alcotest.(check string) "serial == -j 4 (rendered bytes)"
-        (render serial) (render parallel);
-      let shipped = E.create_session () in
-      Hashtbl.iter
-        (fun key r ->
-          Hashtbl.replace shipped.E.cache key
-            (Supervisor.Grid.result_of_json (Supervisor.Grid.result_to_json r)))
-        serial.E.cache;
-      Alcotest.(check string) "frame round-trip preserves window counters"
-        (render serial) (render shipped);
-      let fams =
-        Metrics.families (Metrics.snapshot (Report.of_session serial))
-      in
-      Alcotest.(check bool) "window family exported" true
-        (List.mem "protean_window_opened_total" fams);
-      (* ... and the counters really came from the runs *)
-      Hashtbl.iter
-        (fun key (r : E.run_result) ->
-          Alcotest.(check bool) (key ^ " saw windows") true
-            (Twindow.counter "windows_opened" r.E.window > 0))
-        serial.E.cache)
+  let serial = E.create_session ~opts:windowed () in
+  grid serial;
+  let parallel = E.create_session ~opts:windowed () in
+  E.prewarm ~jobs:4 parallel (fun () -> grid parallel);
+  Alcotest.(check string) "serial == -j 4 (rendered bytes)" (render serial)
+    (render parallel);
+  Alcotest.(check string) "frame round-trip preserves window counters"
+    (render serial)
+    (render (shipped serial));
+  let fams = Metrics.families (Metrics.snapshot (Report.of_session serial)) in
+  Alcotest.(check bool) "window family exported" true
+    (List.mem "protean_window_opened_total" fams);
+  (* ... and the counters really came from the runs *)
+  Hashtbl.iter
+    (fun key (r : E.run_result) ->
+      Alcotest.(check bool) (key ^ " saw windows") true
+        (Twindow.counter "windows_opened" r.E.window > 0))
+    serial.E.cache
+
+(* The options belong to the session, not the process: two sessions
+   under different options fill the same cells at the same time, and
+   each result carries exactly its own session's telemetry — and the
+   same simulation as a plain session's. *)
+let test_sessions_keep_their_options () =
+  let plain = E.create_session () in
+  grid plain;
+  let flamed = E.create_session ~opts:collecting () in
+  let ledgered = E.create_session ~opts:windowed () in
+  ignore
+    (Parallel.map ~jobs:2
+       [| (fun () -> grid flamed); (fun () -> grid ledgered) |]);
+  Hashtbl.iter
+    (fun key (p : E.run_result) ->
+      let f = Hashtbl.find flamed.E.cache key in
+      let w = Hashtbl.find ledgered.E.cache key in
+      Alcotest.(check bool) (key ^ ": same simulation") true
+        (f.E.stats = p.E.stats && w.E.stats = p.E.stats);
+      Alcotest.(check bool) (key ^ ": flame only where collected") true
+        (f.E.flame <> [] && w.E.flame = [] && p.E.flame = []);
+      Alcotest.(check bool) (key ^ ": window only where collected") true
+        (w.E.window <> [] && f.E.window = [] && p.E.window = []);
+      Alcotest.(check bool) (key ^ ": no policy counters in the ledger run")
+        true
+        (w.E.policy_metrics = [] && p.E.policy_metrics = []))
+    plain.E.cache
 
 (* --- leakage attribution: deterministic across drivers --------------- *)
 
@@ -533,6 +545,8 @@ let tests =
       test_session_metrics_deterministic;
     Alcotest.test_case "window counters deterministic" `Quick
       test_window_counters_deterministic;
+    Alcotest.test_case "concurrent sessions keep their options" `Quick
+      test_sessions_keep_their_options;
     Alcotest.test_case "attribution deterministic across drivers" `Quick
       test_attribution_deterministic;
     Alcotest.test_case "fuzz cell codec round-trips" `Quick

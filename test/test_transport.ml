@@ -37,8 +37,13 @@ let test_handshake_frames_roundtrip () =
       Alcotest.(check bool) "handshake frame round-trips" true
         (Shard.Decoder.next dec = Some f))
     [
-      Shard.F_hello { h_version = 1; h_token = "secret" };
-      Shard.F_hello { h_version = 99; h_token = "" };
+      Shard.F_hello
+        {
+          h_version = 1;
+          h_token = "secret";
+          h_options = "check_certs=true,invariants=warn/4";
+        };
+      Shard.F_hello { h_version = 99; h_token = ""; h_options = "" };
       Shard.F_welcome 1;
       Shard.F_reject "bad campaign token";
     ]
