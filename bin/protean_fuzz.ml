@@ -3,7 +3,7 @@
 
      protean-fuzz --defense prot-track --contract ct --programs 50
      protean-fuzz --inject-faults      # self-test: must catch planted bugs
-     protean-fuzz --resume state.json  # checkpointed, crash-resilient run
+     protean-fuzz -n 500 --checkpoint st.ck  # resumable long campaign
      protean-fuzz --table-ii           # the scaled-down Table II grid
 
    Exit status: 0 = clean; 1 = real contract violations found, or an
@@ -29,7 +29,6 @@ module Metrics = Protean_telemetry.Metrics
 module Twindow = Protean_telemetry.Window
 module Trace = Protean_telemetry.Trace
 module Flame = Protean_telemetry.Flame
-module Tlog = Protean_telemetry.Log
 
 let defense_arg =
   Arg.(value & opt string "prot-track" & info [ "defense"; "d" ] ~docv:"ID"
@@ -82,18 +81,12 @@ let timeout_arg =
          ~doc:"Per-simulation cycle budget; a run exceeding it is skipped \
                (with a report) instead of hanging the campaign.")
 
-let resume_arg =
-  Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE"
-         ~doc:"Checkpoint file: progress is saved there after every program \
-               and a matching interrupted campaign resumes from it. \
-               Checkpointing is sequential, so a resumed campaign ignores \
-               -j and --shards (with a warning).")
-
 let inject_worker_arg =
   Arg.(value & opt (some string) None
          & info [ "inject-worker-fault" ] ~docv:"MODE"
          ~doc:"Self-test the shard supervisor: worker-kill, worker-stall, \
-               worker-truncate, or worker-poison:N. Requires --shards > 1.")
+               worker-truncate, or worker-poison:N. Requires --shards > 1 \
+               (without --listen).")
 
 let inject_pass_fault_arg =
   Arg.(value & opt (some string) None
@@ -230,9 +223,6 @@ let snapshot () =
   Metrics.merge (Metrics.snapshot fuzz_reg) (Metrics.snapshot Report.runtime)
 
 let report_skips (r : Fuzz.report) =
-  (match r.Fuzz.r_resumed_from with
-  | Some i -> Printf.printf "resumed from checkpoint at program %d\n" i
-  | None -> ());
   List.iter
     (fun (s : Fuzz.skip) ->
       Printf.printf "skipped program %d (seed %d) after retry: %s\n"
@@ -278,61 +268,45 @@ let run_self_test ~jobs ~paranoid_sched ~programs ~inputs ~seed ~timeout =
 (* --- the campaign ------------------------------------------------------- *)
 
 (* The campaign: one cell per program (keyed by its index), merged by
-   [Fuzz.finish].  Supervised under --shards / --listen, workers ship
-   their cells through the cell codec, and a program whose worker died
-   on every attempt (a poisoned cell) becomes a skip, as a program that
-   faults twice in process does; served under --worker / --connect
-   (then [None]: nothing to report); else in process — on -j domains,
-   or serially by [Fuzz.run_resilient], which --resume needs because it
-   checkpoints after every program. *)
-let run_campaign (c : Campaign.t) ~opts ?inject_worker ~resume campaign d =
-  match resume with
-  | Some _ ->
-      if c.jobs > 1 || c.shards > 1 then
-        Tlog.warn ~src:"fuzz"
-          "--resume checkpoints sequentially; ignoring -j %d --shards %d"
-          c.jobs c.shards;
-      Some (Fuzz.run_resilient ?checkpoint:resume campaign d)
-  | None ->
-      let cell ?cert_poison key =
-        Fuzz.cell_to_json campaign
-          (Fuzz.test_cell ?cert_poison campaign d (int_of_string key))
-      in
-      let of_outcome (id, o) =
-        match o with
-        | Supervisor.O_ok j -> Fuzz.cell_of_json id j
-        | Supervisor.O_fault { f_attempts; f_reason; _ } ->
-            {
-              Fuzz.c_index = id;
-              c_outcome = Fuzz.fresh_outcome ();
-              c_skip =
-                Some
-                  (Printf.sprintf "worker crashed on every attempt (%d): %s"
-                     f_attempts f_reason);
-            }
-      in
-      let job () =
+   [Fuzz.finish] — in process on -j domains, supervised under --shards /
+   --listen, and resumed from --checkpoint alike.  A program whose
+   worker died on every attempt (a poisoned cell) becomes a skip, as a
+   program that faults twice does.  Served under --worker / --connect,
+   the result is [None]: nothing to report. *)
+let run_campaign (c : Campaign.t) ~opts ?inject_worker campaign d =
+  let of_outcome (id, o) =
+    match o with
+    | Supervisor.O_ok j -> Fuzz.cell_of_json id j
+    | Supervisor.O_fault { f_attempts; f_reason; _ } ->
         {
-          Campaign.cells =
-            List.init campaign.Fuzz.programs (fun i ->
-                { Shard.c_id = i; c_key = string_of_int i });
-          compute = cell ~cert_poison:c.check_certs;
-          fallback = cell;
-          merge =
-            (fun outcomes -> Fuzz.finish campaign d (List.map of_outcome outcomes));
+          Fuzz.c_index = id;
+          c_outcome = Fuzz.fresh_outcome ();
+          c_skip =
+            Some
+              (Printf.sprintf "worker crashed on every attempt (%d): %s"
+                 f_attempts f_reason);
         }
-      in
-      Campaign.run ~opts ?inject:inject_worker ~src:"fuzz"
-        ~live:(fun () -> Metrics.to_prometheus (snapshot ()))
-        ~job
-        ~in_process:(fun () ->
-          if c.jobs > 1 then
-            Parallel.map ~jobs:c.jobs
-              (Array.init campaign.Fuzz.programs (fun i () ->
-                   Fuzz.test_cell campaign d i))
-            |> Array.to_list |> Fuzz.finish campaign d
-          else Fuzz.run_resilient campaign d)
-        c
+  in
+  (* A worker escalates a refuted certificate to a cell fault, so the
+     supervisor poisons only that program; in process the verdict stays
+     in the cell's counters. *)
+  let cert_poison = c.check_certs && Campaign.serving c in
+  let job () =
+    {
+      Campaign.cells =
+        List.init campaign.Fuzz.programs (fun i ->
+            { Shard.c_id = i; c_key = string_of_int i });
+      compute =
+        (fun key ->
+          Fuzz.cell_to_json campaign
+            (Fuzz.test_cell ~cert_poison campaign d (int_of_string key)));
+      merge =
+        (fun outcomes -> Fuzz.finish campaign d (List.map of_outcome outcomes));
+    }
+  in
+  Campaign.run ~opts ?inject:inject_worker ~src:"fuzz"
+    ~live:(fun () -> Metrics.to_prometheus (snapshot ()))
+    ~job c
 
 (* Record and print a campaign report; [true] when it failed (contract
    or certificate violations). *)
@@ -414,7 +388,7 @@ let report_campaign (tele : Report.config) campaign d contract
   out.Fuzz.violations > 0 || cert_failed
 
 let run table_ii defense contract programs inputs adversary seed core_width
-    squash_bug gadget timeout resume inject inject_worker pass_fault
+    squash_bug gadget timeout inject inject_worker pass_fault
     (c : Campaign.t) =
   let opts = Campaign.setup c in
   let paranoid_sched = opts.E.paranoid_sched in
@@ -434,7 +408,7 @@ let run table_ii defense contract programs inputs adversary seed core_width
           timeout core_width c.check_certs paranoid_sched pass_fault
       in
       let name = Printf.sprintf "%s|%s" d.Defense.id contract in
-      let go () = run_campaign c ~opts ?inject_worker ~resume campaign d in
+      let go () = run_campaign c ~opts ?inject_worker campaign d in
       (match opts.E.trace with
       | Some tr -> Trace.with_span tr ~cat:"campaign" name go
       | None -> go ())
@@ -456,7 +430,7 @@ let cmd =
     Term.(
       const run $ table_ii_arg $ defense_arg $ contract_arg $ programs_arg
       $ inputs_arg $ adversary_arg $ seed_arg $ core_width_arg
-      $ squash_bug_arg $ gadget_arg $ timeout_arg $ resume_arg $ inject_arg
+      $ squash_bug_arg $ gadget_arg $ timeout_arg $ inject_arg
       $ inject_worker_arg $ inject_pass_fault_arg $ campaign_term)
 
 let () = exit (Cmd.eval cmd)

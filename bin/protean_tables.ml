@@ -5,15 +5,17 @@
      protean-tables table-iv --bench perlbench --bench milc
      protean-tables all -j 8
      protean-tables table-v --shards 4 -j 2
+     protean-tables all --checkpoint all.ck
 
-   `-j N` runs the experiment grid on N domains via Experiment.prewarm;
-   `--shards N` additionally spreads the grid over N crash-isolated
-   worker *processes* (each running `-j N` domains internally) under
-   the Supervisor: a worker that segfaults, stalls or gets OOM-killed
-   is retried and, if a single cell keeps crashing, that cell is
-   bisected out and reported as a structured fault while the rest of
-   the grid completes.  Either way the printed output is byte-identical
-   to the serial run. *)
+   Each target's experiment grid runs through Campaign.grid: `-j N`
+   computes its cells on N domains; `--shards N` spreads them over N
+   crash-isolated worker *processes* (each running `-j N` domains
+   internally) under the Supervisor: a worker that segfaults, stalls or
+   gets OOM-killed is retried and, if a single cell keeps crashing, that
+   cell is bisected out and reported as a structured fault while the
+   rest of the grid completes.  `--checkpoint FILE` keeps the completed
+   cells, so an interrupted run resumes in any of these modes.  Either
+   way the printed output is byte-identical to the serial run. *)
 
 open Cmdliner
 module E = Protean_harness.Experiment
@@ -61,11 +63,6 @@ let wall_arg =
   Arg.(value & opt float 3600.0 & info [ "shard-wall" ] ~docv:"SECS"
          ~doc:"Kill a worker whose lease outlives this wall-clock budget.")
 
-let checkpoint_dir_arg =
-  Arg.(value & opt (some string) None & info [ "checkpoint-dir" ] ~docv:"DIR"
-         ~doc:"Persist per-shard results there (atomic JSON files); a \
-               restarted supervised run resumes completed cells from them.")
-
 let campaign_term =
   Campaign.term
     ~check_certs_doc:
@@ -75,7 +72,7 @@ let campaign_term =
        argv, so shard workers audit the cells they compile."
 
 let run what benches core_widths fuzz_programs inject heartbeat wall
-    checkpoint_dir (c : Campaign.t) =
+    (c : Campaign.t) =
   let opts = Campaign.setup c in
   let jobs = c.jobs in
   let benches = match benches with [] -> None | bs -> Some bs in
@@ -86,9 +83,9 @@ let run what benches core_widths fuzz_programs inject heartbeat wall
   let opts =
     if what = "over-protection" then { opts with E.window = true } else opts
   in
-  let session = E.create_session ~log:true ~opts () in
-  (* Targets memoized through [session] can be prewarmed in parallel;
-     the rest manage their own parallelism (or have none to exploit). *)
+  let session = E.create_session ~opts () in
+  (* Targets memoized through [session] run as grids; the rest manage
+     their own parallelism (or have none to exploit). *)
   let session_gen = function
     | "table-i" -> Some (fun () -> Tables.table_i ?benches session)
     | "table-iv" -> Some (fun () -> Tables.table_iv ?benches session)
@@ -115,14 +112,13 @@ let run what benches core_widths fuzz_programs inject heartbeat wall
       "control-model"; "bugfix-cost";
     ]
   in
-  (* One generator per sharded/prewarm scope: the target's own, or the
-     combined session sweep for `all` (cells shared between tables run
-     once, in one parallel or supervised pass).  A worker serves the
+  (* One generator per grid: the target's own, or the combined session
+     sweep for `all` (cells shared between tables run once, in one
+     grid).  A worker serves the
      same scope: its discovery pass enumerates exactly the supervisor's
      cells because the argv (minus supervisor flags) matches. *)
   let grid g =
-    Campaign.grid c ~heartbeat ~wall ?checkpoint_dir ?inject ~src:"tables"
-      session g
+    Campaign.grid c ~heartbeat ~wall ?inject ~src:"tables" session g
   in
   let gen w =
     match session_gen w with
@@ -162,7 +158,6 @@ let cmd =
     (Cmd.info "protean-tables" ~doc)
     Term.(
       const run $ what_arg $ bench_arg $ core_width_arg $ fuzz_programs_arg
-      $ inject_arg $ heartbeat_arg $ wall_arg $ checkpoint_dir_arg
-      $ campaign_term)
+      $ inject_arg $ heartbeat_arg $ wall_arg $ campaign_term)
 
 let () = exit (Cmd.eval cmd)

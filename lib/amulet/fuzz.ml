@@ -17,9 +17,9 @@
    - a campaign is one cell per program ([test_cell]: an exception
      barrier that retries once, then skips and reports, with a
      per-program cycle budget enforced by the pipeline watchdog); one
-     driver, [finish], merges the cells however they were computed and
-     shrinks and attributes the first violation; the serial
-     [run_resilient] also checkpoints progress to a JSON state file;
+     driver, [finish], merges the cells however they were computed (or
+     resumed from a checkpoint, through the cell codec) and shrinks and
+     attributes the first violation;
    - [self_test] injects deliberate faults into the defense under test
      ([Fault_inject]) and reports any injected fault the campaign fails
      to flag — a detector gap. *)
@@ -591,27 +591,10 @@ let test_cell ?(cert_poison = false) ?program campaign defense index =
       | o -> passed o
       | exception e -> cell ~skip:(describe_exn e) (fresh_outcome ()))
 
-(* The certificate verdict rides along only when the campaign audits
-   certificates, so the encodings of a plain campaign keep their bytes;
-   absent fields decode as 0 / none. *)
-let cert_fields o =
-  [
-    ("certs_checked", Json.Int o.certs_checked);
-    ("cert_claims", Json.Int o.cert_claims);
-    ("cert_violations", Json.Int o.cert_violations);
-    ( "cert_example",
-      match o.cert_example with Some s -> Json.Str s | None -> Json.Null );
-  ]
-
-let read_cert_fields j o =
-  let int k = match Json.member k j with Json.Int n -> n | _ -> 0 in
-  o.certs_checked <- int "certs_checked";
-  o.cert_claims <- int "cert_claims";
-  o.cert_violations <- int "cert_violations";
-  o.cert_example <-
-    (match Json.member "cert_example" j with Json.Str s -> Some s | _ -> None)
-
-(* A cell as a shard frame payload; the cell's index rides in the frame. *)
+(* A cell as a shard frame or checkpoint payload; the cell's index rides
+   alongside.  The certificate verdict rides along only when the campaign
+   audits certificates, so the encodings of a plain campaign keep their
+   bytes; absent fields decode as 0 / none. *)
 let cell_to_json campaign c =
   let o = c.c_outcome in
   let opt f = function Some v -> f v | None -> Json.Null in
@@ -625,13 +608,22 @@ let cell_to_json campaign c =
          opt (fun (s, k) -> Json.List [ Json.Int s; Json.Int k ]) o.example );
        ("skip", opt (fun r -> Json.Str r) c.c_skip);
      ]
-    @ if campaign.check_certs then cert_fields o else [])
+    @
+    if campaign.check_certs then
+      [
+        ("certs_checked", Json.Int o.certs_checked);
+        ("cert_claims", Json.Int o.cert_claims);
+        ("cert_violations", Json.Int o.cert_violations);
+        ("cert_example", opt (fun s -> Json.Str s) o.cert_example);
+      ]
+    else [])
 
 let cell_of_json index j =
   let int k = Json.to_int (Json.member k j) in
+  let cert k = match Json.member k j with Json.Int n -> n | _ -> 0 in
+  let str k = match Json.member k j with Json.Str s -> Some s | _ -> None in
   let o =
     {
-      (fresh_outcome ()) with
       tests = int "tests";
       skipped = int "skipped";
       violations = int "violations";
@@ -640,146 +632,13 @@ let cell_of_json index j =
         (match Json.member "example" j with
         | Json.List [ Json.Int s; Json.Int k ] -> Some (s, k)
         | _ -> None);
+      certs_checked = cert "certs_checked";
+      cert_claims = cert "cert_claims";
+      cert_violations = cert "cert_violations";
+      cert_example = str "cert_example";
     }
   in
-  read_cert_fields j o;
-  let skip = match Json.member "skip" j with Json.Str r -> Some r | _ -> None in
-  { c_index = index; c_outcome = o; c_skip = skip }
-
-(* --- campaign checkpointing ------------------------------------------ *)
-
-module Checkpoint = struct
-  (* Campaign progress persisted after every program, so an interrupted
-     multi-hour run resumes where it stopped instead of restarting.  The
-     format is a single flat JSON object. *)
-  type t = {
-    ck_seed : int;
-    ck_programs : int;
-    ck_inputs : int;
-    ck_next : int; (* next program index to run *)
-    ck_faulted : int;
-    ck_check_certs : bool; (* the campaign audits certificates *)
-    ck_outcome : outcome; (* merged over programs [0, ck_next) *)
-  }
-
-  let to_json c =
-    let o = c.ck_outcome in
-    let example f = Json.Int (match o.example with Some e -> f e | None -> -1) in
-    Json.to_string
-      (Json.Obj
-         ([
-            ("version", Json.Int 1);
-            ("seed", Json.Int c.ck_seed);
-            ("programs", Json.Int c.ck_programs);
-            ("inputs", Json.Int c.ck_inputs);
-            ("next", Json.Int c.ck_next);
-            ("tests", Json.Int o.tests);
-            ("skipped", Json.Int o.skipped);
-            ("violations", Json.Int o.violations);
-            ("false_positives", Json.Int o.false_positives);
-            ("faulted", Json.Int c.ck_faulted);
-            ("example_seed", example fst);
-            ("example_input", example snd);
-          ]
-         @ if c.ck_check_certs then cert_fields o else []))
-
-  (* [None] on any malformed input rather than raising. *)
-  let of_json s =
-    try
-      let j = Json.of_string s in
-      let int k = Json.to_int (Json.member k j) in
-      if int "version" <> 1 then None
-      else begin
-        let o = fresh_outcome () in
-        o.tests <- int "tests";
-        o.skipped <- int "skipped";
-        o.violations <- int "violations";
-        o.false_positives <- int "false_positives";
-        let example_seed = int "example_seed" in
-        if example_seed >= 0 then
-          o.example <- Some (example_seed, int "example_input");
-        read_cert_fields j o;
-        Some
-          {
-            ck_seed = int "seed";
-            ck_programs = int "programs";
-            ck_inputs = int "inputs";
-            ck_next = int "next";
-            ck_faulted = int "faulted";
-            ck_check_certs = Json.member "certs_checked" j <> Json.Null;
-            ck_outcome = o;
-          }
-      end
-    with Json.Parse _ -> None
-
-  let save path c =
-    (* Write-then-rename so an interruption mid-write never corrupts the
-       previous checkpoint. *)
-    let tmp = path ^ ".tmp" in
-    let oc = open_out tmp in
-    output_string oc (to_json c);
-    output_char oc '\n';
-    close_out oc;
-    Sys.rename tmp path
-
-  let default_warn path =
-    Protean_telemetry.Log.warn ~src:"checkpoint"
-      ~fields:[ ("path", path) ]
-      "%s exists but is truncated or malformed; ignoring it and restarting \
-       the campaign from program 0"
-      path
-
-  let load ?(warn = default_warn) path =
-    if not (Sys.file_exists path) then None
-    else begin
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      match of_json s with
-      | Some c -> Some c
-      | None ->
-          (* A truncated or corrupt checkpoint must not abort the run —
-             the campaign is re-runnable from scratch — but silently
-             restarting a multi-hour campaign deserves a diagnostic. *)
-          warn path;
-          None
-    end
-
-  let matches campaign c =
-    c.ck_seed = campaign.seed
-    && c.ck_programs = campaign.programs
-    && c.ck_inputs = campaign.inputs_per_program
-
-  (* The progress of [campaign] before its first program, or — when
-     [resumed] — where that checkpoint left it.  The campaign, not the
-     file, decides whether the certificate verdict is saved. *)
-  let start ?resumed campaign =
-    match resumed with
-    | Some c -> { c with ck_check_certs = campaign.check_certs }
-    | None ->
-        {
-          ck_seed = campaign.seed;
-          ck_programs = campaign.programs;
-          ck_inputs = campaign.inputs_per_program;
-          ck_next = 0;
-          ck_faulted = 0;
-          ck_check_certs = campaign.check_certs;
-          ck_outcome = fresh_outcome ();
-        }
-
-  (* [c] with one more cell merged in. *)
-  let advance c cell =
-    let o = fresh_outcome () in
-    merge_outcome ~into:o c.ck_outcome;
-    merge_outcome ~into:o cell.c_outcome;
-    {
-      c with
-      ck_next = cell.c_index + 1;
-      ck_faulted = (c.ck_faulted + if cell.c_skip = None then 0 else 1);
-      ck_outcome = o;
-    }
-end
+  { c_index = index; c_outcome = o; c_skip = str "skip" }
 
 (* --- the campaign driver ------------------------------------------------ *)
 
@@ -791,28 +650,24 @@ type skip = {
 
 type report = {
   r_outcome : outcome;
-  r_completed : int; (* programs fully tested (including resumed ones) *)
+  r_completed : int; (* programs fully tested *)
   r_skipped : skip list; (* programs dropped after retry, oldest first *)
-  r_resumed_from : int option; (* index a matching checkpoint resumed at *)
   r_counterexample : shrunk option; (* shrunk first violation *)
   r_attribution : Twindow.attribution option;
       (* ledger replay of the first violation *)
 }
 
 (* The one campaign merge, however the cells were computed (serially,
-   on domains, or by shard workers): fold [cells] in index order onto
-   the progress of the checkpoint the campaign [resumed] from, list the
-   skipped programs, then replay the program of the merged first
-   violation — which a resumed campaign may have found before it
-   stopped — ([program] supplies its code) to capture the witness that
-   is shrunk and attributed.  A campaign without violations replays
-   nothing. *)
-let finish ?(shrink = true) ?(shrink_budget = 64) ?resumed
-    ?(program = fun _ -> None) campaign defense cells =
+   on domains, by shard workers, or in a run a checkpoint resumes):
+   merge [cells] in index order, list the skipped programs, then replay
+   the program of the merged first violation ([program] supplies its
+   code) to capture the witness that is shrunk and attributed.  A
+   campaign without violations replays nothing. *)
+let finish ?(shrink = true) ?(shrink_budget = 64) ?(program = fun _ -> None)
+    campaign defense cells =
   let cells = List.sort (fun a b -> compare a.c_index b.c_index) cells in
-  let total =
-    List.fold_left Checkpoint.advance (Checkpoint.start ?resumed campaign) cells
-  in
+  let total = fresh_outcome () in
+  List.iter (fun c -> merge_outcome ~into:total c.c_outcome) cells;
   let skips =
     List.filter_map
       (fun c ->
@@ -827,7 +682,7 @@ let finish ?(shrink = true) ?(shrink_budget = 64) ?resumed
       cells
   in
   let witness =
-    match total.Checkpoint.ck_outcome.example with
+    match total.example with
     | None -> None
     | Some (pseed, _) ->
         let index = (pseed - campaign.seed) / program_seed_stride in
@@ -848,38 +703,28 @@ let finish ?(shrink = true) ?(shrink_budget = 64) ?resumed
     | _ -> None
   in
   {
-    r_outcome = total.Checkpoint.ck_outcome;
-    r_completed = campaign.programs - total.Checkpoint.ck_faulted;
+    r_outcome = total;
+    r_completed = campaign.programs - List.length skips;
     r_skipped = skips;
-    r_resumed_from = Option.map (fun c -> c.Checkpoint.ck_next) resumed;
     r_counterexample = counterexample;
     r_attribution = Option.bind witness (attribute_witness campaign defense);
   }
 
-(* The serial driver: one cell after another, checkpointing the
-   campaign's progress to [checkpoint] after every program and resuming
-   from it when it matches the campaign.  [program_of] lets harnesses
-   splice specific programs into the campaign (used by the robustness
-   self-tests); it is asked once per program, in index order. *)
-let run_resilient ?checkpoint ?shrink ?shrink_budget ?program_of campaign
+(* The serial driver: one cell after another, then [finish].
+   [program_of] lets harnesses splice specific programs into the
+   campaign (used by the robustness self-tests); it is asked once per
+   program, in index order, as the program starts. *)
+let run_resilient ?shrink ?shrink_budget ?program_of campaign
     (defense : Protean_defense.Defense.t) =
-  let resumed =
-    match Option.bind checkpoint Checkpoint.load with
-    | Some c when Checkpoint.matches campaign c -> Some c
-    | _ -> None
-  in
-  let progress = ref (Checkpoint.start ?resumed campaign) in
   let cells = ref [] and witness_program = ref None in
-  for index = !progress.Checkpoint.ck_next to campaign.programs - 1 do
+  for index = 0 to campaign.programs - 1 do
     let program = Option.bind program_of (fun f -> f index) in
     let cell = test_cell ?program campaign defense index in
     cells := cell :: !cells;
     if !witness_program = None && cell.c_outcome.example <> None then
-      witness_program := Some (index, program);
-    progress := Checkpoint.advance !progress cell;
-    Option.iter (fun path -> Checkpoint.save path !progress) checkpoint
+      witness_program := Some (index, program)
   done;
-  finish ?shrink ?shrink_budget ?resumed
+  finish ?shrink ?shrink_budget
     ~program:(fun index ->
       match !witness_program with Some (i, p) when i = index -> p | _ -> None)
     campaign defense (List.rev !cells)

@@ -12,7 +12,8 @@
     Long campaigns additionally get a robustness layer: a per-program
     exception barrier with retry-once-then-skip ([run_resilient]),
     watchdog-enforced per-simulation cycle budgets, counterexample
-    shrinking, JSON checkpoint/resume, and a fault-injection self-test
+    shrinking, a cell codec a checkpoint resumes through, and a
+    fault-injection self-test
     ([self_test]) that verifies the campaign would actually flag a broken
     defense. *)
 
@@ -96,8 +97,9 @@ val generate_program : campaign -> int -> Program.t
 
     A campaign decomposes into one independent cell per program
     (per-program seeded RNG).  Every driver computes cells its own way
-    — serially ({!run_resilient}), on domains, or in shard worker
-    processes through the cell codec — and hands them to {!finish}. *)
+    — serially ({!run_resilient}), on domains, in shard worker processes
+    or in an earlier run a checkpoint resumes, the last two through the
+    cell codec — and hands them to {!finish}. *)
 
 type cell = {
   c_index : int;  (** program index in the campaign *)
@@ -122,7 +124,8 @@ val test_cell :
     the cell as a structured fault. *)
 
 val cell_to_json : campaign -> cell -> Protean_telemetry.Json.t
-(** The cell as a shard frame payload (its index rides in the frame).
+(** The cell as a shard frame or checkpoint payload (its index rides
+    alongside).
     Certificate counters are encoded only when the campaign audits
     certificates. *)
 
@@ -138,40 +141,6 @@ type shrunk = {
   sh_verified : bool;  (** the shrunk program still violates *)
 }
 
-(** {1 Campaign checkpointing} *)
-
-module Checkpoint : sig
-  type t = {
-    ck_seed : int;
-    ck_programs : int;
-    ck_inputs : int;
-    ck_next : int;  (** next program index to run *)
-    ck_faulted : int;  (** programs skipped so far *)
-    ck_check_certs : bool;
-        (** the campaign audits certificates: the certificate counters
-            and first violation are saved too *)
-    ck_outcome : outcome;  (** merged over programs [0, ck_next) *)
-  }
-
-  val to_json : t -> string
-  val of_json : string -> t option
-  (** Reads every version-1 file; absent certificate fields read as
-      0 / none. *)
-
-  val save : string -> t -> unit
-  (** Atomic (write-then-rename) save. *)
-
-  val load : ?warn:(string -> unit) -> string -> t option
-  (** [None] when the file is absent or malformed.  A file that exists
-      but fails to parse (e.g. truncated by a crash mid-write of a
-      non-atomic copy) additionally invokes [warn] (default: a warning
-      line on stderr) before being ignored, so a silently restarted
-      campaign leaves a trace. *)
-
-  val matches : campaign -> t -> bool
-  (** Does the checkpoint belong to this campaign (seed, sizes)? *)
-end
-
 (** {1 Crash-resilient campaigns} *)
 
 type skip = {
@@ -182,10 +151,8 @@ type skip = {
 
 type report = {
   r_outcome : outcome;
-  r_completed : int;  (** programs fully tested (including resumed ones) *)
+  r_completed : int;  (** programs fully tested *)
   r_skipped : skip list;  (** programs dropped after retry, oldest first *)
-  r_resumed_from : int option;
-      (** index a matching checkpoint resumed at *)
   r_counterexample : shrunk option;  (** shrunk first violation *)
   r_attribution : Protean_telemetry.Window.attribution option;
       (** the first violation replayed with a full-mode
@@ -201,22 +168,19 @@ type report = {
 val finish :
   ?shrink:bool ->
   ?shrink_budget:int ->
-  ?resumed:Checkpoint.t ->
   ?program:(int -> Program.t option) ->
   campaign ->
   Protean_defense.Defense.t ->
   cell list ->
   report
 (** The one campaign merge, whichever way the cells were computed: merge
-    [cells] in index order (onto the totals of the checkpoint the
-    campaign [resumed] from), list the skips, then replay the first cell
+    [cells] in index order, list the skips, then replay the first cell
     with a violation example to capture its witness, which is shrunk
     ([shrink], default true) and attributed.  [program] overrides the
     replayed program's code (default: the generated one).  A campaign
     without violations replays nothing. *)
 
 val run_resilient :
-  ?checkpoint:string ->
   ?shrink:bool ->
   ?shrink_budget:int ->
   ?program_of:(int -> Program.t option) ->
@@ -224,11 +188,9 @@ val run_resilient :
   Protean_defense.Defense.t ->
   report
 (** The serial driver: {!test_cell} for each program in index order,
-    then {!finish}.  [checkpoint] names a JSON state file saved after
-    every program and resumed from when it matches the campaign.
-    [program_of] overrides the generated program at selected indices
-    (harness self-tests); it is asked once per program, in index
-    order. *)
+    then {!finish}.  [program_of] overrides the generated program at
+    selected indices (harness self-tests); it is asked once per program,
+    in index order, as the program starts. *)
 
 (** {1 Fuzzer self-test via fault injection} *)
 

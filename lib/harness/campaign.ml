@@ -1,24 +1,23 @@
 (* The campaign driver shared by protean-sim, protean-tables and
    protean-fuzz: the flags all three declare, the process set-up they
-   imply, and the dispatch between the four ways a run executes.
-
-   - [--worker]: serve cells to a supervisor over frames on
-     stdin/stdout (this process was spawned by [--shards]);
-   - [--connect HOST:PORT]: serve cells as a dial-in worker of a
-     [--listen]ing supervisor;
-   - [--shards N] (N > 1) or [--listen HOST:PORT]: supervise — lease the
-     cells to worker processes through {!Supervisor.run}, with the run
-     log, the telemetry observer and the live /metrics endpoint;
-   - otherwise the binary's own in-process path ([-j] domains).
-
-   A binary supplies only what differs: its cells, how a worker
-   computes one, how merged outcomes render, and its in-process path.
-   The run-wide modes travel as one [Experiment.options] value. *)
+   imply, and the dispatch of a run.  A process serves cells to a
+   supervisor ([--worker] on stdin/stdout, [--connect HOST:PORT] over
+   TCP), or runs the campaign one of three ways: supervising spawned
+   workers ([--shards N]) or dial-in ones ([--listen]) through
+   {!Supervisor.run}, or in process on [-j] domains — the supervisor's
+   own fallback.  Every way appends each completed cell to the
+   [--checkpoint] file, a rerun of the same campaign ({!identity})
+   computes only the cells it lacks, and the binary's [merge] renders
+   them all in cell order, so every mode prints what a serial run
+   prints.  A binary supplies only its cells, how one is computed and
+   how merged outcomes render; the run-wide modes travel as one
+   [Experiment.options] value. *)
 
 open Cmdliner
 module Json = Shard.Json
 module Fault_inject = Protean_defense.Fault_inject
 module Trace = Protean_telemetry.Trace
+module Tlog = Protean_telemetry.Log
 
 type t = {
   jobs : int; (* resolved: [-j 0] means every core *)
@@ -32,6 +31,7 @@ type t = {
   metrics_listen : string option;
   check_certs : bool; (* each binary gives it its own meaning *)
   paranoid_sched : bool;
+  checkpoint : string option;
 }
 
 let term ~check_certs_doc =
@@ -43,7 +43,8 @@ let term ~check_certs_doc =
   in
   let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
   let make jobs shards worker metrics_out trace_out flamegraph_out attr_out
-      log_json listen connect token metrics_listen check_certs paranoid_sched =
+      log_json listen connect token metrics_listen check_certs paranoid_sched
+      checkpoint =
     {
       jobs = (if jobs = 0 then Parallel.default_jobs () else max 1 jobs);
       shards = max 1 shards;
@@ -56,6 +57,7 @@ let term ~check_certs_doc =
       metrics_listen;
       check_certs;
       paranoid_sched;
+      checkpoint;
     }
   in
   Term.(
@@ -124,7 +126,17 @@ let term ~check_certs_doc =
          in-flight and LSQ queues, wakeup chains, dormancy) against a \
          brute-force ROB scan every cycle, on the spinning machine \
          (skip-ahead off), raising a simulation fault on any mismatch. \
-         Slow; a debugging aid for scheduler changes. Output is unchanged.")
+         Slow; a debugging aid for scheduler changes. Output is unchanged."
+    $ Arg.(
+        value
+        & opt (some string) None
+        & info [ "checkpoint" ] ~docv:"FILE"
+            ~doc:
+              "Append each completed cell to $(docv); rerunning the same \
+               campaign (same arguments, apart from -j and the supervisor \
+               flags) in any mode computes only the cells it lacks and \
+               prints what the uninterrupted run prints. A file of another \
+               campaign is ignored and overwritten."))
 
 (* Is this process a worker ([--worker] or [--connect])?  Workers keep
    the exporter flags so they collect telemetry for their cells (it
@@ -164,113 +176,184 @@ let setup c =
 
 (* Flags that configure only the supervising process.  They must not
    reach a spawned worker's argv: the worker re-runs the same discovery
-   pass, and any argv drift would change the cell enumeration.  (The
+   pass, and any argv drift would change the cell enumeration.  A worker
+   never writes the checkpoint, so [--checkpoint] is one of them.  (The
    boolean [--inject-faults] of protean-fuzz is its in-process self-test
    and never reaches a supervised run.) *)
 let supervisor_flags =
   [
     "--shards"; "--inject-faults"; "--inject-worker-fault"; "--shard-heartbeat";
-    "--shard-wall"; "--checkpoint-dir"; "--listen"; "--metrics-listen";
+    "--shard-wall"; "--checkpoint"; "--listen"; "--metrics-listen";
     "--campaign-token";
   ]
 
-(* What a binary hands the dispatcher: its cells (dense ids 0..n-1), a
-   worker's computation of one cell key, the in-process computation the
-   supervisor falls back to, and the rendering of merged outcomes. *)
+(* The campaign this process runs: the binary's basename and the
+   arguments a spawned worker receives, minus those that only place cells
+   ([--worker], [--connect ADDR], [-j]).  Spawned workers rely on "same
+   arguments, same cells under the same options"; the identity makes that
+   the one definition of "same campaign" for the checkpoint header and
+   the dial-in handshake, covering every option a cell reads without a
+   list to keep up to date.  [argv] defaults to [Sys.argv]. *)
+let identity ?argv () =
+  let argv =
+    Supervisor.self_worker_argv ?argv
+      ~drop:(supervisor_flags @ [ "--connect"; "--jobs"; "-j" ])
+      ()
+  in
+  let placement a =
+    a = "--worker"
+    || (String.length a > 2 && String.sub a 0 2 = "-j" && a.[2] <> '-')
+  in
+  match Array.to_list argv with
+  | exe :: args ->
+      String.concat " "
+        (Filename.basename exe :: List.filter (fun a -> not (placement a)) args)
+  | [] -> ""
+
+(* What a binary hands the dispatcher: its cells (dense ids 0..n-1), the
+   computation of one cell key (in a worker or in process), and the
+   rendering of merged outcomes. *)
 type 'a job = {
   cells : Shard.cell list;
   compute : string -> Json.t;
-  fallback : string -> Json.t;
   merge : (int * Supervisor.outcome) list -> 'a;
 }
 
-(* Supervise [job].  The /metrics listener is bound before the job is
-   built, so its port is announced as early as possible; the supervision
-   loop answers it. *)
+(* Compute [cells] in process on [-j] domains, handing each result to
+   [record] as it completes.  The in-process mode, and the supervisor's
+   fallback when it cannot reach workers. *)
+let in_process c job ~record (cells : Shard.cell list) =
+  Array.to_list
+    (Parallel.map ~jobs:c.jobs
+       (Array.of_list
+          (List.map
+             (fun (cell : Shard.cell) () ->
+               let r = job.compute cell.Shard.c_key in
+               record cell.Shard.c_id r;
+               (cell.Shard.c_id, r))
+             cells)))
+
+(* Lease [cells] to worker processes: spawned by [--shards], or dialing
+   in to [--listen]. *)
 let supervise c ?(heartbeat = Supervisor.default_config.Supervisor.heartbeat)
-    ?(wall = Supervisor.default_config.Supervisor.wall) ?checkpoint_dir ?inject
-    ~opts ~src ~live job =
-  let http =
-    Option.bind c.metrics_listen (fun addr ->
-        Report.listen_metrics ~src addr live)
+    ?(wall = Supervisor.default_config.Supervisor.wall) ?inject ~opts ~http
+    ~record job cells =
+  let bus = Supervisor.create_bus () in
+  Supervisor.subscribe bus ~name:"log" Supervisor.logger;
+  if Report.wanted c.tele || c.metrics_listen <> None then
+    Supervisor.subscribe bus ~name:"telemetry"
+      (Report.supervisor_observer ?trace:opts.Experiment.trace ());
+  let pool =
+    Option.map
+      (fun addr ->
+        {
+          Supervisor.default_pool_config with
+          Supervisor.pl_listen = addr;
+          pl_token = c.token;
+          pl_campaign = identity ();
+        })
+      c.listen
   in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Protean_telemetry.Http_listener.close http)
-    (fun () ->
-      let job = job () in
-      if job.cells = [] then job.merge []
-      else begin
-        let config =
-          {
-            Supervisor.default_config with
-            Supervisor.shards = c.shards;
-            heartbeat;
-            wall;
-            checkpoint_dir;
-            inject = Option.map Fault_inject.worker_mode_of_string inject;
-          }
-        in
-        let bus = Supervisor.create_bus () in
-        Supervisor.subscribe bus ~name:"log" Supervisor.logger;
-        if Report.wanted c.tele || c.metrics_listen <> None then
-          Supervisor.subscribe bus ~name:"telemetry"
-            (Report.supervisor_observer ?trace:opts.Experiment.trace ());
-        let pool =
-          Option.map
-            (fun addr ->
-              {
-                Supervisor.default_pool_config with
-                Supervisor.pl_listen = addr;
-                pl_token = c.token;
-                pl_options = Experiment.options_tag opts;
-              })
-            c.listen
-        in
-        let fallback remaining =
-          Array.to_list
-            (Parallel.map ~jobs:c.jobs
-               (Array.of_list
-                  (List.map
-                     (fun (cell : Shard.cell) () ->
-                       (cell.Shard.c_id, job.fallback cell.Shard.c_key))
-                     remaining)))
-        in
-        job.merge
-          (Supervisor.run ~bus ?pool ?http
-             ~worker_argv:(Supervisor.self_worker_argv ~drop:supervisor_flags ())
-             config ~fallback job.cells)
-      end)
+  Supervisor.run ~bus ?pool ?http ~on_result:record
+    ~worker_argv:(Supervisor.self_worker_argv ~drop:supervisor_flags ())
+    {
+      Supervisor.default_config with
+      Supervisor.shards = c.shards;
+      heartbeat;
+      wall;
+      inject = Option.map Fault_inject.worker_mode_of_string inject;
+    }
+    ~fallback:(in_process c job ~record)
+    cells
+
+(* Open [c]'s checkpoint over [cells], if any: the handle and the cells it
+   already holds.  A path that cannot be written ends the run here. *)
+let open_checkpoint c ~src (cells : Shard.cell list) =
+  match c.checkpoint with
+  | None -> (None, [])
+  | Some path -> (
+      match Checkpoint.resume ~campaign:(identity ()) ~cells path with
+      | ck, resumed ->
+          Experiment.log_line "[checkpoint] resumed %d of %d cells from %s"
+            (List.length resumed) (List.length cells) path;
+          Report.count_resumed (List.length resumed);
+          (Some ck, resumed)
+      | exception Sys_error msg ->
+          Tlog.error ~src "--checkpoint %s: %s" path msg;
+          exit 2)
 
 (* Run one campaign the way [c]'s flags say, under [opts].  [job] is
-   only built when this process serves or supervises; [src] tags log
-   lines and [live] renders a /metrics scrape.  [None] means this
-   process served as a worker and has nothing to render. *)
-let run ~opts ?heartbeat ?wall ?checkpoint_dir ?inject ~src ~live
-    ~(job : unit -> 'a job) ~(in_process : unit -> 'a) c : 'a option =
+   only built once this process knows it serves or runs the campaign;
+   [src] tags log lines and [live] renders a /metrics scrape.  [None]
+   means this process served as a worker and has nothing to render.
+   Worker-fault injection ([inject]) rides in the environment of spawned
+   workers, so any run that spawns none refuses it. *)
+let run ~opts ?heartbeat ?wall ?inject ~src ~live ~(job : unit -> 'a job) c :
+    'a option =
+  if inject <> None && not (c.shards > 1 && c.listen = None) then begin
+    Tlog.error ~src
+      "worker-fault injection arms spawned workers: it needs --shards N (N > \
+       1) without --listen";
+    exit 2
+  end;
   match (c.worker, c.connect) with
   | true, _ ->
       Shard.worker_main ~jobs:c.jobs ~compute:(job ()).compute ();
       None
   | false, Some addr ->
       Shard.connect_worker ~jobs:c.jobs ~addr ~token:c.token
-        ~options:(Experiment.options_tag opts) ~compute:(job ()).compute ();
+        ~campaign:(identity ()) ~compute:(job ()).compute ();
       None
-  | false, None when supervised c ->
-      Some
-        (supervise c ~opts ?heartbeat ?wall ?checkpoint_dir ?inject ~src ~live
-           job)
-  | false, None -> Some (in_process ())
+  | false, None ->
+      (* The /metrics listener is bound before the job is built, so its
+         port is announced as early as possible; the supervision loop
+         answers it. *)
+      let http =
+        if not (supervised c) then None
+        else
+          Option.bind c.metrics_listen (fun addr ->
+              Report.listen_metrics ~src addr live)
+      in
+      Fun.protect
+        ~finally:(fun () -> Option.iter Protean_telemetry.Http_listener.close http)
+        (fun () ->
+          let job = job () in
+          let ck, resumed = open_checkpoint c ~src job.cells in
+          let record id r = Option.iter (fun ck -> Checkpoint.record ck id r) ck in
+          let resumed_ids = Hashtbl.of_seq (List.to_seq resumed) in
+          let remaining =
+            List.filter
+              (fun (cell : Shard.cell) ->
+                not (Hashtbl.mem resumed_ids cell.Shard.c_id))
+              job.cells
+          in
+          let ok = List.map (fun (id, r) -> (id, Supervisor.O_ok r)) in
+          let fresh =
+            Fun.protect
+              ~finally:(fun () -> Option.iter Checkpoint.close ck)
+              (fun () ->
+                if remaining = [] then []
+                else if supervised c then
+                  supervise c ?heartbeat ?wall ?inject ~opts ~http ~record job
+                    remaining
+                else ok (in_process c job ~record remaining))
+          in
+          Some
+            (job.merge
+               (List.sort
+                  (fun (a, _) (b, _) -> compare (a : int) b)
+                  (ok resumed @ fresh))))
 
 (* An experiment grid: [gen] is a table or figure generator memoized
-   through [session].  Serving or supervising, the discovery pass
-   enumerates its cells (sorted by key, so supervisor and workers agree
-   on them), workers compute [Experiment.run_result]s, and the merged
-   results are installed in the session before [gen] replays — making
-   the output byte-identical to the serial run.  A poisoned cell
-   resolves to the grid's faulted sentinel (a nan cell) plus a
-   structured fault report.  In process, [Experiment.prewarm] fills the
-   cells on [-j] domains, all under the session's options. *)
-let grid c ?heartbeat ?wall ?checkpoint_dir ?inject ~src session gen =
+   through [session].  The discovery pass enumerates its cells (sorted
+   by key, so supervisor and workers agree on them), each is computed
+   as an [Experiment.run_result] — in a worker, in process, or resumed
+   from the checkpoint — and the merged results are installed in the
+   session before [gen] replays, making the output byte-identical to the
+   serial run.  A poisoned cell resolves to the grid's faulted sentinel
+   (a nan cell) plus a structured fault report.  Every cell runs under
+   the session's options. *)
+let grid c ?heartbeat ?wall ?inject ~src session gen =
   let module E = Experiment in
   let job () =
     let cells = E.discover session gen in
@@ -279,9 +362,8 @@ let grid c ?heartbeat ?wall ?checkpoint_dir ?inject ~src session gen =
        grouped cells land on the same worker and its process-local
        frontend cache is built once per group instead of once per
        shard-span fragment.  Purely a scheduling permutation — the merge
-       is key-based, so replayed output stays byte-identical.  Only the
-       supervisor needs it (a worker resolves cells by key), and it runs
-       before the first spawn, so each group key is formatted once. *)
+       is key-based, so replayed output stays byte-identical.  A worker
+       resolves cells by key, so it skips the sort. *)
     let cells =
       if serving c || not !E.share_frontend then cells
       else
@@ -292,17 +374,16 @@ let grid c ?heartbeat ?wall ?checkpoint_dir ?inject ~src session gen =
     in
     let specs = Hashtbl.create 64 in
     List.iter (fun (k, s) -> Hashtbl.replace specs k s) cells;
-    let compute key =
-      match Hashtbl.find_opt specs key with
-      | Some spec ->
-          Supervisor.Grid.result_to_json (E.compute ~opts:session.E.opts spec)
-      | None -> failwith ("unknown cell key: " ^ key)
-    in
     let keys = Array.of_list (List.map fst cells) in
     {
       cells = List.mapi (fun i (k, _) -> { Shard.c_id = i; c_key = k }) cells;
-      compute;
-      fallback = compute;
+      compute =
+        (fun key ->
+          match Hashtbl.find_opt specs key with
+          | Some spec ->
+              Supervisor.Grid.result_to_json
+                (E.compute ~opts:session.E.opts spec)
+          | None -> failwith ("unknown cell key: " ^ key));
       merge =
         (fun outcomes ->
           E.install session
@@ -320,7 +401,5 @@ let grid c ?heartbeat ?wall ?checkpoint_dir ?inject ~src session gen =
     }
   in
   ignore
-    (run ~opts:session.E.opts ?heartbeat ?wall ?checkpoint_dir ?inject ~src
-       ~live:(Report.live_metrics session) ~job
-       ~in_process:(fun () -> E.prewarm ~jobs:c.jobs session gen)
-       c)
+    (run ~opts:session.E.opts ?heartbeat ?wall ?inject ~src
+       ~live:(Report.live_metrics session) ~job c)

@@ -136,7 +136,8 @@ type run_result = {
 (* The run-wide modes, one immutable value per run: built once from
    the parsed flags ([Campaign.setup]) and carried by the session.  A
    spawned worker re-parses the same argv, so it builds the same value;
-   a dial-in worker proves it did in the handshake ({!options_tag}).
+   a dial-in worker proves it runs that argv in the handshake
+   ([Campaign.identity]).
    Every mode defaults off, so a run without flags simulates exactly
    the plain cell: no profiler, no ledger, no audit. *)
 type options = {
@@ -162,19 +163,6 @@ let default_options =
     trace = None;
     on_cert = None;
   }
-
-(* Every field a worker's cells read, readably: a dial-in worker's tag
-   must equal its supervisor's.  [trace] and [on_cert] belong to the
-   process that owns them, not to the cells. *)
-let options_tag o =
-  Printf.sprintf
-    "check_certs=%b,policy_metrics=%b,flame=%b,window=%b,paranoid_sched=%b,\
-     invariants=%s"
-    o.check_certs o.policy_metrics o.flame o.window o.paranoid_sched
-    (match o.invariants with
-    | None -> "off"
-    | Some (mode, every) ->
-        Printf.sprintf "%s/%d" (Invariants.mode_name mode) every)
 
 let default_fuel = 30_000_000
 
@@ -240,7 +228,7 @@ let frontend_key spec =
     | None -> if spec.multiclass then "multiclass" else "base")
     spec.multiclass
 
-(* Process-wide and mutex-guarded: parallel prewarm fills run on
+(* Process-wide and mutex-guarded: [-j] grids compute cells on
    multiple domains.  Keyed by the frontend key and whether the build was
    audited, so an unaudited build never stands in for an audited one. *)
 let frontend_cache : (string * bool, frontend) Hashtbl.t = Hashtbl.create 64
@@ -440,19 +428,18 @@ let execute ?(opts = default_options) spec =
   }
 
 (* Memoized session.  [collect], when set, switches [run] into a
-   discovery mode used by {!prewarm}: cache misses are recorded (keyed
+   discovery mode used by {!discover}: cache misses are recorded (keyed
    for dedup) instead of simulated, so one silenced dry run of a
-   generator yields the work-list for the parallel grid fill.  [opts]
-   are the modes every cell of the session is computed under. *)
+   generator yields the work-list of a grid.  [opts] are the modes every
+   cell of the session is computed under. *)
 type session = {
   cache : (string, run_result) Hashtbl.t;
-  mutable log : bool;
   mutable collect : (string, run_spec) Hashtbl.t option;
   opts : options;
 }
 
-let create_session ?(log = false) ?(opts = default_options) () =
-  { cache = Hashtbl.create 128; log; collect = None; opts }
+let create_session ?(opts = default_options) () =
+  { cache = Hashtbl.create 128; collect = None; opts }
 
 let key spec =
   (* The suite qualifies the name: e.g. `mcf` exists in both the
@@ -476,9 +463,9 @@ let faulted_result =
     window = [];
   }
 
-(* Diagnostic lines (fault reports, [run] cache-miss logs, [prewarm]
-   progress) are emitted by parallel fill workers on several domains —
-   and, under supervised execution, by several *processes*.  They all
+(* Diagnostic lines (fault reports, supervisor lifecycle) are emitted
+   by grid cells on several domains — and, under supervised execution,
+   by several *processes*.  They all
    route through the structured logger ([Telemetry.Log]), whose single
    mutex-serialized sink keeps lines whole; shard workers retarget the
    sink at the supervisor's frame protocol so per-worker output never
@@ -529,7 +516,6 @@ let run session spec =
           if not (Hashtbl.mem pending k) then Hashtbl.replace pending k spec;
           faulted_result
       | None ->
-          if session.log then log_line "[run] %s" k;
           let r = compute ~opts:session.opts spec in
           Hashtbl.replace session.cache k r;
           r)
@@ -560,24 +546,26 @@ let protcc_overhead session bench pass =
   (r.code_size_ratio, r.cycles /. u.cycles, r.inserted_moves)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel grid prewarm                                               *)
+(* Grids                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Run [gen] (a table/figure generator driving [run] through [session])
-   with all its simulations executed on [jobs] domains, producing output
-   byte-identical to the serial run.  Three phases:
+(* A table/figure generator [gen] driving [run] through [session] runs
+   as a grid ([Campaign.grid]) in three phases, producing output
+   byte-identical to a plain serial [gen ()]:
 
    1. discovery — [gen] runs once with [Format.std_formatter] silenced
       and the session in collect mode, so every cache miss is recorded
       (deduplicated, no simulation happens);
-   2. fill — the recorded cells, sorted by key for a deterministic task
-      order, run under {!Parallel.map} and land in the session cache;
-   3. replay — [gen] runs again serially; every [run] now hits the warm
-      cache, so the printed output is exactly the serial output.
+   2. fill — the recorded cells are computed (on [-j] domains, worker
+      processes or resumed from a checkpoint) and land in the session
+      cache ({!install});
+   3. replay — [gen] runs again; every [run] now hits the warm cache,
+      so the printed output is exactly the serial output.
 
    Correctness rests on generators being output-only consumers: the set
    of cells they request doesn't depend on cell results, and cells are
-   pure functions of their spec.  [jobs <= 1] just runs [gen]. *)
+   pure functions of their spec. *)
+
 (* Discovery (phase 1): run [gen] silenced with the session in collect
    mode and return the cache misses sorted by key — a deterministic cell
    list, so independent processes that run the same discovery enumerate
@@ -585,12 +573,10 @@ let protcc_overhead session bench pass =
    depends on this). *)
 let discover session (gen : unit -> unit) =
   let pending = Hashtbl.create 64 in
-  let saved_log = session.log in
   let ppf = Format.std_formatter in
   let saved_out = Format.pp_get_formatter_out_functions ppf () in
   Format.pp_print_flush ppf ();
   session.collect <- Some pending;
-  session.log <- false;
   Format.pp_set_formatter_out_functions ppf
     {
       Format.out_string = (fun _ _ _ -> ());
@@ -603,8 +589,7 @@ let discover session (gen : unit -> unit) =
     ~finally:(fun () ->
       Format.pp_print_flush ppf ();
       Format.pp_set_formatter_out_functions ppf saved_out;
-      session.collect <- None;
-      session.log <- saved_log)
+      session.collect <- None)
     gen;
   List.sort
     (fun (a, _) (b, _) -> compare a b)
@@ -616,11 +601,9 @@ let install session results =
   List.iter (fun (k, r) -> Hashtbl.replace session.cache k r) results
 
 (* Batch the (key-sorted) cell list by frontend group, preserving the
-   order of first appearance.  Each group is the parallel-fill
-   scheduling unit: its cells run sequentially on one domain, so the
-   group's frontend is prepared exactly once instead of being raced by
-   every cell.  With sharing disabled every cell is its own group —
-   the pre-sharing per-cell schedule. *)
+   order of first appearance: a scheduling unit whose cells, run in
+   sequence, prepare the group's frontend exactly once.  With sharing
+   disabled every cell is its own group. *)
 let group_cells cells =
   if not !share_frontend then List.map (fun c -> [ c ]) cells
   else begin
@@ -636,24 +619,4 @@ let group_cells cells =
             order := fk :: !order)
       cells;
     List.rev_map (fun fk -> List.rev !(Hashtbl.find tbl fk)) !order
-  end
-
-let prewarm ?(jobs = Parallel.default_jobs ()) session (gen : unit -> unit) =
-  if jobs <= 1 then gen ()
-  else begin
-    let cells = discover session gen in
-    let groups = group_cells cells in
-    if session.log then
-      log_line "[prewarm] %d cells in %d frontend groups on %d domains"
-        (List.length cells) (List.length groups) jobs;
-    let tasks =
-      Array.of_list
-        (List.map
-           (fun group () ->
-             List.map (fun (k, s) -> (k, compute ~opts:session.opts s)) group)
-           groups)
-    in
-    let results = Parallel.map ~jobs tasks in
-    install session (List.concat (Array.to_list results));
-    gen ()
   end

@@ -108,6 +108,14 @@ let count_cert ~style ~claims ~violations =
   Metrics.inc ~n:violations
     (c "violations_total" "certificate claims refuted by the checker")
 
+(* --checkpoint: the cells a run resumed instead of computing, in every
+   mode.  A runtime family, like the supervisor's: how much of the
+   campaign this process computed is a fact about this run. *)
+let count_resumed n =
+  Metrics.inc ~n
+    (Metrics.counter runtime ~help:"cells resumed from checkpoints"
+       "protean_supervisor_checkpoint_cells_total")
+
 (* ------------------------------------------------------------------ *)
 (* Deterministic metrics from the session cache                        *)
 (* ------------------------------------------------------------------ *)
@@ -366,9 +374,6 @@ let supervisor_observer ?trace () =
   let retries = c "retries_total" "shard retry attempts" in
   let bisects = c "bisects_total" "shard bisections" in
   let poisoned = c "poisoned_cells_total" "cells poisoned after retries" in
-  let checkpoint =
-    c "checkpoint_cells_total" "cells resumed from checkpoints"
-  in
   let fallbacks = c "fallbacks_total" "in-process fallbacks" in
   let merged = c "merged_cells_total" "cells in the final merge" in
   let connects = c "workers_connected_total" "dial-in workers accepted" in
@@ -398,8 +403,6 @@ let supervisor_observer ?trace () =
     | Supervisor.Retry _ -> Metrics.inc retries
     | Supervisor.Bisect _ -> Metrics.inc bisects
     | Supervisor.Poisoned _ -> Metrics.inc poisoned
-    | Supervisor.Checkpoint_loaded { cells } ->
-        Metrics.inc ~n:cells checkpoint
     | Supervisor.Fallback _ -> Metrics.inc fallbacks
     | Supervisor.Merged { cells; _ } -> Metrics.inc ~n:cells merged
     | Supervisor.Worker_connected _ -> Metrics.inc connects

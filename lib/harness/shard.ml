@@ -18,10 +18,10 @@
      {"t":"reject","reason":S}    TCP pool: handshake refused
 
    worker -> supervisor
-     {"t":"hello","v":I,"token":S,"options":S}
+     {"t":"hello","v":I,"token":S,"campaign":S}
                                   TCP pool: dial-in handshake (protocol
                                   version, campaign token and the
-                                  worker's [Experiment.options_tag])
+                                  worker's [Campaign.identity])
      {"t":"hb","next":I}          about to compute cell id I (liveness)
      {"t":"result","id":I,"r":J}  cell I computed, payload J
      {"t":"cellfault","id":I,"reason":S}
@@ -81,7 +81,7 @@ let ignore_sigpipe () =
 (* Version of the frame protocol, exchanged in the TCP pool handshake:
    a worker built from a different protocol generation is rejected at
    dial-in instead of corrupting a campaign mid-run. *)
-let protocol_version = 2
+let protocol_version = 3
 
 (* Structured protocol fault: the stream violated the framing rules
    (oversized or negative length prefix, truncated payload).  Distinct
@@ -96,7 +96,7 @@ type cell = { c_id : int; c_key : string }
 type frame =
   | F_work of cell list
   | F_exit
-  | F_hello of { h_version : int; h_token : string; h_options : string }
+  | F_hello of { h_version : int; h_token : string; h_campaign : string }
   | F_welcome of int (* the supervisor's protocol version *)
   | F_reject of string
   | F_hb of int (* next cell id the worker is about to compute *)
@@ -119,13 +119,13 @@ let frame_to_json = function
                  cells) );
         ]
   | F_exit -> Json.Obj [ ("t", Json.Str "exit") ]
-  | F_hello { h_version; h_token; h_options } ->
+  | F_hello { h_version; h_token; h_campaign } ->
       Json.Obj
         [
           ("t", Json.Str "hello");
           ("v", Json.Int h_version);
           ("token", Json.Str h_token);
-          ("options", Json.Str h_options);
+          ("campaign", Json.Str h_campaign);
         ]
   | F_welcome v -> Json.Obj [ ("t", Json.Str "welcome"); ("v", Json.Int v) ]
   | F_reject reason ->
@@ -162,8 +162,8 @@ let frame_of_json j =
           h_token = Json.(to_str (member "token" j));
           (* absent from older protocol generations, which the version
              check turns away *)
-          h_options =
-            (match Json.member "options" j with Json.Str o -> o | _ -> "");
+          h_campaign =
+            (match Json.member "campaign" j with Json.Str c -> c | _ -> "");
         }
   | "welcome" -> F_welcome Json.(to_int (member "v" j))
   | "reject" -> F_reject Json.(to_str (member "reason" j))
@@ -620,12 +620,10 @@ let worker_main ?jobs ~compute () =
    the cap, however many attempts it has made.
 
    Raises [Failure] if the supervisor rejects the handshake (wrong
-   token, options or protocol version: redialing would be rejected
+   token, campaign or protocol version: redialing would be rejected
    again). *)
 let connect_worker ?jobs ?(reconnect = 5) ?(backoff = 0.2)
-    ?(backoff_cap = 5.0)
-    ?options:(h_options = Experiment.(options_tag default_options)) ~addr
-    ~token ~compute () =
+    ?(backoff_cap = 5.0) ?campaign:(h_campaign = "") ~addr ~token ~compute () =
   ignore_sigpipe ();
   let session () =
     let sock = dial addr in
@@ -639,7 +637,7 @@ let connect_worker ?jobs ?(reconnect = 5) ?(backoff = 0.2)
        unauthenticated connection holds no lease to re-dispatch. *)
     match
       write_frame sock
-        (F_hello { h_version = protocol_version; h_token = token; h_options });
+        (F_hello { h_version = protocol_version; h_token = token; h_campaign });
       read_frame sock
     with
     | Some (F_welcome _) ->

@@ -24,10 +24,10 @@
      failure is isolated to a single cell, which is reported as a
      structured fault — in the style of [Pipeline.Sim_fault] — instead
      of crashing the run, while every other cell completes;
-   - checkpointing: completed cells are persisted per origin shard in
-     atomic (write-to-temp + rename) JSON files, merged
-     deterministically by cell id, so a killed *supervisor* resumes and
-     the merged output is byte-identical to a serial run;
+   - results: each cell a worker completes is handed to the caller
+     ([on_result]) as it arrives — {!Campaign.run} appends it to the
+     campaign's checkpoint — and the merge is by cell id, so it is
+     byte-identical to a serial run whichever worker computed what;
    - degradation: when processes cannot be spawned (Windows,
      PROTEAN_NO_SPAWN=1, exec failure) or no dial-in worker turns up,
      the remaining cells fall back to the in-process [fallback].
@@ -58,7 +58,6 @@ type event =
   | Retry of { shard : int; attempt : int; delay : float }
   | Bisect of { shard : int; left : int; right : int }
   | Poisoned of { cell : int; key : string; attempts : int; reason : string }
-  | Checkpoint_loaded of { cells : int }
   | Fallback of { reason : string }
   | Merged of { cells : int; faults : int }
   (* Dial-in ([--listen]) members: *)
@@ -109,8 +108,6 @@ let event_to_string = function
   | Poisoned { cell; key; attempts; reason } ->
       Printf.sprintf "cell %d poisoned after %d attempts (%s): %s" cell attempts
         key reason
-  | Checkpoint_loaded { cells } ->
-      Printf.sprintf "resumed %d cells from checkpoints" cells
   | Fallback { reason } -> Printf.sprintf "in-process fallback: %s" reason
   | Merged { cells; faults } ->
       Printf.sprintf "merged %d cells (%d faulted)" cells faults
@@ -145,7 +142,6 @@ type config = {
   wall : float; (* s per lease before its worker is killed *)
   max_attempts : int; (* failures of one lease before bisect/poison *)
   backoff : float; (* base retry delay, doubled per attempt *)
-  checkpoint_dir : string option;
   inject : Fault_inject.worker_mode option;
 }
 
@@ -156,7 +152,6 @@ let default_config =
     wall = 3600.0;
     max_attempts = 2;
     backoff = 0.25;
-    checkpoint_dir = None;
     inject = None;
   }
 
@@ -164,11 +159,11 @@ let default_config =
    supervisor listens on TCP and remote workers dial in, so a campaign
    spans machines.  Dial-in connections must present the campaign
    [token], a matching protocol version and the supervisor's own
-   options tag before they are leased any work. *)
+   campaign identity before they are leased any work. *)
 type pool_config = {
   pl_listen : string; (* HOST:PORT to bind; port 0 picks one *)
   pl_token : string; (* shared campaign secret for the handshake *)
-  pl_options : string; (* [Experiment.options_tag] every worker must match *)
+  pl_campaign : string; (* [Campaign.identity] every worker must match *)
   pl_accept_wall : float;
       (* s with work pending but no worker holding a lease before the
          campaign degrades to the in-process fallback *)
@@ -178,7 +173,7 @@ let default_pool_config =
   {
     pl_listen = "127.0.0.1:0";
     pl_token = "protean";
-    pl_options = Experiment.(options_tag default_options);
+    pl_campaign = "";
     pl_accept_wall = 60.0;
   }
 
@@ -273,8 +268,9 @@ let socket_transport fd =
    the original command line minus supervisor-only flags (so the
    worker's discovery pass enumerates exactly the same cells), plus
    [--worker].  Flags in [drop] are removed together with their
-   separate-token value; [--flag=value] spellings too. *)
-let self_worker_argv ~drop () =
+   separate-token value; [--flag=value] spellings too.  [argv] (default
+   [Sys.argv]) is the command line to start from. *)
+let self_worker_argv ?(argv = Sys.argv) ~drop () =
   let rec filter = function
     | [] -> []
     | tok :: rest when List.mem tok drop -> (
@@ -289,91 +285,11 @@ let self_worker_argv ~drop () =
     | tok :: rest -> tok :: filter rest
   in
   let args =
-    match Array.to_list Sys.argv with
+    match Array.to_list argv with
     | _ :: rest -> filter rest
     | [] -> []
   in
   Array.of_list ((Sys.executable_name :: args) @ [ "--worker" ])
-
-(* ------------------------------------------------------------------ *)
-(* Checkpoints                                                         *)
-(* ------------------------------------------------------------------ *)
-
-module Checkpoint = struct
-  let path dir origin = Filename.concat dir (Printf.sprintf "shard-%d.json" origin)
-
-  let rec ensure_dir dir =
-    if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir)
-    then begin
-      ensure_dir (Filename.dirname dir);
-      try Unix.mkdir dir 0o755
-      with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-
-  (* Atomic per-shard save: a kill mid-write leaves the previous file
-     intact, never a truncated one. *)
-  let save dir origin (completed : (int * string * Json.t) list) =
-    ensure_dir dir;
-    let file = path dir origin in
-    let tmp = file ^ ".tmp" in
-    let oc = open_out tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc
-          (Json.to_string
-             (Json.List
-                (List.map
-                   (fun (id, key, r) ->
-                     Json.Obj
-                       [ ("id", Json.Int id); ("key", Json.Str key); ("r", r) ])
-                   completed)));
-        output_char oc '\n');
-    Sys.rename tmp file
-
-  (* Load every shard-*.json in [dir]; entries whose (id, key) no longer
-     match the current cell list are ignored (a stale checkpoint from a
-     different grid must not poison the merge). *)
-  let load_all dir (cells : Shard.cell list) =
-    if not (Sys.file_exists dir) then []
-    else begin
-      let key_of = Hashtbl.create 64 in
-      List.iter (fun c -> Hashtbl.replace key_of c.Shard.c_id c.Shard.c_key) cells;
-      let files =
-        Sys.readdir dir |> Array.to_list
-        |> List.filter (fun f ->
-               String.length f > 6
-               && String.sub f 0 6 = "shard-"
-               && Filename.check_suffix f ".json")
-        |> List.sort compare
-      in
-      List.concat_map
-        (fun f ->
-          let file = Filename.concat dir f in
-          match
-            let ic = open_in_bin file in
-            let n = in_channel_length ic in
-            let s = really_input_string ic n in
-            close_in ic;
-            Json.of_string (String.trim s)
-          with
-          | exception _ -> [] (* unreadable/corrupt checkpoint: ignored *)
-          | Json.List entries ->
-              List.filter_map
-                (fun e ->
-                  match
-                    ( Json.(to_int (member "id" e)),
-                      Json.(to_str (member "key" e)) )
-                  with
-                  | id, key when Hashtbl.find_opt key_of id = Some key ->
-                      Some (id, key, Json.member "r" e)
-                  | _ -> None
-                  | exception _ -> None)
-                entries
-          | _ -> [])
-        files
-    end
-end
 
 (* ------------------------------------------------------------------ *)
 (* The supervision loop                                                *)
@@ -383,7 +299,6 @@ end
    member. *)
 type pending = {
   p_shard : int; (* display id *)
-  p_origin : int; (* initial shard this work descends from *)
   p_cells : Shard.cell list;
   p_attempt : int;
   p_not_before : float;
@@ -417,8 +332,8 @@ let split_shards shards (cells : Shard.cell list) =
       Array.to_list (Array.sub arr lo (hi - lo)))
   |> List.filter (fun l -> l <> [])
 
-(* Result ledger: which cells are resolved, the per-origin completion
-   lists that back checkpoints, and the final deterministic merge.
+(* Result ledger: which cells are resolved, and the final
+   deterministic merge.
    Commutative bookkeeping — results can arrive from any worker in any
    order and the merge is still byte-identical to a serial run. *)
 module Ledger = struct
@@ -428,12 +343,10 @@ module Ledger = struct
     g_n : int;
     g_key_of_id : (int, string) Hashtbl.t;
     g_results : (int, outcome) Hashtbl.t;
-    g_completed : (int, (int * string * Json.t) list ref) Hashtbl.t;
-    g_dir : string option;
     mutable g_faults : int;
   }
 
-  let create ~bus ~checkpoint_dir cells =
+  let create ~bus cells =
     let key_of_id = Hashtbl.create 64 in
     List.iter
       (fun c -> Hashtbl.replace key_of_id c.Shard.c_id c.Shard.c_key)
@@ -444,27 +357,19 @@ module Ledger = struct
       g_n = List.length cells;
       g_key_of_id = key_of_id;
       g_results = Hashtbl.create 64;
-      g_completed = Hashtbl.create 8;
-      g_dir = checkpoint_dir;
       g_faults = 0;
     }
 
   let have t id = Hashtbl.mem t.g_results id
   let key_of t id = try Hashtbl.find t.g_key_of_id id with Not_found -> ""
 
-  let record_ok t ~origin id r =
-    if not (have t id) then begin
-      Hashtbl.replace t.g_results id (O_ok r);
-      let lst =
-        match Hashtbl.find_opt t.g_completed origin with
-        | Some l -> l
-        | None ->
-            let l = ref [] in
-            Hashtbl.replace t.g_completed origin l;
-            l
-      in
-      lst := (id, key_of t id, r) :: !lst
-    end
+  (* [true] when [id] was not resolved before. *)
+  let record_ok t id r =
+    (not (have t id))
+    && begin
+         Hashtbl.replace t.g_results id (O_ok r);
+         true
+       end
 
   (* A structured fault is final: no retry or bisection rescues it. *)
   let poison t ~attempts id reason =
@@ -475,27 +380,6 @@ module Ledger = struct
         (O_fault { f_key = key; f_attempts = attempts; f_reason = reason });
       emit t.g_bus (Poisoned { cell = id; key; attempts; reason })
     end
-
-  let save_checkpoint t origin =
-    match t.g_dir with
-    | None -> ()
-    | Some dir -> (
-        match Hashtbl.find_opt t.g_completed origin with
-        | Some l when !l <> [] -> (
-            try Checkpoint.save dir origin (List.rev !l)
-            with Sys_error _ | Unix.Unix_error _ -> ()
-            (* checkpointing is best-effort *))
-        | _ -> ())
-
-  let load_checkpoints t =
-    match t.g_dir with
-    | None -> ()
-    | Some dir ->
-        let loaded = Checkpoint.load_all dir t.g_cells in
-        if loaded <> [] then begin
-          List.iter (fun (id, _, r) -> record_ok t ~origin:0 id r) loaded;
-          emit t.g_bus (Checkpoint_loaded { cells = List.length loaded })
-        end
 
   let remaining t =
     List.filter (fun c -> not (have t c.Shard.c_id)) t.g_cells
@@ -522,8 +406,8 @@ end
 (* Lease [remaining] to pool members until every cell is resolved.
    Returns [Some reason] when the pool gave up (exec failure, no dial-in
    worker within the accept budget) with cells still unresolved. *)
-let supervise ~bus ?spawn ?pool ?http ~worker_argv cfg (ledger : Ledger.t)
-    remaining =
+let supervise ~bus ?spawn ?pool ?http ~on_result ~worker_argv cfg
+    (ledger : Ledger.t) remaining =
   let now () = Unix.gettimeofday () in
   let next_shard = ref 0 in
   let fresh_shard () =
@@ -531,11 +415,9 @@ let supervise ~bus ?spawn ?pool ?http ~worker_argv cfg (ledger : Ledger.t)
     incr next_shard;
     s
   in
-  let fresh_lease ?origin ~not_before cells =
-    let s = fresh_shard () in
+  let fresh_lease ~not_before cells =
     {
-      p_shard = s;
-      p_origin = Option.value origin ~default:s;
+      p_shard = fresh_shard ();
       p_cells = cells;
       p_attempt = 1;
       p_not_before = not_before;
@@ -626,13 +508,8 @@ let supervise ~bus ?spawn ?pool ?http ~worker_argv cfg (ledger : Ledger.t)
                  left = List.length left;
                  right = List.length right;
                });
-          let half cells =
-            fresh_lease ~origin:p.p_origin ~not_before:(now () +. cfg.backoff)
-              cells
-          in
-          let left = half left in
-          let right = half right in
-          pending := !pending @ [ left; right ]
+          let half = fresh_lease ~not_before:(now () +. cfg.backoff) in
+          pending := !pending @ [ half left; half right ]
   in
   (* Close [m]'s transport; a spawn is reaped, giving its exit status. *)
   let hang_up m =
@@ -673,7 +550,6 @@ let supervise ~bus ?spawn ?pool ?http ~worker_argv cfg (ledger : Ledger.t)
     match m.m_lease with
     | Some p ->
         m.m_lease <- None;
-        Ledger.save_checkpoint ledger p.p_origin;
         requeue p reason
     | None -> ()
   in
@@ -767,7 +643,6 @@ let supervise ~bus ?spawn ?pool ?http ~worker_argv cfg (ledger : Ledger.t)
     | None -> ()
     | Some p ->
         m.m_lease <- None;
-        Ledger.save_checkpoint ledger p.p_origin;
         requeue p "lease completed with missing results";
         if m.m_spawned then
           try Shard.write_frame m.m_tr.t_write Shard.F_exit
@@ -780,7 +655,7 @@ let supervise ~bus ?spawn ?pool ?http ~worker_argv cfg (ledger : Ledger.t)
     retire m
   in
   let token = match pool with Some p -> p.pl_token | None -> "" in
-  let options = match pool with Some p -> p.pl_options | None -> "" in
+  let campaign = match pool with Some p -> p.pl_campaign | None -> "" in
   let handshake m = function
     | Shard.F_hello { h_version; _ } when h_version <> Shard.protocol_version ->
         reject m
@@ -788,9 +663,9 @@ let supervise ~bus ?spawn ?pool ?http ~worker_argv cfg (ledger : Ledger.t)
              Shard.protocol_version)
     | Shard.F_hello { h_token; _ } when h_token <> token ->
         reject m "bad campaign token"
-    | Shard.F_hello { h_options; _ } when h_options <> options ->
+    | Shard.F_hello { h_campaign; _ } when h_campaign <> campaign ->
         reject m
-          (Printf.sprintf "options %S (supervisor runs %S)" h_options options)
+          (Printf.sprintf "campaign %S (supervisor runs %S)" h_campaign campaign)
     | Shard.F_hello _ -> (
         match
           Shard.write_frame m.m_tr.t_write
@@ -809,8 +684,7 @@ let supervise ~bus ?spawn ?pool ?http ~worker_argv cfg (ledger : Ledger.t)
       match frame with
       | Shard.F_hb cell -> emit bus (Heartbeat { shard = shard_of m; cell })
       | Shard.F_result (id, r) ->
-          let origin = match m.m_lease with Some p -> p.p_origin | None -> 0 in
-          Ledger.record_ok ledger ~origin id r;
+          if Ledger.record_ok ledger id r then on_result id r;
           progress := now ();
           emit bus (Cell_done { shard = shard_of m; cell = id })
       | Shard.F_cellfault { fc_id; fc_reason } ->
@@ -998,31 +872,30 @@ let supervise ~bus ?spawn ?pool ?http ~worker_argv cfg (ledger : Ledger.t)
    ([worker_argv], or the [spawn] hook tests use), or, with [pool],
    dial-in workers on a TCP listener — and merge the outcomes in cell
    order.  The merge is byte-identical to a serial run no matter which
-   worker computed what.  [http] is a live /metrics listener polled on
-   the same select.  As the last resort, [fallback] computes whatever
-   the pool could not. *)
-let run ?(bus = create_bus ()) ?spawn ?pool ?http
+   worker computed what.  Each result a worker delivers is handed to
+   [on_result] once, as it arrives.  [http] is a live /metrics listener
+   polled on the same select.  As the last resort, [fallback] computes
+   whatever the pool could not. *)
+let run ?(bus = create_bus ()) ?spawn ?pool ?http ?(on_result = fun _ _ -> ())
     ?(worker_argv = [| Sys.executable_name; "--worker" |]) (cfg : config)
     ~(fallback : Shard.cell list -> (int * Json.t) list)
     (cells : Shard.cell list) : (int * outcome) list =
   Shard.ignore_sigpipe ();
-  let ledger = Ledger.create ~bus ~checkpoint_dir:cfg.checkpoint_dir cells in
+  let ledger = Ledger.create ~bus cells in
   let run_fallback reason =
     emit bus (Fallback { reason });
     List.iter
-      (fun (id, r) -> Ledger.record_ok ledger ~origin:0 id r)
-      (fallback (Ledger.remaining ledger));
-    Ledger.save_checkpoint ledger 0
+      (fun (id, r) -> ignore (Ledger.record_ok ledger id r))
+      (fallback (Ledger.remaining ledger))
   in
-  (* Resume from per-shard checkpoints, when given. *)
-  Ledger.load_checkpoints ledger;
-  (match Ledger.remaining ledger with
+  (match cells with
   | [] -> ()
   | _ when pool = None && not (Shard.can_spawn ()) ->
       run_fallback "process spawning unavailable"
-  | remaining ->
+  | _ ->
       Option.iter run_fallback
-        (supervise ~bus ?spawn ?pool ?http ~worker_argv cfg ledger remaining));
+        (supervise ~bus ?spawn ?pool ?http ~on_result ~worker_argv cfg ledger
+           cells));
   Ledger.finish ledger
 
 (* ------------------------------------------------------------------ *)

@@ -6,7 +6,8 @@
    machine-generated, so a small strict parser suffices.  Floats print
    as %.17g (lossless for doubles) with nan/inf as quoted strings the
    parser maps back, so numeric results round-trip bit-exactly — the
-   checkpoint-merge determinism guarantee depends on this. *)
+   byte-identical merge of worker and checkpointed cells depends on
+   this. *)
 
 type t =
   | Null

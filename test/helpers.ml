@@ -239,3 +239,28 @@ let domain_transport ?misbehave ~compute () =
         Domain.join d;
         if !crashed then ("signal SIGSEGV", false) else ("exit 0", true));
   }
+
+(* A [Campaign.t] as the flags would build it: in process on [jobs]
+   domains, or supervised by [shards] workers, keeping [checkpoint];
+   every other flag off. *)
+let campaign ?(jobs = 1) ?(shards = 1) ?checkpoint () =
+  {
+    Protean_harness.Campaign.jobs;
+    shards;
+    worker = false;
+    tele =
+      {
+        Protean_harness.Report.metrics_out = None;
+        trace_out = None;
+        flamegraph_out = None;
+        attr_out = None;
+      };
+    log_json = false;
+    listen = None;
+    connect = None;
+    token = "protean";
+    metrics_listen = None;
+    check_certs = false;
+    paranoid_sched = false;
+    checkpoint;
+  }

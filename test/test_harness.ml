@@ -90,8 +90,8 @@ let test_cert_violation_nan_cell () =
     (faulted (E.compute (E.spec cert_refuted E.cfg_unsafe)));
   let session = E.create_session () in
   let cell b = E.run session (E.spec b E.cfg_unsafe) in
-  E.prewarm ~jobs:2 session (fun () ->
-      List.iter (fun b -> ignore (cell b)) [ tiny; cert_refuted ]);
+  Protean_harness.Campaign.grid (Helpers.campaign ~jobs:2 ()) ~src:"test"
+    session (fun () -> List.iter (fun b -> ignore (cell b)) [ tiny; cert_refuted ]);
   Alcotest.(check bool) "-j 2: refuted cell is nan" true
     (faulted (cell cert_refuted));
   Alcotest.(check bool) "-j 2: healthy cell computed" true

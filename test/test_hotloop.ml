@@ -200,15 +200,17 @@ let test_shared_frontend_equivalence () =
   Alcotest.(check bool) "frontends shared across cells" true
     (List.length (List.sort_uniq compare tags) < List.length tags)
 
-(* Batched parallel prewarm (frontend groups as scheduling units) must
-   land exactly the serial per-cell results in the session cache. *)
+(* A -j 2 grid prewarms the session cache before its replay (cells
+   sorted by frontend group, dealt to two domains) and must land exactly
+   the serial per-cell results there. *)
 let test_shared_frontend_prewarm () =
   let specs = grid_slice () in
   let gen session () = List.iter (fun s -> ignore (E.run session s)) specs in
   let serial = E.create_session () in
   gen serial ();
   let par = E.create_session () in
-  E.prewarm ~jobs:2 par (gen par);
+  Protean_harness.Campaign.grid (Helpers.campaign ~jobs:2 ()) ~src:"test" par
+    (gen par);
   Alcotest.(check int) "cell count" (Hashtbl.length serial.E.cache)
     (Hashtbl.length par.E.cache);
   Hashtbl.iter

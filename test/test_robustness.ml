@@ -1,7 +1,7 @@
 (* Robustness layer tests: microarchitectural invariant checking,
    watchdog deadlock/livelock detection, fuzzer self-testing via fault
-   injection, counterexample shrinking and campaign checkpoint/resume
-   (the PR-1 acceptance scenarios). *)
+   injection, counterexample shrinking, and the campaign checkpoint
+   every mode resumes from. *)
 
 open Protean_isa
 module Config = Protean_ooo.Config
@@ -13,7 +13,12 @@ module Fault_inject = Protean_defense.Fault_inject
 module Fuzz = Protean_amulet.Fuzz
 module Gen = Protean_amulet.Gen
 module Parallel = Protean_harness.Parallel
+module Campaign = Protean_harness.Campaign
+module Checkpoint = Protean_harness.Checkpoint
+module Shard = Protean_harness.Shard
+module E = Protean_harness.Experiment
 module Json = Protean_telemetry.Json
+module Tlog = Protean_telemetry.Log
 
 let r = Asm.r
 let i = Asm.i
@@ -153,132 +158,234 @@ let test_shrinking_preserves_violation () =
 
 (* --- checkpointing --------------------------------------------------- *)
 
-let ck =
-  {
-    Fuzz.Checkpoint.ck_seed = 42;
-    ck_programs = 10;
-    ck_inputs = 5;
-    ck_next = 7;
-    ck_faulted = 1;
-    ck_check_certs = false;
-    ck_outcome =
-      {
-        (Fuzz.fresh_outcome ()) with
-        Fuzz.tests = 31;
-        skipped = 4;
-        violations = 2;
-        false_positives = 1;
-        example = Some (42 + (3 * 7919), 2);
-      };
-  }
+let with_temp_file f =
+  let path = Filename.temp_file "protean_ck" ".ck" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ path; path ^ ".tmp" ])
+    (fun () -> f path)
 
-let test_checkpoint_json_roundtrip () =
-  match Fuzz.Checkpoint.of_json (Fuzz.Checkpoint.to_json ck) with
-  | None -> Alcotest.fail "checkpoint JSON did not parse back"
-  | Some c -> Alcotest.(check bool) "round-trip equal" true (c = ck)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+(* Open [path] over [cells] for [campaign], close it again, and return
+   the resumed cells with the checkpoint warnings the open logged. *)
+let reopen ?(campaign = "c") ~cells path =
+  let warned = ref [] in
+  Tlog.set_sink (fun line -> warned := line :: !warned);
+  let ck, resumed =
+    Fun.protect ~finally:Tlog.reset_sink (fun () ->
+        Checkpoint.resume ~campaign ~cells path)
+  in
+  Checkpoint.close ck;
+  (resumed, List.rev !warned)
+
+let cells_of n =
+  List.init n (fun i -> { Shard.c_id = i; c_key = "k" ^ string_of_int i })
+
+(* Payloads in every shape the cell codecs produce — floats incl. nan,
+   nested lists, skip reasons with newlines — come back as recorded. *)
+let payloads =
+  [
+    (0, Json.Obj [ ("cycles", Json.Float 6276.); ("r", Json.Float nan) ]);
+    (2, Json.Obj [ ("skip", Json.Str "line 1\nline \"2\"") ]);
+    (3, Json.List [ Json.Int 1; Json.List [ Json.Float 0.1; Json.Null ] ]);
+  ]
 
 let test_checkpoint_file_roundtrip () =
-  let path = Filename.temp_file "protean_ck" ".json" in
-  Fuzz.Checkpoint.save path ck;
-  let back = Fuzz.Checkpoint.load path in
-  Sys.remove path;
-  Alcotest.(check bool) "file round-trip equal" true (back = Some ck);
-  Alcotest.(check bool) "missing file loads as None" true
-    (Fuzz.Checkpoint.load path = None)
+  with_temp_file (fun path ->
+      Sys.remove path;
+      let ck, fresh = Checkpoint.resume ~campaign:"c" ~cells:(cells_of 4) path in
+      Alcotest.(check bool) "a missing file resumes nothing" true (fresh = []);
+      List.iter (fun (id, r) -> Checkpoint.record ck id r) payloads;
+      Checkpoint.close ck;
+      let resumed, warned = reopen ~cells:(cells_of 4) path in
+      Alcotest.(check string) "payloads round-trip"
+        (Json.to_string (Json.List (List.map snd payloads)))
+        (Json.to_string (Json.List (List.map snd resumed)));
+      Alcotest.(check (list int)) "under their ids" [ 0; 2; 3 ]
+        (List.map fst resumed);
+      Alcotest.(check (list string)) "no warning" [] warned)
 
-let test_checkpoint_malformed () =
-  Alcotest.(check bool) "garbage rejected" true
-    (Fuzz.Checkpoint.of_json "{not json" = None)
-
-(* A checkpoint file truncated mid-write (crash before the atomic rename
-   could be introduced, disk-full, ...) must be detected and ignored with
-   a warning — never raise, never resume from half a record. *)
+(* A kill mid-append leaves a torn last line: it is dropped with exactly
+   one warning naming the file, and the complete lines before it are
+   kept.  An intact file reopens silently. *)
 let test_checkpoint_truncated_warns () =
-  let path = Filename.temp_file "protean_trunc" ".json" in
-  let full = Fuzz.Checkpoint.to_json ck in
-  let oc = open_out path in
-  output_string oc (String.sub full 0 (String.length full / 2));
-  close_out oc;
-  let warned = ref [] in
-  let back = Fuzz.Checkpoint.load ~warn:(fun p -> warned := p :: !warned) path in
-  Alcotest.(check bool) "truncated checkpoint ignored" true (back = None);
-  Alcotest.(check (list string)) "warning fired once, naming the file"
-    [ path ] !warned;
-  (* An intact file must load silently through the same path. *)
-  Fuzz.Checkpoint.save path ck;
-  warned := [];
-  let back = Fuzz.Checkpoint.load ~warn:(fun p -> warned := p :: !warned) path in
-  Sys.remove path;
-  Alcotest.(check bool) "intact checkpoint loads" true (back = Some ck);
-  Alcotest.(check (list string)) "no warning for intact file" [] !warned
+  with_temp_file (fun path ->
+      let ck, _ = Checkpoint.resume ~campaign:"c" ~cells:(cells_of 4) path in
+      List.iter (fun (id, r) -> Checkpoint.record ck id r) payloads;
+      Checkpoint.close ck;
+      let text = read_file path in
+      write_file path (String.sub text 0 (String.length text - 7));
+      let resumed, warned = reopen ~cells:(cells_of 4) path in
+      Alcotest.(check (list int)) "complete lines kept" [ 0; 2 ]
+        (List.map fst resumed);
+      (match warned with
+      | [ w ] ->
+          Alcotest.(check bool) ("warning names the file: " ^ w) true
+            (contains ~sub:path w)
+      | ws -> Alcotest.failf "expected one warning, got %d" (List.length ws));
+      let _, warned = reopen ~cells:(cells_of 4) path in
+      Alcotest.(check (list string)) "the rewritten file is intact" [] warned)
 
-(* Checkpoint saves are atomic: a save over an existing checkpoint goes
-   through a tmp file + rename, so a reader never observes a mix of old
-   and new bytes and no .tmp residue survives a completed save. *)
+(* Opening rewrites the file through a temp file and a rename: none is
+   left behind, and what is on disk is the header plus the kept cells. *)
 let test_checkpoint_save_atomic () =
-  let path = Filename.temp_file "protean_atomic" ".json" in
-  Fuzz.Checkpoint.save path ck;
-  Fuzz.Checkpoint.save path { ck with Fuzz.Checkpoint.ck_next = 9 };
-  Alcotest.(check bool) "tmp file removed by rename" false
-    (Sys.file_exists (path ^ ".tmp"));
-  let back = Fuzz.Checkpoint.load path in
-  Sys.remove path;
-  match back with
-  | Some c ->
-      Alcotest.(check int) "second save wins" 9 c.Fuzz.Checkpoint.ck_next
-  | None -> Alcotest.fail "overwritten checkpoint did not load"
+  with_temp_file (fun path ->
+      let ck, _ = Checkpoint.resume ~campaign:"c" ~cells:(cells_of 4) path in
+      List.iter (fun (id, r) -> Checkpoint.record ck id r) payloads;
+      Checkpoint.close ck;
+      let resumed, _ = reopen ~cells:(cells_of 3) path in
+      Alcotest.(check bool) "no temp file left" false
+        (Sys.file_exists (path ^ ".tmp"));
+      Alcotest.(check int) "header plus the two kept cells" 3
+        (List.length (String.split_on_char '\n' (String.trim (read_file path))));
+      Alcotest.(check (list int)) "kept cells" [ 0; 2 ] (List.map fst resumed))
 
-(* A checkpoint claiming the campaign already finished makes
-   run_resilient return the saved counts without re-running anything. *)
+(* A file of another campaign resumes nothing: it is ignored with a
+   warning and rewritten as this campaign's. *)
+let test_checkpoint_mismatch_ignored () =
+  with_temp_file (fun path ->
+      let ck, _ = Checkpoint.resume ~campaign:"other" ~cells:(cells_of 4) path in
+      List.iter (fun (id, r) -> Checkpoint.record ck id r) payloads;
+      Checkpoint.close ck;
+      let resumed, warned = reopen ~cells:(cells_of 4) path in
+      Alcotest.(check bool) "nothing resumed" true (resumed = []);
+      Alcotest.(check int) "one warning" 1 (List.length warned);
+      let resumed, warned = reopen ~cells:(cells_of 4) path in
+      Alcotest.(check bool) "rewritten: still empty, now silent" true
+        (resumed = [] && warned = []))
+
+(* A file without a checkpoint header — here one written by the old
+   per-campaign --resume format — is ignored the same way. *)
+let test_checkpoint_malformed () =
+  with_temp_file (fun path ->
+      write_file path
+        {|{"version":1,"seed":42,"programs":10,"inputs":5,"next":7,"tests":31}|};
+      let resumed, warned = reopen ~cells:(cells_of 4) path in
+      Alcotest.(check bool) "nothing resumed" true (resumed = []);
+      Alcotest.(check int) "one warning" 1 (List.length warned);
+      let _, warned = reopen ~cells:(cells_of 4) path in
+      Alcotest.(check (list string)) "rewritten with a header" [] warned)
+
+(* A checkpoint that cannot be written fails at open, before any cell
+   of the campaign runs. *)
+let test_checkpoint_unwritable () =
+  let path = Filename.concat (Filename.get_temp_dir_name ()) "no-such-dir/x.ck" in
+  match Checkpoint.resume ~campaign:"c" ~cells:(cells_of 2) path with
+  | exception Sys_error _ -> ()
+  | ck, _ ->
+      Checkpoint.close ck;
+      Alcotest.fail "an unwritable checkpoint opened"
+
+(* The campaign identity is the argv a worker receives minus the flags
+   that only place cells: two runs that differ only in -j, --shards,
+   --connect or --checkpoint are one campaign, two that differ in an
+   option a cell reads are not. *)
+let test_campaign_identity () =
+  let id args = Campaign.identity ~argv:(Array.of_list ("fuzz" :: args)) () in
+  let base = id [ "-d"; "unsafe"; "-n"; "4" ] in
+  List.iter
+    (fun args ->
+      Alcotest.(check string) (String.concat " " args) base (id args))
+    [
+      [ "-d"; "unsafe"; "-j"; "2"; "-n"; "4"; "--shards"; "2" ];
+      [ "--checkpoint"; "a.ck"; "-d"; "unsafe"; "-n"; "4"; "--jobs=3"; "-j4" ];
+      [ "-d"; "unsafe"; "--connect"; "h:1"; "-n"; "4"; "--worker" ];
+      [ "-d"; "unsafe"; "-n"; "4"; "--listen"; "h:1"; "--campaign-token"; "t" ];
+    ];
+  List.iter
+    (fun args ->
+      Alcotest.(check bool) (String.concat " " args) true (base <> id args))
+    [
+      [ "-d"; "prot-track"; "-n"; "4" ];
+      [ "-d"; "unsafe"; "-n"; "4"; "--check-certs" ];
+      [ "-d"; "unsafe"; "-n"; "4"; "--metrics-out"; "m.prom" ];
+    ]
+
+(* [Campaign.run] in process keeps the checkpoint: a run interrupted by a
+   failing cell keeps what it completed, the rerun computes only the
+   rest, and its merge equals an uninterrupted run's — serially and on
+   -j 2 domains. *)
 let test_checkpoint_resume () =
-  let campaign = Fuzz.campaign_for ~seed:9 ~programs:3 ~inputs:2 "arch" in
-  let path = Filename.temp_file "protean_resume" ".json" in
-  Fuzz.Checkpoint.save path
-    {
-      Fuzz.Checkpoint.ck_seed = 9;
-      ck_programs = 3;
-      ck_inputs = 2;
-      ck_next = 3;
-      ck_faulted = 0;
-      ck_check_certs = false;
-      ck_outcome = { (Fuzz.fresh_outcome ()) with Fuzz.tests = 5; skipped = 1 };
-    };
-  let r = Fuzz.run_resilient ~checkpoint:path campaign Defense.stt in
-  Sys.remove path;
-  Alcotest.(check bool) "resumed" true (r.Fuzz.r_resumed_from = Some 3);
-  Alcotest.(check int) "saved tests restored" 5 r.Fuzz.r_outcome.Fuzz.tests;
-  Alcotest.(check int) "saved skips restored" 1 r.Fuzz.r_outcome.Fuzz.skipped;
-  Alcotest.(check int) "all programs counted done" 3 r.Fuzz.r_completed
+  List.iter
+    (fun jobs ->
+      with_temp_file (fun path ->
+          let lock = Mutex.create () and computed = Hashtbl.create 8 in
+          let interrupted = ref false in
+          let job () =
+            {
+              Campaign.cells = cells_of 6;
+              compute =
+                (fun key ->
+                  if !interrupted && key = "k3" then raise Exit;
+                  Mutex.protect lock (fun () ->
+                      Hashtbl.replace computed key
+                        (1 + Option.value ~default:0 (Hashtbl.find_opt computed key)));
+                  Json.Str ("v" ^ key));
+              merge = Fun.id;
+            }
+          in
+          let run ?checkpoint () =
+            Campaign.run ~opts:E.default_options ~src:"test"
+              ~live:(fun () -> "")
+              ~job
+              (Helpers.campaign ~jobs ?checkpoint ())
+          in
+          let reference = run () in
+          Hashtbl.reset computed;
+          interrupted := true;
+          (match run ~checkpoint:path () with
+          | exception Exit -> ()
+          | _ -> Alcotest.fail "the first run was to be interrupted");
+          interrupted := false;
+          let resumed = run ~checkpoint:path () in
+          let label = Printf.sprintf "-j %d: " jobs in
+          Alcotest.(check (list (pair string int)))
+            (label ^ "each cell computed once across both runs")
+            (List.map (fun (c : Shard.cell) -> (c.Shard.c_key, 1)) (cells_of 6))
+            (List.sort compare (List.of_seq (Hashtbl.to_seq computed)));
+          Alcotest.(check bool) (label ^ "resumed merge == uninterrupted") true
+            (resumed = reference);
+          Alcotest.(check bool) (label ^ "a finished checkpoint merges the same")
+            true
+            (run ~checkpoint:path () = reference && Hashtbl.length computed = 6)))
+    [ 1; 2 ]
 
-(* A plain checkpoint keeps the version-1 layout byte for byte, so files
-   written before the certificate fields existed still load (with no
-   certificate verdict); a certified one carries the verdict. *)
-let test_checkpoint_cert_fields () =
-  let v1 =
-    {|{"version":1,"seed":42,"programs":10,"inputs":5,"next":7,"tests":31,"skipped":4,"violations":2,"false_positives":1,"faulted":1,"example_seed":23799,"example_input":2}|}
-  in
-  Alcotest.(check string) "plain layout unchanged" v1 (Fuzz.Checkpoint.to_json ck);
-  Alcotest.(check bool) "version-1 file loads" true
-    (Fuzz.Checkpoint.of_json v1 = Some ck);
-  let certified =
-    {
-      ck with
-      Fuzz.Checkpoint.ck_check_certs = true;
-      ck_outcome =
-        {
-          ck.Fuzz.Checkpoint.ck_outcome with
-          Fuzz.certs_checked = 7;
-          cert_claims = 120;
-          cert_violations = 3;
-          cert_example = Some "cert-violation: main pass=ct pc=1: \"rax\"";
-        };
-    }
-  in
-  Alcotest.(check bool) "certificate verdict round-trips" true
-    (Fuzz.Checkpoint.of_json (Fuzz.Checkpoint.to_json certified) = Some certified)
+(* A fuzz campaign resumed after [k] programs: cells 0..k-1 go through
+   the checkpoint and the cell codec, the rest are computed fresh, and
+   [Fuzz.finish] merges them. *)
+let resumed_report campaign defense ~k =
+  with_temp_file (fun path ->
+      let cells =
+        List.init campaign.Fuzz.programs (fun i ->
+            { Shard.c_id = i; c_key = string_of_int i })
+      in
+      let ck, _ = Checkpoint.resume ~campaign:"fuzz" ~cells path in
+      for i = 0 to k - 1 do
+        Checkpoint.record ck i
+          (Fuzz.cell_to_json campaign (Fuzz.test_cell campaign defense i))
+      done;
+      Checkpoint.close ck;
+      let resumed, _ = reopen ~campaign:"fuzz" ~cells path in
+      Fuzz.finish campaign defense
+        (List.map (fun (i, j) -> Fuzz.cell_of_json i j) resumed
+        @ List.init (campaign.Fuzz.programs - k) (fun j ->
+              Fuzz.test_cell campaign defense (k + j))))
 
-(* A certified campaign resumed from its own finished checkpoint must
-   report the certificate violations the first run found. *)
+let same_report label (a : Fuzz.report) (b : Fuzz.report) =
+  Alcotest.(check bool) (label ^ ": outcome") true (a.Fuzz.r_outcome = b.Fuzz.r_outcome);
+  Alcotest.(check bool) (label ^ ": counterexample") true
+    (a.Fuzz.r_counterexample = b.Fuzz.r_counterexample);
+  Alcotest.(check bool) (label ^ ": attribution") true
+    (a.Fuzz.r_attribution = b.Fuzz.r_attribution)
+
+(* A certified campaign resumed from its checkpoint reports the
+   certificate violations the interrupted run had found. *)
 let test_resume_keeps_cert_verdict () =
   let campaign =
     {
@@ -287,22 +394,14 @@ let test_resume_keeps_cert_verdict () =
       cert_fault = Some Fault_inject.CF_drop_prot;
     }
   in
-  let path = Filename.temp_file "protean_certs" ".json" in
-  Sys.remove path;
-  let first = Fuzz.run_resilient ~checkpoint:path campaign Defense.prot_track in
-  let again = Fuzz.run_resilient ~checkpoint:path campaign Defense.prot_track in
-  Sys.remove path;
-  let o = again.Fuzz.r_outcome in
-  Alcotest.(check bool) "resumed at the end" true
-    (again.Fuzz.r_resumed_from = Some 3);
+  let full = Fuzz.run_resilient campaign Defense.prot_track in
+  let resumed = resumed_report campaign Defense.prot_track ~k:2 in
   Alcotest.(check bool) "violations survive the resume" true
-    (o.Fuzz.cert_violations > 0);
-  Alcotest.(check bool) "same verdict as the first run" true
-    (o = first.Fuzz.r_outcome)
+    (resumed.Fuzz.r_outcome.Fuzz.cert_violations > 0);
+  same_report "resumed == uninterrupted" full resumed
 
-(* A finished campaign resumed from its own checkpoint replays the first
-   violation it found before stopping: the same shrunk counterexample
-   and leak attribution as the run that found it. *)
+(* A campaign resumed after its first violation replays it: the same
+   shrunk counterexample and leak attribution as the run that found it. *)
 let test_resume_keeps_witness () =
   let campaign =
     {
@@ -310,28 +409,11 @@ let test_resume_keeps_witness () =
       Fuzz.gen_klass = Gen.G_gadget;
     }
   in
-  let path = Filename.temp_file "protean_witness" ".json" in
-  Sys.remove path;
-  let first = Fuzz.run_resilient ~checkpoint:path campaign Defense.unsafe in
-  let again = Fuzz.run_resilient ~checkpoint:path campaign Defense.unsafe in
-  Sys.remove path;
-  Alcotest.(check bool) "resumed at the end" true
-    (again.Fuzz.r_resumed_from = Some 4);
-  Alcotest.(check bool) "the first run found a witness" true
-    (first.Fuzz.r_counterexample <> None && first.Fuzz.r_attribution <> None);
-  Alcotest.(check bool) "same counterexample" true
-    (again.Fuzz.r_counterexample = first.Fuzz.r_counterexample);
-  Alcotest.(check bool) "same attribution" true
-    (again.Fuzz.r_attribution = first.Fuzz.r_attribution)
-
-(* A mismatched checkpoint (different campaign) is ignored. *)
-let test_checkpoint_mismatch_ignored () =
-  let campaign = Fuzz.campaign_for ~seed:10 ~programs:2 ~inputs:2 "arch" in
-  let path = Filename.temp_file "protean_mismatch" ".json" in
-  Fuzz.Checkpoint.save path { ck with Fuzz.Checkpoint.ck_seed = 11 };
-  let r = Fuzz.run_resilient ~checkpoint:path campaign Defense.stt in
-  Sys.remove path;
-  Alcotest.(check bool) "not resumed" true (r.Fuzz.r_resumed_from = None)
+  let full = Fuzz.run_resilient campaign Defense.unsafe in
+  Alcotest.(check bool) "the campaign finds a witness" true
+    (full.Fuzz.r_counterexample <> None && full.Fuzz.r_attribution <> None);
+  same_report "resumed == uninterrupted" full
+    (resumed_report campaign Defense.unsafe ~k:2)
 
 (* --- campaign-level deadlock survival -------------------------------- *)
 
@@ -447,8 +529,6 @@ let tests =
       test_fault_injection_matrix;
     Alcotest.test_case "shrinking preserves the violation" `Slow
       test_shrinking_preserves_violation;
-    Alcotest.test_case "checkpoint JSON round-trips" `Quick
-      test_checkpoint_json_roundtrip;
     Alcotest.test_case "checkpoint file round-trips" `Quick
       test_checkpoint_file_roundtrip;
     Alcotest.test_case "malformed checkpoint rejected" `Quick
@@ -461,8 +541,10 @@ let tests =
       test_checkpoint_resume;
     Alcotest.test_case "mismatched checkpoint ignored" `Quick
       test_checkpoint_mismatch_ignored;
-    Alcotest.test_case "checkpoint certificate fields" `Quick
-      test_checkpoint_cert_fields;
+    Alcotest.test_case "campaign identity ignores where cells run" `Quick
+      test_campaign_identity;
+    Alcotest.test_case "unwritable checkpoint fails before any cell" `Quick
+      test_checkpoint_unwritable;
     Alcotest.test_case "resumed certified campaign keeps its verdict" `Quick
       test_resume_keeps_cert_verdict;
     Alcotest.test_case "resumed campaign keeps its witness" `Quick

@@ -1,6 +1,6 @@
 (* Shard-supervisor tests: the JSON wire format, the frame codec, shard
-   splitting, checkpoint persistence, the lifecycle event bus, and the
-   supervision state machine itself — driven through the [?spawn]
+   splitting, the checkpoint of a supervised campaign, the lifecycle
+   event bus, and the supervision state machine itself — driven through the [?spawn]
    transport hook with in-process (domain-backed) fake workers, so
    crash / stall / poison scenarios run deterministically without
    exec'ing real subprocesses. *)
@@ -9,9 +9,8 @@ module Supervisor = Protean_harness.Supervisor
 module Shard = Protean_harness.Shard
 module Json = Protean_harness.Shard.Json
 module E = Protean_harness.Experiment
-
-(* The handshake tag of a run with every mode off. *)
-let default_tag = E.options_tag E.default_options
+module Campaign = Protean_harness.Campaign
+module Checkpoint = Protean_harness.Checkpoint
 
 (* --- JSON round-trips -------------------------------------------------- *)
 
@@ -155,41 +154,36 @@ let test_split_shards () =
 
 (* --- checkpoints ------------------------------------------------------- *)
 
-let with_temp_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "protean_sup_test.%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+let with_temp_file f =
+  let path = Filename.temp_file "protean_ck" ".ck" in
   Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () -> f dir)
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () -> f path)
 
+(* A reopened checkpoint resumes the recorded cells under the ids of the
+   current cell list, and drops — for good — an entry whose key the
+   campaign no longer has. *)
 let test_checkpoint_roundtrip_and_staleness () =
-  with_temp_dir (fun dir ->
-      let cells = cells_of 4 in
-      Supervisor.Checkpoint.save dir 0
-        [ (0, "k0", Json.Int 10); (1, "k1", Json.Int 11) ];
-      Supervisor.Checkpoint.save dir 1 [ (3, "k3", Json.Int 13) ];
-      let loaded = Supervisor.Checkpoint.load_all dir cells in
-      Alcotest.(check int) "all saved cells load" 3 (List.length loaded);
-      Alcotest.(check bool) "values intact" true
-        (List.exists (fun (id, _, r) -> id = 1 && r = Json.Int 11) loaded);
-      (* A checkpoint whose (id, key) no longer matches the grid — a
-         stale file from a different run — must be ignored, not merged. *)
-      Supervisor.Checkpoint.save dir 2 [ (2, "WRONG-KEY", Json.Int 99) ];
-      let reloaded = Supervisor.Checkpoint.load_all dir cells in
-      Alcotest.(check bool) "stale entry dropped" true
-        (not (List.exists (fun (id, _, _) -> id = 2) reloaded));
-      (* Corrupt files are skipped silently. *)
-      let oc = open_out (Filename.concat dir "shard-9.json") in
-      output_string oc "[{\"id\":0,";
-      close_out oc;
-      let again = Supervisor.Checkpoint.load_all dir cells in
-      Alcotest.(check int) "corrupt file ignored" (List.length reloaded)
-        (List.length again))
+  with_temp_file (fun path ->
+      let cell id key = { Shard.c_id = id; c_key = key } in
+      let reopen cells =
+        let ck, resumed = Checkpoint.resume ~campaign:"c" ~cells path in
+        Checkpoint.close ck;
+        resumed
+      in
+      let ck, resumed = Checkpoint.resume ~campaign:"c" ~cells:(cells_of 3) path in
+      Alcotest.(check bool) "a new file resumes nothing" true (resumed = []);
+      Checkpoint.record ck 0 (Json.Int 10);
+      Checkpoint.record ck 2 (Json.Int 12);
+      Checkpoint.close ck;
+      Alcotest.(check bool) "recorded cells resume" true
+        (reopen (cells_of 3) = [ (0, Json.Int 10); (2, Json.Int 12) ]);
+      (* The grid changed: k0 is gone and k2 is now cell 0. *)
+      Alcotest.(check bool) "ids follow the current list, stale key dropped"
+        true
+        (reopen [ cell 0 "k2"; cell 1 "k3" ] = [ (0, Json.Int 12) ]);
+      Alcotest.(check bool) "the stale entry is gone from the file" true
+        (reopen (cells_of 3) = [ (2, Json.Int 12) ]))
 
 (* --- event bus --------------------------------------------------------- *)
 
@@ -256,6 +250,13 @@ let record_events bus =
   fun () -> List.rev !events
 
 let no_fallback _ = Alcotest.fail "fallback must not run in this scenario"
+
+(* Run [f] with process spawning vetoed (PROTEAN_NO_SPAWN).  The variable
+   cannot be unset portably; "" reads as unset. *)
+let with_no_spawn f =
+  let saved = Option.value (Sys.getenv_opt "PROTEAN_NO_SPAWN") ~default:"" in
+  Unix.putenv "PROTEAN_NO_SPAWN" "1";
+  Fun.protect ~finally:(fun () -> Unix.putenv "PROTEAN_NO_SPAWN" saved) f
 
 let config ?(shards = 2) ?(max_attempts = 2) () =
   {
@@ -352,6 +353,46 @@ let test_supervised_poisoned_cell_bisected () =
          | _ -> false)
        (events ()))
 
+(* [on_result] sees each result a worker delivers exactly once — a
+   worker here streams every result twice — and never a poisoned cell,
+   so a checkpoint built from it retries that cell on resume. *)
+let test_supervised_on_result_once () =
+  let poison = 2 in
+  let twice in_r out_w =
+    (match Shard.read_frame in_r with
+    | Some (Shard.F_work cells) ->
+        if List.exists (fun c -> c.Shard.c_id = poison) cells then raise Exit;
+        List.iter
+          (fun c ->
+            let f = Shard.F_result (c.Shard.c_id, compute c.Shard.c_key) in
+            Shard.write_frame out_w f;
+            Shard.write_frame out_w f)
+          cells;
+        Shard.write_frame out_w Shard.F_done;
+        ignore (Shard.read_frame in_r)
+    | _ -> ());
+    raise Exit
+  in
+  let spawn ~shard:_ ~attempt:_ ~env_fault:_ =
+    Helpers.domain_transport ~misbehave:twice ~compute ()
+  in
+  let seen = ref [] in
+  let out =
+    Supervisor.run ~spawn (config ()) ~worker_argv:[||] ~fallback:no_fallback
+      ~on_result:(fun id r -> seen := (id, r) :: !seen)
+      (cells_of 6)
+  in
+  Alcotest.(check (list int)) "each delivered cell once, the poisoned one never"
+    [ 0; 1; 3; 4; 5 ]
+    (List.sort compare (List.map fst !seen));
+  List.iter
+    (fun (id, r) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "cell %d: the merged payload" id)
+        true
+        (List.assoc id out = Supervisor.O_ok r))
+    !seen
+
 (* A silent worker trips the heartbeat deadline, is killed, and the
    retry completes the shard. *)
 let test_supervised_heartbeat_kill_recovers () =
@@ -426,35 +467,41 @@ let test_supervised_spawn_failure_falls_back () =
        (function Supervisor.Fallback _ -> true | _ -> false)
        (events ()))
 
-(* Checkpoint resume: results persisted by a previous run are loaded,
-   and only the remainder is dispatched to workers. *)
+(* Checkpoint resume under --shards: the cells an interrupted run
+   recorded are merged from the file, and only the remainder is handed
+   to the supervisor — here computed by its in-process fallback, since
+   no worker can be spawned. *)
 let test_supervised_checkpoint_resume () =
-  with_temp_dir (fun dir ->
-      Supervisor.Checkpoint.save dir 0
-        [ (0, "k0", compute "k0"); (1, "k1", compute "k1") ];
-      let bus = Supervisor.create_bus () in
-      let events = record_events bus in
-      let dispatched = ref [] in
-      let spawn ~shard:_ ~attempt:_ ~env_fault:_ =
-        Helpers.domain_transport
-          ~compute:(fun key ->
-            dispatched := key :: !dispatched;
-            compute key)
-          ()
-      in
-      let cfg = { (config ~shards:1 ()) with Supervisor.checkpoint_dir = Some dir } in
-      let out =
-        Supervisor.run ~bus ~spawn cfg ~worker_argv:[||] ~fallback:no_fallback
-          (cells_of 4)
-      in
-      Alcotest.(check bool) "merged output complete" true (out = expected_ok 4);
-      Alcotest.(check bool) "resumed cells never recomputed" true
-        (List.sort compare !dispatched = [ "k2"; "k3" ]);
-      Alcotest.(check bool) "resume event emitted" true
-        (List.exists
-           (function
-             | Supervisor.Checkpoint_loaded { cells = 2 } -> true | _ -> false)
-           (events ())))
+  with_temp_file (fun path ->
+      with_no_spawn (fun () ->
+          let ck, _ =
+            Checkpoint.resume ~campaign:(Campaign.identity ()) ~cells:(cells_of 4)
+              path
+          in
+          Checkpoint.record ck 0 (compute "k0");
+          Checkpoint.record ck 1 (compute "k1");
+          Checkpoint.close ck;
+          let computed = ref [] in
+          let job () =
+            {
+              Campaign.cells = cells_of 4;
+              compute =
+                (fun key ->
+                  computed := key :: !computed;
+                  compute key);
+              merge = Fun.id;
+            }
+          in
+          let out =
+            Campaign.run ~opts:E.default_options ~src:"test"
+              ~live:(fun () -> "")
+              ~job
+              (Helpers.campaign ~shards:2 ~checkpoint:path ())
+          in
+          Alcotest.(check bool) "merged output complete" true
+            (out = Some (expected_ok 4));
+          Alcotest.(check bool) "resumed cells never recomputed" true
+            (List.sort compare !computed = [ "k2"; "k3" ])))
 
 (* --- transport-level chaos over pipes ---------------------------------- *)
 
@@ -645,7 +692,7 @@ let test_pool_rejects_bad_version () =
                let sock = Shard.dial addr in
                Shard.write_frame sock
                  (Shard.F_hello
-                    { h_version = 999; h_token = "protean"; h_options = "" });
+                    { h_version = 999; h_token = "protean"; h_campaign = "" });
                reply := Shard.read_frame sock;
                Unix.close sock))
     | _ -> ());
@@ -753,7 +800,7 @@ let test_pool_no_workers_falls_back () =
    serve it, drop the connection mid-lease (a crash: it redials), or
    hold the lease silently for some seconds first (a livelock).  Ends
    on [F_exit] or when the supervisor is gone. *)
-let scripted_dialer ?(options = default_tag) ~addr script =
+let scripted_dialer ?(campaign = "") ~addr script =
   let leases = ref 0 in
   let rec session redials =
     match Shard.dial addr with
@@ -789,7 +836,7 @@ let scripted_dialer ?(options = default_tag) ~addr script =
                {
                  h_version = Shard.protocol_version;
                  h_token = "protean";
-                 h_options = options;
+                 h_campaign = campaign;
                });
           serve ()
         with Unix.Unix_error _ | Shard.Protocol _ -> again ())
@@ -875,17 +922,18 @@ let test_pool_heartbeat_drop_recovers () =
        (function Supervisor.Retry { attempt = 2; _ } -> true | _ -> false)
        (events ()))
 
-(* A dial-in worker whose cells would run under other options than the
-   supervisor's (here: without the certificate audit) is turned away at
-   the handshake, naming both tags; a worker presenting the
-   supervisor's tag is welcomed and completes the campaign. *)
+(* A dial-in worker of another campaign — whose cells would run under
+   other options than the supervisor's (here: without the certificate
+   audit) — is turned away at the handshake, naming both identities; a
+   worker of the supervisor's campaign is welcomed and completes it. *)
 let test_pool_rejects_options_mismatch () =
-  let own = E.options_tag { E.default_options with E.check_certs = true } in
+  let own = "protean_tables.exe table-v --check-certs"
+  and other = "protean_tables.exe table-v" in
   let bus = Supervisor.create_bus () in
   let events = record_events bus in
   let reply = ref None and worker = ref None in
-  (* One domain, in order: the mismatched hello, then a worker with the
-     supervisor's tag — so the campaign cannot finish before the
+  (* One domain, in order: the mismatched hello, then a worker of the
+     supervisor's campaign — so the campaign cannot finish before the
      rejection. *)
   Supervisor.subscribe bus ~name:"dialer" (function
     | Supervisor.Listening { port; _ } ->
@@ -899,27 +947,27 @@ let test_pool_rejects_options_mismatch () =
                       {
                         h_version = Shard.protocol_version;
                         h_token = "protean";
-                        h_options = default_tag;
+                        h_campaign = other;
                       });
                  reply := Shard.read_frame sock;
                  Unix.close sock;
-                 scripted_dialer ~options:own ~addr (fun _ _ -> `Serve)))
+                 scripted_dialer ~campaign:own ~addr (fun _ _ -> `Serve)))
     | _ -> ());
   let out =
     Supervisor.run ~bus (config ())
-      ~pool:{ (pool_config ()) with Supervisor.pl_options = own }
+      ~pool:{ (pool_config ()) with Supervisor.pl_campaign = own }
       ~fallback:no_fallback (cells_of 3)
   in
   Option.iter Domain.join !worker;
   let reason =
-    Printf.sprintf "options \"%s\" (supervisor runs \"%s\")" default_tag own
+    Printf.sprintf "campaign \"%s\" (supervisor runs \"%s\")" other own
   in
   Alcotest.(check bool) "matching worker completed the campaign" true
     (out = expected_ok 3);
   (match !reply with
   | Some (Shard.F_reject r) ->
-      Alcotest.(check string) "reject names both tags" reason r
-  | _ -> Alcotest.fail "mismatched options were not rejected");
+      Alcotest.(check string) "reject names both campaigns" reason r
+  | _ -> Alcotest.fail "another campaign's worker was not rejected");
   let evs = events () in
   Alcotest.(check bool) "rejection event emitted" true
     (List.exists
@@ -933,34 +981,29 @@ let test_pool_rejects_options_mismatch () =
        evs)
 
 (* PROTEAN_NO_SPAWN disables process spawning entirely (the documented
-   degradation path for platforms without fork/exec).  The variable
-   cannot be unset portably; "" reads as unset. *)
+   degradation path for platforms without fork/exec). *)
 let test_supervised_no_spawn_env_falls_back () =
-  let saved = Option.value (Sys.getenv_opt "PROTEAN_NO_SPAWN") ~default:"" in
-  Unix.putenv "PROTEAN_NO_SPAWN" "1";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "PROTEAN_NO_SPAWN" saved)
-    (fun () ->
-      Alcotest.(check bool) "can_spawn honours the veto" false
-        (Shard.can_spawn ());
-      let bus = Supervisor.create_bus () in
-      let events = record_events bus in
-      let spawn ~shard:_ ~attempt:_ ~env_fault:_ =
-        Alcotest.fail "no transport may be created under PROTEAN_NO_SPAWN"
-      in
-      let fallback cells =
-        List.map (fun c -> (c.Shard.c_id, compute c.Shard.c_key)) cells
-      in
-      let out =
-        Supervisor.run ~bus ~spawn (config ()) ~worker_argv:[||] ~fallback
-          (cells_of 3)
-      in
-      Alcotest.(check bool) "fallback served the batch" true
-        (out = expected_ok 3);
-      Alcotest.(check bool) "fallback event emitted" true
-        (List.exists
-           (function Supervisor.Fallback _ -> true | _ -> false)
-           (events ())));
+  with_no_spawn (fun () ->
+    Alcotest.(check bool) "can_spawn honours the veto" false
+      (Shard.can_spawn ());
+    let bus = Supervisor.create_bus () in
+    let events = record_events bus in
+    let spawn ~shard:_ ~attempt:_ ~env_fault:_ =
+      Alcotest.fail "no transport may be created under PROTEAN_NO_SPAWN"
+    in
+    let fallback cells =
+      List.map (fun c -> (c.Shard.c_id, compute c.Shard.c_key)) cells
+    in
+    let out =
+      Supervisor.run ~bus ~spawn (config ()) ~worker_argv:[||] ~fallback
+        (cells_of 3)
+    in
+    Alcotest.(check bool) "fallback served the batch" true
+      (out = expected_ok 3);
+    Alcotest.(check bool) "fallback event emitted" true
+      (List.exists
+         (function Supervisor.Fallback _ -> true | _ -> false)
+         (events ())));
   Alcotest.(check bool) "restored: can_spawn again" true (Shard.can_spawn ())
 
 let tests =
@@ -983,6 +1026,8 @@ let tests =
       test_supervised_crash_then_recover;
     Alcotest.test_case "poisoned cell bisected to a structured fault" `Quick
       test_supervised_poisoned_cell_bisected;
+    Alcotest.test_case "results reach on_result once, poisoned cells never"
+      `Quick test_supervised_on_result_once;
     Alcotest.test_case "heartbeat deadline kills and recovers" `Quick
       test_supervised_heartbeat_kill_recovers;
     Alcotest.test_case "in-worker cell fault is final" `Quick

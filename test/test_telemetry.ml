@@ -19,6 +19,7 @@ module Suite = Protean_workloads.Suite
 module E = Protean_harness.Experiment
 module Report = Protean_harness.Report
 module Supervisor = Protean_harness.Supervisor
+module Campaign = Protean_harness.Campaign
 module Json = Protean_harness.Shard.Json
 module Fuzz = Protean_amulet.Fuzz
 module Gen = Protean_amulet.Gen
@@ -359,7 +360,8 @@ let test_session_metrics_deterministic () =
   let serial = E.create_session ~opts:collecting () in
   grid serial;
   let parallel = E.create_session ~opts:collecting () in
-  E.prewarm ~jobs:4 parallel (fun () -> grid parallel);
+  Campaign.grid (Helpers.campaign ~jobs:4 ()) ~src:"test" parallel (fun () ->
+      grid parallel);
   Alcotest.(check string) "serial == -j 4 (rendered bytes)" (render serial)
     (render parallel);
   (* Round-tripping the whole cache must preserve the rendered registry
@@ -389,7 +391,8 @@ let test_window_counters_deterministic () =
   let serial = E.create_session ~opts:windowed () in
   grid serial;
   let parallel = E.create_session ~opts:windowed () in
-  E.prewarm ~jobs:4 parallel (fun () -> grid parallel);
+  Campaign.grid (Helpers.campaign ~jobs:4 ()) ~src:"test" parallel (fun () ->
+      grid parallel);
   Alcotest.(check string) "serial == -j 4 (rendered bytes)" (render serial)
     (render parallel);
   Alcotest.(check string) "frame round-trip preserves window counters"

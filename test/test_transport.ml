@@ -41,9 +41,9 @@ let test_handshake_frames_roundtrip () =
         {
           h_version = 1;
           h_token = "secret";
-          h_options = "check_certs=true,invariants=warn/4";
+          h_campaign = "protean_sim.exe -b milc --check-certs";
         };
-      Shard.F_hello { h_version = 99; h_token = ""; h_options = "" };
+      Shard.F_hello { h_version = 99; h_token = ""; h_campaign = "" };
       Shard.F_welcome 1;
       Shard.F_reject "bad campaign token";
     ]
