@@ -296,6 +296,7 @@ let run_campaign (c : Campaign.t) ~opts ?inject_worker campaign d =
       Campaign.cells =
         List.init campaign.Fuzz.programs (fun i ->
             { Shard.c_id = i; c_key = string_of_int i });
+      group = None;
       compute =
         (fun key ->
           Fuzz.cell_to_json campaign

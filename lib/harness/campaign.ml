@@ -211,13 +211,34 @@ let identity ?argv () =
   | [] -> ""
 
 (* What a binary hands the dispatcher: its cells (dense ids 0..n-1), the
-   computation of one cell key (in a worker or in process), and the
-   rendering of merged outcomes. *)
+   group of a cell key, the computation of one cell key (in a worker or
+   in process), and the rendering of merged outcomes. *)
 type 'a job = {
   cells : Shard.cell list;
+  group : (string -> string) option;
+      (* cells of one group share set-up work and are leased together *)
   compute : string -> Json.t;
   merge : (int * Supervisor.outcome) list -> 'a;
 }
+
+(* Cut [cells] into the leases a supervisor hands out, in order: each
+   run of consecutive cells of one [group], so the worker that takes it
+   does the group's set-up once; without groups, [max 1 jobs]
+   consecutive cells, one per worker domain. *)
+let leases ~jobs ?group (cells : Shard.cell list) =
+  let lease_key i (cell : Shard.cell) =
+    match group with
+    | Some g -> g cell.Shard.c_key
+    | None -> string_of_int (i / max 1 jobs)
+  in
+  List.mapi (fun i cell -> (lease_key i cell, cell)) cells
+  |> List.fold_left
+       (fun acc (k, cell) ->
+         match acc with
+         | (k', lease) :: rest when k' = k -> (k, cell :: lease) :: rest
+         | _ -> (k, [ cell ]) :: acc)
+       []
+  |> List.rev_map (fun (_, lease) -> List.rev lease)
 
 (* Compute [cells] in process on [-j] domains, handing each result to
    [record] as it completes.  The in-process mode, and the supervisor's
@@ -233,8 +254,8 @@ let in_process c job ~record (cells : Shard.cell list) =
                (cell.Shard.c_id, r))
              cells)))
 
-(* Lease [cells] to worker processes: spawned by [--shards], or dialing
-   in to [--listen]. *)
+(* Lease [cells] to worker processes, cut by [job]'s groups: spawned by
+   [--shards], or dialing in to [--listen]. *)
 let supervise c ?(heartbeat = Supervisor.default_config.Supervisor.heartbeat)
     ?(wall = Supervisor.default_config.Supervisor.wall) ?inject ~opts ~http
     ~record job cells =
@@ -264,7 +285,7 @@ let supervise c ?(heartbeat = Supervisor.default_config.Supervisor.heartbeat)
       inject = Option.map Fault_inject.worker_mode_of_string inject;
     }
     ~fallback:(in_process c job ~record)
-    cells
+    (leases ~jobs:c.jobs ?group:job.group cells)
 
 (* Open [c]'s checkpoint over [cells], if any: the handle and the cells it
    already holds.  A path that cannot be written ends the run here. *)
@@ -357,15 +378,15 @@ let grid c ?heartbeat ?wall ?inject ~src session gen =
   let module E = Experiment in
   let job () =
     let cells = E.discover session gen in
-    (* Re-sort so cells of one shared-frontend group are contiguous:
-       [Supervisor.split_shards] hands out contiguous id ranges, so
-       grouped cells land on the same worker and its process-local
-       frontend cache is built once per group instead of once per
-       shard-span fragment.  Purely a scheduling permutation — the merge
-       is key-based, so replayed output stays byte-identical.  A worker
-       resolves cells by key, so it skips the sort. *)
+    (* Re-sort so cells of one shared-frontend group are contiguous: a
+       group goes out in one lease, so the worker that takes it builds
+       the frontend once, in its process-local cache.  Purely a
+       scheduling permutation — the merge is key-based, so replayed
+       output stays byte-identical.  A worker resolves cells by key, so
+       it skips the sort. *)
+    let grouped = (not (serving c)) && !E.share_frontend in
     let cells =
-      if serving c || not !E.share_frontend then cells
+      if not grouped then cells
       else
         List.map (fun ((k, s) as cell) -> ((E.frontend_key s, k), cell)) cells
         |> List.stable_sort (fun (a, _) (b, _) ->
@@ -377,6 +398,10 @@ let grid c ?heartbeat ?wall ?inject ~src session gen =
     let keys = Array.of_list (List.map fst cells) in
     {
       cells = List.mapi (fun i (k, _) -> { Shard.c_id = i; c_key = k }) cells;
+      group =
+        (if grouped then
+           Some (fun key -> E.frontend_key (Hashtbl.find specs key))
+         else None);
       compute =
         (fun key ->
           match Hashtbl.find_opt specs key with

@@ -1,16 +1,17 @@
 (* Crash-isolated multi-process shard supervisor.
 
-   [run] shards a deterministic cell list into leases (work batches)
-   and hands them to a pool of worker processes speaking {!Shard}'s
-   length-prefixed JSON frame protocol.  Workers join the pool from one
-   of two sources:
+   [run] hands the caller's leases (work batches: cell lists) to a pool
+   of worker processes speaking {!Shard}'s length-prefixed JSON frame
+   protocol.  Each lease goes to whichever member is idle, and every
+   member takes lease after lease.  Members join the pool from one of
+   two sources:
 
    - spawned: exec'd copies of the current CLI in [--worker] mode, on
-     stdin/stdout pipes.  A spawn joins pre-authenticated with its one
-     lease, serves it, and exits;
+     stdin/stdout pipes.  A spawn joins pre-authenticated in one of
+     [shards] slots when a lease finds no idle member, and is told to
+     exit once the work is done;
    - dial-in ([pool]): remote [--connect] workers accepted on a TCP
-     listener.  They authenticate with a [hello] handshake and may
-     serve one lease after another.
+     listener.  They authenticate with a [hello] handshake.
 
    One loop owns robustness end-to-end, whichever the source:
 
@@ -137,7 +138,7 @@ let logger = function
 (* ------------------------------------------------------------------ *)
 
 type config = {
-  shards : int; (* initial leases, and the cap on leases in flight *)
+  shards : int; (* spawn slots, and the cap on leases in flight *)
   heartbeat : float; (* s without any frame before a worker is killed *)
   wall : float; (* s per lease before its worker is killed *)
   max_attempts : int; (* failures of one lease before bisect/poison *)
@@ -306,11 +307,11 @@ type pending = {
 
 (* A pool member: one worker of either source.  It holds at most one
    lease at a time, so a dead member forfeits exactly one batch.
-   [m_id] is the display id: the lease's shard for a spawn, an accept
-   counter for a dial-in. *)
+   [m_id] is the display id: a spawn's slot (0..shards-1, which its
+   replacement reuses), an accept counter for a dial-in. *)
 type member = {
   m_id : int;
-  m_spawned : bool; (* exec'd on a pipe: serves one lease, then exits *)
+  m_spawned : bool; (* exec'd on a pipe: SIGKILLed and reaped *)
   m_peer : string;
   m_tr : transport;
   m_dec : Shard.Decoder.t;
@@ -320,17 +321,6 @@ type member = {
   mutable m_lease : pending option;
   mutable m_leased_at : float;
 }
-
-let split_shards shards (cells : Shard.cell list) =
-  let n = List.length cells in
-  let shards = max 1 (min shards n) in
-  let arr = Array.of_list cells in
-  (* Contiguous ranges: deterministic, and bisection then narrows a
-     crashing range monotonically. *)
-  List.init shards (fun s ->
-      let lo = s * n / shards and hi = (s + 1) * n / shards in
-      Array.to_list (Array.sub arr lo (hi - lo)))
-  |> List.filter (fun l -> l <> [])
 
 (* Result ledger: which cells are resolved, and the final
    deterministic merge.
@@ -403,11 +393,12 @@ module Ledger = struct
       t.g_cells
 end
 
-(* Lease [remaining] to pool members until every cell is resolved.
-   Returns [Some reason] when the pool gave up (exec failure, no dial-in
-   worker within the accept budget) with cells still unresolved. *)
+(* Grant [leases], in order, to idle pool members until every cell is
+   resolved.  Returns [Some reason] when the pool gave up (exec failure,
+   no dial-in worker within the accept budget) with cells still
+   unresolved. *)
 let supervise ~bus ?spawn ?pool ?http ~on_result ~worker_argv cfg
-    (ledger : Ledger.t) remaining =
+    (ledger : Ledger.t) leases =
   let now () = Unix.gettimeofday () in
   let next_shard = ref 0 in
   let fresh_shard () =
@@ -423,14 +414,13 @@ let supervise ~bus ?spawn ?pool ?http ~on_result ~worker_argv cfg
       p_not_before = not_before;
     }
   in
-  let pending =
-    ref
-      (List.map
-         (fresh_lease ~not_before:0.0)
-         (split_shards cfg.shards remaining))
-  in
+  let pending = ref (List.map (fresh_lease ~not_before:0.0) leases) in
   let members : member list ref = ref [] in
   let aborted = ref None in
+  (* Spawns per slot so far: a replacement's attempt number. *)
+  let spawns = Array.make cfg.shards 0 in
+  (* When the work was done and every spawn told to exit. *)
+  let exit_sent = ref None in
   (* Last time the campaign moved (connect, lease, result): the
      no-worker give-up clock measures from here. *)
   let progress = ref (now ()) in
@@ -527,7 +517,11 @@ let supervise ~bus ?spawn ?pool ?http ~on_result ~worker_argv cfg
     members := List.filter (fun x -> x != m) !members;
     let reason =
       match hang_up m with
-      | None -> Option.value failure ~default:"connection closed"
+      | None ->
+          let reason = Option.value failure ~default:"connection closed" in
+          if m.m_authed then
+            emit bus (Worker_disconnected { worker = m.m_id; reason });
+          reason
       | Some (status, clean) -> (
           let truncated = Shard.Decoder.pending_bytes m.m_dec > 0 in
           emit bus
@@ -545,8 +539,6 @@ let supervise ~bus ?spawn ?pool ?http ~on_result ~worker_argv cfg
               Printf.sprintf "worker died mid-frame (%s)" status
           | None -> Printf.sprintf "worker crashed (%s)" status)
     in
-    if m.m_authed && not m.m_spawned then
-      emit bus (Worker_disconnected { worker = m.m_id; reason });
     match m.m_lease with
     | Some p ->
         m.m_lease <- None;
@@ -560,73 +552,86 @@ let supervise ~bus ?spawn ?pool ?http ~on_result ~worker_argv cfg
     end;
     retire ~failure:reason m
   in
-  let spawn_member p =
+  (* Spawn a worker into [slot] for lease [p].  A one-shot worker fault
+     arms only the first spawn, slot 0's; a persistent one arms every
+     spawn. *)
+  let spawn_member slot p =
+    spawns.(slot) <- spawns.(slot) + 1;
+    let attempt = spawns.(slot) in
     let env_fault =
       match cfg.inject with
       | Some mode
         when Fault_inject.worker_mode_persistent mode
-             || (p.p_shard = 0 && p.p_attempt = 1) ->
+             || (slot = 0 && attempt = 1) ->
           Some (Fault_inject.worker_mode_name mode)
       | _ -> None
     in
     let tr =
       match spawn with
-      | Some f -> f ~shard:p.p_shard ~attempt:p.p_attempt ~env_fault
+      | Some f -> f ~shard:slot ~attempt ~env_fault
       | None -> spawn_exec ~argv:worker_argv ~env_fault
     in
     emit bus
       (Spawn
          {
-           shard = p.p_shard;
-           attempt = p.p_attempt;
+           shard = slot;
+           attempt;
            pid = tr.t_pid;
            cells = List.length p.p_cells;
          });
-    join ~id:p.p_shard ~spawned:true ~peer:"pipe" tr
+    join ~id:slot ~spawned:true ~peer:"pipe" tr
   in
-  (* The lease dispatcher: grant [p] to a fresh spawn or to an idle
-     dial-in member, while fewer than [cfg.shards] leases are out. *)
+  (* A slot no spawn occupies, when workers are spawned at all. *)
+  let free_slot () =
+    if pool <> None then None
+    else
+      List.find_opt
+        (fun s -> not (List.exists (fun m -> m.m_id = s) !members))
+        (List.init cfg.shards Fun.id)
+  in
+  let lease m p =
+    Shard.write_frame m.m_tr.t_write (Shard.F_work p.p_cells);
+    let t = now () in
+    m.m_lease <- Some p;
+    m.m_leased_at <- t;
+    m.m_last <- t;
+    progress := t;
+    emit bus
+      (Lease_granted
+         {
+           shard = p.p_shard;
+           worker = m.m_id;
+           cells = List.length p.p_cells;
+           attempt = p.p_attempt;
+         })
+  in
+  (* The lease dispatcher, while fewer than [cfg.shards] leases are out:
+     grant [p] to an idle member, else to a new spawn in a free slot. *)
   let grant p =
-    match
-      if !aborted <> None
-         || List.length (List.filter (fun m -> m.m_lease <> None) !members)
-            >= cfg.shards
-      then None
-      else if pool = None then Some (spawn_member p)
-      else List.find_opt (fun m -> m.m_authed && m.m_lease = None) !members
-    with
-    | None -> false
+    !aborted = None
+    && List.length (List.filter (fun m -> m.m_lease <> None) !members)
+       < cfg.shards
+    &&
+    match List.find_opt (fun m -> m.m_authed && m.m_lease = None) !members with
     | Some m -> (
-        match Shard.write_frame m.m_tr.t_write (Shard.F_work p.p_cells) with
-        | () ->
-            let t = now () in
-            m.m_lease <- Some p;
-            m.m_leased_at <- t;
-            m.m_last <- t;
-            progress := t;
-            if not m.m_spawned then
-              emit bus
-                (Lease_granted
-                   {
-                     shard = p.p_shard;
-                     worker = m.m_id;
-                     cells = List.length p.p_cells;
-                     attempt = p.p_attempt;
-                   });
-            true
-        | exception (Unix.Unix_error _ as e) ->
-            if m.m_spawned then
-              aborted := Some ("spawn failed: " ^ Printexc.to_string e)
-            else
-              (* Found dead at grant time: the lease never left, so it
-                 stays pending rather than burning an attempt. *)
-              retire ~failure:"write failed at lease grant" m;
+        match lease m p with
+        | () -> true
+        | exception Unix.Unix_error _ ->
+            (* Found dead at grant time: the lease never left, so it
+               stays pending rather than burning an attempt. *)
+            retire ~failure:"write failed at lease grant" m;
             false)
-    | exception e ->
-        (* exec failed: degrade to in-process execution for everything
-           not yet computed. *)
-        aborted := Some ("spawn failed: " ^ Printexc.to_string e);
-        false
+    | None -> (
+        match free_slot () with
+        | None -> false
+        | Some slot -> (
+            match lease (spawn_member slot p) p with
+            | () -> true
+            | exception e ->
+                (* exec failed: degrade to in-process execution for
+                   everything not yet computed. *)
+                aborted := Some ("spawn failed: " ^ Printexc.to_string e);
+                false))
   in
   let dispatch () =
     let t = now () in
@@ -636,17 +641,14 @@ let supervise ~bus ?spawn ?pool ?http ~on_result ~worker_argv cfg
     pending := waiting @ !pending
   in
   (* A lease's [F_done]: the results are all in — or the missing ones
-     (a dropped frame) are requeued, never invented.  A spawn is then
-     asked to exit cleanly; a dial-in member stays for the next lease. *)
+     (a dropped frame) are requeued, never invented.  The member stays
+     for the next lease. *)
   let lease_done m =
     match m.m_lease with
     | None -> ()
     | Some p ->
         m.m_lease <- None;
-        requeue p "lease completed with missing results";
-        if m.m_spawned then
-          try Shard.write_frame m.m_tr.t_write Shard.F_exit
-          with Unix.Unix_error _ -> ()
+        requeue p "lease completed with missing results"
   in
   let reject m reason =
     emit bus (Worker_rejected { peer = m.m_peer; reason });
@@ -678,10 +680,21 @@ let supervise ~bus ?spawn ?pool ?http ~on_result ~worker_argv cfg
         | exception Unix.Unix_error _ -> retire m)
     | _ -> reject m "frame before handshake"
   in
+  let holds m id =
+    match m.m_lease with
+    | Some p -> List.exists (fun c -> c.Shard.c_id = id) p.p_cells
+    | None -> false
+  in
   let handle_frame m frame =
     if not m.m_authed then handshake m frame
     else
       match frame with
+      | Shard.F_result (id, _) | Shard.F_cellfault { fc_id = id; _ }
+        when not (holds m id) ->
+          (* An outcome counts only from the member leasing its cell. *)
+          raise
+            (Shard.Protocol
+               (Printf.sprintf "cell %d is not in the worker's lease" id))
       | Shard.F_hb cell -> emit bus (Heartbeat { shard = shard_of m; cell })
       | Shard.F_result (id, r) ->
           if Ledger.record_ok ledger id r then on_result id r;
@@ -757,9 +770,9 @@ let supervise ~bus ?spawn ?pool ?http ~on_result ~worker_argv cfg
   in
   (* When [m] must next show signs of life, and why it is ended if it
      does not: an unauthenticated dial-in gets a short handshake
-     budget; a member holding a lease — or a spawn awaiting its exit —
-     the heartbeat and per-lease wall-clock budgets.  An idle dial-in
-     member has none. *)
+     budget; a member holding a lease the heartbeat and per-lease
+     wall-clock budgets.  An idle member has none, until it is told to
+     exit: then it has the heartbeat budget to be reaped. *)
   let deadline m =
     if not m.m_authed then
       Some
@@ -768,8 +781,9 @@ let supervise ~bus ?spawn ?pool ?http ~on_result ~worker_argv cfg
       match m.m_lease with
       | Some _ when m.m_leased_at +. cfg.wall < m.m_last +. cfg.heartbeat ->
           Some (m.m_leased_at +. cfg.wall, wall_expired)
-      | None when not m.m_spawned -> None
-      | _ -> Some (m.m_last +. cfg.heartbeat, hb_expired)
+      | Some _ -> Some (m.m_last +. cfg.heartbeat, hb_expired)
+      | None ->
+          Option.map (fun t -> (t +. cfg.heartbeat, hb_expired)) !exit_sent
   in
   let step () =
     dispatch ();
@@ -843,16 +857,18 @@ let supervise ~bus ?spawn ?pool ?http ~on_result ~worker_argv cfg
         snapshot
     end
   in
-  (* However the loop ends: tell every dial-in member to exit (one that
-     merely lost its connection would redial; [F_exit] is what ends it)
-     and never leak a spawned worker. *)
+  let tell_exit m =
+    try Shard.write_frame m.m_tr.t_write Shard.F_exit
+    with Unix.Unix_error _ -> ()
+  in
+  (* However the loop ends: tell every member left to exit (a dial-in
+     that merely lost its connection would redial; [F_exit] is what ends
+     it) and never leak a spawned worker. *)
   let shutdown () =
     List.iter
       (fun m ->
-        if m.m_spawned then m.m_tr.t_kill ()
-        else (
-          try Shard.write_frame m.m_tr.t_write Shard.F_exit
-          with Unix.Unix_error _ -> ());
+        tell_exit m;
+        m.m_tr.t_kill ();
         ignore (hang_up m))
       !members;
     members := [];
@@ -861,17 +877,26 @@ let supervise ~bus ?spawn ?pool ?http ~on_result ~worker_argv cfg
   Fun.protect ~finally:shutdown (fun () ->
       while
         !aborted = None
-        && (!pending <> []
-           || List.exists (fun m -> m.m_lease <> None || m.m_spawned) !members)
+        && (!pending <> [] || List.exists (fun m -> m.m_lease <> None) !members)
       do
         step ()
-      done);
+      done;
+      (* The work is done: without a pool every member is a spawn, told
+         to exit here and reaped by the loop when it does. *)
+      if !aborted = None && pool = None then begin
+        exit_sent := Some (now ());
+        List.iter tell_exit !members;
+        while !members <> [] do
+          step ()
+        done
+      end);
   !aborted
 
-(* Compute [cells] on pool members — spawned [--worker] processes
-   ([worker_argv], or the [spawn] hook tests use), or, with [pool],
-   dial-in workers on a TCP listener — and merge the outcomes in cell
-   order.  The merge is byte-identical to a serial run no matter which
+(* Compute the cells of [leases] on pool members — spawned [--worker]
+   processes ([worker_argv], or the [spawn] hook tests use), or, with
+   [pool], dial-in workers on a TCP listener — and merge the outcomes in
+   the leases' cell order.  Leases go out in order, each whole to one
+   member.  The merge is byte-identical to a serial run no matter which
    worker computed what.  Each result a worker delivers is handed to
    [on_result] once, as it arrives.  [http] is a live /metrics listener
    polled on the same select.  As the last resort, [fallback] computes
@@ -879,23 +904,24 @@ let supervise ~bus ?spawn ?pool ?http ~on_result ~worker_argv cfg
 let run ?(bus = create_bus ()) ?spawn ?pool ?http ?(on_result = fun _ _ -> ())
     ?(worker_argv = [| Sys.executable_name; "--worker" |]) (cfg : config)
     ~(fallback : Shard.cell list -> (int * Json.t) list)
-    (cells : Shard.cell list) : (int * outcome) list =
+    (leases : Shard.cell list list) : (int * outcome) list =
   Shard.ignore_sigpipe ();
-  let ledger = Ledger.create ~bus cells in
+  let leases = List.filter (fun l -> l <> []) leases in
+  let ledger = Ledger.create ~bus (List.concat leases) in
   let run_fallback reason =
     emit bus (Fallback { reason });
     List.iter
       (fun (id, r) -> ignore (Ledger.record_ok ledger id r))
       (fallback (Ledger.remaining ledger))
   in
-  (match cells with
+  (match leases with
   | [] -> ()
   | _ when pool = None && not (Shard.can_spawn ()) ->
       run_fallback "process spawning unavailable"
   | _ ->
       Option.iter run_fallback
         (supervise ~bus ?spawn ?pool ?http ~on_result ~worker_argv cfg ledger
-           cells));
+           leases));
   Ledger.finish ledger
 
 (* ------------------------------------------------------------------ *)

@@ -71,8 +71,9 @@ let test_width_parallel () =
   check_width "width -j 4" (Golden.width_lines ~jobs:4 ())
 
 (* Two crash-isolated shard workers (in-process domains running the real
-   [Shard.serve] loop over pipes) compute the width corpus by cell key;
-   the supervised merge must be byte-identical to the serial lines. *)
+   [Shard.serve] loop over pipes) compute the width corpus by cell key,
+   one cell a lease to whichever is idle; the supervised merge must be
+   byte-identical to the serial lines. *)
 let run_width_shards ?opts name =
   let keys = Golden.width_keys () in
   let cells = List.mapi (fun i k -> { Shard.c_id = i; c_key = k }) keys in
@@ -93,7 +94,7 @@ let run_width_shards ?opts name =
   let out =
     Supervisor.run ~spawn config ~worker_argv:[||]
       ~fallback:(fun _ -> Alcotest.fail "width shard fell back in-process")
-      cells
+      (List.map (fun c -> [ c ]) cells)
   in
   let actual =
     List.map

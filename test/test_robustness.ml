@@ -320,6 +320,7 @@ let test_checkpoint_resume () =
           let job () =
             {
               Campaign.cells = cells_of 6;
+              group = None;
               compute =
                 (fun key ->
                   if !interrupted && key = "k3" then raise Exit;

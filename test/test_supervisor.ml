@@ -1,5 +1,5 @@
-(* Shard-supervisor tests: the JSON wire format, the frame codec, shard
-   splitting, the checkpoint of a supervised campaign, the lifecycle
+(* Shard-supervisor tests: the JSON wire format, the frame codec, lease
+   cutting, the checkpoint of a supervised campaign, the lifecycle
    event bus, and the supervision state machine itself — driven through the [?spawn]
    transport hook with in-process (domain-backed) fake workers, so
    crash / stall / poison scenarios run deterministically without
@@ -128,29 +128,72 @@ let test_frame_decoder_truncation_pending () =
   Alcotest.(check bool) "truncation visible" true
     (Shard.Decoder.pending_bytes dec > 0)
 
-(* --- shard splitting --------------------------------------------------- *)
+(* --- lease cutting ------------------------------------------------------ *)
 
 let cells_of n = List.init n (fun i -> { Shard.c_id = i; c_key = "k" ^ string_of_int i })
 
-let test_split_shards () =
+(* [n] cells cut into leases of [size] consecutive cells. *)
+let chunks size n = Campaign.leases ~jobs:size (cells_of n)
+
+let ids leases = List.map (List.map (fun c -> c.Shard.c_id)) leases
+
+(* Cells k0..k(n-1) in consecutive groups of [sizes]: [n] and the group
+   of a cell key. *)
+let grouped sizes =
+  let group_of =
+    Array.of_list
+      (List.concat (List.mapi (fun g k -> List.init k (Fun.const g)) sizes))
+  in
+  let group key =
+    string_of_int
+      group_of.(int_of_string (String.sub key 1 (String.length key - 1)))
+  in
+  (Array.length group_of, group)
+
+(* Every cell lands in exactly one lease, in order.  With groups (kept
+   contiguous, as the grid sorts them) a lease is one whole group,
+   whatever a resume removed; without, [jobs] consecutive cells. *)
+let test_lease_cutting () =
   List.iter
-    (fun (shards, n) ->
-      let parts = Supervisor.split_shards shards (cells_of n) in
-      let flat = List.concat parts in
-      Alcotest.(check int)
-        (Printf.sprintf "%d cells / %d shards: nothing lost" n shards)
-        n (List.length flat);
-      Alcotest.(check bool) "order preserved (contiguous ranges)" true
-        (List.map (fun c -> c.Shard.c_id) flat = List.init n Fun.id);
-      Alcotest.(check bool) "no empty shard" true
-        (List.for_all (fun p -> p <> []) parts);
-      Alcotest.(check bool) "balanced within one" true
-        (match parts with
-        | [] -> n = 0
-        | _ ->
-            let sizes = List.map List.length parts in
-            List.fold_left max 0 sizes - List.fold_left min n sizes <= 1))
-    [ (1, 5); (2, 5); (3, 9); (4, 2); (8, 3); (2, 0) ]
+    (fun sizes ->
+      let n, group = grouped sizes in
+      List.iter
+        (fun resumed ->
+          let cells =
+            List.filter
+              (fun c -> not (List.mem c.Shard.c_id resumed))
+              (cells_of n)
+          in
+          let leases = Campaign.leases ~jobs:4 ~group cells in
+          let groups =
+            List.map
+              (fun l ->
+                List.sort_uniq compare
+                  (List.map (fun c -> group c.Shard.c_key) l))
+              leases
+          in
+          let label =
+            Printf.sprintf "%d cells in %d groups, %d resumed" n
+              (List.length sizes) (List.length resumed)
+          in
+          Alcotest.(check (list int))
+            (label ^ ": every cell once, in order")
+            (List.map (fun c -> c.Shard.c_id) cells)
+            (List.concat (ids leases));
+          Alcotest.(check bool) (label ^ ": one group a lease") true
+            (List.for_all (fun g -> List.length g = 1) groups);
+          let gs = List.concat groups in
+          Alcotest.(check bool) (label ^ ": no group split") true
+            (List.length (List.sort_uniq compare gs) = List.length gs))
+        [ []; [ 0 ]; [ 1; 3 ] ])
+    [ [ 2; 1; 3; 2 ]; [ 1; 1; 1 ]; [ 5 ]; [] ];
+  let _, group = grouped [ 2; 1; 3; 2 ] in
+  Alcotest.(check (list (list int))) "one lease per group"
+    [ [ 0; 1 ]; [ 2 ]; [ 3; 4; 5 ]; [ 6; 7 ] ]
+    (ids (Campaign.leases ~jobs:1 ~group (cells_of 8)));
+  Alcotest.(check (list (list int))) "without groups, [jobs] cells a lease"
+    [ [ 0; 1; 2 ]; [ 3; 4; 5 ]; [ 6; 7 ] ]
+    (ids (chunks 3 8))
 
 (* --- checkpoints ------------------------------------------------------- *)
 
@@ -203,8 +246,21 @@ let test_bus_order_and_unsubscribe () =
 
 (* --- fake-worker transports -------------------------------------------- *)
 
-(* Crash after streaming the first result: the classic mid-shard death.
-   Reports a signal status so the supervisor treats it as a failure. *)
+(* Serve lease after lease, as a worker does: each work order's cells go
+   to [serve] until the supervisor says exit. *)
+let each_lease serve in_r =
+  let rec loop () =
+    match Shard.read_frame in_r with
+    | Some (Shard.F_work cells) ->
+        serve cells;
+        loop ()
+    | _ -> ()
+  in
+  loop ()
+
+(* Crash after streaming the first result: the classic mid-shard death,
+   within the worker's first lease.  Reports a signal status so the
+   supervisor treats it as a failure. *)
 let crash_after_first compute in_r out_w =
   (match Shard.read_frame in_r with
   | Some (Shard.F_work (c :: _)) ->
@@ -212,24 +268,22 @@ let crash_after_first compute in_r out_w =
   | _ -> ());
   raise Exit
 
-(* Die instantly — before streaming anything — whenever the batch
-   contains [poison]; serve normally otherwise.  Streaming no partial
+(* Die instantly — before streaming anything — on a lease that contains
+   [poison]; serve every other lease normally.  Streaming no partial
    results forces the supervisor to isolate the bad cell by bisection
    alone (a worker that streams results narrows the shard for free and
    never needs to bisect). *)
 let crash_on_cell ~poison compute in_r out_w =
-  (match Shard.read_frame in_r with
-  | Some (Shard.F_work cells) ->
+  each_lease
+    (fun cells ->
       if List.exists (fun c -> c.Shard.c_id = poison) cells then raise Exit;
       List.iter
         (fun c ->
           Shard.write_frame out_w
             (Shard.F_result (c.Shard.c_id, compute c.Shard.c_key)))
         cells;
-      Shard.write_frame out_w Shard.F_done;
-      ignore (Shard.read_frame in_r)
-  | _ -> ());
-  raise Exit
+      Shard.write_frame out_w Shard.F_done)
+    in_r
 
 (* Read the work order, then fall silent without ever writing a frame —
    the shape of a livelocked worker. *)
@@ -268,6 +322,10 @@ let config ?(shards = 2) ?(max_attempts = 2) () =
     backoff = 0.01 (* keep retry latency out of the test suite *);
   }
 
+let count p events = List.length (List.filter p events)
+let is_spawn = function Supervisor.Spawn _ -> true | _ -> false
+let is_grant = function Supervisor.Lease_granted _ -> true | _ -> false
+
 (* Happy path: two domain-backed workers serve the real worker loop;
    results come back complete and in cell order. *)
 let test_supervised_happy_path () =
@@ -278,18 +336,103 @@ let test_supervised_happy_path () =
   in
   let out =
     Supervisor.run ~bus ~spawn (config ()) ~worker_argv:[||]
-      ~fallback:no_fallback (cells_of 5)
+      ~fallback:no_fallback (chunks 1 5)
   in
   Alcotest.(check bool) "all cells ok, in id order" true (out = expected_ok 5);
-  let spawns =
-    List.length
-      (List.filter (function Supervisor.Spawn _ -> true | _ -> false) (events ()))
-  in
-  Alcotest.(check int) "one spawn per shard" 2 spawns;
+  Alcotest.(check int) "one spawn per slot" 2 (count is_spawn (events ()));
   Alcotest.(check bool) "merged event closes the run" true
     (List.exists
        (function Supervisor.Merged { cells = 5; faults = 0 } -> true | _ -> false)
        (events ()))
+
+(* Leases go to whichever member is idle: while the first spawn sits on
+   a slow cell, the second computes every other cell, lease after lease
+   (a split into one contiguous range per spawn would cap it at half).
+   Each slot spawns once, and every lease is granted once. *)
+let test_supervised_balance () =
+  let bus = Supervisor.create_bus () in
+  let events = record_events bus in
+  let lock = Mutex.create () and computed = ref [] in
+  let spawn ~shard ~attempt:_ ~env_fault:_ =
+    Helpers.domain_transport
+      ~compute:(fun key ->
+        if key = "k0" then Unix.sleepf 1.0;
+        Mutex.protect lock (fun () -> computed := (shard, key) :: !computed);
+        compute key)
+      ()
+  in
+  let leases = chunks 1 6 in
+  let out =
+    Supervisor.run ~bus ~spawn (config ()) ~worker_argv:[||]
+      ~fallback:no_fallback leases
+  in
+  Alcotest.(check bool) "all cells ok, in id order" true (out = expected_ok 6);
+  Alcotest.(check (list string)) "the second member computes every other cell"
+    [ "k1"; "k2"; "k3"; "k4"; "k5" ]
+    (List.sort compare
+       (List.filter_map
+          (fun (slot, key) -> if slot = 1 then Some key else None)
+          !computed));
+  Alcotest.(check int) "one spawn per slot" 2 (count is_spawn (events ()));
+  Alcotest.(check int) "every lease granted once" (List.length leases)
+    (count is_grant (events ()))
+
+(* A spawn's slot outlives it: a member killed mid-lease is replaced in
+   the same slot as attempt 2, and only its unfinished cells are
+   requeued.  A one-shot worker fault arms slot 0's first spawn alone; a
+   persistent one (poison) arms every spawn. *)
+let test_supervised_slots_and_fault_arming () =
+  let module FI = Protean_defense.Fault_inject in
+  let bus = Supervisor.create_bus () in
+  let events = record_events bus in
+  let spawns = ref [] in
+  let slow key =
+    Unix.sleepf 0.2;
+    compute key
+  in
+  let spawn ~shard ~attempt ~env_fault =
+    spawns := (shard, attempt, env_fault) :: !spawns;
+    match env_fault with
+    | Some _ ->
+        Helpers.domain_transport ~misbehave:(crash_after_first slow)
+          ~compute:slow ()
+    | None -> Helpers.domain_transport ~compute:slow ()
+  in
+  let out =
+    Supervisor.run ~bus ~spawn
+      { (config ()) with Supervisor.inject = Some FI.WF_kill }
+      ~worker_argv:[||] ~fallback:no_fallback (chunks 2 6)
+  in
+  Alcotest.(check bool) "identical to serial despite the kill" true
+    (out = expected_ok 6);
+  Alcotest.(check (list (triple int int (option string))))
+    "slot 0 respawned as attempt 2; only its first spawn armed"
+    [ (0, 1, Some "worker-kill"); (1, 1, None); (0, 2, None) ]
+    (List.rev !spawns);
+  Alcotest.(check bool) "only the unfinished cell requeued" true
+    (List.exists
+       (function
+         | Supervisor.Lease_granted { shard = 0; attempt = 2; cells = 1; _ } ->
+             true
+         | _ -> false)
+       (events ()));
+  spawns := [];
+  let out =
+    Supervisor.run ~spawn:(fun ~shard ~attempt ~env_fault ->
+        spawns := (shard, attempt, env_fault) :: !spawns;
+        Helpers.domain_transport ~misbehave:(crash_on_cell ~poison:0 compute)
+          ~compute ())
+      { (config ()) with Supervisor.inject = Some (FI.WF_poison 0) }
+      ~worker_argv:[||] ~fallback:no_fallback (chunks 2 4)
+  in
+  Alcotest.(check bool) "the poisoned cell faults, the rest complete" true
+    (match out with
+    | (0, Supervisor.O_fault _) :: rest -> rest = List.tl (expected_ok 4)
+    | _ -> false);
+  Alcotest.(check bool) "crashed members were replaced" true
+    (List.length !spawns > 2);
+  Alcotest.(check bool) "every spawn armed with the poison" true
+    (List.for_all (fun (_, _, f) -> f = Some "worker-poison:0") !spawns)
 
 (* A worker that dies mid-shard is retried; streamed results are kept
    and the final merge is unaffected. *)
@@ -305,7 +448,7 @@ let test_supervised_crash_then_recover () =
   let out =
     Supervisor.run ~bus ~spawn
       (config ~shards:1 ())
-      ~worker_argv:[||] ~fallback:no_fallback (cells_of 4)
+      ~worker_argv:[||] ~fallback:no_fallback [ cells_of 4 ]
   in
   Alcotest.(check bool) "identical to serial despite the crash" true
     (out = expected_ok 4);
@@ -326,7 +469,7 @@ let test_supervised_poisoned_cell_bisected () =
   in
   let out =
     Supervisor.run ~bus ~spawn (config ()) ~worker_argv:[||]
-      ~fallback:no_fallback (cells_of 6)
+      ~fallback:no_fallback (chunks 3 6)
   in
   List.iter
     (fun (id, o) ->
@@ -359,8 +502,8 @@ let test_supervised_poisoned_cell_bisected () =
 let test_supervised_on_result_once () =
   let poison = 2 in
   let twice in_r out_w =
-    (match Shard.read_frame in_r with
-    | Some (Shard.F_work cells) ->
+    each_lease
+      (fun cells ->
         if List.exists (fun c -> c.Shard.c_id = poison) cells then raise Exit;
         List.iter
           (fun c ->
@@ -368,10 +511,8 @@ let test_supervised_on_result_once () =
             Shard.write_frame out_w f;
             Shard.write_frame out_w f)
           cells;
-        Shard.write_frame out_w Shard.F_done;
-        ignore (Shard.read_frame in_r)
-    | _ -> ());
-    raise Exit
+        Shard.write_frame out_w Shard.F_done)
+      in_r
   in
   let spawn ~shard:_ ~attempt:_ ~env_fault:_ =
     Helpers.domain_transport ~misbehave:twice ~compute ()
@@ -380,7 +521,7 @@ let test_supervised_on_result_once () =
   let out =
     Supervisor.run ~spawn (config ()) ~worker_argv:[||] ~fallback:no_fallback
       ~on_result:(fun id r -> seen := (id, r) :: !seen)
-      (cells_of 6)
+      (chunks 3 6)
   in
   Alcotest.(check (list int)) "each delivered cell once, the poisoned one never"
     [ 0; 1; 3; 4; 5 ]
@@ -406,7 +547,7 @@ let test_supervised_heartbeat_kill_recovers () =
   let cfg = { (config ~shards:1 ()) with Supervisor.heartbeat = 0.2 } in
   let out =
     Supervisor.run ~bus ~spawn cfg ~worker_argv:[||] ~fallback:no_fallback
-      (cells_of 3)
+      [ cells_of 3 ]
   in
   Alcotest.(check bool) "recovered after the kill" true (out = expected_ok 3);
   Alcotest.(check bool) "kill cites the heartbeat deadline" true
@@ -432,7 +573,7 @@ let test_supervised_cellfault_is_final () =
   let out =
     Supervisor.run ~bus ~spawn
       (config ~shards:1 ())
-      ~worker_argv:[||] ~fallback:no_fallback (cells_of 3)
+      ~worker_argv:[||] ~fallback:no_fallback [ cells_of 3 ]
   in
   (match List.assoc 1 out with
   | Supervisor.O_fault { f_reason; _ } ->
@@ -458,7 +599,7 @@ let test_supervised_spawn_failure_falls_back () =
   in
   let out =
     Supervisor.run ~bus ~spawn (config ()) ~worker_argv:[||] ~fallback
-      (cells_of 4)
+      [ cells_of 4 ]
   in
   Alcotest.(check bool) "fallback computed everything" true
     (out = expected_ok 4);
@@ -485,6 +626,7 @@ let test_supervised_checkpoint_resume () =
           let job () =
             {
               Campaign.cells = cells_of 4;
+              group = None;
               compute =
                 (fun key ->
                   computed := key :: !computed;
@@ -530,7 +672,7 @@ let test_supervised_garbage_midstream () =
   let out =
     Supervisor.run ~bus ~spawn
       (config ~shards:1 ())
-      ~worker_argv:[||] ~fallback:no_fallback (cells_of 4)
+      ~worker_argv:[||] ~fallback:no_fallback [ cells_of 4 ]
   in
   Alcotest.(check bool) "identical to serial despite the corruption" true
     (out = expected_ok 4);
@@ -551,17 +693,15 @@ let dribble_with_heartbeats compute in_r out_w =
     let b = Shard.encode_frame frame in
     Bytes.iter (fun ch -> ignore (Unix.write out_w (Bytes.make 1 ch) 0 1)) b
   in
-  (match Shard.read_frame in_r with
-  | Some (Shard.F_work cells) ->
+  each_lease
+    (fun cells ->
       List.iter
         (fun c ->
           put (Shard.F_hb c.Shard.c_id);
           put (Shard.F_result (c.Shard.c_id, compute c.Shard.c_key)))
         cells;
-      put Shard.F_done;
-      ignore (Shard.read_frame in_r)
-  | _ -> ());
-  ()
+      put Shard.F_done)
+    in_r
 
 let test_supervised_partial_frames_and_heartbeats () =
   let bus = Supervisor.create_bus () in
@@ -573,7 +713,7 @@ let test_supervised_partial_frames_and_heartbeats () =
   let out =
     Supervisor.run ~bus ~spawn
       (config ~shards:1 ())
-      ~worker_argv:[||] ~fallback:no_fallback (cells_of 5)
+      ~worker_argv:[||] ~fallback:no_fallback (chunks 2 5)
   in
   Alcotest.(check bool) "byte-dribbled frames reassemble" true
     (out = expected_ok 5);
@@ -633,7 +773,7 @@ let test_pool_happy_path () =
   let join = dialers bus 2 in
   let out =
     Supervisor.run ~bus (config ()) ~pool:(pool_config ())
-      ~fallback:no_fallback (cells_of 6)
+      ~fallback:no_fallback (chunks 3 6)
   in
   Alcotest.(check bool) "all workers exited cleanly" true
     (List.for_all (( = ) None) (join ()));
@@ -661,7 +801,7 @@ let test_pool_rejects_bad_token () =
   let join_good = dialers ~name:"good" bus 1 in
   let out =
     Supervisor.run ~bus (config ()) ~pool:(pool_config ())
-      ~fallback:no_fallback (cells_of 4)
+      ~fallback:no_fallback (chunks 2 4)
   in
   (match join_bad () with
   | [ Some (Failure msg) ] ->
@@ -699,7 +839,7 @@ let test_pool_rejects_bad_version () =
   let join = dialers bus 1 in
   let out =
     Supervisor.run ~bus (config ()) ~pool:(pool_config ())
-      ~fallback:no_fallback (cells_of 3)
+      ~fallback:no_fallback (chunks 2 3)
   in
   ignore (join ());
   Alcotest.(check bool) "campaign unaffected" true (out = expected_ok 3);
@@ -732,7 +872,7 @@ let test_pool_dropped_frame_requeued () =
       let out =
         Supervisor.run ~bus
           (config ~shards:1 ())
-          ~pool:(pool_config ()) ~fallback:no_fallback (cells_of 4)
+          ~pool:(pool_config ()) ~fallback:no_fallback [ cells_of 4 ]
       in
       Alcotest.(check bool) "worker exits cleanly" true (join () = [ None ]);
       Alcotest.(check bool) "identical to serial despite the drop" true
@@ -755,7 +895,7 @@ let test_pool_garbage_worker_reconnects () =
       let out =
         Supervisor.run ~bus
           (config ~shards:1 ())
-          ~pool:(pool_config ()) ~fallback:no_fallback (cells_of 4)
+          ~pool:(pool_config ()) ~fallback:no_fallback [ cells_of 4 ]
       in
       Alcotest.(check bool) "worker exits cleanly after reconnect" true
         (join () = [ None ]);
@@ -787,7 +927,7 @@ let test_pool_no_workers_falls_back () =
     List.map (fun c -> (c.Shard.c_id, compute c.Shard.c_key)) cells
   in
   let out =
-    Supervisor.run ~bus (config ()) ~pool ~fallback (cells_of 3)
+    Supervisor.run ~bus (config ()) ~pool ~fallback [ cells_of 3 ]
   in
   Alcotest.(check bool) "fallback served the batch" true (out = expected_ok 3);
   Alcotest.(check bool) "fallback event emitted" true
@@ -797,9 +937,10 @@ let test_pool_no_workers_falls_back () =
 
 (* A hand-driven dial-in worker: handshake, then for each lease ask
    [script] (given the running lease count and the cells) whether to
-   serve it, drop the connection mid-lease (a crash: it redials), or
-   hold the lease silently for some seconds first (a livelock).  Ends
-   on [F_exit] or when the supervisor is gone. *)
+   serve it, drop the connection mid-lease (a crash: it redials), hold
+   the lease silently for some seconds first (a livelock), or send a
+   forged frame before serving it.  Redials a lost connection; ends on
+   [F_exit] or when the supervisor is gone. *)
 let scripted_dialer ?(campaign = "") ~addr script =
   let leases = ref 0 in
   let rec session redials =
@@ -814,20 +955,26 @@ let scripted_dialer ?(campaign = "") ~addr script =
           match Shard.read_frame sock with
           | Some (Shard.F_work cells) -> (
               incr leases;
+              let serve_lease () =
+                List.iter
+                  (fun c ->
+                    Shard.write_frame sock
+                      (Shard.F_result (c.Shard.c_id, compute c.Shard.c_key)))
+                  cells;
+                Shard.write_frame sock Shard.F_done;
+                serve ()
+              in
               match script !leases cells with
               | `Drop -> again ()
               | `Stall secs ->
                   Unix.sleepf secs;
                   again ()
-              | `Serve ->
-                  List.iter
-                    (fun c ->
-                      Shard.write_frame sock
-                        (Shard.F_result (c.Shard.c_id, compute c.Shard.c_key)))
-                    cells;
-                  Shard.write_frame sock Shard.F_done;
-                  serve ())
-          | Some Shard.F_exit | None -> Unix.close sock
+              | `Forge frame ->
+                  Shard.write_frame sock frame;
+                  serve_lease ()
+              | `Serve -> serve_lease ())
+          | Some Shard.F_exit -> Unix.close sock
+          | None -> again ()
           | Some _ -> serve ()
         in
         try
@@ -871,7 +1018,7 @@ let test_pool_poisoned_cell_bisected () =
   in
   let out =
     Supervisor.run ~bus ~pool:(pool_config ()) (config ())
-      ~fallback:no_fallback (cells_of 6)
+      ~fallback:no_fallback (chunks 3 6)
   in
   join ();
   List.iter
@@ -906,7 +1053,7 @@ let test_pool_heartbeat_drop_recovers () =
   let cfg = { (config ~shards:1 ()) with Supervisor.heartbeat = 0.2 } in
   let out =
     Supervisor.run ~bus ~pool:(pool_config ()) cfg ~fallback:no_fallback
-      (cells_of 3)
+      [ cells_of 3 ]
   in
   join ();
   Alcotest.(check bool) "recovered after the drop" true (out = expected_ok 3);
@@ -921,6 +1068,58 @@ let test_pool_heartbeat_drop_recovers () =
     (List.exists
        (function Supervisor.Retry { attempt = 2; _ } -> true | _ -> false)
        (events ()))
+
+(* An outcome counts only from the member leasing its cell: a dial-in
+   worker that reports a result for another lease's cell, or a fault for
+   a cell the campaign does not have, is dropped as corrupt and its
+   lease re-dispatched, leaving no trace in the merge, the fault count
+   or [on_result]. *)
+let test_pool_rejects_foreign_cells () =
+  List.iter
+    (fun forged ->
+      let bus = Supervisor.create_bus () in
+      let events = record_events bus in
+      let join =
+        scripted_dialers bus 1 (fun n _ ->
+            if n = 1 then `Forge forged else `Serve)
+      in
+      let seen = ref [] in
+      let out =
+        Supervisor.run ~bus
+          ~pool:(pool_config ())
+          (config ~shards:1 ())
+          ~on_result:(fun id r -> seen := (id, r) :: !seen)
+          ~fallback:no_fallback (chunks 2 4)
+      in
+      join ();
+      let evs = events () in
+      Alcotest.(check bool) "identical to serial" true (out = expected_ok 4);
+      Alcotest.(check bool) "on_result saw only the real results" true
+        (List.sort compare !seen
+        = List.map
+            (function id, Supervisor.O_ok r -> (id, r) | _ -> assert false)
+            (expected_ok 4));
+      Alcotest.(check bool) "the forger was dropped as corrupt" true
+        (List.exists
+           (function
+             | Supervisor.Worker_disconnected { reason; _ } ->
+                 String.length reason >= 19
+                 && String.sub reason 0 19 = "protocol corruption"
+             | _ -> false)
+           evs);
+      Alcotest.(check bool) "nothing poisoned, no fault merged" true
+        (List.exists
+           (function
+             | Supervisor.Merged { cells = 4; faults = 0 } -> true | _ -> false)
+           evs
+        && not
+             (List.exists
+                (function Supervisor.Poisoned _ -> true | _ -> false)
+                evs)))
+    [
+      Shard.F_result (3, Json.Str "forged");
+      Shard.F_cellfault { fc_id = 9; fc_reason = "forged" };
+    ]
 
 (* A dial-in worker of another campaign — whose cells would run under
    other options than the supervisor's (here: without the certificate
@@ -956,7 +1155,7 @@ let test_pool_rejects_options_mismatch () =
   let out =
     Supervisor.run ~bus (config ())
       ~pool:{ (pool_config ()) with Supervisor.pl_campaign = own }
-      ~fallback:no_fallback (cells_of 3)
+      ~fallback:no_fallback [ cells_of 3 ]
   in
   Option.iter Domain.join !worker;
   let reason =
@@ -996,7 +1195,7 @@ let test_supervised_no_spawn_env_falls_back () =
     in
     let out =
       Supervisor.run ~bus ~spawn (config ()) ~worker_argv:[||] ~fallback
-        (cells_of 3)
+        [ cells_of 3 ]
     in
     Alcotest.(check bool) "fallback served the batch" true
       (out = expected_ok 3);
@@ -1015,13 +1214,17 @@ let tests =
       test_frame_decoder_byte_at_a_time;
     Alcotest.test_case "frame decoder reports truncation" `Quick
       test_frame_decoder_truncation_pending;
-    Alcotest.test_case "split_shards covers and balances" `Quick
-      test_split_shards;
+    Alcotest.test_case "leases cut at group boundaries" `Quick
+      test_lease_cutting;
     Alcotest.test_case "checkpoints round-trip, stale entries dropped" `Quick
       test_checkpoint_roundtrip_and_staleness;
     Alcotest.test_case "event bus order and unsubscribe" `Quick
       test_bus_order_and_unsubscribe;
     Alcotest.test_case "supervised happy path" `Quick test_supervised_happy_path;
+    Alcotest.test_case "idle members take lease after lease" `Quick
+      test_supervised_balance;
+    Alcotest.test_case "slots respawn; one-shot faults arm the first spawn"
+      `Quick test_supervised_slots_and_fault_arming;
     Alcotest.test_case "crash mid-shard retried, results kept" `Quick
       test_supervised_crash_then_recover;
     Alcotest.test_case "poisoned cell bisected to a structured fault" `Quick
@@ -1057,6 +1260,8 @@ let tests =
       test_pool_heartbeat_drop_recovers;
     Alcotest.test_case "tcp pool rejects mismatched options" `Quick
       test_pool_rejects_options_mismatch;
+    Alcotest.test_case "tcp pool drops a worker reporting foreign cells" `Quick
+      test_pool_rejects_foreign_cells;
     Alcotest.test_case "PROTEAN_NO_SPAWN forces fallback" `Quick
       test_supervised_no_spawn_env_falls_back;
   ]

@@ -420,7 +420,7 @@ let test_pool_delay_byte_identical () =
       let join = pool_dialer bus in
       let out =
         Supervisor.run ~bus (pool_sup_config ()) ~pool:(pool_config ())
-          ~fallback:pool_no_fallback (pool_cells 4)
+          ~fallback:pool_no_fallback [ pool_cells 4 ]
       in
       Alcotest.(check bool) "worker exits cleanly" true (join () = Some None);
       Alcotest.(check bool) "identical to serial despite the delay" true
@@ -442,7 +442,7 @@ let test_pool_half_close_redispatches () =
       let join = pool_dialer bus in
       let out =
         Supervisor.run ~bus (pool_sup_config ()) ~pool:(pool_config ())
-          ~fallback:pool_no_fallback (pool_cells 4)
+          ~fallback:pool_no_fallback [ pool_cells 4 ]
       in
       Alcotest.(check bool) "worker exits cleanly after redial" true
         (join () = Some None);
