@@ -1,39 +1,22 @@
-(* Pipeline micro-benchmark: simulation throughput of the stage-module
-   pipeline, the hot-loop cost model, and the parallel-grid scaling of
-   `-j N`.
+(* Pipeline micro-benchmark and CI guard: the hot-loop cost model of the
+   stage-module pipeline, checked against the golden corpus and the
+   checked-in allocation ceiling.
 
-     dune exec bench/bench_pipeline.exe            # writes BENCH_pipeline.json
-     dune exec bench/bench_pipeline.exe -- out.json
-     dune exec bench/bench_pipeline.exe -- --smoke # CI smoke: identity + alloc ceiling
+     dune exec bench/bench_pipeline.exe -- --smoke  # writes BENCH_pipeline.json
 
-   Measurements:
-
-   - single: the UNR workload (ossl.bnexp compiled with ProtCC-UNR,
-     ProtTrack defense, P-core) on one domain — simulated cycles per
-     wall-clock second including pipeline construction, the end-to-end
-     cost of an experiment cell;
-   - hotloop: the same workload with construction excluded — loop-only
-     cycles/second, minor GC words allocated per simulated cycle
-     (Gc.quick_stat deltas around the step loop), the per-stage
-     wall-clock breakdown from the [Profile] observer, and the overhead
-     the profiler itself adds (the off-path must stay measurably free);
-   - grid: the golden corpus (44 mixed single/multicore cells) at
-     -j 1/2/4, asserting the lines are identical at every width and
-     recording wall-clock speedup over serial.
-
-   `--smoke` is the CI guard: it replays a reduced prefix of the golden
-   corpus against test/golden_pipeline.expected (bit-identity) and
-   fails if minor words per cycle exceed the checked-in ceiling in
-   bench/hotloop_ceiling.txt — an allocation regression in the cycle
-   loop breaks the build before it breaks throughput.
-
-   Speedups are only meaningful relative to the `topology` block (a
-   1-core container can verify determinism but not show speedup; extra
-   domains there cost minor-GC barrier synchronization instead, and
-   extra --shards workers time-slice one core).  The block records the
-   host core count plus the shard/worker layout a supervised
-   (`--shards N -j M`) run would use, so a stored JSON says whether its
-   numbers are a performance measurement or a determinism check. *)
+   It replays a reduced prefix of the golden corpus against
+   test/golden_pipeline.expected (bit-identity of the fast scheduler),
+   then measures the UNR workload (ossl.bnexp compiled with ProtCC-UNR,
+   ProtTrack defense) on the P-core and on its 4-wide ported variant
+   with pipeline construction excluded: loop-only cycles/second, minor
+   GC words allocated per simulated cycle, the per-stage wall-clock
+   breakdown from the [Profile] observer and the overhead the profiler
+   itself adds.  It fails if minor words per cycle exceed the ceiling in
+   bench/hotloop_ceiling.txt on either core (an allocation regression in
+   the cycle loop breaks the build before it breaks throughput), if
+   event-driven skip-ahead skips no cycle, or if the speculation-window
+   ledger is inconsistent.  End-to-end and per-layer timings of whole
+   grids and campaigns are perfbench's (perfbench/README.md). *)
 
 module Suite = Protean_workloads.Suite
 module Protcc = Protean_protcc.Protcc
@@ -45,16 +28,7 @@ module Stats = Protean_ooo.Stats
 module Golden = Protean_harness.Golden
 module Report = Protean_harness.Report
 module Spec_window = Protean_ooo.Spec_window
-
-(* Host/build provenance, same labels as the `protean_build_info` metric:
-   a stored BENCH_pipeline.json identifies the machine, compiler, source
-   revision and active escape hatches that produced its numbers. *)
-let build_info_json oc =
-  Printf.fprintf oc "  \"build_info\": {%s}"
-    (String.concat ", "
-       (List.map
-          (fun (k, v) -> Printf.sprintf "\"%s\": \"%s\"" k (String.escaped v))
-          (Report.build_info_labels ())))
+module Json = Protean_telemetry.Json
 
 let timed f =
   let t0 = Unix.gettimeofday () in
@@ -69,21 +43,6 @@ let unr_workload () =
   | Suite.Single f ->
       (Protcc.instrument ~pass_override:Protcc.P_unr (f ())).Protcc.program
   | Suite.Multi _ -> assert false
-
-let bench_single program =
-  let d = Defense.find "prot-track" in
-  (* One warm-up run so the measurement excludes first-touch costs. *)
-  let run () =
-    Pipeline.run ~fuel Config.p_core (d.Defense.make ()) program ~overlays:[]
-  in
-  ignore (run ());
-  let r, wall = timed run in
-  let cycles = r.Pipeline.stats.Stats.cycles in
-  let committed = r.Pipeline.stats.Stats.committed in
-  Printf.printf "single: %d cycles, %d committed in %.3fs (%.0f cycles/s)\n%!"
-    cycles committed wall
-    (float_of_int cycles /. wall);
-  (cycles, committed, wall)
 
 (* Drive a pre-built pipeline to completion: the loop the interest mask,
    the O(active) scheduler, event-driven skip-ahead and the allocation
@@ -166,38 +125,8 @@ let bench_hotloop ?(config = Config.p_core) ?(label = "hotloop") program =
     hl_stages = Profile.stage_breakdown p;
   }
 
-(* On a single-core host the timed -j sweep is meaningless — every lane
-   multiplexes one CPU and any "speedup" is scheduler noise — so there
-   the determinism diff still runs (parallel results must stay
-   bit-identical to serial) but the timings are not reported as a sweep;
-   the JSON says why. *)
-let bench_grid () =
-  let sweep_timed = Domain.recommended_domain_count () > 1 in
-  let baseline, t1 = timed (fun () -> Golden.lines ()) in
-  Printf.printf "grid: -j 1 %.3fs (%d cells)\n%!" t1 (List.length baseline);
-  let points =
-    List.map
-      (fun jobs ->
-        let lines, tj = timed (fun () -> Golden.lines ~jobs ()) in
-        let identical = lines = baseline in
-        if sweep_timed then
-          Printf.printf "grid: -j %d %.3fs speedup %.2f identical %b\n%!" jobs
-            tj (t1 /. tj) identical
-        else
-          Printf.printf
-            "grid: -j %d identical %b (timing not reported: 1-core host)\n%!"
-            jobs identical;
-        if not identical then failwith "parallel grid diverged from serial";
-        (jobs, tj, t1 /. tj))
-      [ 2; 4 ]
-  in
-  (List.length baseline, t1, points, sweep_timed)
-
-(* --smoke: the CI guard.  Replays the first [smoke_cells] golden cells
-   serially and checks them against the recorded expectation
-   (bit-identity of the fast scheduler), then asserts the loop-only
-   allocation rate stays under the checked-in ceiling. *)
-
+(* The guard replays the first [smoke_cells] golden cells serially and
+   checks them against the recorded expectation. *)
 let smoke_cells = 10
 
 let find_file candidates =
@@ -318,131 +247,65 @@ let smoke () =
     skipped opened
     (wcount "windows_mispredicted")
     (wcount "interventions_leaky" + wcount "interventions_benign");
-  (* Record the smoke measurements so CI archives them alongside the
-     full bench's BENCH_pipeline.json. *)
-  let oc = open_out "BENCH_pipeline.json" in
-  Printf.fprintf oc "{\n  \"smoke\": true,\n";
-  build_info_json oc;
-  Printf.fprintf oc ",\n";
-  Printf.fprintf oc "  \"hotloop\": {\n";
-  Printf.fprintf oc "    \"cycles\": %d, \"loop_wall_s\": %.4f,\n" hl.hl_cycles
-    hl.hl_loop_wall;
-  Printf.fprintf oc "    \"minor_words_per_cycle\": %.1f,\n"
-    hl.hl_minor_words_per_cycle;
-  Printf.fprintf oc "    \"minor_words_ceiling\": %.1f\n  },\n" ceiling;
-  Printf.fprintf oc "  \"hotloop_ports\": {\n";
-  Printf.fprintf oc "    \"cycles\": %d, \"loop_wall_s\": %.4f,\n" hp.hl_cycles
-    hp.hl_loop_wall;
-  Printf.fprintf oc "    \"minor_words_per_cycle\": %.1f\n  },\n"
-    hp.hl_minor_words_per_cycle;
-  Printf.fprintf oc "  \"scheduler\": { \"cycles_skipped\": %d },\n" skipped;
-  Printf.fprintf oc "  \"windows\": {%s}\n"
-    (String.concat ", "
-       (List.map (fun (name, n) -> Printf.sprintf "\"%s\": %d" name n) wc));
-  Printf.fprintf oc "}\n";
-  close_out oc;
+  (* Record the measurements, one top-level member a line.  The build
+     info (the `protean_build_info` labels) names the host, compiler,
+     source revision and active escape hatches behind the numbers. *)
+  let hotloop (h : hotloop) =
+    [
+      ("cycles", Json.Int h.hl_cycles);
+      ("loop_wall_s", Json.Float h.hl_loop_wall);
+      ( "loop_cycles_per_sec",
+        Json.Int (int_of_float (float_of_int h.hl_cycles /. h.hl_loop_wall)) );
+      ("minor_words_per_cycle", Json.Float h.hl_minor_words_per_cycle);
+    ]
+  in
+  let report =
+    [
+      ( "build_info",
+        Json.Obj
+          (List.map
+             (fun (k, v) -> (k, Json.Str v))
+             (Report.build_info_labels ())) );
+      ( "golden",
+        Json.Obj
+          [ ("cells", Json.Int smoke_cells); ("identical", Json.Bool true) ] );
+      ( "hotloop",
+        Json.Obj
+          (hotloop hl
+          @ [
+              ("minor_words_ceiling", Json.Float ceiling);
+              ("profiler_overhead", Json.Float hl.hl_profiler_overhead);
+              ( "stages",
+                Json.List
+                  (List.map
+                     (fun (name, sec, share) ->
+                       Json.Obj
+                         [
+                           ("stage", Json.Str name);
+                           ("seconds", Json.Float sec);
+                           ("share", Json.Float share);
+                         ])
+                     hl.hl_stages) );
+            ]) );
+      ("hotloop_ports", Json.Obj (("core", Json.Str "p@w4") :: hotloop hp));
+      ("scheduler", Json.Obj [ ("cycles_skipped", Json.Int skipped) ]);
+      ("windows", Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) wc));
+    ]
+  in
+  Out_channel.with_open_bin "BENCH_pipeline.json" (fun oc ->
+      output_string oc "{\n";
+      List.iteri
+        (fun i (k, v) ->
+          Printf.fprintf oc "%s  \"%s\": %s"
+            (if i > 0 then ",\n" else "")
+            k (Json.to_string v))
+        report;
+      output_string oc "\n}\n");
   Printf.printf "smoke: wrote BENCH_pipeline.json\n%!"
 
+(* Same runtime shape as the CLIs: the large nursery is part of the
+   configuration whose throughput this benchmark records.  [--smoke] is
+   accepted (CI passes it); there is one mode. *)
 let () =
-  (* Same runtime shape as the CLIs: the large nursery is part of the
-     configuration whose throughput this benchmark records. *)
   Protean_ooo.Gc_tune.tune ();
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "--smoke" then smoke ()
-  else begin
-    let out =
-      if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_pipeline.json"
-    in
-    let program = unr_workload () in
-    let cycles, committed, wall = bench_single program in
-    let hl = bench_hotloop program in
-    let hp =
-      bench_hotloop
-        ~config:(Config.with_width 4 Config.p_core)
-        ~label:"hotloop-ports" program
-    in
-    let cells, t1, points, sweep_timed = bench_grid () in
-    let oc = open_out out in
-    let host_cores = Domain.recommended_domain_count () in
-    (* The canonical supervised layout: workers × domains-per-worker,
-       capped by the host.  total_lanes = host_cores means real
-       parallelism; total_lanes > host_cores means the run exercises the
-       machinery (determinism, crash recovery) without speedup. *)
-    let shards = min 2 host_cores in
-    let jobs_per_worker = max 1 (host_cores / shards) in
-    Printf.fprintf oc "{\n";
-    Printf.fprintf oc "  \"host_cores\": %d,\n" host_cores;
-    build_info_json oc;
-    Printf.fprintf oc ",\n";
-    Printf.fprintf oc "  \"topology\": {\n";
-    Printf.fprintf oc "    \"host_cores\": %d, \"default_jobs\": %d,\n" host_cores
-      (Protean_harness.Parallel.default_jobs ());
-    Printf.fprintf oc "    \"spawn_available\": %b,\n"
-      (Protean_harness.Shard.can_spawn ());
-    Printf.fprintf oc
-      "    \"shards\": %d, \"jobs_per_worker\": %d, \"total_lanes\": %d,\n"
-      shards jobs_per_worker (shards * jobs_per_worker);
-    Printf.fprintf oc "    \"speedups_meaningful\": %b\n" (host_cores > 1);
-    Printf.fprintf oc "  },\n";
-    Printf.fprintf oc "  \"single\": {\n";
-    Printf.fprintf oc
-      "    \"bench\": \"ossl.bnexp\", \"pass\": \"unr\", \"defense\": \"prot-track\", \"core\": \"p\",\n";
-    Printf.fprintf oc "    \"cycles\": %d, \"committed\": %d, \"wall_s\": %.3f,\n"
-      cycles committed wall;
-    Printf.fprintf oc "    \"cycles_per_sec\": %.0f\n"
-      (float_of_int cycles /. wall);
-    Printf.fprintf oc "  },\n";
-    Printf.fprintf oc "  \"hotloop\": {\n";
-    Printf.fprintf oc "    \"cycles\": %d, \"loop_wall_s\": %.4f,\n" hl.hl_cycles
-      hl.hl_loop_wall;
-    Printf.fprintf oc "    \"loop_cycles_per_sec\": %.0f,\n"
-      (float_of_int hl.hl_cycles /. hl.hl_loop_wall);
-    Printf.fprintf oc "    \"minor_words_per_cycle\": %.1f,\n"
-      hl.hl_minor_words_per_cycle;
-    Printf.fprintf oc "    \"profiler_overhead\": %.2f,\n"
-      hl.hl_profiler_overhead;
-    Printf.fprintf oc "    \"stages\": [\n";
-    List.iteri
-      (fun i (name, s, share) ->
-        Printf.fprintf oc
-          "      {\"stage\": \"%s\", \"seconds\": %.4f, \"share\": %.3f}%s\n"
-          name s share
-          (if i = List.length hl.hl_stages - 1 then "" else ","))
-      hl.hl_stages;
-    Printf.fprintf oc "    ]\n  },\n";
-    Printf.fprintf oc "  \"hotloop_ports\": {\n";
-    Printf.fprintf oc "    \"core\": \"p@w4\",\n";
-    Printf.fprintf oc "    \"cycles\": %d, \"loop_wall_s\": %.4f,\n" hp.hl_cycles
-      hp.hl_loop_wall;
-    Printf.fprintf oc "    \"loop_cycles_per_sec\": %.0f,\n"
-      (float_of_int hp.hl_cycles /. hp.hl_loop_wall);
-    Printf.fprintf oc "    \"minor_words_per_cycle\": %.1f\n  },\n"
-      hp.hl_minor_words_per_cycle;
-    Printf.fprintf oc "  \"grid\": {\n";
-    Printf.fprintf oc
-      "    \"corpus\": \"golden\", \"cells\": %d, \"serial_wall_s\": %.3f,\n"
-      cells t1;
-    if sweep_timed then begin
-      Printf.fprintf oc "    \"parallel\": [\n";
-      List.iteri
-        (fun i (jobs, tj, sp) ->
-          Printf.fprintf oc
-            "      {\"jobs\": %d, \"wall_s\": %.3f, \"speedup\": %.2f, \"identical\": true}%s\n"
-            jobs tj sp
-            (if i = List.length points - 1 then "" else ","))
-        points;
-      Printf.fprintf oc "    ]\n  }\n}\n"
-    end
-    else begin
-      (* 1-core host: the sweep still ran for the determinism diff (all
-         points identical or we'd have failed), but its timings are
-         noise, not speedups — record that instead of fake numbers. *)
-      Printf.fprintf oc "    \"parallel_identical\": [%s],\n"
-        (String.concat ", "
-           (List.map (fun (jobs, _, _) -> string_of_int jobs) points));
-      Printf.fprintf oc
-        "    \"jobs_sweep_timed\": false, \"jobs_sweep_note\": \"timings \
-         not reported: host_cores=1\"\n  }\n}\n"
-    end;
-    close_out oc;
-    Printf.printf "wrote %s\n%!" out
-  end
+  smoke ()

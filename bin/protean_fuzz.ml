@@ -4,7 +4,10 @@
      protean-fuzz --defense prot-track --contract ct --programs 50
      protean-fuzz --inject-faults      # self-test: must catch planted bugs
      protean-fuzz -n 500 --checkpoint st.ck  # resumable long campaign
-     protean-fuzz --table-ii           # the scaled-down Table II grid
+
+   Either mode is one campaign (Campaign.run over Campaign.fuzz): serial,
+   on -j domains, under --shards or --listen, resumed from --checkpoint
+   alike.  Table II is `protean-tables table-ii`.
 
    Exit status: 0 = clean; 1 = real contract violations found, or an
    injected fault went undetected (a detector gap) — so CI can gate on
@@ -17,12 +20,8 @@ module Config = Protean_ooo.Config
 module Defense = Protean_defense.Defense
 module Fault_inject = Protean_defense.Fault_inject
 module Protcc = Protean_protcc.Protcc
-module Tables = Protean_harness.Tables
-module Parallel = Protean_harness.Parallel
-module Supervisor = Protean_harness.Supervisor
 module Campaign = Protean_harness.Campaign
 module E = Protean_harness.Experiment
-module Shard = Protean_harness.Shard
 module Json = Protean_telemetry.Json
 module Report = Protean_harness.Report
 module Metrics = Protean_telemetry.Metrics
@@ -72,21 +71,10 @@ let gadget_arg =
                --defense unsafe) violates deterministically. The \
                attribution smoke test's program source.")
 
-let table_ii_arg =
-  Arg.(value & flag & info [ "table-ii" ]
-         ~doc:"Run the scaled-down Table II campaign grid and exit.")
-
 let timeout_arg =
   Arg.(value & opt (some int) None & info [ "timeout-cycles" ] ~docv:"CYCLES"
          ~doc:"Per-simulation cycle budget; a run exceeding it is skipped \
                (with a report) instead of hanging the campaign.")
-
-let inject_worker_arg =
-  Arg.(value & opt (some string) None
-         & info [ "inject-worker-fault" ] ~docv:"MODE"
-         ~doc:"Self-test the shard supervisor: worker-kill, worker-stall, \
-               worker-truncate, or worker-poison:N. Requires --shards > 1 \
-               (without --listen).")
 
 let inject_pass_fault_arg =
   Arg.(value & opt (some string) None
@@ -198,25 +186,6 @@ let record_campaign ~defense_id ~contract ~adversary (r : Fuzz.report) =
     (out.Fuzz.tests - out.Fuzz.violations - out.Fuzz.false_positives);
   stack "skipped" out.Fuzz.skipped
 
-let record_self_test rows =
-  List.iter
-    (fun (defense_id, contract, (g : Fuzz.gap)) ->
-      let labels =
-        [
-          ("contract", contract); ("defense", defense_id);
-          ("mode", Fault_inject.mode_name g.Fuzz.g_mode);
-        ]
-      in
-      let c name help =
-        Metrics.counter fuzz_reg ~help ~labels ("protean_fuzz_selftest_" ^ name)
-      in
-      Metrics.inc ~n:g.Fuzz.g_tests (c "tests_total" "self-test executions");
-      Metrics.inc ~n:g.Fuzz.g_violations
-        (c "violations_total" "violations under the injected fault");
-      if g.Fuzz.g_detected then
-        Metrics.inc (c "detected_total" "injected faults caught"))
-    rows
-
 (* The campaign registry merged with [Report]'s runtime (supervisor)
    registry, so sharded campaigns expose their process lifecycle too. *)
 let snapshot () =
@@ -229,85 +198,53 @@ let report_skips (r : Fuzz.report) =
         s.Fuzz.sk_index s.Fuzz.sk_seed s.Fuzz.sk_reason)
     r.Fuzz.r_skipped
 
-let run_self_test ~jobs ~paranoid_sched ~programs ~inputs ~seed ~timeout =
-  (* The canonical fault-mode pairings are independent campaigns: fan
-     them out and print the matrix in its fixed order. *)
-  let rows =
-    Array.to_list
-      (Parallel.map ~jobs
-         (Array.of_list
-            (List.map
-               (fun pairing () ->
-                 Fuzz.self_test_pairing ~seed ~programs ~inputs
-                   ?timeout_cycles:timeout ~paranoid_sched pairing)
-               Fuzz.canonical_pairings)))
+(* Record and print the self-test matrix from each pairing's merged
+   cells: a row's counters are its programs' summed outcomes, and a row
+   without a violation is a detector gap.  [true] when any row missed. *)
+let report_self_test pairings rows =
+  let gaps =
+    List.map2
+      (fun (m, defense_id, contract) cells ->
+        let out = Fuzz.total cells in
+        let labels =
+          [
+            ("contract", contract); ("defense", defense_id);
+            ("mode", Fault_inject.mode_name m);
+          ]
+        in
+        let c name help =
+          Metrics.counter fuzz_reg ~help ~labels
+            ("protean_fuzz_selftest_" ^ name)
+        in
+        let detected = out.Fuzz.violations > 0 in
+        Metrics.inc ~n:out.Fuzz.tests (c "tests_total" "self-test executions");
+        Metrics.inc ~n:out.Fuzz.violations
+          (c "violations_total" "violations under the injected fault");
+        if detected then
+          Metrics.inc (c "detected_total" "injected faults caught");
+        (m, defense_id, contract, out, detected))
+      pairings rows
   in
-  record_self_test rows;
   Printf.printf "fuzzer self-test (%d injected fault modes):\n"
-    (List.length rows);
+    (List.length gaps);
   List.iter
-    (fun (defense_id, contract, (g : Fuzz.gap)) ->
+    (fun (m, defense_id, contract, out, detected) ->
       Printf.printf "  %-20s on %-10s vs %-6s %3d tests, %3d violations -> %s\n"
-        (Fault_inject.mode_name g.Fuzz.g_mode)
-        defense_id
+        (Fault_inject.mode_name m) defense_id
         (String.uppercase_ascii contract ^ "-SEQ")
-        g.Fuzz.g_tests g.Fuzz.g_violations
-        (if g.Fuzz.g_detected then "caught" else "NOT CAUGHT (detector gap)"))
-    rows;
-  let missed = Fuzz.gaps (List.map (fun (_, _, g) -> g) rows) in
+        out.Fuzz.tests out.Fuzz.violations
+        (if detected then "caught" else "NOT CAUGHT (detector gap)"))
+    gaps;
+  let missed = List.filter (fun (_, _, _, _, detected) -> not detected) gaps in
   if missed <> [] then begin
     Printf.printf "%d/%d injected faults went undetected\n" (List.length missed)
-      (List.length rows);
+      (List.length gaps);
     true
   end
   else begin
     Printf.printf "all injected faults detected\n";
     false
   end
-
-(* --- the campaign ------------------------------------------------------- *)
-
-(* The campaign: one cell per program (keyed by its index), merged by
-   [Fuzz.finish] — in process on -j domains, supervised under --shards /
-   --listen, and resumed from --checkpoint alike.  A program whose
-   worker died on every attempt (a poisoned cell) becomes a skip, as a
-   program that faults twice does.  Served under --worker / --connect,
-   the result is [None]: nothing to report. *)
-let run_campaign (c : Campaign.t) ~opts ?inject_worker campaign d =
-  let of_outcome (id, o) =
-    match o with
-    | Supervisor.O_ok j -> Fuzz.cell_of_json id j
-    | Supervisor.O_fault { f_attempts; f_reason; _ } ->
-        {
-          Fuzz.c_index = id;
-          c_outcome = Fuzz.fresh_outcome ();
-          c_skip =
-            Some
-              (Printf.sprintf "worker crashed on every attempt (%d): %s"
-                 f_attempts f_reason);
-        }
-  in
-  (* A worker escalates a refuted certificate to a cell fault, so the
-     supervisor poisons only that program; in process the verdict stays
-     in the cell's counters. *)
-  let cert_poison = c.check_certs && Campaign.serving c in
-  let job () =
-    {
-      Campaign.cells =
-        List.init campaign.Fuzz.programs (fun i ->
-            { Shard.c_id = i; c_key = string_of_int i });
-      group = None;
-      compute =
-        (fun key ->
-          Fuzz.cell_to_json campaign
-            (Fuzz.test_cell ~cert_poison campaign d (int_of_string key)));
-      merge =
-        (fun outcomes -> Fuzz.finish campaign d (List.map of_outcome outcomes));
-    }
-  in
-  Campaign.run ~opts ?inject:inject_worker ~src:"fuzz"
-    ~live:(fun () -> Metrics.to_prometheus (snapshot ()))
-    ~job c
 
 (* Record and print a campaign report; [true] when it failed (contract
    or certificate violations). *)
@@ -388,20 +325,28 @@ let report_campaign (tele : Report.config) campaign d contract
   in
   out.Fuzz.violations > 0 || cert_failed
 
-let run table_ii defense contract programs inputs adversary seed core_width
-    squash_bug gadget timeout inject inject_worker pass_fault
-    (c : Campaign.t) =
+let run defense contract programs inputs adversary seed core_width squash_bug
+    gadget timeout inject pass_fault (c : Campaign.t) =
   let opts = Campaign.setup c in
   let paranoid_sched = opts.E.paranoid_sched in
+  (* One campaign per invocation, served by workers that re-run this
+     argv; [None] when this process served as a worker. *)
+  let go rows =
+    Campaign.run ~opts ~src:"fuzz"
+      ~live:(fun () -> Metrics.to_prometheus (snapshot ()))
+      ~job:(fun () -> Campaign.fuzz c rows)
+      c
+  in
   let failed =
-    if table_ii then begin
-      Tables.table_ii ~jobs:c.jobs ~paranoid_sched ~programs ~inputs ();
-      Some false
-    end
-    else if inject then
-      Some
-        (run_self_test ~jobs:c.jobs ~paranoid_sched ~programs ~inputs ~seed
-           ~timeout)
+    if inject then
+      (* The canonical fault-mode pairings, one row each. *)
+      let pairings = Fuzz.canonical_pairings in
+      go
+        (List.map
+           (Fuzz.self_test_row ?timeout_cycles:timeout ~paranoid_sched ~seed
+              ~programs ~inputs)
+           pairings)
+      |> Option.map (report_self_test pairings)
     else begin
       let d = Defense.find defense in
       let campaign =
@@ -409,7 +354,13 @@ let run table_ii defense contract programs inputs adversary seed core_width
           timeout core_width c.check_certs paranoid_sched pass_fault
       in
       let name = Printf.sprintf "%s|%s" d.Defense.id contract in
-      let go () = run_campaign c ~opts ?inject_worker campaign d in
+      (* [Fuzz.finish] merges the one row's cells and replays its first
+         violation. *)
+      let go () =
+        Option.map
+          (fun rows -> Fuzz.finish campaign d (List.concat rows))
+          (go [ (campaign, d) ])
+      in
       (match opts.E.trace with
       | Some tr -> Trace.with_span tr ~cat:"campaign" name go
       | None -> go ())
@@ -429,9 +380,9 @@ let cmd =
   Cmd.v
     (Cmd.info "protean-fuzz" ~doc)
     Term.(
-      const run $ table_ii_arg $ defense_arg $ contract_arg $ programs_arg
-      $ inputs_arg $ adversary_arg $ seed_arg $ core_width_arg
-      $ squash_bug_arg $ gadget_arg $ timeout_arg $ inject_arg
-      $ inject_worker_arg $ inject_pass_fault_arg $ campaign_term)
+      const run $ defense_arg $ contract_arg $ programs_arg $ inputs_arg
+      $ adversary_arg $ seed_arg $ core_width_arg $ squash_bug_arg
+      $ gadget_arg $ timeout_arg $ inject_arg $ inject_pass_fault_arg
+      $ campaign_term)
 
 let () = exit (Cmd.eval cmd)

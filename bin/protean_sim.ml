@@ -77,11 +77,6 @@ let list_arg =
   let doc = "List available benchmarks and exit." in
   Arg.(value & flag & info [ "list" ] ~doc)
 
-let inject_arg =
-  Arg.(value & opt (some string) None & info [ "inject-faults" ] ~docv:"MODE"
-         ~doc:"Self-test the shard supervisor: worker-kill, worker-stall, \
-               worker-truncate, or worker-poison:N. Requires --shards > 1.")
-
 let heartbeat_arg =
   Arg.(value & opt float 120.0 & info [ "shard-heartbeat" ] ~docv:"SECS"
          ~doc:"Kill a worker that sends no frame for this long.")
@@ -111,7 +106,7 @@ let report bench (b : Suite.benchmark) (d : Defense.t) (config : Config.t)
         per_core
 
 let run list benches defense pass core core_width spec_model invariants
-    invariant_every inject heartbeat wall (c : Campaign.t) =
+    invariant_every heartbeat wall (c : Campaign.t) =
   let opts = Campaign.setup c in
   if list then
     List.iter
@@ -152,7 +147,11 @@ let run list benches defense pass core core_width spec_model invariants
           else report bench (Suite.find bench) d config r)
         benches
     in
-    Campaign.grid c ~heartbeat ~wall ?inject ~src:"sim" session gen;
+    ignore
+      (Campaign.run ~opts:session.E.opts ~heartbeat ~wall ~src:"sim"
+         ~live:(Report.live_metrics session)
+         ~job:(fun () -> Campaign.grid c session gen)
+         c);
     if not (Campaign.serving c) then begin
       (* Telemetry keeps protean-sim's own cell keys (bench|defense|core)
          for its metric labels and window audit. *)
@@ -179,6 +178,6 @@ let cmd =
     Term.(
       const run $ list_arg $ bench_arg $ defense_arg $ pass_arg $ core_arg
       $ core_width_arg $ spec_model_arg $ invariants_arg $ invariant_every_arg
-      $ inject_arg $ heartbeat_arg $ wall_arg $ campaign_term)
+      $ heartbeat_arg $ wall_arg $ campaign_term)
 
 let () = exit (Cmd.eval cmd)

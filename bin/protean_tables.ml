@@ -7,15 +7,17 @@
      protean-tables table-v --shards 4 -j 2
      protean-tables all --checkpoint all.ck
 
-   Each target's experiment grid runs through Campaign.grid: `-j N`
+   Each target is one campaign (Campaign.run): an experiment grid
+   (Campaign.grid), Table II's fuzz grid (Campaign.fuzz), a golden
+   corpus, or for `all` the session grid and Table II together.  `-j N`
    computes its cells on N domains; `--shards N` spreads them over N
    crash-isolated worker *processes* (each running `-j N` domains
    internally) under the Supervisor: a worker that segfaults, stalls or
    gets OOM-killed is retried and, if a single cell keeps crashing, that
    cell is bisected out and reported as a structured fault while the
-   rest of the grid completes.  `--checkpoint FILE` keeps the completed
-   cells, so an interrupted run resumes in any of these modes.  Either
-   way the printed output is byte-identical to the serial run. *)
+   rest of the campaign completes.  `--checkpoint FILE` keeps the
+   completed cells, so an interrupted run resumes in any of these modes.
+   Either way the printed output is byte-identical to the serial run. *)
 
 open Cmdliner
 module E = Protean_harness.Experiment
@@ -24,6 +26,7 @@ module Tables = Protean_harness.Tables
 module Figures = Protean_harness.Figures
 module Studies = Protean_harness.Studies
 module Report = Protean_harness.Report
+module Golden = Protean_harness.Golden
 
 let what_arg =
   let doc =
@@ -47,14 +50,6 @@ let fuzz_programs_arg =
   Arg.(value & opt int 10 & info [ "fuzz-programs" ] ~docv:"N"
          ~doc:"Programs per Table II campaign.")
 
-let inject_arg =
-  Arg.(value & opt (some string) None & info [ "inject-faults" ] ~docv:"MODE"
-         ~doc:"Self-test the shard supervisor by arming a worker-level \
-               fault: worker-kill, worker-stall, worker-truncate, or \
-               worker-poison:N (abort whenever computing cell N). \
-               Requires --shards > 1; the supervised run must still \
-               complete (recovering, or isolating the poisoned cell).")
-
 let heartbeat_arg =
   Arg.(value & opt float 120.0 & info [ "shard-heartbeat" ] ~docv:"SECS"
          ~doc:"Kill a worker that sends no frame for this long.")
@@ -71,10 +66,9 @@ let campaign_term =
        certificate becomes a structured cell fault. Stays in the worker \
        argv, so shard workers audit the cells they compile."
 
-let run what benches core_widths fuzz_programs inject heartbeat wall
+let run what benches core_widths fuzz_programs heartbeat wall
     (c : Campaign.t) =
   let opts = Campaign.setup c in
-  let jobs = c.jobs in
   let benches = match benches with [] -> None | bs -> Some bs in
   let widths = match core_widths with [] -> None | ws -> Some ws in
   (* The over-protection audit reads the ledger's summary counters from
@@ -84,8 +78,7 @@ let run what benches core_widths fuzz_programs inject heartbeat wall
     if what = "over-protection" then { opts with E.window = true } else opts
   in
   let session = E.create_session ~opts () in
-  (* Targets memoized through [session] run as grids; the rest manage
-     their own parallelism (or have none to exploit). *)
+  (* Targets memoized through [session] run as experiment grids. *)
   let session_gen = function
     | "table-i" -> Some (fun () -> Tables.table_i ?benches session)
     | "table-iv" -> Some (fun () -> Tables.table_iv ?benches session)
@@ -103,52 +96,58 @@ let run what benches core_widths fuzz_programs inject heartbeat wall
        grid cells stay byte-identical to the golden corpora. *)
     | "over-protection" ->
         Some (fun () -> Tables.over_protection ?benches session)
+    (* A grid with no cells: the report prints through [Format]. *)
+    | "area" -> Some Studies.area_report
     | _ -> None
   in
   let session_targets =
     [
       "table-v"; "table-iv"; "table-i"; "figure-6"; "figure-5";
       "protcc-overhead"; "l1d-variants"; "ablation-access";
-      "control-model"; "bugfix-cost";
+      "control-model"; "bugfix-cost"; "area";
     ]
   in
-  (* One generator per grid: the target's own, or the combined session
-     sweep for `all` (cells shared between tables run once, in one
-     grid).  A worker serves the
-     same scope: its discovery pass enumerates exactly the supervisor's
-     cells because the argv (minus supervisor flags) matches. *)
-  let grid g =
-    Campaign.grid c ~heartbeat ~wall ?inject ~src:"tables" session g
+  let grid gen () = Campaign.grid c session gen in
+  let table_ii () =
+    let runs =
+      Tables.table_ii_runs ~paranoid_sched:opts.E.paranoid_sched
+        ~programs:fuzz_programs ()
+    in
+    let job =
+      Campaign.fuzz c (List.map (fun (_, r, d) -> (r.Tables.campaign, d)) runs)
+    in
+    { job with Campaign.merge = (fun o -> Tables.table_ii runs (job.merge o)) }
   in
-  let gen w =
-    match session_gen w with
-    | Some g -> grid g
-    | None when Campaign.serving c ->
-        invalid_arg ("--worker is only meaningful for grid targets: " ^ w)
-    | None -> (
-        match w with
-        | "table-ii" ->
-            Tables.table_ii ~jobs ~paranoid_sched:opts.E.paranoid_sched
-              ~programs:fuzz_programs ()
-        | "area" -> Studies.area_report ()
-        | "golden" ->
-            (* Regenerate the golden determinism corpus
-               (test/golden_pipeline.expected). *)
-            List.iter print_endline
-              (Protean_harness.Golden.lines ~jobs ~opts ())
-        | "golden-width" ->
-            (* Regenerate the width-sweep golden corpus
-               (test/golden_width.expected). *)
-            List.iter print_endline
-              (Protean_harness.Golden.width_lines ~jobs ~opts ())
-        | s -> invalid_arg ("unknown table/figure: " ^ s))
+  (* Regenerate a golden determinism corpus
+     (test/golden_pipeline.expected, test/golden_width.expected). *)
+  let golden corpus () =
+    let job = Golden.job ~opts corpus in
+    {
+      job with
+      Campaign.merge = (fun o -> List.iter print_endline (job.merge o));
+    }
+  in
+  (* One campaign per invocation: a worker re-runs this argv and serves
+     the campaign it reaches.  `all` is the combined session sweep
+     (cells shared between tables run once) followed by Table II. *)
+  let go job =
+    ignore
+      (Campaign.run ~opts ~heartbeat ~wall ~src:"tables"
+         ~live:(Report.live_metrics session) ~job c)
   in
   (match what with
   | "all" ->
-      grid (fun () ->
-          List.iter (fun w -> Option.get (session_gen w) ()) session_targets);
-      if not (Campaign.serving c) then List.iter gen [ "area"; "table-ii" ]
-  | w -> gen w);
+      let every () =
+        List.iter (fun w -> Option.get (session_gen w) ()) session_targets
+      in
+      go (fun () -> Campaign.both (grid every ()) (table_ii ()))
+  | "table-ii" -> go table_ii
+  | "golden" -> go (golden Golden.corpus)
+  | "golden-width" -> go (golden Golden.width_corpus)
+  | w -> (
+      match session_gen w with
+      | Some gen -> go (grid gen)
+      | None -> invalid_arg ("unknown table/figure: " ^ w)));
   if (not (Campaign.serving c)) && Report.wanted c.tele then
     Report.write_outputs c.tele session
 
@@ -158,6 +157,6 @@ let cmd =
     (Cmd.info "protean-tables" ~doc)
     Term.(
       const run $ what_arg $ bench_arg $ core_width_arg $ fuzz_programs_arg
-      $ inject_arg $ heartbeat_arg $ wall_arg $ campaign_term)
+      $ heartbeat_arg $ wall_arg $ campaign_term)
 
 let () = exit (Cmd.eval cmd)

@@ -11,6 +11,9 @@ module Gen = Protean_amulet.Gen
 module Defense = Protean.Defense
 module Protcc = Protean.Protcc
 
+(* A campaign's summed counters (no counterexample shrinking). *)
+let run c d = (Fuzz.run_resilient ~shrink:false c d).Fuzz.r_outcome
+
 let show name (o : Fuzz.outcome) =
   Printf.printf "  %-34s tests=%-3d skipped=%-3d violations=%-3d fp=%d\n" name
     o.Fuzz.tests o.Fuzz.skipped o.Fuzz.violations o.Fuzz.false_positives
@@ -20,9 +23,9 @@ let () =
     { Fuzz.default_campaign with Fuzz.programs = 12; inputs_per_program = 4 }
   in
   print_endline "ARCH-SEQ contract, unmodified binaries, cache+TLB adversary:";
-  show "unsafe" (Fuzz.run base Defense.unsafe);
-  show "PROTEAN (ProtTrack)" (Fuzz.run base Defense.prot_track);
-  show "PROTEAN (ProtDelay)" (Fuzz.run base Defense.prot_delay);
+  show "unsafe" (run base Defense.unsafe);
+  show "PROTEAN (ProtTrack)" (run base Defense.prot_track);
+  show "PROTEAN (ProtDelay)" (run base Defense.prot_delay);
 
   print_endline "\nCT-SEQ contract, ProtCC-CT binaries:";
   let ct =
@@ -33,17 +36,17 @@ let () =
       instrumentation = Fuzz.I_pass Protcc.P_ct;
     }
   in
-  show "unsafe" (Fuzz.run ct Defense.unsafe);
-  show "PROTEAN (ProtTrack)" (Fuzz.run ct Defense.prot_track);
+  show "unsafe" (run ct Defense.unsafe);
+  show "PROTEAN (ProtTrack)" (run ct Defense.prot_track);
 
   print_endline
     "\nThe pending-squash bug (inherited from STT's gem5 implementation):";
   let timing = { ct with Fuzz.adversary = Fuzz.Timing } in
   show "buggy, cache+TLB adversary"
-    (Fuzz.run { ct with Fuzz.squash_bug = true } Defense.prot_track);
+    (run { ct with Fuzz.squash_bug = true } Defense.prot_track);
   show "buggy, timing adversary"
-    (Fuzz.run { timing with Fuzz.squash_bug = true } Defense.prot_track);
-  show "fixed, timing adversary" (Fuzz.run timing Defense.prot_track);
+    (run { timing with Fuzz.squash_bug = true } Defense.prot_track);
+  show "fixed, timing adversary" (run timing Defense.prot_track);
   print_endline
     "\nOnly the fine-grained timing adversary (visible to SMT receivers)\n\
      surfaces the secret-dependent squash delay; the fix restores a clean\n\

@@ -20,9 +20,9 @@
      driver, [finish], merges the cells however they were computed (or
      resumed from a checkpoint, through the cell codec) and shrinks and
      attributes the first violation;
-   - [self_test] injects deliberate faults into the defense under test
-     ([Fault_inject]) and reports any injected fault the campaign fails
-     to flag — a detector gap. *)
+   - the self-test ([self_test_row]) injects deliberate faults into the
+     defense under test ([Fault_inject]): a fault the campaign fails to
+     flag is a detector gap. *)
 
 open Protean_isa
 open Protean_arch
@@ -288,14 +288,6 @@ let test_program ?witness ?cert_witness campaign defense ~index ~program =
             }
     | _ -> ())
     others;
-  out
-
-let run campaign (defense : Protean_defense.Defense.t) =
-  let out = fresh_outcome () in
-  for index = 0 to campaign.programs - 1 do
-    let program = generate_program campaign index in
-    merge_outcome ~into:out (test_program campaign defense ~index ~program)
-  done;
   out
 
 (* --- counterexample shrinking --------------------------------------- *)
@@ -642,6 +634,13 @@ let cell_of_json index j =
 
 (* --- the campaign driver ------------------------------------------------ *)
 
+(* The summed counters of [cells], merged in list order (index order
+   keeps a serial campaign's first violation example). *)
+let total cells =
+  let out = fresh_outcome () in
+  List.iter (fun c -> merge_outcome ~into:out c.c_outcome) cells;
+  out
+
 type skip = {
   sk_index : int; (* program index in the campaign *)
   sk_seed : int; (* its generator seed *)
@@ -666,8 +665,7 @@ type report = {
 let finish ?(shrink = true) ?(shrink_budget = 64) ?(program = fun _ -> None)
     campaign defense cells =
   let cells = List.sort (fun a b -> compare a.c_index b.c_index) cells in
-  let total = fresh_outcome () in
-  List.iter (fun c -> merge_outcome ~into:total c.c_outcome) cells;
+  let total = total cells in
   let skips =
     List.filter_map
       (fun c ->
@@ -729,33 +727,6 @@ let run_resilient ?shrink ?shrink_budget ?program_of campaign
       match !witness_program with Some (i, p) when i = index -> p | _ -> None)
     campaign defense (List.rev !cells)
 
-(* --- fuzzer self-test via fault injection ----------------------------- *)
-
-type gap = {
-  g_mode : Fault_inject.mode;
-  g_tests : int;
-  g_violations : int;
-  g_detected : bool; (* the campaign flagged the injected fault *)
-}
-
-(* Inject each fault mode into [defense] and rerun the campaign: a mode
-   whose campaign reports no violation is a detector gap — the harness
-   would also miss a comparable real bug. *)
-let self_test ?(modes = Fault_inject.all_modes) campaign defense =
-  List.map
-    (fun m ->
-      let faulty = Fault_inject.inject m defense in
-      let r = run_resilient ~shrink:false campaign faulty in
-      {
-        g_mode = m;
-        g_tests = r.r_outcome.tests;
-        g_violations = r.r_outcome.violations;
-        g_detected = r.r_outcome.violations > 0;
-      })
-    modes
-
-let gaps reports = List.filter (fun g -> not g.g_detected) reports
-
 (* Campaign skeleton for a named contract (the CLI's --contract values). *)
 let campaign_for ?(seed = 1) ~programs ~inputs contract =
   let mode_of, gen_klass, instrumentation =
@@ -799,21 +770,16 @@ let canonical_pairings =
     (Fault_inject.F_open_resolve_gate, "prot-track", "ct");
   ]
 
-(* One row of the self-test matrix: the pairing's fault injected into
-   its defense, fuzzed against its contract. *)
-let self_test_pairing ?(seed = 1) ?(programs = 8) ?(inputs = 3) ?timeout_cycles
-    ?(paranoid_sched = false) (m, defense_id, contract) =
-  let campaign = campaign_for ~seed ~programs ~inputs contract in
-  let campaign = { campaign with timeout_cycles; paranoid_sched } in
-  let d = Protean_defense.Defense.find defense_id in
-  match self_test ~modes:[ m ] campaign d with
-  | [ g ] -> (defense_id, contract, g)
-  | _ -> assert false
-
-let self_test_matrix ?seed ?programs ?inputs ?timeout_cycles () =
-  List.map
-    (self_test_pairing ?seed ?programs ?inputs ?timeout_cycles)
-    canonical_pairings
+(* One row of the self-test matrix as a campaign: the pairing's fault
+   injected into its defense, fuzzed against its contract.  A healthy
+   fuzzer reports a violation on every row. *)
+let self_test_row ?timeout_cycles ?(paranoid_sched = false) ~seed ~programs
+    ~inputs (m, defense_id, contract) =
+  ( { (campaign_for ~seed ~programs ~inputs contract) with
+      timeout_cycles;
+      paranoid_sched;
+    },
+    Fault_inject.inject m (Protean_defense.Defense.find defense_id) )
 
 (* --- contract shorthands -------------------------------------------- *)
 

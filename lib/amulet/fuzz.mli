@@ -13,9 +13,8 @@
     exception barrier with retry-once-then-skip ([run_resilient]),
     watchdog-enforced per-simulation cycle budgets, counterexample
     shrinking, a cell codec a checkpoint resumes through, and a
-    fault-injection self-test
-    ([self_test]) that verifies the campaign would actually flag a broken
-    defense. *)
+    fault-injection self-test ({!self_test_row}) that verifies the
+    campaign would actually flag a broken defense. *)
 
 open Protean_isa
 open Protean_arch
@@ -80,9 +79,6 @@ type outcome = {
 val program_seed : campaign -> int -> int
 (** Generator seed of the campaign's [index]-th program. *)
 
-val run : campaign -> Protean_defense.Defense.t -> outcome
-(** The plain campaign loop: no barrier, first simulator fault aborts. *)
-
 val fresh_outcome : unit -> outcome
 
 val merge_outcome : into:outcome -> outcome -> unit
@@ -96,10 +92,10 @@ val generate_program : campaign -> int -> Program.t
 (** {1 Campaign cells}
 
     A campaign decomposes into one independent cell per program
-    (per-program seeded RNG).  Every driver computes cells its own way
-    — serially ({!run_resilient}), on domains, in shard worker processes
-    or in an earlier run a checkpoint resumes, the last two through the
-    cell codec — and hands them to {!finish}. *)
+    (per-program seeded RNG).  The cells are computed serially
+    ({!run_resilient}) or as a harness campaign's cells — on domains, in
+    shard worker processes or in an earlier run a checkpoint resumes,
+    the last two through the cell codec — and merged by {!finish}. *)
 
 type cell = {
   c_index : int;  (** program index in the campaign *)
@@ -149,6 +145,10 @@ type skip = {
   sk_reason : string;
 }
 
+val total : cell list -> outcome
+(** The summed counters of the cells, merged in list order (index order
+    keeps a serial campaign's first violation example). *)
+
 type report = {
   r_outcome : outcome;
   r_completed : int;  (** programs fully tested *)
@@ -192,26 +192,6 @@ val run_resilient :
     selected indices (harness self-tests); it is asked once per program,
     in index order, as the program starts. *)
 
-(** {1 Fuzzer self-test via fault injection} *)
-
-type gap = {
-  g_mode : Protean_defense.Fault_inject.mode;
-  g_tests : int;
-  g_violations : int;
-  g_detected : bool;  (** the campaign flagged the injected fault *)
-}
-
-val self_test :
-  ?modes:Protean_defense.Fault_inject.mode list ->
-  campaign ->
-  Protean_defense.Defense.t ->
-  gap list
-(** Inject each fault mode into the defense and rerun the campaign; a
-    mode whose campaign reports no violation is a detector gap. *)
-
-val gaps : gap list -> gap list
-(** The undetected subset of a {!self_test} result. *)
-
 val campaign_for :
   ?seed:int -> programs:int -> inputs:int -> string -> campaign
 (** Campaign skeleton for a named contract ("arch", "cts", "ct",
@@ -226,27 +206,18 @@ val canonical_pairings :
     compensates for dropped protection bits), so self-testing all modes
     against one defense reports spurious gaps. *)
 
-val self_test_pairing :
-  ?seed:int ->
-  ?programs:int ->
-  ?inputs:int ->
+val self_test_row :
   ?timeout_cycles:int ->
   ?paranoid_sched:bool ->
+  seed:int ->
+  programs:int ->
+  inputs:int ->
   Protean_defense.Fault_inject.mode * string * string ->
-  string * string * gap
-(** One {!canonical_pairings} row through {!self_test}: (defense id,
-    contract, gap). *)
-
-val self_test_matrix :
-  ?seed:int ->
-  ?programs:int ->
-  ?inputs:int ->
-  ?timeout_cycles:int ->
-  unit ->
-  (string * string * gap) list
-(** Run {!self_test} over {!canonical_pairings}; every returned gap
-    should have [g_detected = true] for a healthy fuzzer.  Returns
-    (defense id, contract, gap) per mode. *)
+  campaign * Protean_defense.Defense.t
+(** One {!canonical_pairings} row as a campaign: the fault injected into
+    the pairing's defense, fuzzed against its contract.  A healthy
+    fuzzer reports a violation on every row; a row without one is a
+    detector gap. *)
 
 (** Contract shorthands (observer-mode constructors). *)
 

@@ -60,6 +60,3 @@ let first_divergence (a : trace) (b : trace) =
     else Some i
   in
   loop 0
-
-let pp_trace fmt (t : trace) =
-  Array.iteri (fun i a -> Format.fprintf fmt "%4d %a@." i Observer.pp_atom a) t

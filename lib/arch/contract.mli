@@ -26,5 +26,3 @@ val traces_equal : trace -> trace -> bool
 
 val first_divergence : trace -> trace -> int option
 (** First index where two traces diverge, for diagnostics. *)
-
-val pp_trace : Format.formatter -> trace -> unit

@@ -27,15 +27,6 @@ type atom =
 
 let atom_equal (a : atom) (b : atom) = a = b
 
-let pp_atom fmt = function
-  | O_pc pc -> Format.fprintf fmt "pc:%d" pc
-  | O_addr_reg (r, v) -> Format.fprintf fmt "areg:%a=%Ld" Reg.pp r v
-  | O_addr a -> Format.fprintf fmt "addr:%Ld" a
-  | O_branch (t, tgt) -> Format.fprintf fmt "br:%b->%d" t tgt
-  | O_div (n, d, z) -> Format.fprintf fmt "div:%d/%d%s" n d (if z then "!" else "")
-  | O_data v -> Format.fprintf fmt "data:%Ld" v
-  | O_reg (r, v) -> Format.fprintf fmt "reg:%a=%Ld" Reg.pp r v
-
 (* A static secrecy typing: for each pc, the output registers that are
    publicly typed at that definition (produced by ProtCC-CTS). *)
 type typing = (int, Reg.t list) Hashtbl.t

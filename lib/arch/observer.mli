@@ -27,7 +27,6 @@ type atom =
   | O_reg of Reg.t * int64
 
 val atom_equal : atom -> atom -> bool
-val pp_atom : Format.formatter -> atom -> unit
 
 type typing = (int, Reg.t list) Hashtbl.t
 (** Static secrecy typing: per pc, the output registers publicly typed at

@@ -98,6 +98,3 @@ let step t (eff : Exec.effect_) =
       if insn.prot then set_reg t r true
       else if not (is_subreg_write insn r) then set_reg t r false)
     (Insn.writes insn.op)
-
-let protected_regs t =
-  List.filter (fun r -> reg_protected t r) Reg.all

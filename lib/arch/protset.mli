@@ -32,5 +32,3 @@ val src_protected : t -> Insn.src -> bool
 
 val step : t -> Exec.effect_ -> unit
 (** Advance the ProtSet across one architecturally executed instruction. *)
-
-val protected_regs : t -> Reg.t list

@@ -132,10 +132,3 @@ let effective_address read (m : Insn.mem) =
 let bit_length v =
   let rec loop v n = if Int64.equal v 0L then n else loop (Int64.shift_right_logical v 1) (n + 1) in
   loop v 0
-
-(* Division latency on the modelled core: a fixed cost plus an early-exit
-   component that depends on the dividend's magnitude. *)
-let div_latency n d =
-  let base = 12 in
-  if Int64.equal d 0L then base
-  else base + (bit_length n / 8)

@@ -44,5 +44,3 @@ val bit_length : int64 -> int
 (** Number of significant bits: the operand-dependent component of
     division latency, and the function of division operands the CT
     observer exposes (partial transmission, Section II-B1). *)
-
-val div_latency : int64 -> int64 -> int

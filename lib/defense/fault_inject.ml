@@ -150,11 +150,6 @@ let cert_mode_of_string s =
   | Some m -> m
   | None -> invalid_arg ("Fault_inject.cert_mode_of_string: " ^ s)
 
-let cert_mode_description = function
-  | CF_drop_prot -> "installed PROT prefix dropped, certificate updated"
-  | CF_widen_safe -> "forward claims widened to every register"
-  | CF_stale_fact -> "certificate points justify their successor's facts"
-
 let mutate_cert mode (res : Pcc.Protcc.result) (code : Protean_isa.Insn.t array)
     (c : Pcc.Certificate.t) =
   let open Pcc in
@@ -263,13 +258,6 @@ let worker_mode_of_string s =
         | _ -> invalid_arg ("Fault_inject.worker_mode_of_string: " ^ s)
       else invalid_arg ("Fault_inject.worker_mode_of_string: " ^ s)
 
-let worker_mode_description = function
-  | WF_kill -> "worker SIGKILLs itself after the first result"
-  | WF_stall -> "worker stops heartbeating and hangs"
-  | WF_truncate -> "worker writes a truncated result frame and exits"
-  | WF_poison n ->
-      Printf.sprintf "worker aborts whenever computing cell %d" n
-
 (* [WF_poison] is deterministic per cell, so it must stay armed across
    retries for bisection to isolate the cell; the other modes model
    one-off crashes and are armed only on the first spawn. *)
@@ -355,15 +343,6 @@ let net_mode_of_string s =
   match List.find_opt Option.is_some candidates with
   | Some (Some m) -> m
   | _ -> invalid_arg ("Fault_inject.net_mode_of_string: " ^ s)
-
-let net_mode_description = function
-  | NF_drop n -> Printf.sprintf "frame %d silently dropped" n
-  | NF_garbage n -> Printf.sprintf "frame %d replaced by garbage bytes" n
-  | NF_delay s -> Printf.sprintf "every frame delayed %gs" s
-  | NF_half_close n ->
-      Printf.sprintf "write side shut down before frame %d" n
-  | NF_short_write n ->
-      Printf.sprintf "frame %d cut off mid-write, then shutdown" n
 
 (* Environment variable through which a chaos harness arms a network
    fault in a worker process (read by the transport layer at dial-in). *)

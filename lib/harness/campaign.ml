@@ -9,13 +9,17 @@
    [--checkpoint] file, a rerun of the same campaign ({!identity})
    computes only the cells it lacks, and the binary's [merge] renders
    them all in cell order, so every mode prints what a serial run
-   prints.  A binary supplies only its cells, how one is computed and
-   how merged outcomes render; the run-wide modes travel as one
-   [Experiment.options] value. *)
+   prints.  Every target of every binary is exactly one campaign: a
+   worker serves the first campaign its argv reaches, and a checkpoint
+   holds one campaign's cells.  A binary supplies only its cells, how
+   one is computed and how merged outcomes render ({!grid}, {!fuzz},
+   {!both}); the run-wide modes travel as one [Experiment.options]
+   value. *)
 
 open Cmdliner
 module Json = Shard.Json
 module Fault_inject = Protean_defense.Fault_inject
+module Fuzz = Protean_amulet.Fuzz
 module Trace = Protean_telemetry.Trace
 module Tlog = Protean_telemetry.Log
 
@@ -32,6 +36,7 @@ type t = {
   check_certs : bool; (* each binary gives it its own meaning *)
   paranoid_sched : bool;
   checkpoint : string option;
+  inject : string option; (* worker fault armed in spawned workers *)
 }
 
 let term ~check_certs_doc =
@@ -44,7 +49,7 @@ let term ~check_certs_doc =
   let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
   let make jobs shards worker metrics_out trace_out flamegraph_out attr_out
       log_json listen connect token metrics_listen check_certs paranoid_sched
-      checkpoint =
+      checkpoint inject =
     {
       jobs = (if jobs = 0 then Parallel.default_jobs () else max 1 jobs);
       shards = max 1 shards;
@@ -58,6 +63,7 @@ let term ~check_certs_doc =
       check_certs;
       paranoid_sched;
       checkpoint;
+      inject;
     }
   in
   Term.(
@@ -136,7 +142,17 @@ let term ~check_certs_doc =
                campaign (same arguments, apart from -j and the supervisor \
                flags) in any mode computes only the cells it lacks and \
                prints what the uninterrupted run prints. A file of another \
-               campaign is ignored and overwritten."))
+               campaign is ignored and overwritten.")
+    $ Arg.(
+        value
+        & opt (some string) None
+        & info [ "inject-worker-fault" ] ~docv:"MODE"
+            ~doc:
+              "Self-test the shard supervisor by arming a worker-level \
+               fault: worker-kill, worker-stall, worker-truncate, or \
+               worker-poison:N (abort whenever computing cell N). Requires \
+               --shards > 1 without --listen; the supervised run must still \
+               complete (recovering, or isolating the poisoned cell)."))
 
 (* Is this process a worker ([--worker] or [--connect])?  Workers keep
    the exporter flags so they collect telemetry for their cells (it
@@ -177,14 +193,13 @@ let setup c =
 (* Flags that configure only the supervising process.  They must not
    reach a spawned worker's argv: the worker re-runs the same discovery
    pass, and any argv drift would change the cell enumeration.  A worker
-   never writes the checkpoint, so [--checkpoint] is one of them.  (The
-   boolean [--inject-faults] of protean-fuzz is its in-process self-test
-   and never reaches a supervised run.) *)
+   never writes the checkpoint, so [--checkpoint] is one of them, and a
+   worker fault rides in a spawned worker's environment.  Each takes a
+   value, which is dropped with it. *)
 let supervisor_flags =
   [
-    "--shards"; "--inject-faults"; "--inject-worker-fault"; "--shard-heartbeat";
-    "--shard-wall"; "--checkpoint"; "--listen"; "--metrics-listen";
-    "--campaign-token";
+    "--shards"; "--inject-worker-fault"; "--shard-heartbeat"; "--shard-wall";
+    "--checkpoint"; "--listen"; "--metrics-listen"; "--campaign-token";
   ]
 
 (* The campaign this process runs: the binary's basename and the
@@ -215,7 +230,7 @@ let identity ?argv () =
    in process), and the rendering of merged outcomes. *)
 type 'a job = {
   cells : Shard.cell list;
-  group : (string -> string) option;
+  group : string -> string;
       (* cells of one group share set-up work and are leased together *)
   compute : string -> Json.t;
   merge : (int * Supervisor.outcome) list -> 'a;
@@ -223,29 +238,23 @@ type 'a job = {
 
 (* Cut [cells] into the leases a supervisor hands out, in order: each
    run of consecutive cells of one [group], so the worker that takes it
-   does the group's set-up once; without groups, [max 1 jobs]
-   consecutive cells, one per worker domain. *)
-let leases ~jobs ?group (cells : Shard.cell list) =
-  let lease_key i (cell : Shard.cell) =
-    match group with
-    | Some g -> g cell.Shard.c_key
-    | None -> string_of_int (i / max 1 jobs)
-  in
-  List.mapi (fun i cell -> (lease_key i cell, cell)) cells
-  |> List.fold_left
-       (fun acc (k, cell) ->
-         match acc with
-         | (k', lease) :: rest when k' = k -> (k, cell :: lease) :: rest
-         | _ -> (k, [ cell ]) :: acc)
-       []
+   does the group's set-up once. *)
+let leases ~group (cells : Shard.cell list) =
+  List.fold_left
+    (fun acc (cell : Shard.cell) ->
+      let k = group cell.Shard.c_key in
+      match acc with
+      | (k', lease) :: rest when k' = k -> (k, cell :: lease) :: rest
+      | _ -> (k, [ cell ]) :: acc)
+    [] cells
   |> List.rev_map (fun (_, lease) -> List.rev lease)
 
-(* Compute [cells] in process on [-j] domains, handing each result to
+(* Compute [cells] in process on [jobs] domains, handing each result to
    [record] as it completes.  The in-process mode, and the supervisor's
    fallback when it cannot reach workers. *)
-let in_process c job ~record (cells : Shard.cell list) =
+let in_process ~jobs job ~record (cells : Shard.cell list) =
   Array.to_list
-    (Parallel.map ~jobs:c.jobs
+    (Parallel.map ~jobs
        (Array.of_list
           (List.map
              (fun (cell : Shard.cell) () ->
@@ -257,8 +266,8 @@ let in_process c job ~record (cells : Shard.cell list) =
 (* Lease [cells] to worker processes, cut by [job]'s groups: spawned by
    [--shards], or dialing in to [--listen]. *)
 let supervise c ?(heartbeat = Supervisor.default_config.Supervisor.heartbeat)
-    ?(wall = Supervisor.default_config.Supervisor.wall) ?inject ~opts ~http
-    ~record job cells =
+    ?(wall = Supervisor.default_config.Supervisor.wall) ~opts ~http ~record job
+    cells =
   let bus = Supervisor.create_bus () in
   Supervisor.subscribe bus ~name:"log" Supervisor.logger;
   if Report.wanted c.tele || c.metrics_listen <> None then
@@ -282,10 +291,10 @@ let supervise c ?(heartbeat = Supervisor.default_config.Supervisor.heartbeat)
       Supervisor.shards = c.shards;
       heartbeat;
       wall;
-      inject = Option.map Fault_inject.worker_mode_of_string inject;
+      inject = Option.map Fault_inject.worker_mode_of_string c.inject;
     }
-    ~fallback:(in_process c job ~record)
-    (leases ~jobs:c.jobs ?group:job.group cells)
+    ~fallback:(in_process ~jobs:c.jobs job ~record)
+    (leases ~group:job.group cells)
 
 (* Open [c]'s checkpoint over [cells], if any: the handle and the cells it
    already holds.  A path that cannot be written ends the run here. *)
@@ -307,11 +316,12 @@ let open_checkpoint c ~src (cells : Shard.cell list) =
    only built once this process knows it serves or runs the campaign;
    [src] tags log lines and [live] renders a /metrics scrape.  [None]
    means this process served as a worker and has nothing to render.
-   Worker-fault injection ([inject]) rides in the environment of spawned
-   workers, so any run that spawns none refuses it. *)
-let run ~opts ?heartbeat ?wall ?inject ~src ~live ~(job : unit -> 'a job) c :
+   Worker-fault injection ([--inject-worker-fault]) rides in the
+   environment of spawned workers, so any run that spawns none refuses
+   it. *)
+let run ~opts ?heartbeat ?wall ~src ~live ~(job : unit -> 'a job) c :
     'a option =
-  if inject <> None && not (c.shards > 1 && c.listen = None) then begin
+  if c.inject <> None && not (c.shards > 1 && c.listen = None) then begin
     Tlog.error ~src
       "worker-fault injection arms spawned workers: it needs --shards N (N > \
        1) without --listen";
@@ -355,9 +365,9 @@ let run ~opts ?heartbeat ?wall ?inject ~src ~live ~(job : unit -> 'a job) c :
               (fun () ->
                 if remaining = [] then []
                 else if supervised c then
-                  supervise c ?heartbeat ?wall ?inject ~opts ~http ~record job
+                  supervise c ?heartbeat ?wall ~opts ~http ~record job
                     remaining
-                else ok (in_process c job ~record remaining))
+                else ok (in_process ~jobs:c.jobs job ~record remaining))
           in
           Some
             (job.merge
@@ -373,58 +383,136 @@ let run ~opts ?heartbeat ?wall ?inject ~src ~live ~(job : unit -> 'a job) c :
    session before [gen] replays, making the output byte-identical to the
    serial run.  A poisoned cell resolves to the grid's faulted sentinel
    (a nan cell) plus a structured fault report.  Every cell runs under
-   the session's options. *)
-let grid c ?heartbeat ?wall ?inject ~src session gen =
+   the session's options, and the cells of one shared frontend form a
+   group. *)
+let grid c session gen =
   let module E = Experiment in
-  let job () =
-    let cells = E.discover session gen in
-    (* Re-sort so cells of one shared-frontend group are contiguous: a
-       group goes out in one lease, so the worker that takes it builds
-       the frontend once, in its process-local cache.  Purely a
-       scheduling permutation — the merge is key-based, so replayed
-       output stays byte-identical.  A worker resolves cells by key, so
-       it skips the sort. *)
-    let grouped = (not (serving c)) && !E.share_frontend in
-    let cells =
-      if not grouped then cells
-      else
-        List.map (fun ((k, s) as cell) -> ((E.frontend_key s, k), cell)) cells
-        |> List.stable_sort (fun (a, _) (b, _) ->
-               compare (a : string * string) b)
-        |> List.map snd
-    in
-    let specs = Hashtbl.create 64 in
-    List.iter (fun (k, s) -> Hashtbl.replace specs k s) cells;
-    let keys = Array.of_list (List.map fst cells) in
-    {
-      cells = List.mapi (fun i (k, _) -> { Shard.c_id = i; c_key = k }) cells;
-      group =
-        (if grouped then
-           Some (fun key -> E.frontend_key (Hashtbl.find specs key))
-         else None);
-      compute =
-        (fun key ->
-          match Hashtbl.find_opt specs key with
-          | Some spec ->
-              Supervisor.Grid.result_to_json
-                (E.compute ~opts:session.E.opts spec)
-          | None -> failwith ("unknown cell key: " ^ key));
-      merge =
-        (fun outcomes ->
-          E.install session
-            (List.map
-               (fun (id, o) ->
-                 match o with
-                 | Supervisor.O_ok r ->
-                     (keys.(id), Supervisor.Grid.result_of_json r)
-                 | Supervisor.O_fault { f_key; f_attempts; f_reason } ->
-                     E.log_line "[fault] cell=%s: %s (after %d worker attempts)"
-                       f_key f_reason f_attempts;
-                     (keys.(id), E.faulted_result))
-               outcomes);
-          gen ());
-    }
+  let cells = E.discover session gen in
+  (* Re-sort so cells of one shared-frontend group are contiguous: a
+     group goes out in one lease, so the worker that takes it builds the
+     frontend once, in its process-local cache.  Purely a scheduling
+     permutation — the merge is key-based, so replayed output stays
+     byte-identical.  A worker resolves cells by key, so it skips the
+     sort. *)
+  let cells =
+    if serving c || not !E.share_frontend then cells
+    else
+      List.map (fun ((k, s) as cell) -> ((E.frontend_key s, k), cell)) cells
+      |> List.stable_sort (fun (a, _) (b, _) ->
+             compare (a : string * string) b)
+      |> List.map snd
   in
-  ignore
-    (run ~opts:session.E.opts ?heartbeat ?wall ?inject ~src
-       ~live:(Report.live_metrics session) ~job c)
+  let specs = Hashtbl.create 64 in
+  List.iter (fun (k, s) -> Hashtbl.replace specs k s) cells;
+  let keys = Array.of_list (List.map fst cells) in
+  {
+    cells = List.mapi (fun i (k, _) -> { Shard.c_id = i; c_key = k }) cells;
+    group = (fun key -> E.frontend_key (Hashtbl.find specs key));
+    compute =
+      (fun key ->
+        match Hashtbl.find_opt specs key with
+        | Some spec ->
+            Supervisor.Grid.result_to_json
+              (E.compute ~opts:session.E.opts spec)
+        | None -> failwith ("unknown cell key: " ^ key));
+    merge =
+      (fun outcomes ->
+        E.install session
+          (List.map
+             (fun (id, o) ->
+               match o with
+               | Supervisor.O_ok r ->
+                   (keys.(id), Supervisor.Grid.result_of_json r)
+               | Supervisor.O_fault { f_key; f_attempts; f_reason } ->
+                   E.log_line "[fault] cell=%s: %s (after %d worker attempts)"
+                     f_key f_reason f_attempts;
+                   (keys.(id), E.faulted_result))
+             outcomes);
+        gen ());
+  }
+
+(* A fuzz grid: one cell per program of each row's campaign, keyed
+   [row:program] and computed under {!Fuzz.test_cell}'s exception
+   barrier; a lease is [-j] consecutive programs of one row, one per
+   worker domain.  The merge hands back each row's cells in program
+   order.  A program whose worker died on every attempt (a poisoned
+   cell) becomes a skip, as a program that faults twice does.  A worker
+   escalates a refuted certificate to a cell fault, so the supervisor
+   poisons only that program; in process the verdict stays in the
+   cell's counters. *)
+let fuzz c (rows : (Fuzz.campaign * Protean_defense.Defense.t) list) =
+  let programs =
+    List.mapi
+      (fun r (campaign, _) ->
+        List.init campaign.Fuzz.programs (fun i -> (r, i)))
+      rows
+    |> List.concat |> Array.of_list
+  in
+  let rows = Array.of_list rows in
+  let key (r, i) = Printf.sprintf "%d:%d" r i in
+  let program k = Scanf.sscanf k "%d:%d%!" (fun r i -> (r, i)) in
+  let cert_poison = c.check_certs && serving c in
+  {
+    cells =
+      List.mapi
+        (fun id p -> { Shard.c_id = id; c_key = key p })
+        (Array.to_list programs);
+    group =
+      (fun k ->
+        let r, i = program k in
+        key (r, i / c.jobs));
+    compute =
+      (fun k ->
+        let r, i = program k in
+        let campaign, d = rows.(r) in
+        Fuzz.cell_to_json campaign (Fuzz.test_cell ~cert_poison campaign d i));
+    merge =
+      (fun outcomes ->
+        let cells = Array.map (fun _ -> []) rows in
+        List.iter
+          (fun (id, o) ->
+            let r, i = programs.(id) in
+            let cell =
+              match o with
+              | Supervisor.O_ok j -> Fuzz.cell_of_json i j
+              | Supervisor.O_fault { f_attempts; f_reason; _ } ->
+                  let skip =
+                    Printf.sprintf "worker crashed on every attempt (%d): %s"
+                      f_attempts f_reason
+                  in
+                  {
+                    Fuzz.c_index = i;
+                    c_outcome = Fuzz.fresh_outcome ();
+                    c_skip = Some skip;
+                  }
+            in
+            cells.(r) <- cell :: cells.(r))
+          (List.rev outcomes);
+        Array.to_list cells);
+  }
+
+(* Two jobs as one campaign: [a]'s cells, then [b]'s, whose keys and
+   groups differ from [a]'s (a grid's keys and groups contain '/', a
+   fuzz grid's never do).  Each cell is grouped and computed by the job
+   it came from, and each part is merged by its own job, [a]'s first. *)
+let both a b =
+  let na = List.length a.cells and in_a = Hashtbl.create 64 in
+  List.iter
+    (fun (cell : Shard.cell) -> Hashtbl.replace in_a cell.Shard.c_key ())
+    a.cells;
+  let pick = Hashtbl.mem in_a in
+  {
+    cells =
+      a.cells
+      @ List.map
+          (fun (cell : Shard.cell) ->
+            { cell with Shard.c_id = na + cell.Shard.c_id })
+          b.cells;
+    group = (fun k -> if pick k then a.group k else b.group k);
+    compute = (fun k -> if pick k then a.compute k else b.compute k);
+    merge =
+      (fun outcomes ->
+        let oa, ob = List.partition (fun (id, _) -> id < na) outcomes in
+        let ra = a.merge oa in
+        (ra, b.merge (List.map (fun (id, o) -> (id - na, o)) ob)));
+  }

@@ -179,26 +179,52 @@ let corpus =
   in
   rand @ benches
 
-(* A corpus's lines, in corpus order.  [jobs > 1] runs one task per
-   shared-frontend group ([Experiment.group_cells]) on a parallel grid
-   ([Parallel.map]) and re-emits the lines in corpus order (cells with
-   equal keys have equal lines); the lines are identical either way —
-   that equality is the determinism property the golden suite asserts. *)
-let corpus_lines ?(jobs = 1) ?(opts = E.default_options) cells =
-  if jobs <= 1 then List.map (run_cell ~opts) cells
-  else
-    let tasks =
-      E.group_cells (List.map (fun c -> (key c, spec_of c)) cells)
-      |> List.map (fun group () ->
-             List.map
-               (fun (k, spec) -> (k, k ^ "|" ^ outcome ~opts spec))
-               group)
-      |> Array.of_list
-    in
-    let lines = List.concat (Array.to_list (Parallel.map ~jobs tasks)) in
-    List.map (fun c -> List.assoc (key c) lines) cells
+(* A corpus as one campaign: one cell per distinct key, the cells of
+   one shared frontend contiguous and in one group, each computed to its
+   line ([Json.Str]).  The merge lists the lines in corpus order (cells
+   with equal keys have equal lines); a poisoned cell's line names the
+   fault, so it cannot match a recorded corpus.  The lines are identical
+   however the cells ran: that equality is the determinism property the
+   golden suite asserts. *)
+let job ?(opts = E.default_options) corpus =
+  let specs = Hashtbl.create 64 in
+  List.iter (fun c -> Hashtbl.replace specs (key c) (spec_of c)) corpus;
+  let keys =
+    List.sort (fun (a, _) (b, _) -> compare a b)
+      (List.of_seq (Hashtbl.to_seq specs))
+    |> E.group_cells |> List.concat |> List.map fst |> Array.of_list
+  in
+  {
+    Campaign.cells =
+      List.mapi (fun i k -> { Shard.c_id = i; c_key = k }) (Array.to_list keys);
+    group = (fun k -> E.frontend_key (Hashtbl.find specs k));
+    compute =
+      (fun k ->
+        Shard.Json.Str (k ^ "|" ^ outcome ~opts (Hashtbl.find specs k)));
+    merge =
+      (fun outcomes ->
+        let lines = Hashtbl.create 64 in
+        List.iter
+          (fun (id, o) ->
+            Hashtbl.replace lines keys.(id)
+              (match o with
+              | Supervisor.O_ok j -> Shard.Json.to_str j
+              | Supervisor.O_fault { f_key; f_attempts; f_reason } ->
+                  Printf.sprintf "%s|faulted after %d worker attempts: %s"
+                    f_key f_attempts f_reason))
+          outcomes;
+        List.map (fun c -> Hashtbl.find lines (key c)) corpus);
+  }
 
-let lines ?jobs ?opts () = corpus_lines ?jobs ?opts corpus
+(* [corpus]'s lines computed in process on [jobs] domains. *)
+let lines ?(jobs = 1) ?opts corpus =
+  let job = job ?opts corpus in
+  job.Campaign.merge
+    (List.map
+       (fun (id, r) -> (id, Supervisor.O_ok r))
+       (Campaign.in_process ~jobs job
+          ~record:(fun _ _ -> ())
+          job.Campaign.cells))
 
 (* Width-sweep corpus: the structural-port model across issue widths
    1/2/4/6/8 on three single-core benchmarks × three defenses.  Each
@@ -224,13 +250,3 @@ let width_corpus =
         benches)
     widths
 
-let width_lines ?jobs ?opts () = corpus_lines ?jobs ?opts width_corpus
-
-let width_keys () = List.map key width_corpus
-
-(* Run one width cell by key — the compute function a supervised shard
-   worker uses when the grid distributes the width corpus. *)
-let run_width_key ?opts k =
-  match List.find_opt (fun c -> String.equal (key c) k) width_corpus with
-  | Some c -> run_cell ?opts c
-  | None -> invalid_arg ("Golden.run_width_key: unknown cell " ^ k)

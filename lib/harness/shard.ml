@@ -479,8 +479,8 @@ let env_flag v =
 
 (* Can this platform run exec'd shard workers at all?  [Sys.win32] lacks
    the POSIX process control the supervisor needs; PROTEAN_NO_SPAWN=1
-   forces the in-process fallback (used to test graceful degradation).
-   When unavailable, supervised runs degrade to [Parallel.map]. *)
+   forces the in-process fallback (used to test graceful degradation),
+   which supervised runs degrade to when spawning is unavailable. *)
 let can_spawn () = (not Sys.win32) && not (env_flag "PROTEAN_NO_SPAWN")
 
 let armed_fault () =

@@ -348,56 +348,63 @@ let fuzz_rows ~paranoid_sched ~programs ~inputs =
       ])
     [ Fuzz.Cache_tlb; Fuzz.Timing ]
 
-(* Merge the two adversaries' outcomes per (contract, pass) row, like the
-   paper's Table II. *)
-let table_ii ?(jobs = 1) ?(paranoid_sched = false) ?(programs = 10)
-    ?(inputs = 4) () =
-  Format.printf
+let table_ii_defenses =
+  [
+    ("Unsafe", Defense.unsafe); ("ProtDelay", Defense.prot_delay);
+    ("ProtTrack", Defense.prot_track);
+  ]
+
+(* Table II's 30 campaigns: each fuzz row under each defense column, as
+   (column, row, defense).  They run as one fuzz grid
+   ({!Campaign.fuzz}). *)
+let table_ii_runs ?(paranoid_sched = false) ?(programs = 10) ?(inputs = 4) ()
+    =
+  let rows = fuzz_rows ~paranoid_sched ~programs ~inputs in
+  List.concat_map
+    (fun (name, d) -> List.map (fun r -> (name, r, d)) rows)
+    table_ii_defenses
+
+(* Render Table II from each run's merged cells, merging the two
+   adversaries' outcomes per (contract, pass) row like the paper's
+   Table II.  A program that faulted on both attempts is listed after
+   the table. *)
+let table_ii ?(out = Format.std_formatter) runs (cells : Fuzz.cell list list) =
+  Format.fprintf out
     "Table II: AMuLeT*-detected contract violations (true positives, false \
      positives in parentheses)@.@.";
-  let rows = fuzz_rows ~paranoid_sched ~programs ~inputs in
-  let defenses =
-    [ ("Unsafe", Defense.unsafe); ("ProtDelay", Defense.prot_delay); ("ProtTrack", Defense.prot_track) ]
+  let results = List.combine runs (List.map Fuzz.total cells) in
+  let row (contract, instr) =
+    contract :: instr
+    :: List.map
+         (fun (name, _) ->
+           let v, fp =
+             List.fold_left
+               (fun (v, fp) ((n, r, _), o) ->
+                 if
+                   n = name && r.contract = contract
+                   && r.instrumentation = instr
+                 then (v + o.Fuzz.violations, fp + o.Fuzz.false_positives)
+                 else (v, fp))
+               (0, 0) results
+           in
+           Printf.sprintf "%d (%d)" v fp)
+         table_ii_defenses
   in
-  (* Every (row, defense) campaign is independent: run them on [jobs]
-     domains, then fold both adversaries per (contract,instrumentation). *)
-  let runs =
-    List.concat_map (fun (name, d) -> List.map (fun r -> (name, r, d)) rows) defenses
-  in
-  let outcomes =
-    Parallel.map ~jobs
-      (Array.of_list (List.map (fun (_, r, d) () -> Fuzz.run r.campaign d) runs))
-  in
-  let results = List.combine runs (Array.to_list outcomes) in
-  let keys =
-    List.sort_uniq compare (List.map (fun r -> (r.contract, r.instrumentation)) rows)
-  in
-  let cells =
-    List.map
-      (fun (contract, instr) ->
-        let per_defense =
-          List.map
-            (fun (name, _) ->
-              let totals =
-                List.filter_map
-                  (fun ((n, r, _), o) ->
-                    if n = name && r.contract = contract && r.instrumentation = instr
-                    then Some o
-                    else None)
-                  results
-              in
-              let v = List.fold_left (fun a o -> a + o.Fuzz.violations) 0 totals in
-              let fp = List.fold_left (fun a o -> a + o.Fuzz.false_positives) 0 totals in
-              Printf.sprintf "%d (%d)" v fp)
-            defenses
-        in
-        (contract, instr, per_defense))
-      keys
-  in
-  Textplot.table
-    ~header:([ "contract"; "instrumentation" ] @ List.map fst defenses)
-    (List.map (fun (c, i, cs) -> c :: i :: cs) cells);
-  Format.printf "@."
+  Textplot.table ~out
+    ~header:([ "contract"; "instrumentation" ] @ List.map fst table_ii_defenses)
+    (List.map row
+       (List.sort_uniq compare
+          (List.map (fun (_, r, _) -> (r.contract, r.instrumentation)) runs)));
+  Format.fprintf out "@.";
+  List.iter2
+    (fun (_, r, _) ->
+      List.iter (fun (c : Fuzz.cell) ->
+          Option.iter
+            (Format.fprintf out "skipped program %d (seed %d) after retry: %s@."
+               c.Fuzz.c_index
+               (Fuzz.program_seed r.campaign c.Fuzz.c_index))
+            c.Fuzz.c_skip))
+    runs cells
 
 (* ------------------------------------------------------------------ *)
 (* Over-protection audit                                               *)

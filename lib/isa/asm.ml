@@ -74,13 +74,6 @@ let data ctx ~addr ?(secret = false) bytes =
 let bss ctx ~addr ?(secret = false) len =
   data ctx ~addr ~secret (String.make len '\000')
 
-let data_i64 ctx ~addr ?(secret = false) values =
-  let b = Buffer.create (8 * List.length values) in
-  List.iter (fun v -> Buffer.add_int64_le b v) values;
-  data ctx ~addr ~secret (Buffer.contents b)
-
-let set_stack_base ctx sb = ctx.stack_base <- sb
-
 (* ------------------------------------------------------------------ *)
 (* Operand helpers                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -151,8 +144,6 @@ let jlt ctx ?prot t = jcc ctx ?prot Insn.Lt t
 let jle ctx ?prot t = jcc ctx ?prot Insn.Le t
 let jgt ctx ?prot t = jcc ctx ?prot Insn.Gt t
 let jge ctx ?prot t = jcc ctx ?prot Insn.Ge t
-let jb ctx ?prot t = jcc ctx ?prot Insn.B t
-let jae ctx ?prot t = jcc ctx ?prot Insn.Ae t
 
 let jmp ctx target =
   fix ctx target;
@@ -161,10 +152,6 @@ let jmp ctx target =
 let call ctx target =
   fix ctx target;
   op ctx (Insn.Call (-1))
-
-(* Identity register move used by ProtCC to architecturally unprotect a
-   register (Section IV-B3). *)
-let id_move ctx reg = mov ctx reg (Insn.Reg reg)
 
 (* Mark the end of the benchmark's warmup phase: the cycle at which this
    store commits starts the measured region (the pipeline recognizes the

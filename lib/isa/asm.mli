@@ -29,8 +29,6 @@ val set_main : ctx -> unit
 
 val data : ctx -> addr:int64 -> ?secret:bool -> string -> unit
 val bss : ctx -> addr:int64 -> ?secret:bool -> int -> unit
-val data_i64 : ctx -> addr:int64 -> ?secret:bool -> int64 list -> unit
-val set_stack_base : ctx -> int64 -> unit
 
 (** {1 Operand helpers} *)
 
@@ -99,14 +97,8 @@ val jlt : ctx -> ?prot:bool -> string -> unit
 val jle : ctx -> ?prot:bool -> string -> unit
 val jgt : ctx -> ?prot:bool -> string -> unit
 val jge : ctx -> ?prot:bool -> string -> unit
-val jb : ctx -> ?prot:bool -> string -> unit
-val jae : ctx -> ?prot:bool -> string -> unit
 val jmp : ctx -> string -> unit
 val call : ctx -> string -> unit
-
-val id_move : ctx -> Reg.t -> unit
-(** The identity register move ProtCC uses to architecturally unprotect a
-    register (Section IV-B3). *)
 
 val mark_measurement : ctx -> unit
 (** Mark the end of the warmup phase: the cycle at which this (magic)

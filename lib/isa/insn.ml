@@ -175,11 +175,6 @@ let sensitive_reads op =
       | Data -> false)
     (reads op)
 
-let accesses_memory op =
-  match op with
-  | Load _ | Store _ | Call _ | Ret | Push _ | Pop _ -> true
-  | _ -> false
-
 let is_load op =
   match op with Load _ | Pop _ | Ret -> true | _ -> false
 
@@ -190,19 +185,6 @@ let is_branch op =
   match op with
   | Jcc _ | Jmp _ | Jmpi _ | Call _ | Ret -> true
   | _ -> false
-
-let is_cond_branch op = match op with Jcc _ -> true | _ -> false
-
-let is_indirect op = match op with Jmpi _ | Ret -> true | _ -> false
-
-let is_div op = match op with Div _ | Rem _ -> true | _ -> false
-
-(* Width of the memory access performed by the instruction, if any. *)
-let mem_width op =
-  match op with
-  | Load (w, _, _) | Store (w, _, _) -> Some w
-  | Call _ | Ret | Push _ | Pop _ -> Some W64
-  | _ -> None
 
 let width_bytes = function W8 -> 1 | W32 -> 4 | W64 -> 8
 

@@ -83,15 +83,10 @@ val is_transmitter : op -> bool
 val sensitive_reads : op -> (Reg.t * role) list
 (** The subset of {!reads} whose role is sensitive. *)
 
-val accesses_memory : op -> bool
 val is_load : op -> bool
 val is_store : op -> bool
 val is_branch : op -> bool
-val is_cond_branch : op -> bool
-val is_indirect : op -> bool
-val is_div : op -> bool
 
-val mem_width : op -> width option
 val width_bytes : width -> int
 
 val string_of_binop : binop -> string

@@ -17,10 +17,6 @@ let klass_of_string = function
   | "UNR" | "unr" -> Unr
   | s -> invalid_arg ("Program.klass_of_string: " ^ s)
 
-(* The class hierarchy ARCH ⊂ CTS ⊂ CT ⊂ UNR (Fig. 2). *)
-let klass_rank = function Arch -> 0 | Cts -> 1 | Ct -> 2 | Unr -> 3
-let klass_subsumes outer inner = klass_rank outer >= klass_rank inner
-
 type func = {
   fname : string;
   entry : int; (* pc of first instruction *)
@@ -55,9 +51,6 @@ let in_bounds p pc = pc >= 0 && pc < Array.length p.code
 (* The function containing [pc], if any. *)
 let func_at p pc =
   List.find_opt (fun f -> pc >= f.entry && pc < f.entry + f.size) p.funcs
-
-let klass_at p pc =
-  match func_at p pc with Some f -> f.klass | None -> Unr
 
 let find_func p name = List.find_opt (fun f -> String.equal f.fname name) p.funcs
 

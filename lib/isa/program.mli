@@ -9,11 +9,6 @@ type klass = Arch | Cts | Ct | Unr
 val string_of_klass : klass -> string
 val klass_of_string : string -> klass
 
-val klass_rank : klass -> int
-val klass_subsumes : klass -> klass -> bool
-(** [klass_subsumes outer inner] is true when code of class [inner] is also
-    of class [outer] (e.g. every ARCH program is also CT). *)
-
 type func = { fname : string; entry : int; size : int; klass : klass }
 
 type data_init = { addr : int64; bytes : string; secret : bool }
@@ -44,9 +39,6 @@ val insn : t -> int -> Insn.t
 val in_bounds : t -> int -> bool
 
 val func_at : t -> int -> func option
-val klass_at : t -> int -> klass
-(** Class of the function containing [pc]; unknown code is conservatively
-    [Unr]. *)
 
 val find_func : t -> string -> func option
 val with_code : t -> Insn.t array -> t

@@ -32,7 +32,6 @@ let flags = 16
 let tmp = 17
 
 let is_gpr r = r >= 0 && r < 16
-let is_flags r = r = flags
 
 let of_int i =
   if i < 0 || i >= count then invalid_arg "Reg.of_int" else i

@@ -35,7 +35,6 @@ val tmp : t
 (** Hidden temporary register, not visible to compiled code. *)
 
 val is_gpr : t -> bool
-val is_flags : t -> bool
 
 val of_int : int -> t
 (** [of_int i] is register number [i].  Raises [Invalid_argument] when [i]

@@ -58,7 +58,6 @@ let set_index t addr =
        (Int64.of_int t.nsets))
 
 let tag_of t addr = Int64.shift_right_logical addr t.lbits
-let line_addr t addr = Int64.shift_left (tag_of t addr) t.lbits
 let line_offset t addr = Int64.to_int (Int64.logand addr (Int64.of_int (t.cfg.line - 1)))
 
 (* Materialize a set's ways on first (miss) use. *)
@@ -137,8 +136,6 @@ let access t addr =
       if t.track_prot then Bytes.fill line.prot 0 t.cfg.line '\001';
       touch t line;
       { hit = false; set = set_idx; tag; evicted }
-
-let _probe t addr = find t addr
 
 (* --- Protection bits ------------------------------------------------ *)
 

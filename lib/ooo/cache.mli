@@ -25,7 +25,6 @@ val access : t -> int64 -> result
 (** Access the line containing the address: LRU update, allocate on miss
     (evicting the LRU way; new lines all-protected). *)
 
-val line_addr : t -> int64 -> int64
 val set_index : t -> int64 -> int
 val tag_of : t -> int64 -> int64
 

@@ -139,14 +139,3 @@ let stage_breakdown p =
        (fun i s ->
          (stage_names.(i), p.stage_s.(i), if total > 0.0 then s /. total else 0.0))
        p.stage_s)
-
-(* Top-[n] program counters by attributed cycles. *)
-let top_pcs ?(n = 10) p =
-  let all = Hashtbl.fold (fun pc c acc -> (pc, c) :: acc) p.pc_cycles [] in
-  let sorted = List.sort (fun (_, a) (_, b) -> compare b a) all in
-  let rec take k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | x :: tl -> x :: take (k - 1) tl
-  in
-  take n sorted

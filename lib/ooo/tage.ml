@@ -58,16 +58,6 @@ let tag_of t i pc =
   let h = t.history land ((1 lsl len) - 1) in
   (pc lxor (h * 3) lxor (i * 0x9e37)) land ((1 lsl t.tag_bits) - 1)
 
-(* The provider: longest-history table whose entry's tag matches. *)
-let find_provider t pc =
-  let rec loop i =
-    if i < 0 then None
-    else
-      let e = t.tables.(i).(index t i pc) in
-      if e.tag = tag_of t i pc then Some (i, e) else loop (i - 1)
-  in
-  loop (n_tables - 1)
-
 let base_index t pc = pc land (Array.length t.base - 1)
 
 (* Fetch-time snapshot: the indices and tags computed against the

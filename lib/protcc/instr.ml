@@ -26,11 +26,6 @@ let id_moves set =
     (fun r -> Insn.make (Insn.Mov (Insn.W64, r, Insn.Reg r)))
     (Regset.to_list set)
 
-let inserted_count t =
-  Array.fold_left
-    (fun acc s -> acc + List.length (Regset.to_list s))
-    0 t.unprotect_before
-
 (* Registers eligible for unprotection via identity moves: general-purpose
    registers only (the flags register and the hidden temporary cannot be
    the destination of a register move). *)

@@ -128,11 +128,3 @@ let run ?(entry_public = Regset.empty) (code : Insn.t array) ~lo ~hi =
     out.Instr.unprotect_before.(0) <-
       Regset.inter (Regset.union entry_public before.(0)) Instr.movable;
   out
-
-(* Publicly-typed output registers per instruction, used to build the
-   typing table consumed by the CTS-SEQ observer mode: the outputs of
-   unprefixed (publicly-typed) definitions. *)
-let public_outputs (instr : Instr.t) (code : Insn.t array) pc =
-  let i = pc - instr.Instr.lo in
-  if instr.Instr.prot.(i) then []
-  else Leak.relevant_outputs code.(pc).Insn.op

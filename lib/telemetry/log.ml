@@ -30,13 +30,6 @@ let json_mode = ref false
 let set_level l = min_level := l
 let set_json b = json_mode := b
 
-let level_of_string = function
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" | "warning" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
 let default_sink line =
   Printf.eprintf "%s\n%!" line
 

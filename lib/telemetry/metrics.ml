@@ -182,8 +182,6 @@ let merge (a : snapshot) (b : snapshot) : snapshot =
   List.iter add b;
   Hashtbl.fold (fun _ s acc -> s :: acc) tbl [] |> List.sort sample_order
 
-let merge_all = function [] -> [] | s :: rest -> List.fold_left merge s rest
-
 (* Add every sample of [snap] into live registry [t] (used to fold
    per-cell snapshots back into a run-level registry). *)
 let absorb t (snap : snapshot) =

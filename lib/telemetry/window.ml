@@ -74,7 +74,3 @@ let over_protection counters =
 
 let counters_to_json counters =
   Json.Obj (List.map (fun (name, n) -> (name, Json.Int n)) counters)
-
-let render_counters counters =
-  String.concat "\n"
-    (List.map (fun (name, n) -> Printf.sprintf "%-24s %d" name n) counters)

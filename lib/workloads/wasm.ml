@@ -38,12 +38,6 @@ let finish_with c reg =
   Asm.halt c;
   Asm.finish c
 
-(* Masked (sandboxed) address into a scratch register. *)
-let sandbox c ~into idx =
-  Asm.mov c into (Asm.r idx);
-  Asm.and_ c into (Asm.i lin_mask);
-  Asm.add c into (Asm.i lin_base)
-
 (* bzip2: byte histogram (loaded byte indexes the counter store) with a
    branchless run counter and several passes over the buffer. *)
 let bzip2 ?(n = 4096) ?(passes = 4) () =

@@ -263,4 +263,17 @@ let campaign ?(jobs = 1) ?(shards = 1) ?checkpoint () =
     check_certs = false;
     paranoid_sched = false;
     checkpoint;
+    inject = None;
   }
+
+(* Run [job] as one campaign under [c] and [opts]: its merge. *)
+let run_campaign ?(opts = Protean_harness.Experiment.default_options) c job =
+  Option.get
+    (Protean_harness.Campaign.run ~opts ~src:"test"
+       ~live:(fun () -> "")
+       ~job c)
+
+(* Run generator [gen] over [session] as a grid campaign under [c]. *)
+let grid c session gen =
+  run_campaign ~opts:session.Protean_harness.Experiment.opts c (fun () ->
+      Protean_harness.Campaign.grid c session gen)

@@ -11,6 +11,9 @@ module Protcc = Protean_protcc.Protcc
 module Pipeline = Protean_ooo.Pipeline
 module Config = Protean_ooo.Config
 
+(* A campaign's summed counters, through the serial driver. *)
+let run c d = (Fuzz.run_resilient ~shrink:false c d).Fuzz.r_outcome
+
 let small c = { c with Fuzz.programs = 8; inputs_per_program = 3; seed = 5 }
 
 let arch_campaign = small Fuzz.default_campaign
@@ -43,12 +46,12 @@ let unprot_campaign =
     }
 
 let test_unsafe_leaks () =
-  let out = Fuzz.run arch_campaign Defense.unsafe in
+  let out = run arch_campaign Defense.unsafe in
   Alcotest.(check bool) "tests ran" true (out.Fuzz.tests > 0);
   Alcotest.(check bool) "violations found" true (out.Fuzz.violations > 0)
 
 let protean_clean name campaign defense () =
-  let out = Fuzz.run campaign defense in
+  let out = run campaign defense in
   Alcotest.(check bool) (name ^ " ran tests") true (out.Fuzz.tests > 0);
   Alcotest.(check int) (name ^ " zero violations") 0 out.Fuzz.violations
 
@@ -58,7 +61,7 @@ let test_baselines_clean () =
   let ct_base = { ct_campaign with Fuzz.instrumentation = Fuzz.I_none } in
   List.iter
     (fun (name, campaign, d) ->
-      let out = Fuzz.run campaign d in
+      let out = run campaign d in
       Alcotest.(check int) (name ^ " clean") 0 out.Fuzz.violations)
     [
       ("stt/arch", arch_campaign, Defense.stt);
@@ -68,15 +71,15 @@ let test_baselines_clean () =
 
 let test_squash_bug_found_by_timing () =
   let c = { ct_campaign with Fuzz.adversary = Fuzz.Timing; squash_bug = true } in
-  let buggy = Fuzz.run c Defense.prot_track in
+  let buggy = run c Defense.prot_track in
   Alcotest.(check bool) "timing adversary finds the pending-squash bug" true
     (buggy.Fuzz.violations > 0);
-  let fixed = Fuzz.run { c with Fuzz.squash_bug = false } Defense.prot_track in
+  let fixed = run { c with Fuzz.squash_bug = false } Defense.prot_track in
   Alcotest.(check int) "fixed implementation is clean" 0 fixed.Fuzz.violations
 
 let test_timing_adversary_clean_protean () =
   let c = { ct_campaign with Fuzz.adversary = Fuzz.Timing } in
-  let out = Fuzz.run c Defense.prot_track in
+  let out = run c Defense.prot_track in
   Alcotest.(check int) "prot-track clean under timing" 0 out.Fuzz.violations
 
 (* Generated programs are deterministic and architecture-equivalent on

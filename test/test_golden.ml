@@ -10,8 +10,7 @@
 
 module Golden = Protean_harness.Golden
 module Supervisor = Protean_harness.Supervisor
-module Shard = Protean_harness.Shard
-module Json = Protean_harness.Shard.Json
+module Campaign = Protean_harness.Campaign
 module E = Protean_harness.Experiment
 
 (* The recorded expectations were produced by the spinning machine;
@@ -53,33 +52,35 @@ let check_lines ?(base = "golden_pipeline.expected") name actual =
       Alcotest.(check string) (Printf.sprintf "%s: cell %d" name i) e a)
     (List.combine expected actual)
 
-let test_serial () = check_lines "serial" (Golden.lines ())
+let test_serial () = check_lines "serial" (Golden.lines Golden.corpus)
 
-let test_parallel () = check_lines "parallel -j 4" (Golden.lines ~jobs:4 ())
+let test_parallel () =
+  check_lines "parallel -j 4" (Golden.lines ~jobs:4 Golden.corpus)
 
 let test_parallel_paranoid () =
-  check_lines "-j 4 --paranoid-sched" (Golden.lines ~jobs:4 ~opts:paranoid ())
+  check_lines "-j 4 --paranoid-sched"
+    (Golden.lines ~jobs:4 ~opts:paranoid Golden.corpus)
 
 (* --- width corpus ------------------------------------------------------ *)
 
 let check_width name actual =
   check_lines ~base:"golden_width.expected" name actual
 
-let test_width_serial () = check_width "width serial" (Golden.width_lines ())
+let test_width_serial () =
+  check_width "width serial" (Golden.lines Golden.width_corpus)
 
 let test_width_parallel () =
-  check_width "width -j 4" (Golden.width_lines ~jobs:4 ())
+  check_width "width -j 4" (Golden.lines ~jobs:4 Golden.width_corpus)
 
 (* Two crash-isolated shard workers (in-process domains running the real
-   [Shard.serve] loop over pipes) compute the width corpus by cell key,
-   one cell a lease to whichever is idle; the supervised merge must be
-   byte-identical to the serial lines. *)
+   [Shard.serve] loop over pipes) compute the width corpus's campaign by
+   cell key, one shared-frontend group a lease to whichever is idle; the
+   job's merge of the supervised outcomes must be byte-identical to the
+   serial lines. *)
 let run_width_shards ?opts name =
-  let keys = Golden.width_keys () in
-  let cells = List.mapi (fun i k -> { Shard.c_id = i; c_key = k }) keys in
-  let compute k = Json.Str (Golden.run_width_key ?opts k) in
+  let job = Golden.job ?opts Golden.width_corpus in
   let spawn ~shard:_ ~attempt:_ ~env_fault:_ =
-    Helpers.domain_transport ~compute ()
+    Helpers.domain_transport ~compute:job.Campaign.compute ()
   in
   let config =
     {
@@ -94,16 +95,9 @@ let run_width_shards ?opts name =
   let out =
     Supervisor.run ~spawn config ~worker_argv:[||]
       ~fallback:(fun _ -> Alcotest.fail "width shard fell back in-process")
-      (List.map (fun c -> [ c ]) cells)
+      (Campaign.leases ~group:job.Campaign.group job.Campaign.cells)
   in
-  let actual =
-    List.map
-      (function
-        | _, Supervisor.O_ok (Json.Str line) -> line
-        | id, _ -> Alcotest.fail (Printf.sprintf "width cell %d faulted" id))
-      out
-  in
-  check_width name actual
+  check_width name (job.Campaign.merge out)
 
 let test_width_shards () = run_width_shards "width --shards 2"
 

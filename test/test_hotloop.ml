@@ -128,7 +128,9 @@ let read_expected () =
 let test_paranoid_golden () =
   let expected = read_expected () in
   let actual =
-    Golden.lines ~opts:{ E.default_options with E.paranoid_sched = true } ()
+    Golden.lines
+      ~opts:{ E.default_options with E.paranoid_sched = true }
+      Golden.corpus
   in
   Alcotest.(check int) "corpus size" (List.length expected)
     (List.length actual);
@@ -209,8 +211,7 @@ let test_shared_frontend_prewarm () =
   let serial = E.create_session () in
   gen serial ();
   let par = E.create_session () in
-  Protean_harness.Campaign.grid (Helpers.campaign ~jobs:2 ()) ~src:"test" par
-    (gen par);
+  Helpers.grid (Helpers.campaign ~jobs:2 ()) par (gen par);
   Alcotest.(check int) "cell count" (Hashtbl.length serial.E.cache)
     (Hashtbl.length par.E.cache);
   Hashtbl.iter

@@ -122,20 +122,30 @@ let test_watchdog_budget () =
 
 (* --- fuzzer self-test: injected faults must be caught ---------------- *)
 
+(* The canonical pairings as one fuzz grid, on two domains: every row
+   (a fault injected into its defense) must report a violation. *)
 let test_fault_injection_matrix () =
-  let rows = Fuzz.self_test_matrix ~seed:1 ~programs:3 ~inputs:5 () in
+  let pairings = Fuzz.canonical_pairings in
   Alcotest.(check int)
     "one row per fault mode"
     (List.length Fault_inject.all_modes)
-    (List.length rows);
-  List.iter
-    (fun (defense_id, contract, (g : Fuzz.gap)) ->
+    (List.length pairings);
+  let c = Helpers.campaign ~jobs:2 () in
+  let rows =
+    Helpers.run_campaign c (fun () ->
+        Campaign.fuzz c
+          (List.map
+             (Fuzz.self_test_row ~seed:1 ~programs:3 ~inputs:5)
+             pairings))
+  in
+  List.iter2
+    (fun (m, defense_id, contract) cells ->
       Alcotest.(check bool)
         (Printf.sprintf "%s injected into %s caught by %s-SEQ fuzzing"
-           (Fault_inject.mode_name g.Fuzz.g_mode)
-           defense_id contract)
-        true g.Fuzz.g_detected)
-    rows
+           (Fault_inject.mode_name m) defense_id contract)
+        true
+        ((Fuzz.total cells).Fuzz.violations > 0))
+    pairings rows
 
 (* --- counterexample shrinking ---------------------------------------- *)
 
@@ -284,8 +294,8 @@ let test_checkpoint_unwritable () =
 
 (* The campaign identity is the argv a worker receives minus the flags
    that only place cells: two runs that differ only in -j, --shards,
-   --connect or --checkpoint are one campaign, two that differ in an
-   option a cell reads are not. *)
+   --connect, --checkpoint or an injected worker fault are one campaign,
+   two that differ in an option a cell reads are not. *)
 let test_campaign_identity () =
   let id args = Campaign.identity ~argv:(Array.of_list ("fuzz" :: args)) () in
   let base = id [ "-d"; "unsafe"; "-n"; "4" ] in
@@ -297,6 +307,10 @@ let test_campaign_identity () =
       [ "--checkpoint"; "a.ck"; "-d"; "unsafe"; "-n"; "4"; "--jobs=3"; "-j4" ];
       [ "-d"; "unsafe"; "--connect"; "h:1"; "-n"; "4"; "--worker" ];
       [ "-d"; "unsafe"; "-n"; "4"; "--listen"; "h:1"; "--campaign-token"; "t" ];
+      [
+        "-d"; "unsafe"; "-n"; "4"; "--shards"; "2"; "--inject-worker-fault";
+        "worker-kill";
+      ];
     ];
   List.iter
     (fun args ->
@@ -305,7 +319,22 @@ let test_campaign_identity () =
       [ "-d"; "prot-track"; "-n"; "4" ];
       [ "-d"; "unsafe"; "-n"; "4"; "--check-certs" ];
       [ "-d"; "unsafe"; "-n"; "4"; "--metrics-out"; "m.prom" ];
-    ]
+    ];
+  (* protean-fuzz's boolean --inject-faults (the self-test) is a cell
+     option, not a supervisor flag: the identity and a spawned worker's
+     argv keep it and the argument after it. *)
+  let argv =
+    [| "protean-fuzz"; "--inject-faults"; "--programs"; "3"; "--shards"; "2" |]
+  in
+  Alcotest.(check (list string)) "identity keeps --inject-faults"
+    [ "--inject-faults"; "--programs"; "3" ]
+    (List.tl (String.split_on_char ' ' (Campaign.identity ~argv ())));
+  Alcotest.(check (list string)) "worker argv keeps --inject-faults"
+    [ "--inject-faults"; "--programs"; "3"; "--worker" ]
+    (List.tl
+       (Array.to_list
+          (Protean_harness.Supervisor.self_worker_argv ~argv
+             ~drop:Campaign.supervisor_flags ())))
 
 (* [Campaign.run] in process keeps the checkpoint: a run interrupted by a
    failing cell keeps what it completed, the rerun computes only the
@@ -320,7 +349,7 @@ let test_checkpoint_resume () =
           let job () =
             {
               Campaign.cells = cells_of 6;
-              group = None;
+              group = Fun.const "";
               compute =
                 (fun key ->
                   if !interrupted && key = "k3" then raise Exit;

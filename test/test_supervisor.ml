@@ -11,6 +11,9 @@ module Json = Protean_harness.Shard.Json
 module E = Protean_harness.Experiment
 module Campaign = Protean_harness.Campaign
 module Checkpoint = Protean_harness.Checkpoint
+module Tables = Protean_harness.Tables
+module Fuzz = Protean_amulet.Fuzz
+module Defense = Protean_defense.Defense
 
 (* --- JSON round-trips -------------------------------------------------- *)
 
@@ -132,8 +135,14 @@ let test_frame_decoder_truncation_pending () =
 
 let cells_of n = List.init n (fun i -> { Shard.c_id = i; c_key = "k" ^ string_of_int i })
 
+(* The index of cell key "k<i>". *)
+let index key = int_of_string (String.sub key 1 (String.length key - 1))
+
 (* [n] cells cut into leases of [size] consecutive cells. *)
-let chunks size n = Campaign.leases ~jobs:size (cells_of n)
+let chunks size n =
+  Campaign.leases
+    ~group:(fun key -> string_of_int (index key / size))
+    (cells_of n)
 
 let ids leases = List.map (List.map (fun c -> c.Shard.c_id)) leases
 
@@ -144,15 +153,13 @@ let grouped sizes =
     Array.of_list
       (List.concat (List.mapi (fun g k -> List.init k (Fun.const g)) sizes))
   in
-  let group key =
-    string_of_int
-      group_of.(int_of_string (String.sub key 1 (String.length key - 1)))
-  in
+  let group key = string_of_int group_of.(index key) in
   (Array.length group_of, group)
 
-(* Every cell lands in exactly one lease, in order.  With groups (kept
-   contiguous, as the grid sorts them) a lease is one whole group,
-   whatever a resume removed; without, [jobs] consecutive cells. *)
+(* Every cell lands in exactly one lease, in order, and a lease is one
+   whole group (kept contiguous, as the grid sorts them), whatever a
+   resume removed.  A fuzz grid groups [-j] consecutive programs of one
+   row. *)
 let test_lease_cutting () =
   List.iter
     (fun sizes ->
@@ -164,7 +171,7 @@ let test_lease_cutting () =
               (fun c -> not (List.mem c.Shard.c_id resumed))
               (cells_of n)
           in
-          let leases = Campaign.leases ~jobs:4 ~group cells in
+          let leases = Campaign.leases ~group cells in
           let groups =
             List.map
               (fun l ->
@@ -190,10 +197,15 @@ let test_lease_cutting () =
   let _, group = grouped [ 2; 1; 3; 2 ] in
   Alcotest.(check (list (list int))) "one lease per group"
     [ [ 0; 1 ]; [ 2 ]; [ 3; 4; 5 ]; [ 6; 7 ] ]
-    (ids (Campaign.leases ~jobs:1 ~group (cells_of 8)));
-  Alcotest.(check (list (list int))) "without groups, [jobs] cells a lease"
-    [ [ 0; 1; 2 ]; [ 3; 4; 5 ]; [ 6; 7 ] ]
-    (ids (chunks 3 8))
+    (ids (Campaign.leases ~group (cells_of 8)));
+  let row n =
+    ({ Fuzz.default_campaign with Fuzz.programs = n }, Defense.unsafe)
+  in
+  let job = Campaign.fuzz (Helpers.campaign ~jobs:3 ()) [ row 8; row 4 ] in
+  Alcotest.(check (list (list int)))
+    "fuzz grid: -j 3 programs of one row a lease"
+    [ [ 0; 1; 2 ]; [ 3; 4; 5 ]; [ 6; 7 ]; [ 8; 9; 10 ]; [ 11 ] ]
+    (ids (Campaign.leases ~group:job.Campaign.group job.Campaign.cells))
 
 (* --- checkpoints ------------------------------------------------------- *)
 
@@ -626,7 +638,7 @@ let test_supervised_checkpoint_resume () =
           let job () =
             {
               Campaign.cells = cells_of 4;
-              group = None;
+              group = Fun.const "";
               compute =
                 (fun key ->
                   computed := key :: !computed;
@@ -644,6 +656,58 @@ let test_supervised_checkpoint_resume () =
             (out = Some (expected_ok 4));
           Alcotest.(check bool) "resumed cells never recomputed" true
             (List.sort compare !computed = [ "k2"; "k3" ])))
+
+(* Table II is one campaign: its 30 fuzz campaigns form one fuzz grid.
+   In process at -j 1 and -j 2, and leased to two domain-backed spawns,
+   the grid gives every campaign the counters of the serial driver and
+   renders the same table. *)
+let test_table_ii_one_campaign () =
+  let runs = Tables.table_ii_runs ~programs:1 ~inputs:2 () in
+  let rows = List.map (fun (_, r, d) -> (r.Tables.campaign, d)) runs in
+  let counters (o : Fuzz.outcome) =
+    (o.Fuzz.tests, o.Fuzz.skipped, o.Fuzz.violations, o.Fuzz.false_positives)
+  in
+  let serial =
+    List.map
+      (fun (campaign, d) ->
+        counters (Fuzz.run_resilient ~shrink:false campaign d).Fuzz.r_outcome)
+      rows
+  in
+  let render cells =
+    let b = Buffer.create 1024 in
+    let out = Format.formatter_of_buffer b in
+    Tables.table_ii ~out runs cells;
+    Buffer.contents b
+  in
+  let table = ref "" in
+  let check label cells =
+    Alcotest.(check bool) (label ^ ": serial counters per campaign") true
+      (List.map (fun cs -> counters (Fuzz.total cs)) cells = serial);
+    if !table = "" then table := render cells
+    else
+      Alcotest.(check string) (label ^ ": rendered table") !table (render cells)
+  in
+  List.iter
+    (fun jobs ->
+      let c = Helpers.campaign ~jobs () in
+      check
+        (Printf.sprintf "-j %d" jobs)
+        (Helpers.run_campaign c (fun () -> Campaign.fuzz c rows)))
+    [ 1; 2 ];
+  let job = Campaign.fuzz (Helpers.campaign ~shards:2 ()) rows in
+  let spawns = ref 0 in
+  let spawn ~shard:_ ~attempt:_ ~env_fault:_ =
+    incr spawns;
+    Helpers.domain_transport ~compute:job.Campaign.compute ()
+  in
+  let out =
+    Supervisor.run ~spawn (config ()) ~worker_argv:[||] ~fallback:no_fallback
+      (Campaign.leases ~group:job.Campaign.group job.Campaign.cells)
+  in
+  Alcotest.(check int) "two spawns" 2 !spawns;
+  check "two spawns" (job.Campaign.merge out);
+  Alcotest.(check bool) "the table renders" true
+    (String.starts_with ~prefix:"Table II" !table)
 
 (* --- transport-level chaos over pipes ---------------------------------- *)
 
@@ -1239,6 +1303,8 @@ let tests =
       test_supervised_spawn_failure_falls_back;
     Alcotest.test_case "checkpoint resume skips completed cells" `Quick
       test_supervised_checkpoint_resume;
+    Alcotest.test_case "Table II is one campaign" `Quick
+      test_table_ii_one_campaign;
     Alcotest.test_case "garbage bytes mid-stream killed and retried" `Quick
       test_supervised_garbage_midstream;
     Alcotest.test_case "byte-dribbled frames with interleaved heartbeats"

@@ -360,7 +360,7 @@ let test_session_metrics_deterministic () =
   let serial = E.create_session ~opts:collecting () in
   grid serial;
   let parallel = E.create_session ~opts:collecting () in
-  Campaign.grid (Helpers.campaign ~jobs:4 ()) ~src:"test" parallel (fun () ->
+  Helpers.grid (Helpers.campaign ~jobs:4 ()) parallel (fun () ->
       grid parallel);
   Alcotest.(check string) "serial == -j 4 (rendered bytes)" (render serial)
     (render parallel);
@@ -391,7 +391,7 @@ let test_window_counters_deterministic () =
   let serial = E.create_session ~opts:windowed () in
   grid serial;
   let parallel = E.create_session ~opts:windowed () in
-  Campaign.grid (Helpers.campaign ~jobs:4 ()) ~src:"test" parallel (fun () ->
+  Helpers.grid (Helpers.campaign ~jobs:4 ()) parallel (fun () ->
       grid parallel);
   Alcotest.(check string) "serial == -j 4 (rendered bytes)" (render serial)
     (render parallel);
