@@ -101,8 +101,7 @@ let campaign_term =
        against the SEQ contract executor (static claim audit plus lockstep \
        replay on the campaign's own input pairs), so the campaign doubles \
        as a translation-validation audit of ProtCC. A certificate violation \
-       fails the run; under --shards it poisons only the offending \
-       program's cell."
+       fails the run and is counted in its program's cell, in every mode."
 
 let campaign_of ?(gadget = false) contract adversary programs inputs seed
     squash_bug timeout core_width check_certs paranoid_sched pass_fault =
@@ -191,13 +190,6 @@ let record_campaign ~defense_id ~contract ~adversary (r : Fuzz.report) =
 let snapshot () =
   Metrics.merge (Metrics.snapshot fuzz_reg) (Metrics.snapshot Report.runtime)
 
-let report_skips (r : Fuzz.report) =
-  List.iter
-    (fun (s : Fuzz.skip) ->
-      Printf.printf "skipped program %d (seed %d) after retry: %s\n"
-        s.Fuzz.sk_index s.Fuzz.sk_seed s.Fuzz.sk_reason)
-    r.Fuzz.r_skipped
-
 (* Record and print the self-test matrix from each pairing's merged
    cells: a row's counters are its programs' summed outcomes, and a row
    without a violation is a detector gap.  [true] when any row missed. *)
@@ -261,7 +253,7 @@ let report_campaign (tele : Report.config) campaign d contract
     (Fuzz.adversary_name campaign.Fuzz.adversary)
     out.Fuzz.tests out.Fuzz.skipped out.Fuzz.violations
     out.Fuzz.false_positives r.Fuzz.r_completed campaign.Fuzz.programs;
-  report_skips r;
+  List.iter (fun s -> print_endline (Fuzz.skip_line s)) r.Fuzz.r_skipped;
   (match out.Fuzz.example with
   | Some (pseed, k) ->
       Printf.printf "first violation: program seed %d, input pair %d\n" pseed k
@@ -291,39 +283,14 @@ let report_campaign (tele : Report.config) campaign d contract
               ])
         ^ "\n")
   | None -> ());
-  let cert_failed =
-    if not campaign.Fuzz.check_certs then false
-    else begin
-      (* A refuted certificate surfaces either in the merged counters
-         (serial/-j paths) or as a poisoned cell whose skip reason
-         carries the rendered violation (--shards path). *)
-      let contains s sub =
-        let n = String.length sub in
-        let rec go i =
-          i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-        in
-        n = 0 || go 0
-      in
-      let poisoned =
-        List.filter
-          (fun (s : Fuzz.skip) -> contains s.Fuzz.sk_reason "cert-violation")
-          r.Fuzz.r_skipped
-      in
-      Printf.printf
-        "certificates: %d checked, %d claims, %d violations%s\n"
-        out.Fuzz.certs_checked out.Fuzz.cert_claims
-        (out.Fuzz.cert_violations + List.length poisoned)
-        (if poisoned = [] then ""
-         else Printf.sprintf " (%d as poisoned cells)" (List.length poisoned));
-      (match (out.Fuzz.cert_example, poisoned) with
-      | Some ex, _ -> Printf.printf "first certificate violation: %s\n" ex
-      | None, s :: _ ->
-          Printf.printf "first certificate violation: %s\n" s.Fuzz.sk_reason
-      | None, [] -> ());
-      out.Fuzz.cert_violations > 0 || poisoned <> []
-    end
-  in
-  out.Fuzz.violations > 0 || cert_failed
+  if campaign.Fuzz.check_certs then begin
+    Printf.printf "certificates: %d checked, %d claims, %d violations\n"
+      out.Fuzz.certs_checked out.Fuzz.cert_claims out.Fuzz.cert_violations;
+    Option.iter
+      (Printf.printf "first certificate violation: %s\n")
+      out.Fuzz.cert_example
+  end;
+  out.Fuzz.violations > 0 || out.Fuzz.cert_violations > 0
 
 let run defense contract programs inputs adversary seed core_width squash_bug
     gadget timeout inject pass_fault (c : Campaign.t) =

@@ -131,16 +131,21 @@ let adversary_view adversary trace =
   | Cache_tlb -> Hw_trace.cache_tlb_view trace
   | Timing -> Hw_trace.timing_view trace
 
-let observe campaign t =
-  if campaign.paranoid_sched then Invariants.attach_sched t
-
-let run_hw campaign (defense : Protean_defense.Defense.t) program overlays =
+(* Every hardware run of a campaign, under its watchdog budget.  The
+   campaign's own checks ([paranoid_sched]) attach to the fresh pipeline
+   first — the one place a campaign-wide checker goes — then the
+   caller's [on_start] observer. *)
+let run_hw ?(on_start = ignore) campaign (defense : Protean_defense.Defense.t)
+    program overlays =
   let watchdog =
     { Pipeline.default_watchdog with Pipeline.budget = campaign.timeout_cycles }
   in
   Pipeline.run ~trace:true ~squash_bug:campaign.squash_bug
     ~spec_model:campaign.spec_model ~watchdog ~fuel:400_000
-    ~on_start:(observe campaign) campaign.config
+    ~on_start:(fun t ->
+      if campaign.paranoid_sched then Invariants.attach_sched t;
+      on_start t)
+    campaign.config
     (defense.Protean_defense.Defense.make ())
     program ~overlays
 
@@ -228,7 +233,7 @@ type witness = {
 (* Run every input pair of program [index] into a fresh outcome; the
    caller merges it on success, so a mid-program fault never leaves
    half-counted pairs behind.  [witness] captures the first violation. *)
-let test_program ?witness ?cert_witness campaign defense ~index ~program =
+let test_program ?witness campaign defense ~index ~program =
   let out = fresh_outcome () in
   let pseed = program_seed campaign index in
   let original = program in
@@ -261,10 +266,7 @@ let test_program ?witness ?cert_witness campaign defense ~index ~program =
       (match stats.Protean_protcc.Certify.violations with
       | v :: _ ->
           out.cert_example <-
-            Some (Protean_protcc.Certify.violation_to_string v);
-          (match cert_witness with
-          | Some r when !r = None -> r := Some v
-          | _ -> ())
+            Some (Protean_protcc.Certify.violation_to_string v)
       | [] -> ())
   | _ -> ());
   List.iteri
@@ -380,26 +382,14 @@ module Twindow = Protean_telemetry.Window
 
 (* Replay one hardware run of the witness with a full-mode speculation
    ledger attached, returning the detached ledger. *)
-let run_hw_ledger campaign (defense : Protean_defense.Defense.t) program
-    overlays =
+let run_hw_ledger campaign defense program overlays =
   let slot = ref None in
-  let watchdog =
-    { Pipeline.default_watchdog with Pipeline.budget = campaign.timeout_cycles }
-  in
   ignore
-    (Pipeline.run ~trace:true ~squash_bug:campaign.squash_bug
-       ~spec_model:campaign.spec_model ~watchdog ~fuel:400_000
-       ~on_start:(fun t ->
-         observe campaign t;
-         slot := Some (t, Spec_window.attach ~full:true t))
-       campaign.config
-       (defense.Protean_defense.Defense.make ())
-       program ~overlays);
-  match !slot with
-  | Some (t, led) ->
-      Spec_window.detach t led;
-      led
-  | None -> invalid_arg "Fuzz.run_hw_ledger: on_start never fired"
+    (run_hw campaign defense program overlays ~on_start:(fun t ->
+         slot := Some (t, Spec_window.attach ~full:true t)));
+  let t, led = Option.get !slot in
+  Spec_window.detach t led;
+  led
 
 let attribution_of_window (w : Spec_window.window)
     (x : Spec_window.xmit option) =
@@ -554,33 +544,26 @@ module Json = Protean_telemetry.Json
 type cell = { c_index : int; c_outcome : outcome; c_skip : string option }
 
 (* [Sim_fault] dumps rendered in full; anything else through its
-   registered printer ([Cert_violation] renders its violation). *)
+   registered printer. *)
 let describe_exn = function
   | Pipeline.Sim_fault f -> Pipeline.fault_to_string f
   | e -> Printexc.to_string e
 
 (* [test_program] for program [index] (or [program], when the caller
-   overrides it), retried once and then skipped.  [cert_poison] is for
-   shard workers: a refuted certificate escalates to a structured
-   [Cert_violation] cell fault, so the supervisor poisons only this cell
-   and its ledger records the rendered violation. *)
-let test_cell ?(cert_poison = false) ?program campaign defense index =
+   overrides it), retried once and then skipped.  The cell is the
+   program's whole verdict, certificate audit included, wherever it is
+   computed. *)
+let test_cell ?program campaign defense index =
   let program =
     match program with Some p -> p | None -> generate_program campaign index
   in
-  let cert_witness = ref None in
-  let attempt () = test_program ~cert_witness campaign defense ~index ~program in
+  let attempt () = test_program campaign defense ~index ~program in
   let cell ?skip o = { c_index = index; c_outcome = o; c_skip = skip } in
-  let passed o =
-    match !cert_witness with
-    | Some v when cert_poison -> raise (Protean_protcc.Certify.Cert_violation v)
-    | _ -> cell o
-  in
   match attempt () with
-  | o -> passed o
+  | o -> cell o
   | exception _ -> (
       match attempt () with
-      | o -> passed o
+      | o -> cell o
       | exception e -> cell ~skip:(describe_exn e) (fresh_outcome ()))
 
 (* A cell as a shard frame or checkpoint payload; the cell's index rides
@@ -647,6 +630,24 @@ type skip = {
   sk_reason : string;
 }
 
+(* The skipped programs among [cells], in list order. *)
+let skips campaign cells =
+  List.filter_map
+    (fun c ->
+      Option.map
+        (fun sk_reason ->
+          {
+            sk_index = c.c_index;
+            sk_seed = program_seed campaign c.c_index;
+            sk_reason;
+          })
+        c.c_skip)
+    cells
+
+let skip_line s =
+  Printf.sprintf "skipped program %d (seed %d) after retry: %s" s.sk_index
+    s.sk_seed s.sk_reason
+
 type report = {
   r_outcome : outcome;
   r_completed : int; (* programs fully tested *)
@@ -666,19 +667,7 @@ let finish ?(shrink = true) ?(shrink_budget = 64) ?(program = fun _ -> None)
     campaign defense cells =
   let cells = List.sort (fun a b -> compare a.c_index b.c_index) cells in
   let total = total cells in
-  let skips =
-    List.filter_map
-      (fun c ->
-        Option.map
-          (fun sk_reason ->
-            {
-              sk_index = c.c_index;
-              sk_seed = program_seed campaign c.c_index;
-              sk_reason;
-            })
-          c.c_skip)
-      cells
-  in
+  let skips = skips campaign cells in
   let witness =
     match total.example with
     | None -> None
@@ -727,21 +716,23 @@ let run_resilient ?shrink ?shrink_budget ?program_of campaign
       match !witness_program with Some (i, p) when i = index -> p | _ -> None)
     campaign defense (List.rev !cells)
 
-(* Campaign skeleton for a named contract (the CLI's --contract values). *)
+(* --- contract shorthands -------------------------------------------- *)
+
+let arch_seq = (fun _ -> Observer.Arch_mode)
+let ct_seq = (fun _ -> Observer.Ct_mode)
+let cts_seq = (fun typing -> Observer.Cts_mode typing)
+let unprot_seq = (fun _ -> Observer.Unprot_mode)
+
+(* Campaign skeleton for a named contract (the CLI's --contract values,
+   and the rows of Table II). *)
 let campaign_for ?(seed = 1) ~programs ~inputs contract =
   let mode_of, gen_klass, instrumentation =
     match contract with
-    | "arch" -> ((fun _ -> Observer.Arch_mode), Gen.G_arch, I_none)
-    | "cts" ->
-        ( (fun typing -> Observer.Cts_mode typing),
-          Gen.G_ct,
-          I_pass Protean_protcc.Protcc.P_cts )
-    | "ct" ->
-        ((fun _ -> Observer.Ct_mode), Gen.G_ct, I_pass Protean_protcc.Protcc.P_ct)
+    | "arch" -> (arch_seq, Gen.G_arch, I_none)
+    | "cts" -> (cts_seq, Gen.G_ct, I_pass Protean_protcc.Protcc.P_cts)
+    | "ct" -> (ct_seq, Gen.G_ct, I_pass Protean_protcc.Protcc.P_ct)
     | "unprot" ->
-        ( (fun _ -> Observer.Unprot_mode),
-          Gen.G_ct,
-          I_pass (Protean_protcc.Protcc.P_rand (seed, 0.5)) )
+        (unprot_seq, Gen.G_ct, I_pass (Protean_protcc.Protcc.P_rand (seed, 0.5)))
     | s -> invalid_arg ("Fuzz.campaign_for: unknown contract " ^ s)
   in
   {
@@ -780,10 +771,3 @@ let self_test_row ?timeout_cycles ?(paranoid_sched = false) ~seed ~programs
       paranoid_sched;
     },
     Fault_inject.inject m (Protean_defense.Defense.find defense_id) )
-
-(* --- contract shorthands -------------------------------------------- *)
-
-let arch_seq = (fun _ -> Observer.Arch_mode)
-let ct_seq = (fun _ -> Observer.Ct_mode)
-let cts_seq = (fun typing -> Observer.Cts_mode typing)
-let unprot_seq = (fun _ -> Observer.Unprot_mode)

@@ -105,19 +105,13 @@ type cell = {
 }
 
 val test_cell :
-  ?cert_poison:bool ->
-  ?program:Program.t ->
-  campaign ->
-  Protean_defense.Defense.t ->
-  int ->
-  cell
+  ?program:Program.t -> campaign -> Protean_defense.Defense.t -> int -> cell
 (** Test every input pair of program [index] (or of [program], which
     overrides the generated one) under the exception barrier: a fault
     (watchdog, invariant failure, any exception) is retried once, then
-    the program is skipped with the rendered reason.  [cert_poison]
-    (shard workers only) escalates a refuted certificate to a raised
-    {!Protean_protcc.Certify.Cert_violation}, so the supervisor isolates
-    the cell as a structured fault. *)
+    the program is skipped with the rendered reason.  A refuted
+    certificate is a verdict, not a fault: it is counted in the cell's
+    [cert_violations], whichever process computes the cell. *)
 
 val cell_to_json : campaign -> cell -> Protean_telemetry.Json.t
 (** The cell as a shard frame or checkpoint payload (its index rides
@@ -148,6 +142,12 @@ type skip = {
 val total : cell list -> outcome
 (** The summed counters of the cells, merged in list order (index order
     keeps a serial campaign's first violation example). *)
+
+val skips : campaign -> cell list -> skip list
+(** The skipped programs among the cells, in list order. *)
+
+val skip_line : skip -> string
+(** The report line of a skipped program (no newline). *)
 
 type report = {
   r_outcome : outcome;
@@ -196,7 +196,8 @@ val campaign_for :
   ?seed:int -> programs:int -> inputs:int -> string -> campaign
 (** Campaign skeleton for a named contract ("arch", "cts", "ct",
     "unprot"): observer mode, generator class and ProtCC instrumentation
-    set consistently.  Raises [Invalid_argument] on unknown names. *)
+    set consistently.  protean-fuzz and Table II build their campaigns
+    from it.  Raises [Invalid_argument] on unknown names. *)
 
 val canonical_pairings :
   (Protean_defense.Fault_inject.mode * string * string) list

@@ -57,11 +57,4 @@ let read_string t addr len =
   String.init len (fun i ->
       Char.chr (read_byte t (Int64.add addr (Int64.of_int i))))
 
-let copy t =
-  let pages = Hashtbl.copy t.pages in
-  Hashtbl.iter (fun k v -> Hashtbl.replace pages k (Bytes.copy v)) t.pages;
-  { pages }
-
-let clear t = Hashtbl.reset t.pages
-
 let iter_pages t f = Hashtbl.iter f t.pages

@@ -19,6 +19,4 @@ val write : t -> int64 -> int -> int64 -> unit
 val write_string : t -> int64 -> string -> unit
 val read_string : t -> int64 -> int -> string
 
-val copy : t -> t
-val clear : t -> unit
 val iter_pages : t -> (int64 -> Bytes.t -> unit) -> unit

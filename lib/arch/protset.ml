@@ -26,8 +26,6 @@ let create () =
   let reg = Array.make Reg.count false in
   { reg; mem_unprot = Hashtbl.create 64 }
 
-let copy t = { reg = Array.copy t.reg; mem_unprot = Hashtbl.copy t.mem_unprot }
-
 let reg_protected t r = t.reg.(Reg.to_int r)
 let set_reg t r v = t.reg.(Reg.to_int r) <- v
 

@@ -15,7 +15,6 @@ open Protean_isa
 type t
 
 val create : unit -> t
-val copy : t -> t
 
 val reg_protected : t -> Reg.t -> bool
 val set_reg : t -> Reg.t -> bool -> unit

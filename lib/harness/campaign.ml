@@ -436,10 +436,8 @@ let grid c session gen =
    barrier; a lease is [-j] consecutive programs of one row, one per
    worker domain.  The merge hands back each row's cells in program
    order.  A program whose worker died on every attempt (a poisoned
-   cell) becomes a skip, as a program that faults twice does.  A worker
-   escalates a refuted certificate to a cell fault, so the supervisor
-   poisons only that program; in process the verdict stays in the
-   cell's counters. *)
+   cell) becomes a skip, as a program that faults twice does.  A refuted
+   certificate is counted in its program's cell, as in a serial run. *)
 let fuzz c (rows : (Fuzz.campaign * Protean_defense.Defense.t) list) =
   let programs =
     List.mapi
@@ -451,7 +449,6 @@ let fuzz c (rows : (Fuzz.campaign * Protean_defense.Defense.t) list) =
   let rows = Array.of_list rows in
   let key (r, i) = Printf.sprintf "%d:%d" r i in
   let program k = Scanf.sscanf k "%d:%d%!" (fun r i -> (r, i)) in
-  let cert_poison = c.check_certs && serving c in
   {
     cells =
       List.mapi
@@ -465,7 +462,7 @@ let fuzz c (rows : (Fuzz.campaign * Protean_defense.Defense.t) list) =
       (fun k ->
         let r, i = program k in
         let campaign, d = rows.(r) in
-        Fuzz.cell_to_json campaign (Fuzz.test_cell ~cert_poison campaign d i));
+        Fuzz.cell_to_json campaign (Fuzz.test_cell campaign d i));
     merge =
       (fun outcomes ->
         let cells = Array.map (fun _ -> []) rows in

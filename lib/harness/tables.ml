@@ -281,71 +281,49 @@ type fuzz_row = {
   campaign : Fuzz.campaign;
 }
 
+(* Each contract's campaign ({!Fuzz.campaign_for}) under both
+   adversaries, overridden only where Table II's pairing differs. *)
 let fuzz_rows ~paranoid_sched ~programs ~inputs =
-  let with_adv c = { Fuzz.default_campaign with Fuzz.programs; inputs_per_program = inputs; seed = 7; adversary = c; paranoid_sched } in
+  let rows =
+    [
+      (* ARCH-style generation: architecturally secret-free, so the
+         random PROT prefixes do not expose secret data and test pairs
+         stay contract-equivalent — the transient gadget leaks are what
+         the contract must catch. *)
+      ( "UNPROT-SEQ",
+        "ProtCC-RAND",
+        "unprot",
+        fun c ->
+          {
+            c with
+            Fuzz.gen_klass = Gen.G_arch;
+            instrumentation = Fuzz.I_pass (Protcc.P_rand (11, 0.5));
+          } );
+      ("ARCH-SEQ", "ProtCC-ARCH", "arch", Fun.id);
+      ("CTS-SEQ", "ProtCC-CTS", "cts", Fun.id);
+      ("CT-SEQ", "ProtCC-CT", "ct", Fun.id);
+      ( "CT-SEQ",
+        "ProtCC-UNR",
+        "ct",
+        fun c ->
+          {
+            c with
+            Fuzz.gen_klass = Gen.G_unr;
+            instrumentation = Fuzz.I_pass Protcc.P_unr;
+          } );
+    ]
+  in
   List.concat_map
     (fun adversary ->
-      [
-        {
-          contract = "UNPROT-SEQ";
-          instrumentation = "ProtCC-RAND";
-          campaign =
-            {
-              (with_adv adversary) with
-              Fuzz.mode_of = Fuzz.unprot_seq;
-              (* ARCH-style generation: architecturally secret-free, so
-                 the random PROT prefixes do not expose secret data and
-                 test pairs stay contract-equivalent — the transient
-                 gadget leaks are what the contract must catch. *)
-              gen_klass = Gen.G_arch;
-              instrumentation = Fuzz.I_pass (Protcc.P_rand (11, 0.5));
-            };
-        };
-        {
-          contract = "ARCH-SEQ";
-          instrumentation = "ProtCC-ARCH";
-          campaign =
-            {
-              (with_adv adversary) with
-              Fuzz.mode_of = Fuzz.arch_seq;
-              gen_klass = Gen.G_arch;
-              instrumentation = Fuzz.I_none;
-            };
-        };
-        {
-          contract = "CTS-SEQ";
-          instrumentation = "ProtCC-CTS";
-          campaign =
-            {
-              (with_adv adversary) with
-              Fuzz.mode_of = Fuzz.cts_seq;
-              gen_klass = Gen.G_ct;
-              instrumentation = Fuzz.I_pass Protcc.P_cts;
-            };
-        };
-        {
-          contract = "CT-SEQ";
-          instrumentation = "ProtCC-CT";
-          campaign =
-            {
-              (with_adv adversary) with
-              Fuzz.mode_of = Fuzz.ct_seq;
-              gen_klass = Gen.G_ct;
-              instrumentation = Fuzz.I_pass Protcc.P_ct;
-            };
-        };
-        {
-          contract = "CT-SEQ";
-          instrumentation = "ProtCC-UNR";
-          campaign =
-            {
-              (with_adv adversary) with
-              Fuzz.mode_of = Fuzz.ct_seq;
-              gen_klass = Gen.G_unr;
-              instrumentation = Fuzz.I_pass Protcc.P_unr;
-            };
-        };
-      ])
+      List.map
+        (fun (contract, instrumentation, name, adjust) ->
+          let c = adjust (Fuzz.campaign_for ~seed:7 ~programs ~inputs name) in
+          {
+            contract;
+            instrumentation;
+            campaign = { c with Fuzz.adversary; paranoid_sched };
+          })
+        rows)
     [ Fuzz.Cache_tlb; Fuzz.Timing ]
 
 let table_ii_defenses =
@@ -397,13 +375,10 @@ let table_ii ?(out = Format.std_formatter) runs (cells : Fuzz.cell list list) =
           (List.map (fun (_, r, _) -> (r.contract, r.instrumentation)) runs)));
   Format.fprintf out "@.";
   List.iter2
-    (fun (_, r, _) ->
-      List.iter (fun (c : Fuzz.cell) ->
-          Option.iter
-            (Format.fprintf out "skipped program %d (seed %d) after retry: %s@."
-               c.Fuzz.c_index
-               (Fuzz.program_seed r.campaign c.Fuzz.c_index))
-            c.Fuzz.c_skip))
+    (fun (_, r, _) cells ->
+      List.iter
+        (fun s -> Format.fprintf out "%s@." (Fuzz.skip_line s))
+        (Fuzz.skips r.campaign cells))
     runs cells
 
 (* ------------------------------------------------------------------ *)

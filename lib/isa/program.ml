@@ -66,13 +66,3 @@ let secret_ranges p =
       if d.secret then Some (d.addr, Int64.of_int (String.length d.bytes))
       else None)
     p.data
-
-let pp fmt p =
-  Array.iteri
-    (fun pc insn ->
-      (match List.find_opt (fun f -> f.entry = pc) p.funcs with
-      | Some f ->
-          Format.fprintf fmt "<%s>: # %s@." f.fname (string_of_klass f.klass)
-      | None -> ());
-      Format.fprintf fmt "%4d: %a@." pc Insn.pp insn)
-    p.code

@@ -45,5 +45,3 @@ val with_code : t -> Insn.t array -> t
 
 val secret_ranges : t -> (int64 * int64) list
 (** [(addr, len)] of every secret data region. *)
-
-val pp : Format.formatter -> t -> unit

@@ -58,4 +58,3 @@ let of_name s =
 
 let pp fmt r = Format.pp_print_string fmt (name r)
 let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = Stdlib.compare a b

@@ -52,4 +52,3 @@ val name : t -> string
 val of_name : string -> t
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
-val compare : t -> t -> int

@@ -32,8 +32,6 @@ type t = {
   shared_prot : Bytes.t; (* every line's [prot] when not tracking *)
   sets : line array array; (* [||] = untouched set (all ways invalid) *)
   mutable clock : int;
-  mutable accesses : int;
-  mutable misses : int;
 }
 
 let create ?(prot = true) (cfg : Config.cache_cfg) =
@@ -47,8 +45,6 @@ let create ?(prot = true) (cfg : Config.cache_cfg) =
     shared_prot = Bytes.make cfg.line '\001';
     sets = Array.make nsets [||];
     clock = 0;
-    accesses = 0;
-    misses = 0;
   }
 
 let set_index t addr =
@@ -105,7 +101,6 @@ type result = {
 (* Access the line containing [addr]: update LRU, allocate on miss
    (evicting the LRU way).  Newly-filled lines have all bytes protected. *)
 let access t addr =
-  t.accesses <- t.accesses + 1;
   let set_idx = set_index t addr in
   let tag = tag_of t addr in
   match find t addr with
@@ -113,7 +108,6 @@ let access t addr =
       touch t line;
       { hit = true; set = set_idx; tag; evicted = None }
   | None ->
-      t.misses <- t.misses + 1;
       let set = get_set t set_idx in
       let victim =
         Array.fold_left
@@ -162,5 +156,3 @@ let set_protection t addr size ~protected =
     | None -> ()
     | Some line -> Bytes.set line.prot (line_offset t a) v
   done
-
-let stats t = (t.accesses, t.misses)

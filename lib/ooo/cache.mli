@@ -34,6 +34,3 @@ val protected_bytes : t -> int64 -> int -> bool
 
 val set_protection : t -> int64 -> int -> protected:bool -> unit
 (** Set the protection of the bytes that are present in the cache. *)
-
-val stats : t -> int * int
-(** [(accesses, misses)]. *)

@@ -21,14 +21,6 @@ let create ?(capacity = 16) () =
   { a = Array.make (max capacity 1) Rob_entry.null; front = 0; back = 0 }
 
 let length q = q.back - q.front
-let is_empty q = q.back = q.front
-
-let clear q =
-  Array.fill q.a q.front (q.back - q.front) Rob_entry.null;
-  q.front <- 0;
-  q.back <- 0
-
-let first q = q.a.(q.front)
 
 let push q e =
   if q.back = Array.length q.a then begin

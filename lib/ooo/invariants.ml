@@ -21,8 +21,6 @@ module S = Pipeline_state
 
 type mode = Off | Warn | Fail
 
-let mode_name = function Off -> "off" | Warn -> "warn" | Fail -> "fail"
-
 let mode_of_string = function
   | "off" -> Off
   | "warn" -> Warn

@@ -25,27 +25,6 @@ open Protean_arch
 
 type t = Pipeline_state.t
 
-type fetch_item = Pipeline_state.fetch_item = {
-  mutable f_pc : int;
-  mutable f_pred_target : int;
-  mutable f_ready : int;
-  mutable f_fetched : int;
-}
-
-let fetch_buf_capacity = Pipeline_state.fetch_buf_capacity
-
-(* ROB / policy-API accessors. *)
-let rob_size = Pipeline_state.rob_size
-let get_entry = Pipeline_state.get_entry
-let peek = Pipeline_state.peek
-let head_entry = Pipeline_state.head_entry
-let iter_rob = Pipeline_state.iter_rob
-let tail_seq = Pipeline_state.tail_seq
-let oldest_unresolved_branch = Pipeline_state.oldest_unresolved_branch
-let l1d_protected = Pipeline_state.l1d_protected
-let api = Pipeline_state.api
-let measurement_marker = Stage_commit.measurement_marker
-
 (* Structured faults and the watchdog. *)
 
 type fault_kind = Pipeline_state.fault_kind =
@@ -67,7 +46,6 @@ type fault_info = Pipeline_state.fault_info = {
 
 exception Sim_fault = Pipeline_state.Sim_fault
 
-let fault = Pipeline_state.fault
 let fault_kind_name = Pipeline_state.fault_kind_name
 let fault_to_string = Pipeline_state.fault_to_string
 
@@ -77,13 +55,6 @@ type watchdog = Pipeline_state.watchdog = {
 }
 
 let default_watchdog = Pipeline_state.default_watchdog
-
-(* Observer registration: extra subscribers (profilers, checkers) on top
-   of the defaults installed by [create]. *)
-let subscribe ?kinds (t : t) ~name handler =
-  Hooks.subscribe ?kinds t.Pipeline_state.hooks ~name handler
-
-let unsubscribe (t : t) name = Hooks.unsubscribe t.Pipeline_state.hooks name
 
 (* Precompute the per-pc decode templates for [program], shareable
    across every [create] of the same program (any defense, any core). *)
@@ -271,6 +242,3 @@ let run ?trace ?squash_bug ?spec_model ?shared_l3 ?decode
     match on_cycle with Some f -> f t | None -> ()
   done;
   finish t
-
-let debug_dump = Pipeline_state.debug_dump
-let check_ring = Pipeline_state.check_ring

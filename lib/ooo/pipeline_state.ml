@@ -284,8 +284,6 @@ let iter_rob t f =
     if !idx >= n then idx := 0
   done
 
-let tail_seq t = t.head_seq + t.count - 1
-
 (* Entry recycling (see [entry_pool]).  [pool_put] is called from commit
    once the entry is out of every index; the free list borrows the then
    unused [uq_next] field, which [Rob_entry.reset] re-nulls on reuse. *)
@@ -519,37 +517,3 @@ let default_watchdog = { heartbeat = 20_000; budget = None }
 (* ------------------------------------------------------------------ *)
 
 let is_done t = t.done_
-
-(* Diagnostic dump of pipeline state, for debugging. *)
-let debug_dump t =
-  Printf.printf "cycle=%d head_seq=%d count=%d fetch_pc=%d stalled=%b buf=%d done=%b\n"
-    t.cycle t.head_seq t.count t.fetch_pc t.fetch_stalled t.fetch_len
-    t.done_;
-  iter_rob t (fun e ->
-      Printf.printf
-        "  seq=%d pc=%d %s issued=%b exec=%b resolved=%b mispred=%b cycles=%d ready=[%s]\n"
-        e.Rob_entry.seq e.Rob_entry.pc
-        (Insn.to_string e.Rob_entry.insn)
-        e.Rob_entry.issued e.Rob_entry.executed e.Rob_entry.resolved
-        e.Rob_entry.mispredicted e.Rob_entry.cycles_left
-        (String.concat ","
-           (Array.to_list
-              (Array.map (fun b -> if b then "1" else "0") e.Rob_entry.src_ready))))
-
-(* Invariant check used while debugging: every occupied slot must hold the
-   sequence number its position implies. *)
-let check_ring t =
-  for i = 0 to t.count - 1 do
-    let idx = (t.head_idx + i) mod rob_size t in
-    let e = t.rob.(idx) in
-    if Rob_entry.is_null e then begin
-      debug_dump t;
-      failwith (Printf.sprintf "ring hole at slot %d (seq %d)" i (t.head_seq + i))
-    end
-    else if e.Rob_entry.seq <> t.head_seq + i then begin
-      debug_dump t;
-      failwith
-        (Printf.sprintf "ring desync: slot %d has seq %d, expected %d" i
-           e.Rob_entry.seq (t.head_seq + i))
-    end
-  done

@@ -46,8 +46,6 @@ let root_speculative api root =
   | Atcommit -> root > api.head_seq ()
   | Control -> api.oldest_unresolved_branch () < root
 
-let tainted api (e : Rob_entry.t) = root_speculative api e.Rob_entry.taint_root
-
 (* Taint inherited from the producers of [e]'s sources: the maximum of
    their taint roots (the youngest root dominates, exactly STT's
    youngest-root-of-taint).  Committed producers contribute no taint. *)

@@ -243,8 +243,8 @@ let audit ?fuel ?pairs ?seed ?inputs ?on_cert ~(original : Program.t)
     res.Protcc.certs;
   { checked = List.length res.Protcc.certs; claims = !claims; violations }
 
-(* As [audit], but raise the first violation as a structured fault for
-   the supervisor/ledger path (poisons only the offending cell). *)
+(* As [audit], but raise the first violation as a structured fault: an
+   experiment cell's barrier turns it into a faulted (nan) cell. *)
 let audit_exn ?fuel ?pairs ?seed ?inputs ?on_cert ~original res =
   let stats = audit ?fuel ?pairs ?seed ?inputs ?on_cert ~original res in
   match stats.violations with

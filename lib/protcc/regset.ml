@@ -22,7 +22,3 @@ let subset a b = a land lnot b = 0
 
 let of_list rs = List.fold_left (fun s r -> add r s) empty rs
 let to_list s = List.filter (fun r -> mem r s) Reg.all
-
-let pp fmt s =
-  Format.fprintf fmt "{%s}"
-    (String.concat "," (List.map Reg.name (to_list s)))

@@ -19,4 +19,3 @@ val is_empty : t -> bool
 val subset : t -> t -> bool
 val of_list : Reg.t list -> t
 val to_list : t -> Reg.t list
-val pp : Format.formatter -> t -> unit

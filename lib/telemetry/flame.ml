@@ -38,18 +38,9 @@ let add_stack (t : t) stack n =
     Hashtbl.replace t stack (prev + n)
   end
 
-let merge ~into (src : t) = Hashtbl.iter (fun stack n -> add_stack into stack n) src
-
-let total (t : t) = Hashtbl.fold (fun _ n acc -> acc + n) t 0
-
 let to_list (t : t) =
   Hashtbl.fold (fun stack n acc -> (stack, n) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let of_list pairs =
-  let t = create () in
-  List.iter (fun (stack, n) -> add_stack t stack n) pairs;
-  t
 
 (* Folded text, stacks sorted for deterministic output. *)
 let to_folded (t : t) =

@@ -182,22 +182,6 @@ let merge (a : snapshot) (b : snapshot) : snapshot =
   List.iter add b;
   Hashtbl.fold (fun _ s acc -> s :: acc) tbl [] |> List.sort sample_order
 
-(* Add every sample of [snap] into live registry [t] (used to fold
-   per-cell snapshots back into a run-level registry). *)
-let absorb t (snap : snapshot) =
-  List.iter
-    (fun s ->
-      let m = register t ~help:s.s_help ~kind:s.s_kind s.s_family s.s_labels in
-      (match s.s_kind with
-      | Gauge -> set m s.s_value
-      | Counter | Histogram _ -> m.m_value <- m.m_value + s.s_value);
-      m.m_count <- m.m_count + s.s_count;
-      if s.s_buckets <> [||] then
-        Array.iteri
-          (fun i v -> m.m_buckets.(i) <- m.m_buckets.(i) + v)
-          s.s_buckets)
-    snap
-
 let families (snap : snapshot) =
   List.sort_uniq compare (List.map (fun s -> s.s_family) snap)
 

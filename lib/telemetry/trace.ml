@@ -1,7 +1,7 @@
 (* Span-based tracing with Chrome trace-event JSON export.
 
    A recorder accumulates typed events — spans with a duration, instant
-   markers, and counter series — and renders them in the Trace Event
+   markers, and process names — and renders them in the Trace Event
    Format's "JSON array" flavor, which chrome://tracing and Perfetto
    load directly (https://ui.perfetto.dev, "Open trace file").
 
@@ -33,14 +33,7 @@ type event =
       tid : int;
       args : (string * string) list;
     }
-  | Counter of {
-      name : string;
-      ts_us : int;
-      pid : int;
-      series : (string * int) list;
-    }
-  | Meta of { name : string; pid : int; tid : int; label : string }
-      (* process_name / thread_name metadata records *)
+  | Process_name of { pid : int; label : string } (* metadata record *)
 
 type t = {
   epoch : float; (* Unix.gettimeofday at creation *)
@@ -95,17 +88,7 @@ let with_span t ?cat ?pid ?tid ?args name f =
 let instant t ?(cat = "event") ?(pid = 0) ?(tid = 0) ?(args = []) name =
   record t (Instant { name; cat; ts_us = now_us t; pid; tid; args })
 
-let counter t ?(pid = 0) name series =
-  record t (Counter { name; ts_us = now_us t; pid; series })
-
-let name_process t ~pid label = record t (Meta { name = "process_name"; pid; tid = 0; label })
-let name_thread t ~pid ~tid label = record t (Meta { name = "thread_name"; pid; tid; label })
-
-let count t =
-  Mutex.lock t.lock;
-  let n = List.length t.events in
-  Mutex.unlock t.lock;
-  n
+let name_process t ~pid label = record t (Process_name { pid; label })
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event JSON                                             *)
@@ -127,16 +110,11 @@ let event_json ev =
           ("s", Json.Str "t"); ("ts", Json.Int ts_us); ("pid", Json.Int pid);
           ("tid", Json.Int tid); ("args", strs args);
         ]
-    | Counter { name; ts_us; pid; series } ->
+    | Process_name { pid; label } ->
         [
-          ("name", Json.Str name); ("ph", Json.Str "C"); ("ts", Json.Int ts_us);
-          ("pid", Json.Int pid);
-          ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) series));
-        ]
-    | Meta { name; pid; tid; label } ->
-        [
-          ("name", Json.Str name); ("ph", Json.Str "M"); ("pid", Json.Int pid);
-          ("tid", Json.Int tid); ("args", strs [ ("name", label) ]);
+          ("name", Json.Str "process_name"); ("ph", Json.Str "M");
+          ("pid", Json.Int pid); ("tid", Json.Int 0);
+          ("args", strs [ ("name", label) ]);
         ])
 
 (* The JSON-array format: events in chronological record order.  A

@@ -123,7 +123,9 @@ let test_sptsb_slower () =
     > unsafe.Pipeline.stats.Protean_ooo.Stats.cycles)
 
 (* ROB ring invariant: stepping random generated programs (with their
-   mispredictions, squashes and machine clears) never desyncs the ring. *)
+   mispredictions, squashes and machine clears) never desyncs the ring.
+   [Invariants.check] runs after every step; it checks the ring layout
+   along with the rest of the machine state. *)
 let prop_rob_ring_invariant =
   QCheck2.Test.make ~name:"ROB ring stays consistent" ~count:10
     QCheck2.Gen.(int_range 0 50_000)
@@ -139,7 +141,10 @@ let prop_rob_ring_invariant =
       let steps = ref 0 in
       while (not (Pipeline.is_done t)) && !steps < 100_000 do
         Pipeline.step t;
-        Pipeline.check_ring t;
+        (match Protean_ooo.Invariants.check t with
+        | [] -> ()
+        | { Protean_ooo.Invariants.inv; detail } :: _ ->
+            failwith (inv ^ ": " ^ detail));
         incr steps
       done;
       Pipeline.is_done t)

@@ -13,6 +13,9 @@ module Campaign = Protean_harness.Campaign
 module Checkpoint = Protean_harness.Checkpoint
 module Tables = Protean_harness.Tables
 module Fuzz = Protean_amulet.Fuzz
+module Gen = Protean_amulet.Gen
+module Protcc = Protean_protcc.Protcc
+module Observer = Protean_arch.Observer
 module Defense = Protean_defense.Defense
 
 (* --- JSON round-trips -------------------------------------------------- *)
@@ -656,6 +659,76 @@ let test_supervised_checkpoint_resume () =
             (out = Some (expected_ok 4));
           Alcotest.(check bool) "resumed cells never recomputed" true
             (List.sort compare !computed = [ "k2"; "k3" ])))
+
+(* A fuzz cell's verdict does not depend on where it runs: a certified
+   row's cell computed in process and in a worker's view of the same
+   flags is the same payload, and a refuted certificate is counted in
+   it, not raised as a cell fault. *)
+let test_fuzz_cell_verdict_everywhere () =
+  let row =
+    ( {
+        (Fuzz.campaign_for ~programs:2 ~inputs:2 "ct") with
+        Fuzz.check_certs = true;
+        cert_fault = Some Protean_defense.Fault_inject.CF_drop_prot;
+      },
+      Defense.prot_track )
+  in
+  let local = { (Helpers.campaign ()) with Campaign.check_certs = true } in
+  let payload c = (Campaign.fuzz c [ row ]).Campaign.compute "0:0" in
+  let here = payload local in
+  Alcotest.(check string) "worker payload == in-process payload"
+    (Json.to_string here)
+    (Json.to_string (payload { local with Campaign.worker = true }));
+  let cell = Fuzz.cell_of_json 0 here in
+  Alcotest.(check bool) "refuted certificate counted in the cell" true
+    (cell.Fuzz.c_outcome.Fuzz.cert_violations > 0);
+  Alcotest.(check (option string)) "no skip" None cell.Fuzz.c_skip
+
+(* Table II's rows: each (contract, instrumentation) pairing with its
+   generator class, ProtCC pass and observer mode, under both
+   adversaries, seed 7. *)
+let test_table_ii_rows () =
+  let row (r : Tables.fuzz_row) =
+    let c = r.Tables.campaign in
+    ( (r.Tables.contract, r.Tables.instrumentation, c.Fuzz.adversary),
+      (c.Fuzz.seed, c.Fuzz.gen_klass, c.Fuzz.instrumentation),
+      Observer.mode_name (c.Fuzz.mode_of (Hashtbl.create 0)) )
+  in
+  let expected =
+    List.concat_map
+      (fun adv ->
+        [
+          ( ("UNPROT-SEQ", "ProtCC-RAND", adv),
+            (7, Gen.G_arch, Fuzz.I_pass (Protcc.P_rand (11, 0.5))),
+            "UNPROT" );
+          (("ARCH-SEQ", "ProtCC-ARCH", adv), (7, Gen.G_arch, Fuzz.I_none), "ARCH");
+          ( ("CTS-SEQ", "ProtCC-CTS", adv),
+            (7, Gen.G_ct, Fuzz.I_pass Protcc.P_cts),
+            "CTS" );
+          ( ("CT-SEQ", "ProtCC-CT", adv),
+            (7, Gen.G_ct, Fuzz.I_pass Protcc.P_ct),
+            "CT" );
+          ( ("CT-SEQ", "ProtCC-UNR", adv),
+            (7, Gen.G_unr, Fuzz.I_pass Protcc.P_unr),
+            "CT" );
+        ])
+      [ Fuzz.Cache_tlb; Fuzz.Timing ]
+  in
+  let rows = Tables.fuzz_rows ~paranoid_sched:false ~programs:10 ~inputs:4 in
+  Alcotest.(check int) "ten rows" 10 (List.length rows);
+  List.iter2
+    (fun r e ->
+      let (contract, instr, _), _, _ = e in
+      Alcotest.(check bool) (contract ^ " " ^ instr) true (row r = e))
+    rows expected;
+  Alcotest.(check bool) "programs x inputs, nothing else set" true
+    (List.for_all
+       (fun (r : Tables.fuzz_row) ->
+         let c = r.Tables.campaign in
+         c.Fuzz.programs = 10 && c.Fuzz.inputs_per_program = 4
+         && (not c.Fuzz.paranoid_sched) && (not c.Fuzz.check_certs)
+         && c.Fuzz.config == Fuzz.default_campaign.Fuzz.config)
+       rows)
 
 (* Table II is one campaign: its 30 fuzz campaigns form one fuzz grid.
    In process at -j 1 and -j 2, and leased to two domain-backed spawns,
@@ -1305,6 +1378,9 @@ let tests =
       test_supervised_checkpoint_resume;
     Alcotest.test_case "Table II is one campaign" `Quick
       test_table_ii_one_campaign;
+    Alcotest.test_case "fuzz cell verdict does not depend on where it runs"
+      `Quick test_fuzz_cell_verdict_everywhere;
+    Alcotest.test_case "Table II rows" `Quick test_table_ii_rows;
     Alcotest.test_case "garbage bytes mid-stream killed and retried" `Quick
       test_supervised_garbage_midstream;
     Alcotest.test_case "byte-dribbled frames with interleaved heartbeats"
