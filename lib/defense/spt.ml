@@ -46,16 +46,18 @@ let src_pub st (e : Rob_entry.t) api i =
     else prod.Rob_entry.pol_out_pub
 
 (* Transmitted-status of the value a register operand holds, looked up in
-   the per-entry snapshot filled at rename. *)
-let reg_pub (e : Rob_entry.t) r =
-  let n = Array.length e.Rob_entry.srcs in
-  let rec loop i =
-    if i >= n then false
-    else if Reg.equal (fst e.Rob_entry.srcs.(i)) r then
-      e.Rob_entry.pol_src_pub.(i)
-    else loop (i + 1)
-  in
-  loop 0
+   the per-entry snapshot filled at rename.  Like every helper the gates
+   and hooks below call, a top-level recursion or a [for] loop, so that
+   no poll allocates a closure. *)
+let rec reg_pub_from (e : Rob_entry.t) r i =
+  if i >= Array.length e.Rob_entry.srcs then false
+  else if Reg.equal (fst e.Rob_entry.srcs.(i)) r then e.Rob_entry.pol_src_pub.(i)
+  else reg_pub_from e r (i + 1)
+
+let reg_pub e r = reg_pub_from e r 0
+
+let src_ok e = function Insn.Imm _ -> true | Insn.Reg r -> reg_pub e r
+let opt_reg_pub e = function Some r -> reg_pub e r | None -> true
 
 (* Is the (non-flags) value produced by [e] transmitted-equivalent to
    already-transmitted data?  SPT's unprotection extends from directly
@@ -72,25 +74,17 @@ let reg_pub (e : Rob_entry.t) r =
    invertible.  They become transmitted only when a conditional branch
    retires (fully transmitting its condition). *)
 let out_pub st (e : Rob_entry.t) =
-  let op = e.Rob_entry.insn.Insn.op in
-  let src_ok = function
-    | Insn.Imm _ -> true
-    | Insn.Reg r -> reg_pub e r
-  in
-  match op with
-  | Insn.Mov (Insn.W64, _, s) -> src_ok s
+  match e.Rob_entry.insn.Insn.op with
+  | Insn.Mov (Insn.W64, _, s) -> src_ok e s
   | Insn.Mov (Insn.W32, d, s) ->
-      if st.w32_fix then src_ok s else src_ok s && reg_pub e d
+      if st.w32_fix then src_ok e s else src_ok e s && reg_pub e d
   | Insn.Mov (Insn.W8, _, _) -> false (* partial merge: not invertible *)
-  | Insn.Lea (_, m) -> (
+  | Insn.Lea (_, m) ->
       (* base + index*scale + disp is invertible in at most one register
-         operand. *)
-      match Insn.mem_regs m with
-      | [ r ] -> reg_pub e r
-      | [] -> true
-      | _ -> List.for_all (fun r -> reg_pub e r) (Insn.mem_regs m))
+         operand; with two, both must be transmitted. *)
+      opt_reg_pub e m.Insn.base && opt_reg_pub e m.Insn.index
   | Insn.Binop ((Insn.Add | Insn.Sub | Insn.Xor), d, s) ->
-      reg_pub e d && src_ok s
+      reg_pub e d && src_ok e s
   | Insn.Binop ((Insn.And | Insn.Or | Insn.Shl | Insn.Shr | Insn.Sar | Insn.Mul), _, _)
     ->
       false
@@ -105,17 +99,30 @@ let out_pub st (e : Rob_entry.t) =
   | Insn.Nop | Insn.Halt ->
       false
 
-(* Sensitive operands all hold transmitted data? *)
-let sensitive_pub (e : Rob_entry.t) =
-  let ok = ref true in
-  Array.iteri
-    (fun i (_, role) ->
-      match role with
+(* Sensitive operands from source [i] on all hold transmitted data? *)
+let rec sensitive_pub_from (e : Rob_entry.t) i =
+  i >= Array.length e.Rob_entry.srcs
+  || ((match snd e.Rob_entry.srcs.(i) with
       | Insn.Addr | Insn.Cond_in | Insn.Target | Insn.Divide ->
-          if not e.Rob_entry.pol_src_pub.(i) then ok := false
-      | Insn.Data -> ())
-    e.Rob_entry.srcs;
-  !ok
+          e.Rob_entry.pol_src_pub.(i)
+      | Insn.Data -> true)
+     && sensitive_pub_from e (i + 1))
+
+let sensitive_pub e = sensitive_pub_from e 0
+
+(* Transmitted-status a committing [e] gives its destination [r].  The
+   stack pointer update of pop/ret is public arithmetic on rsp even
+   though the loaded destination may be private. *)
+let dst_pub (e : Rob_entry.t) r =
+  if Reg.equal r Reg.flags then false (* fresh flags: untransmitted *)
+  else
+    match e.Rob_entry.insn.Insn.op with
+    | Insn.Pop d ->
+        if Reg.equal r d then e.Rob_entry.pol_out_pub else reg_pub e Reg.rsp
+    | Insn.Ret ->
+        if Reg.equal r Reg.tmp then e.Rob_entry.pol_out_pub
+        else reg_pub e Reg.rsp
+    | _ -> e.Rob_entry.pol_out_pub
 
 let make ?(w32_fix = true) () =
   let st =
@@ -133,9 +140,9 @@ let make ?(w32_fix = true) () =
   let n_public_loads = ref 0 in
   let n_shadow_stores = ref 0 in
   let on_rename api (e : Rob_entry.t) =
-    Array.iteri
-      (fun i _ -> e.Rob_entry.pol_src_pub.(i) <- src_pub st e api i)
-      e.Rob_entry.pol_src_pub;
+    for i = 0 to Array.length e.Rob_entry.pol_src_pub - 1 do
+      e.Rob_entry.pol_src_pub.(i) <- src_pub st e api i
+    done;
     e.Rob_entry.pol_out_pub <- out_pub st e;
     (* AccessTrack-style taint: every load taints its output at rename. *)
     let inherited = Policy.inherited_taint api e in
@@ -164,24 +171,12 @@ let make ?(w32_fix = true) () =
           || (e.Rob_entry.pol_out_pub && not (Taint.own_load_tainted api e))))
   in
   let on_commit _api (e : Rob_entry.t) =
-    (* Outputs derived from transmitted data are transmitted.  The stack
-       pointer update of pop/ret is public arithmetic on rsp even though
-       the loaded destination may be private. *)
+    (* Outputs derived from transmitted data are transmitted. *)
     let op = e.Rob_entry.insn.Insn.op in
-    let dst_pub r =
-      if Reg.equal r Reg.flags then false (* fresh flags: untransmitted *)
-      else
-        match op with
-        | Insn.Pop d ->
-            if Reg.equal r d then e.Rob_entry.pol_out_pub else reg_pub e Reg.rsp
-        | Insn.Ret ->
-            if Reg.equal r Reg.tmp then e.Rob_entry.pol_out_pub
-            else reg_pub e Reg.rsp
-        | _ -> e.Rob_entry.pol_out_pub
-    in
-    Array.iter
-      (fun r -> st.reg_xmit.(Reg.to_int r) <- dst_pub r)
-      e.Rob_entry.dsts;
+    let dsts = e.Rob_entry.dsts in
+    for i = 0 to Array.length dsts - 1 do
+      st.reg_xmit.(Reg.to_int dsts.(i)) <- dst_pub e dsts.(i)
+    done;
     (* Stores write their data operand's status into the memory shadow;
        call pushes a public return address. *)
     if Rob_entry.is_store e then begin
@@ -201,14 +196,12 @@ let make ?(w32_fix = true) () =
        register operands: they are now public forever. *)
     if Rob_entry.is_transmitter e then incr n_xmit_retire;
     if Rob_entry.is_transmitter e then
-      Array.iteri
-        (fun i (r, role) ->
-          match role with
-          | Insn.Addr | Insn.Cond_in | Insn.Target ->
-              ignore i;
-              st.reg_xmit.(Reg.to_int r) <- true
-          | Insn.Divide | Insn.Data -> ())
-        e.Rob_entry.srcs
+      for i = 0 to Array.length e.Rob_entry.srcs - 1 do
+        match e.Rob_entry.srcs.(i) with
+        | r, (Insn.Addr | Insn.Cond_in | Insn.Target) ->
+            st.reg_xmit.(Reg.to_int r) <- true
+        | _, (Insn.Divide | Insn.Data) -> ()
+      done
   in
   let metrics () =
     [

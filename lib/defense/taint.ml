@@ -21,18 +21,18 @@ let src_root (api : Policy.api) (e : Rob_entry.t) i =
     let prod = api.Policy.peek p in
     if Rob_entry.is_null prod then -1 else prod.Rob_entry.taint_root
 
-(* Is any *sensitive* operand of [e] tainted?  Used to gate transmitter
-   execution and branch resolution. *)
-let sensitive_tainted (api : Policy.api) (e : Rob_entry.t) =
-  let tainted = ref false in
-  Array.iteri
-    (fun i (_, role) ->
-      match role with
+(* Is any *sensitive* operand of [e] (from source [i] on) tainted?  Used
+   to gate transmitter execution and branch resolution, so it is a
+   top-level recursion: no closure per gate poll. *)
+let rec sensitive_tainted_from (api : Policy.api) (e : Rob_entry.t) i =
+  i < Array.length e.Rob_entry.srcs
+  && ((match snd e.Rob_entry.srcs.(i) with
       | Insn.Addr | Insn.Cond_in | Insn.Target | Insn.Divide ->
-          if Policy.root_speculative api (src_root api e i) then tainted := true
-      | Insn.Data -> ())
-    e.Rob_entry.srcs;
-  !tainted
+          Policy.root_speculative api (src_root api e i)
+      | Insn.Data -> false)
+     || sensitive_tainted_from api e (i + 1))
+
+let sensitive_tainted api e = sensitive_tainted_from api e 0
 
 (* The taint of an indirect branch's loaded target ([ret] pops its target
    from the stack): the entry's own access status. *)

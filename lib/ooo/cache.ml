@@ -76,16 +76,13 @@ let get_set t idx =
     s
   end
 
-(* Read-only lookup: an unmaterialized set holds nothing. *)
-let find t addr =
-  let set = t.sets.(set_index t addr) in
-  let tag = tag_of t addr in
-  let rec loop i =
-    if i >= Array.length set then None
-    else if set.(i).valid && Int64.equal set.(i).tag tag then Some set.(i)
-    else loop (i + 1)
-  in
-  loop 0
+(* Read-only lookup: the way of [set] holding [tag], or -1 (an
+   unmaterialized set holds nothing).  An index, not an option, so a hit
+   allocates nothing. *)
+let rec find_way (set : line array) tag i =
+  if i >= Array.length set then -1
+  else if set.(i).valid && Int64.equal set.(i).tag tag then i
+  else find_way set tag (i + 1)
 
 let touch t line =
   t.clock <- t.clock + 1;
@@ -103,56 +100,54 @@ type result = {
 let access t addr =
   let set_idx = set_index t addr in
   let tag = tag_of t addr in
-  match find t addr with
-  | Some line ->
-      touch t line;
-      { hit = true; set = set_idx; tag; evicted = None }
-  | None ->
-      let set = get_set t set_idx in
-      let victim =
-        Array.fold_left
-          (fun acc line ->
-            match acc with
-            | None -> Some line
-            | Some best ->
-                if (not line.valid) && best.valid then Some line
-                else if line.valid = best.valid && line.lru < best.lru then
-                  Some line
-                else acc)
-          None set
-      in
-      let line = Option.get victim in
-      let evicted =
-        if line.valid then Some (Int64.shift_left line.tag t.lbits) else None
-      in
-      line.valid <- true;
-      line.tag <- tag;
-      if t.track_prot then Bytes.fill line.prot 0 t.cfg.line '\001';
-      touch t line;
-      { hit = false; set = set_idx; tag; evicted }
+  let way = find_way t.sets.(set_idx) tag 0 in
+  if way >= 0 then begin
+    touch t t.sets.(set_idx).(way);
+    { hit = true; set = set_idx; tag; evicted = None }
+  end
+  else begin
+    (* Victim: the first invalid way, else the least recently used. *)
+    let set = get_set t set_idx in
+    let best = ref 0 in
+    for i = 1 to Array.length set - 1 do
+      let line = set.(i) and b = set.(!best) in
+      if ((not line.valid) && b.valid)
+         || (line.valid = b.valid && line.lru < b.lru)
+      then best := i
+    done;
+    let line = set.(!best) in
+    let evicted =
+      if line.valid then Some (Int64.shift_left line.tag t.lbits) else None
+    in
+    line.valid <- true;
+    line.tag <- tag;
+    if t.track_prot then Bytes.fill line.prot 0 t.cfg.line '\001';
+    touch t line;
+    { hit = false; set = set_idx; tag; evicted }
+  end
 
 (* --- Protection bits ------------------------------------------------ *)
 
 (* Are any of the [size] bytes at [addr] protected?  Bytes not present in
    the cache are protected by definition. *)
-let protected_bytes t addr size =
-  let rec loop i =
-    if i >= size then false
-    else
-      let a = Int64.add addr (Int64.of_int i) in
-      match find t a with
-      | None -> true
-      | Some line ->
-          Bytes.get line.prot (line_offset t a) = '\001' || loop (i + 1)
-  in
-  loop 0
+let rec protected_from t addr size i =
+  i < size
+  &&
+  let a = Int64.add addr (Int64.of_int i) in
+  let set = t.sets.(set_index t a) in
+  let way = find_way set (tag_of t a) 0 in
+  way < 0
+  || Bytes.get set.(way).prot (line_offset t a) = '\001'
+  || protected_from t addr size (i + 1)
+
+let protected_bytes t addr size = protected_from t addr size 0
 
 (* Set the protection of the [size] bytes at [addr] that are present. *)
 let set_protection t addr size ~protected =
   let v = if protected then '\001' else '\000' in
   for i = 0 to size - 1 do
     let a = Int64.add addr (Int64.of_int i) in
-    match find t a with
-    | None -> ()
-    | Some line -> Bytes.set line.prot (line_offset t a) v
+    let set = t.sets.(set_index t a) in
+    let way = find_way set (tag_of t a) 0 in
+    if way >= 0 then Bytes.set set.(way).prot (line_offset t a) v
   done

@@ -8,13 +8,14 @@
 
    [check] audits a pipeline snapshot and returns the violations it
    finds; [check_sched] cross-checks the O(active) scheduler's redundant
-   indexes (unissued/branch lists, in-flight deque, store/load queues,
-   wakeup chains, dormancy) against a brute-force ROB scan.  [checker]
-   packages both as a per-cycle hook (usable directly as [Pipeline.run]'s
-   [on_cycle]) with off/warn/fail modes, sampled every [every] cycles;
-   [attach] subscribes the same checker to the pipeline's hook bus on
-   [On_cycle_end], which is how [Experiment.execute] wires it per core;
-   [attach_sched] subscribes [check_sched] alone, for --paranoid-sched. *)
+   indexes (ready-bit vector, branch list, in-flight deque, store/load
+   queues, wakeup chains, dormancy) against a brute-force ROB scan.
+   [checker] packages both as a per-cycle hook (usable directly as
+   [Pipeline.run]'s [on_cycle]) with off/warn/fail modes, sampled every
+   [every] cycles; [attach] subscribes the same checker to the
+   pipeline's hook bus on [On_cycle_end], which is how
+   [Experiment.execute] wires it per core; [attach_sched] subscribes
+   [check_sched] alone, for --paranoid-sched. *)
 
 open Protean_isa
 module S = Pipeline_state
@@ -42,26 +43,23 @@ let check_sched (t : S.t) : violation list =
   let live (e : Rob_entry.t) =
     (not (Rob_entry.is_null e)) && S.peek t e.Rob_entry.seq == e
   in
-  (* Unissued list: exactly the live unissued entries, seq-ascending. *)
-  let uq_count = ref 0 in
-  let prev_seq = ref min_int in
-  let cursor = ref t.S.uq_head in
-  while not (Rob_entry.is_null !cursor) do
-    let e = !cursor in
-    incr uq_count;
-    if not (live e) then fail "sched-uq" "dead entry seq %d linked" e.Rob_entry.seq;
-    if e.Rob_entry.issued then
-      fail "sched-uq" "issued entry seq %d still linked" e.Rob_entry.seq;
-    if e.Rob_entry.seq <= !prev_seq then
-      fail "sched-uq" "not seq-ascending at seq %d" e.Rob_entry.seq;
-    prev_seq := e.Rob_entry.seq;
-    cursor := e.Rob_entry.uq_next
+  (* Ready-bit vector, soundness: a set bit names a live, unissued
+     entry, and no bit is set outside the live window (the padding bits
+     past the ring size included).  Completeness — every unissued entry
+     whose bit is clear really is dormant — is the dormancy check
+     below. *)
+  let n = S.rob_size t in
+  for slot = 0 to (Array.length t.S.ready * 32) - 1 do
+    if S.ready_mem t slot then begin
+      let off = slot - t.S.head_idx in
+      let off = if off < 0 then off + n else off in
+      if slot >= n || off >= t.S.count then
+        fail "sched-ready" "bit set for slot %d outside the live window" slot
+      else if t.S.rob.(slot).Rob_entry.issued then
+        fail "sched-ready" "issued entry seq %d has its bit set"
+          t.S.rob.(slot).Rob_entry.seq
+    end
   done;
-  let ring_unissued = ref 0 in
-  S.iter_rob t (fun e -> if not e.Rob_entry.issued then incr ring_unissued);
-  if !uq_count <> !ring_unissued then
-    fail "sched-uq" "list has %d entries, ring has %d unissued" !uq_count
-      !ring_unissued;
   (* Unresolved-branch list: exactly the live unresolved branches. *)
   let bq_count = ref 0 in
   let prev_seq = ref min_int in
@@ -125,10 +123,11 @@ let check_sched (t : S.t) : violation list =
      chain's owner.  Completeness: the total node count must equal the
      ring count of (entry, slot) pairs that are non-ready with a live,
      un-executed producer — so no waiting slot is missing from a chain.
-     Dormancy: a dormant entry must be unissued with at least one
-     non-ready source and *no* non-ready source whose producer is
-     committed or executed (such an entry must stay active: its forward
-     could be policy-gated, which emits per-cycle events). *)
+     Dormancy: an unissued entry whose ready bit is clear is dormant, and
+     must have at least one non-ready source and *no* non-ready source
+     whose producer is committed or executed (such an entry must stay
+     visible to the issue scan: its forward could be policy-gated, which
+     emits per-cycle events, or it may be ready to issue). *)
   let chain_nodes = ref 0 in
   S.iter_rob t (fun p ->
       let c = ref p.Rob_entry.waiters in
@@ -176,9 +175,10 @@ let check_sched (t : S.t) : violation list =
           end
         end
       done;
-      if e.Rob_entry.dormant then begin
-        if e.Rob_entry.issued then
-          fail "sched-dormant" "issued entry seq %d is dormant" e.Rob_entry.seq;
+      if
+        (not e.Rob_entry.issued)
+        && not (S.ready_mem t (S.idx_of_seq t e.Rob_entry.seq))
+      then begin
         if not !pending then
           fail "sched-dormant" "dormant seq %d has no pending producer"
             e.Rob_entry.seq;
@@ -330,25 +330,23 @@ let check (t : S.t) : violation list =
     (fun ri p ->
       if p >= 0 then begin
         let r = Reg.of_int ri in
-        match S.get_entry t p with
-        | None ->
-            fail "rmap-producer" "%s maps to seq %d, not in the ROB"
-              (Reg.name r) p
-        | Some e ->
-            if not (Array.exists (fun d -> Reg.equal d r) e.Rob_entry.dsts)
-            then
-              fail "rmap-producer" "%s maps to seq %d which does not write it"
-                (Reg.name r) p
-            else
-              (* The mapping must name the *youngest* in-flight writer. *)
-              S.iter_rob t (fun y ->
-                  if
-                    y.Rob_entry.seq > p
-                    && Array.exists (fun d -> Reg.equal d r) y.Rob_entry.dsts
-                  then
-                    fail "rmap-producer"
-                      "%s maps to seq %d but seq %d is a younger writer"
-                      (Reg.name r) p y.Rob_entry.seq)
+        let e = S.peek t p in
+        if Rob_entry.is_null e then
+          fail "rmap-producer" "%s maps to seq %d, not in the ROB" (Reg.name r) p
+        else if not (Array.exists (fun d -> Reg.equal d r) e.Rob_entry.dsts)
+        then
+          fail "rmap-producer" "%s maps to seq %d which does not write it"
+            (Reg.name r) p
+        else
+          (* The mapping must name the *youngest* in-flight writer. *)
+          S.iter_rob t (fun y ->
+              if
+                y.Rob_entry.seq > p
+                && Array.exists (fun d -> Reg.equal d r) y.Rob_entry.dsts
+              then
+                fail "rmap-producer"
+                  "%s maps to seq %d but seq %d is a younger writer"
+                  (Reg.name r) p y.Rob_entry.seq)
       end)
     t.S.rmap_producer;
   (* --- Protection-bit conservation ---------------------------------- *)

@@ -15,36 +15,39 @@
 
 module S = Pipeline_state
 
+(* [path] (newest first) plus the fill and eviction of a miss at [level]. *)
+let fill level (r : Cache.result) path =
+  if r.Cache.hit then path
+  else
+    let path =
+      Hooks.M_fill { level; set = r.Cache.set; tag = r.Cache.tag } :: path
+    in
+    match r.Cache.evicted with
+    | Some line -> Hooks.M_evict { level; line } :: path
+    | None -> path
+
 (* Walk the hierarchy for a data access at [addr]; returns the latency. *)
 let access (t : S.t) addr =
   let with_path = S.wants t Hooks.k_mem_path in
   let path = ref [] in
-  let fill level (r : Cache.result) =
-    if with_path && not r.Cache.hit then begin
-      path := Hooks.M_fill { level; set = r.Cache.set; tag = r.Cache.tag } :: !path;
-      match r.Cache.evicted with
-      | Some line -> path := Hooks.M_evict { level; line } :: !path
-      | None -> ()
-    end
-  in
   let tlb_hit = Tlb.access t.S.tlb addr in
   if with_path && not tlb_hit then
     path := Hooks.M_tlb_fill (Tlb.page_of addr) :: !path;
   let tlb_penalty = if tlb_hit then 0 else t.S.cfg.Config.tlb_miss_latency in
   let r1 = Cache.access t.S.l1d addr in
-  fill 1 r1;
+  if with_path then path := fill 1 r1 !path;
   let l1_hit = r1.Cache.hit in
   let latency =
     if l1_hit then tlb_penalty + t.S.cfg.Config.l1d.Config.latency
     else begin
       let r2 = Cache.access t.S.l2 addr in
-      fill 2 r2;
+      if with_path then path := fill 2 r2 !path;
       if r2.Cache.hit then tlb_penalty + t.S.cfg.Config.l2.Config.latency
       else
         match t.S.l3 with
         | Some l3 ->
             let r3 = Cache.access l3 addr in
-            fill 3 r3;
+            if with_path then path := fill 3 r3 !path;
             if r3.Cache.hit then
               tlb_penalty
               + (match t.S.cfg.Config.l3 with Some c -> c.Config.latency | None -> 0)

@@ -9,12 +9,13 @@
    Besides the architectural/microarchitectural state, the record holds
    the O(active) issue scheduler's index structures (see
    docs/architecture.md, "Performance"): the ROB ring is a flat
-   [Rob_entry.t array] with [Rob_entry.null] for empty slots, the
-   unissued and unresolved-branch sets are intrusive doubly-linked lists
-   threaded through the entries, and the in-flight/store/load sets are
-   [Entryq] deques.  All of them are *redundant* indexes over the ring:
-   [Invariants.check_sched] cross-checks them against a brute-force ROB
-   scan (per cycle when [Invariants.attach_sched] subscribed it). *)
+   [Rob_entry.t array] with [Rob_entry.null] for empty slots, a bit
+   vector over its slots marks what the issue scan visits, unresolved
+   branches form an intrusive doubly-linked list, and the
+   in-flight/store/load sets are [Entryq] deques.  All of them are
+   *redundant* indexes over the ring: [Invariants.check_sched]
+   cross-checks them against a brute-force ROB scan (per cycle when
+   [Invariants.attach_sched] subscribed it). *)
 
 open Protean_isa
 open Protean_arch
@@ -63,8 +64,7 @@ type t = {
   mutable lq_used : int;
   mutable sq_used : int;
   (* O(active) scheduler indexes (redundant views over the ring). *)
-  mutable uq_head : Rob_entry.t; (* unissued entries, seq-ascending DLL *)
-  mutable uq_tail : Rob_entry.t;
+  ready : int array; (* a bit per ROB slot, 32 per word; see [ready_set] *)
   mutable bq_head : Rob_entry.t; (* unresolved branches, seq-ascending DLL *)
   mutable bq_tail : Rob_entry.t;
   inflight : Entryq.t; (* issued && not executed, issue order *)
@@ -82,7 +82,7 @@ type t = {
   tmpl_srcs : (Reg.t * Insn.role) array array;
   tmpl_dsts : Reg.t array array;
   (* Per-pc free list of dead ROB entries ([Rob_entry.null]-terminated,
-     chained through [uq_next]): commit releases, rename recycles via
+     chained through [bq_next]): commit releases, rename recycles via
      [Rob_entry.reset].  Loop bodies re-rename the same pcs over and
      over, so in steady state rename allocates nothing.  Safe because a
      committed entry has no inbound physical pointers (wakeup chains are
@@ -90,9 +90,9 @@ type t = {
      slots at commit) — every cross-entry reference is by sequence
      number, and [peek] range-checks those.  Squashed entries are pooled
      too, but only at the *end* of the flush: the index cleanup still
-     walks their list/chain links, so [Squash.flush] parks them in
-     [squash_scratch] (pre-allocated, ROB-sized) until the pipeline is
-     consistent again. *)
+     walks their branch-list and chain links, so [Squash.flush] parks
+     them in [squash_scratch] (pre-allocated, ROB-sized) until the
+     pipeline is consistent again. *)
   entry_pool : Rob_entry.t array;
   squash_scratch : Rob_entry.t array;
   (* Frontend. *)
@@ -197,8 +197,7 @@ let create ?(trace = false) ?(squash_bug = false)
     next_seq = 0;
     lq_used = 0;
     sq_used = 0;
-    uq_head = Rob_entry.null;
-    uq_tail = Rob_entry.null;
+    ready = Array.make ((cfg.Config.rob_size + 31) lsr 5) 0;
     bq_head = Rob_entry.null;
     bq_tail = Rob_entry.null;
     inflight = Entryq.create ~capacity:64 ();
@@ -268,12 +267,6 @@ let peek t seq =
   if seq < t.head_seq || seq >= t.head_seq + t.count then Rob_entry.null
   else t.rob.(idx_of_seq t seq)
 
-let get_entry t seq =
-  let e = peek t seq in
-  if Rob_entry.is_null e then None else Some e
-
-let head_entry t = if t.count = 0 then None else Some t.rob.(t.head_idx)
-
 (* Iterate over ROB entries from oldest to youngest. *)
 let iter_rob t f =
   let n = rob_size t in
@@ -285,13 +278,14 @@ let iter_rob t f =
   done
 
 (* Entry recycling (see [entry_pool]).  [pool_put] is called from commit
-   once the entry is out of every index; the free list borrows the then
-   unused [uq_next] field, which [Rob_entry.reset] re-nulls on reuse. *)
+   once the entry is out of every index; the free list borrows
+   [bq_next], null on every path into the pool (branches are unlinked
+   when they resolve or are flushed), which [Rob_entry.reset] re-nulls. *)
 
 let pool_put t (e : Rob_entry.t) =
   let pc = e.Rob_entry.pc in
   if pc >= 0 && pc < Array.length t.entry_pool then begin
-    e.Rob_entry.uq_next <- t.entry_pool.(pc);
+    e.Rob_entry.bq_next <- t.entry_pool.(pc);
     t.entry_pool.(pc) <- e
   end
 
@@ -303,7 +297,7 @@ let pool_take t pc (insn : Insn.t) =
   if pc >= 0 && pc < Array.length t.entry_pool then begin
     let e = t.entry_pool.(pc) in
     if (not (Rob_entry.is_null e)) && e.Rob_entry.insn == insn then begin
-      t.entry_pool.(pc) <- e.Rob_entry.uq_next;
+      t.entry_pool.(pc) <- e.Rob_entry.bq_next;
       e
     end
     else Rob_entry.null
@@ -356,31 +350,66 @@ let fb_iter f t =
 (* Scheduler index maintenance                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Unissued list: entries append at rename (seq-ascending by
-   construction), unlink when they issue, truncate from the tail on a
-   squash.  Dormant entries stay linked — the issue scan skips them with
-   one flag test; what makes the scan O(active) is never visiting
-   issued/executed/committed entries at all. *)
+(* Ready-bit vector, 32 slots per word (a power of two, and the sign bit
+   stays out of every mask).  Bit [i] is set iff ROB slot [i] holds an
+   unissued entry that is not dormant: exactly the entries the issue
+   scan must visit.  Rename sets the bit unless the entry parks on
+   wakeup chains, [Stage_issue_exec] clears it when an entry parks or
+   issues, a completing producer sets it for each waiter it wakes, and
+   [Squash.flush] clears every flushed slot — so bits outside the live
+   window (and padding bits past [rob_size]) are always 0. *)
 
-let uq_push t (e : Rob_entry.t) =
-  if Rob_entry.is_null t.uq_tail then begin
-    t.uq_head <- e;
-    t.uq_tail <- e
-  end
-  else begin
-    e.Rob_entry.uq_prev <- t.uq_tail;
-    t.uq_tail.Rob_entry.uq_next <- e;
-    t.uq_tail <- e
-  end
+let ready_set t slot =
+  let w = slot lsr 5 in
+  t.ready.(w) <- t.ready.(w) lor (1 lsl (slot land 31))
 
-let uq_unlink t (e : Rob_entry.t) =
-  let p = e.Rob_entry.uq_prev and n = e.Rob_entry.uq_next in
-  if Rob_entry.is_null p then t.uq_head <- n
-  else p.Rob_entry.uq_next <- n;
-  if Rob_entry.is_null n then t.uq_tail <- p
-  else n.Rob_entry.uq_prev <- p;
-  e.Rob_entry.uq_prev <- Rob_entry.null;
-  e.Rob_entry.uq_next <- Rob_entry.null
+let ready_clear t slot =
+  let w = slot lsr 5 in
+  t.ready.(w) <- t.ready.(w) land lnot (1 lsl (slot land 31))
+
+let ready_mem t slot = (t.ready.(slot lsr 5) lsr (slot land 31)) land 1 = 1
+
+(* Lowest set bit of a non-zero 32-bit word by de Bruijn multiplication:
+   the isolated bit times [0x077CB531] has a distinct top 5 bits for
+   each of the 32 positions, and [debruijn] maps those back. *)
+let debruijn =
+  let b = Bytes.create 32 in
+  for i = 0 to 31 do
+    Bytes.set b ((((1 lsl i) * 0x077CB531) land 0xFFFFFFFF) lsr 27) (Char.chr i)
+  done;
+  Bytes.to_string b
+
+let lowest_bit x =
+  Char.code debruijn.[(((x land -x) * 0x077CB531) land 0xFFFFFFFF) lsr 27]
+
+(* First position in [s, e) whose slot's bit is set, or -1.  Positions
+   count from slot 0 without wrapping ([n] <= p < 2n is slot p - n), so
+   a live window is one range.  One read per word: a run of zero words
+   costs a load and a compare each. *)
+let rec ready_scan ready n s e =
+  if s >= e then -1
+  else
+    let p = if s >= n then s - n else s in
+    let w = p lsr 5 in
+    let word = ready.(w) land ((-1) lsl (p land 31)) in
+    if word <> 0 then
+      let q = s + (w lsl 5) + lowest_bit word - p in
+      if q < e then q else -1
+    else
+      let next = (w + 1) lsl 5 in
+      ready_scan ready n (s + (if next < n then next else n) - p) e
+
+(* The next entry at or after offset [off] from the head (i.e. in seq
+   order) whose bit is set, as an offset, or -1.  Nothing at or past
+   offset [count] is looked at. *)
+let ready_next t off =
+  if off >= t.count then -1
+  else
+    let q =
+      ready_scan t.ready (Array.length t.rob) (t.head_idx + off)
+        (t.head_idx + t.count)
+    in
+    if q < 0 then -1 else q - t.head_idx
 
 (* Unresolved-branch list: append at rename, unlink the moment an entry
    resolves, truncate from the tail on a squash.  Its head therefore *is*
@@ -434,7 +463,6 @@ let api t : Policy.api =
           spec_model = t.spec_model;
           head_seq = (fun () -> if t.count = 0 then max_int else t.head_seq);
           oldest_unresolved_branch = (fun () -> oldest_unresolved_branch t);
-          get_entry = (fun seq -> get_entry t seq);
           peek = (fun seq -> peek t seq);
           l1d_protected = (fun addr size -> l1d_protected t addr size);
           stats = t.stats;
@@ -476,7 +504,7 @@ let fault t kind =
     fault_cycle = t.cycle;
     fault_fetch_pc = t.fetch_pc;
     fault_head_pc =
-      (match head_entry t with Some e -> e.Rob_entry.pc | None -> -1);
+      (if t.count = 0 then -1 else t.rob.(t.head_idx).Rob_entry.pc);
     fault_head_seq = t.head_seq;
     fault_rob_count = t.count;
     fault_last_commit = t.last_commit_cycle;

@@ -23,10 +23,7 @@ type api = {
   spec_model : spec_model;
   head_seq : unit -> int; (* seq at the ROB head; max_int when empty *)
   oldest_unresolved_branch : unit -> int; (* max_int when none *)
-  get_entry : int -> Rob_entry.t option;
-  peek : int -> Rob_entry.t;
-      (* allocation-free [get_entry]: [Rob_entry.null] when not live —
-         prefer it in per-cycle policy paths *)
+  peek : int -> Rob_entry.t; (* the live entry, or [Rob_entry.null] *)
   l1d_protected : int64 -> int -> bool;
   stats : Stats.t;
 }

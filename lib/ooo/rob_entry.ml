@@ -1,8 +1,9 @@
 (* A reorder-buffer entry: one in-flight instruction with its renamed
    sources, results, memory/branch state, ProtISA protection tags, the
    defense policies' taint bookkeeping, and the intrusive links of the
-   O(active) issue scheduler (unissued list, unresolved-branch list,
-   producer→consumer wakeup chain). *)
+   O(active) issue scheduler (unresolved-branch list, producer→consumer
+   wakeup chain).  Whether the issue scan visits the entry is not a
+   field: it is the entry's slot bit in [Pipeline_state.ready]. *)
 
 open Protean_isa
 
@@ -64,10 +65,10 @@ type t = {
          public data (SPT's transmitted-state), parallel to [srcs] *)
   mutable pol_out_pub : bool;
   (* O(active) scheduler state.  All links are [null]-terminated; [null]
-     itself is a shared sentinel that must never be mutated. *)
-  mutable dormant : bool;
-      (* unissued and every non-ready source has a live, un-executed
-         producer: skipped by the issue scan until a producer executes *)
+     itself is a shared sentinel that must never be mutated.  An entry
+     is *dormant* — unissued, and every non-ready source waits on a live,
+     un-executed producer — when its slot's ready bit is clear; the issue
+     scan does not visit it until a producer executes. *)
   wl_next : t array;
       (* per-source wakeup-chain links.  Invariant: source slot [i] is a
          member of its producer's waiter chain iff the slot is non-ready
@@ -78,10 +79,8 @@ type t = {
   wl_slot : int array;
   mutable waiters : t; (* head entry of the chain of waiting consumers *)
   mutable waiters_slot : int; (* slot of the head node *)
-  mutable uq_prev : t; (* unissued list (seq-ascending doubly linked) *)
-  mutable uq_next : t;
   mutable bq_prev : t; (* unresolved-branch list (seq-ascending) *)
-  mutable bq_next : t;
+  mutable bq_next : t; (* also the per-pc entry pool's free-list link *)
   (* Timing, for the timing-based adversary and statistics. *)
   mutable t_fetch : int;
   mutable t_rename : int;
@@ -129,13 +128,10 @@ let rec null =
     pred_no_access = false;
     pol_src_pub = [||];
     pol_out_pub = false;
-    dormant = false;
     wl_next = [||];
     wl_slot = [||];
     waiters = null;
     waiters_slot = 0;
-    uq_prev = null;
-    uq_next = null;
     bq_prev = null;
     bq_next = null;
     t_fetch = -1;
@@ -197,13 +193,10 @@ let create ?srcs ?dsts ~seq ~pc ~(insn : Insn.t) ~t_fetch () =
     pred_no_access = false;
     pol_src_pub = Array.make n false;
     pol_out_pub = false;
-    dormant = false;
     wl_next = Array.make n null;
     wl_slot = Array.make n (-1);
     waiters = null;
     waiters_slot = 0;
-    uq_prev = null;
-    uq_next = null;
     bq_prev = null;
     bq_next = null;
     t_fetch;
@@ -265,14 +258,13 @@ let reset e ~seq ~t_fetch =
   e.fwd_block_store <- -1;
   e.pred_no_access <- false;
   e.pol_out_pub <- false;
-  e.dormant <- false;
   (* The link fields are already null on every pool path: [waiters] is
      nulled by [complete_entry] (commit pooling) or the squash flush,
-     [uq_prev]/[bq_prev]/[bq_next] by the unlink that removed the entry
-     from its list.  Only [uq_next] needs re-nulling — the free list
-     borrows it. *)
+     [bq_prev]/[bq_next] by the unlink that removed a branch from its
+     list.  Only [bq_next] needs re-nulling — the free list borrows it.
+     The entry's ready bit belongs to its ROB slot, which rename sets. *)
   e.waiters_slot <- 0;
-  e.uq_next <- null;
+  e.bq_next <- null;
   e.t_fetch <- t_fetch;
   e.t_rename <- -1;
   e.t_issue <- -1;
@@ -300,31 +292,29 @@ let op_class e : Config.op_class =
 
 (* Does this entry have a protected *sensitive* register operand?  Access
    transmitters (Definition 1) additionally include loads whose sensitive
-   memory input is protected, checked at execute via [mem_prot]. *)
-let protected_sensitive_reg e =
-  let n = Array.length e.srcs in
-  let rec loop i =
-    i < n
-    && ((match snd e.srcs.(i) with
-        | Insn.Addr | Insn.Cond_in | Insn.Target | Insn.Divide ->
-            e.src_prot.(i)
-        | Insn.Data -> false)
-       || loop (i + 1))
-  in
-  loop 0
+   memory input is protected, checked at execute via [mem_prot].  The
+   searches below are top-level recursions with explicit arguments: a
+   local [loop] closing over [e] would allocate on every gate poll. *)
+let rec protected_sensitive_from e i =
+  i < Array.length e.srcs
+  && ((match snd e.srcs.(i) with
+      | Insn.Addr | Insn.Cond_in | Insn.Target | Insn.Divide -> e.src_prot.(i)
+      | Insn.Data -> false)
+     || protected_sensitive_from e (i + 1))
+
+let protected_sensitive_reg e = protected_sensitive_from e 0
 
 (* Any protected register input at all (including data inputs). *)
-let protected_reg_input e =
-  let n = Array.length e.src_prot in
-  let rec loop i = i < n && (e.src_prot.(i) || loop (i + 1)) in
-  loop 0
+let rec protected_input_from e i =
+  i < Array.length e.src_prot
+  && (e.src_prot.(i) || protected_input_from e (i + 1))
 
-let find_src e reg role =
-  let n = Array.length e.srcs in
-  let rec loop i =
-    if i >= n then -1
-    else
-      let r, ro = e.srcs.(i) in
-      if Reg.equal r reg && ro = role then i else loop (i + 1)
-  in
-  loop 0
+let protected_reg_input e = protected_input_from e 0
+
+let rec find_src_from e reg role i =
+  if i >= Array.length e.srcs then -1
+  else
+    let r, ro = e.srcs.(i) in
+    if Reg.equal r reg && ro = role then i else find_src_from e reg role (i + 1)
+
+let find_src e reg role = find_src_from e reg role 0

@@ -8,7 +8,8 @@
    once the pipeline is consistent again.
 
    The flush also rebuilds every scheduler index exactly:
-   - unissued/branch lists: truncated from the tail (both seq-ascending),
+   - ready-bit vector: every flushed slot's bit is cleared,
+   - branch list: truncated from the tail (seq-ascending),
    - in-flight deque and live store/load queues: filtered/truncated,
    - wakeup chains: flushed consumers are removed from surviving
      producers' chains.  A flushed *producer*'s chain needs no care —
@@ -22,9 +23,9 @@ module S = Pipeline_state
 
 (* Remove every entry with seq >= [from_seq] and refetch at [new_pc].
    Flushed entries are parked in [squash_scratch] and released to the
-   per-pc entry pool only once every index is consistent — the list
-   truncations and the wakeup-chain cleanup below still read (and write)
-   their link fields. *)
+   per-pc entry pool only once every index is consistent — the branch
+   list truncation and the wakeup-chain cleanup below still read (and
+   write) their link fields. *)
 let flush (t : S.t) ~from_seq ~new_pc =
   let flushed = ref 0 in
   let keep = from_seq - t.S.head_seq in
@@ -58,9 +59,9 @@ let flush (t : S.t) ~from_seq ~new_pc =
                                              (Rob_entry.op_class e)) ->
           t.S.port_busy_until.(e.Rob_entry.port) <- 0
       | _ -> ());
-      e.Rob_entry.dormant <- false;
       e.Rob_entry.waiters <- Rob_entry.null
     end;
+    S.ready_clear t idx;
     t.S.rob.(idx) <- Rob_entry.null
   done;
   t.S.count <- min t.S.count keep;
@@ -70,12 +71,6 @@ let flush (t : S.t) ~from_seq ~new_pc =
      alias with a reused number can arise. *)
   t.S.next_seq <- t.S.head_seq + t.S.count;
   (* Scheduler indexes: drop everything from [from_seq] on. *)
-  while
-    (not (Rob_entry.is_null t.S.uq_tail))
-    && t.S.uq_tail.Rob_entry.seq >= from_seq
-  do
-    S.uq_unlink t t.S.uq_tail
-  done;
   while
     (not (Rob_entry.is_null t.S.bq_tail))
     && t.S.bq_tail.Rob_entry.seq >= from_seq

@@ -9,16 +9,19 @@
 
    Cost model (the O(active) scheduler): the per-cycle work is
    - [tick]: one pass over the in-flight deque (issued, not executed),
-   - the issue scan: the unissued list in seq order, skipping dormant
-     entries with one flag test, breaking once [issue_width] is spent,
+   - the issue scan: the ready-bit vector ([Pipeline_state.ready_next])
+     in seq order from the ROB head, one read per word plus one visit
+     per set bit (an unissued, non-dormant entry), breaking once
+     [issue_width] is spent,
    - [resolve]: three passes over the unresolved-branch list.
-   None of these ever visits an executed-but-uncommitted or committed
-   slot, so cost tracks active instructions, not ROB capacity.  The
-   traversal orders equal the old full-ring scans' (both seq-ascending),
-   so every emission and policy query happens at the same point of the
-   same cycle — asserted bit-for-bit by the golden corpus, and
-   cross-checked against brute-force ring scans by
-   [Invariants.attach_sched].
+   None of these ever visits a dormant, executed-but-uncommitted or
+   committed entry, so cost tracks active instructions, not ROB
+   capacity.  The traversal orders equal the old full-ring scans' (both
+   seq-ascending), so every emission and policy query happens at the
+   same point of the same cycle — asserted bit-for-bit by the golden
+   corpus, and cross-checked against brute-force ring scans by
+   [Invariants.attach_sched].  No helper here builds a closure or an
+   option.
 
    Events: [On_wakeup]/[On_wakeup_blocked] per source, [On_exec_blocked]
    and [On_resolve_blocked] per denied cycle, [On_forward] on LSQ hits,
@@ -31,16 +34,13 @@ module S = Pipeline_state
 
 (* Copy the value produced for register [r] by entry [p] into
    [e.src_val.(i)] (no-op when [p] does not write [r], matching the old
-   [producer_value] returning [None]). *)
-let copy_producer_value (p : Rob_entry.t) r (e : Rob_entry.t) i =
-  let dsts = p.Rob_entry.dsts in
-  let n = Array.length dsts in
-  let rec loop j =
-    if j < n then
-      if Reg.equal dsts.(j) r then e.Rob_entry.src_val.(i) <- p.Rob_entry.dst_val.(j)
-      else loop (j + 1)
-  in
-  loop 0
+   [producer_value] returning [None]), trying [p]'s destinations from
+   [j] on. *)
+let rec copy_producer_value (p : Rob_entry.t) r (e : Rob_entry.t) i j =
+  if j < Array.length p.Rob_entry.dsts then
+    if Reg.equal p.Rob_entry.dsts.(j) r then
+      e.Rob_entry.src_val.(i) <- p.Rob_entry.dst_val.(j)
+    else copy_producer_value p r e i (j + 1)
 
 (* Try to make all of [e]'s sources ready; returns true when they are.
    Values from in-flight producers are only visible once the producer has
@@ -50,13 +50,14 @@ let copy_producer_value (p : Rob_entry.t) r (e : Rob_entry.t) i =
    Side effect on the scheduler: when nothing blocked on policy and some
    producer simply has not executed yet, every remaining non-ready
    source is waiting on an un-executed producer — the entry goes dormant
-   and the issue scan skips it until [tick] wakes it.  Skipping is
-   exact: for such an entry this function is pure and false (no
-   emission, no mutation), and each of those sources already sits in its
-   producer's wakeup chain (registered at rename, membership cleared
-   only by the producer executing), so the *first* producer to execute
-   wakes the entry.  No chain registration happens here. *)
-let sources_ready (t : S.t) (e : Rob_entry.t) =
+   (its bit at [slot] is cleared) and the issue scan skips it until
+   [tick] wakes it.  Skipping is exact: for such an entry this function
+   is pure and false (no emission, no mutation), and each of those
+   sources already sits in its producer's wakeup chain (registered at
+   rename, membership cleared only by the producer executing), so the
+   *first* producer to execute wakes the entry.  No chain registration
+   happens here. *)
+let sources_ready (t : S.t) (e : Rob_entry.t) slot =
   let ap = S.api t in
   let ready = e.Rob_entry.src_ready in
   let n = Array.length ready in
@@ -75,7 +76,7 @@ let sources_ready (t : S.t) (e : Rob_entry.t) =
       end
       else if prod.Rob_entry.executed then
         if t.S.policy.Policy.may_forward ap prod then begin
-          copy_producer_value prod r e i;
+          copy_producer_value prod r e i 0;
           ready.(i) <- true;
           t.S.progress <- true;
           if S.wants t Hooks.k_wakeup then
@@ -92,7 +93,7 @@ let sources_ready (t : S.t) (e : Rob_entry.t) =
     end
   done;
   if (not !all) && not !policy_blocked then begin
-    e.Rob_entry.dormant <- true;
+    S.ready_clear t slot;
     t.S.progress <- true
   end;
   !all
@@ -107,23 +108,29 @@ let src_value (e : Rob_entry.t) reg role =
 let operand_value (e : Rob_entry.t) (s : Insn.src) role =
   match s with Insn.Imm v -> v | Insn.Reg r -> src_value e r role
 
-let ea_of (e : Rob_entry.t) (m : Insn.mem) =
-  let read r = src_value e r Insn.Addr in
-  Sem.effective_address read m
+let old_of e r = src_value e r Insn.Data
+let opt_src_value e role = function Some r -> src_value e r role | None -> 0L
+
+(* [Sem.effective_address] over the renamed sources of [role], written
+   out so that no [read] closure is built per access. *)
+let ea_of (e : Rob_entry.t) (m : Insn.mem) role =
+  Int64.add
+    (Int64.add
+       (opt_src_value e role m.Insn.base)
+       (Int64.mul (opt_src_value e role m.Insn.index) (Int64.of_int m.Insn.scale)))
+    (Int64.of_int m.Insn.disp)
 
 let alu_latency (t : S.t) (op : Insn.op) =
   match op with
   | Insn.Binop (Insn.Mul, _, _) -> t.S.cfg.Config.mul_latency
   | _ -> t.S.cfg.Config.alu_latency
 
-let set_dst (e : Rob_entry.t) r v =
-  let n = Array.length e.Rob_entry.dsts in
-  let rec loop i =
-    if i < n then
-      if Reg.equal e.Rob_entry.dsts.(i) r then e.Rob_entry.dst_val.(i) <- v
-      else loop (i + 1)
-  in
-  loop 0
+let rec set_dst_from (e : Rob_entry.t) r v i =
+  if i < Array.length e.Rob_entry.dsts then
+    if Reg.equal e.Rob_entry.dsts.(i) r then e.Rob_entry.dst_val.(i) <- v
+    else set_dst_from e r v (i + 1)
+
+let set_dst e r v = set_dst_from e r v 0
 
 (* Begin executing [e]; all sources are ready.  Returns false when the
    instruction could not start (e.g. a load waiting on a store).  Sets
@@ -131,26 +138,24 @@ let set_dst (e : Rob_entry.t) r v =
    the entry commits. *)
 let start_execution (t : S.t) (e : Rob_entry.t) =
   let insn = e.Rob_entry.insn in
-  let old_of r = src_value e r Insn.Data in
   let started = ref true in
   (match insn.Insn.op with
   | Insn.Nop | Insn.Halt -> e.Rob_entry.cycles_left <- 1
   | Insn.Mov (w, d, s) ->
       let v = operand_value e s Insn.Data in
-      let old = match w with Insn.W8 -> old_of d | _ -> 0L in
+      let old = match w with Insn.W8 -> old_of e d | _ -> 0L in
       set_dst e d (Sem.apply_width w ~old v);
       e.Rob_entry.cycles_left <- alu_latency t insn.Insn.op
   | Insn.Lea (d, m) ->
-      let read r = src_value e r Insn.Data in
-      set_dst e d (Sem.effective_address read m);
+      set_dst e d (ea_of e m Insn.Data);
       e.Rob_entry.cycles_left <- alu_latency t insn.Insn.op
   | Insn.Binop (o, d, s) ->
-      let r, fl = Sem.eval_binop o (old_of d) (operand_value e s Insn.Data) in
+      let r, fl = Sem.eval_binop o (old_of e d) (operand_value e s Insn.Data) in
       set_dst e d r;
       set_dst e Reg.flags fl;
       e.Rob_entry.cycles_left <- alu_latency t insn.Insn.op
   | Insn.Unop (o, d) ->
-      let r, fl = Sem.eval_unop o (old_of d) in
+      let r, fl = Sem.eval_unop o (old_of e d) in
       set_dst e d r;
       set_dst e Reg.flags fl;
       e.Rob_entry.cycles_left <- alu_latency t insn.Insn.op
@@ -191,7 +196,7 @@ let start_execution (t : S.t) (e : Rob_entry.t) =
   | Insn.Cmov (c, d, s) ->
       let fl = src_value e Reg.flags Insn.Cond_in in
       let v =
-        if Sem.eval_cond c fl then operand_value e s Insn.Data else old_of d
+        if Sem.eval_cond c fl then operand_value e s Insn.Data else old_of e d
       in
       set_dst e d v;
       e.Rob_entry.cycles_left <- alu_latency t insn.Insn.op
@@ -207,7 +212,7 @@ let start_execution (t : S.t) (e : Rob_entry.t) =
       e.Rob_entry.actual_target <- Int64.to_int (src_value e r Insn.Target);
       e.Rob_entry.cycles_left <- 1
   | Insn.Load (w, d, m) ->
-      let addr = ea_of e m in
+      let addr = ea_of e m Insn.Addr in
       let size = Insn.width_bytes w in
       (match Stage_memory.forward_search t e addr size with
       | Stage_memory.Fwd_wait -> started := false
@@ -219,7 +224,7 @@ let start_execution (t : S.t) (e : Rob_entry.t) =
           let v = Stage_memory.forwarded_value st addr size in
           e.Rob_entry.mem_value <- v;
           e.Rob_entry.mem_prot <- st.Rob_entry.mem_prot;
-          let old = match w with Insn.W8 -> old_of d | _ -> 0L in
+          let old = match w with Insn.W8 -> old_of e d | _ -> 0L in
           set_dst e d (Sem.apply_width w ~old (Sem.truncate_width w v));
           e.Rob_entry.cycles_left <- t.S.cfg.Config.store_forward_latency;
           if S.wants t Hooks.k_forward then
@@ -231,14 +236,14 @@ let start_execution (t : S.t) (e : Rob_entry.t) =
           let v = Memory.read t.S.mem addr size in
           e.Rob_entry.mem_value <- v;
           e.Rob_entry.mem_prot <- S.l1d_protected t addr size;
-          let old = match w with Insn.W8 -> old_of d | _ -> 0L in
+          let old = match w with Insn.W8 -> old_of e d | _ -> 0L in
           set_dst e d (Sem.apply_width w ~old v);
           let lat = t.S.cfg.Config.load_agu_latency + Mem_hierarchy.access t addr in
           e.Rob_entry.cycles_left <- lat);
       if !started && S.wants t Hooks.k_load_executed then
         S.emit t (Hooks.On_load_executed e)
   | Insn.Store (w, m, s) ->
-      let addr = ea_of e m in
+      let addr = ea_of e m Insn.Addr in
       let size = Insn.width_bytes w in
       e.Rob_entry.addr <- addr;
       e.Rob_entry.msize <- size;
@@ -373,8 +378,8 @@ let execution_gated (e : Rob_entry.t) =
   | _ -> false
 
 (* Complete [e]: mark it executed and wake the consumers parked on its
-   wakeup chain (clear their chain memberships and let them rejoin the
-   issue scan from this cycle on). *)
+   wakeup chain (clear their chain memberships and set their ready bits,
+   so they rejoin the issue scan from this cycle on). *)
 let complete_entry (t : S.t) (e : Rob_entry.t) =
   e.Rob_entry.executed <- true;
   e.Rob_entry.t_complete <- t.S.cycle;
@@ -388,7 +393,7 @@ let complete_entry (t : S.t) (e : Rob_entry.t) =
     s := cur.Rob_entry.wl_slot.(slot);
     cur.Rob_entry.wl_next.(slot) <- Rob_entry.null;
     cur.Rob_entry.wl_slot.(slot) <- -1;
-    cur.Rob_entry.dormant <- false
+    S.ready_set t (S.idx_of_seq t cur.Rob_entry.seq)
   done
 
 (* Tick the in-flight set: decrement, mark executed at zero, wake the
@@ -489,19 +494,16 @@ let tick (t : S.t) =
    cycle, and not held across cycles by an unpipelined computation.
    Returns -1 when every compatible port is occupied (a structural
    stall).  Lowest-first selection is deterministic and mirrors
-   hardware's fixed port-arbitration priority. *)
-let find_port (t : S.t) (pc : Config.port_cfg) cls =
-  let n = Array.length pc.Config.port_caps in
-  let rec go i =
-    if i >= n then -1
-    else if
-      Config.port_can pc i cls
-      && (not t.S.port_used.(i))
-      && t.S.port_busy_until.(i) <= t.S.cycle
-    then i
-    else go (i + 1)
-  in
-  go 0
+   hardware's fixed port-arbitration priority.  [i] is the port to try
+   next. *)
+let rec find_port (t : S.t) (pc : Config.port_cfg) cls i =
+  if i >= Array.length pc.Config.port_caps then -1
+  else if
+    Config.port_can pc i cls
+    && (not t.S.port_used.(i))
+    && t.S.port_busy_until.(i) <= t.S.cycle
+  then i
+  else find_port t pc cls (i + 1)
 
 let run (t : S.t) =
   tick t;
@@ -512,11 +514,15 @@ let run (t : S.t) =
   | None -> ()
   | Some _ -> Array.fill t.S.port_used 0 (Array.length t.S.port_used) false);
   let issued = ref 0 in
-  let cursor = ref t.S.uq_head in
-  while (not (Rob_entry.is_null !cursor)) && !issued < width do
-    let e = !cursor in
-    let next = e.Rob_entry.uq_next in
-    if (not e.Rob_entry.dormant) && sources_ready t e then begin
+  let n = S.rob_size t in
+  let off = ref (S.ready_next t 0) in
+  while !off >= 0 && !issued < width do
+    let slot =
+      let i = t.S.head_idx + !off in
+      if i >= n then i - n else i
+    in
+    let e = t.S.rob.(slot) in
+    if sources_ready t e slot then begin
       if
         execution_gated e
         && not (t.S.policy.Policy.may_execute_transmitter ap e)
@@ -540,7 +546,7 @@ let run (t : S.t) =
         let port =
           match pcfg with
           | None -> 0
-          | Some pc -> find_port t pc (Rob_entry.op_class e)
+          | Some pc -> find_port t pc (Rob_entry.op_class e) 0
         in
         if port < 0 then begin
           t.S.progress <- true;
@@ -563,22 +569,16 @@ let run (t : S.t) =
                   t.S.cycle + e.Rob_entry.cycles_left;
               if S.wants t Hooks.k_port_bound then
                 S.emit t (Hooks.On_port_bound { port; entry = e }));
-          S.uq_unlink t e;
+          S.ready_clear t slot;
           Entryq.push t.S.inflight e
         end
       end
     end;
-    (* A store issuing above may have squashed from a younger load's seq,
-       flushing [next].  Because the unissued list is seq-ascending, no
-       unissued survivor can sit beyond a flushed [next] — stopping is
-       exactly what the old bounded ring scan did (flushed slots read as
-       empty). *)
-    cursor :=
-      (if
-         Rob_entry.is_null next
-         || S.peek t next.Rob_entry.seq != next
-       then Rob_entry.null
-       else next)
+    (* [ready_next] re-reads [count]: a store issuing above may have
+       squashed from a younger load's seq, and the walk then ends at the
+       last survivor, exactly where the old bounded ring scan stopped
+       (flushed slots read as empty). *)
+    off := S.ready_next t (!off + 1)
   done
 
 (* Resolve branches: confirm correctly-predicted ones and initiate at most

@@ -10,7 +10,8 @@
    ([S.lsq_stores]/[S.lsq_loads], seq-ascending), not the ROB ring:
    cost is O(log lsq + matches scanned) instead of O(ROB occupancy),
    with the identical scan order (youngest-older-first for forwarding,
-   oldest-younger-first for violation detection). *)
+   oldest-younger-first for violation detection), each a top-level
+   recursion over deque indexes that allocates no closure. *)
 
 module S = Pipeline_state
 
@@ -18,54 +19,54 @@ let mdp_index pc = pc land 1023
 let mdp_flagged (t : S.t) pc = Bytes.get t.S.mdp (mdp_index pc) = '\001'
 let mdp_flag (t : S.t) pc = Bytes.set t.S.mdp (mdp_index pc) '\001'
 
+(* Does a store below deque index [i] still have an unknown address? *)
+let rec unknown_store_below (q : Entryq.t) i =
+  i > q.Entryq.front
+  && ((not q.Entryq.a.(i - 1).Rob_entry.addr_ready)
+     || unknown_store_below q (i - 1))
+
 (* Is there an older store whose address is still unknown? *)
 let older_store_addr_unknown (t : S.t) (e : Rob_entry.t) =
   let q = t.S.lsq_stores in
-  let hi = Entryq.lower_bound q e.Rob_entry.seq in
-  let rec loop i =
-    i > q.Entryq.front
-    &&
-    let st = q.Entryq.a.(i - 1) in
-    (not st.Rob_entry.addr_ready) || loop (i - 1)
-  in
-  loop hi
+  unknown_store_below q (Entryq.lower_bound q e.Rob_entry.seq)
 
 type fwd_result =
   | Fwd_value of Rob_entry.t (* fully-covering executed older store *)
   | Fwd_wait (* overlapping older store not ready to forward *)
   | Fwd_none
 
+(* The youngest store below deque index [i] overlapping the [size]
+   bytes at [addr]. *)
+let rec forward_below (q : Entryq.t) addr size i =
+  if i <= q.Entryq.front then Fwd_none
+  else begin
+    let st = q.Entryq.a.(i - 1) in
+    if st.Rob_entry.addr_ready then begin
+      let sa = st.Rob_entry.addr and ss = st.Rob_entry.msize in
+      let overlap =
+        Int64.compare sa (Int64.add addr (Int64.of_int size)) < 0
+        && Int64.compare addr (Int64.add sa (Int64.of_int ss)) < 0
+      in
+      if overlap then begin
+        let covers =
+          Int64.compare sa addr <= 0
+          && Int64.compare (Int64.add sa (Int64.of_int ss))
+               (Int64.add addr (Int64.of_int size))
+             >= 0
+        in
+        if covers && st.Rob_entry.executed then Fwd_value st else Fwd_wait
+      end
+      else forward_below q addr size (i - 1)
+    end
+    else forward_below q addr size (i - 1)
+  end
+
 (* Youngest older store overlapping the load's bytes.  Older stores whose
    address is still unknown are speculatively ignored (memory-order
    speculation); mis-speculation is caught when the store executes. *)
 let forward_search (t : S.t) (e : Rob_entry.t) addr size =
   let q = t.S.lsq_stores in
-  let hi = Entryq.lower_bound q e.Rob_entry.seq in
-  let rec loop i =
-    if i <= q.Entryq.front then Fwd_none
-    else begin
-      let st = q.Entryq.a.(i - 1) in
-      if st.Rob_entry.addr_ready then begin
-        let sa = st.Rob_entry.addr and ss = st.Rob_entry.msize in
-        let overlap =
-          Int64.compare sa (Int64.add addr (Int64.of_int size)) < 0
-          && Int64.compare addr (Int64.add sa (Int64.of_int ss)) < 0
-        in
-        if overlap then begin
-          let covers =
-            Int64.compare sa addr <= 0
-            && Int64.compare (Int64.add sa (Int64.of_int ss))
-                 (Int64.add addr (Int64.of_int size))
-               >= 0
-          in
-          if covers && st.Rob_entry.executed then Fwd_value st else Fwd_wait
-        end
-        else loop (i - 1)
-      end
-      else loop (i - 1)
-    end
-  in
-  loop hi
+  forward_below q addr size (Entryq.lower_bound q e.Rob_entry.seq)
 
 (* Extract the forwarded bytes from a covering store. *)
 let forwarded_value (st : Rob_entry.t) addr size =
@@ -79,24 +80,23 @@ let forwarded_value (st : Rob_entry.t) addr size =
    without forwarding from this store read stale data.  The oldest such
    load (= the first match of an ascending scan) is the squash point;
    [Rob_entry.null] when there is none. *)
+let rec violating_load_from (q : Entryq.t) (st : Rob_entry.t) i =
+  if i >= q.Entryq.back then Rob_entry.null
+  else begin
+    let ld = q.Entryq.a.(i) in
+    if
+      ld.Rob_entry.addr_ready && ld.Rob_entry.issued
+      && ld.Rob_entry.fwd_from <> st.Rob_entry.seq
+      && Int64.compare st.Rob_entry.addr
+           (Int64.add ld.Rob_entry.addr (Int64.of_int ld.Rob_entry.msize))
+         < 0
+      && Int64.compare ld.Rob_entry.addr
+           (Int64.add st.Rob_entry.addr (Int64.of_int st.Rob_entry.msize))
+         < 0
+    then ld
+    else violating_load_from q st (i + 1)
+  end
+
 let check_order_violation (t : S.t) (st : Rob_entry.t) =
   let q = t.S.lsq_loads in
-  let lo = Entryq.lower_bound q (st.Rob_entry.seq + 1) in
-  let rec loop i =
-    if i >= q.Entryq.back then Rob_entry.null
-    else begin
-      let ld = q.Entryq.a.(i) in
-      if
-        ld.Rob_entry.addr_ready && ld.Rob_entry.issued
-        && ld.Rob_entry.fwd_from <> st.Rob_entry.seq
-        && Int64.compare st.Rob_entry.addr
-             (Int64.add ld.Rob_entry.addr (Int64.of_int ld.Rob_entry.msize))
-           < 0
-        && Int64.compare ld.Rob_entry.addr
-             (Int64.add st.Rob_entry.addr (Int64.of_int st.Rob_entry.msize))
-           < 0
-      then ld
-      else loop (i + 1)
-    end
-  in
-  loop lo
+  violating_load_from q st (Entryq.lower_bound q (st.Rob_entry.seq + 1))

@@ -7,12 +7,12 @@
    policies taint.
 
    Rename is also where the O(active) scheduler learns about an entry:
-   it joins the unissued list (and the branch/store/load queues as
-   applicable), and when every non-ready source has an un-executed
-   in-flight producer the entry is parked *dormant* on one of those
-   producers' wakeup chains — the issue scan will not look at it again
-   until a producer executes, which is cycle-exact because such an entry
-   could neither issue nor emit anything. *)
+   it joins the branch/store/load queues as applicable, and its slot's
+   ready bit is set — unless every non-ready source has an un-executed
+   in-flight producer, in which case the entry is parked *dormant* on
+   those producers' wakeup chains with its bit clear.  The issue scan
+   will not look at it until a producer executes, which is cycle-exact
+   because such an entry could neither issue nor emit anything. *)
 
 open Protean_isa
 module S = Pipeline_state
@@ -20,11 +20,11 @@ module S = Pipeline_state
 (* Register [e]'s wakeup-chain memberships: every non-ready source slot
    whose producer is in flight and un-executed joins that producer's
    waiter chain (cleared again when the producer executes or a squash
-   flushes [e]).  When *every* non-ready source is such a slot, [e] also
-   goes dormant — the issue scan skips it until a producer executes.  An
-   already-executed producer keeps the entry active: its forward may be
-   policy-gated, which must emit [On_wakeup_blocked] every cycle the
-   entry is considered. *)
+   flushes [e]).  Returns true when *every* non-ready source is such a
+   slot: [e] is then dormant, and the issue scan skips it until a
+   producer executes.  An already-executed producer keeps the entry
+   active: its forward may be policy-gated, which must emit
+   [On_wakeup_blocked] every cycle the entry is considered. *)
 let register_waiters (t : S.t) (e : Rob_entry.t) =
   let n = Array.length e.Rob_entry.src_ready in
   let pending = ref false in
@@ -43,7 +43,7 @@ let register_waiters (t : S.t) (e : Rob_entry.t) =
       end
     end
   done;
-  if !pending && not !executed_producer then e.Rob_entry.dormant <- true
+  !pending && not !executed_producer
 
 (* [insn] is the decode of [item.f_pc], re-derived by [run] — the fetch
    slot itself carries only ints. *)
@@ -127,12 +127,11 @@ let rename_one (t : S.t) (item : S.fetch_item) (insn : Insn.t) =
     Entryq.push t.S.lsq_stores e
   end;
   (* Scheduler indexes. *)
-  S.uq_push t e;
   if e.Rob_entry.is_branch then begin
     S.bq_push t e;
     if S.wants t Hooks.k_window_open then S.emit t (Hooks.On_window_open e)
   end;
-  register_waiters t e;
+  if not (register_waiters t e) then S.ready_set t idx;
   t.S.progress <- true;
   if S.wants t Hooks.k_rename then S.emit t (Hooks.On_rename e)
 

@@ -27,17 +27,16 @@ let access t addr =
   t.clock <- t.clock + 1;
   let page = page_of addr in
   let n = Array.length t.entries in
-  let rec find i = if i >= n then None else if Int64.equal t.entries.(i) page then Some i else find (i + 1) in
-  match find 0 with
-  | Some i ->
-      t.lru.(i) <- t.clock;
-      true
-  | None ->
-      t.misses <- t.misses + 1;
-      let victim = ref 0 in
-      for i = 1 to n - 1 do
-        if t.lru.(i) < t.lru.(!victim) then victim := i
-      done;
-      t.entries.(!victim) <- page;
-      t.lru.(!victim) <- t.clock;
-      false
+  let i = ref 0 in
+  while !i < n && not (Int64.equal t.entries.(!i) page) do incr i done;
+  if !i < n then (t.lru.(!i) <- t.clock; true)
+  else begin
+    t.misses <- t.misses + 1;
+    let victim = ref 0 in
+    for i = 1 to n - 1 do
+      if t.lru.(i) < t.lru.(!victim) then victim := i
+    done;
+    t.entries.(!victim) <- page;
+    t.lru.(!victim) <- t.clock;
+    false
+  end

@@ -11,13 +11,17 @@
      zero-cost path;
 
    - the paranoid scheduler cross-check: with --paranoid-sched the
-     pipeline re-derives every scheduler index (unissued list, branch
+     pipeline re-derives every scheduler index (ready-bit vector, branch
      list, in-flight queue, LSQ queues, wakeup chains, dormancy) from a
      brute-force ROB scan each cycle and faults on any mismatch, on the
      spinning machine.  The whole golden corpus must run to completion
      under it and still reproduce the recorded lines bit-for-bit — the
      O(active) indexes are exactly the sets the scans would compute, and
-     skip-ahead is exactly the spinning machine. *)
+     skip-ahead is exactly the spinning machine.  The check itself is
+     shown to catch a corrupted ready bit in both directions;
+
+   - allocation: the policy gates the issue and resolve stages poll
+     several times per cycle allocate nothing, for every defense. *)
 
 module Hooks = Protean_ooo.Hooks
 module Pipeline = Protean_ooo.Pipeline
@@ -32,6 +36,8 @@ module S = Protean_ooo.Pipeline_state
 module Rob_entry = Protean_ooo.Rob_entry
 module Insn = Protean_isa.Insn
 module Reg = Protean_isa.Reg
+module Policy = Protean_ooo.Policy
+module Invariants = Protean_ooo.Invariants
 
 (* --- Hook bus re-registration semantics ------------------------------ *)
 
@@ -138,6 +144,160 @@ let test_paranoid_golden () =
     (fun i (e, a) ->
       Alcotest.(check string) (Printf.sprintf "paranoid cell %d" i) e a)
     (List.combine expected actual)
+
+(* A pipeline over bearssl (P-core unless [config] says otherwise),
+   stepped (skip-ahead on) to [cycles]. *)
+let p_core_bearssl ?(config = Config.p_core) (d : Defense.t) ~cycles =
+  let b = Suite.find "bearssl" in
+  let program =
+    match b.Suite.kind with
+    | Suite.Single f -> f ()
+    | Suite.Multi _ -> assert false
+  in
+  let t = Pipeline.create config (d.Defense.make ()) program ~overlays:[] in
+  while (not (Pipeline.is_done t)) && t.S.cycle < cycles do
+    Pipeline.step ~until:cycles t
+  done;
+  t
+
+let sched_invs t =
+  List.sort_uniq compare
+    (List.map (fun v -> v.Invariants.inv) (Invariants.check_sched t))
+
+(* Must the issue scan visit [e]?  Yes when every source is ready, or
+   when some non-ready source's producer has already executed (or
+   committed): only an entry whose every pending source waits on an
+   un-executed producer may be dormant. *)
+let must_visit (t : S.t) (e : Rob_entry.t) =
+  let visit = ref true in
+  for i = 0 to Array.length e.Rob_entry.src_ready - 1 do
+    if not e.Rob_entry.src_ready.(i) then visit := false
+  done;
+  for i = 0 to Array.length e.Rob_entry.src_ready - 1 do
+    if not e.Rob_entry.src_ready.(i) then begin
+      let p = S.peek t e.Rob_entry.src_producer.(i) in
+      if Rob_entry.is_null p || p.Rob_entry.executed then visit := true
+    end
+  done;
+  visit := !visit && not e.Rob_entry.issued;
+  !visit
+
+(* The live entry satisfying [pred] nearest the ROB head. *)
+let find_live t pred =
+  let rec go i =
+    if i >= t.S.count then None
+    else
+      let e = S.peek t (t.S.head_seq + i) in
+      if pred e then Some e else go (i + 1)
+  in
+  go 0
+
+(* The paranoid check has teeth on the ready-bit vector: clearing the
+   bit of an entry the scan must still visit is reported as a false
+   dormancy, setting the bit of an issued entry as a bad ready bit, and
+   restoring either bit makes the check clean again. *)
+let test_sched_ready_teeth () =
+  let t = p_core_bearssl (Defense.find "prot-track") ~cycles:0 in
+  let found = ref None in
+  while !found = None && (not (Pipeline.is_done t)) && t.S.cycle < 50_000 do
+    Pipeline.step t;
+    if S.rob_full t then
+      match
+        ( find_live t (must_visit t),
+          find_live t (fun e -> e.Rob_entry.issued) )
+      with
+      | Some v, Some i -> found := Some (v, i)
+      | _ -> ()
+  done;
+  let visit, issued =
+    match !found with
+    | Some p -> p
+    | None -> Alcotest.fail "no full ROB with both kinds of entry"
+  in
+  let slot e = S.idx_of_seq t e.Rob_entry.seq in
+  Alcotest.(check (list string)) "clean before corruption" [] (sched_invs t);
+  Alcotest.(check bool) "entry to visit has its bit" true
+    (S.ready_mem t (slot visit));
+  S.ready_clear t (slot visit);
+  Alcotest.(check (list string)) "cleared bit of an entry to visit"
+    [ "sched-dormant" ] (sched_invs t);
+  S.ready_set t (slot visit);
+  Alcotest.(check (list string)) "clean after restoring it" [] (sched_invs t);
+  Alcotest.(check bool) "issued entry has no bit" false
+    (S.ready_mem t (slot issued));
+  S.ready_set t (slot issued);
+  Alcotest.(check (list string)) "set bit of an issued entry"
+    [ "sched-ready" ] (sched_invs t);
+  S.ready_clear t (slot issued);
+  Alcotest.(check (list string)) "clean after clearing it" [] (sched_invs t)
+
+(* [ready_next] against a brute-force walk of the live window, on ROB
+   sizes that are and are not multiples of the word width, with random
+   head positions, occupancies (empty and full included) and bit
+   densities: the wrap, the end-of-window bound and the per-word masks
+   all agree with the definition. *)
+let test_ready_next_brute () =
+  let rng = Random.State.make [| 21 |] in
+  List.iter
+    (fun config ->
+      let t = p_core_bearssl ~config (Defense.find "unsafe") ~cycles:0 in
+      let n = S.rob_size t in
+      let slot off = (t.S.head_idx + off) mod n in
+      for trial = 1 to 200 do
+        t.S.head_idx <- Random.State.int rng n;
+        t.S.count <-
+          (match trial mod 4 with
+          | 0 -> n
+          | 1 -> 0
+          | _ -> Random.State.int rng (n + 1));
+        Array.fill t.S.ready 0 (Array.length t.S.ready) 0;
+        let density = 1 + Random.State.int rng 40 in
+        for off = 0 to t.S.count - 1 do
+          if Random.State.int rng density = 0 then S.ready_set t (slot off)
+        done;
+        for off = 0 to t.S.count do
+          let rec brute o =
+            if o >= t.S.count then -1
+            else if S.ready_mem t (slot o) then o
+            else brute (o + 1)
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "rob %d head %d count %d off %d" n t.S.head_idx
+               t.S.count off)
+            (brute off) (S.ready_next t off)
+        done
+      done)
+    [ Config.p_core; Config.with_width 1 Config.p_core; Config.test_core ]
+
+(* --- Policy gates allocate nothing ------------------------------------ *)
+
+(* Every defense's three per-cycle gates, polled on every live entry of
+   a warm P-core pipeline, allocate nothing: the loop is a [for] loop
+   with no closure, so only the two Gc probes' boxed floats show. *)
+let test_gates_alloc_free () =
+  List.iter
+    (fun (d : Defense.t) ->
+      let t = p_core_bearssl d ~cycles:3_000 in
+      Alcotest.(check bool) (d.Defense.id ^ ": live entries") true
+        (t.S.count > 0);
+      let pol = t.S.policy and ap = S.api t in
+      let sink = ref 0 in
+      let g0 = Gc.minor_words () in
+      for _ = 1 to 200 do
+        for i = 0 to t.S.count - 1 do
+          let e = S.peek t (t.S.head_seq + i) in
+          if pol.Policy.may_execute_transmitter ap e then incr sink;
+          if pol.Policy.may_resolve ap e then incr sink;
+          if pol.Policy.may_forward ap e then incr sink
+        done
+      done;
+      let g1 = Gc.minor_words () in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d gate polls allocation-free (%.0f words)"
+           d.Defense.id (200 * 3 * t.S.count) (g1 -. g0))
+        true
+        (g1 -. g0 < 64.))
+    Defense.all
 
 (* --- Shared-frontend batch vs per-cell equivalence ------------------- *)
 
@@ -341,6 +501,12 @@ let tests =
       `Quick test_window_ledger_transparent;
     Alcotest.test_case "paranoid scheduler cross-check (golden corpus)" `Slow
       test_paranoid_golden;
+    Alcotest.test_case "scheduler check catches a corrupted ready bit" `Quick
+      test_sched_ready_teeth;
+    Alcotest.test_case "ready_next == brute-force window walk" `Quick
+      test_ready_next_brute;
+    Alcotest.test_case "policy gates allocation-free (every defense)" `Quick
+      test_gates_alloc_free;
     Alcotest.test_case "shared frontend: batch == per-cell" `Slow
       test_shared_frontend_equivalence;
     Alcotest.test_case "shared frontend: prewarm batches == serial" `Slow
