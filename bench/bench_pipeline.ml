@@ -11,7 +11,8 @@
    with pipeline construction excluded: loop-only cycles/second, minor
    GC words allocated per simulated cycle, the per-stage wall-clock
    breakdown from the [Profile] observer and the overhead the profiler
-   itself adds.  It fails if minor words per cycle exceed the ceiling in
+   itself adds (median and quartiles over interleaved pairs).  It fails
+   if minor words per cycle exceed the ceiling in
    bench/hotloop_ceiling.txt on either core (an allocation regression in
    the cycle loop breaks the build before it breaks throughput), if
    event-driven skip-ahead skips no cycle, or if the speculation-window
@@ -53,11 +54,16 @@ let drive t =
     Pipeline.step ~until:fuel t
   done
 
+(* Interleaved plain/profiled drive pairs behind the profiler-overhead
+   figure. *)
+let overhead_pairs = 21
+
 type hotloop = {
   hl_cycles : int;
   hl_loop_wall : float; (* step loop only, construction excluded *)
   hl_minor_words_per_cycle : float;
-  hl_profiler_overhead : float; (* (profiled - plain) / plain wall *)
+  hl_profiler_overhead : float * float * float;
+      (* median, q1, q3 of profiled / plain - 1 over interleaved pairs *)
   hl_stages : (string * float * float) list; (* name, seconds, share *)
 }
 
@@ -95,18 +101,34 @@ let bench_hotloop ?(config = Config.p_core) ?(label = "hotloop") program =
   in
   let cycles = t.Protean_ooo.Pipeline_state.cycle in
   let mwpc = (g1 -. g0) /. float_of_int cycles in
-  (* Profiled runs: per-stage breakdown, and the cost of profiling
-     (best-of-3 against the best plain wall; the profiler accumulates
-     across runs and [stage_breakdown] normalizes to shares). *)
+  (* Profiled runs: per-stage breakdown (the profiler accumulates across
+     runs and [stage_breakdown] normalizes to shares), and the cost of
+     profiling.  That cost is measured in pairs: a plain and a profiled
+     drive back to back, alternating which goes first, so both halves
+     of a pair see the same host; the figure is the median of the
+     per-pair ratios, with their quartiles as its spread. *)
   let p = Profile.create () in
-  let prof_wall =
-    List.fold_left min infinity
-      (List.init 3 (fun _ ->
-           let tp = make () in
-           Profile.attach p tp;
-           snd (timed (fun () -> drive tp))))
+  let drive_wall ~profiled =
+    let t = make () in
+    if profiled then Profile.attach p t;
+    snd (timed (fun () -> drive t))
   in
-  let overhead = (prof_wall -. loop_wall) /. loop_wall in
+  let ratios =
+    List.init overhead_pairs (fun i ->
+        let plain, profiled =
+          if i mod 2 = 0 then
+            let plain = drive_wall ~profiled:false in
+            (plain, drive_wall ~profiled:true)
+          else
+            let profiled = drive_wall ~profiled:true in
+            (drive_wall ~profiled:false, profiled)
+        in
+        (profiled /. plain) -. 1.)
+    |> List.sort compare |> Array.of_list
+  in
+  let quantile q = ratios.(int_of_float (q *. float (overhead_pairs - 1))) in
+  let overhead = (quantile 0.5, quantile 0.25, quantile 0.75) in
+  let median, q1, q3 = overhead in
   Printf.printf
     "%s: %d cycles in %.4fs loop-only (%.0f cycles/s), %.0f minor words/cycle\n%!"
     label cycles loop_wall
@@ -116,7 +138,9 @@ let bench_hotloop ?(config = Config.p_core) ?(label = "hotloop") program =
     (fun (name, s, share) ->
       Printf.printf "%s:   %-10s %.4fs (%.0f%%)\n%!" label name s (share *. 100.))
     (Profile.stage_breakdown p);
-  Printf.printf "%s: profiler overhead %.0f%%\n%!" label (overhead *. 100.);
+  Printf.printf
+    "%s: profiler overhead %.0f%% [%.0f%%, %.0f%%] over %d pairs\n%!" label
+    (median *. 100.) (q1 *. 100.) (q3 *. 100.) overhead_pairs;
   {
     hl_cycles = cycles;
     hl_loop_wall = loop_wall;
@@ -274,7 +298,15 @@ let smoke () =
           (hotloop hl
           @ [
               ("minor_words_ceiling", Json.Float ceiling);
-              ("profiler_overhead", Json.Float hl.hl_profiler_overhead);
+              ( "profiler_overhead",
+                let median, q1, q3 = hl.hl_profiler_overhead in
+                Json.Obj
+                  [
+                    ("median", Json.Float median);
+                    ("q1", Json.Float q1);
+                    ("q3", Json.Float q3);
+                    ("pairs", Json.Int overhead_pairs);
+                  ] );
               ( "stages",
                 Json.List
                   (List.map

@@ -134,14 +134,15 @@ let adversary_view adversary trace =
 (* Every hardware run of a campaign, under its watchdog budget.  The
    campaign's own checks ([paranoid_sched]) attach to the fresh pipeline
    first — the one place a campaign-wide checker goes — then the
-   caller's [on_start] observer. *)
-let run_hw ?(on_start = ignore) campaign (defense : Protean_defense.Defense.t)
-    program overlays =
+   caller's [on_start] observer.  [decode] is [program]'s
+   [Pipeline.decode_program], when the caller runs it more than once. *)
+let run_hw ?(on_start = ignore) ?decode campaign
+    (defense : Protean_defense.Defense.t) program overlays =
   let watchdog =
     { Pipeline.default_watchdog with Pipeline.budget = campaign.timeout_cycles }
   in
   Pipeline.run ~trace:true ~squash_bug:campaign.squash_bug
-    ~spec_model:campaign.spec_model ~watchdog ~fuel:400_000
+    ~spec_model:campaign.spec_model ~watchdog ~fuel:400_000 ?decode
     ~on_start:(fun t ->
       if campaign.paranoid_sched then Invariants.attach_sched t;
       on_start t)
@@ -153,8 +154,8 @@ type pair_status = P_skipped | P_clean | P_violation | P_false_positive
 
 (* Test one (program, input-pair); updates [out] and reports the pair's
    classification. *)
-let test_pair campaign defense program mode ~public ~secret_a ~secret_b out
-    ~tag =
+let test_pair ?decode campaign defense program mode ~public ~secret_a
+    ~secret_b out ~tag =
   let overlays_a = [ public; secret_a ] in
   let overlays_b = [ public; secret_b ] in
   let ca = Contract.run ~fuel:50_000 mode program ~overlays:overlays_a in
@@ -169,8 +170,8 @@ let test_pair campaign defense program mode ~public ~secret_a ~secret_b out
     P_skipped
   end
   else begin
-    let ha = run_hw campaign defense program overlays_a in
-    let hb = run_hw campaign defense program overlays_b in
+    let ha = run_hw ?decode campaign defense program overlays_a in
+    let hb = run_hw ?decode campaign defense program overlays_b in
     out.tests <- out.tests + 1;
     let va = adversary_view campaign.adversary ha.Pipeline.trace in
     let vb = adversary_view campaign.adversary hb.Pipeline.trace in
@@ -238,6 +239,7 @@ let test_program ?witness campaign defense ~index ~program =
   let pseed = program_seed campaign index in
   let original = program in
   let program, typing, compile = prepare campaign program in
+  let decode = Pipeline.decode_program program in
   let mode = campaign.mode_of typing in
   let rng = Random.State.make [| pseed; 0xfeed |] in
   let public = Gen.random_public rng in
@@ -273,8 +275,8 @@ let test_program ?witness campaign defense ~index ~program =
     (fun k0 other ->
     let k = k0 + 1 in
     let status =
-      test_pair campaign defense program mode ~public ~secret_a:base_secret
-        ~secret_b:other out ~tag:(pseed, k)
+      test_pair ~decode campaign defense program mode ~public
+        ~secret_a:base_secret ~secret_b:other out ~tag:(pseed, k)
     in
     match (status, witness) with
     | P_violation, Some w when !w = None ->

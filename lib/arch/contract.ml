@@ -24,12 +24,14 @@ let run ?(fuel = 200_000) mode (program : Program.t) ~overlays =
   Exec.overlay state overlays;
   let protset = Protset.create () in
   let acc = ref [] in
+  (* Pre-step register values for address-register atoms, refreshed in
+     place before every step. *)
+  let pre = Array.copy state.Exec.regs in
+  let regv r = pre.(Reg.to_int r) in
   let rec loop n =
     if n <= 0 || state.Exec.halted then n
     else begin
-      (* Capture pre-step register values for address-register atoms. *)
-      let pre = Array.copy state.Exec.regs in
-      let regv r = pre.(Reg.to_int r) in
+      Array.blit state.Exec.regs 0 pre 0 (Array.length pre);
       let eff = Exec.step program state in
       Protset.step protset eff;
       let atoms = Observer.observe mode ~regv ~protset eff in

@@ -28,18 +28,22 @@ type effect_ = {
   e_written : (Reg.t * int64) list;
 }
 
-let no_effect pc insn next =
+(* Every field in one allocation: [step] builds exactly one record. *)
+let make_effect ?load ?store ?branch ?div ?(fault = false) pc insn next
+    written =
   {
     e_pc = pc;
     e_insn = insn;
     e_next_pc = next;
-    e_load = None;
-    e_store = None;
-    e_branch = None;
-    e_div = None;
-    e_fault = false;
-    e_written = [];
+    e_load = load;
+    e_store = store;
+    e_branch = branch;
+    e_div = div;
+    e_fault = fault;
+    e_written = written;
   }
+
+let no_effect pc insn next = make_effect pc insn next []
 
 let init (p : Program.t) =
   let mem = Memory.create () in
@@ -80,41 +84,40 @@ let step (p : Program.t) state =
     let insn = Program.insn p pc in
     state.steps <- state.steps + 1;
     let next = pc + 1 in
-    let eff = no_effect pc insn next in
     let eff =
       match insn.op with
-      | Insn.Nop -> eff
+      | Insn.Nop -> make_effect pc insn next []
       | Insn.Halt ->
           state.halted <- true;
-          { eff with e_next_pc = pc }
+          make_effect pc insn pc []
       | Insn.Mov (w, d, s) ->
           let wr = write_reg state w d (src_value state s) in
-          { eff with e_written = [ wr ] }
+          make_effect pc insn next [ wr ]
       | Insn.Lea (d, m) ->
           let wr = write_reg state Insn.W64 d (ea state m) in
-          { eff with e_written = [ wr ] }
+          make_effect pc insn next [ wr ]
       | Insn.Load (w, d, m) ->
           let addr = ea state m in
           let size = Insn.width_bytes w in
           let v = Memory.read state.mem addr size in
           let wr = write_reg state w d v in
-          { eff with e_load = Some (addr, size, v); e_written = [ wr ] }
+          make_effect ~load:(addr, size, v) pc insn next [ wr ]
       | Insn.Store (w, m, s) ->
           let addr = ea state m in
           let size = Insn.width_bytes w in
           let v = Sem.truncate_width w (src_value state s) in
           Memory.write state.mem addr size v;
-          { eff with e_store = Some (addr, size, v) }
+          make_effect ~store:(addr, size, v) pc insn next []
       | Insn.Binop (o, d, s) ->
           let r, fl = Sem.eval_binop o (reg state d) (src_value state s) in
           let wr = write_reg state Insn.W64 d r in
           let wf = write_reg state Insn.W64 Reg.flags fl in
-          { eff with e_written = [ wr; wf ] }
+          make_effect pc insn next [ wr; wf ]
       | Insn.Unop (o, d) ->
           let r, fl = Sem.eval_unop o (reg state d) in
           let wr = write_reg state Insn.W64 d r in
           let wf = write_reg state Insn.W64 Reg.flags fl in
-          { eff with e_written = [ wr; wf ] }
+          make_effect pc insn next [ wr; wf ]
       | Insn.Div (d, n, s) ->
           let nv = reg state n in
           let dv = src_value state s in
@@ -123,82 +126,73 @@ let step (p : Program.t) state =
                all-ones and execution continues, but the event is recorded
                so the pipeline can model the conditional machine clear. *)
             let wr = write_reg state Insn.W64 d Int64.minus_one in
-            { eff with e_div = Some (nv, dv); e_fault = true; e_written = [ wr ] }
+            make_effect ~div:(nv, dv) ~fault:true pc insn next [ wr ]
           else
             let wr = write_reg state Insn.W64 d (Sem.eval_div nv dv) in
-            { eff with e_div = Some (nv, dv); e_written = [ wr ] }
+            make_effect ~div:(nv, dv) pc insn next [ wr ]
       | Insn.Rem (d, n, s) ->
           let nv = reg state n in
           let dv = src_value state s in
           if Int64.equal dv 0L then
             let wr = write_reg state Insn.W64 d Int64.minus_one in
-            { eff with e_div = Some (nv, dv); e_fault = true; e_written = [ wr ] }
+            make_effect ~div:(nv, dv) ~fault:true pc insn next [ wr ]
           else
             let wr = write_reg state Insn.W64 d (Sem.eval_rem nv dv) in
-            { eff with e_div = Some (nv, dv); e_written = [ wr ] }
+            make_effect ~div:(nv, dv) pc insn next [ wr ]
       | Insn.Cmp (a, s) ->
           let fl = Sem.eval_cmp (reg state a) (src_value state s) in
           let wf = write_reg state Insn.W64 Reg.flags fl in
-          { eff with e_written = [ wf ] }
+          make_effect pc insn next [ wf ]
       | Insn.Test (a, s) ->
           let fl = Sem.eval_test (reg state a) (src_value state s) in
           let wf = write_reg state Insn.W64 Reg.flags fl in
-          { eff with e_written = [ wf ] }
+          make_effect pc insn next [ wf ]
       | Insn.Setcc (c, d) ->
           let v = if Sem.eval_cond c (reg state Reg.flags) then 1L else 0L in
           let wr = write_reg state Insn.W64 d v in
-          { eff with e_written = [ wr ] }
+          make_effect pc insn next [ wr ]
       | Insn.Cmov (c, d, s) ->
           let v =
             if Sem.eval_cond c (reg state Reg.flags) then src_value state s
             else reg state d
           in
           let wr = write_reg state Insn.W64 d v in
-          { eff with e_written = [ wr ] }
+          make_effect pc insn next [ wr ]
       | Insn.Jcc (c, t) ->
           let taken = Sem.eval_cond c (reg state Reg.flags) in
           let target = if taken then t else next in
-          { eff with e_branch = Some (taken, target); e_next_pc = target }
-      | Insn.Jmp t -> { eff with e_branch = Some (true, t); e_next_pc = t }
+          make_effect ~branch:(taken, target) pc insn target []
+      | Insn.Jmp t -> make_effect ~branch:(true, t) pc insn t []
       | Insn.Jmpi rt ->
           let target = Int64.to_int (reg state rt) in
-          { eff with e_branch = Some (true, target); e_next_pc = target }
+          make_effect ~branch:(true, target) pc insn target []
       | Insn.Call t ->
           let sp = Int64.sub (reg state Reg.rsp) 8L in
           Memory.write state.mem sp 8 (Int64.of_int next);
           let wr = write_reg state Insn.W64 Reg.rsp sp in
-          {
-            eff with
-            e_store = Some (sp, 8, Int64.of_int next);
-            e_branch = Some (true, t);
-            e_next_pc = t;
-            e_written = [ wr ];
-          }
+          make_effect
+            ~store:(sp, 8, Int64.of_int next)
+            ~branch:(true, t) pc insn t [ wr ]
       | Insn.Ret ->
           let sp = reg state Reg.rsp in
           let v = Memory.read state.mem sp 8 in
           let target = Int64.to_int v in
           let wr = write_reg state Insn.W64 Reg.rsp (Int64.add sp 8L) in
           let wt = write_reg state Insn.W64 Reg.tmp v in
-          {
-            eff with
-            e_load = Some (sp, 8, v);
-            e_branch = Some (true, target);
-            e_next_pc = target;
-            e_written = [ wr; wt ];
-          }
+          make_effect ~load:(sp, 8, v) ~branch:(true, target) pc insn target
+            [ wr; wt ]
       | Insn.Push s ->
           let sp = Int64.sub (reg state Reg.rsp) 8L in
           let v = src_value state s in
           Memory.write state.mem sp 8 v;
           let wr = write_reg state Insn.W64 Reg.rsp sp in
-          { eff with e_store = Some (sp, 8, v); e_written = [ wr ] }
+          make_effect ~store:(sp, 8, v) pc insn next [ wr ]
       | Insn.Pop d ->
           let sp = reg state Reg.rsp in
           let v = Memory.read state.mem sp 8 in
           let wr = write_reg state Insn.W64 d v in
           let ws = write_reg state Insn.W64 Reg.rsp (Int64.add sp 8L) in
-          { eff with e_load = Some (sp, 8, v); e_written = [ wr; ws ] }
+          make_effect ~load:(sp, 8, v) pc insn next [ wr; ws ]
     in
     state.pc <- eff.e_next_pc;
     eff

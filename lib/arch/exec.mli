@@ -31,7 +31,8 @@ type effect_ = {
 val no_effect : int -> Insn.t -> int -> effect_
 
 val init : Program.t -> state
-(** Fresh state: data sections loaded, [rsp] at the stack base. *)
+(** Fresh state: data sections loaded (a page at a time), [rsp] at the
+    stack base.  The OoO core starts from this state too. *)
 
 val overlay : state -> (int64 * string) list -> unit
 (** Apply extra memory overlays (e.g. the fuzzer's secret inputs). *)

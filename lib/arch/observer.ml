@@ -43,20 +43,27 @@ let mode_name = function
   | Cts_mode _ -> "CTS"
   | Unprot_mode -> "UNPROT"
 
+(* [O_addr_reg] atoms for the [Addr] and [Target] registers of
+   [Insn.reads op], in its order, consed onto [acc]: matching [op]
+   directly builds no role list per step. *)
+let addr_reg regv r acc = O_addr_reg (r, regv r) :: acc
+let addr_reg_opt regv r acc =
+  match r with Some r -> addr_reg regv r acc | None -> acc
+
+let addr_regs regv (op : Insn.op) acc =
+  match op with
+  | Insn.Load (_, _, m) | Insn.Store (_, m, _) ->
+      addr_reg_opt regv m.Insn.index (addr_reg_opt regv m.Insn.base acc)
+  | Insn.Call _ | Insn.Ret | Insn.Push _ | Insn.Pop _ ->
+      addr_reg regv Reg.rsp acc
+  | Insn.Jmpi r -> addr_reg regv r acc
+  | _ -> acc
+
 (* Observations every mode shares: control flow and transmitter operands.
    [regv] reads a register value *before* the instruction executed. *)
 let ct_atoms ~regv (eff : Exec.effect_) =
-  let insn = eff.e_insn in
-  let acc = ref [ O_pc eff.e_pc ] in
+  let acc = ref (addr_regs regv eff.e_insn.op [ O_pc eff.e_pc ]) in
   let push a = acc := a :: !acc in
-  (* Individual address registers of memory operands. *)
-  List.iter
-    (fun (r, role) ->
-      match role with
-      | Insn.Addr -> push (O_addr_reg (r, regv r))
-      | Insn.Target -> push (O_addr_reg (r, regv r))
-      | Insn.Data | Insn.Cond_in | Insn.Divide -> ())
-    (Insn.reads insn.op);
   (match eff.e_load with Some (a, _, _) -> push (O_addr a) | None -> ());
   (match eff.e_store with Some (a, _, _) -> push (O_addr a) | None -> ());
   (match eff.e_branch with

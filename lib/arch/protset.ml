@@ -18,48 +18,29 @@ open Protean_isa
 
 type t = {
   reg : bool array; (* per architectural register *)
-  mem_unprot : (int64, Bytes.t) Hashtbl.t;
-      (* pages of 0/1 bytes: 1 = unprotected.  Absent page = protected. *)
+  mem_unprot : Memory.t;
+      (* one byte per memory byte: 1 = unprotected; unmapped bytes read 0,
+         so all memory starts protected *)
 }
 
 let create () =
   let reg = Array.make Reg.count false in
-  { reg; mem_unprot = Hashtbl.create 64 }
+  { reg; mem_unprot = Memory.create () }
 
 let reg_protected t r = t.reg.(Reg.to_int r)
 let set_reg t r v = t.reg.(Reg.to_int r) <- v
 
-let page_of addr = Int64.shift_right_logical addr 12
-let offset_of addr = Int64.to_int (Int64.logand addr 0xfffL)
-
-let mem_byte_protected t addr =
-  match Hashtbl.find_opt t.mem_unprot (page_of addr) with
-  | None -> true
-  | Some p -> Bytes.get p (offset_of addr) = '\000'
-
-let set_mem_byte t addr ~protected =
-  let page =
-    match Hashtbl.find_opt t.mem_unprot (page_of addr) with
-    | Some p -> p
-    | None ->
-        let p = Bytes.make 4096 '\000' in
-        Hashtbl.replace t.mem_unprot (page_of addr) p;
-        p
-  in
-  Bytes.set page (offset_of addr) (if protected then '\000' else '\001')
+(* [size] (≤ 8) unprotected bytes, as one little-endian word. *)
+let unprotected size =
+  if size <= 0 then 0L
+  else Int64.shift_right_logical 0x0101_0101_0101_0101L (64 - (8 * size))
 
 let mem_protected t addr size =
-  let rec loop i =
-    if i >= size then false
-    else
-      mem_byte_protected t (Int64.add addr (Int64.of_int i)) || loop (i + 1)
-  in
-  loop 0
+  not (Int64.equal (Memory.read t.mem_unprot addr size) (unprotected size))
 
 let set_mem t addr size ~protected =
-  for i = 0 to size - 1 do
-    set_mem_byte t (Int64.add addr (Int64.of_int i)) ~protected
-  done
+  Memory.write t.mem_unprot addr size
+    (if protected then 0L else unprotected size)
 
 let src_protected t = function
   | Insn.Reg r -> reg_protected t r
@@ -70,6 +51,14 @@ let is_subreg_write (insn : Insn.t) r =
   match insn.op with
   | Insn.Mov (Insn.W8, d, _) | Insn.Load (Insn.W8, d, _) -> Reg.equal d r
   | _ -> false
+
+(* Output registers: [written] lists exactly [Insn.writes insn.op]. *)
+let rec set_outputs t (insn : Insn.t) = function
+  | [] -> ()
+  | (r, _) :: written ->
+      if insn.prot then set_reg t r true
+      else if not (is_subreg_write insn r) then set_reg t r false;
+      set_outputs t insn written
 
 (* Advance the ProtSet across one architecturally-executed instruction. *)
 let step t (eff : Exec.effect_) =
@@ -90,9 +79,4 @@ let step t (eff : Exec.effect_) =
   (match eff.e_load with
   | Some (addr, size, _) when not insn.prot -> set_mem t addr size ~protected:false
   | _ -> ());
-  (* Output registers. *)
-  List.iter
-    (fun r ->
-      if insn.prot then set_reg t r true
-      else if not (is_subreg_write insn r) then set_reg t r false)
-    (Insn.writes insn.op)
+  set_outputs t insn eff.e_written

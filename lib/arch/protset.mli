@@ -8,7 +8,9 @@
     label written bytes with their data operand's protection; unprefixed
     sub-register (W8) writes leave the full register unchanged.
 
-    Initially all memory is protected and all registers unprotected. *)
+    Initially all memory is protected and all registers unprotected.
+    Memory protection is a {!Memory.t} of 0/1 bytes (1 = unprotected),
+    so a query or update of an access is one word access. *)
 
 open Protean_isa
 
@@ -18,8 +20,6 @@ val create : unit -> t
 
 val reg_protected : t -> Reg.t -> bool
 val set_reg : t -> Reg.t -> bool -> unit
-
-val mem_byte_protected : t -> int64 -> bool
 
 val mem_protected : t -> int64 -> int -> bool
 (** True when {e any} of the [size] bytes at the address is protected. *)

@@ -15,10 +15,12 @@
    reset.  Sets are materialized lazily on the first miss that touches
    them — an empty set behaves exactly like one whose ways are all
    invalid, so a multi-megabyte L3 costs one pointer per set to create
-   instead of half a million line records. *)
+   instead of half a million line records.  Tags are [int]s (58 bits) and
+   a hit returns a [bool], so a hit allocates nothing; the trace path
+   reads the last miss back with [last_miss]. *)
 
 type line = {
-  mutable tag : int64;
+  mutable tag : int;
   mutable valid : bool;
   mutable lru : int; (* higher = more recently used *)
   mutable prot : Bytes.t; (* one byte per line byte: 1 = protected *)
@@ -32,6 +34,8 @@ type t = {
   shared_prot : Bytes.t; (* every line's [prot] when not tracking *)
   sets : line array array; (* [||] = untouched set (all ways invalid) *)
   mutable clock : int;
+  mutable miss_tag : int; (* the tag the last miss filled *)
+  mutable miss_victim : int; (* the tag it evicted; -1: none *)
 }
 
 let create ?(prot = true) (cfg : Config.cache_cfg) =
@@ -45,15 +49,12 @@ let create ?(prot = true) (cfg : Config.cache_cfg) =
     shared_prot = Bytes.make cfg.line '\001';
     sets = Array.make nsets [||];
     clock = 0;
+    miss_tag = -1;
+    miss_victim = -1;
   }
 
-let set_index t addr =
-  Int64.to_int
-    (Int64.rem
-       (Int64.shift_right_logical addr t.lbits)
-       (Int64.of_int t.nsets))
-
-let tag_of t addr = Int64.shift_right_logical addr t.lbits
+let tag_of t addr = Int64.to_int (Int64.shift_right_logical addr t.lbits)
+let set_index t addr = tag_of t addr mod t.nsets
 let line_offset t addr = Int64.to_int (Int64.logand addr (Int64.of_int (t.cfg.line - 1)))
 
 (* Materialize a set's ways on first (miss) use. *)
@@ -64,7 +65,7 @@ let get_set t idx =
     let s =
       Array.init t.cfg.ways (fun _ ->
           {
-            tag = 0L;
+            tag = 0;
             valid = false;
             lru = 0;
             prot =
@@ -81,29 +82,23 @@ let get_set t idx =
    allocates nothing. *)
 let rec find_way (set : line array) tag i =
   if i >= Array.length set then -1
-  else if set.(i).valid && Int64.equal set.(i).tag tag then i
+  else if set.(i).valid && set.(i).tag = tag then i
   else find_way set tag (i + 1)
 
 let touch t line =
   t.clock <- t.clock + 1;
   line.lru <- t.clock
 
-type result = {
-  hit : bool;
-  set : int;
-  tag : int64;
-  evicted : int64 option; (* line address of the victim, if any *)
-}
-
 (* Access the line containing [addr]: update LRU, allocate on miss
-   (evicting the LRU way).  Newly-filled lines have all bytes protected. *)
+   (evicting the LRU way).  Newly-filled lines have all bytes protected.
+   True on a hit. *)
 let access t addr =
   let set_idx = set_index t addr in
   let tag = tag_of t addr in
   let way = find_way t.sets.(set_idx) tag 0 in
   if way >= 0 then begin
     touch t t.sets.(set_idx).(way);
-    { hit = true; set = set_idx; tag; evicted = None }
+    true
   end
   else begin
     (* Victim: the first invalid way, else the least recently used. *)
@@ -116,15 +111,25 @@ let access t addr =
       then best := i
     done;
     let line = set.(!best) in
-    let evicted =
-      if line.valid then Some (Int64.shift_left line.tag t.lbits) else None
-    in
+    t.miss_tag <- tag;
+    t.miss_victim <- (if line.valid then line.tag else -1);
     line.valid <- true;
     line.tag <- tag;
     if t.track_prot then Bytes.fill line.prot 0 t.cfg.line '\001';
     touch t line;
-    { hit = false; set = set_idx; tag; evicted }
+    false
   end
+
+type miss = { set : int; tag : int64; evicted : int64 option }
+
+let last_miss t =
+  {
+    set = t.miss_tag mod t.nsets;
+    tag = Int64.of_int t.miss_tag;
+    evicted =
+      (if t.miss_victim < 0 then None
+       else Some (Int64.shift_left (Int64.of_int t.miss_victim) t.lbits));
+  }
 
 (* --- Protection bits ------------------------------------------------ *)
 

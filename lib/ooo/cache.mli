@@ -14,19 +14,21 @@ val create : ?prot:bool -> Config.cache_cfg -> t
     they share one dummy protection buffer and skip the per-fill reset.
     Timing and tag behavior are identical either way. *)
 
-type result = {
-  hit : bool;
+val access : t -> int64 -> bool
+(** Access the line containing the address: LRU update, allocate on miss
+    (evicting the LRU way; new lines all-protected).  True on a hit; a
+    hit allocates nothing. *)
+
+type miss = {
   set : int;
   tag : int64;
   evicted : int64 option;  (** line address of the victim, if any *)
 }
 
-val access : t -> int64 -> result
-(** Access the line containing the address: LRU update, allocate on miss
-    (evicting the LRU way; new lines all-protected). *)
+val last_miss : t -> miss
+(** The set, filled tag and victim of the most recent miss. *)
 
 val set_index : t -> int64 -> int
-val tag_of : t -> int64 -> int64
 
 val protected_bytes : t -> int64 -> int -> bool
 (** Are any of the [size] bytes at the address protected?  Bytes not

@@ -16,13 +16,14 @@
 module S = Pipeline_state
 
 (* [path] (newest first) plus the fill and eviction of a miss at [level]. *)
-let fill level (r : Cache.result) path =
-  if r.Cache.hit then path
+let fill level cache hit path =
+  if hit then path
   else
+    let m = Cache.last_miss cache in
     let path =
-      Hooks.M_fill { level; set = r.Cache.set; tag = r.Cache.tag } :: path
+      Hooks.M_fill { level; set = m.Cache.set; tag = m.Cache.tag } :: path
     in
-    match r.Cache.evicted with
+    match m.Cache.evicted with
     | Some line -> Hooks.M_evict { level; line } :: path
     | None -> path
 
@@ -34,21 +35,20 @@ let access (t : S.t) addr =
   if with_path && not tlb_hit then
     path := Hooks.M_tlb_fill (Tlb.page_of addr) :: !path;
   let tlb_penalty = if tlb_hit then 0 else t.S.cfg.Config.tlb_miss_latency in
-  let r1 = Cache.access t.S.l1d addr in
-  if with_path then path := fill 1 r1 !path;
-  let l1_hit = r1.Cache.hit in
+  let l1_hit = Cache.access t.S.l1d addr in
+  if with_path then path := fill 1 t.S.l1d l1_hit !path;
   let latency =
     if l1_hit then tlb_penalty + t.S.cfg.Config.l1d.Config.latency
     else begin
-      let r2 = Cache.access t.S.l2 addr in
-      if with_path then path := fill 2 r2 !path;
-      if r2.Cache.hit then tlb_penalty + t.S.cfg.Config.l2.Config.latency
+      let l2_hit = Cache.access t.S.l2 addr in
+      if with_path then path := fill 2 t.S.l2 l2_hit !path;
+      if l2_hit then tlb_penalty + t.S.cfg.Config.l2.Config.latency
       else
         match t.S.l3 with
         | Some l3 ->
-            let r3 = Cache.access l3 addr in
-            if with_path then path := fill 3 r3 !path;
-            if r3.Cache.hit then
+            let l3_hit = Cache.access l3 addr in
+            if with_path then path := fill 3 l3 l3_hit !path;
+            if l3_hit then
               tlb_penalty
               + (match t.S.cfg.Config.l3 with Some c -> c.Config.latency | None -> 0)
             else tlb_penalty + t.S.cfg.Config.mem_latency

@@ -159,13 +159,9 @@ let decode_program (program : Program.t) =
 let create ?(trace = false) ?(squash_bug = false)
     ?(spec_model = Policy.Atcommit) ?shared_l3 ?decode (cfg : Config.t)
     (policy : Policy.t) (program : Program.t) ~overlays =
-  let mem = Memory.create () in
-  List.iter
-    (fun (d : Program.data_init) -> Memory.write_string mem d.addr d.bytes)
-    program.Program.data;
-  List.iter (fun (addr, bytes) -> Memory.write_string mem addr bytes) overlays;
-  let regs = Array.make Reg.count 0L in
-  regs.(Reg.to_int Reg.rsp) <- program.Program.stack_base;
+  let arch = Exec.init program in
+  Exec.overlay arch overlays;
+  let { Exec.mem; regs; _ } = arch in
   let l3 =
     match shared_l3 with
     | Some c -> Some c

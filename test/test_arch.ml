@@ -179,6 +179,282 @@ let prop_sub_flags =
       && Sem.eval_cond Insn.Ge fl = (Int64.compare a b >= 0)
       && Sem.eval_cond Insn.Ae fl = (Int64.unsigned_compare a b >= 0))
 
+(* --- The page plane against bytewise reference models --------------- *)
+
+(* The bytewise page table [Memory] replaced: every byte through a
+   [Hashtbl] keyed by its boxed [int64] page number. *)
+module Ref_memory = struct
+  type t = (int64, Bytes.t) Hashtbl.t
+
+  let create () : t = Hashtbl.create 64
+  let page_of addr = Int64.shift_right_logical addr 12
+  let offset_of addr = Int64.to_int (Int64.logand addr 0xfffL)
+
+  let read_byte t addr =
+    match Hashtbl.find_opt t (page_of addr) with
+    | None -> 0
+    | Some p -> Char.code (Bytes.get p (offset_of addr))
+
+  let write_byte t addr v =
+    let p =
+      match Hashtbl.find_opt t (page_of addr) with
+      | Some p -> p
+      | None ->
+          let p = Bytes.make 4096 '\000' in
+          Hashtbl.replace t (page_of addr) p;
+          p
+    in
+    Bytes.set p (offset_of addr) (Char.chr (v land 0xff))
+
+  let at addr i = Int64.add addr (Int64.of_int i)
+
+  let read t addr size =
+    let rec loop i acc =
+      if i < 0 then acc
+      else
+        loop (i - 1)
+          (Int64.logor (Int64.shift_left acc 8)
+             (Int64.of_int (read_byte t (at addr i))))
+    in
+    loop (size - 1) 0L
+
+  let write t addr size v =
+    for i = 0 to size - 1 do
+      write_byte t (at addr i)
+        (Int64.to_int (Int64.shift_right_logical v (8 * i)))
+    done
+
+  let write_string t addr s =
+    String.iteri (fun i c -> write_byte t (at addr i) (Char.code c)) s
+
+  let read_string t addr len =
+    String.init len (fun i -> Char.chr (read_byte t (at addr i)))
+end
+
+type mem_op =
+  | Read of int64 * int
+  | Write of int64 * int * int64
+  | Read_byte of int64
+  | Write_string of int64 * string
+  | Read_string of int64 * int
+
+let show_mem_op = function
+  | Read (a, n) -> Printf.sprintf "read %Lx %d" a n
+  | Write (a, n, v) -> Printf.sprintf "write %Lx %d %Lx" a n v
+  | Read_byte a -> Printf.sprintf "read_byte %Lx" a
+  | Write_string (a, s) ->
+      Printf.sprintf "write_string %Lx %d" a (String.length s)
+  | Read_string (a, n) -> Printf.sprintf "read_string %Lx %d" a n
+
+(* Page tails (offsets 4088-4095, so 4- and 8-byte accesses cross),
+   anywhere in four adjacent pages, near 0, and near 2^64 - 8 (8-byte
+   accesses there wrap to address 0). *)
+let gen_addr =
+  let open QCheck2.Gen in
+  let at p o = Int64.of_int (0x20000 + (p * 4096) + o) in
+  let in_pages off = map2 at (int_range 0 3) off in
+  let near_top =
+    map (fun o -> Int64.sub (-8L) (Int64.of_int o)) (int_range (-8) 8)
+  in
+  frequency
+    [
+      (4, in_pages (int_range 4088 4095));
+      (4, in_pages (int_range 0 4095));
+      (1, map Int64.of_int (int_range 0 16));
+      (1, near_top);
+    ]
+
+let gen_mem_op =
+  let open QCheck2.Gen in
+  let size = oneofl [ 1; 4; 8 ] and len = int_range 0 (3 * 4096) in
+  frequency
+    [
+      (4, map2 (fun a n -> Read (a, n)) gen_addr size);
+      (4, map3 (fun a n v -> Write (a, n, v)) gen_addr size int64);
+      (1, map (fun a -> Read_byte a) gen_addr);
+      ( 1,
+        map2
+          (fun a s -> Write_string (a, s))
+          gen_addr (string_size ~gen:char len) );
+      (1, map2 (fun a n -> Read_string (a, n)) gen_addr len);
+    ]
+
+let page_keys iter =
+  let keys = ref [] in
+  iter (fun pn _ -> keys := pn :: !keys);
+  List.sort compare !keys
+
+let prop_memory_matches_reference =
+  QCheck2.Test.make ~name:"page plane == bytewise reference" ~count:300
+    ~print:(fun ops -> String.concat "; " (List.map show_mem_op ops))
+    QCheck2.Gen.(list_size (int_range 1 40) gen_mem_op)
+    (fun ops ->
+      let m = Memory.create () and r = Ref_memory.create () in
+      let agree =
+        List.for_all
+          (function
+            | Read (a, n) ->
+                Int64.equal (Memory.read m a n) (Ref_memory.read r a n)
+            | Write (a, n, v) ->
+                Memory.write m a n v;
+                Ref_memory.write r a n v;
+                true
+            | Read_byte a -> Memory.read_byte m a = Ref_memory.read_byte r a
+            | Write_string (a, s) ->
+                Memory.write_string m a s;
+                Ref_memory.write_string r a s;
+                true
+            | Read_string (a, n) ->
+                String.equal (Memory.read_string m a n)
+                  (Ref_memory.read_string r a n))
+          ops
+      in
+      (* Reads map no page: the mapped page sets and contents agree. *)
+      agree
+      && page_keys (Memory.iter_pages m)
+         = page_keys (fun f -> Hashtbl.iter f r)
+      && Hashtbl.fold
+           (fun pn p ok ->
+             ok
+             && String.equal (Bytes.to_string p)
+                  (Memory.read_string m (Int64.shift_left pn 12) 4096))
+           r true)
+
+(* The ProtSet's memory protection against a per-byte model: a set of
+   unprotected addresses; every other byte is protected. *)
+let prop_protset_matches_bytes =
+  let open QCheck2.Gen in
+  let op =
+    triple gen_addr (oneofl [ 1; 4; 8 ]) (opt bool)
+    (* [Some protected]: set_mem; [None]: query *)
+  in
+  QCheck2.Test.make ~name:"protset memory == per-byte model" ~count:300
+    (list_size (int_range 1 60) op)
+    (fun ops ->
+      let ps = Protset.create () and unprot = Hashtbl.create 64 in
+      let byte a i = Int64.add a (Int64.of_int i) in
+      List.for_all
+        (fun (a, n, set) ->
+          match set with
+          | Some protected ->
+              Protset.set_mem ps a n ~protected;
+              for i = 0 to n - 1 do
+                if protected then Hashtbl.remove unprot (byte a i)
+                else Hashtbl.replace unprot (byte a i) ()
+              done;
+              true
+          | None ->
+              let model =
+                List.exists
+                  (fun i -> not (Hashtbl.mem unprot (byte a i)))
+                  (List.init n Fun.id)
+              in
+              Protset.mem_protected ps a n = model)
+        ops)
+
+module Gen = Protean_amulet.Gen
+
+let gen_ct_program seed =
+  Gen.generate { Gen.default_spec with seed; klass = Gen.G_ct }
+
+let test_image_load_allocation () =
+  let p = gen_ct_program 3 in
+  ignore (Exec.init p);
+  let w0 = Gc.minor_words () in
+  let st = Exec.init p in
+  let words = Gc.minor_words () -. w0 in
+  if words >= 1000. then
+    Alcotest.failf "Exec.init allocated %.0f minor words (limit 1000)" words;
+  (* Boxed once here, not re-boxed for every call in the loop. *)
+  let a = Sys.opaque_identity (Int64.of_int (Gen.public_base + 64)) in
+  ignore (Memory.read st.Exec.mem a 8);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Memory.read st.Exec.mem a 8))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if words > 3000. then
+    Alcotest.failf "1000 in-page 8-byte reads allocated %.0f words" words
+
+(* The observer's address registers and the ProtSet's output registers
+   are read off each step without [Insn.reads] / [Insn.writes] lists;
+   both must still follow those lists, on one instance of every
+   instruction form and on generated programs. *)
+let ct_atoms_via_reads ~regv (eff : Exec.effect_) =
+  let roles =
+    List.filter_map
+      (fun (r, role) ->
+        match role with
+        | Insn.Addr | Insn.Target -> Some (Observer.O_addr_reg (r, regv r))
+        | Insn.Data | Insn.Cond_in | Insn.Divide -> None)
+      (Insn.reads eff.e_insn.op)
+  in
+  let opt f = function Some x -> [ f x ] | None -> [] in
+  (Observer.O_pc eff.e_pc :: roles)
+  @ opt (fun (a, _, _) -> Observer.O_addr a) eff.e_load
+  @ opt (fun (a, _, _) -> Observer.O_addr a) eff.e_store
+  @ opt (fun (t, tg) -> Observer.O_branch (t, tg)) eff.e_branch
+  @ opt
+      (fun (n, d) ->
+        Observer.O_div (Sem.bit_length n, Sem.bit_length d, Int64.equal d 0L))
+      eff.e_div
+
+let every_form =
+  let m base index = { Insn.base; index; scale = 4; disp = 8 } in
+  let mems =
+    [ m None None; m (Some Reg.rbx) None; m None (Some Reg.rcx);
+      m (Some Reg.rbx) (Some Reg.rcx) ]
+  in
+  let srcs = [ Insn.Reg Reg.rdx; Insn.Imm 3L ] in
+  let each xs f = List.concat_map f xs in
+  let open Insn in
+  each [ W8; W32; W64 ] (fun w ->
+      each srcs (fun s -> [ Mov (w, Reg.rax, s) ])
+      @ each mems (fun mo ->
+            Load (w, Reg.rax, mo) :: each srcs (fun s -> [ Store (w, mo, s) ])))
+  @ each mems (fun mo -> [ Lea (Reg.rax, mo) ])
+  @ each srcs (fun s ->
+        [
+          Binop (Add, Reg.rax, s); Div (Reg.rax, Reg.rbx, s);
+          Rem (Reg.rax, Reg.rbx, s); Cmp (Reg.rax, s); Test (Reg.rax, s);
+          Cmov (Z, Reg.rax, s); Push s;
+        ])
+  @ [
+      Unop (Neg, Reg.rax); Setcc (Lt, Reg.rax); Jcc (Z, 1); Jmp 1;
+      Jmpi Reg.rsi; Call 1; Ret; Pop Reg.rax; Pop Reg.rsp; Nop; Halt;
+    ]
+
+let step_agrees p st =
+  let pre = Array.copy st.Exec.regs in
+  let regv r = pre.(Reg.to_int r) in
+  let eff = Exec.step p st in
+  Observer.ct_atoms ~regv eff = ct_atoms_via_reads ~regv eff
+  && List.map fst eff.e_written = Insn.writes eff.e_insn.op
+
+let test_step_lists () =
+  List.iter
+    (fun op ->
+      let p = Program.make [| Insn.make op; Insn.make Insn.Halt |] in
+      let st = Exec.init p in
+      Array.iteri
+        (fun i _ -> st.Exec.regs.(i) <- Int64.of_int ((i * 0x101) + 7))
+        st.Exec.regs;
+      if not (step_agrees p st) then
+        Alcotest.failf "step lists disagree on %s"
+          (Insn.to_string (Insn.make op)))
+    every_form;
+  for seed = 1 to 20 do
+    let p = gen_ct_program seed in
+    let st = Exec.init p in
+    let n = ref 0 in
+    while (not st.Exec.halted) && !n < 20_000 do
+      incr n;
+      let pc = st.Exec.pc in
+      if not (step_agrees p st) then
+        Alcotest.failf "step lists disagree at pc %d of program %d" pc seed
+    done
+  done
+
 let tests =
   [
     Alcotest.test_case "arithmetic flags" `Quick test_arith_flags;
@@ -190,4 +466,10 @@ let tests =
     Alcotest.test_case "observer modes" `Quick test_observer_modes;
     Alcotest.test_case "unprot observer" `Quick test_unprot_observer;
     QCheck_alcotest.to_alcotest prop_sub_flags;
+    QCheck_alcotest.to_alcotest prop_memory_matches_reference;
+    QCheck_alcotest.to_alcotest prop_protset_matches_bytes;
+    Alcotest.test_case "image load and word reads allocate little" `Quick
+      test_image_load_allocation;
+    Alcotest.test_case "step lists follow Insn.reads/writes" `Quick
+      test_step_lists;
   ]

@@ -21,7 +21,8 @@
      shown to catch a corrupted ready bit in both directions;
 
    - allocation: the policy gates the issue and resolve stages poll
-     several times per cycle allocate nothing, for every defense. *)
+     several times per cycle allocate nothing, for every defense, and
+     neither does an L1D hit. *)
 
 module Hooks = Protean_ooo.Hooks
 module Pipeline = Protean_ooo.Pipeline
@@ -483,8 +484,33 @@ let test_window_ledger_transparent () =
     (n "windows_resolved" + n "windows_mispredicted" + n "windows_flushed"
    + n "windows_unclosed")
 
+(* A cache hit answers a [bool] over [int] tags: nothing to allocate.
+   The miss details the trace path reads stay exact. *)
+let test_cache_hit_alloc_free () =
+  let module Cache = Protean_ooo.Cache in
+  let c = Cache.create Config.p_core.Config.l1d in
+  ignore (Cache.access c 0x1000L);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Cache.access c 0x1008L))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if words >= 100. then
+    Alcotest.failf "10,000 L1D hits allocated %.0f minor words" words;
+  (* 1 KiB direct-mapped, 64-byte lines: 0 and 1024 share set 0. *)
+  let c = Cache.create { Config.size_kib = 1; ways = 1; line = 64; latency = 1 } in
+  Alcotest.(check bool) "cold miss" false (Cache.access c 0L);
+  Alcotest.(check bool) "conflict miss" false (Cache.access c 1024L);
+  let m = Cache.last_miss c in
+  Alcotest.(check int) "set" 0 m.Cache.set;
+  Alcotest.(check int64) "tag" 16L m.Cache.tag;
+  Alcotest.(check (option int64)) "victim line" (Some 0L) m.Cache.evicted;
+  Alcotest.(check bool) "hit" true (Cache.access c 1030L)
+
 let tests =
   [
+    Alcotest.test_case "cache hit allocation-free" `Quick
+      test_cache_hit_alloc_free;
     Alcotest.test_case "hooks: unsubscribe during emit" `Quick
       test_unsubscribe_during_emit;
     Alcotest.test_case "hooks: subscribe during emit" `Quick
