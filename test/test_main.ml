@@ -17,4 +17,5 @@ let () =
       ("transport", Test_transport.tests);
       ("telemetry", Test_telemetry.tests);
       ("hotloop", Test_hotloop.tests);
+      ("stats", Test_stats.tests);
     ]
