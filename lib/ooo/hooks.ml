@@ -1,18 +1,20 @@
-(* The pipeline hook bus.
+(* The pipeline hook bus: where optional tooling observes the core.
 
-   Every cross-cutting concern — statistics, the hardware observer trace,
-   the invariant checker, fault injection and the Policy defense
-   notifications — observes the core through one registration point
-   instead of hand-threaded callbacks.  Stage modules *emit* typed
-   events at fixed program points; subscribers react.
+   The core does its own bookkeeping where each event happens: the
+   stage modules bump the [Stats] counters, call the policy's
+   notifications ([on_rename], [on_load_executed], [on_commit]) and
+   record the hardware trace.  The bus carries only what optional
+   tooling consumes — the speculation-window ledger ([Spec_window]), the
+   stage profiler ([Profile]), the invariant and scheduler checkers
+   ([Invariants]) and tests — so a plain pipeline has no subscriber.
 
    Contract (see docs/architecture.md for the full table):
    - Events are emitted synchronously, in program order, at exactly the
-     program points listed below; subscribers run in registration order.
-   - Subscribers may mutate bookkeeping state they own (stats counters,
-     the trace, policy-private tables, ROB-entry policy fields) but must
-     not touch the pipeline's structural state (ROB ring, rename map,
-     LSQ counters, fetch state) — the stage modules own those.
+     program points listed below, after the core's own bookkeeping at
+     that point; subscribers run in registration order.
+   - Subscribers may mutate state they own (a ledger, a profile) but
+     must not touch the pipeline's state (ROB ring, rename map, LSQ
+     counters, fetch state, stats) — the stage modules own those.
    - A subscriber may raise (the invariant checker's [Fail] mode raises
      [Pipeline_state.Sim_fault]); the emission point then unwinds, so
      raising subscribers should be registered last.
@@ -31,11 +33,6 @@
    The bus is parameterized over the state type to break the circular
    dependency with [Pipeline_state] (whose record carries its bus). *)
 
-type mem_step =
-  | M_tlb_fill of int64 (* page *)
-  | M_fill of { level : int; set : int; tag : int64 }
-  | M_evict of { level : int; line : int64 }
-
 (* How a speculation window (the lifetime of an unresolved branch in the
    branch queue) ended. *)
 type window_close_cause =
@@ -44,50 +41,24 @@ type window_close_cause =
   | W_flushed (* an older mispredict/clear truncated the branch queue *)
 
 type event =
-  | On_fetch of { pc : int; insn : Protean_isa.Insn.t }
-      (* an instruction entered the fetch buffer *)
   | On_rename of Rob_entry.t
-      (* entry renamed and inserted into the ROB (the Policy taint point) *)
-  | On_wakeup of { consumer : Rob_entry.t; producer : Rob_entry.t }
-      (* an executed in-flight producer forwarded a value to a source *)
+      (* entry renamed and inserted into the ROB, after the policy's
+         [on_rename] tainted it *)
   | On_wakeup_blocked of { consumer : Rob_entry.t; producer : Rob_entry.t }
       (* the policy refused the forward this cycle (wakeup delay) *)
   | On_exec_blocked of Rob_entry.t
       (* a ready transmitter was denied execution this cycle *)
   | On_resolve_blocked of Rob_entry.t
       (* an executed branch was denied resolution this cycle *)
-  | On_forward of { load : Rob_entry.t; store : Rob_entry.t }
-      (* store-to-load forwarding hit in the LSQ *)
   | On_load_executed of Rob_entry.t
       (* a load (or pop/ret) read memory or the LSQ *)
-  | On_mem_access of {
-      addr : int64;
-      l1_hit : bool;
-      latency : int;
-      path : mem_step list;
-          (* fills/evicts down the hierarchy, in order; built only when
-             some subscriber declared [k_mem_path] *)
-    }
-  | On_div_busy of { latency : int } (* the divider was occupied *)
-  | On_mispredict of Rob_entry.t
-      (* a mispredicted branch won the squash slot this cycle *)
   | On_order_violation of { store : Rob_entry.t; load : Rob_entry.t }
       (* a store's address resolved under an already-executed younger load *)
-  | On_squash of { from_seq : int; new_pc : int; flushed : int }
-      (* emitted after the ROB flush and rename-map rebuild *)
-  | On_machine_clear (* a faulting instruction committed *)
   | On_commit of Rob_entry.t
       (* after architectural effects, before ROB removal *)
   | On_cycle_end (* end of [Pipeline.step], after the watchdog *)
   | On_stage of int
-      (* a pipeline stage finished this cycle (stage id, see [Profile]);
-         only emitted when a subscriber declared [k_stage] *)
-  | On_port_bound of { port : int; entry : Rob_entry.t }
-      (* an issuing entry won execution port [port] (structural model) *)
-  | On_port_stall of Rob_entry.t
-      (* a ready entry found no compatible free port this cycle *)
-  | On_wb_queued of Rob_entry.t
-      (* a finished computation was deferred by the CDB broadcast budget *)
+      (* a pipeline stage finished this cycle (stage id, see [Profile]) *)
   | On_skip of { cycles : int }
       (* event-driven skip-ahead advanced the cycle counter by [cycles]
          quiet cycles in one jump (emitted once per skipped span, after
@@ -100,60 +71,35 @@ type event =
          mispredicted (emitted before the squash), or flushed by an
          older squash *)
 
-(* Event kinds: one bit per constructor, plus pseudo-kinds that gate
-   optional *detail* inside an event ([k_mem_path] gates the [path] list
-   of [On_mem_access]). *)
+(* Event kinds: one bit per constructor. *)
 
 type kind = int
 
-let k_fetch = 0
-let k_rename = 1
-let k_wakeup = 2
-let k_wakeup_blocked = 3
-let k_exec_blocked = 4
-let k_resolve_blocked = 5
-let k_forward = 6
-let k_load_executed = 7
-let k_mem_access = 8
-let k_div_busy = 9
-let k_mispredict = 10
-let k_order_violation = 11
-let k_squash = 12
-let k_machine_clear = 13
-let k_commit = 14
-let k_cycle_end = 15
-let k_stage = 16
-let k_mem_path = 17 (* pseudo: request the On_mem_access fill/evict path *)
-let k_port_bound = 18
-let k_port_stall = 19
-let k_wb_queued = 20
-let k_skip = 21
-let k_window_open = 22
-let k_window_close = 23
-let n_kinds = 24
+let k_rename = 0
+let k_wakeup_blocked = 1
+let k_exec_blocked = 2
+let k_resolve_blocked = 3
+let k_load_executed = 4
+let k_order_violation = 5
+let k_commit = 6
+let k_cycle_end = 7
+let k_stage = 8
+let k_skip = 9
+let k_window_open = 10
+let k_window_close = 11
+let n_kinds = 12
 let mask_all = (1 lsl n_kinds) - 1
 
 let kind_of_event = function
-  | On_fetch _ -> k_fetch
   | On_rename _ -> k_rename
-  | On_wakeup _ -> k_wakeup
   | On_wakeup_blocked _ -> k_wakeup_blocked
   | On_exec_blocked _ -> k_exec_blocked
   | On_resolve_blocked _ -> k_resolve_blocked
-  | On_forward _ -> k_forward
   | On_load_executed _ -> k_load_executed
-  | On_mem_access _ -> k_mem_access
-  | On_div_busy _ -> k_div_busy
-  | On_mispredict _ -> k_mispredict
   | On_order_violation _ -> k_order_violation
-  | On_squash _ -> k_squash
-  | On_machine_clear -> k_machine_clear
   | On_commit _ -> k_commit
   | On_cycle_end -> k_cycle_end
   | On_stage _ -> k_stage
-  | On_port_bound _ -> k_port_bound
-  | On_port_stall _ -> k_port_stall
-  | On_wb_queued _ -> k_wb_queued
   | On_skip _ -> k_skip
   | On_window_open _ -> k_window_open
   | On_window_close _ -> k_window_close

@@ -3,58 +3,51 @@
    Walking the hierarchy mutates cache and TLB state (fills, evictions,
    replacement metadata) — wrong-path accesses included, since transient
    fills are exactly the side channel the defenses must close.  The walk
-   is reported as a single [On_mem_access] event whose [path] lists the
-   fills and evictions in the order they happened; the trace observer
-   replays them, the stats observer counts the L1D access/miss.
-
-   Building the path costs allocations per access, so it is gated on the
-   pseudo-kind [Hooks.k_mem_path] (claimed by the trace observer): when
-   no subscriber wants path detail, the walk records nothing and the
-   event carries [path = []].  Cache/TLB mutations are identical either
-   way. *)
+   counts the L1D access and miss in [Stats] and, when the hardware
+   trace is on, records the TLB fill and then each level's fill and
+   eviction, in walk order.  An untraced walk builds no trace event. *)
 
 module S = Pipeline_state
 
-(* [path] (newest first) plus the fill and eviction of a miss at [level]. *)
-let fill level cache hit path =
-  if hit then path
-  else
+(* Trace the fill and eviction of a miss at [level]. *)
+let record_fill (t : S.t) level cache hit =
+  if not hit then begin
     let m = Cache.last_miss cache in
-    let path =
-      Hooks.M_fill { level; set = m.Cache.set; tag = m.Cache.tag } :: path
-    in
+    Hw_trace.record t.S.trace
+      (Hw_trace.E_cache_fill { level; set = m.Cache.set; tag = m.Cache.tag });
     match m.Cache.evicted with
-    | Some line -> Hooks.M_evict { level; line } :: path
-    | None -> path
+    | Some line ->
+        Hw_trace.record t.S.trace (Hw_trace.E_cache_evict { level; line })
+    | None -> ()
+  end
 
 (* Walk the hierarchy for a data access at [addr]; returns the latency. *)
 let access (t : S.t) addr =
-  let with_path = S.wants t Hooks.k_mem_path in
-  let path = ref [] in
+  let traced = Hw_trace.enabled t.S.trace in
+  let st = t.S.stats in
   let tlb_hit = Tlb.access t.S.tlb addr in
-  if with_path && not tlb_hit then
-    path := Hooks.M_tlb_fill (Tlb.page_of addr) :: !path;
+  if traced && not tlb_hit then
+    Hw_trace.record t.S.trace (Hw_trace.E_tlb_fill (Tlb.page_of addr));
   let tlb_penalty = if tlb_hit then 0 else t.S.cfg.Config.tlb_miss_latency in
   let l1_hit = Cache.access t.S.l1d addr in
-  if with_path then path := fill 1 t.S.l1d l1_hit !path;
-  let latency =
-    if l1_hit then tlb_penalty + t.S.cfg.Config.l1d.Config.latency
-    else begin
-      let l2_hit = Cache.access t.S.l2 addr in
-      if with_path then path := fill 2 t.S.l2 l2_hit !path;
-      if l2_hit then tlb_penalty + t.S.cfg.Config.l2.Config.latency
-      else
-        match t.S.l3 with
-        | Some l3 ->
-            let l3_hit = Cache.access l3 addr in
-            if with_path then path := fill 3 l3 l3_hit !path;
-            if l3_hit then
-              tlb_penalty
-              + (match t.S.cfg.Config.l3 with Some c -> c.Config.latency | None -> 0)
-            else tlb_penalty + t.S.cfg.Config.mem_latency
-        | None -> tlb_penalty + t.S.cfg.Config.mem_latency
-    end
-  in
-  if S.wants t Hooks.k_mem_access then
-    S.emit t (Hooks.On_mem_access { addr; l1_hit; latency; path = List.rev !path });
-  latency
+  if traced then record_fill t 1 t.S.l1d l1_hit;
+  st.Stats.l1d_accesses <- st.Stats.l1d_accesses + 1;
+  if l1_hit then tlb_penalty + t.S.cfg.Config.l1d.Config.latency
+  else begin
+    st.Stats.l1d_misses <- st.Stats.l1d_misses + 1;
+    let l2_hit = Cache.access t.S.l2 addr in
+    if traced then record_fill t 2 t.S.l2 l2_hit;
+    if l2_hit then tlb_penalty + t.S.cfg.Config.l2.Config.latency
+    else
+      match t.S.l3 with
+      | Some l3 ->
+          let l3_hit = Cache.access l3 addr in
+          if traced then record_fill t 3 l3 l3_hit;
+          if l3_hit then
+            tlb_penalty
+            + (match t.S.cfg.Config.l3 with
+              | Some c -> c.Config.latency
+              | None -> 0)
+          else tlb_penalty + t.S.cfg.Config.mem_latency
+      | None -> tlb_penalty + t.S.cfg.Config.mem_latency
+  end

@@ -2,8 +2,9 @@
 
    Every stage module ([Stage_fetch] … [Stage_commit]), the memory
    hierarchy walker and the squash engine operate on this one typed
-   record; cross-cutting observers react to [Hooks] events carried by
-   the [hooks] bus embedded in the record.  [Pipeline] composes the
+   record, and bump its [stats] and record its [trace] in place;
+   optional tooling reacts to [Hooks] events carried by the [hooks] bus
+   embedded in the record.  [Pipeline] composes the
    stages into a cycle and owns the public API.
 
    Besides the architectural/microarchitectural state, the record holds
@@ -126,8 +127,8 @@ type t = {
   (* Event-driven skip-ahead (see [Pipeline.step]).  [progress] is reset
      at the top of every cycle and set by the stage modules at each
      meaningful-activity site (a fetch, a rename, an issue, a wakeup
-     flip, a completion, a resolve, a squash, a commit, or any emitted
-     stall/deny event — every site that mutates machine state or bumps a
+     flip, a completion, a resolve, a squash, a commit, or any stall/deny
+     site — every site that mutates machine state or bumps a
      counter).  A cycle that ends with [progress = false] is *quiet*:
      replaying it changes nothing observable, so the cycle counter may
      jump to the next event horizon instead of spinning. *)

@@ -4,8 +4,8 @@
    (order-violation recovery) and commit (machine clears).  The flush
    itself — ROB truncation, LSQ accounting, rename-map rebuild with
    ProtISA protection replay, RSB clear — is structural state owned
-   here; observers learn about it from the [On_squash] event emitted
-   once the pipeline is consistent again.
+   here; once the pipeline is consistent again it counts the squash in
+   [Stats] and records it in the hardware trace.
 
    The flush also rebuilds every scheduler index exactly:
    - ready-bit vector: every flushed slot's bit is cleared,
@@ -145,5 +145,9 @@ let flush (t : S.t) ~from_seq ~new_pc =
   t.S.fetch_stalled <- false;
   t.S.fetch_pc <- new_pc;
   t.S.progress <- true;
-  if S.wants t Hooks.k_squash then
-    S.emit t (Hooks.On_squash { from_seq; new_pc; flushed = !flushed })
+  let st = t.S.stats in
+  st.Stats.squashes <- st.Stats.squashes + 1;
+  st.Stats.squashed_insns <- st.Stats.squashed_insns + !flushed;
+  if Hw_trace.enabled t.S.trace then
+    Hw_trace.record t.S.trace
+      (Hw_trace.E_squash { cycle = t.S.cycle; flushed = !flushed })

@@ -3,10 +3,11 @@
    Makes results architectural: memory writeback (allocating in the L1D
    via [Mem_hierarchy]), ProtISA's commit-side protection updates,
    register-file and rename-map release, predictor training, then the
-   [On_commit] event (policy notification, timing trace, counters) and
+   commit's bookkeeping (the policy's [on_commit], the timing trace,
+   the counters and the measurement marker), the [On_commit] event and
    ROB removal.  A committing faulting instruction triggers a machine
-   clear ([On_machine_clear] + full squash); committing HALT finishes
-   the run. *)
+   clear (counted and traced, then a full squash); committing HALT
+   finishes the run. *)
 
 open Protean_isa
 open Protean_arch
@@ -72,6 +73,25 @@ let commit_one (t : S.t) (e : Rob_entry.t) =
       Branch_pred.update_indirect t.S.bp e.Rob_entry.pc
         e.Rob_entry.actual_target
   | _ -> ());
+  t.S.policy.Policy.on_commit (S.api t) e;
+  if Hw_trace.enabled t.S.trace then
+    Hw_trace.record t.S.trace
+      (Hw_trace.E_timing
+         {
+           pc = e.Rob_entry.pc;
+           fetch = e.Rob_entry.t_fetch;
+           rename = e.Rob_entry.t_rename;
+           issue = e.Rob_entry.t_issue;
+           complete = e.Rob_entry.t_complete;
+           commit = t.S.cycle;
+         });
+  let st = t.S.stats in
+  if
+    Rob_entry.is_store e
+    && Int64.equal e.Rob_entry.addr measurement_marker
+    && st.Stats.marker_cycle = 0
+  then st.Stats.marker_cycle <- t.S.cycle;
+  st.Stats.committed <- st.Stats.committed + 1;
   if S.wants t Hooks.k_commit then S.emit t (Hooks.On_commit e);
   (* Remove from the ROB (and the live load/store queues — a committing
      load/store is necessarily the front of its seq-ascending queue). *)
@@ -121,8 +141,10 @@ let run (t : S.t) =
         else if faulted then begin
           (* Division fault: machine clear (squash everything younger
              and refetch). *)
-          if S.wants t Hooks.k_machine_clear then
-            S.emit t Hooks.On_machine_clear;
+          t.S.stats.Stats.machine_clears <- t.S.stats.Stats.machine_clears + 1;
+          if Hw_trace.enabled t.S.trace then
+            Hw_trace.record t.S.trace
+              (Hw_trace.E_machine_clear { cycle = t.S.cycle });
           Squash.flush t ~from_seq:t.S.head_seq ~new_pc:next_pc;
           continue_ := false
         end

@@ -1,8 +1,8 @@
 (* Fetch stage: branch-predicted instruction fetch into the fetch buffer.
 
    Owns [fetch_pc], [fetch_stalled] and the fetch buffer; consults (and
-   updates, for calls/returns) the branch predictor's RSB.  Emits
-   [On_fetch] per fetched instruction. *)
+   updates, for calls/returns) the branch predictor's RSB.  Counts each
+   fetched instruction in [Stats.fetched]. *)
 
 open Protean_isa
 module S = Pipeline_state
@@ -40,7 +40,7 @@ let run (t : S.t) =
     S.fb_push t ~pc ~pred_target:next
       ~ready:(t.S.cycle + t.S.cfg.Config.frontend_latency)
       ~fetched:t.S.cycle;
-    if S.wants t Hooks.k_fetch then S.emit t (Hooks.On_fetch { pc; insn });
+    t.S.stats.Stats.fetched <- t.S.stats.Stats.fetched + 1;
     t.S.progress <- true;
     incr fetched;
     if next < 0 then t.S.fetch_stalled <- true else t.S.fetch_pc <- next

@@ -23,10 +23,14 @@
    [Invariants.attach_sched].  No helper here builds a closure or an
    option.
 
-   Events: [On_wakeup]/[On_wakeup_blocked] per source, [On_exec_blocked]
-   and [On_resolve_blocked] per denied cycle, [On_forward] on LSQ hits,
-   [On_load_executed], [On_div_busy], [On_order_violation],
-   [On_mispredict]. *)
+   Bookkeeping happens at each site: the [Stats] counters (a denied
+   wakeup, execution or resolution per cycle, executed loads, order
+   violations, mispredicts, port binding and stalls, writeback
+   deferrals), the policy's [on_load_executed] and the divider's trace
+   event.  For optional tooling the stage then emits
+   [On_wakeup_blocked], [On_exec_blocked], [On_resolve_blocked],
+   [On_load_executed], [On_order_violation] and the speculation-window
+   events. *)
 
 open Protean_isa
 open Protean_arch
@@ -78,12 +82,12 @@ let sources_ready (t : S.t) (e : Rob_entry.t) slot =
         if t.S.policy.Policy.may_forward ap prod then begin
           copy_producer_value prod r e i 0;
           ready.(i) <- true;
-          t.S.progress <- true;
-          if S.wants t Hooks.k_wakeup then
-            S.emit t (Hooks.On_wakeup { consumer = e; producer = prod })
+          t.S.progress <- true
         end
         else begin
           t.S.progress <- true;
+          t.S.stats.Stats.wakeup_delay_cycles <-
+            t.S.stats.Stats.wakeup_delay_cycles + 1;
           if S.wants t Hooks.k_wakeup_blocked then
             S.emit t (Hooks.On_wakeup_blocked { consumer = e; producer = prod });
           all := false;
@@ -132,6 +136,19 @@ let rec set_dst_from (e : Rob_entry.t) r v i =
 
 let set_dst e r v = set_dst_from e r v 0
 
+(* A load, pop or ret read memory or the LSQ: the policy learns it
+   first, then the counters (only true loads carry the protected-access
+   statistic), then optional tooling. *)
+let load_executed (t : S.t) (e : Rob_entry.t) =
+  t.S.policy.Policy.on_load_executed (S.api t) e;
+  let st = t.S.stats in
+  st.Stats.loads_executed <- st.Stats.loads_executed + 1;
+  (match e.Rob_entry.insn.Insn.op with
+  | Insn.Load _ when e.Rob_entry.mem_prot ->
+      st.Stats.loads_protected_mem <- st.Stats.loads_protected_mem + 1
+  | _ -> ());
+  if S.wants t Hooks.k_load_executed then S.emit t (Hooks.On_load_executed e)
+
 (* Begin executing [e]; all sources are ready.  Returns false when the
    instruction could not start (e.g. a load waiting on a store).  Sets
    [cycles_left]; results are computed here and become architectural when
@@ -166,8 +183,9 @@ let start_execution (t : S.t) (e : Rob_entry.t) =
         if Int64.equal dv 0L then t.S.cfg.Config.div_base_latency
         else t.S.cfg.Config.div_base_latency + (Sem.bit_length nv / 8)
       in
-      if S.wants t Hooks.k_div_busy then
-        S.emit t (Hooks.On_div_busy { latency = lat });
+      if Hw_trace.enabled t.S.trace then
+        Hw_trace.record t.S.trace
+          (Hw_trace.E_div_busy { cycle = t.S.cycle; latency = lat });
       if Int64.equal dv 0L then begin
         e.Rob_entry.fault <- true;
         set_dst e d Int64.minus_one
@@ -226,9 +244,7 @@ let start_execution (t : S.t) (e : Rob_entry.t) =
           e.Rob_entry.mem_prot <- st.Rob_entry.mem_prot;
           let old = match w with Insn.W8 -> old_of e d | _ -> 0L in
           set_dst e d (Sem.apply_width w ~old (Sem.truncate_width w v));
-          e.Rob_entry.cycles_left <- t.S.cfg.Config.store_forward_latency;
-          if S.wants t Hooks.k_forward then
-            S.emit t (Hooks.On_forward { load = e; store = st })
+          e.Rob_entry.cycles_left <- t.S.cfg.Config.store_forward_latency
       | Stage_memory.Fwd_none ->
           e.Rob_entry.addr <- addr;
           e.Rob_entry.msize <- size;
@@ -240,8 +256,7 @@ let start_execution (t : S.t) (e : Rob_entry.t) =
           set_dst e d (Sem.apply_width w ~old v);
           let lat = t.S.cfg.Config.load_agu_latency + Mem_hierarchy.access t addr in
           e.Rob_entry.cycles_left <- lat);
-      if !started && S.wants t Hooks.k_load_executed then
-        S.emit t (Hooks.On_load_executed e)
+      if !started then load_executed t e
   | Insn.Store (w, m, s) ->
       let addr = ea_of e m Insn.Addr in
       let size = Insn.width_bytes w in
@@ -301,9 +316,7 @@ let start_execution (t : S.t) (e : Rob_entry.t) =
           e.Rob_entry.mem_prot <- st.Rob_entry.mem_prot;
           set_dst e d v;
           set_dst e Reg.rsp (Int64.add sp 8L);
-          e.Rob_entry.cycles_left <- t.S.cfg.Config.store_forward_latency;
-          if S.wants t Hooks.k_forward then
-            S.emit t (Hooks.On_forward { load = e; store = st })
+          e.Rob_entry.cycles_left <- t.S.cfg.Config.store_forward_latency
       | Stage_memory.Fwd_none ->
           e.Rob_entry.addr <- sp;
           e.Rob_entry.msize <- 8;
@@ -315,8 +328,7 @@ let start_execution (t : S.t) (e : Rob_entry.t) =
           set_dst e Reg.rsp (Int64.add sp 8L);
           e.Rob_entry.cycles_left <-
             t.S.cfg.Config.load_agu_latency + Mem_hierarchy.access t sp);
-      if !started && S.wants t Hooks.k_load_executed then
-        S.emit t (Hooks.On_load_executed e)
+      if !started then load_executed t e
   | Insn.Ret ->
       let sp = src_value e Reg.rsp Insn.Addr in
       (match Stage_memory.forward_search t e sp 8 with
@@ -332,9 +344,7 @@ let start_execution (t : S.t) (e : Rob_entry.t) =
           set_dst e Reg.tmp v;
           set_dst e Reg.rsp (Int64.add sp 8L);
           e.Rob_entry.actual_target <- Int64.to_int v;
-          e.Rob_entry.cycles_left <- t.S.cfg.Config.store_forward_latency;
-          if S.wants t Hooks.k_forward then
-            S.emit t (Hooks.On_forward { load = e; store = st })
+          e.Rob_entry.cycles_left <- t.S.cfg.Config.store_forward_latency
       | Stage_memory.Fwd_none ->
           e.Rob_entry.addr <- sp;
           e.Rob_entry.msize <- 8;
@@ -347,8 +357,7 @@ let start_execution (t : S.t) (e : Rob_entry.t) =
           e.Rob_entry.actual_target <- Int64.to_int v;
           e.Rob_entry.cycles_left <-
             t.S.cfg.Config.load_agu_latency + Mem_hierarchy.access t sp);
-      if !started && S.wants t Hooks.k_load_executed then
-        S.emit t (Hooks.On_load_executed e));
+      if !started then load_executed t e);
   if !started then begin
     e.Rob_entry.issued <- true;
     e.Rob_entry.t_issue <- t.S.cycle;
@@ -358,6 +367,8 @@ let start_execution (t : S.t) (e : Rob_entry.t) =
     if Rob_entry.is_store e then begin
       let ld = Stage_memory.check_order_violation t e in
       if not (Rob_entry.is_null ld) then begin
+        t.S.stats.Stats.mem_order_violations <-
+          t.S.stats.Stats.mem_order_violations + 1;
         if S.wants t Hooks.k_order_violation then
           S.emit t (Hooks.On_order_violation { store = e; load = ld });
         Stage_memory.mdp_flag t ld.Rob_entry.pc;
@@ -408,7 +419,8 @@ let complete_entry (t : S.t) (e : Rob_entry.t) =
    sequence numbers first; the rest stay in the deque (cycles_left <= 0,
    still issued-and-unexecuted, so every scheduler invariant holds and
    their consumers stay correctly dormant) and contend again next
-   cycle.  Each deferred completion is reported via [On_wb_queued]. *)
+   cycle.  Each deferred completion counts in
+   [Stats.wb_queue_stall_cycles]. *)
 let tick (t : S.t) =
   let q = t.S.inflight in
   let a = q.Entryq.a in
@@ -477,7 +489,8 @@ let tick (t : S.t) =
              accounting makes this cycle (and every cycle until the
              broadcast slot is won) unskippable. *)
           t.S.progress <- true;
-          if S.wants t Hooks.k_wb_queued then S.emit t (Hooks.On_wb_queued e)
+          t.S.stats.Stats.wb_queue_stall_cycles <-
+            t.S.stats.Stats.wb_queue_stall_cycles + 1
         end;
         a.(!w) <- e;
         incr w
@@ -528,6 +541,8 @@ let run (t : S.t) =
         && not (t.S.policy.Policy.may_execute_transmitter ap e)
       then begin
         t.S.progress <- true;
+        t.S.stats.Stats.transmitter_stall_cycles <-
+          t.S.stats.Stats.transmitter_stall_cycles + 1;
         if S.wants t Hooks.k_exec_blocked then
           S.emit t (Hooks.On_exec_blocked e)
       end
@@ -550,8 +565,8 @@ let run (t : S.t) =
         in
         if port < 0 then begin
           t.S.progress <- true;
-          if S.wants t Hooks.k_port_stall then
-            S.emit t (Hooks.On_port_stall e)
+          t.S.stats.Stats.port_structural_stall_cycles <-
+            t.S.stats.Stats.port_structural_stall_cycles + 1
         end
         else if start_execution t e then begin
           incr issued;
@@ -567,8 +582,7 @@ let run (t : S.t) =
               then
                 t.S.port_busy_until.(port) <-
                   t.S.cycle + e.Rob_entry.cycles_left;
-              if S.wants t Hooks.k_port_bound then
-                S.emit t (Hooks.On_port_bound { port; entry = e }));
+              Stats.bump_port_busy t.S.stats port);
           S.ready_clear t slot;
           Entryq.push t.S.inflight e
         end
@@ -616,6 +630,8 @@ let resolve (t : S.t) =
       end
       else begin
         t.S.progress <- true;
+        t.S.stats.Stats.resolution_delay_cycles <-
+          t.S.stats.Stats.resolution_delay_cycles + 1;
         if S.wants t Hooks.k_resolve_blocked then
           S.emit t (Hooks.On_resolve_blocked e)
       end;
@@ -656,6 +672,8 @@ let resolve (t : S.t) =
          end
          else begin
            t.S.progress <- true;
+           t.S.stats.Stats.resolution_delay_cycles <-
+             t.S.stats.Stats.resolution_delay_cycles + 1;
            if S.wants t Hooks.k_resolve_blocked then
              S.emit t (Hooks.On_resolve_blocked e)
          end
@@ -670,7 +688,8 @@ let resolve (t : S.t) =
     t.S.progress <- true;
     if S.wants t Hooks.k_window_close then
       S.emit t (Hooks.On_window_close { entry = c; cause = Hooks.W_mispredicted });
-    if S.wants t Hooks.k_mispredict then S.emit t (Hooks.On_mispredict c);
+    t.S.stats.Stats.branch_mispredicts <-
+      t.S.stats.Stats.branch_mispredicts + 1;
     Squash.flush t ~from_seq:(c.Rob_entry.seq + 1)
       ~new_pc:c.Rob_entry.actual_target
   end

@@ -2,9 +2,9 @@
 
    Owns the rename map (producer/value/protection per architectural
    register) and ROB/LSQ insertion, including ProtISA's output-tag rule
-   for unprefixed sub-register writes (Section IV-B1).  Emits
-   [On_rename] once the entry is in the ROB — the point where defense
-   policies taint.
+   for unprefixed sub-register writes (Section IV-B1).  Once the entry
+   is in the ROB, the policy's [on_rename] taints it, then [On_rename]
+   is emitted.
 
    Rename is also where the O(active) scheduler learns about an entry:
    it joins the branch/store/load queues as applicable, and its slot's
@@ -23,8 +23,8 @@ module S = Pipeline_state
    flushes [e]).  Returns true when *every* non-ready source is such a
    slot: [e] is then dormant, and the issue scan skips it until a
    producer executes.  An already-executed producer keeps the entry
-   active: its forward may be policy-gated, which must emit
-   [On_wakeup_blocked] every cycle the entry is considered. *)
+   active: its forward may be policy-gated, which must count a wakeup
+   delay every cycle the entry is considered. *)
 let register_waiters (t : S.t) (e : Rob_entry.t) =
   let n = Array.length e.Rob_entry.src_ready in
   let pending = ref false in
@@ -133,6 +133,7 @@ let rename_one (t : S.t) (item : S.fetch_item) (insn : Insn.t) =
   end;
   if not (register_waiters t e) then S.ready_set t idx;
   t.S.progress <- true;
+  t.S.policy.Policy.on_rename (S.api t) e;
   if S.wants t Hooks.k_rename then S.emit t (Hooks.On_rename e)
 
 let run (t : S.t) =

@@ -1,6 +1,11 @@
 (* Execution statistics gathered by the pipeline, used for the performance
    evaluation (normalized runtime = cycles / unsafe-baseline cycles) and
-   for the diagnostic breakdowns of Section IX. *)
+   for the diagnostic breakdowns of Section IX.
+
+   Each counter has one writer: the stage module (or [Mem_hierarchy],
+   [Squash], [Pipeline]'s clock and skip-ahead) at the site of its event.
+   The three [access_pred_*] counters are ProtTrack's, written by the
+   policy through [Policy.api.stats]. *)
 
 type t = {
   mutable cycles : int;

@@ -88,7 +88,7 @@ let test_interest_mask_clearing () =
   Alcotest.(check bool) "k_cycle_end wanted" true
     (Hooks.wanted bus Hooks.k_cycle_end);
   Alcotest.(check bool) "undeclared kind not wanted" false
-    (Hooks.wanted bus Hooks.k_fetch);
+    (Hooks.wanted bus Hooks.k_commit);
   Hooks.unsubscribe bus "p2";
   Alcotest.(check bool) "k_stage still wanted (p1 remains)" true
     (Hooks.wanted bus Hooks.k_stage);
@@ -104,7 +104,7 @@ let test_mask_filtering () =
   let got = ref 0 in
   Hooks.subscribe bus ~name:"narrow" ~kinds:[ Hooks.k_cycle_end ] (fun () _ ->
       incr got);
-  Hooks.emit bus () Hooks.On_machine_clear;
+  Hooks.emit bus () (Hooks.On_stage 0);
   Alcotest.(check int) "undeclared kind filtered out" 0 !got;
   Hooks.emit bus () Hooks.On_cycle_end;
   Alcotest.(check int) "declared kind delivered" 1 !got
@@ -403,7 +403,7 @@ let window_drive t =
     Pipeline.step ~until:window_fuel t
   done
 
-(* A fresh pipeline (default stats subscriber only) must not want either
+(* A fresh pipeline (no subscriber at all) must not want either
    window kind: the On_window_* emission sites stay on their guarded
    zero-cost path unless a ledger subscribes. *)
 let test_window_kinds_unwatched () =
