@@ -436,22 +436,15 @@ let live_metrics session () = Metrics.to_prometheus (final_snapshot session)
 
 (* Bind the live /metrics HTTP listener for [--metrics-listen],
    degrading gracefully when the address is unavailable (port already
-   bound, unresolvable interface): a structured warning and [None], so
-   the run continues without live metrics instead of aborting — losing
-   a scrape endpoint is never worth losing the campaign. *)
+   bound, unresolvable host): a structured warning and [None], so the
+   run continues without live metrics instead of aborting — losing a
+   scrape endpoint is never worth losing the campaign. *)
 let listen_metrics ~src addr body =
-  match Protean_telemetry.Http_listener.create ~addr body with
-  | h ->
-      Protean_telemetry.Log.info ~src "serving /metrics on port %d"
-        (Protean_telemetry.Http_listener.port h);
-      Some h
-  | exception Unix.Unix_error (err, fn, _) ->
-      Protean_telemetry.Log.warn ~src
-        "--metrics-listen %s unavailable (%s in %s); continuing without \
-         live metrics"
-        addr (Unix.error_message err) fn;
-      None
-  | exception Failure reason ->
+  match Shard.listen_socket ~backlog:8 addr with
+  | Ok (sock, port) ->
+      Protean_telemetry.Log.info ~src "serving /metrics on port %d" port;
+      Some (Protean_telemetry.Http_listener.create sock ~port body)
+  | Error reason ->
       Protean_telemetry.Log.warn ~src
         "--metrics-listen %s unavailable (%s); continuing without live \
          metrics"

@@ -407,54 +407,66 @@ let armed_net_fault () =
 (* TCP plumbing                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* "HOST:PORT" -> socket address.  Numeric hosts only resolve through
-   [inet_addr_of_string]; names go through the resolver. *)
-let sockaddr_of_string s =
+(* "HOST:PORT" split and range-checked without resolving HOST: the
+   shape a command line can check before anything runs. *)
+let split_addr s =
   match String.rindex_opt s ':' with
-  | None -> invalid_arg ("address must be HOST:PORT: " ^ s)
-  | Some i ->
-      let host = String.sub s 0 i in
-      let port =
-        match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-        | Some p when p >= 0 && p < 65536 -> p
-        | _ -> invalid_arg ("bad port in address: " ^ s)
-      in
+  | None -> Error "expected HOST:PORT"
+  | Some 0 -> Error "empty host"
+  | Some i -> (
+      let port = String.sub s (i + 1) (String.length s - i - 1) in
+      match int_of_string_opt port with
+      | Some p when p >= 0 && p < 65536 -> Ok (String.sub s 0 i, p)
+      | _ -> Error ("bad port " ^ port))
+
+(* "HOST:PORT" -> socket address.  Numeric hosts only resolve through
+   [inet_addr_of_string]; names go through the resolver.  Raises
+   [Invalid_argument] on a malformed address and [Failure] when HOST
+   does not resolve. *)
+let sockaddr_of_string s =
+  match split_addr s with
+  | Error e -> invalid_arg (Printf.sprintf "%s: %s" e s)
+  | Ok (host, port) ->
+      let unresolved () = failwith ("cannot resolve host " ^ host) in
       let addr =
         match Unix.inet_addr_of_string host with
         | a -> a
         | exception Failure _ -> (
             match Unix.gethostbyname host with
-            | { Unix.h_addr_list = [||]; _ } ->
-                invalid_arg ("cannot resolve host: " ^ host)
+            | { Unix.h_addr_list = [||]; _ } -> unresolved ()
             | h -> h.Unix.h_addr_list.(0)
-            | exception Not_found -> invalid_arg ("cannot resolve host: " ^ host))
+            | exception Not_found -> unresolved ())
       in
       (addr, port)
+
+(* Why an address could not be resolved, bound or dialed, for one log
+   line. *)
+let unix_reason err fn = Printf.sprintf "%s in %s" (Unix.error_message err) fn
 
 let string_of_sockaddr = function
   | Unix.ADDR_INET (a, p) ->
       Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
   | Unix.ADDR_UNIX p -> p
 
-(* Bound + listening TCP socket for a worker pool or /metrics endpoint;
-   returns the socket and the actual port (meaningful when the caller
-   bound port 0). *)
+(* Bound + listening TCP socket for a worker pool or /metrics endpoint,
+   with the actual port (meaningful when the caller bound port 0); or
+   why [addr] could not be resolved or bound. *)
 let listen_socket ?(backlog = 16) addr =
-  let ip, port = sockaddr_of_string addr in
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt sock Unix.SO_REUSEADDR true;
-     Unix.bind sock (Unix.ADDR_INET (ip, port));
-     Unix.listen sock backlog
-   with e ->
-     (try Unix.close sock with Unix.Unix_error _ -> ());
-     raise e);
-  let port =
-    match Unix.getsockname sock with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> port
-  in
-  (sock, port)
+  match sockaddr_of_string addr with
+  | exception Failure reason -> Error reason
+  | ip, port -> (
+      let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      match
+        Unix.setsockopt sock Unix.SO_REUSEADDR true;
+        Unix.bind sock (Unix.ADDR_INET (ip, port));
+        Unix.listen sock backlog;
+        Unix.getsockname sock
+      with
+      | Unix.ADDR_INET (_, p) -> Ok (sock, p)
+      | _ -> Ok (sock, port)
+      | exception Unix.Unix_error (err, fn, _) ->
+          (try Unix.close sock with Unix.Unix_error _ -> ());
+          Error (unix_reason err fn))
 
 let dial addr =
   let ip, port = sockaddr_of_string addr in
@@ -619,14 +631,15 @@ let worker_main ?jobs ~compute () =
    at fixed multiples of [backoff] — and no worker ever waits more than
    the cap, however many attempts it has made.
 
-   Raises [Failure] if the supervisor rejects the handshake (wrong
+   An address that does not resolve counts as one nobody listens on:
+   the worker redials.  Returns [Error] when the redials run out without
+   reaching the supervisor, or when it rejects the handshake (wrong
    token, campaign or protocol version: redialing would be rejected
    again). *)
 let connect_worker ?jobs ?(reconnect = 5) ?(backoff = 0.2)
     ?(backoff_cap = 5.0) ?campaign:(h_campaign = "") ~addr ~token ~compute () =
   ignore_sigpipe ();
-  let session () =
-    let sock = dial addr in
+  let serve_link sock =
     let tr =
       Transport.of_fds ~desc:addr ?fault:(armed_net_fault ()) ~input:sock
         ~output:sock ()
@@ -649,12 +662,17 @@ let connect_worker ?jobs ?(reconnect = 5) ?(backoff = 0.2)
                  | Unix.Unix_error _ | Protocol _ | Json.Parse _ -> `Eof)
         in
         finish r
-    | Some (F_reject reason) ->
-        ignore (finish ());
-        failwith ("supervisor rejected worker: " ^ reason)
+    | Some (F_reject reason) -> finish (`Rejected reason)
     | Some _ | None -> finish `Eof
     | exception (Unix.Unix_error _ | Protocol _ | Json.Parse _) ->
         finish `Eof
+  in
+  let session () =
+    match dial addr with
+    | sock -> serve_link sock
+    | exception Unix.Unix_error (err, fn, _) ->
+        `Unreachable (unix_reason err fn)
+    | exception Failure reason -> `Unreachable reason
   in
   (* Jitter only perturbs wall-clock pacing, never campaign output, so
      the state seeds itself (pid + clock) rather than touching the
@@ -674,10 +692,15 @@ let connect_worker ?jobs ?(reconnect = 5) ?(backoff = 0.2)
   in
   let rec attempt n prev =
     match session () with
-    | `Exit -> ()
-    | `Eof -> if n < reconnect then attempt (n + 1) (pause prev)
-    | exception (Unix.Unix_error _ as e) ->
-        (* Dial failure: the supervisor may not be listening yet. *)
-        if n < reconnect then attempt (n + 1) (pause prev) else raise e
+    | `Exit -> Ok ()
+    | `Rejected reason -> Error ("supervisor rejected worker: " ^ reason)
+    | (`Eof | `Unreachable _) when n < reconnect ->
+        (* The supervisor may not be listening yet, or lost the link. *)
+        attempt (n + 1) (pause prev)
+    | `Eof -> Ok ()
+    | `Unreachable reason ->
+        Error
+          (Printf.sprintf "no supervisor reached in %d attempts: %s" (n + 1)
+             reason)
   in
   attempt 0 backoff

@@ -36,39 +36,9 @@ let rec retry_intr f =
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* [addr] is "HOST:PORT"; port 0 binds an ephemeral port, reported by
-   [port t] (tests and log lines need the real one). *)
-let create ~addr provider =
-  let host, port_s =
-    match String.rindex_opt addr ':' with
-    | Some i ->
-        ( String.sub addr 0 i,
-          String.sub addr (i + 1) (String.length addr - i - 1) )
-    | None -> invalid_arg ("Http_listener.create: HOST:PORT expected: " ^ addr)
-  in
-  let ip =
-    try Unix.inet_addr_of_string host
-    with Failure _ -> invalid_arg ("Http_listener.create: bad host: " ^ host)
-  in
-  let port =
-    match int_of_string_opt port_s with
-    | Some p when p >= 0 && p < 65536 -> p
-    | _ -> invalid_arg ("Http_listener.create: bad port: " ^ port_s)
-  in
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt sock Unix.SO_REUSEADDR true;
-     Unix.bind sock (Unix.ADDR_INET (ip, port));
-     Unix.listen sock 8
-   with e ->
-     close_quiet sock;
-     raise e);
-  let port =
-    match Unix.getsockname sock with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> port
-  in
-  { sock; port; provider; conns = [] }
+(* Serve on [sock], already bound and listening on [port] (the owner
+   binds it, so a port-0 request is reported by [port t]). *)
+let create sock ~port provider = { sock; port; provider; conns = [] }
 
 let port t = t.port
 

@@ -876,7 +876,8 @@ let pool_config () =
 (* Spawn [n] dial-in workers — real [Shard.connect_worker] loops on
    domains — as soon as the pool announces its bound port.  Returns a
    join function yielding each worker's terminal outcome ([None] =
-   clean F_exit, [Some e] = raised). *)
+   clean F_exit, [Some e] = raised, or [Some (Failure reason)] for an
+   [Error]). *)
 let dialers ?(name = "dialers") ?(token = "protean") ?(compute = compute) bus n
     =
   let domains = ref [] in
@@ -890,7 +891,8 @@ let dialers ?(name = "dialers") ?(token = "protean") ?(compute = compute) bus n
                   Shard.connect_worker ~reconnect:8 ~backoff:0.05 ~addr ~token
                     ~compute ()
                 with
-                | () -> None
+                | Ok () -> None
+                | Error reason -> Some (Failure reason)
                 | exception e -> Some e)
             :: !domains
         done
