@@ -1,4 +1,5 @@
-(* Every [Stats] counter of eleven cells, pinned bit-for-bit.
+(* Every [Stats] counter of thirteen cells, pinned bit-for-bit, and the
+   speculation-window ledger of the two that stall transmitters most.
 
    The golden corpora pin only cycles, commits and squashes (plus the
    hardware-trace digest), so a change to where the core bumps a
@@ -21,6 +22,7 @@ module Pipeline = Protean_ooo.Pipeline
 module Stats = Protean_ooo.Stats
 module Hooks = Protean_ooo.Hooks
 module S = Protean_ooo.Pipeline_state
+module Policy = Protean_ooo.Policy
 
 let fields (st : Stats.t) =
   [
@@ -74,6 +76,14 @@ let direct name program defense =
 let cell c =
   (Golden.key c, fun () -> (E.execute (Golden.spec_of c)).E.stats)
 
+(* Cells whose transmitters wait for the speculation frontier: the
+   ledger counts each refused cycle as an intervention. *)
+let stall_cells =
+  [
+    Golden.cell ~config:"p" (Golden.Bench "lbm") "stt";
+    Golden.cell ~model:Policy.Control ~config:"p" (Golden.Bench "mcf") "spt-sb";
+  ]
+
 let cells =
   [
     direct "division" (Helpers.division ()) "unsafe";
@@ -89,6 +99,22 @@ let cells =
     cell (Golden.cell ~config:"p" (Golden.Bench "lbm") "unsafe");
     cell (Golden.cell (Golden.Bench "swaptions.p") "stt");
   ]
+  @ List.map cell stall_cells
+
+(* A stalling cell run with the ledger attached: its key, its stats and
+   the ledger's summary counters. *)
+let ledger_run c =
+  let r =
+    E.execute
+      ~opts:{ E.default_options with E.window = true }
+      (Golden.spec_of c)
+  in
+  (Golden.key c, r.E.stats, r.E.window)
+
+let window_line (name, _, window) =
+  String.concat " "
+    (name :: "window"
+    :: List.map (fun (k, v) -> k ^ "=" ^ string_of_int v) window)
 
 let lines results =
   List.concat_map
@@ -112,7 +138,8 @@ let policy_owned =
 
 let test_pinned () =
   let results = List.map (fun (name, run) -> (name, run ())) cells in
-  let actual = lines results in
+  let ledgers = List.map ledger_run stall_cells in
+  let actual = lines results @ List.map window_line ledgers in
   let expected = Test_golden.read_expected "stats_pinned.expected" in
   if actual <> expected then begin
     print_endline "actual stats_pinned.expected:";
@@ -121,6 +148,14 @@ let test_pinned () =
   Alcotest.(check int) "cell lines" (List.length expected)
     (List.length actual);
   List.iter2 (Alcotest.(check string) "stats line") expected actual;
+  (* The ledger only listens: attached, the same cells count the same. *)
+  List.iter
+    (fun (name, stats, _) ->
+      Alcotest.(check (list string))
+        (name ^ " stats with the ledger attached")
+        (lines [ (name, List.assoc name results) ])
+        (lines [ (name, stats) ]))
+    ledgers;
   let written =
     List.concat_map (fun (_, per_core) -> List.map fields per_core) results
   in
