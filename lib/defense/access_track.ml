@@ -20,7 +20,7 @@ let make () =
     e.Rob_entry.access_at_rename <- Rob_entry.is_load e;
     e.Rob_entry.taint_root <- max inherited self
   in
-  let may_execute_transmitter api e = not (Taint.sensitive_tainted api e) in
+  let transmit_frontier = Taint.sensitive_root in
   let may_resolve api (e : Rob_entry.t) =
     (not (Taint.sensitive_tainted api e))
     && ((not (Taint.resolves_from_memory e)) || not (Taint.own_load_tainted api e))
@@ -29,6 +29,6 @@ let make () =
     Policy.unsafe with
     Policy.name = "access-track";
     on_rename;
-    may_execute_transmitter;
+    transmit_frontier;
     may_resolve;
   }

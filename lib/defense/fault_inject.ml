@@ -95,7 +95,7 @@ let wrap mode (p : Policy.t) : Policy.t =
         on_load_executed = Policy.nop_hook;
       }
   | F_open_execute_gate ->
-      { p with Policy.may_execute_transmitter = Policy.always }
+      { p with Policy.transmit_frontier = Policy.immediately }
   | F_open_forward_gate -> { p with Policy.may_forward = Policy.always }
   | F_open_resolve_gate -> { p with Policy.may_resolve = Policy.always }
 

@@ -34,8 +34,8 @@ let is_access (e : Rob_entry.t) =
 let make ?(selective_wakeup = true) () =
   let n_fwd_blocks = ref 0 in
   let n_selective_passes = ref 0 in
-  let may_execute_transmitter api (e : Rob_entry.t) =
-    (not (protected_sensitive e)) || not (Policy.is_speculative api e)
+  let transmit_frontier _ (e : Rob_entry.t) =
+    if protected_sensitive e then e.Rob_entry.seq else Policy.now
   in
   let may_resolve api (e : Rob_entry.t) =
     if Policy.is_speculative api e then
@@ -60,7 +60,7 @@ let make ?(selective_wakeup = true) () =
     Policy.name =
       (if selective_wakeup then "prot-delay" else "prot-delay-unselective");
     uses_protisa = true;
-    may_execute_transmitter;
+    transmit_frontier;
     may_resolve;
     may_forward;
     metrics =

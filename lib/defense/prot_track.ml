@@ -114,10 +114,9 @@ let make ?(predictor = true) ?(predictor_entries = 1024) () =
       else not (Policy.root_speculative api st.Rob_entry.taint_root)
     else true
   in
-  let may_execute_transmitter api (e : Rob_entry.t) =
-    (not (Policy.is_speculative api e))
-    || ((not (Taint.sensitive_tainted api e))
-       && not (Rob_entry.protected_sensitive_reg e))
+  let transmit_frontier api (e : Rob_entry.t) =
+    if Rob_entry.protected_sensitive_reg e then e.Rob_entry.seq
+    else Int.min e.Rob_entry.seq (Taint.sensitive_root api e)
   in
   let may_resolve api (e : Rob_entry.t) =
     (not (Policy.is_speculative api e))
@@ -153,7 +152,7 @@ let make ?(predictor = true) ?(predictor_entries = 1024) () =
     Policy.name = (if predictor then "prot-track" else "prot-track-nopred");
     uses_protisa = true;
     on_rename;
-    may_execute_transmitter;
+    transmit_frontier;
     may_forward;
     may_resolve;
     on_load_executed;

@@ -159,9 +159,9 @@ let make ?(w32_fix = true) () =
       incr n_public_loads
     end
   in
-  let may_execute_transmitter api (e : Rob_entry.t) =
-    (not (Policy.is_speculative api e))
-    || (sensitive_pub e && not (Taint.sensitive_tainted api e))
+  let transmit_frontier api (e : Rob_entry.t) =
+    if sensitive_pub e then Int.min e.Rob_entry.seq (Taint.sensitive_root api e)
+    else e.Rob_entry.seq
   in
   let may_resolve api (e : Rob_entry.t) =
     (not (Policy.is_speculative api e))
@@ -215,7 +215,7 @@ let make ?(w32_fix = true) () =
     Policy.name = (if w32_fix then "spt" else "spt-no-w32-fix");
     on_rename;
     on_load_executed;
-    may_execute_transmitter;
+    transmit_frontier;
     may_resolve;
     on_commit;
     metrics;

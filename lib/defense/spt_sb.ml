@@ -14,7 +14,6 @@ let make () =
   {
     Policy.unsafe with
     Policy.name = "spt-sb";
-    may_execute_transmitter =
-      (fun api e -> not (Policy.is_speculative api e));
+    transmit_frontier = (fun _ e -> e.Rob_entry.seq);
     may_resolve = (fun api e -> not (Policy.is_speculative api e));
   }

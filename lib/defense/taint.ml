@@ -21,18 +21,26 @@ let src_root (api : Policy.api) (e : Rob_entry.t) i =
     let prod = api.Policy.peek p in
     if Rob_entry.is_null prod then -1 else prod.Rob_entry.taint_root
 
-(* Is any *sensitive* operand of [e] (from source [i] on) tainted?  Used
-   to gate transmitter execution and branch resolution, so it is a
-   top-level recursion: no closure per gate poll. *)
-let rec sensitive_tainted_from (api : Policy.api) (e : Rob_entry.t) i =
-  i < Array.length e.Rob_entry.srcs
-  && ((match snd e.Rob_entry.srcs.(i) with
-      | Insn.Addr | Insn.Cond_in | Insn.Target | Insn.Divide ->
-          Policy.root_speculative api (src_root api e i)
-      | Insn.Data -> false)
-     || sensitive_tainted_from api e (i + 1))
+(* The youngest taint root among [e]'s *sensitive* operands from source
+   [i] on, at least [acc].  Used by the execution and resolution gates,
+   so it is a top-level recursion: no closure per gate poll. *)
+let rec sensitive_root_from (api : Policy.api) (e : Rob_entry.t) i acc =
+  if i >= Array.length e.Rob_entry.srcs then acc
+  else
+    match snd e.Rob_entry.srcs.(i) with
+    | Insn.Addr | Insn.Cond_in | Insn.Target | Insn.Divide ->
+        sensitive_root_from api e (i + 1) (Int.max acc (src_root api e i))
+    | Insn.Data -> sensitive_root_from api e (i + 1) acc
 
-let sensitive_tainted api e = sensitive_tainted_from api e 0
+(* The least frontier at which no sensitive operand of [e] is tainted:
+   its youngest sensitive taint root, [Policy.now] when none is
+   tainted. *)
+let sensitive_root api e =
+  let r = sensitive_root_from api e 0 (-1) in
+  if r < 0 then Policy.now else r
+
+(* Is any sensitive operand of [e] tainted right now? *)
+let sensitive_tainted api e = sensitive_root api e > Policy.frontier api
 
 (* The taint of an indirect branch's loaded target ([ret] pops its target
    from the stack): the entry's own access status. *)

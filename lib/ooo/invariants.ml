@@ -8,8 +8,9 @@
 
    [check] audits a pipeline snapshot and returns the violations it
    finds; [check_sched] cross-checks the O(active) scheduler's redundant
-   indexes (ready-bit vector, branch list, in-flight deque, store/load
-   queues, wakeup chains, dormancy) against a brute-force ROB scan.
+   indexes (ready-bit vector, parked sets, branch list, in-flight deque,
+   store/load queues, wakeup chains, dormancy) against a brute-force ROB
+   scan.
    [checker] packages both as a per-cycle hook (usable directly as
    [Pipeline.run]'s [on_cycle]) with off/warn/fail modes, sampled every
    [every] cycles; [attach] subscribes the same checker to the
@@ -43,23 +44,84 @@ let check_sched (t : S.t) : violation list =
   let live (e : Rob_entry.t) =
     (not (Rob_entry.is_null e)) && S.peek t e.Rob_entry.seq == e
   in
-  (* Ready-bit vector, soundness: a set bit names a live, unissued
-     entry, and no bit is set outside the live window (the padding bits
-     past the ring size included).  Completeness — every unissued entry
-     whose bit is clear really is dormant — is the dormancy check
+  (* The slot vectors, soundness: the three are disjoint and set only
+     inside the live window (the padding bits past the ring size
+     included); a [ready] bit names an unissued entry; a [held] bit an
+     unissued, execution-gated entry with every source ready, whose
+     stored threshold is what the gate says now — at most its own seq
+     unless [never] — and lies above the frontier; an [mdp_wait] bit an
+     unissued load the MDP flagged, with an older store of unknown
+     address, that the gate lets through.  Completeness — every unissued
+     entry in none of them really is dormant — is the dormancy check
      below. *)
   let n = S.rob_size t in
+  let ap = S.api t in
+  let frontier = S.frontier t in
+  let gate (e : Rob_entry.t) = t.S.policy.Policy.transmit_frontier ap e in
+  let all_ready (e : Rob_entry.t) =
+    Array.for_all (fun r -> r) e.Rob_entry.src_ready
+  in
+  let held_bits = ref 0 and held_min = ref Policy.never in
+  let mdp_bits = ref 0 in
   for slot = 0 to (Array.length t.S.ready * 32) - 1 do
-    if S.ready_mem t slot then begin
-      let off = slot - t.S.head_idx in
-      let off = if off < 0 then off + n else off in
-      if slot >= n || off >= t.S.count then
-        fail "sched-ready" "bit set for slot %d outside the live window" slot
-      else if t.S.rob.(slot).Rob_entry.issued then
-        fail "sched-ready" "issued entry seq %d has its bit set"
-          t.S.rob.(slot).Rob_entry.seq
+    let r = S.ready_mem t slot
+    and h = S.held_mem t slot
+    and m = S.mdp_mem t slot in
+    if h then incr held_bits;
+    if m then incr mdp_bits;
+    if (r && h) || (r && m) || (h && m) then
+      fail "sched-parked" "slot %d is in more than one of ready/held/mdp_wait"
+        slot;
+    let off = slot - t.S.head_idx in
+    let off = if off < 0 then off + n else off in
+    if (r || h || m) && (slot >= n || off >= t.S.count) then
+      fail
+        (if r then "sched-ready" else "sched-parked")
+        "bit set for slot %d outside the live window" slot
+    else if r || h || m then begin
+      let e = t.S.rob.(slot) in
+      let seq = e.Rob_entry.seq in
+      if e.Rob_entry.issued then
+        fail
+          (if r then "sched-ready" else "sched-parked")
+          "issued entry seq %d has its bit set" seq;
+      if h then begin
+        let thr = t.S.held_thr.(slot) in
+        if thr < !held_min then held_min := thr;
+        if not (Rob_entry.execution_gated e) then
+          fail "sched-held" "seq %d is held but not execution-gated" seq
+        else if not (all_ready e) then
+          fail "sched-held" "seq %d is held with a source not ready" seq
+        else begin
+          let fresh = gate e in
+          if fresh <> thr then
+            fail "sched-held" "seq %d holds threshold %d, its gate says %d" seq
+              thr fresh;
+          if thr <= frontier then
+            fail "sched-held" "seq %d waits for frontier %d, which is at %d"
+              seq thr frontier;
+          if thr > seq && thr <> Policy.never then
+            fail "sched-held" "seq %d waits for frontier %d, past its own seq"
+              seq thr
+        end
+      end;
+      if m then
+        if not (Rob_entry.is_load e && all_ready e) then
+          fail "sched-mdp" "seq %d waits on the MDP but is not a ready load" seq
+        else if
+          not
+            (Stage_memory.mdp_flagged t e.Rob_entry.pc
+            && Stage_memory.older_store_addr_unknown t e)
+        then fail "sched-mdp" "seq %d waits on the MDP for no store" seq
+        else if gate e > frontier then
+          fail "sched-mdp" "seq %d waits on the MDP past a closed gate" seq
     end
   done;
+  if !held_bits <> t.S.held_count || !held_min <> t.S.held_min then
+    fail "sched-held" "%d bits with least threshold %d; counted %d, least %d"
+      !held_bits !held_min t.S.held_count t.S.held_min;
+  if !mdp_bits <> t.S.mdp_count then
+    fail "sched-mdp" "%d bits, counted %d" !mdp_bits t.S.mdp_count;
   (* Unresolved-branch list: exactly the live unresolved branches. *)
   let bq_count = ref 0 in
   let prev_seq = ref min_int in
@@ -123,7 +185,7 @@ let check_sched (t : S.t) : violation list =
      chain's owner.  Completeness: the total node count must equal the
      ring count of (entry, slot) pairs that are non-ready with a live,
      un-executed producer — so no waiting slot is missing from a chain.
-     Dormancy: an unissued entry whose ready bit is clear is dormant, and
+     Dormancy: an unissued entry in none of the slot vectors is dormant, and
      must have at least one non-ready source and *no* non-ready source
      whose producer is committed or executed (such an entry must stay
      visible to the issue scan: its forward could be policy-gated, which
@@ -162,6 +224,7 @@ let check_sched (t : S.t) : violation list =
   let waiting_slots = ref 0 in
   S.iter_rob t (fun e ->
       let n = Array.length e.Rob_entry.src_ready in
+      let slot = S.idx_of_seq t e.Rob_entry.seq in
       let pending = ref false in
       let blocked_or_done = ref false in
       for i = 0 to n - 1 do
@@ -177,7 +240,7 @@ let check_sched (t : S.t) : violation list =
       done;
       if
         (not e.Rob_entry.issued)
-        && not (S.ready_mem t (S.idx_of_seq t e.Rob_entry.seq))
+        && not (S.ready_mem t slot || S.held_mem t slot || S.mdp_mem t slot)
       then begin
         if not !pending then
           fail "sched-dormant" "dormant seq %d has no pending producer"

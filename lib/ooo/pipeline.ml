@@ -78,7 +78,7 @@ let create = Pipeline_state.create
    event stream as the spinning machine.
 
    Policy gates are safe to invoke on a quiet cycle: no gate reads the
-   clock, [may_execute_transmitter] and [may_resolve] are pure in every
+   clock, [transmit_frontier] and [may_resolve] are pure in every
    defense, and [may_forward] — the one gate that bumps policy-local
    counters (AccessDelay/ProtDelay block metrics) — has a single call
    site whose allow *and* deny branches both mark progress, so its

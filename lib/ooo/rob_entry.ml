@@ -3,7 +3,8 @@
    defense policies' taint bookkeeping, and the intrusive links of the
    O(active) issue scheduler (unresolved-branch list, producer→consumer
    wakeup chain).  Whether the issue scan visits the entry is not a
-   field: it is the entry's slot bit in [Pipeline_state.ready]. *)
+   field: it is the entry's slot bit in [Pipeline_state.ready] (or, for
+   a parked entry, in [held] or [mdp_wait]). *)
 
 open Protean_isa
 
@@ -273,6 +274,16 @@ let reset e ~seq ~t_fetch =
 let is_load e = e.mem_kind = M_load
 let is_store e = e.mem_kind = M_store
 let is_transmitter e = Insn.is_transmitter e.insn.Insn.op
+
+(* Transmitters whose execution (as opposed to resolution) the policy can
+   delay ([Policy.transmit_frontier]): memory accesses and divisions.
+   Branch resolution is gated separately. *)
+let execution_gated e =
+  match e.insn.Insn.op with
+  | Insn.Load _ | Insn.Store _ | Insn.Push _ | Insn.Pop _ | Insn.Ret
+  | Insn.Call _ | Insn.Div _ | Insn.Rem _ ->
+      true
+  | _ -> false
 
 (* Port-capability class for the structural execution-port model.
    Memory kind wins (RET/POP occupy the load AGU path, CALL/PUSH the

@@ -8,7 +8,8 @@
    [Stats] and records it in the hardware trace.
 
    The flush also rebuilds every scheduler index exactly:
-   - ready-bit vector: every flushed slot's bit is cleared,
+   - slot bit vectors: every flushed slot leaves [ready], [held] and
+     [mdp_wait], and the least held threshold is recomputed,
    - branch list: truncated from the tail (seq-ascending),
    - in-flight deque and live store/load queues: filtered/truncated,
    - wakeup chains: flushed consumers are removed from surviving
@@ -28,6 +29,7 @@ module S = Pipeline_state
    write) their link fields. *)
 let flush (t : S.t) ~from_seq ~new_pc =
   let flushed = ref 0 in
+  let held = t.S.held_count in
   let keep = from_seq - t.S.head_seq in
   let keep = if keep < 0 then 0 else keep in
   for i = keep to t.S.count - 1 do
@@ -61,9 +63,11 @@ let flush (t : S.t) ~from_seq ~new_pc =
       | _ -> ());
       e.Rob_entry.waiters <- Rob_entry.null
     end;
-    S.ready_clear t idx;
+    S.sched_drop t idx;
     t.S.rob.(idx) <- Rob_entry.null
   done;
+  (* Nothing is held at [now]: this only recomputes [held_min]. *)
+  if t.S.held_count <> held then S.release_held t Policy.now;
   t.S.count <- min t.S.count keep;
   (* Squashed sequence numbers are reused so the ROB ring stays
      contiguous.  Every surviving reference (source producers, taint

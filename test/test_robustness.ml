@@ -75,7 +75,7 @@ let test_mode_of_string () =
    Commit_stall fault carrying the pipeline state. *)
 let test_watchdog_commit_stall () =
   let stuck =
-    { Policy.unsafe with Policy.may_execute_transmitter = (fun _ _ -> false) }
+    { Policy.unsafe with Policy.transmit_frontier = (fun _ _ -> Policy.never) }
   in
   let c = Asm.create () in
   Asm.func c ~klass:Program.Arch "main";
