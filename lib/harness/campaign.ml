@@ -19,6 +19,8 @@
 open Cmdliner
 module Json = Shard.Json
 module Fault_inject = Protean_defense.Fault_inject
+module Defense = Protean_defense.Defense
+module Suite = Protean_workloads.Suite
 module Fuzz = Protean_amulet.Fuzz
 module Trace = Protean_telemetry.Trace
 module Tlog = Protean_telemetry.Log
@@ -38,6 +40,29 @@ type t = {
   checkpoint : string option;
   inject : string option; (* worker fault armed in spawned workers *)
 }
+
+(* A name-valued flag, checked when the command line is parsed.  [find]
+   is the lookup the run makes, raising [Invalid_argument] on a name it
+   does not know, so a typo is a usage error naming its flag (exit 124)
+   rather than an uncaught exception once the run has started. *)
+let name ~what find =
+  let parse s =
+    match find s with
+    | _ -> Ok s
+    | exception Invalid_argument _ ->
+        Error (`Msg (Printf.sprintf "unknown %s %S" what s))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
+let bench = name ~what:"benchmark" Suite.find
+let defense = name ~what:"defense" Defense.find
+let core = name ~what:"core" Experiment.core_of_name
+
+let contract =
+  name ~what:"contract" (fun c -> Fuzz.campaign_for ~programs:0 ~inputs:0 c)
+
+let worker_fault =
+  name ~what:"worker fault" Fault_inject.worker_mode_of_string
 
 let term ~check_certs_doc =
   let path name doc =
@@ -155,7 +180,7 @@ let term ~check_certs_doc =
                campaign is ignored and overwritten.")
     $ Arg.(
         value
-        & opt (some string) None
+        & opt (some worker_fault) None
         & info [ "inject-worker-fault" ] ~docv:"MODE"
             ~doc:
               "Self-test the shard supervisor by arming a worker-level \
