@@ -26,10 +26,11 @@ open Protean_ooo
 let protected_sensitive = Rob_entry.protected_sensitive_reg
 
 (* Is [e] an access instruction: protected register input, or a load that
-   read protected memory (known after execute via the LSQ bit)? *)
+   read protected memory (known after execute via the LSQ bit, which is
+   clear until then)? *)
 let is_access (e : Rob_entry.t) =
   Rob_entry.protected_reg_input e
-  || (Rob_entry.is_load e && e.Rob_entry.addr_ready && e.Rob_entry.mem_prot)
+  || (Rob_entry.is_load e && e.Rob_entry.mem_prot)
 
 let make ?(selective_wakeup = true) () =
   let n_fwd_blocks = ref 0 in

@@ -124,7 +124,7 @@ let make ?(predictor = true) ?(predictor_entries = 1024) () =
        && (not (Rob_entry.protected_sensitive_reg e))
        && ((not (Taint.resolves_from_memory e))
           || ((not (Taint.own_load_tainted api e))
-             && not (e.Rob_entry.addr_ready && e.Rob_entry.mem_prot))))
+             && not e.Rob_entry.mem_prot)))
   in
   let on_commit api (e : Rob_entry.t) =
     if Rob_entry.is_load e && predictor then begin

@@ -102,10 +102,8 @@ let out_pub st (e : Rob_entry.t) =
 (* Sensitive operands from source [i] on all hold transmitted data? *)
 let rec sensitive_pub_from (e : Rob_entry.t) i =
   i >= Array.length e.Rob_entry.srcs
-  || ((match snd e.Rob_entry.srcs.(i) with
-      | Insn.Addr | Insn.Cond_in | Insn.Target | Insn.Divide ->
-          e.Rob_entry.pol_src_pub.(i)
-      | Insn.Data -> true)
+  || (((not (Insn.is_sensitive (snd e.Rob_entry.srcs.(i))))
+       || e.Rob_entry.pol_src_pub.(i))
      && sensitive_pub_from e (i + 1))
 
 let sensitive_pub e = sensitive_pub_from e 0

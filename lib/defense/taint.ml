@@ -26,11 +26,9 @@ let src_root (api : Policy.api) (e : Rob_entry.t) i =
    so it is a top-level recursion: no closure per gate poll. *)
 let rec sensitive_root_from (api : Policy.api) (e : Rob_entry.t) i acc =
   if i >= Array.length e.Rob_entry.srcs then acc
-  else
-    match snd e.Rob_entry.srcs.(i) with
-    | Insn.Addr | Insn.Cond_in | Insn.Target | Insn.Divide ->
-        sensitive_root_from api e (i + 1) (Int.max acc (src_root api e i))
-    | Insn.Data -> sensitive_root_from api e (i + 1) acc
+  else if Insn.is_sensitive (snd e.Rob_entry.srcs.(i)) then
+    sensitive_root_from api e (i + 1) (Int.max acc (src_root api e i))
+  else sensitive_root_from api e (i + 1) acc
 
 (* The least frontier at which no sensitive operand of [e] is tainted:
    its youngest sensitive taint root, [Policy.now] when none is

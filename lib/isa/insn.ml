@@ -165,15 +165,15 @@ let is_transmitter op =
   | Jmp _ | Nop | Halt ->
       false
 
+(* The roles a transmitter transmits (Section II-B1). *)
+let is_sensitive = function
+  | Addr | Cond_in | Target | Divide -> true
+  | Data -> false
+
 (* The sensitive register operands of a transmitter: the subset of its
    reads whose role is sensitive. *)
 let sensitive_reads op =
-  List.filter
-    (fun (_, role) ->
-      match role with
-      | Addr | Cond_in | Target | Divide -> true
-      | Data -> false)
-    (reads op)
+  List.filter (fun (_, role) -> is_sensitive role) (reads op)
 
 let is_load op =
   match op with Load _ | Pop _ | Ret -> true | _ -> false

@@ -80,6 +80,10 @@ val is_transmitter : op -> bool
 (** Loads/stores (address), conditional/indirect branches (condition or
     target), stack operations (address) and divisions (both inputs). *)
 
+val is_sensitive : role -> bool
+(** [Addr], [Cond_in], [Target] and [Divide]: the roles a transmitter
+    transmits. *)
+
 val sensitive_reads : op -> (Reg.t * role) list
 (** The subset of {!reads} whose role is sensitive. *)
 

@@ -1,22 +1,21 @@
 (* Microarchitectural invariant checker for the out-of-order core.
 
    The pipeline's internal consistency rests on a handful of structural
-   invariants (ROB ring layout, LSQ occupancy accounting, rename-map
-   producer validity, ProtISA protection-bit conservation, fetch-buffer
-   sanity).  Violating any of them silently corrupts a simulation — and a
-   corrupted simulation can report a defense as secure when it is not.
+   invariants (ROB ring layout, rename-map producer validity, ProtISA
+   protection-bit conservation, fetch-buffer sanity).  Violating any of
+   them silently corrupts a simulation — and a corrupted simulation can
+   report a defense as secure when it is not.
 
    [check] audits a pipeline snapshot and returns the violations it
    finds; [check_sched] cross-checks the O(active) scheduler's redundant
    indexes (ready-bit vector, parked sets, branch list, in-flight deque,
-   store/load queues, wakeup chains, dormancy) against a brute-force ROB
-   scan.
-   [checker] packages both as a per-cycle hook (usable directly as
-   [Pipeline.run]'s [on_cycle]) with off/warn/fail modes, sampled every
-   [every] cycles; [attach] subscribes the same checker to the
-   pipeline's hook bus on [On_cycle_end], which is how
-   [Experiment.execute] wires it per core; [attach_sched] subscribes
-   [check_sched] alone, for --paranoid-sched. *)
+   store/load queues and their capacities, wakeup chains, dormancy)
+   against a brute-force ROB scan.
+   [attach] subscribes both to the pipeline's hook bus on
+   [On_cycle_end] with off/warn/fail modes, sampled every [every]
+   cycles, which is how [Experiment.execute] wires it per core (a
+   [Pipeline.run] caller passes it as [on_start]); [attach_sched]
+   subscribes [check_sched] alone, for --paranoid-sched. *)
 
 open Protean_isa
 module S = Pipeline_state
@@ -55,7 +54,7 @@ let check_sched (t : S.t) : violation list =
      entry in none of them really is dormant — is the dormancy check
      below. *)
   let n = S.rob_size t in
-  let ap = S.api t in
+  let ap = t.S.api in
   let frontier = S.frontier t in
   let gate (e : Rob_entry.t) = t.S.policy.Policy.transmit_frontier ap e in
   let all_ready (e : Rob_entry.t) =
@@ -163,23 +162,26 @@ let check_sched (t : S.t) : violation list =
       !inflight_count !ring_inflight;
   (* Store/load queues: exactly the live stores/loads, seq-ascending
      (ascent is implied by membership + count + push order, but check it
-     directly — it is what [lower_bound] relies on). *)
-  let check_lsq name q is_kind used =
-    let n = ref 0 in
+     directly — it is what [lower_bound] relies on), and within the
+     queue's capacity, which rename's stall reads off the deque. *)
+  let check_lsq name q is_kind size =
+    let n = Entryq.length q in
     let prev_seq = ref min_int in
     Entryq.iter
       (fun e ->
-        incr n;
         if not (live e) then fail name "dead entry seq %d queued" e.Rob_entry.seq;
         if not (is_kind e) then fail name "seq %d has the wrong kind" e.Rob_entry.seq;
         if e.Rob_entry.seq <= !prev_seq then
           fail name "not seq-ascending at seq %d" e.Rob_entry.seq;
         prev_seq := e.Rob_entry.seq)
       q;
-    if !n <> used then fail name "queue has %d entries, counter says %d" !n used
+    let ring = ref 0 in
+    S.iter_rob t (fun e -> if is_kind e then incr ring);
+    if n <> !ring then fail name "queue has %d entries, ring has %d" n !ring;
+    if n > size then fail name "queue has %d entries, capacity %d" n size
   in
-  check_lsq "sched-sq" t.S.lsq_stores Rob_entry.is_store t.S.sq_used;
-  check_lsq "sched-lq" t.S.lsq_loads Rob_entry.is_load t.S.lq_used;
+  check_lsq "sched-sq" t.S.lsq_stores Rob_entry.is_store t.S.cfg.Config.sq_size;
+  check_lsq "sched-lq" t.S.lsq_loads Rob_entry.is_load t.S.cfg.Config.lq_size;
   (* Wakeup chains.  Soundness: every chain node (consumer, slot) must
      name a live consumer whose slot is non-ready and produced by the
      chain's owner.  Completeness: the total node count must equal the
@@ -370,24 +372,6 @@ let check (t : S.t) : violation list =
           e.Rob_entry.seq
     done
   end;
-  if t.S.next_seq <> head_seq + count then
-    fail "rob-seq" "next_seq %d <> head_seq %d + count %d" t.S.next_seq
-      head_seq count;
-  (* --- LSQ occupancy ------------------------------------------------ *)
-  let loads = ref 0 and stores = ref 0 in
-  S.iter_rob t (fun e ->
-      if Rob_entry.is_load e then incr loads;
-      if Rob_entry.is_store e then incr stores);
-  if t.S.lq_used <> !loads then
-    fail "lsq-count" "lq_used %d but %d loads in the ROB" t.S.lq_used !loads;
-  if t.S.sq_used <> !stores then
-    fail "lsq-count" "sq_used %d but %d stores in the ROB" t.S.sq_used !stores;
-  if t.S.lq_used > t.S.cfg.Config.lq_size then
-    fail "lsq-bound" "lq_used %d exceeds lq_size %d" t.S.lq_used
-      t.S.cfg.Config.lq_size;
-  if t.S.sq_used > t.S.cfg.Config.sq_size then
-    fail "lsq-bound" "sq_used %d exceeds sq_size %d" t.S.sq_used
-      t.S.cfg.Config.sq_size;
   (* --- Rename-map producer validity -------------------------------- *)
   Array.iteri
     (fun ri p ->
@@ -414,23 +398,16 @@ let check (t : S.t) : violation list =
     t.S.rmap_producer;
   (* --- Protection-bit conservation ---------------------------------- *)
   (* A register with no in-flight writer (released at commit or rebuilt
-     by a squash) must agree with the committed architectural state, for
-     both its value and its ProtISA protection bit — squash replay or
-     commit release dropping a protection bit is a security bug, not
-     just a correctness one. *)
+     by a squash) must carry the committed ProtISA protection bit —
+     squash replay or commit release dropping a protection bit is a
+     security bug, not just a correctness one. *)
   Array.iteri
     (fun ri p ->
-      if p < 0 then begin
-        let r = Reg.of_int ri in
-        if t.S.rmap_prot.(ri) <> t.S.reg_prot.(ri) then
-          fail "prot-conservation"
-            "%s has no in-flight writer but rmap_prot=%b <> reg_prot=%b"
-            (Reg.name r) t.S.rmap_prot.(ri) t.S.reg_prot.(ri);
-        if not (Int64.equal t.S.rmap_value.(ri) t.S.regs.(ri)) then
-          fail "rmap-value"
-            "%s has no in-flight writer but rmap_value=%Ld <> regs=%Ld"
-            (Reg.name r) t.S.rmap_value.(ri) t.S.regs.(ri)
-      end)
+      if p < 0 && t.S.rmap_prot.(ri) <> t.S.reg_prot.(ri) then
+        fail "prot-conservation"
+          "%s has no in-flight writer but rmap_prot=%b <> reg_prot=%b"
+          (Reg.name (Reg.of_int ri))
+          t.S.rmap_prot.(ri) t.S.reg_prot.(ri))
     t.S.rmap_producer;
   (* --- Fetch-buffer sanity ------------------------------------------ *)
   let buf_len = S.fb_length t in
@@ -455,14 +432,15 @@ let check (t : S.t) : violation list =
 let violations_to_string vs =
   String.concat "; " (List.map (fun v -> v.inv ^ ": " ^ v.detail) vs)
 
-(* A per-cycle hook sampling the checks every [every] cycles.  [Warn]
-   reports each distinct invariant once per checker instance on stderr;
-   [Fail] raises [Pipeline_state.Sim_fault] with the full violation list
-   in the dump. *)
-let checker ?(every = 1) (mode : mode) : S.t -> unit =
+(* Subscribe the checks to the pipeline's hook bus at [On_cycle_end],
+   sampled every [every] cycles.  [Warn] reports each distinct invariant
+   once per subscription on stderr; [Fail] raises
+   [Pipeline_state.Sim_fault] with the full violation list in the
+   dump. *)
+let attach ?(every = 1) (mode : mode) (t : S.t) =
   let every = max 1 every in
   let warned = Hashtbl.create 8 in
-  fun t ->
+  let on_cycle_end t =
     match mode with
     | Off -> ()
     | Warn | Fail -> (
@@ -486,14 +464,9 @@ let checker ?(every = 1) (mode : mode) : S.t -> unit =
                     (S.Sim_fault
                        (S.fault t
                           (S.Invariant_violation (violations_to_string vs))))))
-
-(* Subscribe a [checker] to the pipeline's hook bus, firing at
-   [On_cycle_end].  One checker instance per pipeline: the warn-once
-   table is per subscription. *)
-let attach ?every mode (t : S.t) =
-  let f = checker ?every mode in
+  in
   Hooks.subscribe t.S.hooks ~name:"invariants" ~kinds:[ Hooks.k_cycle_end ]
-    (fun st ev -> match ev with Hooks.On_cycle_end -> f st | _ -> ())
+    (fun st ev -> match ev with Hooks.On_cycle_end -> on_cycle_end st | _ -> ())
 
 (* The paranoid scheduler cross-check: [check_sched] at every
    [On_cycle_end], a simulation fault on the first mismatch.  It also

@@ -225,7 +225,7 @@ let finish (t : t) =
    cycle — the registration point for observers (profilers) that must
    see the whole run. *)
 let run ?trace ?squash_bug ?spec_model ?shared_l3 ?decode
-    ?(fuel = 5_000_000) ?(watchdog = default_watchdog) ?on_start ?on_cycle
+    ?(fuel = 5_000_000) ?(watchdog = default_watchdog) ?on_start
     (cfg : Config.t) (policy : Policy.t) (program : Protean_isa.Program.t)
     ~overlays =
   let t =
@@ -235,7 +235,6 @@ let run ?trace ?squash_bug ?spec_model ?shared_l3 ?decode
   (match on_start with Some f -> f t | None -> ());
   let open Pipeline_state in
   while (not t.done_) && t.cycle < fuel do
-    step ~watchdog ~until:fuel t;
-    match on_cycle with Some f -> f t | None -> ()
+    step ~watchdog ~until:fuel t
   done;
   finish t

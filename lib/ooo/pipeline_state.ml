@@ -52,19 +52,16 @@ type t = {
   mem : Memory.t; (* committed memory *)
   regs : int64 array; (* committed registers *)
   reg_prot : bool array; (* committed ProtISA register protections *)
-  (* Rename map. *)
+  (* Rename map.  A register with no in-flight producer reads [regs]. *)
   rmap_producer : int array; (* per arch register: seq, or -1 *)
-  rmap_value : int64 array;
   rmap_prot : bool array;
   (* Reorder buffer: a ring indexed by sequence number; [Rob_entry.null]
-     marks an empty slot. *)
+     marks an empty slot.  The next entry renamed gets seq
+     [head_seq + count]. *)
   rob : Rob_entry.t array;
   mutable head_idx : int;
   mutable head_seq : int;
   mutable count : int;
-  mutable next_seq : int;
-  mutable lq_used : int;
-  mutable sq_used : int;
   (* O(active) scheduler indexes (redundant views over the ring). *)
   ready : int array; (* a bit per ROB slot, 32 per word; see [ready_set] *)
   (* Parked entries (see [hold] and [mdp_park]): unissued, every source
@@ -80,8 +77,8 @@ type t = {
   mutable bq_head : Rob_entry.t; (* unresolved branches, seq-ascending DLL *)
   mutable bq_tail : Rob_entry.t;
   inflight : Entryq.t; (* issued && not executed, issue order *)
-  lsq_stores : Entryq.t; (* live stores, seq-ascending *)
-  lsq_loads : Entryq.t; (* live loads, seq-ascending *)
+  lsq_stores : Entryq.t; (* live stores, seq-ascending; at most [sq_size] *)
+  lsq_loads : Entryq.t; (* live loads, seq-ascending; at most [lq_size] *)
   (* Structural execution ports ([Config.ports]; both arrays are empty
      when the model is off).  [port_busy_until] is the first cycle an
      unpipelined computation's port accepts new work again;
@@ -131,7 +128,7 @@ type t = {
   trace : Hw_trace.t;
   stats : Stats.t;
   hooks : t Hooks.t;
-  mutable api_memo : Policy.api option; (* built on first use, then reused *)
+  api : Policy.api; (* the policies' view of this pipeline *)
   mutable cycle : int;
   mutable done_ : bool;
   mutable last_commit_cycle : int;
@@ -168,95 +165,6 @@ let decode_program (program : Program.t) =
   done;
   (tmpl_srcs, tmpl_dsts)
 
-let create ?(trace = false) ?(squash_bug = false)
-    ?(spec_model = Policy.Atcommit) ?shared_l3 ?decode (cfg : Config.t)
-    (policy : Policy.t) (program : Program.t) ~overlays =
-  let arch = Exec.init program in
-  Exec.overlay arch overlays;
-  let { Exec.mem; regs; _ } = arch in
-  let l3 =
-    match shared_l3 with
-    | Some c -> Some c
-    | None -> Option.map (Cache.create ~prot:false) cfg.Config.l3
-  in
-  let plen = Program.length program in
-  let tmpl_srcs, tmpl_dsts =
-    match decode with
-    | Some ((s, _) as d) when Array.length s = plen -> d
-    | Some _ -> invalid_arg "Pipeline_state.create: decode/program mismatch"
-    | None -> decode_program program
-  in
-  {
-    cfg;
-    policy;
-    spec_model;
-    squash_bug;
-    program;
-    mem;
-    regs;
-    reg_prot = Array.make Reg.count false;
-    rmap_producer = Array.make Reg.count (-1);
-    rmap_value = Array.copy regs;
-    rmap_prot = Array.make Reg.count false;
-    rob = Array.make cfg.Config.rob_size Rob_entry.null;
-    head_idx = 0;
-    head_seq = 0;
-    count = 0;
-    next_seq = 0;
-    lq_used = 0;
-    sq_used = 0;
-    ready = Array.make ((cfg.Config.rob_size + 31) lsr 5) 0;
-    held = Array.make ((cfg.Config.rob_size + 31) lsr 5) 0;
-    held_thr = Array.make cfg.Config.rob_size 0;
-    held_count = 0;
-    held_min = Policy.never;
-    mdp_wait = Array.make ((cfg.Config.rob_size + 31) lsr 5) 0;
-    mdp_count = 0;
-    bq_head = Rob_entry.null;
-    bq_tail = Rob_entry.null;
-    inflight = Entryq.create ~capacity:64 ();
-    lsq_stores = Entryq.create ~capacity:64 ();
-    lsq_loads = Entryq.create ~capacity:64 ();
-    port_busy_until =
-      (match cfg.Config.ports with
-      | None -> [||]
-      | Some pc -> Array.make (Array.length pc.Config.port_caps) 0);
-    port_used =
-      (match cfg.Config.ports with
-      | None -> [||]
-      | Some pc -> Array.make (Array.length pc.Config.port_caps) false);
-    tmpl_srcs;
-    tmpl_dsts;
-    entry_pool = Array.make plen Rob_entry.null;
-    squash_scratch = Array.make cfg.Config.rob_size Rob_entry.null;
-    fetch_pc = program.Program.main;
-    fetch_stalled = false;
-    fetch_ring =
-      Array.init fetch_buf_capacity (fun _ ->
-          { f_pc = -1; f_pred_target = -1; f_ready = -1; f_fetched = -1 });
-    fetch_front = 0;
-    fetch_len = 0;
-    bp = Branch_pred.create cfg.Config.bp;
-    mdp = Bytes.make 1024 '\000';
-    l1d = Cache.create cfg.Config.l1d;
-    l2 = Cache.create ~prot:false cfg.Config.l2;
-    l3;
-    tlb = Tlb.create cfg.Config.tlb_entries;
-    shadow_prot =
-      (match cfg.Config.prot_mem with
-      | Config.Prot_mem_perfect -> Some (Protset.create ())
-      | Config.Prot_mem_l1d | Config.Prot_mem_none -> None);
-    trace = Hw_trace.create ~enabled:trace;
-    stats = Stats.create ();
-    hooks = Hooks.create ();
-    api_memo = None;
-    cycle = 0;
-    done_ = false;
-    last_commit_cycle = 0;
-    progress = false;
-    skip_enabled = true;
-  }
-
 let emit t ev = Hooks.emit t.hooks t ev
 let wants t kind = Hooks.wanted t.hooks kind
 
@@ -289,6 +197,18 @@ let iter_rob t f =
     f t.rob.(!idx);
     incr idx;
     if !idx >= n then idx := 0
+  done
+
+(* Rename-map update for [e]: it becomes the producer of each of its
+   destinations, which take its ProtISA output tag [out_prot].  Rename
+   applies it to a new entry and [Squash.flush] replays it over the
+   survivors, so both write the same tags. *)
+let rmap_define t (e : Rob_entry.t) =
+  let dsts = e.Rob_entry.dsts in
+  for i = 0 to Array.length dsts - 1 do
+    let ri = Reg.to_int dsts.(i) in
+    t.rmap_producer.(ri) <- e.Rob_entry.seq;
+    t.rmap_prot.(ri) <- e.Rob_entry.out_prot
   done
 
 (* Entry recycling (see [entry_pool]).  [pool_put] is called from commit
@@ -533,6 +453,9 @@ let frontier t =
       if Rob_entry.is_null t.bq_head then Policy.never - 1
       else t.bq_head.Rob_entry.seq
 
+(* Do the L1D's protection bits (or the perfect ProtSet's) cover the
+   [size] bytes at [addr]?  A load reads them before its hierarchy walk
+   fills the line. *)
 let l1d_protected t addr size =
   match t.cfg.Config.prot_mem with
   | Config.Prot_mem_none -> true
@@ -540,24 +463,106 @@ let l1d_protected t addr size =
   | Config.Prot_mem_perfect ->
       Protset.mem_protected (Option.get t.shadow_prot) addr size
 
-(* One api record per pipeline, built on first use: the closures are
-   loop-invariant, so handing policies a fresh record per query (the old
-   behavior) only fed the minor heap. *)
-let api t : Policy.api =
-  match t.api_memo with
-  | Some a -> a
-  | None ->
-      let a =
+(* ------------------------------------------------------------------ *)
+(* Creation                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The api record's closures are built once, here: they are
+   loop-invariant, and the stages hand the same record to every policy
+   call. *)
+let create ?(trace = false) ?(squash_bug = false)
+    ?(spec_model = Policy.Atcommit) ?shared_l3 ?decode (cfg : Config.t)
+    (policy : Policy.t) (program : Program.t) ~overlays =
+  let arch = Exec.init program in
+  Exec.overlay arch overlays;
+  let { Exec.mem; regs; _ } = arch in
+  let l3 =
+    match shared_l3 with
+    | Some c -> Some c
+    | None -> Option.map (Cache.create ~prot:false) cfg.Config.l3
+  in
+  let plen = Program.length program in
+  let tmpl_srcs, tmpl_dsts =
+    match decode with
+    | Some ((s, _) as d) when Array.length s = plen -> d
+    | Some _ -> invalid_arg "Pipeline_state.create: decode/program mismatch"
+    | None -> decode_program program
+  in
+  let stats = Stats.create () in
+  let rec t =
+    {
+      cfg;
+      policy;
+      spec_model;
+      squash_bug;
+      program;
+      mem;
+      regs;
+      reg_prot = Array.make Reg.count false;
+      rmap_producer = Array.make Reg.count (-1);
+      rmap_prot = Array.make Reg.count false;
+      rob = Array.make cfg.Config.rob_size Rob_entry.null;
+      head_idx = 0;
+      head_seq = 0;
+      count = 0;
+      ready = Array.make ((cfg.Config.rob_size + 31) lsr 5) 0;
+      held = Array.make ((cfg.Config.rob_size + 31) lsr 5) 0;
+      held_thr = Array.make cfg.Config.rob_size 0;
+      held_count = 0;
+      held_min = Policy.never;
+      mdp_wait = Array.make ((cfg.Config.rob_size + 31) lsr 5) 0;
+      mdp_count = 0;
+      bq_head = Rob_entry.null;
+      bq_tail = Rob_entry.null;
+      inflight = Entryq.create ~capacity:64 ();
+      lsq_stores = Entryq.create ~capacity:64 ();
+      lsq_loads = Entryq.create ~capacity:64 ();
+      port_busy_until =
+        (match cfg.Config.ports with
+        | None -> [||]
+        | Some pc -> Array.make (Array.length pc.Config.port_caps) 0);
+      port_used =
+        (match cfg.Config.ports with
+        | None -> [||]
+        | Some pc -> Array.make (Array.length pc.Config.port_caps) false);
+      tmpl_srcs;
+      tmpl_dsts;
+      entry_pool = Array.make plen Rob_entry.null;
+      squash_scratch = Array.make cfg.Config.rob_size Rob_entry.null;
+      fetch_pc = program.Program.main;
+      fetch_stalled = false;
+      fetch_ring =
+        Array.init fetch_buf_capacity (fun _ ->
+            { f_pc = -1; f_pred_target = -1; f_ready = -1; f_fetched = -1 });
+      fetch_front = 0;
+      fetch_len = 0;
+      bp = Branch_pred.create cfg.Config.bp;
+      mdp = Bytes.make 1024 '\000';
+      l1d = Cache.create cfg.Config.l1d;
+      l2 = Cache.create ~prot:false cfg.Config.l2;
+      l3;
+      tlb = Tlb.create cfg.Config.tlb_entries;
+      shadow_prot =
+        (match cfg.Config.prot_mem with
+        | Config.Prot_mem_perfect -> Some (Protset.create ())
+        | Config.Prot_mem_l1d | Config.Prot_mem_none -> None);
+      trace = Hw_trace.create ~enabled:trace;
+      stats;
+      hooks = Hooks.create ();
+      api =
         {
-          Policy.cfg = t.cfg;
-          frontier = (fun () -> frontier t);
+          Policy.frontier = (fun () -> frontier t);
           peek = (fun seq -> peek t seq);
-          l1d_protected = (fun addr size -> l1d_protected t addr size);
-          stats = t.stats;
-        }
-      in
-      t.api_memo <- Some a;
-      a
+          stats;
+        };
+      cycle = 0;
+      done_ = false;
+      last_commit_cycle = 0;
+      progress = false;
+      skip_enabled = true;
+    }
+  in
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Watchdog and structured faults                                      *)

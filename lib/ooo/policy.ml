@@ -28,7 +28,6 @@ let now = min_int
 let never = max_int
 
 type api = {
-  cfg : Config.t;
   frontier : unit -> int;
       (* the speculation frontier: the ROB head's seq under ATCOMMIT,
          the oldest unresolved branch's under CONTROL.  An entry or
@@ -37,7 +36,6 @@ type api = {
          nothing is speculative, and it is [never - 1]: above every seq,
          below [never]. *)
   peek : int -> Rob_entry.t; (* the live entry, or [Rob_entry.null] *)
-  l1d_protected : int64 -> int -> bool;
   stats : Stats.t;
 }
 

@@ -35,11 +35,11 @@ type t = {
   mutable port : int;
       (* execution port bound at issue under [Config.ports]; -1 when
          unbound (not yet issued, or the structural model is off) *)
-  (* Memory access state (LSQ). *)
+  (* Memory access state (LSQ), set when the entry issues: until then
+     its address is unknown and [mem_prot] is false. *)
   mem_kind : mem_kind;
   mutable addr : int64;
   mutable msize : int;
-  mutable addr_ready : bool;
   mutable mem_value : int64; (* loaded value / store data *)
   mutable mem_prot : bool; (* LSQ protection bit (Section IV-C2b) *)
   mutable fwd_from : int; (* seq of the store this load forwarded from *)
@@ -113,7 +113,6 @@ let rec null =
     mem_kind = M_none;
     addr = 0L;
     msize = 0;
-    addr_ready = false;
     mem_value = 0L;
     mem_prot = false;
     fwd_from = -1;
@@ -178,7 +177,6 @@ let create ?srcs ?dsts ~seq ~pc ~(insn : Insn.t) ~t_fetch () =
     mem_kind = mem_kind_of insn.op;
     addr = 0L;
     msize = 0;
-    addr_ready = false;
     mem_value = 0L;
     mem_prot = false;
     fwd_from = -1;
@@ -245,7 +243,6 @@ let reset e ~seq ~t_fetch =
   e.port <- -1;
   e.addr <- 0L;
   e.msize <- 0;
-  e.addr_ready <- false;
   e.mem_value <- 0L;
   e.mem_prot <- false;
   e.fwd_from <- -1;
@@ -308,9 +305,7 @@ let op_class e : Config.op_class =
    local [loop] closing over [e] would allocate on every gate poll. *)
 let rec protected_sensitive_from e i =
   i < Array.length e.srcs
-  && ((match snd e.srcs.(i) with
-      | Insn.Addr | Insn.Cond_in | Insn.Target | Insn.Divide -> e.src_prot.(i)
-      | Insn.Data -> false)
+  && ((Insn.is_sensitive (snd e.srcs.(i)) && e.src_prot.(i))
      || protected_sensitive_from e (i + 1))
 
 let protected_sensitive_reg e = protected_sensitive_from e 0

@@ -126,10 +126,6 @@ let kinds =
     Hooks.k_order_violation;
   ]
 
-let sensitive = function
-  | Insn.Addr | Insn.Cond_in | Insn.Target | Insn.Divide -> true
-  | Insn.Data -> false
-
 (* Data root of producer seq [p]: -1 for committed/unknown producers
    (their slot was recycled or predates the ledger), which is exact for
    taint purposes — a committed producer's root is older than every open
@@ -221,7 +217,7 @@ let sensitive_root led (e : Rob_entry.t) =
   let best = ref (-1) and best_pc = ref (-1) in
   let srcs = e.Rob_entry.srcs in
   for k = 0 to Array.length srcs - 1 do
-    if sensitive (snd srcs.(k)) then begin
+    if Insn.is_sensitive (snd srcs.(k)) then begin
       let p = e.Rob_entry.src_producer.(k) in
       let d = droot led p in
       if d > !best then begin

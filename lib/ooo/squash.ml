@@ -2,8 +2,8 @@
 
    Used by branch resolution (mispredictions), the memory stage
    (order-violation recovery) and commit (machine clears).  The flush
-   itself — ROB truncation, LSQ accounting, rename-map rebuild with
-   ProtISA protection replay, RSB clear — is structural state owned
+   itself — ROB and LSQ truncation, rename-map rebuild with ProtISA
+   protection replay, RSB clear — is structural state owned
    here; once the pipeline is consistent again it counts the squash in
    [Stats] and records it in the hardware trace.
 
@@ -19,7 +19,6 @@
    sequence numbers are reused: a stale entry left in an index could
    later alias a re-renamed entry with the same seq. *)
 
-open Protean_isa
 module S = Pipeline_state
 
 (* Remove every entry with seq >= [from_seq] and refetch at [new_pc].
@@ -42,8 +41,6 @@ let flush (t : S.t) ~from_seq ~new_pc =
     if not (Rob_entry.is_null e) then begin
       t.S.squash_scratch.(!flushed) <- e;
       incr flushed;
-      if Rob_entry.is_load e then t.S.lq_used <- t.S.lq_used - 1;
-      if Rob_entry.is_store e then t.S.sq_used <- t.S.sq_used - 1;
       (* Release an execution port held across cycles by a flushed,
          still-computing unpipelined entry.  The cycles_left > 0 guard
          matters: such a holder's [port_busy_until] lies in the future,
@@ -68,12 +65,12 @@ let flush (t : S.t) ~from_seq ~new_pc =
   done;
   (* Nothing is held at [now]: this only recomputes [held_min]. *)
   if t.S.held_count <> held then S.release_held t Policy.now;
-  t.S.count <- min t.S.count keep;
   (* Squashed sequence numbers are reused so the ROB ring stays
-     contiguous.  Every surviving reference (source producers, taint
-     roots, forwarding stores) points at strictly older entries, so no
-     alias with a reused number can arise. *)
-  t.S.next_seq <- t.S.head_seq + t.S.count;
+     contiguous: rename numbers from [head_seq + count].  Every surviving
+     reference (source producers, taint roots, forwarding stores) points
+     at strictly older entries, so no alias with a reused number can
+     arise. *)
+  t.S.count <- min t.S.count keep;
   (* Scheduler indexes: drop everything from [from_seq] on. *)
   while
     (not (Rob_entry.is_null t.S.bq_tail))
@@ -116,29 +113,15 @@ let flush (t : S.t) ~from_seq ~new_pc =
   let scratched = !flushed in
   flushed := !flushed + S.fb_length t;
   S.fb_clear t;
-  (* Rebuild the rename map from the committed state plus surviving
-     entries, replaying ProtISA's protection updates in order. *)
-  Array.iteri
-    (fun ri _ ->
-      t.S.rmap_producer.(ri) <- -1;
-      t.S.rmap_value.(ri) <- t.S.regs.(ri);
-      t.S.rmap_prot.(ri) <- t.S.reg_prot.(ri))
-    t.S.rmap_producer;
-  S.iter_rob t (fun e ->
-      let insn = e.Rob_entry.insn in
-      let subreg_dst =
-        match insn.Insn.op with
-        | Insn.Mov (Insn.W8, d, _) | Insn.Load (Insn.W8, d, _) -> Some d
-        | _ -> None
-      in
-      Array.iter
-        (fun r ->
-          let ri = Reg.to_int r in
-          t.S.rmap_producer.(ri) <- e.Rob_entry.seq;
-          match subreg_dst with
-          | Some d when (not insn.Insn.prot) && Reg.equal d r -> ()
-          | _ -> t.S.rmap_prot.(ri) <- insn.Insn.prot)
-        e.Rob_entry.dsts);
+  (* Rebuild the rename map from the committed state, then replay the
+     survivors' destinations and output tags in order. *)
+  for ri = 0 to Array.length t.S.rmap_producer - 1 do
+    t.S.rmap_producer.(ri) <- -1;
+    t.S.rmap_prot.(ri) <- t.S.reg_prot.(ri)
+  done;
+  for i = 0 to t.S.count - 1 do
+    S.rmap_define t t.S.rob.(S.idx_of_seq t (t.S.head_seq + i))
+  done;
   Branch_pred.rsb_clear t.S.bp;
   (* Every index is consistent: recycle the flushed entries.  Their
      remaining link-field garbage is reset on reuse. *)

@@ -14,27 +14,22 @@ open Protean_arch
 module S = Pipeline_state
 
 (* ProtISA commit-side updates (Section IV-C2): stores write their LSQ
-   protection bit into the L1D; unprefixed loads clear the protection of
-   the bytes they accessed. *)
+   protection bit into the memory protection store ([Config.prot_mem]:
+   the L1D's bits or the perfect ProtSet); unprefixed loads clear the
+   protection of the bytes they accessed. *)
 let commit_protisa_memory (t : S.t) (e : Rob_entry.t) =
-  (match t.S.shadow_prot with
-  | Some shadow ->
-      if Rob_entry.is_store e then
-        Protset.set_mem shadow e.Rob_entry.addr e.Rob_entry.msize
-          ~protected:e.Rob_entry.mem_prot
-      else if Rob_entry.is_load e && not e.Rob_entry.out_prot then
-        Protset.set_mem shadow e.Rob_entry.addr e.Rob_entry.msize
-          ~protected:false
-  | None -> ());
-  match t.S.cfg.Config.prot_mem with
-  | Config.Prot_mem_l1d ->
-      if Rob_entry.is_store e then
+  let store = Rob_entry.is_store e in
+  if store || (Rob_entry.is_load e && not e.Rob_entry.out_prot) then begin
+    let protected = store && e.Rob_entry.mem_prot in
+    match t.S.cfg.Config.prot_mem with
+    | Config.Prot_mem_l1d ->
         Cache.set_protection t.S.l1d e.Rob_entry.addr e.Rob_entry.msize
-          ~protected:e.Rob_entry.mem_prot
-      else if Rob_entry.is_load e && not e.Rob_entry.out_prot then
-        Cache.set_protection t.S.l1d e.Rob_entry.addr e.Rob_entry.msize
-          ~protected:false
-  | Config.Prot_mem_none | Config.Prot_mem_perfect -> ()
+          ~protected
+    | Config.Prot_mem_perfect ->
+        Protset.set_mem (Option.get t.S.shadow_prot) e.Rob_entry.addr
+          e.Rob_entry.msize ~protected
+    | Config.Prot_mem_none -> ()
+  end
 
 (* Stores to this address mark the start of measurement (end of the
    benchmark's warmup phase). *)
@@ -56,13 +51,11 @@ let commit_one (t : S.t) (e : Rob_entry.t) =
     t.S.reg_prot.(ri) <- e.Rob_entry.out_prot
   done;
   (* Release the rename-map mapping if this entry is still the youngest
-     writer. *)
+     writer: the register reads [regs] from now on. *)
   for i = 0 to Array.length dsts - 1 do
     let ri = Reg.to_int dsts.(i) in
-    if t.S.rmap_producer.(ri) = e.Rob_entry.seq then begin
-      t.S.rmap_producer.(ri) <- -1;
-      t.S.rmap_value.(ri) <- t.S.regs.(ri)
-    end
+    if t.S.rmap_producer.(ri) = e.Rob_entry.seq then
+      t.S.rmap_producer.(ri) <- -1
   done;
   (* Train predictors. *)
   (match e.Rob_entry.insn.Insn.op with
@@ -73,7 +66,7 @@ let commit_one (t : S.t) (e : Rob_entry.t) =
       Branch_pred.update_indirect t.S.bp e.Rob_entry.pc
         e.Rob_entry.actual_target
   | _ -> ());
-  t.S.policy.Policy.on_commit (S.api t) e;
+  t.S.policy.Policy.on_commit t.S.api e;
   if Hw_trace.enabled t.S.trace then
     Hw_trace.record t.S.trace
       (Hw_trace.E_timing
@@ -101,14 +94,8 @@ let commit_one (t : S.t) (e : Rob_entry.t) =
      if i >= S.rob_size t then 0 else i);
   t.S.head_seq <- t.S.head_seq + 1;
   t.S.count <- t.S.count - 1;
-  if Rob_entry.is_load e then begin
-    t.S.lq_used <- t.S.lq_used - 1;
-    Entryq.drop_front t.S.lsq_loads
-  end;
-  if Rob_entry.is_store e then begin
-    t.S.sq_used <- t.S.sq_used - 1;
-    Entryq.drop_front t.S.lsq_stores
-  end;
+  if Rob_entry.is_load e then Entryq.drop_front t.S.lsq_loads;
+  if Rob_entry.is_store e then Entryq.drop_front t.S.lsq_stores;
   t.S.last_commit_cycle <- t.S.cycle;
   t.S.progress <- true;
   (* The entry is now out of every index and every inbound pointer is

@@ -70,7 +70,7 @@ let rec copy_producer_value (p : Rob_entry.t) r (e : Rob_entry.t) i j =
    *first* producer to execute wakes the entry.  No chain registration
    happens here. *)
 let sources_ready (t : S.t) (e : Rob_entry.t) slot =
-  let ap = S.api t in
+  let ap = t.S.api in
   let ready = e.Rob_entry.src_ready in
   let n = Array.length ready in
   let all = ref true in
@@ -148,7 +148,7 @@ let set_dst e r v = set_dst_from e r v 0
    first, then the counters (only true loads carry the protected-access
    statistic), then optional tooling. *)
 let load_executed (t : S.t) (e : Rob_entry.t) =
-  t.S.policy.Policy.on_load_executed (S.api t) e;
+  t.S.policy.Policy.on_load_executed t.S.api e;
   let st = t.S.stats in
   st.Stats.loads_executed <- st.Stats.loads_executed + 1;
   (match e.Rob_entry.insn.Insn.op with
@@ -156,6 +156,49 @@ let load_executed (t : S.t) (e : Rob_entry.t) =
       st.Stats.loads_protected_mem <- st.Stats.loads_protected_mem + 1
   | _ -> ());
   if S.wants t Hooks.k_load_executed then S.emit t (Hooks.On_load_executed e)
+
+(* A load, pop or ret reads the [size] bytes at [addr]: from the
+   youngest older store that covers them, or from memory, reading the
+   L1D's protection bits before the hierarchy walk fills the line.  Sets
+   the entry's LSQ state, [mem_value] and latency; false when an
+   overlapping older store cannot forward yet. *)
+let mem_read (t : S.t) (e : Rob_entry.t) addr size =
+  match Stage_memory.forward_search t e addr size with
+  | Stage_memory.Fwd_wait -> false
+  | Stage_memory.Fwd_value st ->
+      e.Rob_entry.addr <- addr;
+      e.Rob_entry.msize <- size;
+      e.Rob_entry.fwd_from <- st.Rob_entry.seq;
+      e.Rob_entry.mem_value <- Stage_memory.forwarded_value st addr size;
+      e.Rob_entry.mem_prot <- st.Rob_entry.mem_prot;
+      e.Rob_entry.cycles_left <- t.S.cfg.Config.store_forward_latency;
+      true
+  | Stage_memory.Fwd_none ->
+      e.Rob_entry.addr <- addr;
+      e.Rob_entry.msize <- size;
+      e.Rob_entry.mem_value <- Memory.read t.S.mem addr size;
+      e.Rob_entry.mem_prot <- S.l1d_protected t addr size;
+      e.Rob_entry.cycles_left <-
+        t.S.cfg.Config.load_agu_latency + Mem_hierarchy.access t addr;
+      true
+
+(* A store, push or call writes [v] to the [size] bytes at [addr]; its
+   LSQ protection bit is [prot].  The data reaches memory at commit. *)
+let mem_write (t : S.t) (e : Rob_entry.t) addr size v prot =
+  e.Rob_entry.addr <- addr;
+  e.Rob_entry.msize <- size;
+  e.Rob_entry.mem_value <- v;
+  e.Rob_entry.mem_prot <- prot;
+  ignore (Tlb.access t.S.tlb addr);
+  e.Rob_entry.cycles_left <- 1
+
+(* The protection tag of a store's data operand. *)
+let data_prot (e : Rob_entry.t) (s : Insn.src) =
+  match s with
+  | Insn.Reg r ->
+      let i = Rob_entry.find_src e r Insn.Data in
+      i >= 0 && e.Rob_entry.src_prot.(i)
+  | Insn.Imm _ -> false
 
 (* Begin executing [e]; all sources are ready.  Returns false when the
    instruction could not start (e.g. a load waiting on a store).  Sets
@@ -238,134 +281,42 @@ let start_execution (t : S.t) (e : Rob_entry.t) =
       e.Rob_entry.actual_target <- Int64.to_int (src_value e r Insn.Target);
       e.Rob_entry.cycles_left <- 1
   | Insn.Load (w, d, m) ->
-      let addr = ea_of e m Insn.Addr in
-      let size = Insn.width_bytes w in
-      (match Stage_memory.forward_search t e addr size with
-      | Stage_memory.Fwd_wait -> started := false
-      | Stage_memory.Fwd_value st ->
-          e.Rob_entry.addr <- addr;
-          e.Rob_entry.msize <- size;
-          e.Rob_entry.addr_ready <- true;
-          e.Rob_entry.fwd_from <- st.Rob_entry.seq;
-          let v = Stage_memory.forwarded_value st addr size in
-          e.Rob_entry.mem_value <- v;
-          e.Rob_entry.mem_prot <- st.Rob_entry.mem_prot;
-          let old = match w with Insn.W8 -> old_of e d | _ -> 0L in
-          set_dst e d (Sem.apply_width w ~old (Sem.truncate_width w v));
-          e.Rob_entry.cycles_left <- t.S.cfg.Config.store_forward_latency
-      | Stage_memory.Fwd_none ->
-          e.Rob_entry.addr <- addr;
-          e.Rob_entry.msize <- size;
-          e.Rob_entry.addr_ready <- true;
-          let v = Memory.read t.S.mem addr size in
-          e.Rob_entry.mem_value <- v;
-          e.Rob_entry.mem_prot <- S.l1d_protected t addr size;
-          let old = match w with Insn.W8 -> old_of e d | _ -> 0L in
-          set_dst e d (Sem.apply_width w ~old v);
-          let lat = t.S.cfg.Config.load_agu_latency + Mem_hierarchy.access t addr in
-          e.Rob_entry.cycles_left <- lat);
-      if !started then load_executed t e
+      started := mem_read t e (ea_of e m Insn.Addr) (Insn.width_bytes w);
+      if !started then begin
+        let old = match w with Insn.W8 -> old_of e d | _ -> 0L in
+        set_dst e d (Sem.apply_width w ~old e.Rob_entry.mem_value);
+        load_executed t e
+      end
   | Insn.Store (w, m, s) ->
-      let addr = ea_of e m Insn.Addr in
-      let size = Insn.width_bytes w in
-      e.Rob_entry.addr <- addr;
-      e.Rob_entry.msize <- size;
-      e.Rob_entry.addr_ready <- true;
-      e.Rob_entry.mem_value <-
-        Sem.truncate_width w (operand_value e s Insn.Data);
-      (* The store's LSQ protection bit: its data operand's tag. *)
-      e.Rob_entry.mem_prot <-
-        (match s with
-        | Insn.Reg r ->
-            let i = Rob_entry.find_src e r Insn.Data in
-            i >= 0 && e.Rob_entry.src_prot.(i)
-        | Insn.Imm _ -> false);
-      ignore (Tlb.access t.S.tlb addr);
-      e.Rob_entry.cycles_left <- 1
+      mem_write t e (ea_of e m Insn.Addr) (Insn.width_bytes w)
+        (Sem.truncate_width w (operand_value e s Insn.Data))
+        (data_prot e s)
   | Insn.Push s ->
-      let sp = src_value e Reg.rsp Insn.Addr in
-      let addr = Int64.sub sp 8L in
-      e.Rob_entry.addr <- addr;
-      e.Rob_entry.msize <- 8;
-      e.Rob_entry.addr_ready <- true;
-      e.Rob_entry.mem_value <- operand_value e s Insn.Data;
-      e.Rob_entry.mem_prot <-
-        (match s with
-        | Insn.Reg r ->
-            let i = Rob_entry.find_src e r Insn.Data in
-            i >= 0 && e.Rob_entry.src_prot.(i)
-        | Insn.Imm _ -> false);
-      set_dst e Reg.rsp addr;
-      ignore (Tlb.access t.S.tlb addr);
-      e.Rob_entry.cycles_left <- 1
+      let addr = Int64.sub (src_value e Reg.rsp Insn.Addr) 8L in
+      mem_write t e addr 8 (operand_value e s Insn.Data) (data_prot e s);
+      set_dst e Reg.rsp addr
   | Insn.Call target ->
-      let sp = src_value e Reg.rsp Insn.Addr in
-      let addr = Int64.sub sp 8L in
-      e.Rob_entry.addr <- addr;
-      e.Rob_entry.msize <- 8;
-      e.Rob_entry.addr_ready <- true;
-      e.Rob_entry.mem_value <- Int64.of_int (e.Rob_entry.pc + 1);
-      e.Rob_entry.mem_prot <- false;
+      let addr = Int64.sub (src_value e Reg.rsp Insn.Addr) 8L in
+      mem_write t e addr 8 (Int64.of_int (e.Rob_entry.pc + 1)) false;
       set_dst e Reg.rsp addr;
-      e.Rob_entry.actual_target <- target;
-      ignore (Tlb.access t.S.tlb addr);
-      e.Rob_entry.cycles_left <- 1
+      e.Rob_entry.actual_target <- target
   | Insn.Pop d ->
       let sp = src_value e Reg.rsp Insn.Addr in
-      (match Stage_memory.forward_search t e sp 8 with
-      | Stage_memory.Fwd_wait -> started := false
-      | Stage_memory.Fwd_value st ->
-          e.Rob_entry.addr <- sp;
-          e.Rob_entry.msize <- 8;
-          e.Rob_entry.addr_ready <- true;
-          e.Rob_entry.fwd_from <- st.Rob_entry.seq;
-          let v = Stage_memory.forwarded_value st sp 8 in
-          e.Rob_entry.mem_value <- v;
-          e.Rob_entry.mem_prot <- st.Rob_entry.mem_prot;
-          set_dst e d v;
-          set_dst e Reg.rsp (Int64.add sp 8L);
-          e.Rob_entry.cycles_left <- t.S.cfg.Config.store_forward_latency
-      | Stage_memory.Fwd_none ->
-          e.Rob_entry.addr <- sp;
-          e.Rob_entry.msize <- 8;
-          e.Rob_entry.addr_ready <- true;
-          let v = Memory.read t.S.mem sp 8 in
-          e.Rob_entry.mem_value <- v;
-          e.Rob_entry.mem_prot <- S.l1d_protected t sp 8;
-          set_dst e d v;
-          set_dst e Reg.rsp (Int64.add sp 8L);
-          e.Rob_entry.cycles_left <-
-            t.S.cfg.Config.load_agu_latency + Mem_hierarchy.access t sp);
-      if !started then load_executed t e
+      started := mem_read t e sp 8;
+      if !started then begin
+        set_dst e d e.Rob_entry.mem_value;
+        set_dst e Reg.rsp (Int64.add sp 8L);
+        load_executed t e
+      end
   | Insn.Ret ->
       let sp = src_value e Reg.rsp Insn.Addr in
-      (match Stage_memory.forward_search t e sp 8 with
-      | Stage_memory.Fwd_wait -> started := false
-      | Stage_memory.Fwd_value st ->
-          e.Rob_entry.addr <- sp;
-          e.Rob_entry.msize <- 8;
-          e.Rob_entry.addr_ready <- true;
-          e.Rob_entry.fwd_from <- st.Rob_entry.seq;
-          let v = Stage_memory.forwarded_value st sp 8 in
-          e.Rob_entry.mem_value <- v;
-          e.Rob_entry.mem_prot <- st.Rob_entry.mem_prot;
-          set_dst e Reg.tmp v;
-          set_dst e Reg.rsp (Int64.add sp 8L);
-          e.Rob_entry.actual_target <- Int64.to_int v;
-          e.Rob_entry.cycles_left <- t.S.cfg.Config.store_forward_latency
-      | Stage_memory.Fwd_none ->
-          e.Rob_entry.addr <- sp;
-          e.Rob_entry.msize <- 8;
-          e.Rob_entry.addr_ready <- true;
-          let v = Memory.read t.S.mem sp 8 in
-          e.Rob_entry.mem_value <- v;
-          e.Rob_entry.mem_prot <- S.l1d_protected t sp 8;
-          set_dst e Reg.tmp v;
-          set_dst e Reg.rsp (Int64.add sp 8L);
-          e.Rob_entry.actual_target <- Int64.to_int v;
-          e.Rob_entry.cycles_left <-
-            t.S.cfg.Config.load_agu_latency + Mem_hierarchy.access t sp);
-      if !started then load_executed t e);
+      started := mem_read t e sp 8;
+      if !started then begin
+        set_dst e Reg.tmp e.Rob_entry.mem_value;
+        set_dst e Reg.rsp (Int64.add sp 8L);
+        e.Rob_entry.actual_target <- Int64.to_int e.Rob_entry.mem_value;
+        load_executed t e
+      end);
   if !started then begin
     e.Rob_entry.issued <- true;
     e.Rob_entry.t_issue <- t.S.cycle;
@@ -559,7 +510,7 @@ let count_held (t : S.t) cutoff =
 
 let run (t : S.t) =
   tick t;
-  let ap = S.api t in
+  let ap = t.S.api in
   let width = t.S.cfg.Config.issue_width in
   let pcfg = t.S.cfg.Config.ports in
   (match pcfg with
@@ -642,7 +593,7 @@ let run (t : S.t) =
    unprotected one from squashing, a secret-dependent timing difference
    (the corner case AMuLeT* found in STT/SPT/SPT-SB, Section VII-B4b). *)
 let resolve (t : S.t) =
-  let ap = S.api t in
+  let ap = t.S.api in
   (* Confirm correct predictions (no squash needed).  Resolving unlinks
      the entry, which immediately moves the CONTROL frontier — the same
      mid-pass visibility the memo-invalidation used to give. *)

@@ -19,10 +19,11 @@ let mdp_index pc = pc land 1023
 let mdp_flagged (t : S.t) pc = Bytes.get t.S.mdp (mdp_index pc) = '\001'
 let mdp_flag (t : S.t) pc = Bytes.set t.S.mdp (mdp_index pc) '\001'
 
-(* Does a store below deque index [i] still have an unknown address? *)
+(* Does a store below deque index [i] still have an unknown address?
+   A memory entry's address is known exactly once it has issued. *)
 let rec unknown_store_below (q : Entryq.t) i =
   i > q.Entryq.front
-  && ((not q.Entryq.a.(i - 1).Rob_entry.addr_ready)
+  && ((not q.Entryq.a.(i - 1).Rob_entry.issued)
      || unknown_store_below q (i - 1))
 
 (* Is there an older store whose address is still unknown? *)
@@ -41,7 +42,7 @@ let rec forward_below (q : Entryq.t) addr size i =
   if i <= q.Entryq.front then Fwd_none
   else begin
     let st = q.Entryq.a.(i - 1) in
-    if st.Rob_entry.addr_ready then begin
+    if st.Rob_entry.issued then begin
       let sa = st.Rob_entry.addr and ss = st.Rob_entry.msize in
       let overlap =
         Int64.compare sa (Int64.add addr (Int64.of_int size)) < 0
@@ -85,7 +86,7 @@ let rec violating_load_from (q : Entryq.t) (st : Rob_entry.t) i =
   else begin
     let ld = q.Entryq.a.(i) in
     if
-      ld.Rob_entry.addr_ready && ld.Rob_entry.issued
+      ld.Rob_entry.issued
       && ld.Rob_entry.fwd_from <> st.Rob_entry.seq
       && Int64.compare st.Rob_entry.addr
            (Int64.add ld.Rob_entry.addr (Int64.of_int ld.Rob_entry.msize))

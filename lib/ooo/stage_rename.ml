@@ -1,10 +1,11 @@
 (* Rename/dispatch stage: drain the fetch buffer into the ROB.
 
-   Owns the rename map (producer/value/protection per architectural
-   register) and ROB/LSQ insertion, including ProtISA's output-tag rule
-   for unprefixed sub-register writes (Section IV-B1).  Once the entry
-   is in the ROB, the policy's [on_rename] taints it, then [On_rename]
-   is emitted.
+   Owns the rename map (producer and protection per architectural
+   register) and ROB/LSQ insertion.  It computes each entry's ProtISA
+   output tag once, including the rule for unprefixed sub-register
+   writes (Section IV-B1), and [Pipeline_state.rmap_define] writes it
+   into the map.  Once the entry is in the ROB, the policy's
+   [on_rename] taints it, then [On_rename] is emitted.
 
    Rename is also where the O(active) scheduler learns about an entry:
    it joins the branch/store/load queues as applicable, and its slot's
@@ -49,7 +50,7 @@ let register_waiters (t : S.t) (e : Rob_entry.t) =
    slot itself carries only ints. *)
 let rename_one (t : S.t) (item : S.fetch_item) (insn : Insn.t) =
   let pc = item.S.f_pc in
-  let seq = t.S.next_seq in
+  let seq = t.S.head_seq + t.S.count in
   let e =
     if Program.in_bounds t.S.program pc then begin
       (* Recycle a dead entry for this pc when one is pooled (the common
@@ -76,56 +77,29 @@ let rename_one (t : S.t) (item : S.fetch_item) (insn : Insn.t) =
     e.Rob_entry.src_producer.(i) <- producer;
     e.Rob_entry.src_prot.(i) <- t.S.rmap_prot.(ri);
     if producer < 0 then begin
-      e.Rob_entry.src_val.(i) <- t.S.rmap_value.(ri);
+      e.Rob_entry.src_val.(i) <- t.S.regs.(ri);
       e.Rob_entry.src_ready.(i) <- true
     end
   done;
   (* ProtISA output tag: PROT-prefixed instructions protect their outputs;
-     unprefixed sub-register writes leave the old protection unchanged
+     an unprefixed sub-register write keeps its destination's protection
      (Section IV-B1). *)
-  let subreg_dst =
-    match insn.Insn.op with
-    | Insn.Mov (Insn.W8, d, _) | Insn.Load (Insn.W8, d, _) -> Some d
-    | _ -> None
-  in
   e.Rob_entry.out_prot <-
-    (match subreg_dst with
-    | Some d when not insn.Insn.prot -> t.S.rmap_prot.(Reg.to_int d)
+    (match insn.Insn.op with
+    | (Insn.Mov (Insn.W8, d, _) | Insn.Load (Insn.W8, d, _))
+      when not insn.Insn.prot ->
+        t.S.rmap_prot.(Reg.to_int d)
     | _ -> insn.Insn.prot);
-  (* Update the rename map. *)
-  let dsts = e.Rob_entry.dsts in
-  for i = 0 to Array.length dsts - 1 do
-    let r = dsts.(i) in
-    let ri = Reg.to_int r in
-    t.S.rmap_producer.(ri) <- seq;
-    match subreg_dst with
-    | Some d when (not insn.Insn.prot) && Reg.equal d r -> ()
-    | _ -> t.S.rmap_prot.(ri) <- insn.Insn.prot
-  done;
+  S.rmap_define t e;
   (* Branch prediction bookkeeping. *)
   if e.Rob_entry.is_branch then
     e.Rob_entry.pred_target <- item.S.f_pred_target;
-  (* Insert into the ROB (division-free ring wrap). *)
-  let idx =
-    let i = t.S.head_idx + t.S.count in
-    let n = S.rob_size t in
-    if i >= n then i - n else i
-  in
-  if t.S.count = 0 then begin
-    t.S.head_idx <- idx;
-    t.S.head_seq <- seq
-  end;
+  (* Insert into the ROB at [seq]'s slot. *)
+  let idx = S.idx_of_seq t seq in
   t.S.rob.(idx) <- e;
   t.S.count <- t.S.count + 1;
-  t.S.next_seq <- seq + 1;
-  if Rob_entry.is_load e then begin
-    t.S.lq_used <- t.S.lq_used + 1;
-    Entryq.push t.S.lsq_loads e
-  end;
-  if Rob_entry.is_store e then begin
-    t.S.sq_used <- t.S.sq_used + 1;
-    Entryq.push t.S.lsq_stores e
-  end;
+  if Rob_entry.is_load e then Entryq.push t.S.lsq_loads e;
+  if Rob_entry.is_store e then Entryq.push t.S.lsq_stores e;
   (* Scheduler indexes. *)
   if e.Rob_entry.is_branch then begin
     S.bq_push t e;
@@ -133,7 +107,7 @@ let rename_one (t : S.t) (item : S.fetch_item) (insn : Insn.t) =
   end;
   if not (register_waiters t e) then S.ready_set t idx;
   t.S.progress <- true;
-  t.S.policy.Policy.on_rename (S.api t) e;
+  t.S.policy.Policy.on_rename t.S.api e;
   if S.wants t Hooks.k_rename then S.emit t (Hooks.On_rename e)
 
 let run (t : S.t) =
@@ -153,8 +127,8 @@ let run (t : S.t) =
         let is_ld = Insn.is_load insn.Insn.op in
         let is_st = Insn.is_store insn.Insn.op in
         if
-          (is_ld && t.S.lq_used >= t.S.cfg.Config.lq_size)
-          || (is_st && t.S.sq_used >= t.S.cfg.Config.sq_size)
+          (is_ld && Entryq.length t.S.lsq_loads >= t.S.cfg.Config.lq_size)
+          || (is_st && Entryq.length t.S.lsq_stores >= t.S.cfg.Config.sq_size)
         then continue_ := false
         else begin
           ignore (S.fb_pop t);

@@ -18,8 +18,9 @@
      under it and still reproduce the recorded lines bit-for-bit — the
      O(active) indexes are exactly the sets the scans would compute, and
      skip-ahead is exactly the spinning machine.  The check itself is
-     shown to catch a corrupted ready bit in both directions, and a
-     corrupted held bit or threshold;
+     shown to catch a corrupted ready bit in both directions, a
+     corrupted held bit or threshold, and a load missing from the load
+     queue;
 
    - parking: a transmitter the execution gate refuses is asked again
      only when the frontier reaches its threshold, not every cycle;
@@ -43,6 +44,7 @@ module Insn = Protean_isa.Insn
 module Reg = Protean_isa.Reg
 module Policy = Protean_ooo.Policy
 module Invariants = Protean_ooo.Invariants
+module Entryq = Protean_ooo.Entryq
 
 (* --- Hook bus re-registration semantics ------------------------------ *)
 
@@ -283,6 +285,25 @@ let test_sched_held_teeth () =
   t.S.held_thr.(slot held) <- thr;
   Alcotest.(check (list string)) "clean after restoring it" [] (sched_invs t)
 
+(* The same teeth on the load queue, whose length rename's capacity
+   stall reads: a live load dropped from [lsq_loads] mid-run is reported
+   against the ring's count of loads, and putting it back is clean. *)
+let test_sched_lq_teeth () =
+  let t = p_core_bearssl (Defense.find "unsafe") ~cycles:0 in
+  let q = t.S.lsq_loads in
+  while
+    Entryq.length q < 2 && (not (Pipeline.is_done t)) && t.S.cycle < 50_000
+  do
+    Pipeline.step t
+  done;
+  if Entryq.length q < 2 then Alcotest.fail "no two loads in flight";
+  Alcotest.(check (list string)) "clean before corruption" [] (sched_invs t);
+  let last = q.Entryq.a.(q.Entryq.back - 1) in
+  Entryq.truncate_ge q last.Rob_entry.seq;
+  Alcotest.(check (list string)) "dropped load" [ "sched-lq" ] (sched_invs t);
+  Entryq.push q last;
+  Alcotest.(check (list string)) "clean after restoring it" [] (sched_invs t)
+
 (* STT's gate on the P-core's [lbm], where thirty-odd transmitters wait
    for their taint roots in an average stepped cycle: parked until the
    frontier reaches them, they are asked less than once per stepped
@@ -367,7 +388,7 @@ let test_gates_alloc_free () =
       let t = p_core_bearssl d ~cycles:3_000 in
       Alcotest.(check bool) (d.Defense.id ^ ": live entries") true
         (t.S.count > 0);
-      let pol = t.S.policy and ap = S.api t in
+      let pol = t.S.policy and ap = t.S.api in
       let sink = ref 0 in
       let g0 = Gc.minor_words () in
       for _ = 1 to 200 do
@@ -618,6 +639,8 @@ let tests =
       test_sched_ready_teeth;
     Alcotest.test_case "scheduler check catches a corrupted held bit" `Quick
       test_sched_held_teeth;
+    Alcotest.test_case "scheduler check catches a dropped load" `Quick
+      test_sched_lq_teeth;
     Alcotest.test_case "a refused transmitter is asked once it can issue"
       `Quick test_gate_calls;
     Alcotest.test_case "ready_next == brute-force window walk" `Quick

@@ -149,15 +149,6 @@ let prop_rob_ring_invariant =
       done;
       Pipeline.is_done t)
 
-(* E-core configuration equivalence. *)
-let ecore_equivalence =
-  List.map
-    (fun (pname, program) ->
-      Alcotest.test_case (pname ^ " on E-core") `Quick (fun () ->
-          Helpers.check_equivalence ~config:Config.e_core
-            ~policy:Protean_ooo.Policy.unsafe pname program))
-    Helpers.all_programs
-
 (* Multicore: lockstep threads finish and each core's result matches its
    own sequential run. *)
 let test_multicore_equivalence () =
@@ -196,17 +187,27 @@ let test_determinism () =
   Alcotest.(check int) "cycles deterministic" c1 c2;
   Alcotest.(check bool) "trace deterministic" true (t1 = t2)
 
-(* TAGE predictor: correctness is unaffected, and it learns a strongly
-   biased pattern at least as well as the bimodal tables. *)
-let tage_equivalence =
-  List.map
-    (fun (pname, program) ->
-      Alcotest.test_case (pname ^ " with TAGE") `Quick (fun () ->
-          Helpers.check_equivalence
-            ~config:(Config.with_tage Config.test_core)
-            ~policy:Protean_ooo.Policy.unsafe pname program))
-    Helpers.all_programs
+(* Other core configurations compute the same results: the E-core, the
+   TAGE predictor, and a two-entry load and store queue, where rename
+   stalls on the LSQ's capacity far more often than on the ROB's. *)
+let config_equivalence =
+  List.concat_map
+    (fun (suffix, config) ->
+      List.map
+        (fun (pname, program) ->
+          Alcotest.test_case (pname ^ suffix) `Quick (fun () ->
+              Helpers.check_equivalence ~config
+                ~policy:Protean_ooo.Policy.unsafe pname program))
+        Helpers.all_programs)
+    [
+      (" on E-core", Config.e_core);
+      (" with TAGE", Config.with_tage Config.test_core);
+      ( " with a 2-entry LSQ",
+        { Config.test_core with Config.lq_size = 2; sq_size = 2 } );
+    ]
 
+(* The TAGE predictor learns a strongly biased pattern at least as well
+   as the bimodal tables. *)
 let test_tage_learns_pattern () =
   (* An alternating-direction branch: TAGE's history tables learn it;
      the bimodal predictor cannot. *)
@@ -229,7 +230,7 @@ let test_tage_learns_pattern () =
 
 let tests =
   equivalence_tests @ instrumented_equivalence @ control_model_tests
-  @ ecore_equivalence @ tage_equivalence
+  @ config_equivalence
   @ [ Alcotest.test_case "TAGE learns alternation" `Quick test_tage_learns_pattern ]
   @ [
       QCheck_alcotest.to_alcotest prop_rob_ring_invariant;

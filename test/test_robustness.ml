@@ -32,16 +32,16 @@ let contains ~sub s =
 
 (* Every seed workload, under both an unprotected and a fully protected
    policy, must run to completion with the invariant checker in Fail
-   mode on every cycle. *)
+   mode on every stepped cycle. *)
 let test_invariants_on_workloads () =
-  let checker = Invariants.checker ~every:1 Invariants.Fail in
   List.iter
     (fun (dname, (d : Defense.t)) ->
       List.iter
         (fun (name, program) ->
           let result =
-            Pipeline.run ~fuel:2_000_000 ~on_cycle:checker Config.test_core
-              (d.Defense.make ()) program ~overlays:[]
+            Pipeline.run ~fuel:2_000_000
+              ~on_start:(Invariants.attach Invariants.Fail)
+              Config.test_core (d.Defense.make ()) program ~overlays:[]
           in
           Alcotest.(check bool)
             (Printf.sprintf "%s under %s finished with invariants on" name
