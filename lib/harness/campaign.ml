@@ -303,26 +303,27 @@ let in_process ~jobs job ~record (cells : Shard.cell list) =
 let supervise c ?(heartbeat = Supervisor.default_config.Supervisor.heartbeat)
     ?(wall = Supervisor.default_config.Supervisor.wall) ~opts ~http ~record job
     cells =
-  let bus = Supervisor.create_bus () in
-  Supervisor.subscribe bus ~name:"log" Supervisor.logger;
-  if Report.wanted c.tele || c.metrics_listen <> None then
-    Supervisor.subscribe bus ~name:"telemetry"
-      (Report.supervisor_observer ?trace:opts.Experiment.trace ());
+  let observe =
+    if Report.wanted c.tele || c.metrics_listen <> None then
+      Report.supervisor_observer ?trace:opts.Experiment.trace ()
+    else ignore
+  in
   let pool =
     Option.map
       (fun addr ->
         {
-          Supervisor.default_pool_config with
           Supervisor.pl_listen = addr;
           pl_token = c.token;
           pl_campaign = identity ();
         })
       c.listen
   in
-  Supervisor.run ~bus ?pool ?http ~on_result:record
+  Supervisor.run ?pool ?http ~on_result:record
+    ~on_event:(fun ev ->
+      Supervisor.logger ev;
+      observe ev)
     ~worker_argv:(Supervisor.self_worker_argv ~drop:supervisor_flags ())
     {
-      Supervisor.default_config with
       Supervisor.shards = c.shards;
       heartbeat;
       wall;

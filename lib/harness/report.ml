@@ -358,8 +358,8 @@ let flame_of_session (session : E.session) =
 (* Supervisor lifecycle observer                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Subscribe the returned handler to a supervisor bus: lifecycle events
-   become [protean_supervisor_*] counters in the runtime registry, plus
+(* A supervisor [on_event] handler: lifecycle events become
+   [protean_supervisor_*] counters in the runtime registry, plus
    instants on [trace] when given. *)
 let supervisor_observer ?trace () =
   let c name help =

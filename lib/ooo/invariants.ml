@@ -373,6 +373,13 @@ let check (t : S.t) : violation list =
     done
   end;
   (* --- Rename-map producer validity -------------------------------- *)
+  (* The mapping must name the *youngest* in-flight writer: one walk,
+     oldest to youngest, leaves each register's in [youngest]. *)
+  let youngest = Array.make (Array.length t.S.rmap_producer) (-1) in
+  S.iter_rob t (fun e ->
+      Array.iter
+        (fun d -> youngest.(Reg.to_int d) <- e.Rob_entry.seq)
+        e.Rob_entry.dsts);
   Array.iteri
     (fun ri p ->
       if p >= 0 then begin
@@ -384,16 +391,9 @@ let check (t : S.t) : violation list =
         then
           fail "rmap-producer" "%s maps to seq %d which does not write it"
             (Reg.name r) p
-        else
-          (* The mapping must name the *youngest* in-flight writer. *)
-          S.iter_rob t (fun y ->
-              if
-                y.Rob_entry.seq > p
-                && Array.exists (fun d -> Reg.equal d r) y.Rob_entry.dsts
-              then
-                fail "rmap-producer"
-                  "%s maps to seq %d but seq %d is a younger writer"
-                  (Reg.name r) p y.Rob_entry.seq)
+        else if youngest.(ri) > p then
+          fail "rmap-producer" "%s maps to seq %d but seq %d is a younger writer"
+            (Reg.name r) p youngest.(ri)
       end)
     t.S.rmap_producer;
   (* --- Protection-bit conservation ---------------------------------- *)

@@ -86,10 +86,8 @@ let run_width_shards ?opts name =
     {
       Supervisor.default_config with
       Supervisor.shards = 2;
-      max_attempts = 2;
       heartbeat = 60.0;
       wall = 300.0;
-      backoff = 0.01;
     }
   in
   let out =

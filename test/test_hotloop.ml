@@ -304,6 +304,49 @@ let test_sched_lq_teeth () =
   Entryq.push q last;
   Alcotest.(check (list string)) "clean after restoring it" [] (sched_invs t)
 
+(* The same teeth on the rename map's producers, which [Invariants.check]
+   (not [check_sched]) covers: a register pointed at an older writer
+   while a younger one is in flight, or at a seq outside the ROB, is
+   reported as [rmap-producer], and restoring it is clean. *)
+let test_rmap_producer_teeth () =
+  let t = p_core_bearssl (Defense.find "unsafe") ~cycles:0 in
+  let invs () =
+    List.sort_uniq compare
+      (List.map (fun v -> v.Invariants.inv) (Invariants.check t))
+  in
+  let found = ref None in
+  while !found = None && (not (Pipeline.is_done t)) && t.S.cycle < 50_000 do
+    Pipeline.step t;
+    (* Each register's in-flight writers, youngest first. *)
+    let writers = Array.make (Array.length t.S.rmap_producer) [] in
+    S.iter_rob t (fun e ->
+        Array.iter
+          (fun d ->
+            let ri = Reg.to_int d in
+            writers.(ri) <- e.Rob_entry.seq :: writers.(ri))
+          e.Rob_entry.dsts);
+    Array.iteri
+      (fun ri ws ->
+        match ws with
+        | young :: old :: _ when !found = None -> found := Some (ri, old, young)
+        | _ -> ())
+      writers
+  done;
+  let ri, old, young =
+    match !found with
+    | Some f -> f
+    | None -> Alcotest.fail "no register with two writers in flight"
+  in
+  Alcotest.(check (list string)) "clean before corruption" [] (invs ());
+  t.S.rmap_producer.(ri) <- old;
+  Alcotest.(check (list string)) "an older writer mapped" [ "rmap-producer" ]
+    (invs ());
+  t.S.rmap_producer.(ri) <- t.S.head_seq + t.S.count + 5;
+  Alcotest.(check (list string)) "a seq outside the ROB mapped"
+    [ "rmap-producer" ] (invs ());
+  t.S.rmap_producer.(ri) <- young;
+  Alcotest.(check (list string)) "clean after restoring it" [] (invs ())
+
 (* STT's gate on the P-core's [lbm], where thirty-odd transmitters wait
    for their taint roots in an average stepped cycle: parked until the
    frontier reaches them, they are asked less than once per stepped
@@ -641,6 +684,8 @@ let tests =
       test_sched_held_teeth;
     Alcotest.test_case "scheduler check catches a dropped load" `Quick
       test_sched_lq_teeth;
+    Alcotest.test_case "invariant check catches a corrupted rename map" `Quick
+      test_rmap_producer_teeth;
     Alcotest.test_case "a refused transmitter is asked once it can issue"
       `Quick test_gate_calls;
     Alcotest.test_case "ready_next == brute-force window walk" `Quick
