@@ -1,5 +1,6 @@
-(* Every [Stats] counter of thirteen cells, pinned bit-for-bit, and the
-   speculation-window ledger of the two that stall transmitters most.
+(* Every [Stats] counter of fourteen cells, pinned bit-for-bit, and the
+   speculation-window ledger of the three that stall most behind a
+   defense's gates.
 
    The golden corpora pin only cycles, commits and squashes (plus the
    hardware-trace digest), so a change to where the core bumps a
@@ -76,12 +77,14 @@ let direct name program defense =
 let cell c =
   (Golden.key c, fun () -> (E.execute (Golden.spec_of c)).E.stats)
 
-(* Cells whose transmitters wait for the speculation frontier: the
-   ledger counts each refused cycle as an intervention. *)
+(* Cells whose transmitters, or whose consumers' forwards, wait for the
+   speculation frontier: the ledger counts each refused cycle as an
+   intervention. *)
 let stall_cells =
   [
     Golden.cell ~config:"p" (Golden.Bench "lbm") "stt";
     Golden.cell ~model:Policy.Control ~config:"p" (Golden.Bench "mcf") "spt-sb";
+    Golden.cell ~config:"p" (Golden.Bench "lbm") "prot-delay";
   ]
 
 let cells =
