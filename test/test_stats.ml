@@ -1,4 +1,4 @@
-(* Every [Stats] counter of fourteen cells, pinned bit-for-bit, and the
+(* Every [Stats] counter of sixteen cells, pinned bit-for-bit, and the
    speculation-window ledger of the three that stall most behind a
    defense's gates.
 
@@ -9,7 +9,9 @@
    (the hand-written [Helpers] programs), each defense's stall kinds,
    the access predictor, the structural-port and writeback counters
    ([test@w4]), the L3 and the measurement marker (the P-core), the
-   pending-squash bug and a multicore run (one line per core).  Each
+   stalls of refused transmitters and forwards past the entry where a
+   1-wide issue stage filled ([p@w1]), the pending-squash bug and a
+   multicore run (one line per core).  Each
    line lists every field in declaration order; on a mismatch the test
    prints the whole actual text, which is what
    test/stats_pinned.expected holds. *)
@@ -100,6 +102,8 @@ let cells =
             "prot-track");
     cell (Golden.cell ~config:"test@w4" (Golden.Bench "bearssl") "unsafe");
     cell (Golden.cell ~config:"p" (Golden.Bench "lbm") "unsafe");
+    cell (Golden.cell ~config:"p@w1" (Golden.Bench "mcf") "spt-sb");
+    cell (Golden.cell ~config:"p@w1" (Golden.Bench "mcf") "nda");
     cell (Golden.cell (Golden.Bench "swaptions.p") "stt");
   ]
   @ List.map cell stall_cells
