@@ -5,22 +5,21 @@
    non-secret-accessing (ARCH) code.  Access instructions are loads.  They
    may execute and write back speculatively but may not wake up their
    dependents until they become non-speculative, so transiently-accessed
-   data never reaches a transmitter. *)
+   data never reaches a transmitter.
+
+   Its [forward_blocks] metric counts, per cycle, each source of a
+   dependent that waits on a speculative load: the pipeline's
+   [Stats.wakeup_delay_cycles]. *)
 
 open Protean_ooo
 
 let make () =
-  let n_fwd_blocks = ref 0 in
   {
     Policy.unsafe with
     Policy.name = "access-delay";
-    may_forward =
-      (fun api e ->
-        if Rob_entry.is_load e then begin
-          let ok = not (Policy.is_speculative api e) in
-          if not ok then incr n_fwd_blocks;
-          ok
-        end
-        else true);
-    metrics = (fun () -> [ ("forward_blocks", !n_fwd_blocks) ]);
+    forward_frontier =
+      (fun _ (e : Rob_entry.t) ->
+        if Rob_entry.is_load e then e.Rob_entry.seq else Policy.now);
+    metrics =
+      (fun st -> [ ("forward_blocks", st.Stats.wakeup_delay_cycles) ]);
   }

@@ -96,7 +96,8 @@ let wrap mode (p : Policy.t) : Policy.t =
       }
   | F_open_execute_gate ->
       { p with Policy.transmit_frontier = Policy.immediately }
-  | F_open_forward_gate -> { p with Policy.may_forward = Policy.always }
+  | F_open_forward_gate ->
+      { p with Policy.forward_frontier = Policy.immediately }
   | F_open_resolve_gate -> { p with Policy.may_resolve = Policy.always }
 
 let inject mode (d : Defense.t) : Defense.t =

@@ -18,7 +18,12 @@
    freely).
 
    [selective_wakeup:false] disables the relaxation, approximating plain
-   AccessDelay applied to ProtISA programs (the Section IX-A4 ablation). *)
+   AccessDelay applied to ProtISA programs (the Section IX-A4 ablation).
+
+   Metrics: [forward_blocks] counts, per cycle, each source of a
+   dependent that waits on a speculative access (the pipeline's
+   [Stats.wakeup_delay_cycles]); [selective_wakeup_passes] each forward
+   the relaxation lets through while the access is still speculative. *)
 
 open Protean_ooo
 
@@ -33,7 +38,6 @@ let is_access (e : Rob_entry.t) =
   || (Rob_entry.is_load e && e.Rob_entry.mem_prot)
 
 let make ?(selective_wakeup = true) () =
-  let n_fwd_blocks = ref 0 in
   let n_selective_passes = ref 0 in
   let transmit_frontier _ (e : Rob_entry.t) =
     if protected_sensitive e then e.Rob_entry.seq else Policy.now
@@ -44,17 +48,16 @@ let make ?(selective_wakeup = true) () =
       && ((not (Taint.resolves_from_memory e)) || not e.Rob_entry.mem_prot)
     else true
   in
-  let may_forward api (e : Rob_entry.t) =
-    if not (Policy.is_speculative api e) then true
-    else if not (is_access e) then true
-    else begin
+  let forward_frontier api (e : Rob_entry.t) =
+    if not (is_access e) then Policy.now
+    else if selective_wakeup && e.Rob_entry.out_prot then begin
       (* Accesses with protected outputs may wake their dependents
          immediately: the dependents are access instructions themselves
          and will be delayed as needed. *)
-      let ok = selective_wakeup && e.Rob_entry.out_prot in
-      if ok then incr n_selective_passes else incr n_fwd_blocks;
-      ok
+      if Policy.is_speculative api e then incr n_selective_passes;
+      Policy.now
     end
+    else e.Rob_entry.seq
   in
   {
     Policy.unsafe with
@@ -63,11 +66,11 @@ let make ?(selective_wakeup = true) () =
     uses_protisa = true;
     transmit_frontier;
     may_resolve;
-    may_forward;
+    forward_frontier;
     metrics =
-      (fun () ->
+      (fun st ->
         [
-          ("forward_blocks", !n_fwd_blocks);
+          ("forward_blocks", st.Stats.wakeup_delay_cycles);
           ("selective_wakeup_passes", !n_selective_passes);
         ]);
   }

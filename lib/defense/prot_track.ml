@@ -105,14 +105,15 @@ let make ?(predictor = true) ?(predictor_entries = 1024) () =
         incr n_fwd_blocks
       end
   in
-  let may_forward api (e : Rob_entry.t) =
-    if e.Rob_entry.late_access then not (Policy.is_speculative api e)
+  let forward_frontier api (e : Rob_entry.t) =
+    if e.Rob_entry.late_access then e.Rob_entry.seq
     else if e.Rob_entry.fwd_block_store >= 0 then
       let st = api.Policy.peek e.Rob_entry.fwd_block_store in
-      if Rob_entry.is_null st then true
-        (* the store committed: its data is architectural *)
-      else not (Policy.root_speculative api st.Rob_entry.taint_root)
-    else true
+      (* A committed store's data is architectural, and an untainted
+         one's was never speculative. *)
+      if Rob_entry.is_null st || st.Rob_entry.taint_root < 0 then Policy.now
+      else st.Rob_entry.taint_root
+    else Policy.now
   in
   let transmit_frontier api (e : Rob_entry.t) =
     if Rob_entry.protected_sensitive_reg e then e.Rob_entry.seq
@@ -140,7 +141,7 @@ let make ?(predictor = true) ?(predictor_entries = 1024) () =
       predictor_update pred e.Rob_entry.pc actual_access
     end
   in
-  let metrics () =
+  let metrics _ =
     [
       ("taints_applied", !n_taints);
       ("pred_no_access", !n_pred_no_access);
@@ -153,7 +154,7 @@ let make ?(predictor = true) ?(predictor_entries = 1024) () =
     uses_protisa = true;
     on_rename;
     transmit_frontier;
-    may_forward;
+    forward_frontier;
     may_resolve;
     on_load_executed;
     on_commit;

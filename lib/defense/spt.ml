@@ -201,7 +201,7 @@ let make ?(w32_fix = true) () =
         | _, (Insn.Divide | Insn.Data) -> ()
       done
   in
-  let metrics () =
+  let metrics _ =
     [
       ("transmitter_retirements", !n_xmit_retire);
       ("public_load_upgrades", !n_public_loads);

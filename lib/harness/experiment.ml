@@ -295,18 +295,19 @@ let fold_flame ~root program (snap : Profile.snapshot) acc =
     snap.Profile.snap_flame;
   Flame.add acc ~frames:(root @ [ "(no-commit)" ]) snap.Profile.snap_residual
 
-(* Sum named policy counters across cores (sorted by name, so the list
-   is deterministic whatever order cores were created in). *)
-let merge_policy_metrics (policies : Policy.t list) =
+(* Sum named policy counters across cores, each policy read beside its
+   own core's stats (sorted by name, so the list is deterministic
+   whatever order cores were created in). *)
+let merge_policy_metrics (cores : (Policy.t * Stats.t) list) =
   let tbl = Hashtbl.create 8 in
   List.iter
-    (fun (p : Policy.t) ->
+    (fun ((p : Policy.t), st) ->
       List.iter
         (fun (k, v) ->
           let prev = try Hashtbl.find tbl k with Not_found -> 0 in
           Hashtbl.replace tbl k (prev + v))
-        (p.Policy.metrics ()))
-    policies;
+        (p.Policy.metrics st))
+    cores;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare (a : string) b)
 
@@ -361,6 +362,7 @@ let execute ?(opts = default_options) spec =
       flame_acc;
     if opts.window then ledgers := (t, Spec_window.attach t) :: !ledgers
   in
+  (* Made in core order, so reversed they line up with [stats]. *)
   let policies = ref [] in
   let make_policy () =
     let p = spec.dcfg.defense.Defense.make () in
@@ -421,7 +423,9 @@ let execute ?(opts = default_options) spec =
     code_size_ratio = fe.fe_ratio;
     inserted_moves = fe.fe_moves;
     policy_metrics =
-      (if opts.policy_metrics then merge_policy_metrics !policies else []);
+      (if opts.policy_metrics then
+         merge_policy_metrics (List.combine (List.rev !policies) stats)
+       else []);
     flame = (match flame_acc with None -> [] | Some acc -> Flame.to_list acc);
     frontend = fe.fe_key;
     window;

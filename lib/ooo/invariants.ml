@@ -43,16 +43,22 @@ let check_sched (t : S.t) : violation list =
   let live (e : Rob_entry.t) =
     (not (Rob_entry.is_null e)) && S.peek t e.Rob_entry.seq == e
   in
-  (* The slot vectors, soundness: the three are disjoint and set only
+  (* The slot vectors, soundness: the four are disjoint and set only
      inside the live window (the padding bits past the ring size
      included); a [ready] bit names an unissued entry; a [held] bit an
      unissued, execution-gated entry with every source ready, whose
      stored threshold is what the gate says now — at most its own seq
-     unless [never] — and lies above the frontier; an [mdp_wait] bit an
+     unless [never] — and lies above the frontier; a [fwd_wait] bit an
+     unissued entry whose stored stalls are its non-ready sources with
+     an executed producer, and whose stored threshold is the least of
+     what the forwarding gate says for them now — each at most its
+     producer's seq — and lies above the frontier; an [mdp_wait] bit an
      unissued load the MDP flagged, with an older store of unknown
-     address, that the gate lets through.  Completeness — every unissued
-     entry in none of them really is dormant — is the dormancy check
-     below. *)
+     address, that the gate lets through.  Each parked set's count,
+     stalls and least threshold match its bits, and [ready_sum] has a
+     bit exactly for each non-zero [ready] word.  Completeness — every
+     unissued entry in none of them really is dormant — is the dormancy
+     check below. *)
   let n = S.rob_size t in
   let ap = t.S.api in
   let frontier = S.frontier t in
@@ -60,24 +66,42 @@ let check_sched (t : S.t) : violation list =
   let all_ready (e : Rob_entry.t) =
     Array.for_all (fun r -> r) e.Rob_entry.src_ready
   in
-  let held_bits = ref 0 and held_min = ref Policy.never in
+  (* Each parked set's bits, stalls and least threshold, as found. *)
+  let found () = (ref 0, ref 0, ref Policy.never) in
+  let held_found = found () and fwd_found = found () in
+  let tally (bits, stalls, least) (p : S.parked) slot =
+    incr bits;
+    stalls := !stalls + p.S.stalls.(slot);
+    if p.S.thr.(slot) < !least then least := p.S.thr.(slot)
+  in
+  let check_parked inv (p : S.parked) (bits, stalls, least) =
+    if !bits <> p.S.count || !stalls <> p.S.total || !least <> p.S.least then
+      fail inv
+        "%d bits, %d stalls, least threshold %d; counted %d, %d, least %d"
+        !bits !stalls !least p.S.count p.S.total p.S.least
+  in
   let mdp_bits = ref 0 in
   for slot = 0 to (Array.length t.S.ready * 32) - 1 do
     let r = S.ready_mem t slot
     and h = S.held_mem t slot
+    and f = S.fwd_mem t slot
     and m = S.mdp_mem t slot in
-    if h then incr held_bits;
+    let vectors =
+      Bool.to_int r + Bool.to_int h + Bool.to_int f + Bool.to_int m
+    in
+    if h then tally held_found t.S.held slot;
+    if f then tally fwd_found t.S.fwd_wait slot;
     if m then incr mdp_bits;
-    if (r && h) || (r && m) || (h && m) then
-      fail "sched-parked" "slot %d is in more than one of ready/held/mdp_wait"
-        slot;
+    if vectors > 1 then
+      fail "sched-parked"
+        "slot %d is in more than one of ready/held/fwd_wait/mdp_wait" slot;
     let off = slot - t.S.head_idx in
     let off = if off < 0 then off + n else off in
-    if (r || h || m) && (slot >= n || off >= t.S.count) then
+    if vectors > 0 && (slot >= n || off >= t.S.count) then
       fail
         (if r then "sched-ready" else "sched-parked")
         "bit set for slot %d outside the live window" slot
-    else if r || h || m then begin
+    else if vectors > 0 then begin
       let e = t.S.rob.(slot) in
       let seq = e.Rob_entry.seq in
       if e.Rob_entry.issued then
@@ -85,8 +109,10 @@ let check_sched (t : S.t) : violation list =
           (if r then "sched-ready" else "sched-parked")
           "issued entry seq %d has its bit set" seq;
       if h then begin
-        let thr = t.S.held_thr.(slot) in
-        if thr < !held_min then held_min := thr;
+        let thr = t.S.held.S.thr.(slot) in
+        if t.S.held.S.stalls.(slot) <> 1 then
+          fail "sched-held" "seq %d counts %d stalls, not one" seq
+            t.S.held.S.stalls.(slot);
         if not (Rob_entry.execution_gated e) then
           fail "sched-held" "seq %d is held but not execution-gated" seq
         else if not (all_ready e) then
@@ -104,6 +130,37 @@ let check_sched (t : S.t) : violation list =
               seq thr
         end
       end;
+      if f then begin
+        let thr = t.S.fwd_wait.S.thr.(slot) in
+        let refused = ref 0 and least = ref Policy.never in
+        Array.iteri
+          (fun i ready ->
+            if not ready then begin
+              let p = S.peek t e.Rob_entry.src_producer.(i) in
+              if Rob_entry.is_null p then
+                fail "sched-fwd" "seq %d waits with a source from a committed \
+                                  producer" seq
+              else if p.Rob_entry.executed then begin
+                incr refused;
+                let fresh = t.S.policy.Policy.forward_frontier ap p in
+                if fresh < !least then least := fresh;
+                if fresh > p.Rob_entry.seq then
+                  fail "sched-fwd"
+                    "seq %d waits for frontier %d, past its producer seq %d"
+                    seq fresh p.Rob_entry.seq
+              end
+            end)
+          e.Rob_entry.src_ready;
+        if !refused <> t.S.fwd_wait.S.stalls.(slot) then
+          fail "sched-fwd" "seq %d counts %d refused sources, has %d" seq
+            t.S.fwd_wait.S.stalls.(slot) !refused;
+        if !least <> thr then
+          fail "sched-fwd" "seq %d holds threshold %d, its gates say %d" seq
+            thr !least;
+        if thr <= frontier then
+          fail "sched-fwd" "seq %d waits for frontier %d, which is at %d" seq
+            thr frontier
+      end;
       if m then
         if not (Rob_entry.is_load e && all_ready e) then
           fail "sched-mdp" "seq %d waits on the MDP but is not a ready load" seq
@@ -116,11 +173,15 @@ let check_sched (t : S.t) : violation list =
           fail "sched-mdp" "seq %d waits on the MDP past a closed gate" seq
     end
   done;
-  if !held_bits <> t.S.held_count || !held_min <> t.S.held_min then
-    fail "sched-held" "%d bits with least threshold %d; counted %d, least %d"
-      !held_bits !held_min t.S.held_count t.S.held_min;
+  check_parked "sched-held" t.S.held held_found;
+  check_parked "sched-fwd" t.S.fwd_wait fwd_found;
   if !mdp_bits <> t.S.mdp_count then
     fail "sched-mdp" "%d bits, counted %d" !mdp_bits t.S.mdp_count;
+  for w = 0 to (Array.length t.S.ready_sum * 32) - 1 do
+    let nonzero = w < Array.length t.S.ready && t.S.ready.(w) <> 0 in
+    if S.bit_mem t.S.ready_sum w <> nonzero then
+      fail "sched-ready" "summary bit %d disagrees with its ready word" w
+  done;
   (* Unresolved-branch list: exactly the live unresolved branches. *)
   let bq_count = ref 0 in
   let prev_seq = ref min_int in
@@ -190,8 +251,8 @@ let check_sched (t : S.t) : violation list =
      Dormancy: an unissued entry in none of the slot vectors is dormant, and
      must have at least one non-ready source and *no* non-ready source
      whose producer is committed or executed (such an entry must stay
-     visible to the issue scan: its forward could be policy-gated, which
-     emits per-cycle events, or it may be ready to issue). *)
+     visible to the issue scan, or wait in [fwd_wait] when the forwarding
+     gate refused it: it may be ready to issue). *)
   let chain_nodes = ref 0 in
   S.iter_rob t (fun p ->
       let c = ref p.Rob_entry.waiters in
@@ -242,7 +303,9 @@ let check_sched (t : S.t) : violation list =
       done;
       if
         (not e.Rob_entry.issued)
-        && not (S.ready_mem t slot || S.held_mem t slot || S.mdp_mem t slot)
+        && not
+             (S.ready_mem t slot || S.held_mem t slot || S.fwd_mem t slot
+            || S.mdp_mem t slot)
       then begin
         if not !pending then
           fail "sched-dormant" "dormant seq %d has no pending producer"

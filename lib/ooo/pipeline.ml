@@ -78,11 +78,13 @@ let create = Pipeline_state.create
    event stream as the spinning machine.
 
    Policy gates are safe to invoke on a quiet cycle: no gate reads the
-   clock, [transmit_frontier] and [may_resolve] are pure in every
-   defense, and [may_forward] — the one gate that bumps policy-local
-   counters (AccessDelay/ProtDelay block metrics) — has a single call
-   site whose allow *and* deny branches both mark progress, so its
-   per-spun-cycle increments are never elided.
+   clock, and no gate counts a refusal — [transmit_frontier] and
+   [may_resolve] are pure in every defense, and [forward_frontier]
+   bumps a policy-local counter (ProtDelay's selective-wakeup passes)
+   only where it lets a forward through, which marks progress.  Refused
+   transmitters and forwards park, and their per-cycle stall counts
+   mark progress in every cycle they are counted, so no spun cycle's
+   increment is elided.
 
    [skip_target] is the next-event horizon: the earliest future cycle at
    which the machine can make progress again.  Two event sources exist

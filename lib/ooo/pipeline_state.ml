@@ -11,7 +11,7 @@
    the O(active) issue scheduler's index structures (see
    docs/architecture.md, "Performance"): the ROB ring is a flat
    [Rob_entry.t array] with [Rob_entry.null] for empty slots, a bit
-   vector over its slots marks what the issue scan visits, two more
+   vector over its slots marks what the issue scan visits, three more
    park the entries it need not visit until an event, unresolved
    branches form an intrusive doubly-linked list, and the
    in-flight/store/load sets are [Entryq] deques.  All of them are
@@ -41,6 +41,22 @@ type fetch_item = {
    decodes to.  One static value so the fetch path never allocates. *)
 let halt_insn = Insn.make Insn.Halt
 
+(* A parked set of the issue scheduler: ROB slots out of [ready] until
+   the speculation frontier reaches a threshold, the answer of the gate
+   that refused them.  Each slot counts [stalls] in every cycle the issue
+   scan would have reached it: one for a transmitter the execution gate
+   holds, the refused sources of a consumer whose forwards wait. *)
+type parked = {
+  bits : int array; (* a bit per ROB slot, laid out like [ready] *)
+  thr : int array; (* per slot: the frontier it waits for *)
+  stalls : int array; (* per slot *)
+  mutable count : int; (* parked slots *)
+  mutable total : int; (* their [stalls], summed *)
+  mutable least : int;
+      (* least threshold, [Policy.never] if none; [Policy.now] when a
+         slot that held it left and the next [release] recomputes it *)
+}
+
 type t = {
   cfg : Config.t;
   policy : Policy.t;
@@ -64,14 +80,16 @@ type t = {
   mutable count : int;
   (* O(active) scheduler indexes (redundant views over the ring). *)
   ready : int array; (* a bit per ROB slot, 32 per word; see [ready_set] *)
-  (* Parked entries (see [hold] and [mdp_park]): unissued, every source
-     ready, and out of [ready] until an event returns them. *)
-  held : int array; (* transmitters the execution gate refused *)
-  held_thr : int array;
-      (* per slot: the frontier a held entry waits for, the value of
-         [Policy.transmit_frontier] when it was refused *)
-  mutable held_count : int;
-  mutable held_min : int; (* least threshold held; [Policy.never] if none *)
+  ready_sum : int array; (* a bit per [ready] word: set iff it is non-zero *)
+  (* Parked entries (see [park] and [mdp_park]): unissued, and out of
+     [ready] until an event returns them. *)
+  held : parked;
+      (* transmitters the execution gate refused, every source ready;
+         the threshold is [Policy.transmit_frontier]'s answer *)
+  fwd_wait : parked;
+      (* consumers with a source whose executed producer's forward the
+         forwarding gate refused; the threshold is the least
+         [Policy.forward_frontier] answer over those sources *)
   mdp_wait : int array; (* loads the MDP holds until a store resolves *)
   mutable mdp_count : int;
   mutable bq_head : Rob_entry.t; (* unresolved branches, seq-ascending DLL *)
@@ -291,9 +309,11 @@ let fb_iter f t =
    the entry parks on wakeup chains, [Stage_issue_exec] clears it when
    an entry goes dormant, parks or issues, a completing producer sets
    it for each waiter it wakes, a release moves parked bits back, and
-   [Squash.flush] clears every flushed slot in all three vectors — so
+   [Squash.flush] clears every flushed slot in all four vectors — so
    bits outside the live window (and padding bits past [rob_size]) are
-   always 0, and a slot is in at most one vector. *)
+   always 0, and a slot is in at most one vector.  [ready] alone has a
+   summary level, [ready_sum], kept by its setters below: bit [w] is
+   set iff word [w] of [ready] is non-zero. *)
 
 let bit_set v slot =
   let w = slot lsr 5 in
@@ -304,10 +324,27 @@ let bit_clear v slot =
   v.(w) <- v.(w) land lnot (1 lsl (slot land 31))
 
 let bit_mem v slot = (v.(slot lsr 5) lsr (slot land 31)) land 1 = 1
-let ready_set t slot = bit_set t.ready slot
-let ready_clear t slot = bit_clear t.ready slot
+
+(* Set the non-zero [bits] in word [w] of [ready]. *)
+let ready_or t w bits =
+  t.ready.(w) <- t.ready.(w) lor bits;
+  let s = w lsr 5 in
+  t.ready_sum.(s) <- t.ready_sum.(s) lor (1 lsl (w land 31))
+
+let ready_set t slot = ready_or t (slot lsr 5) (1 lsl (slot land 31))
+
+let ready_clear t slot =
+  let w = slot lsr 5 in
+  let x = t.ready.(w) land lnot (1 lsl (slot land 31)) in
+  t.ready.(w) <- x;
+  if x = 0 then begin
+    let s = w lsr 5 in
+    t.ready_sum.(s) <- t.ready_sum.(s) land lnot (1 lsl (w land 31))
+  end
+
 let ready_mem t slot = bit_mem t.ready slot
-let held_mem t slot = bit_mem t.held slot
+let held_mem t slot = bit_mem t.held.bits slot
+let fwd_mem t slot = bit_mem t.fwd_wait.bits slot
 let mdp_mem t slot = bit_mem t.mdp_wait slot
 
 (* Lowest set bit of a non-zero 32-bit word by de Bruijn multiplication:
@@ -350,40 +387,87 @@ let bit_next t v off lim =
     in
     if q < 0 then -1 else q - t.head_idx
 
+(* The first word of [ready] at index [w] or above whose summary bit is
+   set, or -1. *)
+let rec sum_next t w =
+  let s = w lsr 5 in
+  if s >= Array.length t.ready_sum then -1
+  else
+    let x = t.ready_sum.(s) land ((-1) lsl (w land 31)) in
+    if x <> 0 then (s lsl 5) + lowest_bit x else sum_next t ((s + 1) lsl 5)
+
+(* [bit_scan] over [ready], jumping past zero words through the summary:
+   a read of [ready] and one of [ready_sum] per candidate, not a read per
+   word of the window. *)
+let rec ready_scan t n s e =
+  if s >= e then -1
+  else
+    let p = if s >= n then s - n else s in
+    let w = p lsr 5 in
+    let word = t.ready.(w) land ((-1) lsl (p land 31)) in
+    if word <> 0 then
+      let q = s + (w lsl 5) + lowest_bit word - p in
+      if q < e then q else -1
+    else
+      let next = sum_next t (w + 1) in
+      if next >= 0 then ready_scan t n (s + (next lsl 5) - p) e
+      else if s < n then ready_scan t n n e
+      else -1
+
 (* The next entry at or after offset [off] whose ready bit is set.
    Nothing at or past offset [count] is looked at. *)
-let ready_next t off = bit_next t t.ready off t.count
+let ready_next t off =
+  if off >= t.count then -1
+  else
+    let s = t.head_idx + off and e = t.head_idx + t.count in
+    let q = ready_scan t (Array.length t.rob) s e in
+    if q < 0 then -1 else q - t.head_idx
 
-(* Park the transmitter at [slot], refused by the execution gate until
-   the frontier reaches [thr]. *)
-let hold t slot thr =
+(* Park the entry at [slot] in [p] until the frontier reaches [thr],
+   counting [stalls] per cycle the scan would reach it. *)
+let park t p slot thr stalls =
   ready_clear t slot;
-  bit_set t.held slot;
-  t.held_thr.(slot) <- thr;
-  t.held_count <- t.held_count + 1;
-  if thr < t.held_min then t.held_min <- thr
+  bit_set p.bits slot;
+  p.thr.(slot) <- thr;
+  p.stalls.(slot) <- stalls;
+  p.count <- p.count + 1;
+  p.total <- p.total + stalls;
+  if thr < p.least then p.least <- thr
 
-(* Return every held transmitter whose threshold is at most [f] to
-   [ready], and recompute [held_min] over the rest.  Walks set bits
-   only. *)
-let release_held t f =
-  let v = t.held in
+(* Take [slot] out of [p].  If it held the least threshold, [least]
+   becomes [Policy.now]: below every frontier, so the next release check
+   walks [p] and recomputes it. *)
+let unpark p slot =
+  bit_clear p.bits slot;
+  p.count <- p.count - 1;
+  p.total <- p.total - p.stalls.(slot);
+  if p.thr.(slot) = p.least then p.least <- Policy.now
+
+(* Return every entry of [p] whose threshold is at most [f] to [ready],
+   and recompute [least] over the rest.  Walks set bits only. *)
+let release t p f =
+  let v = p.bits in
   let m = ref Policy.never in
   for w = 0 to Array.length v - 1 do
     let word = ref v.(w) in
     while !word <> 0 do
       let b = lowest_bit !word in
       word := !word land (!word - 1);
-      let thr = t.held_thr.((w lsl 5) + b) in
+      let slot = (w lsl 5) + b in
+      let thr = p.thr.(slot) in
       if thr <= f then begin
         v.(w) <- v.(w) land lnot (1 lsl b);
-        t.ready.(w) <- t.ready.(w) lor (1 lsl b);
-        t.held_count <- t.held_count - 1
+        p.count <- p.count - 1;
+        p.total <- p.total - p.stalls.(slot);
+        ready_or t w (1 lsl b)
       end
       else if thr < !m then m := thr
     done
   done;
-  t.held_min <- !m
+  p.least <- !m
+
+(* Recompute a stale [least] (see [unpark]); nothing is released. *)
+let settle t p = if p.least = Policy.now then release t p Policy.now
 
 (* Park the load at [slot] until a store resolves its address. *)
 let mdp_park t slot =
@@ -397,20 +481,18 @@ let mdp_release t =
   let v = t.mdp_wait in
   for w = 0 to Array.length v - 1 do
     if v.(w) <> 0 then begin
-      t.ready.(w) <- t.ready.(w) lor v.(w);
+      ready_or t w v.(w);
       v.(w) <- 0
     end
   done;
   t.mdp_count <- 0
 
-(* Take a flushed [slot] out of all three vectors.  The caller
-   recomputes [held_min] once the flush is done. *)
+(* Take a flushed [slot] out of all four vectors.  The caller settles
+   the least thresholds once the flush is done. *)
 let sched_drop t slot =
   ready_clear t slot;
-  if bit_mem t.held slot then begin
-    bit_clear t.held slot;
-    t.held_count <- t.held_count - 1
-  end;
+  if held_mem t slot then unpark t.held slot;
+  if fwd_mem t slot then unpark t.fwd_wait slot;
   if bit_mem t.mdp_wait slot then begin
     bit_clear t.mdp_wait slot;
     t.mdp_count <- t.mdp_count - 1
@@ -489,6 +571,17 @@ let create ?(trace = false) ?(squash_bug = false)
     | None -> decode_program program
   in
   let stats = Stats.create () in
+  let words = (cfg.Config.rob_size + 31) lsr 5 in
+  let parked () =
+    {
+      bits = Array.make words 0;
+      thr = Array.make cfg.Config.rob_size 0;
+      stalls = Array.make cfg.Config.rob_size 0;
+      count = 0;
+      total = 0;
+      least = Policy.never;
+    }
+  in
   let rec t =
     {
       cfg;
@@ -505,12 +598,11 @@ let create ?(trace = false) ?(squash_bug = false)
       head_idx = 0;
       head_seq = 0;
       count = 0;
-      ready = Array.make ((cfg.Config.rob_size + 31) lsr 5) 0;
-      held = Array.make ((cfg.Config.rob_size + 31) lsr 5) 0;
-      held_thr = Array.make cfg.Config.rob_size 0;
-      held_count = 0;
-      held_min = Policy.never;
-      mdp_wait = Array.make ((cfg.Config.rob_size + 31) lsr 5) 0;
+      ready = Array.make words 0;
+      ready_sum = Array.make ((words + 31) lsr 5) 0;
+      held = parked ();
+      fwd_wait = parked ();
+      mdp_wait = Array.make words 0;
       mdp_count = 0;
       bq_head = Rob_entry.null;
       bq_tail = Rob_entry.null;

@@ -7,7 +7,8 @@
      speculation frontier a transmitter waits for) and the resolution
      of branches ([may_resolve]),
    - gate the forwarding of a completed instruction's results to its
-     dependents ([may_forward], the AccessDelay/ProtDelay mechanism),
+     dependents ([forward_frontier]: the speculation frontier its
+     dependents wait for; the AccessDelay/ProtDelay mechanism),
    - react to a load learning whether it read protected memory
      ([on_load_executed]) and to commits ([on_commit]).
 
@@ -21,9 +22,10 @@ let spec_model_name = function Atcommit -> "ATCOMMIT" | Control -> "CONTROL"
 
 (* Frontier values.  A transmitter's execution gate
    ([transmit_frontier]) names the least speculation frontier at which it
-   may execute: [now] when it may execute at once, [never] when it may
-   not, and in between a sequence number.  Gates compose with [Int.min]
-   for "or" and [Int.max] for "and". *)
+   may execute, and a producer's forwarding gate ([forward_frontier]) the
+   least at which its results may reach its dependents: [now] for at
+   once, [never] for not at all, and in between a sequence number.
+   Gates compose with [Int.min] for "or" and [Int.max] for "and". *)
 let now = min_int
 let never = max_int
 
@@ -79,21 +81,31 @@ type t = {
          at most [e]'s own seq unless [never]: a transmitter that is no
          longer speculative may execute.  The pipeline parks a refused
          transmitter until the frontier reaches the value. *)
-  may_forward : api -> Rob_entry.t -> bool;
+  forward_frontier : api -> Rob_entry.t -> int;
+      (* the forwarding gate of an executed producer: the least
+         [frontier] at which [e]'s results may reach its dependents.
+         Asked for each waiting source of a consumer, it counts no
+         refusal (the pipeline counts [Stats.wakeup_delay_cycles]) and
+         is at most [e]'s own seq: a producer that is no longer
+         speculative forwards.  While it refuses, its answer must not
+         change.  The pipeline parks a consumer with refused sources
+         until the frontier reaches the least of their values, or until
+         one of its un-executed producers completes. *)
   may_resolve : api -> Rob_entry.t -> bool;
   on_load_executed : api -> Rob_entry.t -> unit;
   on_commit : api -> Rob_entry.t -> unit;
-  metrics : unit -> (string * int) list;
-      (* named policy-local counters for the telemetry layer, read once
-         after a run; [] when the policy keeps no private state.  Names
-         become Prometheus families (protean_defense_<name>_total), so
-         use lowercase snake_case nouns. *)
+  metrics : Stats.t -> (string * int) list;
+      (* named counters for the telemetry layer, read once after a run
+         from the policy's private state and the run's [Stats]; [] when
+         the policy reports none.  Names become Prometheus families
+         (protean_defense_<name>_total), so use lowercase snake_case
+         nouns. *)
 }
 
 let nop_hook _ _ = ()
 let always _ _ = true
 let immediately _ _ = now
-let no_metrics () = []
+let no_metrics _ = []
 
 (* The unmodified out-of-order core: no protection at all. *)
 let unsafe =
@@ -102,7 +114,7 @@ let unsafe =
     uses_protisa = false;
     on_rename = nop_hook;
     transmit_frontier = immediately;
-    may_forward = always;
+    forward_frontier = immediately;
     may_resolve = always;
     on_load_executed = nop_hook;
     on_commit = nop_hook;

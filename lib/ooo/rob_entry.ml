@@ -4,7 +4,7 @@
    O(active) issue scheduler (unresolved-branch list, producer→consumer
    wakeup chain).  Whether the issue scan visits the entry is not a
    field: it is the entry's slot bit in [Pipeline_state.ready] (or, for
-   a parked entry, in [held] or [mdp_wait]). *)
+   a parked entry, in [held], [fwd_wait] or [mdp_wait]). *)
 
 open Protean_isa
 

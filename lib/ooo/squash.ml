@@ -8,8 +8,9 @@
    [Stats] and records it in the hardware trace.
 
    The flush also rebuilds every scheduler index exactly:
-   - slot bit vectors: every flushed slot leaves [ready], [held] and
-     [mdp_wait], and the least held threshold is recomputed,
+   - slot bit vectors: every flushed slot leaves [ready], [held],
+     [fwd_wait] and [mdp_wait], and a parked set whose least threshold
+     left recomputes it,
    - branch list: truncated from the tail (seq-ascending),
    - in-flight deque and live store/load queues: filtered/truncated,
    - wakeup chains: flushed consumers are removed from surviving
@@ -28,7 +29,6 @@ module S = Pipeline_state
    write) their link fields. *)
 let flush (t : S.t) ~from_seq ~new_pc =
   let flushed = ref 0 in
-  let held = t.S.held_count in
   let keep = from_seq - t.S.head_seq in
   let keep = if keep < 0 then 0 else keep in
   for i = keep to t.S.count - 1 do
@@ -63,8 +63,8 @@ let flush (t : S.t) ~from_seq ~new_pc =
     S.sched_drop t idx;
     t.S.rob.(idx) <- Rob_entry.null
   done;
-  (* Nothing is held at [now]: this only recomputes [held_min]. *)
-  if t.S.held_count <> held then S.release_held t Policy.now;
+  S.settle t t.S.held;
+  S.settle t t.S.fwd_wait;
   (* Squashed sequence numbers are reused so the ROB ring stays
      contiguous: rename numbers from [head_seq + count].  Every surviving
      reference (source producers, taint roots, forwarding stores) points

@@ -1,7 +1,7 @@
 (* Issue/execute and branch-resolution stages.
 
    Dynamic issue under the policy's transmitter/wakeup/resolution gates:
-   wakeup (source readiness through [may_forward]), dispatch of ready
+   wakeup (source readiness through [forward_frontier]), dispatch of ready
    instructions up to [issue_width], per-opcode execution including the
    load/store paths (store-to-load forwarding, memory-order speculation
    with MDP-guided stalls, hierarchy walks via [Mem_hierarchy]), and
@@ -14,10 +14,13 @@
      per set bit (an unissued entry neither dormant nor parked),
      breaking once [issue_width] is spent,
    - the parked sets: a transmitter the execution gate refuses waits in
-     [held] until the speculation frontier reaches the gate's value (a
-     compare per cycle against the least such value, a walk of the held
-     bits when the frontier reaches it), and a load the MDP holds back
-     waits in [mdp_wait] until a store resolves its address,
+     [held] until the speculation frontier reaches the gate's value, and
+     a consumer whose forward the forwarding gate refuses waits in
+     [fwd_wait] until it reaches the least refused value or one of its
+     un-executed producers completes (for each, a compare per cycle
+     against the least value, a walk of the set's bits when the
+     frontier reaches it); a load the MDP holds back waits in
+     [mdp_wait] until a store resolves its address,
    - [resolve]: three passes over the unresolved-branch list.
    None of these ever visits a dormant, parked, executed-but-uncommitted
    or committed entry, so cost tracks active instructions, not ROB
@@ -26,10 +29,10 @@
    same cycle as under a scan of every unissued entry — asserted
    bit-for-bit by the golden corpus and the pinned counters, and
    cross-checked against brute-force ring scans by
-   [Invariants.attach_sched].  The one reordering: a held transmitter
-   counts its stall, and emits [On_exec_blocked], at the end of the
-   scan (in seq order) in each cycle the scan would have reached it.
-   No helper here builds a closure or an option.
+   [Invariants.attach_sched].  The one reordering: a parked entry counts
+   its stalls, and emits [On_exec_blocked] or [On_wakeup_blocked], at
+   the end of the scan (in seq order) in each cycle the scan would have
+   reached it.  No helper here builds a closure or an option.
 
    Bookkeeping happens at each site: the [Stats] counters (a denied
    wakeup, execution or resolution per cycle, executed loads, order
@@ -56,25 +59,33 @@ let rec copy_producer_value (p : Rob_entry.t) r (e : Rob_entry.t) i j =
 
 (* Try to make all of [e]'s sources ready; returns true when they are.
    Values from in-flight producers are only visible once the producer has
-   executed *and* the policy allows it to forward (the AccessDelay /
-   ProtDelay wakeup-gating point).
+   executed *and* the frontier has reached its forwarding gate (the
+   AccessDelay / ProtDelay wakeup-gating point).
 
-   Side effect on the scheduler: when nothing blocked on policy and some
-   producer simply has not executed yet, every remaining non-ready
-   source is waiting on an un-executed producer — the entry goes dormant
-   (its bit at [slot] is cleared) and the issue scan skips it until
-   [tick] wakes it.  Skipping is exact: for such an entry this function
-   is pure and false (no emission, no mutation), and each of those
-   sources already sits in its producer's wakeup chain (registered at
-   rename, membership cleared only by the producer executing), so the
-   *first* producer to execute wakes the entry.  No chain registration
-   happens here. *)
+   Side effects on the scheduler, when some source stays non-ready:
+   - the forwarding gate refused a source: the entry parks in [fwd_wait]
+     with the least refused answer as threshold and the refused sources
+     as its stalls, which [count_parked] counts (with the
+     [On_wakeup_blocked] events) in each cycle the scan would have come
+     back to it.  It returns to [ready] when the frontier reaches the
+     threshold or an un-executed producer completes ([complete_entry]);
+     until then every answer holds, and re-asking would count the same;
+   - otherwise every remaining non-ready source is waiting on an
+     un-executed producer — the entry goes dormant (its bit at [slot] is
+     cleared) and the issue scan skips it until [tick] wakes it.
+     Skipping is exact: for such an entry this function is pure and
+     false (no emission, no mutation), and each of those sources
+     already sits in its producer's wakeup chain (registered at rename,
+     membership cleared only by the producer executing), so the *first*
+     producer to execute wakes the entry.
+   No chain registration happens here. *)
 let sources_ready (t : S.t) (e : Rob_entry.t) slot =
   let ap = t.S.api in
   let ready = e.Rob_entry.src_ready in
   let n = Array.length ready in
   let all = ref true in
-  let policy_blocked = ref false in
+  let refused = ref 0 in
+  let least = ref Policy.never in
   for i = 0 to n - 1 do
     if not ready.(i) then begin
       let r, _ = e.Rob_entry.srcs.(i) in
@@ -86,25 +97,24 @@ let sources_ready (t : S.t) (e : Rob_entry.t) slot =
         ready.(i) <- true;
         t.S.progress <- true
       end
-      else if prod.Rob_entry.executed then
-        if t.S.policy.Policy.may_forward ap prod then begin
+      else if prod.Rob_entry.executed then begin
+        let thr = t.S.policy.Policy.forward_frontier ap prod in
+        if thr <= S.frontier t then begin
           copy_producer_value prod r e i 0;
           ready.(i) <- true;
           t.S.progress <- true
         end
         else begin
-          t.S.progress <- true;
-          t.S.stats.Stats.wakeup_delay_cycles <-
-            t.S.stats.Stats.wakeup_delay_cycles + 1;
-          if S.wants t Hooks.k_wakeup_blocked then
-            S.emit t (Hooks.On_wakeup_blocked { consumer = e; producer = prod });
-          all := false;
-          policy_blocked := true
+          incr refused;
+          if thr < !least then least := thr;
+          all := false
         end
+      end
       else all := false
     end
   done;
-  if (not !all) && not !policy_blocked then begin
+  if !refused > 0 then S.park t t.S.fwd_wait slot !least !refused
+  else if not !all then begin
     S.ready_clear t slot;
     t.S.progress <- true
   end;
@@ -340,8 +350,9 @@ let start_execution (t : S.t) (e : Rob_entry.t) =
   !started
 
 (* Complete [e]: mark it executed and wake the consumers parked on its
-   wakeup chain (clear their chain memberships and set their ready bits,
-   so they rejoin the issue scan from this cycle on). *)
+   wakeup chain (clear their chain memberships, take them out of
+   [fwd_wait] and set their ready bits, so they rejoin the issue scan
+   from this cycle on). *)
 let complete_entry (t : S.t) (e : Rob_entry.t) =
   e.Rob_entry.executed <- true;
   e.Rob_entry.t_complete <- t.S.cycle;
@@ -355,7 +366,9 @@ let complete_entry (t : S.t) (e : Rob_entry.t) =
     s := cur.Rob_entry.wl_slot.(slot);
     cur.Rob_entry.wl_next.(slot) <- Rob_entry.null;
     cur.Rob_entry.wl_slot.(slot) <- -1;
-    S.ready_set t (S.idx_of_seq t cur.Rob_entry.seq)
+    let i = S.idx_of_seq t cur.Rob_entry.seq in
+    if S.fwd_mem t i then S.unpark t.S.fwd_wait i;
+    S.ready_set t i
   done
 
 (* Tick the in-flight set: decrement, mark executed at zero, wake the
@@ -475,36 +488,66 @@ let refused (t : S.t) ap (e : Rob_entry.t) slot =
   let thr = t.S.policy.Policy.transmit_frontier ap e in
   thr > S.frontier t
   && begin
-       S.hold t slot thr;
+       S.park t t.S.held slot thr 1;
        true
      end
 
-(* The held entries at offsets in [off, cutoff), counted [n] on, in seq
-   order; [emit] wakes [On_exec_blocked] for each. *)
-let rec walk_held (t : S.t) off cutoff emit n =
-  let o = S.bit_next t t.S.held off cutoff in
-  if o < 0 then n
-  else begin
-    if emit then
-      S.emit t (Hooks.On_exec_blocked (S.peek t (t.S.head_seq + o)));
-    walk_held t (o + 1) cutoff emit (n + 1)
+(* [On_wakeup_blocked] for each source of the forward-parked [e] from
+   [i] on whose producer executed: the sources its forward waits for. *)
+let rec emit_wakeup_blocked (t : S.t) (e : Rob_entry.t) i =
+  if i < Array.length e.Rob_entry.src_ready then begin
+    if not e.Rob_entry.src_ready.(i) then begin
+      let prod = S.peek t e.Rob_entry.src_producer.(i) in
+      if prod.Rob_entry.executed then
+        S.emit t (Hooks.On_wakeup_blocked { consumer = e; producer = prod })
+    end;
+    emit_wakeup_blocked t e (i + 1)
   end
 
-(* A refused transmitter counts a stall, and wakes [On_exec_blocked],
-   in every cycle the issue scan would have reached it had it stayed in
-   [ready]: every held entry, or those below offset [cutoff] when the
+(* The stalls of the entries of [p] at offsets in [off, cutoff), added
+   to [n], in seq order; [emit] wakes their blocked events. *)
+let rec walk_parked (t : S.t) (p : S.parked) off cutoff emit n =
+  let o = S.bit_next t p.S.bits off cutoff in
+  if o < 0 then n
+  else begin
+    let slot = S.idx_of_seq t (t.S.head_seq + o) in
+    if emit then begin
+      let e = t.S.rob.(slot) in
+      if p == t.S.held then S.emit t (Hooks.On_exec_blocked e)
+      else emit_wakeup_blocked t e 0
+    end;
+    walk_parked t p (o + 1) cutoff emit (n + p.S.stalls.(slot))
+  end
+
+(* A parked entry counts its stalls, and wakes its blocked events, in
+   every cycle the issue scan would have reached it had it stayed in
+   [ready]: every entry of [p], or those below offset [cutoff] when the
    issue width filled there. *)
-let count_held (t : S.t) cutoff =
-  if t.S.held_count > 0 then begin
-    let emit = S.wants t Hooks.k_exec_blocked in
-    let held =
-      if cutoff < 0 && not emit then t.S.held_count
-      else walk_held t 0 (if cutoff < 0 then t.S.count else cutoff) emit 0
+let parked_stalls (t : S.t) (p : S.parked) cutoff emit =
+  if cutoff < 0 && not emit then p.S.total
+  else walk_parked t p 0 (if cutoff < 0 then t.S.count else cutoff) emit 0
+
+(* After the scan: a held transmitter counts a
+   [transmitter_stall_cycles] cycle, a forward-parked consumer a
+   [wakeup_delay_cycles] cycle per refused source. *)
+let count_parked (t : S.t) cutoff =
+  let st = t.S.stats in
+  if t.S.held.S.count > 0 then begin
+    let n =
+      parked_stalls t t.S.held cutoff (S.wants t Hooks.k_exec_blocked)
     in
-    if held > 0 then begin
+    if n > 0 then begin
       t.S.progress <- true;
-      t.S.stats.Stats.transmitter_stall_cycles <-
-        t.S.stats.Stats.transmitter_stall_cycles + held
+      st.Stats.transmitter_stall_cycles <- st.Stats.transmitter_stall_cycles + n
+    end
+  end;
+  if t.S.fwd_wait.S.count > 0 then begin
+    let n =
+      parked_stalls t t.S.fwd_wait cutoff (S.wants t Hooks.k_wakeup_blocked)
+    in
+    if n > 0 then begin
+      t.S.progress <- true;
+      st.Stats.wakeup_delay_cycles <- st.Stats.wakeup_delay_cycles + n
     end
   end
 
@@ -517,7 +560,8 @@ let run (t : S.t) =
   | None -> ()
   | Some _ -> Array.fill t.S.port_used 0 (Array.length t.S.port_used) false);
   (let f = S.frontier t in
-   if t.S.held_min <= f then S.release_held t f);
+   if t.S.held.S.least <= f then S.release t t.S.held f;
+   if t.S.fwd_wait.S.least <= f then S.release t t.S.fwd_wait f);
   let issued = ref 0 in
   let cutoff = ref (-1) in
   let n = S.rob_size t in
@@ -579,7 +623,7 @@ let run (t : S.t) =
        (flushed slots read as empty). *)
     off := S.ready_next t (!off + 1)
   done;
-  count_held t !cutoff
+  count_parked t !cutoff
 
 (* Resolve branches: confirm correctly-predicted ones and initiate at most
    one squash per cycle from the oldest eligible misprediction.  All three

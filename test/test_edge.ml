@@ -70,6 +70,45 @@ let test_cache_eviction_forgets_protection () =
   Alcotest.(check bool) "refill is protected" true
     (Cache.protected_bytes cache 0L 8)
 
+(* The protection bits of an access inside one line are read and
+   written with one line lookup, those of a line-crossing access byte by
+   byte: either way, the same as one byte at a time.  Random fills (with
+   evictions), writes and reads of 1-8 bytes, a third of them crossing a
+   line, on a small two-way cache against a twin written byte by byte. *)
+let test_cache_protection_bytewise () =
+  let cfg = { Config.size_kib = 1; ways = 2; line = 64; latency = 1 } in
+  let c = Cache.create cfg and r = Cache.create cfg in
+  let rng = Random.State.make [| 7 |] in
+  let addr () =
+    let line = Random.State.int rng 48 * 64 in
+    Int64.of_int
+      (if Random.State.int rng 3 = 0 then line + 64 - Random.State.int rng 7
+       else line + Random.State.int rng 64)
+  in
+  let bytewise_protected a size =
+    List.exists
+      (fun i -> Cache.protected_bytes r (Int64.add a (Int64.of_int i)) 1)
+      (List.init size Fun.id)
+  in
+  for step = 1 to 20_000 do
+    let a = addr () and size = 1 + Random.State.int rng 8 in
+    match Random.State.int rng 3 with
+    | 0 ->
+        ignore (Cache.access c a);
+        ignore (Cache.access r a)
+    | 1 ->
+        let protected = Random.State.bool rng in
+        Cache.set_protection c a size ~protected;
+        for i = 0 to size - 1 do
+          Cache.set_protection r (Int64.add a (Int64.of_int i)) 1 ~protected
+        done
+    | _ ->
+        Alcotest.(check bool)
+          (Printf.sprintf "step %d: %d bytes at %Ld" step size a)
+          (bytewise_protected a size)
+          (Cache.protected_bytes c a size)
+  done
+
 (* Call pushes a public return address: the stack slot must be
    unprotected in the architectural ProtSet. *)
 let test_protset_call_pushes_public () =
@@ -164,6 +203,8 @@ let tests =
     Alcotest.test_case "out-of-bounds pc halts" `Quick test_out_of_bounds_pc_halts;
     Alcotest.test_case "eviction forgets protection" `Quick
       test_cache_eviction_forgets_protection;
+    Alcotest.test_case "L1D protection bits: line lookups == bytewise" `Quick
+      test_cache_protection_bytewise;
     Alcotest.test_case "call pushes public" `Quick test_protset_call_pushes_public;
     Alcotest.test_case "cts observer typing" `Quick test_cts_observer_typing;
     Alcotest.test_case "first divergence" `Quick test_first_divergence;

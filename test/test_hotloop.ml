@@ -19,11 +19,12 @@
      O(active) indexes are exactly the sets the scans would compute, and
      skip-ahead is exactly the spinning machine.  The check itself is
      shown to catch a corrupted ready bit in both directions, a
-     corrupted held bit or threshold, and a load missing from the load
-     queue;
+     corrupted held or forward-parked bit or threshold, a stale summary
+     bit of the ready vector, and a load missing from the load queue;
 
-   - parking: a transmitter the execution gate refuses is asked again
-     only when the frontier reaches its threshold, not every cycle;
+   - parking: a transmitter the execution gate refuses, or a consumer
+     whose forward the forwarding gate refuses, is asked again only when
+     the frontier reaches its threshold, not every cycle;
 
    - allocation: the policy gates the issue and resolve stages poll
      several times per cycle allocate nothing, for every defense, and
@@ -175,8 +176,8 @@ let sched_invs t =
 (* Must the issue scan visit [e]?  Yes when every source is ready, or
    when some non-ready source's producer has already executed (or
    committed): only an entry whose every pending source waits on an
-   un-executed producer may be dormant.  A parked entry waits in [held]
-   or [mdp_wait] instead. *)
+   un-executed producer may be dormant.  A parked entry waits in [held],
+   [fwd_wait] or [mdp_wait] instead. *)
 let must_visit (t : S.t) (e : Rob_entry.t) =
   let visit = ref true in
   for i = 0 to Array.length e.Rob_entry.src_ready - 1 do
@@ -191,7 +192,7 @@ let must_visit (t : S.t) (e : Rob_entry.t) =
   let slot = S.idx_of_seq t e.Rob_entry.seq in
   !visit
   && (not e.Rob_entry.issued)
-  && not (S.held_mem t slot || S.mdp_mem t slot)
+  && not (S.held_mem t slot || S.fwd_mem t slot || S.mdp_mem t slot)
 
 (* The live entry satisfying [pred] nearest the ROB head. *)
 let find_live t pred =
@@ -252,7 +253,7 @@ let test_sched_held_teeth () =
   let found = ref None in
   while !found = None && (not (Pipeline.is_done t)) && t.S.cycle < 50_000 do
     Pipeline.step t;
-    if t.S.held_count > 0 then
+    if t.S.held.S.count > 0 then
       match
         ( find_live t (fun e ->
               S.held_mem t (S.idx_of_seq t e.Rob_entry.seq)),
@@ -268,22 +269,80 @@ let test_sched_held_teeth () =
   in
   let slot e = S.idx_of_seq t e.Rob_entry.seq in
   Alcotest.(check (list string)) "clean before corruption" [] (sched_invs t);
-  S.bit_clear t.S.held (slot held);
+  S.bit_clear t.S.held.S.bits (slot held);
   Alcotest.(check (list string)) "cleared bit of a held entry"
     [ "sched-dormant"; "sched-held" ] (sched_invs t);
-  S.bit_set t.S.held (slot held);
+  S.bit_set t.S.held.S.bits (slot held);
   Alcotest.(check (list string)) "clean after restoring it" [] (sched_invs t);
-  S.bit_set t.S.held (slot issued);
+  S.bit_set t.S.held.S.bits (slot issued);
   Alcotest.(check bool) "set bit of an issued entry" true
     (List.mem "sched-parked" (sched_invs t));
-  S.bit_clear t.S.held (slot issued);
+  S.bit_clear t.S.held.S.bits (slot issued);
   Alcotest.(check (list string)) "clean after clearing it" [] (sched_invs t);
-  let thr = t.S.held_thr.(slot held) in
-  t.S.held_thr.(slot held) <- S.frontier t;
+  let thr = t.S.held.S.thr.(slot held) in
+  t.S.held.S.thr.(slot held) <- S.frontier t;
   Alcotest.(check (list string)) "threshold the frontier reached"
     [ "sched-held" ] (sched_invs t);
-  t.S.held_thr.(slot held) <- thr;
+  t.S.held.S.thr.(slot held) <- thr;
   Alcotest.(check (list string)) "clean after restoring it" [] (sched_invs t)
+
+(* The same teeth on the forward-parked set and on the ready vector's
+   summary: a parked consumer whose bit is cleared reads as a false
+   dormancy and a count mismatch, a parked bit on an issued entry as a
+   bad parked bit, a threshold the frontier already reached as a bad
+   forward-parked entry, and a summary bit that disagrees with its word
+   (cleared over a non-zero word, which the scan would skip, or set over
+   a zero one) as a bad ready vector; restoring each is clean. *)
+let test_sched_fwd_teeth () =
+  let t = p_core_bearssl ~bench:"lbm" (Defense.find "prot-delay") ~cycles:0 in
+  let fwd = t.S.fwd_wait in
+  let found = ref None in
+  while !found = None && (not (Pipeline.is_done t)) && t.S.cycle < 50_000 do
+    Pipeline.step t;
+    let nonzero = ref (-1) and zero = ref (-1) in
+    Array.iteri
+      (fun w x -> if x <> 0 then nonzero := w else zero := w)
+      t.S.ready;
+    if fwd.S.count > 0 && !nonzero >= 0 && !zero >= 0 then
+      match
+        ( find_live t (fun e -> S.fwd_mem t (S.idx_of_seq t e.Rob_entry.seq)),
+          find_live t (fun e -> e.Rob_entry.issued) )
+      with
+      | Some f, Some i -> found := Some (f, i, !nonzero, !zero)
+      | _ -> ()
+  done;
+  let parked, issued, nonzero, zero =
+    match !found with
+    | Some p -> p
+    | None -> Alcotest.fail "no forward-parked consumer beside an issued entry"
+  in
+  let slot e = S.idx_of_seq t e.Rob_entry.seq in
+  Alcotest.(check (list string)) "clean before corruption" [] (sched_invs t);
+  S.bit_clear fwd.S.bits (slot parked);
+  Alcotest.(check (list string)) "cleared bit of a parked consumer"
+    [ "sched-dormant"; "sched-fwd" ] (sched_invs t);
+  S.bit_set fwd.S.bits (slot parked);
+  Alcotest.(check (list string)) "clean after restoring it" [] (sched_invs t);
+  S.bit_set fwd.S.bits (slot issued);
+  Alcotest.(check bool) "set bit of an issued entry" true
+    (List.mem "sched-parked" (sched_invs t));
+  S.bit_clear fwd.S.bits (slot issued);
+  Alcotest.(check (list string)) "clean after clearing it" [] (sched_invs t);
+  let thr = fwd.S.thr.(slot parked) in
+  fwd.S.thr.(slot parked) <- S.frontier t;
+  Alcotest.(check (list string)) "threshold the frontier reached"
+    [ "sched-fwd" ] (sched_invs t);
+  fwd.S.thr.(slot parked) <- thr;
+  Alcotest.(check (list string)) "clean after restoring it" [] (sched_invs t);
+  S.bit_clear t.S.ready_sum nonzero;
+  Alcotest.(check (list string)) "summary bit cleared over a non-zero word"
+    [ "sched-ready" ] (sched_invs t);
+  S.bit_set t.S.ready_sum nonzero;
+  S.bit_set t.S.ready_sum zero;
+  Alcotest.(check (list string)) "summary bit set over a zero word"
+    [ "sched-ready" ] (sched_invs t);
+  S.bit_clear t.S.ready_sum zero;
+  Alcotest.(check (list string)) "clean after restoring them" [] (sched_invs t)
 
 (* The same teeth on the load queue, whose length rename's capacity
    stall reads: a live load dropped from [lsq_loads] mid-run is reported
@@ -382,11 +441,48 @@ let test_gate_calls () =
   if !calls = 0 || !calls >= stepped then
     Alcotest.failf "%d gate calls in %d stepped cycles" !calls stepped
 
+(* ProtDelay's forwarding gate on the same cell, where unselected
+   accesses hold back 3,200,571 source-cycles of their dependents in
+   62,202 cycles: parked until the frontier reaches the access, or until
+   another producer of theirs completes, the consumers ask the gate less
+   than once per ten of the stalls they count (an ask on every visit
+   made 3,303,084 calls). *)
+let test_forward_calls () =
+  let calls = ref 0 in
+  let pd = Defense.find "prot-delay" in
+  let counting =
+    {
+      pd with
+      Defense.make =
+        (fun () ->
+          let p = pd.Defense.make () in
+          {
+            p with
+            Policy.forward_frontier =
+              (fun ap e ->
+                incr calls;
+                p.Policy.forward_frontier ap e);
+          });
+    }
+  in
+  let spec =
+    Golden.spec_of (Golden.cell ~config:"p" (Golden.Bench "lbm") "prot-delay")
+  in
+  let spec = { spec with E.dcfg = { spec.E.dcfg with E.defense = counting } } in
+  let st = List.hd (E.execute spec).E.stats in
+  let module Stats = Protean_ooo.Stats in
+  Alcotest.(check int) "wakeup delays as pinned" 3_200_571
+    st.Stats.wakeup_delay_cycles;
+  if !calls = 0 || !calls * 10 > st.Stats.wakeup_delay_cycles then
+    Alcotest.failf "%d gate calls for %d refused source-cycles" !calls
+      st.Stats.wakeup_delay_cycles
+
 (* [ready_next] against a brute-force walk of the live window, on ROB
    sizes that are and are not multiples of the word width, with random
    head positions, occupancies (empty and full included) and bit
-   densities: the wrap, the end-of-window bound and the per-word masks
-   all agree with the definition. *)
+   densities: the wrap, the end-of-window bound, the per-word masks and
+   the summary level (kept by the setters, through which every bit is
+   written) all agree with the definition. *)
 let test_ready_next_brute () =
   let rng = Random.State.make [| 21 |] in
   List.iter
@@ -401,7 +497,9 @@ let test_ready_next_brute () =
           | 0 -> n
           | 1 -> 0
           | _ -> Random.State.int rng (n + 1));
-        Array.fill t.S.ready 0 (Array.length t.S.ready) 0;
+        for s = 0 to n - 1 do
+          S.ready_clear t s
+        done;
         let density = 1 + Random.State.int rng 40 in
         for off = 0 to t.S.count - 1 do
           if Random.State.int rng density = 0 then S.ready_set t (slot off)
@@ -424,7 +522,8 @@ let test_ready_next_brute () =
 
 (* Every defense's three per-cycle gates, polled on every live entry of
    a warm P-core pipeline, allocate nothing: the loop is a [for] loop
-   with no closure, so only the two Gc probes' boxed floats show. *)
+   with no closure, so only the two Gc probes' boxed floats show.  (The
+   forwarding gate is asked of every entry, executed or not.) *)
 let test_gates_alloc_free () =
   List.iter
     (fun (d : Defense.t) ->
@@ -440,7 +539,8 @@ let test_gates_alloc_free () =
           if pol.Policy.transmit_frontier ap e <= Policy.frontier ap then
             incr sink;
           if pol.Policy.may_resolve ap e then incr sink;
-          if pol.Policy.may_forward ap e then incr sink
+          if pol.Policy.forward_frontier ap e <= Policy.frontier ap then
+            incr sink
         done
       done;
       let g1 = Gc.minor_words () in
@@ -682,12 +782,16 @@ let tests =
       test_sched_ready_teeth;
     Alcotest.test_case "scheduler check catches a corrupted held bit" `Quick
       test_sched_held_teeth;
+    Alcotest.test_case "scheduler check catches a corrupted forward-parked slot"
+      `Quick test_sched_fwd_teeth;
     Alcotest.test_case "scheduler check catches a dropped load" `Quick
       test_sched_lq_teeth;
     Alcotest.test_case "invariant check catches a corrupted rename map" `Quick
       test_rmap_producer_teeth;
     Alcotest.test_case "a refused transmitter is asked once it can issue"
       `Quick test_gate_calls;
+    Alcotest.test_case "a refused forward is asked once it can wake" `Quick
+      test_forward_calls;
     Alcotest.test_case "ready_next == brute-force window walk" `Quick
       test_ready_next_brute;
     Alcotest.test_case "policy gates allocation-free (every defense)" `Quick
