@@ -133,52 +133,45 @@ let last_miss t =
 
 (* --- Protection bits ------------------------------------------------ *)
 
-(* An access of [size] bytes at [addr] lies inside one line: one lookup
-   serves all its bytes.  A line-crossing one goes byte by byte. *)
+(* The bits are read and written a line at a time: an access of [size]
+   bytes at [addr] inside one line takes one lookup, a line-crossing one
+   a lookup per byte. *)
 let within_line t addr size = line_offset t addr + size <= t.cfg.line
-
-(* Are any of the [size] bytes at [addr] protected?  Bytes not present in
-   the cache are protected by definition. *)
-let rec protected_from t addr size i =
-  i < size
-  &&
-  let a = Int64.add addr (Int64.of_int i) in
-  let set = t.sets.(set_index t a) in
-  let way = find_way set (tag_of t a) 0 in
-  way < 0
-  || Bytes.get set.(way).prot (line_offset t a) = '\001'
-  || protected_from t addr size (i + 1)
 
 (* Is any byte of [prot] in [i, e) protected? *)
 let rec any_protected prot i e =
   i < e && (Bytes.get prot i = '\001' || any_protected prot (i + 1) e)
 
+(* Are any of the [size] bytes at [addr], inside one line, protected?
+   Bytes not present in the cache are protected by definition. *)
+let line_protected t addr size =
+  let set = t.sets.(set_index t addr) in
+  let way = find_way set (tag_of t addr) 0 in
+  let off = line_offset t addr in
+  way < 0 || any_protected set.(way).prot off (off + size)
+
+let rec protected_from t addr size i =
+  i < size
+  && (line_protected t (Int64.add addr (Int64.of_int i)) 1
+     || protected_from t addr size (i + 1))
+
+(* Are any of the [size] bytes at [addr] protected? *)
 let protected_bytes t addr size =
-  if size > 0 && within_line t addr size then begin
-    let set = t.sets.(set_index t addr) in
-    let way = find_way set (tag_of t addr) 0 in
-    let off = line_offset t addr in
-    way < 0 || any_protected set.(way).prot off (off + size)
-  end
+  if size > 0 && within_line t addr size then line_protected t addr size
   else protected_from t addr size 0
+
+(* Set the protection of the [size] bytes at [addr], inside one line, if
+   the line is present. *)
+let set_line_protection t addr size v =
+  let set = t.sets.(set_index t addr) in
+  let way = find_way set (tag_of t addr) 0 in
+  if way >= 0 then Bytes.fill set.(way).prot (line_offset t addr) size v
 
 (* Set the protection of the [size] bytes at [addr] that are present. *)
 let set_protection t addr size ~protected =
   let v = if protected then '\001' else '\000' in
-  if within_line t addr size then begin
-    let set = t.sets.(set_index t addr) in
-    let way = find_way set (tag_of t addr) 0 in
-    if way >= 0 then begin
-      let prot = set.(way).prot and off = line_offset t addr in
-      for i = off to off + size - 1 do
-        Bytes.set prot i v
-      done
-    end
-  end
+  if within_line t addr size then set_line_protection t addr size v
   else
     for i = 0 to size - 1 do
-      let a = Int64.add addr (Int64.of_int i) in
-      let set = t.sets.(set_index t a) in
-      let way = find_way set (tag_of t a) 0 in
-      if way >= 0 then Bytes.set set.(way).prot (line_offset t a) v
+      set_line_protection t (Int64.add addr (Int64.of_int i)) 1 v
     done

@@ -519,37 +519,33 @@ let rec walk_parked (t : S.t) (p : S.parked) off cutoff emit n =
     walk_parked t p (o + 1) cutoff emit (n + p.S.stalls.(slot))
   end
 
-(* A parked entry counts its stalls, and wakes its blocked events, in
-   every cycle the issue scan would have reached it had it stayed in
-   [ready]: every entry of [p], or those below offset [cutoff] when the
-   issue width filled there. *)
-let parked_stalls (t : S.t) (p : S.parked) cutoff emit =
-  if cutoff < 0 && not emit then p.S.total
-  else walk_parked t p 0 (if cutoff < 0 then t.S.count else cutoff) emit 0
+(* A parked entry counts its stalls, and wakes its blocked events (of
+   kind [k]), in every cycle the issue scan would have reached it had it
+   stayed in [ready]: every entry of [p], or those below offset [cutoff]
+   when the issue width filled there.  A counted stall marks progress. *)
+let parked_stalls (t : S.t) (p : S.parked) cutoff k =
+  if p.S.count = 0 then 0
+  else begin
+    let emit = S.wants t k in
+    let n =
+      if cutoff < 0 && not emit then p.S.total
+      else walk_parked t p 0 (if cutoff < 0 then t.S.count else cutoff) emit 0
+    in
+    if n > 0 then t.S.progress <- true;
+    n
+  end
 
 (* After the scan: a held transmitter counts a
    [transmitter_stall_cycles] cycle, a forward-parked consumer a
    [wakeup_delay_cycles] cycle per refused source. *)
 let count_parked (t : S.t) cutoff =
   let st = t.S.stats in
-  if t.S.held.S.count > 0 then begin
-    let n =
-      parked_stalls t t.S.held cutoff (S.wants t Hooks.k_exec_blocked)
-    in
-    if n > 0 then begin
-      t.S.progress <- true;
-      st.Stats.transmitter_stall_cycles <- st.Stats.transmitter_stall_cycles + n
-    end
-  end;
-  if t.S.fwd_wait.S.count > 0 then begin
-    let n =
-      parked_stalls t t.S.fwd_wait cutoff (S.wants t Hooks.k_wakeup_blocked)
-    in
-    if n > 0 then begin
-      t.S.progress <- true;
-      st.Stats.wakeup_delay_cycles <- st.Stats.wakeup_delay_cycles + n
-    end
-  end
+  st.Stats.transmitter_stall_cycles <-
+    st.Stats.transmitter_stall_cycles
+    + parked_stalls t t.S.held cutoff Hooks.k_exec_blocked;
+  st.Stats.wakeup_delay_cycles <-
+    st.Stats.wakeup_delay_cycles
+    + parked_stalls t t.S.fwd_wait cutoff Hooks.k_wakeup_blocked
 
 let run (t : S.t) =
   tick t;
